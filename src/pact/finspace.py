@@ -206,15 +206,42 @@ def compose(outer: SpaceMap, inner: SpaceMap) -> SpaceMap:
                     tuple(outer(y) for y in inner.assignment))
 
 
+def monotonicity_violation(src_down: Sequence[int], subset: int,
+                           image: Sequence[int], tgt_down: Sequence[int]
+                           ) -> tuple[int, int] | None:
+    """The integer core of every monotonicity test.
+
+    ``src_down``/``tgt_down`` are down-set masks (``FinSpace._down_masks``),
+    ``subset`` masks the source points the map is defined on, and
+    ``image[i]`` is the target index of source point i (read only for i in
+    ``subset``).  The map is monotone on the subset iff for each y in it and
+    each x in down(y) & subset, bit image[x] is set in down(image[y]).
+
+    Returns the first violating pair (x, y) of source indices, least y first
+    and then least x, or None when the map is monotone.
+    """
+    rest = subset
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        y = low.bit_length() - 1
+        allowed = tgt_down[image[y]]
+        below = src_down[y] & subset & ~low
+        while below:
+            bit = below & -below
+            below ^= bit
+            x = bit.bit_length() - 1
+            if not allowed >> image[x] & 1:
+                return x, y
+    return None
+
+
 def is_continuous(m: SpaceMap) -> bool:
     """Continuity == monotonicity for the specialization preorders."""
     src, tgt = m.source, m.target
-    for j, y in enumerate(src.points):
-        fy = m.assignment[j]
-        for i, x in enumerate(src.points):
-            if src._down_masks[j] & (1 << i) and not tgt.leq(m.assignment[i], fy):
-                return False
-    return True
+    image = [tgt.index(y) for y in m.assignment]
+    return monotonicity_violation(src._down_masks, (1 << len(src)) - 1,
+                                  image, tgt._down_masks) is None
 
 
 def is_open_map(m: SpaceMap) -> bool:

@@ -15,7 +15,8 @@ from .algebra import Group, Subgroup
 from .errors import BoundExceeded, InternalCheckError, ValidationError
 from .finspace import (FinSpace, SpaceMap, compose, discrete_space,
                        is_closed, is_continuous, is_open, is_open_map,
-                       pair_label, product, quotient, subspace)
+                       monotonicity_violation, pair_label, product,
+                       quotient, subspace)
 
 
 @dataclass(frozen=True)
@@ -106,9 +107,13 @@ def validate_partial_action(group: Group, space: FinSpace,
                             thetas: Mapping[str, Mapping[str, str]]) -> PartialAction:
     """Check every partial-action axiom; first violation wins, with witness.
 
-    PA2 is checked twice, by exhaustive triple scan and by the domain
-    identity theta_g(X_{g^-1} & X_h) = X_g & X_{gh}; the two must agree.
+    Monotonicity of theta_g and of its inverse is checked on down-set masks
+    by :func:`monotonicity_violation`.  PA2 is checked twice, by exhaustive
+    triple scan and by the domain identity theta_g(X_{g^-1} & X_h) =
+    X_g & X_{gh}; the two must agree.  Witnesses follow the group's element
+    order and the space's point order, so they do not depend on hashing.
     """
+    inv = {g: group.inv(g) for g in group.elements}
     dom: dict[str, frozenset[str]] = {}
     for g in group.elements:
         if g not in domains:
@@ -124,11 +129,11 @@ def validate_partial_action(group: Group, space: FinSpace,
         if g not in thetas:
             raise ValidationError("domain-keys", (g,), f"no map table for element {g!r}")
         table = dict(thetas[g])
-        expected = dom[group.inv(g)]
+        expected = dom[inv[g]]
         if frozenset(table) != expected:
             off = sorted(frozenset(table) ^ expected)[0]
             raise ValidationError("theta-domain", (g, off),
-                                  f"theta_{g!r} must be defined exactly on X_({group.inv(g)!r})")
+                                  f"theta_{g!r} must be defined exactly on X_({inv[g]!r})")
         for x, y in table.items():
             space.index(y)
         the[g] = table
@@ -149,43 +154,55 @@ def validate_partial_action(group: Group, space: FinSpace,
             raise ValidationError("domain-not-open", (g,) + tuple(sorted(dom[g])),
                                   f"X_{g!r} is not open")
 
+    points, index, down = space.points, space._index, space._down_masks
+    mask = {g: space.mask_of(dom[g]) for g in group.elements}
+    # each domain in point order, so every scan below finds its first
+    # violation in the same place under any hash seed
+    ordered = {g: tuple(x for x in points if x in dom[g]) for g in group.elements}
     for g in group.elements:
-        src, tgt, table = dom[group.inv(g)], dom[g], the[g]
+        tgt, table = dom[g], the[g]
         values = list(table.values())
         if len(set(values)) != len(values) or set(values) != set(tgt):
             raise ValidationError("theta-not-bijective", (g,),
                                   f"theta_{g!r} is not a bijection onto X_{g!r}")
-        for x in src:
-            for y in src:
-                if space.leq(x, y) and not space.leq(table[x], table[y]):
-                    raise ValidationError("theta-not-continuous", (g, x, y),
-                                          f"theta_{g!r} is not monotone")
+        image = [0] * len(points)
+        back = [0] * len(points)
+        for x, y in table.items():
+            i, j = index[x], index[y]
+            image[i] = j
+            back[j] = i
+        bad = monotonicity_violation(down, mask[inv[g]], image, down)
+        if bad:
+            raise ValidationError("theta-not-continuous",
+                                  (g, points[bad[0]], points[bad[1]]),
+                                  f"theta_{g!r} is not monotone")
         # inverse continuity is PA1 plus the forward check on g^-1, but check
         # it directly so a broken inverse is caught before PA1 runs; the
         # witness (g, x, y) lives in X_g so it replays from theta_g alone.
-        back = {y: x for x, y in table.items()}
-        for x in tgt:
-            for y in tgt:
-                if space.leq(x, y) and not space.leq(back[x], back[y]):
-                    raise ValidationError("theta-inverse-not-continuous", (g, x, y),
-                                          f"inverse of theta_{g!r} is not monotone")
+        bad = monotonicity_violation(down, mask[g], back, down)
+        if bad:
+            raise ValidationError("theta-inverse-not-continuous",
+                                  (g, points[bad[0]], points[bad[1]]),
+                                  f"inverse of theta_{g!r} is not monotone")
 
     for g in group.elements:
-        ginv = group.inv(g)
-        for x, y in the[g].items():
-            if the[ginv].get(y) != x:
+        table, table_inv = the[g], the[inv[g]]
+        for x in ordered[inv[g]]:
+            if table_inv.get(table[x]) != x:
                 raise ValidationError("theta-inverse-mismatch", (g, x),
-                                      f"theta_{ginv!r} does not invert theta_{g!r}")
+                                      f"theta_{inv[g]!r} does not invert theta_{g!r}")
 
     pa2_scan: tuple | None = None
     for g in group.elements:
+        dom_ginv, the_g = dom[inv[g]], the[g]
         for h in group.elements:
             gh = group.mul(g, h)
-            for x in dom[group.inv(h)]:
-                hx = the[h][x]
-                if hx not in dom[group.inv(g)]:
+            dom_ghinv, the_h, the_gh = dom[inv[gh]], the[h], the[gh]
+            for x in ordered[inv[h]]:
+                hx = the_h[x]
+                if hx not in dom_ginv:
                     continue
-                if x not in dom[group.inv(gh)] or the[g][hx] != the[gh][x]:
+                if x not in dom_ghinv or the_g[hx] != the_gh[x]:
                     pa2_scan = (g, h, x)
                     break
             if pa2_scan:
@@ -195,7 +212,7 @@ def validate_partial_action(group: Group, space: FinSpace,
     pa2_identity: tuple | None = None
     for g in group.elements:
         for h in group.elements:
-            lhs = frozenset(the[g][x] for x in dom[group.inv(g)] & dom[h])
+            lhs = frozenset(the[g][x] for x in dom[inv[g]] & dom[h])
             rhs = dom[g] & dom[group.mul(g, h)]
             if lhs != rhs:
                 pa2_identity = (g, h)

@@ -116,6 +116,23 @@ def preimage_continuous(points_x: list[str], min_open_x: Mapping,
     return True
 
 
+def first_monotone_violation(points: list[str], min_open_x: Mapping,
+                             min_open_y: Mapping, assignment: Mapping[str, str],
+                             subset: Iterable[str]) -> tuple[str, str] | None:
+    """Pairwise scan of the raw tables: the first (x, y) in ``subset``, least
+    y then least x in ``points`` order, with x in U_y but f(x) not in
+    U_f(y); None when f is monotone on the subset."""
+    keep = set(subset)
+    for y in points:
+        if y not in keep:
+            continue
+        for x in points:
+            if (x in keep and x in min_open_x[y]
+                    and assignment[x] not in min_open_y[assignment[y]]):
+                return x, y
+    return None
+
+
 # ---------------------------------------------------------------------------
 # partial actions
 

@@ -174,6 +174,45 @@ def test_cross_process_determinism_under_hash_randomization(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_validation_witnesses_are_identical_under_hash_randomization(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pact import cyclic_group, fixture_dict
+    # theta_1 on z4-circle with the images of two keys swapped: several
+    # pairs break monotonicity, and the witness is the first in point order
+    circle = fixture_dict("z4-circle")
+    table = circle["partial_action"]["maps"]["1"]
+    keys = list(table)
+    table[keys[0]], table[keys[2]] = table[keys[2]], table[keys[0]]
+    # Z4 acting by powers of a swap: PA2 fails at every point for g = h = 1
+    points = [f"p{i}" for i in range(6)]
+    swap = {p: points[i ^ 1] for i, p in enumerate(points)}
+    z4 = cyclic_group(4)
+    swaps = {
+        "id": "z4-swap-powers",
+        "group": {"elements": list(z4.elements),
+                  "table": [list(row) for row in z4.table],
+                  "identity": z4.identity},
+        "space": {"points": points, "min_open": {p: [p] for p in points}},
+        "partial_action": {"domains": {g: points for g in "123"},
+                           "maps": {g: swap for g in "123"}}}
+    for doc, witness in ((circle, "('1', 'a0', 'c0')"),
+                         (swaps, "('1', '1', 'p0')")):
+        path = tmp_path / f"{doc['id']}.json"
+        path.write_text(json.dumps(doc))
+        errors = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed}
+            proc = subprocess.run(
+                [sys.executable, "-m", "pact.cli", "validate", str(path)],
+                capture_output=True, text=True, env=env)
+            assert proc.returncode == 2
+            errors.append(proc.stderr.strip())
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: ") and witness in errors[0]
+
+
 def test_bound_flag_allows_larger_instances(capsys):
     # homotopy-preservation on z4-circle needs the defaults; shrink to force
     # a skip, then confirm the default succeeds

@@ -12,8 +12,9 @@ from pact import (BoundExceeded, SpaceMap, ValidationError, compose,
                   is_open_map, is_T1, load_fixture, pair_label, product,
                   quotient, space_from_min_opens, split_pair_label, subspace,
                   t0_quotient)
-from oracle import (brute_opens, preimage_continuous, random_partition,
-                    random_preorder_space, space_violation)
+from pact.finspace import monotonicity_violation
+from oracle import (brute_opens, first_monotone_violation, preimage_continuous,
+                    random_partition, random_preorder_space, space_violation)
 
 
 def c8():
@@ -365,6 +366,52 @@ def test_projection_sections_compose_to_identity(a, b):
                            tuple(pair_label(x, y) for x in a.points))
         assert is_continuous(section)
         assert compose(p1, section).assignment == a.points
+
+
+@st.composite
+def shuffled_spaces(draw, max_points=8):
+    """A small space whose point order is not its label order."""
+    space = draw(small_spaces(max_points))
+    order = draw(st.permutations(space.points))
+    return space_from_min_opens(order, {p: space.min_open_of(p) for p in order})
+
+
+def raw_min_opens(space):
+    return {p: space.min_open_of(p) for p in space.points}
+
+
+@settings(max_examples=200, deadline=None)
+@given(shuffled_spaces(), shuffled_spaces(), st.data())
+def test_monotonicity_kernel_matches_pairwise_oracle(a, b, data):
+    n = len(a)
+    image = data.draw(st.lists(st.integers(0, len(b) - 1), min_size=n, max_size=n))
+    subset = data.draw(st.integers(0, (1 << n) - 1))
+    assignment = {x: b.points[j] for x, j in zip(a.points, image)}
+    kept = [x for i, x in enumerate(a.points) if subset >> i & 1]
+    found = monotonicity_violation(a._down_masks, subset, image, b._down_masks)
+    expected = first_monotone_violation(list(a.points), raw_min_opens(a),
+                                        raw_min_opens(b), assignment, kept)
+    if expected is None:
+        assert found is None
+    else:
+        assert found == (a.index(expected[0]), a.index(expected[1]))
+    if kept:
+        sub = subspace(a, kept)
+        monotone = preimage_continuous(list(sub.points), raw_min_opens(sub),
+                                       list(b.points), raw_min_opens(b),
+                                       assignment)
+        assert monotone == (found is None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_spaces(), shuffled_spaces(), st.data())
+def test_is_continuous_matches_preimage_oracle(a, b, data):
+    values = data.draw(st.lists(st.sampled_from(b.points),
+                                min_size=len(a), max_size=len(a)))
+    m = SpaceMap(a, b, tuple(values))
+    assert is_continuous(m) == preimage_continuous(
+        list(a.points), raw_min_opens(a), list(b.points), raw_min_opens(b),
+        m.as_dict())
 
 
 def test_compose_and_inverse():

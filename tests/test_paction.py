@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from pact import (InternalCheckError, SpaceMap, Subgroup, ValidationError,
-                  cyclic_group, diagonal_product, discrete_space,
-                  enumerate_G_maps, fixed_points, global_action, is_free,
+from pact import (FinSpace, InternalCheckError, SpaceMap, Subgroup,
+                  ValidationError, cyclic_group, diagonal_product,
+                  discrete_space, enumerate_G_maps, fixed_points,
+                  global_action, is_continuous, is_free,
                   is_G_homeomorphism, is_G_map, is_invariant, is_isovariant,
                   isotropy, load_fixture, orbit_space, restrict_global,
                   restrict_invariant, restrict_to_subgroup,
@@ -242,7 +243,6 @@ def test_is_g_map_requires_continuity_as_error():
     wedge = fixture_pa("z2-wedge")
     broken = SpaceMap.from_dict(wedge.space, wedge.space,
                                 {"w": "a", "a": "a", "b": "b"})
-    from pact import is_continuous
     assert not is_continuous(broken)
     with pytest.raises(ValidationError) as err:
         is_G_map(broken, wedge, wedge)
@@ -318,3 +318,40 @@ def test_gstar_closedness_recorded():
     # discrete base space: every domain is closed, so G*X is closed too
     assert fixture_pa("z2-pair").gstar_is_closed()
     assert not fixture_pa("z4-half").gstar_is_closed()
+
+
+def test_twisted_diagonal_action_validates_without_pairwise_leq(monkeypatch):
+    # Z_16 rotating the 32-point circle, restricted to an open half-circle;
+    # the diagonal K-action behind twisted_product lives on 16 x 15 = 240
+    # points, where a pairwise leq scan costs millions of look-ups.
+    n = 16
+    points = [f"a{i}" for i in range(n)] + [f"c{i}" for i in range(n)]
+    min_open = {f"a{i}": [f"a{i}"] for i in range(n)}
+    min_open.update({f"c{i}": [f"a{(i - 1) % n}", f"c{i}", f"a{i}"]
+                     for i in range(n)})
+    circle = space_from_min_opens(points, min_open)
+    z = cyclic_group(n)
+    rotation = global_action(z, circle, {
+        g: {f"{kind}{i}": f"{kind}{(i + int(g)) % n}"
+            for kind in "ac" for i in range(n)}
+        for g in z.elements})
+    half = ([f"a{i}" for i in range(n // 2)]
+            + [f"c{i}" for i in range(1, n // 2)])
+    pa = restrict_global(rotation, half)
+    translation = global_action(z, discrete_space(z.elements), {
+        k: {g: z.mul(g, z.inv(k)) for g in z.elements} for k in z.elements})
+
+    def no_pairwise_scan(self, x, y):
+        raise AssertionError("monotonicity must be checked on down-set masks")
+
+    monkeypatch.setattr(FinSpace, "leq", no_pairwise_scan)
+    diag, projections = diagonal_product([translation, pa],
+                                         max_points=n * len(half))
+    assert len(diag.space) == 240
+    again = validate_partial_action(diag.group, diag.space, diag.domains,
+                                    diag.thetas)
+    assert again.domains == diag.domains
+    assert all(is_continuous(p) for p in projections)
+    for g in diag.group.elements:
+        if diag.domains[g]:
+            assert is_continuous(diag.theta_map(g))
