@@ -16,11 +16,10 @@ from .envelope import (AdjunctionResult, EnvelopeResult, adjunction_maps,
 from .errors import (BoundExceeded, InstanceError, InternalCheckError,
                      PactError, ValidationError)
 from .finspace import (FinSpace, SpaceMap, compose, discrete_space,
-                       enumerate_monotone_maps, enumerate_opens,
-                       find_homeomorphism, is_closed, is_continuous,
-                       is_open, is_open_map, is_T1, pair_label, product,
-                       quotient, space_from_min_opens, split_pair_label,
-                       subspace, t0_quotient)
+                       enumerate_monotone_maps, enumerate_opens, is_closed,
+                       is_continuous, is_open, is_open_map, is_T1,
+                       pair_label, product, quotient, space_from_min_opens,
+                       split_pair_label, subspace, t0_quotient)
 from .fixtures import FIXTURES, fixture_dict, fixture_names, load_fixture
 from .homotopy import (GContract, MapPoset, are_G_homotopic, are_homotopic,
                        check_G_contractibility_theorem,
@@ -30,14 +29,13 @@ from .homotopy import (GContract, MapPoset, are_G_homotopic, are_homotopic,
 from .instance import Instance, parse_instance
 from .paction import (OrbitSpace, PartialAction, diagonal_product,
                       enumerate_G_maps, fixed_points, global_action,
-                      is_free, is_G_homeomorphism, is_G_map, is_invariant,
-                      is_isovariant, isotropy, orbit_classes, orbit_space,
-                      restrict_global, restrict_invariant,
-                      restrict_to_subgroup, trivial_action,
-                      validate_partial_action)
+                      is_G_map, is_invariant, is_isovariant, isotropy,
+                      orbit_classes, orbit_space, restrict_global,
+                      restrict_invariant, restrict_to_subgroup,
+                      trivial_action, validate_partial_action)
 from .report import (FAILS, HOLDS, PRECONDITION_UNMET, SKIPPED_BOUNDS,
                      ClaimReport)
 from .verify import (claim_ids, exit_code, replay_witness, run_all,
-                     run_claim, split_diagonal_factors, worst_status)
+                     run_claim, split_diagonal_factors)
 
 __version__ = "0.1.0"

@@ -8,7 +8,6 @@ from dataclasses import dataclass, replace
 class Bounds:
     group_order: int = 16        # subgroup enumeration
     product_points: int = 64     # product spaces
-    homeo_points: int = 24       # homeomorphism search
     envelope_pairs: int = 256    # |G| * |X| for globalizations / twisted products
     hom_space: int = 5           # |X|, |Y| for hom-set enumeration
     hom_group: int = 4           # |G| for hom-set enumeration
@@ -22,7 +21,6 @@ class Bounds:
             self,
             group_order=n,
             product_points=n,
-            homeo_points=n,
             envelope_pairs=n,
             hom_space=n,
             hom_group=n,

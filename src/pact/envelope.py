@@ -16,13 +16,14 @@ collapse) are built and *reported on*, never assumed to be homeomorphisms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .algebra import (Group, Subgroup, all_subgroups, conjugate_subgroup,
                       is_subgroup_embedding, subgroup_generated)
 from .errors import BoundExceeded, InternalCheckError, ValidationError
 from .finspace import (FinSpace, SpaceMap, compose, discrete_space,
-                       is_continuous, is_open, is_open_map, product, quotient)
+                       equivalence_classes, is_continuous, is_open,
+                       is_open_map, product, quotient)
 from .paction import (PartialAction, diagonal_product, enumerate_G_maps,
                       fixed_points, global_action, is_G_map, orbit_classes,
                       restrict_global, validate_partial_action)
@@ -35,6 +36,7 @@ class EnvelopeResult:
     ``classes`` sends each pair (g, x) to its class label; labels are the
     pair label of the class's least member under the (element, point)
     orderings, which keeps every downstream report deterministic.
+    ``members`` lists each label's pairs in that same order.
     """
 
     base: PartialAction
@@ -46,15 +48,29 @@ class EnvelopeResult:
     classes: Mapping[tuple[str, str], str]
     product_space: FinSpace
     kstar: frozenset[str]
+    members: Mapping[str, tuple[tuple[str, str], ...]]
 
     def class_of(self, g: str, x: str) -> str:
         return self.classes[(g, x)]
 
-    def members_of(self, label: str) -> list[tuple[str, str]]:
-        pairs = [gx for gx, lab in self.classes.items() if lab == label]
-        pairs.sort(key=lambda gx: (self.big_group.index(gx[0]),
-                                   self.base.space.index(gx[1])))
-        return pairs
+    def members_of(self, label: str) -> tuple[tuple[str, str], ...]:
+        return self.members[label]
+
+    def descend(self, f: Callable[[str, str], str]
+                ) -> tuple[tuple[str, ...], str | None]:
+        """The map on classes induced by f(g, x): per class in total-point
+        order, the one value f takes on the class's members, plus the first
+        class whose members disagree (None when the map is well defined).
+        A disagreeing class gets its least value, so a failing check still
+        yields a map to report."""
+        values = []
+        clash = None
+        for label in self.total.points:
+            seen = {f(g, x) for g, x in self.members[label]}
+            if len(seen) != 1 and clash is None:
+                clash = label
+            values.append(min(seen))
+        return tuple(values), clash
 
     def embedding_image(self) -> frozenset[str]:
         return frozenset(self.embedding.assignment)
@@ -125,12 +141,13 @@ def _assemble(pa: PartialAction, big: Group, prod: FinSpace,
     members_by_label: dict[str, list[tuple[str, str]]] = {c: [] for c in total.points}
     for p in prod.points:
         members_by_label[proj(p)].append(pair_of(p))
+    members = {c: tuple(pairs) for c, pairs in members_by_label.items()}
 
     action: dict[str, dict[str, str]] = {}
     for g in big.elements:
         table: dict[str, str] = {}
         for label in total.points:
-            targets = {classes[(big.mul(g, h), y)] for h, y in members_by_label[label]}
+            targets = {classes[(big.mul(g, h), y)] for h, y in members[label]}
             if len(targets) != 1:
                 raise InternalCheckError(
                     f"enveloping action not well defined at ({g!r}, {label!r})")
@@ -181,7 +198,8 @@ def _assemble(pa: PartialAction, big: Group, prod: FinSpace,
     if covered != set(total.points):
         raise InternalCheckError("G.iota(X) does not cover the total space")
 
-    return EnvelopeResult(pa, big, total, action, proj, emb, classes, prod, kstar)
+    return EnvelopeResult(pa, big, total, action, proj, emb, classes, prod, kstar,
+                          members)
 
 
 def globalize(pa: PartialAction, max_pairs: int = 256) -> EnvelopeResult:
@@ -204,25 +222,7 @@ def globalize(pa: PartialAction, max_pairs: int = 256) -> EnvelopeResult:
             if x in pa.domains[k]:
                 y = pa.apply(g_grp.inv(k), x)
                 rel[i] |= 1 << pair_index[(h, y)]
-    for i in range(n):
-        if not rel[i] & (1 << i):
-            raise InternalCheckError(f"R not reflexive at {pairs[i]!r}")
-        m = rel[i]
-        while m:
-            low = m & -m
-            m ^= low
-            j = low.bit_length() - 1
-            if not rel[j] & (1 << i):
-                raise InternalCheckError(f"R not symmetric at ({pairs[i]!r}, {pairs[j]!r})")
-            if rel[j] & ~rel[i]:
-                raise InternalCheckError(f"R not transitive through ({pairs[i]!r}, {pairs[j]!r})")
-    seen = set()
-    class_sets = []
-    for i in range(n):
-        if rel[i] not in seen:
-            seen.add(rel[i])
-            class_sets.append(frozenset(prod.points[j] for j in range(n)
-                                        if rel[i] & (1 << j)))
+    class_sets = [prod.set_of(c) for c in equivalence_classes(rel, "R", pairs)]
     return _assemble(pa, g_grp, prod, class_sets)
 
 
@@ -289,14 +289,10 @@ def envelope_of_map(f: SpaceMap, pa_x: PartialAction, pa_y: PartialAction,
         env_x = twisted_product(pa_x, big, max_pairs)
     if env_y is None:
         env_y = twisted_product(pa_y, big, max_pairs)
-    table = {}
-    for label in env_x.total.points:
-        targets = {env_y.class_of(g, f(x)) for g, x in env_x.members_of(label)}
-        if len(targets) != 1:
-            raise InternalCheckError(f"induced map not well defined at {label!r}")
-        table[label] = targets.pop()
-    out = SpaceMap(env_x.total, env_y.total,
-                   tuple(table[c] for c in env_x.total.points))
+    values, clash = env_x.descend(lambda g, x: env_y.class_of(g, f(x)))
+    if clash is not None:
+        raise InternalCheckError(f"induced map not well defined at {clash!r}")
+    out = SpaceMap(env_x.total, env_y.total, values)
     if not is_continuous(out):
         raise InternalCheckError("induced map is not continuous")
     for g in big.elements:
@@ -307,8 +303,7 @@ def envelope_of_map(f: SpaceMap, pa_x: PartialAction, pa_y: PartialAction,
 
 
 def recognize_globalization(pa_global: PartialAction, open_subset,
-                            max_pairs: int = 256,
-                            homeo_bound: int = 24) -> tuple[SpaceMap | None, dict]:
+                            max_pairs: int = 256) -> tuple[SpaceMap | None, dict]:
     """Recognize a global action (Y, beta) as the globalization of its
     restriction to an open subset U.
 
@@ -332,19 +327,10 @@ def recognize_globalization(pa_global: PartialAction, open_subset,
                       "uncovered": missing}
     restricted = restrict_global(pa_global, u)
     env = globalize(restricted, max_pairs)
-    table = {}
-    ok_well_defined = True
-    for label in env.total.points:
-        images = {pa_global.apply(g, x) for g, x in env.members_of(label)}
-        if len(images) != 1:
-            ok_well_defined = False
-            table[label] = sorted(images)[0]
-        else:
-            table[label] = images.pop()
-    phi = SpaceMap(env.total, pa_global.space,
-                   tuple(table[c] for c in env.total.points))
+    values, clash = env.descend(pa_global.apply)
+    phi = SpaceMap(env.total, pa_global.space, values)
     checks = {
-        "well-defined": ok_well_defined,
+        "well-defined": clash is None,
         "bijective": phi.is_bijective(),
         "continuous": is_continuous(phi),
         "inverse-continuous": phi.is_bijective() and is_continuous(phi.inverse()),
@@ -424,16 +410,9 @@ def adjunction_maps(pa_x: PartialAction, pa_y: PartialAction,
 
     tau = []
     for f in k_maps:
-        table = {}
-        well = True
-        for label in env.total.points:
-            values = {pa_y.apply(g, f(x)) for g, x in env.members_of(label)}
-            if len(values) != 1:
-                well = False
-            table[label] = sorted(values)[0] if len(values) != 1 else values.pop()
-        if not well:
+        assignment, clash = env.descend(lambda g, x: pa_y.apply(g, f(x)))
+        if clash is not None:
             checks["tau-well-defined"] = False
-        assignment = tuple(table[c] for c in env.total.points)
         idx = g_index.get(assignment)
         if idx is None:
             checks["tau-lands-in-homset"] = False
@@ -509,16 +488,9 @@ def product_comparison(pa_1: PartialAction, pa_2: PartialAction,
                              max_points=len(env_1.total) * len(env_2.total))
     back = {(q1(p), q2(p)): p for p in target.points}
 
-    table = {}
-    well_defined = True
-    for label in env_d.total.points:
-        images = {back[(env_1.class_of(g, rho_1(pt)), env_2.class_of(g, rho_2(pt)))]
-                  for g, pt in env_d.members_of(label)}
-        if len(images) != 1:
-            well_defined = False
-        table[label] = sorted(images)[0] if len(images) != 1 else images.pop()
-    cmp_map = SpaceMap(env_d.total, target,
-                       tuple(table[c] for c in env_d.total.points))
+    values, clash = env_d.descend(
+        lambda g, pt: back[(env_1.class_of(g, rho_1(pt)), env_2.class_of(g, rho_2(pt)))])
+    cmp_map = SpaceMap(env_d.total, target, values)
 
     hit = set(cmp_map.assignment)
     unhit = [p for p in target.points if p not in hit]
@@ -536,7 +508,7 @@ def product_comparison(pa_1: PartialAction, pa_2: PartialAction,
             if moved != expected:
                 equivariant = False
     checks = {
-        "well-defined": well_defined,
+        "well-defined": clash is None,
         "continuous": is_continuous(cmp_map),
         "equivariant": equivariant,
         "injective": collision_pair is None,
@@ -592,20 +564,13 @@ def iterated_twist_comparison(pa: PartialAction, big: Group | None = None,
                  tuple(m_table[c] for c in outer_1.total.points))
 
     e = k_grp.identity
-    n_table = {}
-    n_well = True
-    for label in outer_2.total.points:
-        targets = {outer_1.class_of(g, inner.class_of(e, x))
-                   for g, x in outer_2.members_of(label)}
-        if len(targets) != 1:
-            n_well = False
-        n_table[label] = sorted(targets)[0]
-    n = SpaceMap(outer_2.total, outer_1.total,
-                 tuple(n_table[c] for c in outer_2.total.points))
+    n_values, n_clash = outer_2.descend(
+        lambda g, x: outer_1.class_of(g, inner.class_of(e, x)))
+    n = SpaceMap(outer_2.total, outer_1.total, n_values)
 
     checks = {
         "m-well-defined": m_well,
-        "n-well-defined": n_well,
+        "n-well-defined": n_clash is None,
         "m-continuous": is_continuous(m),
         "n-continuous": is_continuous(n),
         "m-equivariant": all(m(outer_1.action[g][c]) == outer_2.action[g][m(c)]
@@ -634,22 +599,15 @@ def trivial_collapse(pa: PartialAction, big: Group | None = None,
         raise ValidationError("not-trivial", bad, "collapse needs a trivial action")
     big = big or pa.group
     env = twisted_product(pa, big, max_pairs)
-    table = {}
-    well_defined = True
-    for label in env.total.points:
-        seconds = {x for _, x in env.members_of(label)}
-        if len(seconds) != 1:
-            well_defined = False
-        table[label] = sorted(seconds)[0] if len(seconds) != 1 else seconds.pop()
-    delta = SpaceMap(env.total, pa.space,
-                     tuple(table[c] for c in env.total.points))
+    values, clash = env.descend(lambda g, x: x)
+    delta = SpaceMap(env.total, pa.space, values)
     collisions: dict[str, list[str]] = {}
     for c in env.total.points:
         collisions.setdefault(delta(c), []).append(c)
     collision_pair = next((v for v in collisions.values() if len(v) > 1), None)
     bijective = collision_pair is None and set(delta.assignment) == set(pa.space.points)
     checks = {
-        "well-defined": well_defined,
+        "well-defined": clash is None,
         "continuous": is_continuous(delta),
         "surjective": set(delta.assignment) == set(pa.space.points),
         "injective": collision_pair is None,

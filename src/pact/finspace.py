@@ -350,6 +350,38 @@ def quotient(space: FinSpace, classes: Iterable[Iterable[str]],
     return qspace, proj
 
 
+def equivalence_classes(rel: Sequence[int], name: str,
+                        labels: Sequence[object]) -> list[int]:
+    """Classes of a relation given as one bitmask of related indices per
+    index, checked exhaustively to be an equivalence relation.
+
+    Returns the class masks ordered by least member.  A failed reflexivity,
+    symmetry or transitivity check raises InternalCheckError naming the
+    relation and the offending ``labels``.
+    """
+    for i, row in enumerate(rel):
+        if not row & (1 << i):
+            raise InternalCheckError(f"{name} not reflexive at {labels[i]!r}")
+        m = row
+        while m:
+            low = m & -m
+            m ^= low
+            j = low.bit_length() - 1
+            if not rel[j] & (1 << i):
+                raise InternalCheckError(
+                    f"{name} not symmetric at ({labels[i]!r}, {labels[j]!r})")
+            if rel[j] & ~row:
+                raise InternalCheckError(
+                    f"{name} not transitive through ({labels[i]!r}, {labels[j]!r})")
+    classes = []
+    covered = 0
+    for i, row in enumerate(rel):
+        if not covered >> i & 1:
+            classes.append(row)
+            covered |= row
+    return classes
+
+
 def subspace(space: FinSpace, subset: Iterable[str]) -> FinSpace:
     """Subspace topology: minimal opens are U_x intersected with the subset."""
     keep = set(subset)
@@ -388,77 +420,6 @@ def is_T1(space: FinSpace) -> bool:
     return t1
 
 
-def _color_refinement(space: FinSpace) -> tuple[int, ...]:
-    """Isomorphism-invariant point colors used as pruning for the search."""
-    n = len(space)
-    down = [frozenset(i for i in range(n) if space._down_masks[j] & (1 << i))
-            for j in range(n)]
-    up = [frozenset(j for j in range(n) if space._down_masks[j] & (1 << i))
-          for i in range(n)]
-    colors = [(len(down[i]), len(up[i])) for i in range(n)]
-    palette: dict[tuple, int] = {}
-    current = [palette.setdefault(c, len(palette)) for c in colors]
-    for _ in range(n):
-        sigs = []
-        for i in range(n):
-            sig = (current[i],
-                   tuple(sorted(current[j] for j in down[i])),
-                   tuple(sorted(current[j] for j in up[i])))
-            sigs.append(sig)
-        palette = {}
-        refined = [palette.setdefault(s, len(palette)) for s in sigs]
-        if refined == current:
-            break
-        current = refined
-    return tuple(current)
-
-
-def find_homeomorphism(a: FinSpace, b: FinSpace,
-                       max_points: int = 24) -> SpaceMap | None:
-    """A preorder isomorphism a -> b, or None.
-
-    Backtracking over color-compatible assignments; deterministic under the
-    point orderings (the lexicographically first witness is returned).
-    """
-    if max(len(a), len(b)) > max_points:
-        raise BoundExceeded("homeomorphism search", max_points, max(len(a), len(b)))
-    if len(a) != len(b):
-        return None
-    ca = _color_refinement(a)
-    cb = _color_refinement(b)
-    if sorted(ca) != sorted(cb):
-        return None
-    n = len(a)
-    assigned: list[int] = []
-    used = [False] * n
-
-    def consistent(i: int, j: int) -> bool:
-        for i2, j2 in enumerate(assigned):
-            if a.leq(a.points[i], a.points[i2]) != b.leq(b.points[j], b.points[j2]):
-                return False
-            if a.leq(a.points[i2], a.points[i]) != b.leq(b.points[j2], b.points[j]):
-                return False
-        return True
-
-    def search() -> bool:
-        i = len(assigned)
-        if i == n:
-            return True
-        for j in range(n):
-            if not used[j] and ca[i] == cb[j] and consistent(i, j):
-                used[j] = True
-                assigned.append(j)
-                if search():
-                    return True
-                assigned.pop()
-                used[j] = False
-        return False
-
-    if not search():
-        return None
-    return SpaceMap(a, b, tuple(b.points[j] for j in assigned))
-
-
 def enumerate_monotone_maps(source: FinSpace, target: FinSpace,
                             node_budget: int = 1_000_000,
                             max_maps: int = 4096) -> list[SpaceMap]:
@@ -468,8 +429,26 @@ def enumerate_monotone_maps(source: FinSpace, target: FinSpace,
     result is sorted by assignment, so it is deterministic regardless of the
     internal search order.  Raises BoundExceeded past either budget.
     """
+    full = (1 << len(target)) - 1
+    no_pairs = [()] * len(target)
+    return _search_maps(source, target, [full] * len(source),
+                        [no_pairs] * len(source), node_budget, max_maps)
+
+
+def _search_maps(source: FinSpace, target: FinSpace, allowed: Sequence[int],
+                 forced: Sequence[Sequence[Sequence[tuple[int, int]]]],
+                 node_budget: int, max_maps: int) -> list[SpaceMap]:
+    """The search behind enumerate_monotone_maps and enumerate_G_maps:
+    every monotone map with f(i) in ``allowed[i]`` (a target mask per source
+    index) such that f(i) = j implies f(i2) = j2 for each (i2, j2) in
+    ``forced[i][j]``, sorted by assignment.
+
+    DFS over the most constrained unassigned point (least index on ties),
+    its candidates in target order; assigning f(i) = j narrows the points
+    above i to the up-set of j, those below to the down-set, then applies
+    the forced pairs.  Every candidate tried counts as a node.
+    """
     n, m = len(source), len(target)
-    full = (1 << m) - 1
     tgt_down = target._down_masks
     tgt_up = [0] * m
     for j in range(m):
@@ -522,10 +501,16 @@ def enumerate_monotone_maps(source: FinSpace, target: FinSpace,
                             ok = False
                             break
             if ok:
+                for i2, j2 in forced[best][j]:
+                    nxt[i2] &= 1 << j2
+                    if not nxt[i2]:
+                        ok = False
+                        break
+            if ok:
                 chosen[best] = j
                 search(nxt, chosen)
                 del chosen[best]
 
-    search([full] * n, {})
+    search(list(allowed), {})
     out.sort()
     return [SpaceMap(source, target, tuple(target.points[j] for j in tup)) for tup in out]

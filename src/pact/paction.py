@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import Group, Subgroup
-from .errors import BoundExceeded, InternalCheckError, ValidationError
-from .finspace import (FinSpace, SpaceMap, compose, discrete_space,
-                       is_closed, is_continuous, is_open, is_open_map,
+from .errors import InternalCheckError, ValidationError
+from .finspace import (FinSpace, SpaceMap, _search_maps, compose,
+                       discrete_space, equivalence_classes, is_closed,
+                       is_continuous, is_open, is_open_map,
                        monotonicity_violation, pair_label, product,
                        quotient, subspace)
 
@@ -83,15 +84,6 @@ class PartialAction:
         if per_domain != direct:
             raise InternalCheckError("G*X closedness disagrees with domain closedness")
         return direct
-
-    def theta_map(self, g: str) -> SpaceMap:
-        """theta_g as a map of subspaces X_{g^-1} -> X_g."""
-        ginv = self.group.inv(g)
-        if not self.domains[ginv]:
-            raise ValidationError("empty-subset", (g,), f"X_{ginv!r} is empty")
-        src = subspace(self.space, self.domains[ginv])
-        tgt = subspace(self.space, self.domains[g])
-        return SpaceMap.from_dict(src, tgt, dict(self.thetas[g]))
 
 
 @dataclass(frozen=True)
@@ -369,28 +361,7 @@ def orbit_classes(pa: PartialAction) -> list[frozenset[str]]:
             if pa.defined(g, x):
                 m |= 1 << idx[pa.apply(g, x)]
         rel.append(m)
-    n = len(pts)
-    for i in range(n):
-        if not rel[i] & (1 << i):
-            raise InternalCheckError(f"orbit relation not reflexive at {pts[i]!r}")
-        m = rel[i]
-        while m:
-            low = m & -m
-            m ^= low
-            j = low.bit_length() - 1
-            if not rel[j] & (1 << i):
-                raise InternalCheckError(
-                    f"orbit relation not symmetric at ({pts[i]!r}, {pts[j]!r})")
-            if rel[j] & ~rel[i]:
-                raise InternalCheckError(
-                    f"orbit relation not transitive through ({pts[i]!r}, {pts[j]!r})")
-    seen = set()
-    classes = []
-    for i in range(n):
-        if rel[i] not in seen:
-            seen.add(rel[i])
-            classes.append(pa.space.set_of(rel[i]))
-    return classes
+    return [pa.space.set_of(c) for c in equivalence_classes(rel, "orbit relation", pts)]
 
 
 def orbit_space(pa: PartialAction) -> OrbitSpace:
@@ -406,14 +377,6 @@ def orbit_space(pa: PartialAction) -> OrbitSpace:
     ordered = sorted((frozenset(c) for c in classes),
                      key=lambda c: min(pa.space.index(x) for x in c))
     return OrbitSpace(pa, qspace, proj, tuple(ordered))
-
-
-def is_free(pa: PartialAction) -> bool:
-    """No nonidentity element fixes a point where it is defined."""
-    e = pa.group.identity
-    return not any(pa.apply(g, x) == x
-                   for g in pa.group.elements if g != e
-                   for x in pa.domains[pa.group.inv(g)])
 
 
 def is_invariant(pa: PartialAction, s: Iterable[str], k: Subgroup) -> bool:
@@ -462,22 +425,13 @@ def is_isovariant(f: SpaceMap, pa_x: PartialAction, pa_y: PartialAction) -> bool
     return True
 
 
-def is_G_homeomorphism(f: SpaceMap, pa_x: PartialAction, pa_y: PartialAction) -> bool:
-    """Bijective G-map whose inverse is also a G-map."""
-    if not f.is_bijective():
-        return False
-    if not is_G_map(f, pa_x, pa_y):
-        return False
-    return is_G_map(f.inverse(), pa_y, pa_x)
-
-
 def enumerate_G_maps(pa_x: PartialAction, pa_y: PartialAction,
                      node_budget: int = 1_000_000,
                      max_maps: int = 4096) -> list[SpaceMap]:
     """All G-maps X -> Y.
 
-    Monotone DFS with the equivariance conditions folded into the
-    propagation: assigning f(x) = y forces f(theta_g(x)) = eta_g(y) for
+    The monotone map search with the equivariance conditions folded into
+    its propagation: assigning f(x) = y forces f(theta_g(x)) = eta_g(y) for
     every g defined at x, and prunes y outright when (g, y) is undefined.
     The output is identical to filtering the monotone maps by is_G_map
     (the test suite cross-checks), just without materializing them.
@@ -487,20 +441,8 @@ def enumerate_G_maps(pa_x: PartialAction, pa_y: PartialAction,
     grp = pa_x.group
     src, tgt = pa_x.space, pa_y.space
     n, m = len(src), len(tgt)
-    full = (1 << m) - 1
-    tgt_down = tgt._down_masks
-    tgt_up = [0] * m
-    for j in range(m):
-        for i in range(m):
-            if tgt_down[j] & (1 << i):
-                tgt_up[i] |= 1 << j
-    src_down = [[i for i in range(n) if src._down_masks[j] & (1 << i) and i != j]
-                for j in range(n)]
-    src_up = [[j for j in range(n) if src._down_masks[j] & (1 << i) and i != j]
-              for i in range(n)]
-
     nontrivial = [g for g in grp.elements if g != grp.identity]
-    allowed = [full] * n
+    allowed = [(1 << m) - 1] * n
     forced: list[list[list[tuple[int, int]]]] = [[[] for _ in range(m)] for _ in range(n)]
     for i, x in enumerate(src.points):
         for g in nontrivial:
@@ -514,58 +456,4 @@ def enumerate_G_maps(pa_x: PartialAction, pa_y: PartialAction,
                     allowed[i] &= ~(1 << j)
                 else:
                     forced[i][j].append((i2, tgt.index(pa_y.apply(g, y))))
-
-    out: list[tuple[int, ...]] = []
-    nodes = 0
-
-    def search(cands: list[int], chosen: dict[int, int]):
-        nonlocal nodes
-        if len(chosen) == n:
-            out.append(tuple(chosen[i] for i in range(n)))
-            if len(out) > max_maps:
-                raise BoundExceeded("map enumeration (maps)", max_maps, len(out))
-            return
-        best, best_count = -1, m + 2
-        for i in range(n):
-            if i not in chosen:
-                count = cands[i].bit_count()
-                if count < best_count:
-                    best, best_count = i, count
-        mask = cands[best]
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            j = low.bit_length() - 1
-            nodes += 1
-            if nodes > node_budget:
-                raise BoundExceeded("map enumeration (nodes)", node_budget, nodes)
-            nxt = list(cands)
-            nxt[best] = low
-            ok = True
-            for i2 in src_up[best]:
-                if i2 not in chosen:
-                    nxt[i2] &= tgt_up[j]
-                    if not nxt[i2]:
-                        ok = False
-                        break
-            if ok:
-                for i2 in src_down[best]:
-                    if i2 not in chosen:
-                        nxt[i2] &= tgt_down[j]
-                        if not nxt[i2]:
-                            ok = False
-                            break
-            if ok:
-                for i2, j2 in forced[best][j]:
-                    nxt[i2] &= 1 << j2
-                    if not nxt[i2]:
-                        ok = False
-                        break
-            if ok:
-                chosen[best] = j
-                search(nxt, chosen)
-                del chosen[best]
-
-    search(list(allowed), {})
-    out.sort()
-    return [SpaceMap(src, tgt, tuple(tgt.points[j] for j in tup)) for tup in out]
+    return _search_maps(src, tgt, allowed, forced, node_budget, max_maps)

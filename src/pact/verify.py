@@ -9,7 +9,7 @@ as internal errors long before a claim runs.
 from __future__ import annotations
 
 import time
-from typing import Callable
+from typing import Callable, Sequence
 
 from .algebra import Subgroup, all_subgroups
 from .bounds import DEFAULT_BOUNDS, Bounds
@@ -297,6 +297,25 @@ def _claim_t1(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
     return (HOLDS if t1 else FAILS), witness
 
 
+def first_split_pair(components: Sequence[int], images: Sequence[int]
+                     ) -> tuple[int, int] | None:
+    """The lexicographically least (i, j), i < j, with components[i] ==
+    components[j] but images[i] != images[j], or None.
+
+    One pass keeps the first member of each component and compares every
+    later member against it.  That finds the least i: in a violating pair
+    (i, j) whose i is not first, the first member f < i differs in image
+    from i or from j, so (f, i) or (f, j) is a smaller violating pair.
+    """
+    first: dict[int, int] = {}
+    best = None
+    for j, comp in enumerate(components):
+        i = first.setdefault(comp, j)
+        if images[j] != images[i] and (best is None or i < best[0]):
+            best = (i, j)
+    return best
+
+
 def _claim_homotopy_preservation(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
     pa = inst.embedded_pa
     poset_x = enumerate_maps(pa.space, pa.space, equivariant=(pa, pa),
@@ -309,14 +328,7 @@ def _claim_homotopy_preservation(inst: Instance, bounds: Bounds) -> tuple[str, d
               for f in poset_x.maps]
     comp_x = poset_x.components
     comp_y = poset_y.components
-    bad = None
-    for i in range(len(poset_x.maps)):
-        for j in range(i + 1, len(poset_x.maps)):
-            if comp_x[i] == comp_x[j] and comp_y[lifted[i]] != comp_y[lifted[j]]:
-                bad = (i, j)
-                break
-        if bad:
-            break
+    bad = first_split_pair(comp_x, [comp_y[k] for k in lifted])
     witness = {
         "g_maps": len(poset_x.maps),
         "components": len(set(comp_x)),
@@ -431,15 +443,6 @@ def run_all(instance: Instance, bounds: Bounds = DEFAULT_BOUNDS) -> list[ClaimRe
     return [run_claim(cid, instance, bounds) for cid in CLAIMS]
 
 
-def worst_status(reports: list[ClaimReport]) -> str:
-    order = {FAILS: 3, SKIPPED_BOUNDS: 2, PRECONDITION_UNMET: 1, HOLDS: 0}
-    worst = HOLDS
-    for rep in reports:
-        if order[rep.status] > order[worst]:
-            worst = rep.status
-    return worst
-
-
 def exit_code(reports: list[ClaimReport]) -> int:
     """1 when at least one claim fails, else 0."""
     return 1 if any(rep.status == FAILS for rep in reports) else 0
@@ -447,12 +450,15 @@ def exit_code(reports: list[ClaimReport]) -> int:
 
 def replay_witness(report: ClaimReport, instance: Instance,
                    bounds: Bounds = DEFAULT_BOUNDS) -> bool:
-    """Re-validate a report's witness without re-running the search.
+    """Re-check a failing report's witness against the instance.
 
-    Failing claims with constructive witnesses (product comparison, trivial
-    collapse, T1) are re-checked directly against the instance; reports that
-    hold (or were skipped) replay vacuously.  Other failing claims are
-    re-run and compared by status.
+    Reports that hold, were skipped or met no precondition replay
+    vacuously.  A failing ``product-comparison``, ``trivial-collapse`` or
+    ``t1`` report is replayed by rebuilding its construction (the comparison
+    map, the collapse map, the twisted product) and checking the witness's
+    own data against it: the unhit targets, the colliding classes, the
+    non-closed singleton.  Any other failing claim is re-run whole and
+    compared by status.
     """
     if report.instance_id != instance.id:
         raise ValidationError("instance-mismatch", (report.instance_id, instance.id),

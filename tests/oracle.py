@@ -493,3 +493,144 @@ def globalization_document(pa) -> dict:
         "action": action,
         "embedding": {x: of_pair[(grp.identity, x)] for x in points},
     }
+
+
+# ---------------------------------------------------------------------------
+# envelope class members and the homotopy-preservation scan, brute force
+
+def brute_members(env, label: str) -> list[tuple[str, str]]:
+    """The pairs (g, x) in class ``label``, found by scanning the whole class
+    table and sorting in (element, point) order."""
+    pairs = [gx for gx, lab in env.classes.items() if lab == label]
+    pairs.sort(key=lambda gx: (env.big_group.index(gx[0]),
+                               env.base.space.index(gx[1])))
+    return pairs
+
+
+def pairwise_split_pair(components, images) -> tuple[int, int] | None:
+    """Every pair i < j in order: the first with equal components and
+    different images, or None."""
+    n = len(components)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if components[i] == components[j] and images[i] != images[j]:
+                return i, j
+    return None
+
+
+# ---------------------------------------------------------------------------
+# predicates only the tests use
+
+def is_free(pa) -> bool:
+    """No nonidentity element fixes a point where it is defined."""
+    e = pa.group.identity
+    return not any(pa.apply(g, x) == x
+                   for g in pa.group.elements if g != e
+                   for x in pa.domains[pa.group.inv(g)])
+
+
+def is_G_homeomorphism(f, pa_x, pa_y) -> bool:
+    """Bijective G-map whose inverse is also a G-map."""
+    from pact import is_G_map
+
+    if not f.is_bijective():
+        return False
+    if not is_G_map(f, pa_x, pa_y):
+        return False
+    return is_G_map(f.inverse(), pa_y, pa_x)
+
+
+def theta_map(pa, g: str):
+    """theta_g as a map of subspaces X_{g^-1} -> X_g."""
+    from pact import SpaceMap, ValidationError, subspace
+
+    ginv = pa.group.inv(g)
+    if not pa.domains[ginv]:
+        raise ValidationError("empty-subset", (g,), f"X_{ginv!r} is empty")
+    src = subspace(pa.space, pa.domains[ginv])
+    tgt = subspace(pa.space, pa.domains[g])
+    return SpaceMap.from_dict(src, tgt, dict(pa.thetas[g]))
+
+
+def worst_status(reports) -> str:
+    order = {"fails": 3, "skipped-bounds": 2, "precondition-unmet": 1, "holds": 0}
+    worst = "holds"
+    for rep in reports:
+        if order[rep.status] > order[worst]:
+            worst = rep.status
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# homeomorphism search
+
+def _color_refinement(space) -> tuple[int, ...]:
+    """Isomorphism-invariant point colors used as pruning for the search."""
+    n = len(space)
+    down = [frozenset(i for i in range(n) if space._down_masks[j] & (1 << i))
+            for j in range(n)]
+    up = [frozenset(j for j in range(n) if space._down_masks[j] & (1 << i))
+          for i in range(n)]
+    colors = [(len(down[i]), len(up[i])) for i in range(n)]
+    palette: dict[tuple, int] = {}
+    current = [palette.setdefault(c, len(palette)) for c in colors]
+    for _ in range(n):
+        sigs = []
+        for i in range(n):
+            sig = (current[i],
+                   tuple(sorted(current[j] for j in down[i])),
+                   tuple(sorted(current[j] for j in up[i])))
+            sigs.append(sig)
+        palette = {}
+        refined = [palette.setdefault(s, len(palette)) for s in sigs]
+        if refined == current:
+            break
+        current = refined
+    return tuple(current)
+
+
+def find_homeomorphism(a, b, max_points: int = 24):
+    """A preorder isomorphism a -> b as a SpaceMap, or None.
+
+    Backtracking over color-compatible assignments; deterministic under the
+    point orderings (the lexicographically first witness is returned).
+    """
+    from pact import BoundExceeded, SpaceMap
+
+    if max(len(a), len(b)) > max_points:
+        raise BoundExceeded("homeomorphism search", max_points, max(len(a), len(b)))
+    if len(a) != len(b):
+        return None
+    ca = _color_refinement(a)
+    cb = _color_refinement(b)
+    if sorted(ca) != sorted(cb):
+        return None
+    n = len(a)
+    assigned: list[int] = []
+    used = [False] * n
+
+    def consistent(i: int, j: int) -> bool:
+        for i2, j2 in enumerate(assigned):
+            if a.leq(a.points[i], a.points[i2]) != b.leq(b.points[j], b.points[j2]):
+                return False
+            if a.leq(a.points[i2], a.points[i]) != b.leq(b.points[j2], b.points[j]):
+                return False
+        return True
+
+    def search() -> bool:
+        i = len(assigned)
+        if i == n:
+            return True
+        for j in range(n):
+            if not used[j] and ca[i] == cb[j] and consistent(i, j):
+                used[j] = True
+                assigned.append(j)
+                if search():
+                    return True
+                assigned.pop()
+                used[j] = False
+        return False
+
+    if not search():
+        return None
+    return SpaceMap(a, b, tuple(b.points[j] for j in assigned))

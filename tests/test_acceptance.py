@@ -15,7 +15,7 @@ from pact import (SpaceMap, Subgroup, ValidationError,
                   adjunction_maps, are_G_homotopic,
                   check_G_contractibility_theorem, check_homotopy_preservation,
                   core, cyclic_group, discrete_space, enumerate_maps,
-                  find_homeomorphism, fixed_decomposition, fixed_points,
+                  fixed_decomposition, fixed_points,
                   fixture_dict, fixture_names, global_action, globalize,
                   is_contractible, is_continuous, is_G_contractible, is_open,
                   load_fixture, parse_instance, product_comparison,
@@ -23,11 +23,12 @@ from pact import (SpaceMap, Subgroup, ValidationError,
                   trivial_action, trivial_collapse, twisted_product)
 from pact.cli import main as cli_main
 from oracle import (brute_globalization_classes, brute_opens,
-                    brute_twisted_classes, globalization_document,
-                    group_violation, homotopy_from_fence,
-                    interval_homotopy_exists, partial_action_violation,
-                    preimage_continuous, random_partition,
-                    random_preorder_space, space_violation)
+                    brute_twisted_classes, find_homeomorphism,
+                    globalization_document, group_violation,
+                    homotopy_from_fence, interval_homotopy_exists,
+                    partial_action_violation, preimage_continuous,
+                    random_partition, random_preorder_space,
+                    space_violation)
 
 from conftest import SEED
 

@@ -6,14 +6,15 @@ import pytest
 
 from pact import (SpaceMap, Subgroup, ValidationError, adjunction_maps,
                   compose, cyclic_group, discrete_space, envelope_of_map,
-                  find_homeomorphism, fixed_decomposition, globalize,
-                  is_G_homeomorphism, is_G_map, is_T1, is_continuous, is_open,
-                  iterated_twist_comparison, load_fixture, pair_label,
-                  product_comparison, recognize_globalization,
-                  trivial_action, trivial_collapse, twisted_product,
-                  validate_group)
-from oracle import (brute_globalization_classes, brute_twisted_classes,
-                    globalization_document as oracle_document)
+                  fixed_decomposition, globalize, is_G_map, is_T1,
+                  is_continuous, is_open, iterated_twist_comparison,
+                  load_fixture, pair_label, product_comparison,
+                  recognize_globalization, trivial_action, trivial_collapse,
+                  twisted_product, validate_group)
+from oracle import (brute_globalization_classes, brute_members,
+                    brute_twisted_classes, find_homeomorphism,
+                    globalization_document as oracle_document,
+                    is_G_homeomorphism)
 
 
 def fixture_pa(name):
@@ -497,3 +498,6 @@ def test_envelope_invariants_exercised_on_all_fixtures():
         assert covered == set(env.total.points)
         env_t = twisted_product(inst.embedded_pa, inst.big)
         assert set(env_t.classes.values()) == set(env_t.total.points)
+        for e in (env, env_t):
+            for c in e.total.points:
+                assert list(e.members_of(c)) == brute_members(e, c), (name, c)

@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pact import (BoundExceeded, SpaceMap, ValidationError, compose,
-                  discrete_space, enumerate_monotone_maps, enumerate_opens,
-                  find_homeomorphism, is_closed, is_continuous, is_open,
-                  is_open_map, is_T1, load_fixture, pair_label, product,
-                  quotient, space_from_min_opens, split_pair_label, subspace,
+from pact import (BoundExceeded, InternalCheckError, SpaceMap, ValidationError,
+                  compose, discrete_space, enumerate_monotone_maps, enumerate_opens,
+                  is_closed, is_continuous, is_open, is_open_map, is_T1,
+                  load_fixture, pair_label, product, quotient,
+                  space_from_min_opens, split_pair_label, subspace,
                   t0_quotient)
-from pact.finspace import monotonicity_violation
-from oracle import (brute_opens, first_monotone_violation, preimage_continuous,
-                    random_partition, random_preorder_space, space_violation)
+from pact.finspace import equivalence_classes, monotonicity_violation
+from oracle import (brute_opens, find_homeomorphism, first_monotone_violation,
+                    preimage_continuous, random_partition,
+                    random_preorder_space, space_violation)
 
 
 def c8():
@@ -311,6 +312,17 @@ def test_enumerate_monotone_maps_counts_and_order():
         [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
     with pytest.raises(BoundExceeded):
         enumerate_monotone_maps(space, space, max_maps=100)
+
+
+def test_equivalence_classes_order_and_internal_checks():
+    # classes {a, c} and {b}, listed by least member
+    assert equivalence_classes([0b101, 0b010, 0b101], "R", "abc") == [0b101, 0b010]
+    for rel, broken in (([0b10, 0b10], "not reflexive at 'a'"),
+                        ([0b11, 0b10], r"not symmetric at \('a', 'b'\)"),
+                        ([0b011, 0b111, 0b110],
+                         r"not transitive through \('a', 'b'\)")):
+        with pytest.raises(InternalCheckError, match="R " + broken):
+            equivalence_classes(rel, "R", "abc")
 
 
 @st.composite

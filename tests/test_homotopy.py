@@ -5,12 +5,12 @@ import pytest
 from pact import (SpaceMap, ValidationError, are_G_homotopic,
                   are_homotopic, check_G_contractibility_theorem,
                   check_homotopy_preservation, core, cyclic_group,
-                  discrete_space, enumerate_maps, find_homeomorphism,
+                  discrete_space, enumerate_maps,
                   is_contractible, is_G_contractible,
                   is_G_map, is_locally_G_contractible, load_fixture,
                   space_from_min_opens, trivial_action)
-from oracle import (homotopy_from_fence, interval_homotopy_exists,
-                    random_preorder_space)
+from oracle import (find_homeomorphism, homotopy_from_fence,
+                    interval_homotopy_exists, random_preorder_space)
 
 
 def fixture_pa(name):

@@ -5,14 +5,14 @@ import pytest
 from pact import (FinSpace, InternalCheckError, SpaceMap, Subgroup,
                   ValidationError, cyclic_group, diagonal_product,
                   discrete_space, enumerate_G_maps, fixed_points,
-                  global_action, is_continuous, is_free,
-                  is_G_homeomorphism, is_G_map, is_invariant, is_isovariant,
-                  isotropy, load_fixture, orbit_space, restrict_global,
-                  restrict_invariant, restrict_to_subgroup,
+                  global_action, is_continuous, is_G_map, is_invariant,
+                  is_isovariant, isotropy, load_fixture, orbit_space,
+                  restrict_global, restrict_invariant, restrict_to_subgroup,
                   space_from_min_opens, trivial_action, validate_group,
                   validate_partial_action)
-from oracle import (brute_orbits, partial_action_violation,
-                    random_preorder_space)
+from oracle import (brute_orbits, is_free, is_G_homeomorphism,
+                    partial_action_violation, random_preorder_space,
+                    theta_map)
 
 
 def fixture_pa(name):
@@ -354,4 +354,4 @@ def test_twisted_diagonal_action_validates_without_pairwise_leq(monkeypatch):
     assert all(is_continuous(p) for p in projections)
     for g in diag.group.elements:
         if diag.domains[g]:
-            assert is_continuous(diag.theta_map(g))
+            assert is_continuous(theta_map(diag, g))

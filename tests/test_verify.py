@@ -4,10 +4,14 @@ import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pact import (DEFAULT_BOUNDS, ClaimReport, ValidationError, claim_ids,
                   exit_code, load_fixture, parse_instance, replay_witness,
-                  run_all, run_claim, split_diagonal_factors, worst_status)
+                  run_all, run_claim, split_diagonal_factors)
+from pact.verify import first_split_pair
+from oracle import pairwise_split_pair, worst_status
 
 Z4_PT_TRIVIAL = {
     "id": "z4-pt-trivial",
@@ -206,6 +210,16 @@ def test_every_failing_report_in_the_corpus_replays():
         for rep in run_all(inst):
             if rep.status == "fails":
                 assert replay_witness(rep, inst), (name, rep.claim_id)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), max_size=12))
+def test_first_split_pair_matches_pairwise_scan(rows):
+    # rows are (fence component of a G-map, component of its lifted map)
+    components = [c for c, _ in rows]
+    images = [v for _, v in rows]
+    assert first_split_pair(components, images) == \
+        pairwise_split_pair(components, images)
 
 
 def test_t1_claim_statuses():
