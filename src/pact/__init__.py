@@ -22,10 +22,8 @@ from .finspace import (FinSpace, SpaceMap, compose, discrete_space,
                        split_pair_label, subspace, t0_quotient)
 from .fixtures import FIXTURES, fixture_dict, fixture_names, load_fixture
 from .homotopy import (GContract, MapPoset, are_G_homotopic, are_homotopic,
-                       check_G_contractibility_theorem,
-                       check_homotopy_preservation, core, enumerate_maps,
-                       is_contractible, is_G_contractible,
-                       is_locally_G_contractible)
+                       core, enumerate_maps, is_contractible,
+                       is_G_contractible, is_locally_G_contractible)
 from .instance import Instance, parse_instance
 from .paction import (OrbitSpace, PartialAction, diagonal_product,
                       enumerate_G_maps, fixed_points, global_action,

@@ -11,7 +11,6 @@ class Bounds:
     envelope_pairs: int = 256    # |G| * |X| for globalizations / twisted products
     hom_space: int = 5           # |X|, |Y| for hom-set enumeration
     hom_group: int = 4           # |G| for hom-set enumeration
-    local_points: int = 12       # local equivariant contractibility
     map_nodes: int = 1_000_000   # monotone-map search budget (nodes explored)
     max_maps: int = 4096         # cap on materialized map posets
 
@@ -24,7 +23,6 @@ class Bounds:
             envelope_pairs=n,
             hom_space=n,
             hom_group=n,
-            local_points=n,
         )
 
 

@@ -145,10 +145,8 @@ def _cmd_homotopy(args: argparse.Namespace) -> int:
         _emit(doc, args, lambda d: f"{inst.id}: G-contractible = {d['g_contractible']}")
         return 0
     if args.locally_g_contractible:
-        value = is_locally_G_contractible(pa, max_points=args.bounds.local_points,
-                                          node_budget=args.bounds.map_nodes,
-                                          max_maps=args.bounds.max_maps)
-        doc = {"instance": inst.id, "locally_g_contractible": value}
+        doc = {"instance": inst.id,
+               "locally_g_contractible": is_locally_G_contractible(pa)}
         _emit(doc, args, lambda d: f"{inst.id}: locally G-contractible = "
               f"{d['locally_g_contractible']}")
         return 0

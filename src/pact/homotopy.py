@@ -12,14 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .envelope import envelope_of_map, globalize
-from .errors import BoundExceeded, InternalCheckError, ValidationError
+from .errors import InternalCheckError, ValidationError
 from .finspace import (FinSpace, SpaceMap, enumerate_monotone_maps, is_continuous,
-                       enumerate_opens, subspace, t0_quotient)
+                       subspace, t0_quotient)
 from .paction import (PartialAction, Subgroup, enumerate_G_maps, fixed_points,
                       is_G_map, is_invariant, isotropy, restrict_invariant,
                       restrict_to_subgroup)
-from .report import FAILS, HOLDS, PRECONDITION_UNMET, ClaimReport
 
 
 @dataclass(frozen=True)
@@ -267,104 +265,40 @@ def is_G_contractible(pa: PartialAction,
     return GContract(False, reason="no fence from the identity to a constant")
 
 
-def is_locally_G_contractible(pa: PartialAction,
-                              max_points: int = 12,
-                              node_budget: int = 1_000_000,
-                              max_maps: int = 4096) -> bool:
+def is_locally_G_contractible(pa: PartialAction) -> bool:
     """For every point x and every G_x-invariant open U containing x, some
     G_x-invariant open V with x in V, V inside U admits a fence (of
     G_x-maps V -> U) from the inclusion to a constant at a G_x-fixed point.
 
-    All invariant open neighbourhoods are enumerated; invariance of the
-    minimal open set is not automatic for partial actions, so there is no
-    minimality shortcut.
+    The minimal open set U_x is such a V for every U at once.  Each k in
+    G_x is defined at x, so x lies in the open domain X_{k^-1} and hence
+    U_x does too; theta_k is monotone and fixes x, so it maps U_x into
+    U_x.  Thus U_x is G_x-invariant, the constant map at x is a G_x-map
+    U_x -> U_x, and the inclusion lies below it pointwise: a two-step
+    fence (the equivariant cone argument).  Composing with the inclusion
+    U_x in U gives the fence into every invariant open U containing x, so
+    no U needs to be visited.  The property is proven, so the witness is
+    checked at every point and a failure is an internal error.
     """
-    if len(pa.space) > max_points:
-        raise BoundExceeded("local contractibility", max_points, len(pa.space))
-    opens = enumerate_opens(pa.space, max_points=max_points)
     for x in pa.space.points:
         _, gx = isotropy(pa, x)
         sub = restrict_to_subgroup(pa, gx)
-        candidates_u = [u for u in opens
-                        if x in u and is_invariant(sub, u, _full(sub))]
-        for u in candidates_u:
-            pa_u = restrict_invariant(sub, u)
-            targets = fixed_points(pa_u, _full(pa_u))
-            found = False
-            for v in sorted((v for v in candidates_u if x in v and v <= u),
-                            key=lambda s: (len(s), sorted(pa.space.index(p) for p in s))):
-                pa_v = restrict_invariant(sub, v)
-                inclusion = SpaceMap(pa_v.space, pa_u.space,
-                                     tuple(pa_v.space.points))
-                poset = enumerate_maps(pa_v.space, pa_u.space,
-                                       equivariant=(pa_v, pa_u),
-                                       node_budget=node_budget, max_maps=max_maps)
-                inc = poset.index_of(inclusion)
-                for w in sorted(targets, key=pa.space.index):
-                    const = SpaceMap.constant(pa_v.space, pa_u.space, w)
-                    if poset.components[inc] == poset.components[poset.index_of(const)]:
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
-                return False
+        ux = pa.space.min_open_of(x)
+        if not is_invariant(sub, ux, _full(sub)):
+            raise InternalCheckError(f"minimal open set of {x!r} is not "
+                                     f"invariant under its isotropy group")
+        pa_u = restrict_invariant(sub, ux)
+        if x not in fixed_points(pa_u, _full(pa_u)):
+            raise InternalCheckError(f"{x!r} is not fixed by its isotropy group")
+        const = SpaceMap.constant(pa_u.space, pa_u.space, x)
+        if not is_G_map(const, pa_u, pa_u):
+            raise InternalCheckError(f"constant at {x!r} is not a G_x-map "
+                                     f"on its minimal open set")
+        if not all(pa_u.space.leq(y, x) for y in pa_u.space.points):
+            raise InternalCheckError(f"inclusion of the minimal open set of {x!r} "
+                                     f"is not below the constant")
     return True
 
 
 def _full(pa: PartialAction) -> Subgroup:
     return Subgroup(pa.group, frozenset(pa.group.elements))
-
-
-def check_homotopy_preservation(f: SpaceMap, g: SpaceMap,
-                                pa_x: PartialAction, pa_y: PartialAction,
-                                instance_id: str = "adhoc",
-                                node_budget: int = 1_000_000,
-                                max_maps: int = 4096,
-                                max_pairs: int = 256) -> ClaimReport:
-    """f ~ g implies the induced maps on the globalizations are homotopic.
-
-    Checked directly by fence search on both sides; inputs that are not
-    G-homotopic give a precondition-unmet report.
-    """
-    if not are_G_homotopic(f, g, pa_x, pa_y,
-                           node_budget=node_budget, max_maps=max_maps):
-        return ClaimReport("homotopy-preservation", instance_id, PRECONDITION_UNMET,
-                           {"reason": "the given maps are not equivariantly homotopic"})
-    env_x = globalize(pa_x, max_pairs)
-    env_y = globalize(pa_y, max_pairs)
-    ef = envelope_of_map(f, pa_x, pa_y, env_x=env_x, env_y=env_y)
-    eg = envelope_of_map(g, pa_x, pa_y, env_x=env_x, env_y=env_y)
-    gx = env_x.as_global_action()
-    gy = env_y.as_global_action()
-    preserved = are_G_homotopic(ef, eg, gx, gy,
-                                node_budget=node_budget, max_maps=max_maps)
-    witness = {"induced_f": ef.as_dict(), "induced_g": eg.as_dict()}
-    return ClaimReport("homotopy-preservation", instance_id,
-                       HOLDS if preserved else FAILS, witness)
-
-
-def check_G_contractibility_theorem(pa: PartialAction,
-                                    instance_id: str = "adhoc",
-                                    node_budget: int = 1_000_000,
-                                    max_maps: int = 4096,
-                                    max_pairs: int = 256) -> ClaimReport:
-    """If X is G-contractible then so is its globalization."""
-    base = is_G_contractible(pa, node_budget=node_budget, max_maps=max_maps)
-    if not base:
-        return ClaimReport("g-contractible", instance_id, PRECONDITION_UNMET,
-                           {"reason": f"the space is not equivariantly contractible "
-                                      f"({base.reason})"})
-    env = globalize(pa, max_pairs)
-    lifted = is_G_contractible(env.as_global_action(),
-                               node_budget=node_budget, max_maps=max_maps)
-    witness = {
-        "fixed_point": base.fixed_point,
-        "fence": base.fence_tables(),
-        "envelope_fixed_point": lifted.fixed_point,
-        "envelope_fence": lifted.fence_tables(),
-    }
-    if not lifted:
-        witness["reason"] = lifted.reason or "globalization is not equivariantly contractible"
-    return ClaimReport("g-contractible", instance_id,
-                       HOLDS if lifted else FAILS, witness)

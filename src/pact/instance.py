@@ -217,6 +217,9 @@ def parse_instance(source: str | Path | Mapping) -> Instance:
         for name, table in doc["maps"].items():
             if not isinstance(table, dict):
                 raise InstanceError(f"maps.{name}", "expected an object")
+            for x, y in table.items():
+                if not isinstance(y, str):
+                    raise InstanceError(f"maps.{name}", f"image of {x!r} is not a string")
             try:
                 named_maps[name] = SpaceMap.from_dict(space, space, table)
             except ValidationError as exc:

@@ -102,8 +102,9 @@ def validate_partial_action(group: Group, space: FinSpace,
     Monotonicity of theta_g and of its inverse is checked on down-set masks
     by :func:`monotonicity_violation`.  PA2 is checked twice, by exhaustive
     triple scan and by the domain identity theta_g(X_{g^-1} & X_h) =
-    X_g & X_{gh}; the two must agree.  Witnesses follow the group's element
-    order and the space's point order, so they do not depend on hashing.
+    X_g & X_{gh} on domain masks; the two must agree.  Witnesses follow the
+    group's element order and the space's point order, so they do not
+    depend on hashing.
     """
     inv = {g: group.inv(g) for g in group.elements}
     dom: dict[str, frozenset[str]] = {}
@@ -151,6 +152,7 @@ def validate_partial_action(group: Group, space: FinSpace,
     # each domain in point order, so every scan below finds its first
     # violation in the same place under any hash seed
     ordered = {g: tuple(x for x in points if x in dom[g]) for g in group.elements}
+    images: dict[str, list[int]] = {}
     for g in group.elements:
         tgt, table = dom[g], the[g]
         values = list(table.values())
@@ -163,6 +165,7 @@ def validate_partial_action(group: Group, space: FinSpace,
             i, j = index[x], index[y]
             image[i] = j
             back[j] = i
+        images[g] = image
         bad = monotonicity_violation(down, mask[inv[g]], image, down)
         if bad:
             raise ValidationError("theta-not-continuous",
@@ -203,10 +206,14 @@ def validate_partial_action(group: Group, space: FinSpace,
             break
     pa2_identity: tuple | None = None
     for g in group.elements:
+        image = images[g]
         for h in group.elements:
-            lhs = frozenset(the[g][x] for x in dom[inv[g]] & dom[h])
-            rhs = dom[g] & dom[group.mul(g, h)]
-            if lhs != rhs:
+            src, lhs = mask[inv[g]] & mask[h], 0
+            while src:
+                low = src & -src
+                src ^= low
+                lhs |= 1 << image[low.bit_length() - 1]
+            if lhs != mask[g] & mask[group.mul(g, h)]:
                 pa2_identity = (g, h)
                 break
         if pa2_identity:

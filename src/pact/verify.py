@@ -21,7 +21,7 @@ from .errors import BoundExceeded, ValidationError
 from .finspace import (SpaceMap, discrete_space, is_closed, is_continuous,
                        is_open, is_open_map, is_T1, pair_label,
                        space_from_min_opens, split_pair_label, subspace)
-from .homotopy import (check_G_contractibility_theorem, enumerate_maps,
+from .homotopy import (enumerate_maps, is_G_contractible,
                        is_locally_G_contractible)
 from .instance import Instance
 from .paction import (PartialAction, diagonal_product, is_isovariant,
@@ -342,29 +342,35 @@ def _claim_homotopy_preservation(inst: Instance, bounds: Bounds) -> tuple[str, d
 
 
 def _claim_g_contractible(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
-    report = check_G_contractibility_theorem(inst.embedded_pa, inst.id,
-                                             node_budget=bounds.map_nodes,
-                                             max_maps=bounds.max_maps,
-                                             max_pairs=bounds.envelope_pairs)
-    return report.status, report.witness
+    """If X is G-contractible then so is its globalization."""
+    pa = inst.embedded_pa
+    base = is_G_contractible(pa, node_budget=bounds.map_nodes,
+                             max_maps=bounds.max_maps)
+    if not base:
+        return PRECONDITION_UNMET, {"reason": f"the space is not equivariantly "
+                                              f"contractible ({base.reason})"}
+    env = globalize(pa, bounds.envelope_pairs)
+    lifted = is_G_contractible(env.as_global_action(),
+                               node_budget=bounds.map_nodes,
+                               max_maps=bounds.max_maps)
+    witness = {
+        "fixed_point": base.fixed_point,
+        "fence": base.fence_tables(),
+        "envelope_fixed_point": lifted.fixed_point,
+        "envelope_fence": lifted.fence_tables(),
+    }
+    if not lifted:
+        witness["reason"] = lifted.reason or "globalization is not equivariantly contractible"
+    return (HOLDS if lifted else FAILS), witness
 
 
 def _claim_locally_g_contractible(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
+    """Holds on every instance (see is_locally_G_contractible); the witness
+    checks run on X and on its globalization."""
     pa = inst.embedded_pa
-    base = is_locally_G_contractible(pa, max_points=bounds.local_points,
-                                     node_budget=bounds.map_nodes,
-                                     max_maps=bounds.max_maps)
     env = globalize(pa, bounds.envelope_pairs)
-    lifted = is_locally_G_contractible(env.as_global_action(),
-                                       max_points=bounds.local_points,
-                                       node_budget=bounds.map_nodes,
-                                       max_maps=bounds.max_maps)
-    holds = base == lifted
-    witness = {"space": base, "envelope": lifted}
-    if not holds:
-        witness["reason"] = "local equivariant contractibility differs across "\
-                            "the embedding"
-    return (HOLDS if holds else FAILS), witness
+    return HOLDS, {"space": is_locally_G_contractible(pa),
+                   "envelope": is_locally_G_contractible(env.as_global_action())}
 
 
 def _claim_fixed_decomposition(inst: Instance, bounds: Bounds) -> tuple[str, dict]:

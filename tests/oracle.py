@@ -540,6 +540,16 @@ def is_G_homeomorphism(f, pa_x, pa_y) -> bool:
     return is_G_map(f.inverse(), pa_y, pa_x)
 
 
+def envelopes_G_homotopic(f, g, pa_x, pa_y) -> bool:
+    """Whether the maps f, g induce G-homotopic maps of the globalizations."""
+    from pact import are_G_homotopic, envelope_of_map, globalize
+
+    env_x, env_y = globalize(pa_x), globalize(pa_y)
+    ef = envelope_of_map(f, pa_x, pa_y, env_x=env_x, env_y=env_y)
+    eg = envelope_of_map(g, pa_x, pa_y, env_x=env_x, env_y=env_y)
+    return are_G_homotopic(ef, eg, env_x.as_global_action(), env_y.as_global_action())
+
+
 def theta_map(pa, g: str):
     """theta_g as a map of subspaces X_{g^-1} -> X_g."""
     from pact import SpaceMap, ValidationError, subspace
@@ -559,6 +569,59 @@ def worst_status(reports) -> str:
         if order[rep.status] > order[worst]:
             worst = rep.status
     return worst
+
+
+# ---------------------------------------------------------------------------
+# local equivariant contractibility by exhaustive neighbourhood scan
+
+def exhaustive_locally_G_contractible(pa, max_points: int = 12,
+                                      node_budget: int = 1_000_000,
+                                      max_maps: int = 4096) -> bool:
+    """For every point x and every G_x-invariant open U containing x, some
+    G_x-invariant open V with x in V, V inside U admits a fence (of
+    G_x-maps V -> U) from the inclusion to a constant at a G_x-fixed point.
+
+    All invariant open neighbourhoods are enumerated and every (x, U, V)
+    runs a G-map search; no minimality shortcut is taken.
+    """
+    from pact import (BoundExceeded, SpaceMap, Subgroup, enumerate_maps,
+                      enumerate_opens, fixed_points, is_invariant, isotropy,
+                      restrict_invariant, restrict_to_subgroup)
+
+    def _full(pa):
+        return Subgroup(pa.group, frozenset(pa.group.elements))
+
+    if len(pa.space) > max_points:
+        raise BoundExceeded("local contractibility", max_points, len(pa.space))
+    opens = enumerate_opens(pa.space, max_points=max_points)
+    for x in pa.space.points:
+        _, gx = isotropy(pa, x)
+        sub = restrict_to_subgroup(pa, gx)
+        candidates_u = [u for u in opens
+                        if x in u and is_invariant(sub, u, _full(sub))]
+        for u in candidates_u:
+            pa_u = restrict_invariant(sub, u)
+            targets = fixed_points(pa_u, _full(pa_u))
+            found = False
+            for v in sorted((v for v in candidates_u if x in v and v <= u),
+                            key=lambda s: (len(s), sorted(pa.space.index(p) for p in s))):
+                pa_v = restrict_invariant(sub, v)
+                inclusion = SpaceMap(pa_v.space, pa_u.space,
+                                     tuple(pa_v.space.points))
+                poset = enumerate_maps(pa_v.space, pa_u.space,
+                                       equivariant=(pa_v, pa_u),
+                                       node_budget=node_budget, max_maps=max_maps)
+                inc = poset.index_of(inclusion)
+                for w in sorted(targets, key=pa.space.index):
+                    const = SpaceMap.constant(pa_v.space, pa_u.space, w)
+                    if poset.components[inc] == poset.components[poset.index_of(const)]:
+                        found = True
+                        break
+                if found:
+                    break
+            if not found:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,8 @@ import json
 import random
 
 from pact import (SpaceMap, Subgroup, ValidationError,
-                  adjunction_maps, are_G_homotopic,
-                  check_G_contractibility_theorem, check_homotopy_preservation,
-                  core, cyclic_group, discrete_space, enumerate_maps,
+                  adjunction_maps, are_G_homotopic, core, cyclic_group,
+                  discrete_space, enumerate_maps,
                   fixed_decomposition, fixed_points,
                   fixture_dict, fixture_names, global_action, globalize,
                   is_contractible, is_continuous, is_G_contractible, is_open,
@@ -23,7 +22,8 @@ from pact import (SpaceMap, Subgroup, ValidationError,
                   trivial_action, trivial_collapse, twisted_product)
 from pact.cli import main as cli_main
 from oracle import (brute_globalization_classes, brute_opens,
-                    brute_twisted_classes, find_homeomorphism,
+                    brute_twisted_classes, envelopes_G_homotopic,
+                    find_homeomorphism,
                     globalization_document, group_violation,
                     homotopy_from_fence, interval_homotopy_exists,
                     partial_action_violation, preimage_continuous,
@@ -406,21 +406,20 @@ def test_acceptance_8_homotopy():
 
     contractible = []
     for name in fixture_names():
-        pa = load_fixture(name).embedded_pa
-        if is_G_contractible(pa).value:
+        inst = load_fixture(name)
+        if is_G_contractible(inst.embedded_pa).value:
             contractible.append(name)
-            assert check_G_contractibility_theorem(pa).status == "holds"
+            assert run_claim("g-contractible", inst).status == "holds"
     assert set(contractible) == {"pt", "z2-wedge"}
 
     # bundled homotopic pairs
     wid = SpaceMap.identity(wedge.space)
     wconst = wedge.named_maps["const-w"]
     assert are_G_homotopic(wid, wconst, wedge.pa, wedge.pa)
-    assert check_homotopy_preservation(wid, wconst, wedge.pa, wedge.pa).status \
-        == "holds"
+    assert envelopes_G_homotopic(wid, wconst, wedge.pa, wedge.pa)
     pt = load_fixture("pt").pa
     pid = SpaceMap.identity(pt.space)
-    assert check_homotopy_preservation(pid, pid, pt, pt).status == "holds"
+    assert envelopes_G_homotopic(pid, pid, pt, pt)
     passed(8, f"homotopy: core(C8) = C8 and not contractible; z2-wedge "
               f"G-contracts through an explicit fence; the globalization "
               f"theorem holds on {contractible}; preservation holds on the "

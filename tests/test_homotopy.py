@@ -2,15 +2,18 @@ from __future__ import annotations
 
 import pytest
 
-from pact import (SpaceMap, ValidationError, are_G_homotopic,
-                  are_homotopic, check_G_contractibility_theorem,
-                  check_homotopy_preservation, core, cyclic_group,
-                  discrete_space, enumerate_maps,
+from pact import (BoundExceeded, InternalCheckError, SpaceMap, ValidationError,
+                  are_G_homotopic, are_homotopic, core, cyclic_group,
+                  discrete_space, enumerate_maps, enumerate_opens,
+                  fixture_names, global_action, globalize,
                   is_contractible, is_G_contractible,
                   is_G_map, is_locally_G_contractible, load_fixture,
-                  space_from_min_opens, trivial_action)
-from oracle import (find_homeomorphism, homotopy_from_fence,
+                  restrict_global, run_claim, space_from_min_opens,
+                  trivial_action)
+from oracle import (envelopes_G_homotopic, exhaustive_locally_G_contractible,
+                    find_homeomorphism, homotopy_from_fence,
                     interval_homotopy_exists, random_preorder_space)
+from test_paction import random_rotation_action
 
 
 def fixture_pa(name):
@@ -176,6 +179,61 @@ def test_locally_g_contractible_examples():
     assert is_locally_G_contractible(fixture_pa("z4-arcs")) is True
 
 
+def random_cone_rotation(rng, copies: int, max_base: int = 2):
+    """A rotation of copies under a fixed apex above them all, so the
+    apex's isotropy group moves its minimal open set."""
+    rot = random_rotation_action(rng, copies, max_base)
+    points = list(rot.space.points) + ["top"]
+    min_open = {p: rot.space.min_open_of(p) for p in rot.space.points}
+    min_open["top"] = points
+    thetas = {g: {**rot.thetas[g], "top": "top"} for g in rot.group.elements}
+    return global_action(rot.group, space_from_min_opens(points, min_open), thetas)
+
+
+def local_contractibility_instances(rng):
+    """The fixtures and their globalizations, trivial Z2/Z3/Z4 actions on
+    random spaces (G_x = G everywhere), and random restrictions of
+    rotations and of cone rotations."""
+    for name in fixture_names():
+        pa = load_fixture(name).embedded_pa
+        yield pa
+        yield globalize(pa).as_global_action()
+    for _ in range(60):
+        points, min_open = random_preorder_space(rng, 5)
+        yield trivial_action(cyclic_group(rng.choice([2, 3, 4])),
+                             space_from_min_opens(points, min_open))
+    for make in [random_rotation_action] * 50 + [random_cone_rotation] * 25:
+        beta = make(rng, rng.choice([2, 3, 4]), max_base=2)
+        yield beta
+        opens = [u for u in enumerate_opens(beta.space) if u]
+        yield restrict_global(beta, rng.choice(opens))
+
+
+def test_locally_g_contractible_matches_exhaustive_scan(rng):
+    compared = 0
+    for pa in local_contractibility_instances(rng):
+        try:
+            expected = exhaustive_locally_G_contractible(pa)
+        except BoundExceeded:
+            continue  # more than 12 points, or a map poset over its cap
+        assert is_locally_G_contractible(pa) == expected
+        compared += 1
+    assert compared >= 220
+
+
+def test_locally_g_contractible_claim_decides_z4_arcs():
+    # the exhaustive scan skipped it: its envelope has 24 points
+    rep = run_claim("locally-g-contractible", load_fixture("z4-arcs"))
+    assert rep.status == "holds"
+    assert rep.witness == {"space": True, "envelope": True}
+
+
+def test_locally_g_contractible_checks_its_witness(monkeypatch):
+    monkeypatch.setattr("pact.homotopy.is_G_map", lambda *args: False)
+    with pytest.raises(InternalCheckError, match="not a G_x-map"):
+        is_locally_G_contractible(fixture_pa("pt"))
+
+
 def test_fence_agrees_with_interval_model(rng):
     found_positive = found_negative = 0
     for _ in range(40):
@@ -218,24 +276,23 @@ def test_check_homotopy_preservation_cases():
     wedge = fixture_pa("z2-wedge")
     ident = SpaceMap.identity(wedge.space)
     const = SpaceMap.constant(wedge.space, wedge.space, "w")
-    rep = check_homotopy_preservation(ident, const, wedge, wedge)
-    assert rep.status == "holds"
+    assert are_G_homotopic(ident, const, wedge, wedge)
+    assert envelopes_G_homotopic(ident, const, wedge, wedge)
+    assert envelopes_G_homotopic(ident, ident, wedge, wedge)
+    assert run_claim("homotopy-preservation", load_fixture("z2-wedge")).status == "holds"
 
-    rep_same = check_homotopy_preservation(ident, ident, wedge, wedge)
-    assert rep_same.status == "holds"
-
+    # not G-homotopic, so the implication has no premise here
     z2pair = fixture_pa("z2-pair")
     collapse = SpaceMap.from_dict(z2pair.space, z2pair.space,
                                   {"a": "a", "b": "a"})
-    rep2 = check_homotopy_preservation(SpaceMap.identity(z2pair.space),
-                                       collapse, z2pair, z2pair)
-    assert rep2.status == "precondition-unmet"
+    assert not are_G_homotopic(SpaceMap.identity(z2pair.space), collapse,
+                               z2pair, z2pair)
 
 
 def test_check_g_contractibility_theorem_cases():
-    assert check_G_contractibility_theorem(fixture_pa("z2-wedge")).status == "holds"
-    assert check_G_contractibility_theorem(fixture_pa("pt")).status == "holds"
-    rep = check_G_contractibility_theorem(fixture_pa("z4-circle"))
+    assert run_claim("g-contractible", load_fixture("z2-wedge")).status == "holds"
+    assert run_claim("g-contractible", load_fixture("pt")).status == "holds"
+    rep = run_claim("g-contractible", load_fixture("z4-circle"))
     assert rep.status == "precondition-unmet"
 
 

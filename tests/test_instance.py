@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pact import (InstanceError, ValidationError, fixture_dict,
                   fixture_names, load_fixture, parse_instance)
@@ -150,3 +152,52 @@ def test_min_open_for_unknown_point_rejected():
     with pytest.raises(InstanceError) as err:
         parse_instance(doc)
     assert err.value.location == "space.min_open.ghost"
+
+
+def test_non_string_map_image_rejected():
+    doc = fixture_dict("z2-wedge")
+    doc["maps"]["const-w"]["a"] = []
+    with pytest.raises(InstanceError) as err:
+        parse_instance(doc)
+    assert err.value.location == "maps.const-w"
+
+
+def _paths(node, path=()):
+    """Every key path below the document root, parents before children."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+# one_of picks among its three branches evenly, so two draws in three are
+# containers, the kind a label lookup cannot hash
+_JUNK = st.one_of(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.text(max_size=2),
+    st.lists(st.none() | st.integers(-2, 2) | st.text(max_size=2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.none() | st.text(max_size=2),
+                    max_size=3))
+
+
+@settings(max_examples=15, deadline=None)
+@given(_JUNK)
+def test_mutated_documents_raise_only_instance_or_validation_errors(junk):
+    """Deleting any one key, or replacing any one value by ``junk``, at any
+    depth of a bundled fixture is rejected with InstanceError or
+    ValidationError and never escapes as another exception."""
+    for name in fixture_names():
+        for path in _paths(fixture_dict(name)):
+            for delete in (True, False):
+                doc = fixture_dict(name)
+                parent = doc
+                for key in path[:-1]:
+                    parent = parent[key]
+                if delete:
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = junk
+                try:
+                    parse_instance(doc)
+                except (InstanceError, ValidationError):
+                    pass
