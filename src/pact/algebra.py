@@ -6,6 +6,11 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BoundExceeded, InternalCheckError, ValidationError
+from .finspace import bit_indices
+
+
+def _unknown(a: object) -> ValidationError:
+    return ValidationError("unknown-element", (a,), f"unknown group element {a!r}")
 
 
 @dataclass(frozen=True)
@@ -21,32 +26,42 @@ class Group:
     table: tuple[tuple[str, ...], ...]
     identity: str
 
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {e: i for i, e in enumerate(self.elements)}
-
-    @cached_property
-    def _inverse(self) -> dict[str, str]:
-        inv = {}
-        for a in self.elements:
-            for b in self.elements:
-                if self.mul(a, b) == self.identity and self.mul(b, a) == self.identity:
-                    inv[a] = b
-                    break
-        return inv
+    def __post_init__(self):
+        # Index tables derived from the fields, built once per group:
+        # rows[i][j] is the index of elements[i] * elements[j] and
+        # inverse_row[i] the index of elements[i]^-1.
+        index = {e: i for i, e in enumerate(self.elements)}
+        rows = tuple(tuple(map(index.__getitem__, row)) for row in self.table)
+        unit = index[self.identity]
+        inverse_row = tuple(row.index(unit) for row in rows)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "inverse_row", inverse_row)
+        object.__setattr__(self, "_inverse",
+                           {e: self.elements[j] for e, j in zip(self.elements, inverse_row)})
 
     def index(self, a: str) -> int:
         try:
             return self._index[a]
         except KeyError:
-            raise ValidationError("unknown-element", (a,), f"unknown group element {a!r}")
+            raise _unknown(a)
 
     def mul(self, a: str, b: str) -> str:
-        return self.table[self.index(a)][self.index(b)]
+        index = self._index
+        try:
+            return self.table[index[a]][index[b]]
+        except KeyError as exc:
+            raise _unknown(exc.args[0])
 
     def inv(self, a: str) -> str:
-        self.index(a)
-        return self._inverse[a]
+        try:
+            return self._inverse[a]
+        except KeyError:
+            raise _unknown(a)
+
+    def labels_of(self, mask: int) -> tuple[str, ...]:
+        """The elements whose index bits are set in ``mask``, in element order."""
+        return tuple(self.elements[i] for i in bit_indices(mask))
 
     def conjugate(self, h: str, g: str) -> str:
         """g^-1 h g."""
@@ -64,40 +79,57 @@ class Group:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup of ``parent``, stored as a member set.
+    """A subgroup of ``parent``, stored as a member set and, derived from it,
+    ``mask``: the bitmask of the members' element indices.
 
     Construction checks the subgroup invariants (identity, closure under
-    product and inverse) and raises :class:`ValidationError` otherwise.
+    inverse and product) and raises :class:`ValidationError` otherwise.
+    Members are checked in the parent's element order, each first for its
+    inverse and then for its products with every member, so the witness
+    does not depend on hashing.
     """
 
     parent: Group
     members: frozenset[str]
 
     def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-        for m in self.members:
-            if m not in self.parent:
-                raise ValidationError("unknown-element", (m,), f"unknown group element {m!r}")
-        if self.parent.identity not in self.members:
-            raise ValidationError("subgroup-identity", (self.parent.identity,),
+        parent = self.parent
+        members = frozenset(self.members)
+        object.__setattr__(self, "members", members)
+        unknown = sorted(m for m in members if m not in parent)
+        if unknown:
+            raise _unknown(unknown[0])
+        mask = 0
+        for m in members:
+            mask |= 1 << parent._index[m]
+        object.__setattr__(self, "mask", mask)
+        if not mask >> parent._index[parent.identity] & 1:
+            raise ValidationError("subgroup-identity", (parent.identity,),
                                   "subgroup does not contain the identity")
-        for a in self.members:
-            if self.parent.inv(a) not in self.members:
-                raise ValidationError("subgroup-inverse", (a,), "subgroup not closed under inverse")
-            for b in self.members:
-                if self.parent.mul(a, b) not in self.members:
-                    raise ValidationError("subgroup-closure", (a, b),
-                                          "subgroup not closed under product")
+        order = bit_indices(mask)
+        inside = frozenset(order)
+        elems, rows, inverse_row = parent.elements, parent.rows, parent.inverse_row
+        for a in order:
+            if inverse_row[a] not in inside:
+                raise ValidationError("subgroup-inverse", (elems[a],),
+                                      "subgroup not closed under inverse")
+            row = rows[a]
+            if not inside.issuperset(map(row.__getitem__, order)):
+                b = next(b for b in order if row[b] not in inside)
+                raise ValidationError("subgroup-closure", (elems[a], elems[b]),
+                                      "subgroup not closed under product")
 
     @cached_property
     def sorted_members(self) -> tuple[str, ...]:
-        return tuple(e for e in self.parent.elements if e in self.members)
+        return self.parent.labels_of(self.mask)
 
     def as_group(self) -> Group:
         """The subgroup as a standalone Group, in the parent's element order."""
-        elems = self.sorted_members
-        table = tuple(tuple(self.parent.mul(a, b) for b in elems) for a in elems)
-        return Group(elems, table, self.parent.identity)
+        parent = self.parent
+        order = bit_indices(self.mask)
+        table = tuple(tuple(parent.elements[parent.rows[a][b]] for b in order)
+                      for a in order)
+        return Group(self.sorted_members, table, parent.identity)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -155,54 +187,50 @@ def validate_group(elements: Sequence[str], table: Sequence[Sequence[str]],
 
 
 def subgroup_generated(group: Group, gens: Iterable[str]) -> Subgroup:
-    """Smallest subgroup containing ``gens`` (closure to a fixpoint)."""
-    members = {group.identity}
-    frontier = []
-    for g in gens:
-        group.index(g)
-        if g not in members:
-            members.add(g)
-            frontier.append(g)
-    frontier.extend([group.identity])
+    """Smallest subgroup containing ``gens``: the identity's bit closed under
+    right multiplication by the generators over the product rows (in a
+    finite group that closure is already closed under inverses)."""
+    steps = [group.index(g) for g in gens]
+    rows = group.rows
+    start = group.index(group.identity)
+    mask = 1 << start
+    frontier = [start]
     while frontier:
-        a = frontier.pop()
-        for b in tuple(members):
-            for prod in (group.mul(a, b), group.mul(b, a)):
-                if prod not in members:
-                    members.add(prod)
-                    frontier.append(prod)
-        inv = group.inv(a)
-        if inv not in members:
-            members.add(inv)
-            frontier.append(inv)
-    return Subgroup(group, frozenset(members))
+        row = rows[frontier.pop()]
+        for s in steps:
+            p = row[s]
+            if not mask >> p & 1:
+                mask |= 1 << p
+                frontier.append(p)
+    return Subgroup(group, frozenset(group.labels_of(mask)))
 
 
 def conjugate_subgroup(subgroup: Subgroup, g: str) -> Subgroup:
     """The conjugate {g^-1 h g : h in subgroup}."""
     parent = subgroup.parent
-    parent.index(g)
-    return Subgroup(parent, frozenset(parent.conjugate(h, g) for h in subgroup.members))
+    gi = parent.index(g)
+    rows, left = parent.rows, parent.rows[parent.inverse_row[gi]]
+    return Subgroup(parent, frozenset(parent.elements[rows[left[h]][gi]]
+                                      for h in bit_indices(subgroup.mask)))
 
 
 def all_subgroups(group: Group, max_order: int = 16) -> list[Subgroup]:
     """Every subgroup, each exactly once, ordered by (size, member indices)."""
     if len(group) > max_order:
         raise BoundExceeded("subgroup enumeration", max_order, len(group))
-    found: set[frozenset[str]] = {frozenset({group.identity})}
-    frontier = [frozenset({group.identity})]
+    trivial = Subgroup(group, frozenset({group.identity}))
+    found: dict[int, Subgroup] = {trivial.mask: trivial}
+    frontier = [trivial]
     while frontier:
         base = frontier.pop()
-        for g in group.elements:
-            if g in base:
+        for i, g in enumerate(group.elements):
+            if base.mask >> i & 1:
                 continue
-            bigger = subgroup_generated(group, base | {g}).members
-            if bigger not in found:
-                found.add(bigger)
+            bigger = subgroup_generated(group, base.sorted_members + (g,))
+            if bigger.mask not in found:
+                found[bigger.mask] = bigger
                 frontier.append(bigger)
-    def key(members: frozenset[str]) -> tuple:
-        return (len(members), tuple(sorted(group.index(m) for m in members)))
-    subs = [Subgroup(group, members) for members in sorted(found, key=key)]
+    subs = sorted(found.values(), key=lambda s: (len(s), bit_indices(s.mask)))
     for sub in subs:
         if len(group) % len(sub) != 0:
             raise InternalCheckError(f"Lagrange violated by subgroup {sorted(sub.members)}")

@@ -16,12 +16,12 @@ collapse) are built and *reported on*, never assumed to be homeomorphisms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .algebra import (Group, Subgroup, all_subgroups, conjugate_subgroup,
                       is_subgroup_embedding, subgroup_generated)
 from .errors import BoundExceeded, InternalCheckError, ValidationError
-from .finspace import (FinSpace, SpaceMap, compose, discrete_space,
+from .finspace import (FinSpace, SpaceMap, bit_indices, compose, discrete_space,
                        equivalence_classes, is_continuous, is_open,
                        is_open_map, product, quotient)
 from .paction import (PartialAction, diagonal_product, enumerate_G_maps,
@@ -213,15 +213,19 @@ def globalize(pa: PartialAction, max_pairs: int = 256) -> EnvelopeResult:
     space = pa.space
     prod = _product_with_group(g_grp, space, max_pairs)
     pairs = [(g, x) for g in g_grp.elements for x in space.points]
-    pair_index = {gx: i for i, gx in enumerate(pairs)}
-    n = len(pairs)
-    rel = [0] * n
-    for i, (g, x) in enumerate(pairs):
-        for h in g_grp.elements:
-            k = g_grp.mul(g_grp.inv(g), h)
-            if x in pa.domains[k]:
-                y = pa.apply(g_grp.inv(k), x)
-                rel[i] |= 1 << pair_index[(h, y)]
+    # (g, x) is pair g * |X| + x; x lies in X_k iff theta_{k^-1} is defined at x
+    n = len(space)
+    rows, inverse_row = g_grp.rows, g_grp.inverse_row
+    rel = []
+    for g in range(len(g_grp)):
+        to_k = rows[inverse_row[g]]
+        for x in range(n):
+            m = 0
+            for h, k in enumerate(to_k):
+                y = pa.images[inverse_row[k]][x]
+                if y >= 0:
+                    m |= 1 << (h * n + y)
+            rel.append(m)
     class_sets = [prod.set_of(c) for c in equivalence_classes(rel, "R", pairs)]
     return _assemble(pa, g_grp, prod, class_sets)
 
@@ -247,20 +251,24 @@ def twisted_product(pa: PartialAction, big: Group,
     if diag.space != prod:
         raise InternalCheckError("diagonal product space differs from G x X")
     class_sets = orbit_classes(diag)
-    by_label = {}
+    # (g, x) is product point g * |X| + x; class masks per product point
+    n = len(space)
+    class_mask = [0] * len(prod)
     for cls in class_sets:
-        for p in cls:
-            by_label[p] = cls
-    for g in big.elements:
-        for x in space.points:
-            label = prod.points[big.index(g) * len(space) + space.index(x)]
-            one_step = frozenset(
-                prod.points[big.index(big.mul(g, k_grp.inv(k))) * len(space)
-                            + space.index(pa.apply(k, x))]
-                for k in k_grp.elements if pa.defined(k, x))
-            if one_step != by_label[label]:
-                raise InternalCheckError(
-                    f"one-step class of ({g!r}, {x!r}) differs from its orbit")
+        m = prod.mask_of(cls)
+        for p in bit_indices(m):
+            class_mask[p] = m
+    rows, inverse_row = big.rows, big.inverse_row
+    steps = [(inverse_row[big.index(k)], image) for k, image in zip(k_grp.elements, pa.images)]
+    for g, row in enumerate(rows):
+        for x in range(n):
+            one_step = 0
+            for k_inv, image in steps:
+                if image[x] >= 0:
+                    one_step |= 1 << (row[k_inv] * n + image[x])
+            if one_step != class_mask[g * n + x]:
+                raise InternalCheckError(f"one-step class of ({big.elements[g]!r}, "
+                                         f"{space.points[x]!r}) differs from its orbit")
     return _assemble(pa, big, prod, class_sets)
 
 
@@ -631,6 +639,93 @@ def trivial_collapse(pa: PartialAction, big: Group | None = None,
     return delta, report
 
 
+def _fixed_sets(env: EnvelopeResult) -> Callable[[Iterable[str]], int]:
+    """fixed(members): the mask of total points that mu_k fixes for every k
+    in ``members``, from one moved-point mask per element."""
+    index = env.total._index
+    moved = {}
+    for k, act in env.action.items():
+        m = 0
+        for c, d in act.items():
+            if c != d:
+                m |= 1 << index[c]
+        moved[k] = m
+    full = (1 << len(env.total)) - 1
+
+    def fixed(members: Iterable[str]) -> int:
+        m = 0
+        for k in members:
+            m |= moved[k]
+        return full & ~m
+    return fixed
+
+
+def fixed_identities(pa: PartialAction, h: Subgroup,
+                     env: EnvelopeResult) -> tuple[dict, dict]:
+    """Identities 1 and 2 of :func:`fixed_decomposition` for one subgroup H,
+    as its ``decomposition`` and ``embedded_fixed`` documents."""
+    grp = pa.group
+    if h.parent != grp:
+        raise ValidationError("group-mismatch", (), "subgroup of a different group")
+    total = env.total
+    image = total.mask_of(env.embedding.assignment)
+    fixed = _fixed_sets(env)
+
+    lhs_1 = fixed(h.members)
+    rhs_1 = 0
+    for g in grp.elements:
+        conj = conjugate_subgroup(h, g)
+        act = env.action[g]
+        for c in bit_indices(fixed(conj.members) & image):
+            rhs_1 |= 1 << total.index(act[total.points[c]])
+
+    lhs_2 = total.mask_of(env.embedding(x) for x in fixed_points(pa, h))
+    rhs_2 = lhs_1 & image
+
+    def labels(mask: int) -> list[str]:
+        return [total.points[i] for i in bit_indices(mask)]
+
+    return ({"holds": lhs_1 == rhs_1,
+             "fixed_in_total": labels(lhs_1),
+             "union_of_translates": labels(rhs_1)},
+            {"holds": lhs_2 == rhs_2,
+             "image_of_fixed": labels(lhs_2),
+             "fixed_in_image": labels(rhs_2)})
+
+
+def generated_intersection(pa: PartialAction, env: EnvelopeResult,
+                           max_families: int = 4096) -> dict:
+    """Identity 3 of :func:`fixed_decomposition` over subgroup families: the
+    intersection of iota(X)[K_i] equals iota(X)[<union of the K_i>].  Every
+    nonempty family when there are at most ``max_families``, else every
+    pair; the lattice is enumerated once."""
+    grp = pa.group
+    subs = all_subgroups(grp)
+    image = env.total.mask_of(env.embedding.assignment)
+    fixed = _fixed_sets(env)
+    fixed_in_image = [fixed(k.members) & image for k in subs]
+    families: list[tuple[int, ...]] = []
+    if 2 ** len(subs) - 1 <= max_families:
+        for mask in range(1, 2 ** len(subs)):
+            families.append(tuple(bit_indices(mask)))
+    else:
+        families = [(i, j) for i in range(len(subs)) for j in range(i, len(subs))]
+    holds = True
+    witness = None
+    for family in families:
+        inter = image
+        union = 0
+        for i in family:
+            inter &= fixed_in_image[i]
+            union |= subs[i].mask
+        generated = subgroup_generated(grp, grp.labels_of(union))
+        if inter != fixed(generated.members) & image:
+            holds = False
+            if witness is None:
+                witness = [sorted(subs[i].members) for i in family]
+    return {"holds": holds, "families_checked": len(families), "witness": witness}
+
+
 def fixed_decomposition(pa: PartialAction, h: Subgroup,
                         env: EnvelopeResult | None = None,
                         max_pairs: int = 256,
@@ -647,66 +742,13 @@ def fixed_decomposition(pa: PartialAction, h: Subgroup,
         raise ValidationError("group-mismatch", (), "subgroup of a different group")
     if env is None:
         env = globalize(pa, max_pairs)
-
-    def fixed_of(members: frozenset[str], inside: frozenset[str] | None = None) -> frozenset[str]:
-        pool = env.total.points if inside is None else inside
-        return frozenset(c for c in pool
-                         if all(env.action[k][c] == c for k in members))
-
-    image = env.embedding_image()
-    lhs_1 = fixed_of(h.members)
-    rhs_1 = set()
-    for g in grp.elements:
-        conj = conjugate_subgroup(h, g)
-        fixed_embedded = fixed_of(conj.members, image)
-        rhs_1.update(env.action[g][c] for c in fixed_embedded)
-    identity_1 = lhs_1 == frozenset(rhs_1)
-
-    lhs_2 = frozenset(env.embedding(x) for x in fixed_points(pa, h))
-    rhs_2 = fixed_of(h.members, image)
-    identity_2 = lhs_2 == rhs_2
-
-    subs = all_subgroups(grp)
-    families: list[tuple[Subgroup, ...]] = []
-    if 2 ** len(subs) - 1 <= max_families:
-        for mask in range(1, 2 ** len(subs)):
-            families.append(tuple(subs[i] for i in range(len(subs))
-                                  if mask & (1 << i)))
-    else:
-        families = [(a, b) for i, a in enumerate(subs) for b in subs[i:]]
-    identity_3 = True
-    family_witness = None
-    for family in families:
-        inter = image
-        union_members: set[str] = set()
-        for k in family:
-            inter &= fixed_of(k.members, image)
-            union_members |= k.members
-        generated = subgroup_generated(grp, union_members)
-        rhs = fixed_of(generated.members, image)
-        if inter != rhs:
-            identity_3 = False
-            if family_witness is None:
-                family_witness = [sorted(k.members) for k in family]
-
-    order = {p: i for i, p in enumerate(env.total.points)}
-    report = {
-        "status": "holds" if identity_1 and identity_2 and identity_3 else "fails",
+    decomposition, embedded_fixed = fixed_identities(pa, h, env)
+    generated = generated_intersection(pa, env, max_families)
+    holds = decomposition["holds"] and embedded_fixed["holds"] and generated["holds"]
+    return {
+        "status": "holds" if holds else "fails",
         "subgroup": sorted(h.members, key=grp.index),
-        "decomposition": {
-            "holds": identity_1,
-            "fixed_in_total": sorted(lhs_1, key=order.__getitem__),
-            "union_of_translates": sorted(rhs_1, key=order.__getitem__),
-        },
-        "embedded_fixed": {
-            "holds": identity_2,
-            "image_of_fixed": sorted(lhs_2, key=order.__getitem__),
-            "fixed_in_image": sorted(rhs_2, key=order.__getitem__),
-        },
-        "generated_intersection": {
-            "holds": identity_3,
-            "families_checked": len(families),
-            "witness": family_witness,
-        },
+        "decomposition": decomposition,
+        "embedded_fixed": embedded_fixed,
+        "generated_intersection": generated,
     }
-    return report

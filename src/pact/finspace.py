@@ -7,10 +7,25 @@ open set of y.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import BoundExceeded, InternalCheckError, ValidationError
+
+
+def bit_indices(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _unknown_point(x: object) -> ValidationError:
+    return ValidationError("unknown-point", (x,), f"unknown point {x!r}")
 
 
 @dataclass(frozen=True)
@@ -31,19 +46,13 @@ class FinSpace:
     @cached_property
     def _down_masks(self) -> tuple[int, ...]:
         """Bitmask per point: bit i set iff points[i] <= that point."""
-        masks = []
-        for opens in self.min_open:
-            m = 0
-            for p in opens:
-                m |= 1 << self._index[p]
-            masks.append(m)
-        return tuple(masks)
+        return tuple(map(self.mask_of, self.min_open))
 
     def index(self, x: str) -> int:
         try:
             return self._index[x]
         except KeyError:
-            raise ValidationError("unknown-point", (x,), f"unknown point {x!r}")
+            raise _unknown_point(x)
 
     def min_open_of(self, x: str) -> frozenset[str]:
         return self.min_open[self.index(x)]
@@ -58,13 +67,13 @@ class FinSpace:
         return frozenset(p for j, p in enumerate(self.points) if self._down_masks[j] & bit)
 
     def mask_of(self, subset: Iterable[str]) -> int:
-        m = 0
-        for x in subset:
-            m |= 1 << self.index(x)
-        return m
+        try:
+            return reduce(or_, map((1).__lshift__, map(self._index.__getitem__, subset)), 0)
+        except KeyError as exc:
+            raise _unknown_point(exc.args[0])
 
     def set_of(self, mask: int) -> frozenset[str]:
-        return frozenset(p for i, p in enumerate(self.points) if mask & (1 << i))
+        return frozenset(map(self.points.__getitem__, bit_indices(mask)))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -119,17 +128,18 @@ def discrete_space(points: Sequence[str]) -> FinSpace:
 
 def is_open(space: FinSpace, subset: Iterable[str]) -> bool:
     """True iff the subset is a union of minimal opens (a down-set of <=)."""
-    mask = space.mask_of(subset)
-    for i in range(len(space)):
-        if mask & (1 << i) and (space._down_masks[i] & mask) != space._down_masks[i]:
-            return False
-    return True
+    return is_down_mask(space._down_masks, space.mask_of(subset))
 
 
 def is_closed(space: FinSpace, subset: Iterable[str]) -> bool:
-    mask = space.mask_of(subset)
     full = (1 << len(space)) - 1
-    return is_open(space, space.set_of(full & ~mask))
+    return is_down_mask(space._down_masks, full & ~space.mask_of(subset))
+
+
+def is_down_mask(down: Sequence[int], mask: int) -> bool:
+    """Whether ``mask`` contains the down-set mask ``down[i]`` of each of
+    its points i, i.e. is open."""
+    return not any(down[i] & ~mask for i in bit_indices(mask))
 
 
 def enumerate_opens(space: FinSpace, max_points: int = 20) -> list[frozenset[str]]:
@@ -246,7 +256,10 @@ def is_continuous(m: SpaceMap) -> bool:
 
 def is_open_map(m: SpaceMap) -> bool:
     """Images of opens are open; it suffices to check the minimal opens."""
-    return all(is_open(m.target, m.image(u)) for u in m.source.min_open)
+    bit = [1 << m.target.index(y) for y in m.assignment]
+    down = m.target._down_masks
+    return all(is_down_mask(down, reduce(or_, map(bit.__getitem__, bit_indices(u))))
+               for u in m.source._down_masks)
 
 
 def product(a: FinSpace, b: FinSpace, max_points: int = 64
@@ -320,31 +333,25 @@ def quotient(space: FinSpace, classes: Iterable[Iterable[str]],
     if len(set(labels)) != len(labels):
         raise ValidationError("duplicate-point", (), "class labels collide")
     cls_of = {x: k for k, cls in enumerate(sets) for x in cls}
+    cls_bit = [1 << cls_of[x] for x in space.points]
 
     n = len(sets)
     below = [1 << k for k in range(n)]
-    for j, y in enumerate(space.points):
+    for y, mask in zip(space.points, space._down_masks):
         ky = cls_of[y]
-        mask = space._down_masks[j]
-        for i in range(len(space)):
-            if mask & (1 << i):
-                below[ky] |= 1 << cls_of[space.points[i]]
+        for i in bit_indices(mask):
+            below[ky] |= cls_bit[i]
     changed = True
     while changed:
         changed = False
         for k in range(n):
             acc = below[k]
-            m = acc
-            while m:
-                low = m & -m
-                acc |= below[low.bit_length() - 1]
-                m ^= low
+            for i in bit_indices(acc):
+                acc |= below[i]
             if acc != below[k]:
                 below[k] = acc
                 changed = True
-    opens = []
-    for k in range(n):
-        opens.append(frozenset(labels[i] for i in range(n) if below[k] & (1 << i)))
+    opens = [frozenset(map(labels.__getitem__, bit_indices(m))) for m in below]
     qspace = FinSpace(tuple(labels), tuple(opens))
     proj = SpaceMap(space, qspace, tuple(labels[cls_of[x]] for x in space.points))
     return qspace, proj
@@ -362,11 +369,7 @@ def equivalence_classes(rel: Sequence[int], name: str,
     for i, row in enumerate(rel):
         if not row & (1 << i):
             raise InternalCheckError(f"{name} not reflexive at {labels[i]!r}")
-        m = row
-        while m:
-            low = m & -m
-            m ^= low
-            j = low.bit_length() - 1
+        for j in bit_indices(row):
             if not rel[j] & (1 << i):
                 raise InternalCheckError(
                     f"{name} not symmetric at ({labels[i]!r}, {labels[j]!r})")

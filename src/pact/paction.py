@@ -8,14 +8,15 @@ homeomorphism theta_g : X_{g^-1} -> X_g, subject to
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import Group, Subgroup
 from .errors import InternalCheckError, ValidationError
-from .finspace import (FinSpace, SpaceMap, _search_maps, compose,
+from .finspace import (FinSpace, SpaceMap, _search_maps, bit_indices, compose,
                        discrete_space, equivalence_classes, is_closed,
-                       is_continuous, is_open, is_open_map,
+                       is_continuous, is_down_mask, is_open, is_open_map,
                        monotonicity_violation, pair_label, product,
                        quotient, subspace)
 
@@ -28,6 +29,11 @@ class PartialAction:
     space: FinSpace
     domains: Mapping[str, frozenset[str]]
     thetas: Mapping[str, Mapping[str, str]]
+    # Index tables built from domains and thetas, per element index:
+    # images[g][i] is the point index of theta_g(points[i]), -1 where theta_g
+    # is undefined, and domain_points[g] lists X_g's point indices in order.
+    images: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    domain_points: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     def domain(self, g: str) -> frozenset[str]:
         self.group.index(g)
@@ -102,9 +108,10 @@ def validate_partial_action(group: Group, space: FinSpace,
     Monotonicity of theta_g and of its inverse is checked on down-set masks
     by :func:`monotonicity_violation`.  PA2 is checked twice, by exhaustive
     triple scan and by the domain identity theta_g(X_{g^-1} & X_h) =
-    X_g & X_{gh} on domain masks; the two must agree.  Witnesses follow the
-    group's element order and the space's point order, so they do not
-    depend on hashing.
+    X_g & X_{gh}, both on index tables; the two must agree.  Witnesses
+    follow the group's element order and the space's point order, so they
+    do not depend on hashing.  The returned action carries those index
+    tables (``images``, ``domain_points``).
     """
     inv = {g: group.inv(g) for g in group.elements}
     dom: dict[str, frozenset[str]] = {}
@@ -112,8 +119,9 @@ def validate_partial_action(group: Group, space: FinSpace,
         if g not in domains:
             raise ValidationError("domain-keys", (g,), f"no domain for element {g!r}")
         d = frozenset(domains[g])
-        for x in d:
-            space.index(x)
+        if not space._index.keys() >= d:
+            for x in d:
+                space.index(x)
         dom[g] = d
     for g in domains:
         group.index(g)
@@ -127,8 +135,9 @@ def validate_partial_action(group: Group, space: FinSpace,
             off = sorted(frozenset(table) ^ expected)[0]
             raise ValidationError("theta-domain", (g, off),
                                   f"theta_{g!r} must be defined exactly on X_({inv[g]!r})")
-        for x, y in table.items():
-            space.index(y)
+        if not all(map(space._index.__contains__, table.values())):
+            for y in table.values():
+                space.index(y)
         the[g] = table
     for g in thetas:
         group.index(g)
@@ -138,34 +147,31 @@ def validate_partial_action(group: Group, space: FinSpace,
     if dom[e] != allpts:
         missing = sorted(allpts - dom[e])[0]
         raise ValidationError("pa3-domain", (missing,), "X_e must be the whole space")
-    for x in space.points:
-        if the[e][x] != x:
-            raise ValidationError("pa3-identity", (x,), "theta_e must be the identity")
-
-    for g in group.elements:
-        if not is_open(space, dom[g]):
-            raise ValidationError("domain-not-open", (g,) + tuple(sorted(dom[g])),
-                                  f"X_{g!r} is not open")
+    if list(map(the[e].__getitem__, space.points)) != list(space.points):
+        x = next(x for x in space.points if the[e][x] != x)
+        raise ValidationError("pa3-identity", (x,), "theta_e must be the identity")
 
     points, index, down = space.points, space._index, space._down_masks
     mask = {g: space.mask_of(dom[g]) for g in group.elements}
-    # each domain in point order, so every scan below finds its first
-    # violation in the same place under any hash seed
-    ordered = {g: tuple(x for x in points if x in dom[g]) for g in group.elements}
-    images: dict[str, list[int]] = {}
+    for g in group.elements:
+        if not is_down_mask(down, mask[g]):
+            raise ValidationError("domain-not-open", (g,) + tuple(sorted(dom[g])),
+                                  f"X_{g!r} is not open")
+
+    every = range(len(points))
+    images: list[list[int]] = []
     for g in group.elements:
         tgt, table = dom[g], the[g]
         values = list(table.values())
         if len(set(values)) != len(values) or set(values) != set(tgt):
             raise ValidationError("theta-not-bijective", (g,),
                                   f"theta_{g!r} is not a bijection onto X_{g!r}")
-        image = [0] * len(points)
-        back = [0] * len(points)
-        for x, y in table.items():
-            i, j = index[x], index[y]
-            image[i] = j
-            back[j] = i
-        images[g] = image
+        # theta_g and its inverse as index tables, -1 off their domains
+        src_idx = list(map(index.__getitem__, table))
+        tgt_idx = list(map(index.__getitem__, values))
+        image = list(map(dict(zip(src_idx, tgt_idx)).get, every, repeat(-1)))
+        back = list(map(dict(zip(tgt_idx, src_idx)).get, every, repeat(-1)))
+        images.append(image)
         bad = monotonicity_violation(down, mask[inv[g]], image, down)
         if bad:
             raise ValidationError("theta-not-continuous",
@@ -180,41 +186,47 @@ def validate_partial_action(group: Group, space: FinSpace,
                                   (g, points[bad[0]], points[bad[1]]),
                                   f"inverse of theta_{g!r} is not monotone")
 
-    for g in group.elements:
-        table, table_inv = the[g], the[inv[g]]
-        for x in ordered[inv[g]]:
-            if table_inv.get(table[x]) != x:
-                raise ValidationError("theta-inverse-mismatch", (g, x),
-                                      f"theta_{inv[g]!r} does not invert theta_{g!r}")
+    # From here on every check reads index tables: element indices, and each
+    # domain as its point indices in point order, so every scan finds its
+    # first violation in the same place under any hash seed.
+    elems, rows, inverse_row = group.elements, group.rows, group.inverse_row
+    dom_points = [sorted(map(index.__getitem__, dom[g])) for g in elems]
+    for g, image in enumerate(images):
+        xs = dom_points[inverse_row[g]]
+        undo = images[inverse_row[g]]
+        if list(map(undo.__getitem__, map(image.__getitem__, xs))) != xs:
+            x = next(x for x in xs if undo[image[x]] != x)
+            raise ValidationError("theta-inverse-mismatch", (elems[g], points[x]),
+                                  f"theta_{inv[elems[g]]!r} does not invert theta_{elems[g]!r}")
 
+    # PA2 by triple scan: for x in X_{h^-1} with theta_h(x) in X_{g^-1},
+    # theta_g(theta_h(x)) must be theta_gh(x).  Per (g, h) the two sides are
+    # compared as whole lists first; an undefined left side (-1) is no
+    # violation, so only a mismatching pair is walked point by point.
+    after_h = [list(map(image.__getitem__, dom_points[inverse_row[h]]))
+             for h, image in enumerate(images)]
     pa2_scan: tuple | None = None
-    for g in group.elements:
-        dom_ginv, the_g = dom[inv[g]], the[g]
-        for h in group.elements:
-            gh = group.mul(g, h)
-            dom_ghinv, the_h, the_gh = dom[inv[gh]], the[h], the[gh]
-            for x in ordered[inv[h]]:
-                hx = the_h[x]
-                if hx not in dom_ginv:
-                    continue
-                if x not in dom_ghinv or the_g[hx] != the_gh[x]:
-                    pa2_scan = (g, h, x)
+    for g, image in enumerate(images):
+        for h in range(len(elems)):
+            xs = dom_points[inverse_row[h]]
+            lhs = list(map(image.__getitem__, after_h[h]))
+            rhs = list(map(images[rows[g][h]].__getitem__, xs))
+            if lhs != rhs:
+                bad = next((x for x, a, b in zip(xs, lhs, rhs) if a >= 0 and a != b), None)
+                if bad is not None:
+                    pa2_scan = (elems[g], elems[h], points[bad])
                     break
-            if pa2_scan:
-                break
         if pa2_scan:
             break
+    # PA2 domain identity theta_g(X_{g^-1} & X_h) = X_g & X_gh, on index sets.
+    dom_set = [frozenset(xs) for xs in dom_points]
     pa2_identity: tuple | None = None
-    for g in group.elements:
-        image = images[g]
-        for h in group.elements:
-            src, lhs = mask[inv[g]] & mask[h], 0
-            while src:
-                low = src & -src
-                src ^= low
-                lhs |= 1 << image[low.bit_length() - 1]
-            if lhs != mask[g] & mask[group.mul(g, h)]:
-                pa2_identity = (g, h)
+    for g, image in enumerate(images):
+        for h in range(len(elems)):
+            lhs = set(map(image.__getitem__, dom_points[h]))
+            lhs.discard(-1)
+            if lhs != dom_set[g] & dom_set[rows[g][h]]:
+                pa2_identity = (elems[g], elems[h])
                 break
         if pa2_identity:
             break
@@ -228,7 +240,8 @@ def validate_partial_action(group: Group, space: FinSpace,
         raise ValidationError("pa2", pa2_scan,
                               "PA2 fails: theta_g(theta_h(x)) != theta_gh(x)")
 
-    return PartialAction(group, space, dom, the)
+    return PartialAction(group, space, dom, the,
+                         tuple(map(tuple, images)), tuple(map(tuple, dom_points)))
 
 
 def global_action(group: Group, space: FinSpace,
@@ -319,15 +332,18 @@ def diagonal_product(pas: Sequence[PartialAction], max_points: int = 64
 def _diagonal2(a: PartialAction, b: PartialAction, max_points: int
                ) -> tuple[PartialAction, SpaceMap, SpaceMap]:
     space, p1, p2 = product(a.space, b.space, max_points=max_points)
-    back = {(p1(pt), p2(pt)): pt for pt in space.points}
+    # the product point (x_i, y_j) has index i * |B| + j
+    pts, width = space.points, len(b.space)
+    inverse_row = a.group.inverse_row
     domains = {}
-    for g in a.group.elements:
-        domains[g] = frozenset(pt for pt in space.points
-                               if p1(pt) in a.domains[g] and p2(pt) in b.domains[g])
     thetas = {}
-    for g in a.group.elements:
-        src = domains[a.group.inv(g)]
-        thetas[g] = {pt: back[(a.apply(g, p1(pt)), b.apply(g, p2(pt)))] for pt in src}
+    for g, label in enumerate(a.group.elements):
+        domains[label] = frozenset(pts[i * width + j] for i in a.domain_points[g]
+                                   for j in b.domain_points[g])
+        image_a, image_b = a.images[g], b.images[g]
+        src_b = b.domain_points[inverse_row[g]]
+        thetas[label] = {pts[i * width + j]: pts[image_a[i] * width + image_b[j]]
+                         for i in a.domain_points[inverse_row[g]] for j in src_b}
     pa = validate_partial_action(a.group, space, domains, thetas)
     return pa, p1, p2
 
@@ -350,24 +366,19 @@ def fixed_points(pa: PartialAction, k: Subgroup) -> frozenset[str]:
     """X[K] = {x : K is contained in G_x}."""
     if k.parent != pa.group:
         raise ValidationError("group-mismatch", (), "subgroup belongs to a different group")
-    out = []
-    for x in pa.space.points:
-        if all(pa.defined(g, x) and pa.apply(g, x) == x for g in k.members):
-            out.append(x)
-    return frozenset(out)
+    images = [pa.images[g] for g in bit_indices(k.mask)]
+    return frozenset(x for i, x in enumerate(pa.space.points)
+                     if all(image[i] == i for image in images))
 
 
 def orbit_classes(pa: PartialAction) -> list[frozenset[str]]:
     """Orbits G^x . x; the orbit relation is verified to be an equivalence."""
     pts = pa.space.points
-    idx = {p: i for i, p in enumerate(pts)}
-    rel = []
-    for x in pts:
-        m = 0
-        for g in pa.group.elements:
-            if pa.defined(g, x):
-                m |= 1 << idx[pa.apply(g, x)]
-        rel.append(m)
+    rel = [0] * len(pts)
+    for image in pa.images:
+        for i, j in enumerate(image):
+            if j >= 0:
+                rel[i] |= 1 << j
     return [pa.space.set_of(c) for c in equivalence_classes(rel, "orbit relation", pts)]
 
 
@@ -410,13 +421,15 @@ def is_G_map(f: SpaceMap, pa_x: PartialAction, pa_y: PartialAction) -> bool:
         raise ValidationError("space-mismatch", (), "map endpoints do not match the actions")
     if not is_continuous(f):
         raise ValidationError("not-continuous", (), "is_G_map needs a continuous map")
-    for g in pa_x.group.elements:
-        for x in pa_x.domains[pa_x.group.inv(g)]:
-            fx = f(x)
-            if not pa_y.defined(g, fx):
-                return False
-            if pa_y.apply(g, fx) != f(pa_x.apply(g, x)):
-                return False
+    # per g, over x in X_{g^-1}: eta_g(f(x)) (-1 when undefined) against
+    # f(theta_g(x)), which is always defined
+    fi = list(map(f.target._index.__getitem__, f.assignment))
+    inverse_row = pa_x.group.inverse_row
+    for g, (image_x, image_y) in enumerate(zip(pa_x.images, pa_y.images)):
+        xs = pa_x.domain_points[inverse_row[g]]
+        if (list(map(image_y.__getitem__, map(fi.__getitem__, xs)))
+                != list(map(fi.__getitem__, map(image_x.__getitem__, xs)))):
+            return False
     return True
 
 
@@ -448,19 +461,22 @@ def enumerate_G_maps(pa_x: PartialAction, pa_y: PartialAction,
     grp = pa_x.group
     src, tgt = pa_x.space, pa_y.space
     n, m = len(src), len(tgt)
-    nontrivial = [g for g in grp.elements if g != grp.identity]
+    unit = grp.index(grp.identity)
+    nontrivial = [(image_x, image_y)
+                  for g, (image_x, image_y) in enumerate(zip(pa_x.images, pa_y.images))
+                  if g != unit]
     allowed = [(1 << m) - 1] * n
     forced: list[list[list[tuple[int, int]]]] = [[[] for _ in range(m)] for _ in range(n)]
-    for i, x in enumerate(src.points):
-        for g in nontrivial:
-            if not pa_x.defined(g, x):
+    for i in range(n):
+        for image_x, image_y in nontrivial:
+            i2 = image_x[i]
+            if i2 < 0:
                 continue
-            i2 = src.index(pa_x.apply(g, x))
-            for j, y in enumerate(tgt.points):
+            for j in range(m):
                 if not (allowed[i] & (1 << j)):
                     continue
-                if not pa_y.defined(g, y):
+                if image_y[j] < 0:
                     allowed[i] &= ~(1 << j)
                 else:
-                    forced[i][j].append((i2, tgt.index(pa_y.apply(g, y))))
+                    forced[i][j].append((i2, image_y[j]))
     return _search_maps(src, tgt, allowed, forced, node_budget, max_maps)

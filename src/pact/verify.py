@@ -11,12 +11,13 @@ from __future__ import annotations
 import time
 from typing import Callable, Sequence
 
-from .algebra import Subgroup, all_subgroups
+from .algebra import all_subgroups
 from .bounds import DEFAULT_BOUNDS, Bounds
 from .envelope import (EnvelopeResult, adjunction_maps, envelope_of_map,
-                       fixed_decomposition, globalize, iterated_twist_comparison,
-                       product_comparison, recognize_globalization,
-                       trivial_collapse, twisted_product)
+                       fixed_identities, generated_intersection, globalize,
+                       iterated_twist_comparison, product_comparison,
+                       recognize_globalization, trivial_collapse,
+                       twisted_product)
 from .errors import BoundExceeded, ValidationError
 from .finspace import (SpaceMap, discrete_space, is_closed, is_continuous,
                        is_open, is_open_map, is_T1, pair_label,
@@ -379,13 +380,12 @@ def _claim_fixed_decomposition(inst: Instance, bounds: Bounds) -> tuple[str, dic
     reports = []
     ok = True
     for sub in all_subgroups(pa.group, bounds.group_order):
-        rep = fixed_decomposition(pa, sub, env=env)
-        good = rep["decomposition"]["holds"] and rep["embedded_fixed"]["holds"]
-        ok = ok and good
-        reports.append({"subgroup": rep["subgroup"],
-                        "decomposition": rep["decomposition"]["holds"],
-                        "embedded_fixed": rep["embedded_fixed"]["holds"],
-                        "fixed_in_total": rep["decomposition"]["fixed_in_total"]})
+        decomposition, embedded_fixed = fixed_identities(pa, sub, env)
+        ok = ok and decomposition["holds"] and embedded_fixed["holds"]
+        reports.append({"subgroup": list(sub.sorted_members),
+                        "decomposition": decomposition["holds"],
+                        "embedded_fixed": embedded_fixed["holds"],
+                        "fixed_in_total": decomposition["fixed_in_total"]})
     witness = {"subgroups": reports, "classes": len(env.total)}
     if not ok:
         witness["reason"] = "a fixed-point identity fails"
@@ -395,9 +395,7 @@ def _claim_fixed_decomposition(inst: Instance, bounds: Bounds) -> tuple[str, dic
 def _claim_generated_intersection(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
     pa = inst.embedded_pa
     env = globalize(pa, bounds.envelope_pairs)
-    trivial = Subgroup(pa.group, frozenset({pa.group.identity}))
-    rep = fixed_decomposition(pa, trivial, env=env)
-    inner = rep["generated_intersection"]
+    inner = generated_intersection(pa, env)
     witness = {"families_checked": inner["families_checked"]}
     if not inner["holds"]:
         witness["reason"] = "an intersection differs from the generated fixed set"

@@ -10,6 +10,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping
 
+from pact.errors import InternalCheckError, ValidationError
+from pact.finspace import is_open, monotonicity_violation
+
 
 # ---------------------------------------------------------------------------
 # groups
@@ -195,6 +198,139 @@ def partial_action_violation(elements, table, identity,
     return None
 
 
+def label_validate_partial_action(group, space, domains: Mapping[str, Iterable[str]],
+                                  thetas: Mapping[str, Mapping[str, str]]) -> None:
+    """validate_partial_action as it was before it moved to index tables,
+    kept as the reference for them: the same axioms in the same order,
+    raising the same ValidationError (or InternalCheckError) with the same
+    witness.  PA1 and the PA2 triple scan walk label dicts and the PA2
+    domain identity walks domain masks.  Returns None when every axiom
+    holds."""
+    inv = {g: group.inv(g) for g in group.elements}
+    dom: dict[str, frozenset[str]] = {}
+    for g in group.elements:
+        if g not in domains:
+            raise ValidationError("domain-keys", (g,), f"no domain for element {g!r}")
+        d = frozenset(domains[g])
+        for x in d:
+            space.index(x)
+        dom[g] = d
+    for g in domains:
+        group.index(g)
+    the: dict[str, dict[str, str]] = {}
+    for g in group.elements:
+        if g not in thetas:
+            raise ValidationError("domain-keys", (g,), f"no map table for element {g!r}")
+        table = dict(thetas[g])
+        expected = dom[inv[g]]
+        if frozenset(table) != expected:
+            off = sorted(frozenset(table) ^ expected)[0]
+            raise ValidationError("theta-domain", (g, off),
+                                  f"theta_{g!r} must be defined exactly on X_({inv[g]!r})")
+        for x, y in table.items():
+            space.index(y)
+        the[g] = table
+    for g in thetas:
+        group.index(g)
+
+    e = group.identity
+    allpts = frozenset(space.points)
+    if dom[e] != allpts:
+        missing = sorted(allpts - dom[e])[0]
+        raise ValidationError("pa3-domain", (missing,), "X_e must be the whole space")
+    for x in space.points:
+        if the[e][x] != x:
+            raise ValidationError("pa3-identity", (x,), "theta_e must be the identity")
+
+    for g in group.elements:
+        if not is_open(space, dom[g]):
+            raise ValidationError("domain-not-open", (g,) + tuple(sorted(dom[g])),
+                                  f"X_{g!r} is not open")
+
+    points, index, down = space.points, space._index, space._down_masks
+    mask = {g: space.mask_of(dom[g]) for g in group.elements}
+    # each domain in point order, so every scan below finds its first
+    # violation in the same place under any hash seed
+    ordered = {g: tuple(x for x in points if x in dom[g]) for g in group.elements}
+    images: dict[str, list[int]] = {}
+    for g in group.elements:
+        tgt, table = dom[g], the[g]
+        values = list(table.values())
+        if len(set(values)) != len(values) or set(values) != set(tgt):
+            raise ValidationError("theta-not-bijective", (g,),
+                                  f"theta_{g!r} is not a bijection onto X_{g!r}")
+        image = [0] * len(points)
+        back = [0] * len(points)
+        for x, y in table.items():
+            i, j = index[x], index[y]
+            image[i] = j
+            back[j] = i
+        images[g] = image
+        bad = monotonicity_violation(down, mask[inv[g]], image, down)
+        if bad:
+            raise ValidationError("theta-not-continuous",
+                                  (g, points[bad[0]], points[bad[1]]),
+                                  f"theta_{g!r} is not monotone")
+        # inverse continuity is PA1 plus the forward check on g^-1, but check
+        # it directly so a broken inverse is caught before PA1 runs; the
+        # witness (g, x, y) lives in X_g so it replays from theta_g alone.
+        bad = monotonicity_violation(down, mask[g], back, down)
+        if bad:
+            raise ValidationError("theta-inverse-not-continuous",
+                                  (g, points[bad[0]], points[bad[1]]),
+                                  f"inverse of theta_{g!r} is not monotone")
+
+    for g in group.elements:
+        table, table_inv = the[g], the[inv[g]]
+        for x in ordered[inv[g]]:
+            if table_inv.get(table[x]) != x:
+                raise ValidationError("theta-inverse-mismatch", (g, x),
+                                      f"theta_{inv[g]!r} does not invert theta_{g!r}")
+
+    pa2_scan: tuple | None = None
+    for g in group.elements:
+        dom_ginv, the_g = dom[inv[g]], the[g]
+        for h in group.elements:
+            gh = group.mul(g, h)
+            dom_ghinv, the_h, the_gh = dom[inv[gh]], the[h], the[gh]
+            for x in ordered[inv[h]]:
+                hx = the_h[x]
+                if hx not in dom_ginv:
+                    continue
+                if x not in dom_ghinv or the_g[hx] != the_gh[x]:
+                    pa2_scan = (g, h, x)
+                    break
+            if pa2_scan:
+                break
+        if pa2_scan:
+            break
+    pa2_identity: tuple | None = None
+    for g in group.elements:
+        image = images[g]
+        for h in group.elements:
+            src, lhs = mask[inv[g]] & mask[h], 0
+            while src:
+                low = src & -src
+                src ^= low
+                lhs |= 1 << image[low.bit_length() - 1]
+            if lhs != mask[g] & mask[group.mul(g, h)]:
+                pa2_identity = (g, h)
+                break
+        if pa2_identity:
+            break
+    # The domain identity is a consequence of PA2 (never the other way: a
+    # global action by mismatched homeomorphisms satisfies it vacuously), so
+    # a passing scan with a failing identity is an internal inconsistency.
+    if pa2_scan is None and pa2_identity is not None:
+        raise InternalCheckError(
+            f"PA2 triple scan passed but the domain identity fails at {pa2_identity}")
+    if pa2_scan:
+        raise ValidationError("pa2", pa2_scan,
+                              "PA2 fails: theta_g(theta_h(x)) != theta_gh(x)")
+
+    return None
+
+
 def brute_orbits(elements, mul, inv, identity, points,
                  domains, thetas) -> list[frozenset[str]]:
     """Orbits by explicit union-find over the one-step reachability."""
@@ -270,15 +406,17 @@ def brute_globalization_classes(elements, table, identity,
 # ---------------------------------------------------------------------------
 # random generators
 
-def random_preorder_space(rng, max_points: int = 6, prefix: str = "p"):
-    """A random space as (points, min_open dict): random relation closed
-    reflexively and transitively."""
+def random_preorder_space(rng, max_points: int = 6, prefix: str = "p",
+                          density: float = 0.3):
+    """A random space as (points, min_open dict): random relation, each pair
+    related with probability ``density``, closed reflexively and
+    transitively."""
     n = rng.randint(1, max_points)
     points = [f"{prefix}{i}" for i in range(n)]
     rel = [[i == j for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
-            if i != j and rng.random() < 0.3:
+            if i != j and rng.random() < density:
                 rel[i][j] = True
     for k in range(n):
         for i in range(n):
@@ -289,6 +427,32 @@ def random_preorder_space(rng, max_points: int = 6, prefix: str = "p"):
     min_open = {points[j]: [points[i] for i in range(n) if rel[i][j]]
                 for j in range(n)}
     return points, min_open
+
+
+def closure_quotient_order(points: list[str], min_open: Mapping,
+                           classes: list[list[str]]) -> list[set[int]]:
+    """Per class j, the indices of the classes below it in the quotient
+    preorder: [x] <= [y] for every x in U_y, closed reflexively and
+    transitively by Warshall's algorithm."""
+    cls_of = {x: k for k, cls in enumerate(classes) for x in cls}
+    n = len(classes)
+    rel = [[i == j for j in range(n)] for i in range(n)]
+    for y in points:
+        for x in min_open[y]:
+            rel[cls_of[x]][cls_of[y]] = True
+    for k in range(n):
+        for i in range(n):
+            if rel[i][k]:
+                for j in range(n):
+                    if rel[k][j]:
+                        rel[i][j] = True
+    return [{i for i in range(n) if rel[i][j]} for j in range(n)]
+
+
+def is_down_set(min_open: Mapping, subset: Iterable[str]) -> bool:
+    """Openness by the definition: the subset contains U_y for each y in it."""
+    keep = set(subset)
+    return all(set(min_open[y]) <= keep for y in keep)
 
 
 def random_partition(rng, items: list[str]) -> list[list[str]]:

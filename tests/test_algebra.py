@@ -156,3 +156,57 @@ def test_group_axioms_hold_for_validated_cyclic_groups(n, data):
     assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
     assert g.mul(g.identity, a) == a == g.mul(a, g.identity)
     assert g.mul(a, g.inv(a)) == g.identity
+
+
+def _permutation_group(gens: list[tuple[int, ...]]) -> Group:
+    """The group generated by the permutations ``gens``, elements named by
+    one-line notation in order of discovery from the identity."""
+    ident = tuple(range(len(gens[0])))
+    perms = [ident]
+    for p in perms:
+        for s in gens:
+            q = tuple(p[s[i]] for i in range(len(ident)))
+            if q not in perms:
+                perms.append(q)
+    names = {p: "".join(map(str, p)) for p in perms}
+    table = [[names[tuple(p[q[i]] for i in range(len(ident)))] for q in perms]
+             for p in perms]
+    return validate_group([names[p] for p in perms], table, names[ident])
+
+
+def _z2_x_z4() -> Group:
+    elems = [(a, b) for a in range(2) for b in range(4)]
+    names = {e: f"{e[0]}{e[1]}" for e in elems}
+    table = [[names[((a + c) % 2, (b + d) % 4)] for c, d in elems] for a, b in elems]
+    return validate_group([names[e] for e in elems], table, "00")
+
+
+KERNEL_GROUPS = ([(f"z{n}", cyclic_group(n)) for n in range(1, 13)]
+                 + [("s3", s3_group()), ("z2xz4", _z2_x_z4()),
+                    ("d4", _permutation_group([(1, 2, 3, 0), (0, 3, 2, 1)]))])
+
+
+@pytest.mark.parametrize("group", [g for _, g in KERNEL_GROUPS],
+                         ids=[n for n, _ in KERNEL_GROUPS])
+def test_subgroup_kernels_match_exhaustive_scan(group, rng):
+    brute = brute_subgroups(list(group.elements), [list(r) for r in group.table],
+                            group.identity)
+    subs = all_subgroups(group)
+    assert len(subs) == len(brute) and {s.members for s in subs} == brute
+    assert [(len(s), sorted(map(group.index, s.members))) for s in subs] == \
+        sorted((len(b), sorted(map(group.index, b))) for b in brute)
+    for sub in subs:
+        assert sub.mask == sum(1 << group.index(m) for m in sub.members)
+    for _ in range(30):
+        gens = rng.sample(group.elements, rng.randint(0, min(3, len(group))))
+        smallest = min((b for b in brute if set(gens) <= b), key=len)
+        assert subgroup_generated(group, gens).members == smallest
+        # the construction checks accept exactly the subgroups
+        subset = frozenset(gens) | {group.identity}
+        try:
+            Subgroup(group, subset)
+        except ValidationError as exc:
+            assert subset not in brute
+            assert exc.axiom in ("subgroup-inverse", "subgroup-closure")
+        else:
+            assert subset in brute

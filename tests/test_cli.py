@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from pact import fixture_names
+from pact import fixture_names, load_fixture
 from pact.cli import main
 
 
@@ -211,6 +211,93 @@ def test_validation_witnesses_are_identical_under_hash_randomization(tmp_path):
             errors.append(proc.stderr.strip())
         assert errors[0] == errors[1]
         assert errors[0].startswith("error: ") and witness in errors[0]
+
+
+# `pact fixed z4-arcs --subgroup H --envelope --json`, recorded before the
+# fixed-point identities moved to bitmasks; the whole document is emitted,
+# so it must stay byte for byte
+FIXED_Z4_ARCS_H_ENVELOPE = """\
+{
+  "decomposition": {
+    "decomposition": {
+      "fixed_in_total": [
+        "(0,a1)",
+        "(0,a3)",
+        "(1,a1)",
+        "(1,a3)"
+      ],
+      "holds": true,
+      "union_of_translates": [
+        "(0,a1)",
+        "(0,a3)",
+        "(1,a1)",
+        "(1,a3)"
+      ]
+    },
+    "embedded_fixed": {
+      "fixed_in_image": [
+        "(0,a1)",
+        "(0,a3)"
+      ],
+      "holds": true,
+      "image_of_fixed": [
+        "(0,a1)",
+        "(0,a3)"
+      ]
+    },
+    "generated_intersection": {
+      "families_checked": 7,
+      "holds": true,
+      "witness": null
+    },
+    "status": "holds",
+    "subgroup": [
+      "0",
+      "2"
+    ]
+  },
+  "fixed_points": [
+    "a1",
+    "a3"
+  ],
+  "instance": "z4-arcs",
+  "subgroup": [
+    "0",
+    "2"
+  ]
+}
+"""
+
+
+def test_fixed_envelope_document_is_unchanged(capsys):
+    for sub in load_fixture("z4-arcs").subgroups:
+        assert main(["fixed", "z4-arcs", "--subgroup", sub, "--envelope",
+                     "--json"]) == 0
+        assert capsys.readouterr().out == FIXED_Z4_ARCS_H_ENVELOPE
+
+
+def test_subgroup_witness_is_identical_under_hash_randomization(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pact import fixture_dict
+    # {0, 1, 2} in Z4 misses both the inverse 3 of 1 and several products;
+    # members are checked in element order, inverse first
+    doc = fixture_dict("z4-circle")
+    doc["subgroups"] = {"H": ["0", "1", "2"]}
+    path = tmp_path / "z4-circle-h.json"
+    path.write_text(json.dumps(doc))
+    errors = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pact.cli", "validate", str(path)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        errors.append(proc.stderr.strip())
+    assert errors[0] == errors[1]
+    assert errors[0] == ("error: at subgroups.H: subgroup not closed under inverse "
+                         "(witness ('1',))")
 
 
 def test_bound_flag_allows_larger_instances(capsys):

@@ -13,9 +13,9 @@ from pact import (BoundExceeded, InternalCheckError, SpaceMap, ValidationError,
                   space_from_min_opens, split_pair_label, subspace,
                   t0_quotient)
 from pact.finspace import equivalence_classes, monotonicity_violation
-from oracle import (brute_opens, find_homeomorphism, first_monotone_violation,
-                    preimage_continuous, random_partition,
-                    random_preorder_space, space_violation)
+from oracle import (brute_opens, closure_quotient_order, find_homeomorphism,
+                    first_monotone_violation, is_down_set, preimage_continuous,
+                    random_partition, random_preorder_space, space_violation)
 
 
 def c8():
@@ -171,6 +171,31 @@ def test_quotient_opens_match_brute_preimage_family(rng):
                 if pre in source_opens:
                     expected.add(a)
         assert quotient_opens == expected
+
+
+def test_quotient_and_is_open_match_closure_oracle(rng):
+    # up to 80 points, so masks span two machine words; sparse relations keep
+    # the transitive closures from collapsing every space into one class
+    for _ in range(12):
+        points, min_open = random_preorder_space(rng, 80, density=0.02)
+        space = space_from_min_opens(points, min_open)
+        classes = random_partition(rng, list(points))
+        q, proj = quotient(space, classes)
+        labels = [proj(cls[0]) for cls in classes]
+        assert all(proj(x) == labels[k] for k, cls in enumerate(classes) for x in cls)
+        below = closure_quotient_order(list(points), min_open, classes)
+        for k in range(len(classes)):
+            assert q.min_open_of(labels[k]) == {labels[i] for i in below[k]}
+        for _ in range(20):
+            subset = set(rng.sample(points, rng.randint(0, len(points))))
+            assert is_open(space, subset) == is_down_set(min_open, subset)
+            opened = set()
+            for y in subset:
+                opened |= set(min_open[y])
+            assert is_open(space, opened) and is_down_set(min_open, opened)
+            if opened:
+                opened.discard(rng.choice(sorted(opened)))
+                assert is_open(space, opened) == is_down_set(min_open, opened)
 
 
 def test_subspace_examples():

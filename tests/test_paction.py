@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pact import (FinSpace, InternalCheckError, SpaceMap, Subgroup,
                   ValidationError, cyclic_group, diagonal_product,
@@ -11,8 +15,8 @@ from pact import (FinSpace, InternalCheckError, SpaceMap, Subgroup,
                   space_from_min_opens, trivial_action, validate_group,
                   validate_partial_action)
 from oracle import (brute_orbits, is_free, is_G_homeomorphism,
-                    partial_action_violation, random_preorder_space,
-                    theta_map)
+                    label_validate_partial_action, partial_action_violation,
+                    random_preorder_space, theta_map)
 
 
 def fixture_pa(name):
@@ -355,3 +359,128 @@ def test_twisted_diagonal_action_validates_without_pairwise_leq(monkeypatch):
     for g in diag.group.elements:
         if diag.domains[g]:
             assert is_continuous(theta_map(diag, g))
+
+
+# ---------------------------------------------------------------------------
+# index-table checks against the label-based reference
+
+def _restricted(rng, pa):
+    """pa restricted to a random nonempty open set: a union of minimal opens."""
+    pts = list(pa.space.points)
+    u = set()
+    for p in rng.sample(pts, rng.randint(1, len(pts))):
+        u |= pa.space.min_open_of(p)
+    return restrict_global(pa, u)
+
+
+def _cycles_action(n: int, copies: int):
+    """Z_n rotating ``copies`` disjoint discrete n-cycles: every subset is open
+    and every bijection monotone, so a corruption reaches PA1 and PA2."""
+    points = [f"q{k}.{i}" for k in range(copies) for i in range(n)]
+    return global_action(cyclic_group(n), discrete_space(points), {
+        str(g): {f"q{k}.{i}": f"q{k}.{(i + g) % n}"
+                 for k in range(copies) for i in range(n)}
+        for g in range(n)})
+
+
+def _circle_action(n: int):
+    """Z_n rotating the 2n-point circle."""
+    points = [f"a{i}" for i in range(n)] + [f"c{i}" for i in range(n)]
+    min_open = {f"a{i}": [f"a{i}"] for i in range(n)}
+    min_open.update({f"c{i}": [f"a{(i - 1) % n}", f"c{i}", f"a{i}"]
+                     for i in range(n)})
+    return global_action(cyclic_group(n), space_from_min_opens(points, min_open), {
+        str(g): {f"{kind}{i}": f"{kind}{(i + g) % n}" for kind in "ac" for i in range(n)}
+        for g in range(n)})
+
+
+def _random_factor(rng, n: int):
+    kind = rng.choice(["cycles", "circle", "trivial"])
+    if kind == "cycles":
+        pa = _cycles_action(n, rng.randint(1, 2))
+    elif kind == "circle":
+        pa = _circle_action(n)
+    else:
+        points, min_open = random_preorder_space(rng, 5)
+        pa = trivial_action(cyclic_group(n), space_from_min_opens(points, min_open))
+    return _restricted(rng, pa)
+
+
+def _random_partial_action(rng, shape: str):
+    n = rng.choice([2, 3, 4])
+    if shape == "single":
+        return _random_factor(rng, n)
+    if shape == "diagonal":
+        a, b = _random_factor(rng, n), _random_factor(rng, n)
+        return diagonal_product([a, b], max_points=len(a.space) * len(b.space))[0]
+    # wide: 12 x 8 points, or 12 x 6..7 with the second factor restricted,
+    # so the domain masks span two machine words
+    a = _cycles_action(4, 3)
+    b = _cycles_action(4, 2) if rng.random() < 0.5 else _circle_action(4)
+    small = _restricted(rng, b)
+    if len(small.space) >= 6:
+        b = small
+    return diagonal_product([a, b], max_points=len(a.space) * len(b.space))[0]
+
+
+def _corrupted(rng, pa, kind: str):
+    """Raw domain and map tables of pa with one corruption applied."""
+    grp = pa.group
+    domains = {g: set(pa.domains[g]) for g in grp.elements}
+    thetas = {g: dict(pa.thetas[g]) for g in grp.elements}
+    g = rng.choice([g for g in grp.elements if g != grp.identity])
+    if kind == "swap-images" and len(thetas[g]) >= 2:
+        x, y = rng.sample(sorted(thetas[g]), 2)
+        thetas[g][x], thetas[g][y] = thetas[g][y], thetas[g][x]
+    elif kind == "drop-domain-point" and domains[g]:
+        domains[g].discard(rng.choice(sorted(domains[g])))
+    elif kind == "break-composition" and len(domains[g]) >= 2:
+        # follow theta_g by a transposition of X_g and keep theta_{g^-1} its
+        # inverse: PA1 and bijectivity survive, compositions through g break
+        a, b = rng.sample(sorted(domains[g]), 2)
+        swap = {a: b, b: a}
+        thetas[g] = {x: swap.get(y, y) for x, y in thetas[g].items()}
+        thetas[grp.inv(g)] = {y: x for x, y in thetas[g].items()}
+    return domains, thetas
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except ValidationError as exc:
+        return "ValidationError", exc.axiom, exc.witness
+    except InternalCheckError as exc:
+        return "InternalCheckError", str(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["single", "diagonal", "wide"]),
+       st.sampled_from(["swap-images", "drop-domain-point", "break-composition"]))
+def test_index_table_checks_match_label_reference(seed, shape, kind):
+    rng = random.Random(seed)
+    pa = _random_partial_action(rng, shape)
+    args = (pa.group, pa.space, pa.domains, pa.thetas)
+    assert _outcome(label_validate_partial_action, *args) is None
+    domains, thetas = _corrupted(rng, pa, kind)
+    args = (pa.group, pa.space, domains, thetas)
+    assert (_outcome(validate_partial_action, *args)
+            == _outcome(label_validate_partial_action, *args))
+
+
+def test_index_table_checks_reach_pa1_and_pa2(rng):
+    # the same comparison on a fixed sample, which must reach the rewritten
+    # PA1 and PA2 checks on spaces under and over 64 points
+    seen = set()
+    for _ in range(80):
+        pa = _random_partial_action(rng, rng.choice(["single", "diagonal", "wide"]))
+        for kind in ("swap-images", "drop-domain-point", "break-composition"):
+            domains, thetas = _corrupted(rng, pa, kind)
+            args = (pa.group, pa.space, domains, thetas)
+            got = _outcome(validate_partial_action, *args)
+            assert got == _outcome(label_validate_partial_action, *args)
+            if got:
+                seen.add((got[1], len(pa.space) > 64))
+    assert {("theta-inverse-mismatch", False), ("theta-inverse-mismatch", True),
+            ("pa2", False), ("pa2", True)} <= seen

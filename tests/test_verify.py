@@ -233,3 +233,90 @@ def test_adjunction_claim_bounds():
     assert run_claim("adjunction", circle).status == "skipped-bounds"
     half = load_fixture("z4-half")
     assert run_claim("adjunction", half).status == "holds"
+
+
+def z12_half_circle_document() -> dict:
+    """Z12 rotating the 24-point circle, restricted to the open half-circle
+    of arcs a0..a5 and the corners c1..c5 between them."""
+    n = 12
+    opens = {f"a{i}": [f"a{i}"] for i in range(n)}
+    opens.update({f"c{i}": [f"a{(i - 1) % n}", f"c{i}", f"a{i}"] for i in range(n)})
+    half = [f"a{i}" for i in range(n // 2)] + [f"c{i}" for i in range(1, n // 2)]
+
+    def rotate(g: int, p: str) -> str:
+        return f"{p[0]}{(int(p[1:]) + g) % n}"
+
+    domains = {str(g): [x for x in half if rotate(-g, x) in half] for g in range(n)}
+    return {
+        "id": "z12-half-circle",
+        "group": {"elements": [str(i) for i in range(n)],
+                  "table": [[str((i + j) % n) for j in range(n)] for i in range(n)],
+                  "identity": "0"},
+        "space": {"points": half, "min_open": {p: [q for q in opens[p] if q in half]
+                                               for p in half}},
+        "partial_action": {
+            "domains": domains,
+            "maps": {str(g): {x: rotate(g, x) for x in domains[str(-g % n)]}
+                     for g in range(n)}},
+    }
+
+
+def test_fixed_point_claims_enumerate_the_lattice_once(monkeypatch):
+    import pact.algebra
+    import pact.envelope
+    import pact.verify
+    inst = parse_instance(z12_half_circle_document())
+    calls = {"all_subgroups": 0, "family_joins": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    lattice = counting("all_subgroups", pact.algebra.all_subgroups)
+    for module in (pact.envelope, pact.verify):
+        monkeypatch.setattr(module, "all_subgroups", lattice)
+    # a family join generates the subgroup of a family's union from envelope.py
+    monkeypatch.setattr(pact.envelope, "subgroup_generated",
+                        counting("family_joins", pact.algebra.subgroup_generated))
+
+    report = run_claim("fixed-decomposition", inst)
+    assert report.status == "holds" and len(report.witness["subgroups"]) == 6
+    assert calls == {"all_subgroups": 1, "family_joins": 0}
+
+    calls.update(all_subgroups=0, family_joins=0)
+    report = run_claim("generated-intersection", inst)
+    assert report.status == "holds"
+    assert report.witness["families_checked"] == 2 ** 6 - 1
+    assert calls == {"all_subgroups": 1, "family_joins": 2 ** 6 - 1}
+
+
+def test_generated_intersection_on_a_lattice_that_is_not_a_chain():
+    # Z6 on three points rotated mod 3 (isotropy {0, 3}) and two points
+    # swapped mod 2 (isotropy {0, 2, 4}): no point is fixed by both, while
+    # each subgroup alone fixes some, so joins must use the whole family
+    points = ["p0", "p1", "p2", "q0", "q1"]
+
+    def act(g: int, x: str) -> str:
+        k = 3 if x[0] == "p" else 2
+        return f"{x[0]}{(int(x[1]) + g) % k}"
+
+    inst = parse_instance({
+        "id": "z6-two-orbits",
+        "group": {"elements": [str(i) for i in range(6)],
+                  "table": [[str((i + j) % 6) for j in range(6)] for i in range(6)],
+                  "identity": "0"},
+        "space": {"points": points, "min_open": {p: [p] for p in points}},
+        "partial_action": {"domains": {str(g): points for g in range(6)},
+                           "maps": {str(g): {x: act(g, x) for x in points}
+                                    for g in range(6)}},
+    })
+    report = run_claim("generated-intersection", inst)
+    assert report.status == "holds"
+    assert report.witness == {"families_checked": 2 ** 4 - 1}
+    report = run_claim("fixed-decomposition", inst)
+    assert report.status == "holds"
+    assert [s["fixed_in_total"] for s in report.witness["subgroups"]] == [
+        ["(0,p0)", "(0,p1)", "(0,p2)", "(0,q0)", "(0,q1)"],
+        ["(0,p0)", "(0,p1)", "(0,p2)"], ["(0,q0)", "(0,q1)"], []]
