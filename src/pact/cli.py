@@ -119,7 +119,8 @@ def _cmd_fixed(args: argparse.Namespace) -> int:
     }
     if args.envelope:
         doc["decomposition"] = fixed_decomposition(pa, sub,
-                                                   max_pairs=args.bounds.envelope_pairs)
+                                                   max_pairs=args.bounds.envelope_pairs,
+                                                   group_order=args.bounds.group_order)
     _emit(doc, args, lambda d: f"{inst.id}: X[K] = {d['fixed_points']} "
           f"for K = {d['subgroup']}"
           + ("" if "decomposition" not in d else

@@ -16,16 +16,19 @@ collapse) are built and *reported on*, never assumed to be homeomorphisms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .algebra import (Group, Subgroup, all_subgroups, conjugate_subgroup,
                       is_subgroup_embedding, subgroup_generated)
 from .errors import BoundExceeded, InternalCheckError, ValidationError
-from .finspace import (FinSpace, SpaceMap, bit_indices, compose, discrete_space,
-                       equivalence_classes, is_continuous, is_open,
-                       is_open_map, product, quotient)
+from .finspace import (FinSpace, SpaceMap, bit_indices, column_masks, compose,
+                       discrete_space, equivalence_classes, is_continuous,
+                       is_open, is_open_map, product, quotient)
+from .homotopy import MapPoset
 from .paction import (PartialAction, diagonal_product, enumerate_G_maps,
-                      fixed_points, global_action, is_G_map, orbit_classes,
+                      fixed_points, g_map_faults, global_action, orbit_classes,
                       restrict_global, validate_partial_action)
 
 
@@ -36,7 +39,9 @@ class EnvelopeResult:
     ``classes`` sends each pair (g, x) to its class label; labels are the
     pair label of the class's least member under the (element, point)
     orderings, which keeps every downstream report deterministic.
-    ``members`` lists each label's pairs in that same order.
+    ``members`` lists each label's pairs in that same order.  The index
+    tables ``pair_class``, ``member_pairs`` and ``action_rows`` are read
+    from ``classes``, ``members`` and ``action`` on first use.
     """
 
     base: PartialAction
@@ -55,6 +60,29 @@ class EnvelopeResult:
 
     def members_of(self, label: str) -> tuple[tuple[str, str], ...]:
         return self.members[label]
+
+    @cached_property
+    def pair_class(self) -> tuple[int, ...]:
+        """The total-point index of the class of each pair (g, x), at
+        g * |X| + x for element index g and point index x."""
+        index, classes = self.total._index, self.classes
+        return tuple(index[classes[(g, x)]]
+                     for g in self.big_group.elements for x in self.base.space.points)
+
+    @cached_property
+    def member_pairs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per total-point index, the class's members as (element index,
+        point index) pairs, in the order of ``members``."""
+        g_index, x_index = self.big_group.index, self.base.space.index
+        return tuple(tuple((g_index(g), x_index(x)) for g, x in self.members[c])
+                     for c in self.total.points)
+
+    @cached_property
+    def action_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Per element index g, mu_g as an index row of the total space."""
+        points, index = self.total.points, self.total._index
+        return tuple(tuple(map(index.__getitem__, map(self.action[g].__getitem__, points)))
+                     for g in self.big_group.elements)
 
     def descend(self, f: Callable[[str, str], str]
                 ) -> tuple[tuple[str, ...], str | None]:
@@ -287,27 +315,86 @@ def envelope_of_map(f: SpaceMap, pa_x: PartialAction, pa_y: PartialAction,
                     max_pairs: int = 256) -> SpaceMap:
     """The induced map [g,x] |-> [g,f(x)] between twisted products.
 
-    ``f`` must be a K-map; the result is checked to be well defined on every
-    class member, continuous, and equivariant.
+    The one-map case of :func:`lift_maps`, with its checks: ``f`` must be a
+    K-map, and the result is checked to be well defined on every class
+    member, continuous, and equivariant.  Twisted products that are not
+    given are built first.
     """
-    if not is_G_map(f, pa_x, pa_y):
-        raise ValidationError("not-a-G-map", (), "envelope_of_map needs an equivariant map")
     big = big or pa_x.group
     if env_x is None:
         env_x = twisted_product(pa_x, big, max_pairs)
     if env_y is None:
         env_y = twisted_product(pa_y, big, max_pairs)
-    values, clash = env_x.descend(lambda g, x: env_y.class_of(g, f(x)))
+    (row,) = lift_maps(MapPoset(f.source, f.target, (f.row(),)),
+                       pa_x, pa_y, env_x, env_y, big)
+    return SpaceMap.from_row(env_x.total, env_y.total, row)
+
+
+def lift_maps(poset: MapPoset, pa_x: PartialAction, pa_y: PartialAction,
+              env_x: EnvelopeResult, env_y: EnvelopeResult,
+              big: Group | None = None) -> list[tuple[int, ...]]:
+    """The induced map [g,x] |-> [g,f(x)] of every row f of ``poset``, as
+    index rows from env_x.total to env_y.total, in row order.
+
+    Each row is checked as lifting it alone would check it, in this order:
+    it is continuous and equivariant (``ValidationError`` "not-continuous"
+    or "not-a-G-map"), and its lift is well defined on every class member,
+    continuous and equivariant (``InternalCheckError``).  The first row that
+    fails raises its first failing check.  The G-map checks and the lifts'
+    continuity and equivariance run once per table on column masks
+    (:func:`g_map_faults`); well-definedness runs per row on int lists
+    built from the envelopes' index tables.
+    """
+    if pa_x.group != pa_y.group:
+        raise ValidationError("group-mismatch", (), "maps need actions of the same group")
+    if poset.source != pa_x.space or poset.target != pa_y.space:
+        raise ValidationError("space-mismatch", (), "map endpoints do not match the actions")
+    big = big or pa_x.group
+    discontinuous, non_equivariant = g_map_faults(poset.columns, pa_x.space, pa_y.space,
+                                                  pa_x.images, pa_y.images)
+    faults = discontinuous | non_equivariant
+    first_fault = (faults & -faults).bit_length() - 1 if faults else len(poset.rows)
+
+    # Every member (g, x) of env_x's classes, flattened in class order: the
+    # class of (g, f(x)) in env_y is env_y.pair_class[offsets[p] + f(xs[p])].
+    width_y = len(pa_y.space)
+    offset = [env_y.big_group.index(g) * width_y for g in env_x.big_group.elements]
+    xs, offsets, owner, firsts = [], [], [], []
+    for c, pairs in enumerate(env_x.member_pairs):
+        firsts.append(len(xs))
+        for g, x in pairs:
+            xs.append(x)
+            offsets.append(offset[g])
+            owner.append(c)
+    class_y = env_y.pair_class
+    lifted: list[tuple[int, ...]] = []
+    clash = None
+    for row in poset.rows[:first_fault]:
+        values = list(map(class_y.__getitem__, map(add, offsets, map(row.__getitem__, xs))))
+        out = tuple(map(values.__getitem__, firsts))
+        if list(map(out.__getitem__, owner)) != values:
+            clash = next(c for c, v in zip(owner, values) if out[c] != v)
+            break
+        lifted.append(out)
+
+    total_x, total_y = env_x.total, env_y.total
+    lift_discontinuous, lift_non_equivariant = g_map_faults(
+        column_masks(lifted, len(total_x), len(total_y)), total_x, total_y,
+        [env_x.action_rows[env_x.big_group.index(g)] for g in big.elements],
+        [env_y.action_rows[env_y.big_group.index(g)] for g in big.elements])
+    lift_faults = lift_discontinuous | lift_non_equivariant
+    if lift_faults:
+        first = lift_faults & -lift_faults
+        if lift_discontinuous & first:
+            raise InternalCheckError("induced map is not continuous")
+        raise InternalCheckError("induced map is not equivariant")
     if clash is not None:
-        raise InternalCheckError(f"induced map not well defined at {clash!r}")
-    out = SpaceMap(env_x.total, env_y.total, values)
-    if not is_continuous(out):
-        raise InternalCheckError("induced map is not continuous")
-    for g in big.elements:
-        for c in env_x.total.points:
-            if env_y.action[g][out(c)] != out(env_x.action[g][c]):
-                raise InternalCheckError("induced map is not equivariant")
-    return out
+        raise InternalCheckError(f"induced map not well defined at {total_x.points[clash]!r}")
+    if faults:
+        if discontinuous >> first_fault & 1:
+            raise ValidationError("not-continuous", (), "is_G_map needs a continuous map")
+        raise ValidationError("not-a-G-map", (), "envelope_of_map needs an equivariant map")
+    return lifted
 
 
 def recognize_globalization(pa_global: PartialAction, open_subset,
@@ -396,8 +483,8 @@ def adjunction_maps(pa_x: PartialAction, pa_y: PartialAction,
         {k: y_points for k in k_grp.elements},
         {k: dict(pa_y.thetas[k]) for k in k_grp.elements})
 
-    g_maps = enumerate_G_maps(twisted_global, pa_y, node_budget=node_budget)
-    k_maps = enumerate_G_maps(pa_x, res_y, node_budget=node_budget)
+    g_maps = _labelled_G_maps(twisted_global, pa_y, node_budget)
+    k_maps = _labelled_G_maps(pa_x, res_y, node_budget)
     k_index = {m.assignment: i for i, m in enumerate(k_maps)}
     g_index = {m.assignment: i for i, m in enumerate(g_maps)}
 
@@ -442,7 +529,7 @@ def adjunction_maps(pa_x: PartialAction, pa_y: PartialAction,
 
     # Naturality: post-composition square with s : Y -> Y and
     # pre-composition square with r : X -> X, over enumerated endomorphisms.
-    ss = enumerate_G_maps(pa_y, pa_y, node_budget=node_budget)[:naturality_morphisms]
+    ss = _labelled_G_maps(pa_y, pa_y, node_budget)[:naturality_morphisms]
     for s in ss:
         for i, bf in enumerate(g_maps):
             if lam[i] < 0:
@@ -454,7 +541,7 @@ def adjunction_maps(pa_x: PartialAction, pa_y: PartialAction,
             if right != left:
                 checks["naturality-post"] = False
                 witness.setdefault("naturality-post-miss", i)
-    rs = enumerate_G_maps(pa_x, pa_x, node_budget=node_budget)[:naturality_morphisms]
+    rs = _labelled_G_maps(pa_x, pa_x, node_budget)[:naturality_morphisms]
     for r in rs:
         er = envelope_of_map(r, pa_x, pa_x, big, env_x=env, env_y=env)
         for i, bf in enumerate(g_maps):
@@ -474,6 +561,12 @@ def adjunction_maps(pa_x: PartialAction, pa_y: PartialAction,
               "witness": witness}
     return AdjunctionResult(tuple(g_maps), tuple(k_maps),
                             tuple(lam), tuple(tau), report)
+
+
+def _labelled_G_maps(pa_x: PartialAction, pa_y: PartialAction,
+                     node_budget: int) -> list[SpaceMap]:
+    return [SpaceMap.from_row(pa_x.space, pa_y.space, row)
+            for row in enumerate_G_maps(pa_x, pa_y, node_budget=node_budget)]
 
 
 def product_comparison(pa_1: PartialAction, pa_2: PartialAction,
@@ -694,13 +787,14 @@ def fixed_identities(pa: PartialAction, h: Subgroup,
 
 
 def generated_intersection(pa: PartialAction, env: EnvelopeResult,
-                           max_families: int = 4096) -> dict:
+                           max_families: int = 4096, group_order: int = 16) -> dict:
     """Identity 3 of :func:`fixed_decomposition` over subgroup families: the
     intersection of iota(X)[K_i] equals iota(X)[<union of the K_i>].  Every
     nonempty family when there are at most ``max_families``, else every
-    pair; the lattice is enumerated once."""
+    pair; the lattice is enumerated once, for groups of at most
+    ``group_order`` elements."""
     grp = pa.group
-    subs = all_subgroups(grp)
+    subs = all_subgroups(grp, group_order)
     image = env.total.mask_of(env.embedding.assignment)
     fixed = _fixed_sets(env)
     fixed_in_image = [fixed(k.members) & image for k in subs]
@@ -729,7 +823,8 @@ def generated_intersection(pa: PartialAction, env: EnvelopeResult,
 def fixed_decomposition(pa: PartialAction, h: Subgroup,
                         env: EnvelopeResult | None = None,
                         max_pairs: int = 256,
-                        max_families: int = 4096) -> dict:
+                        max_families: int = 4096,
+                        group_order: int = 16) -> dict:
     """Check the fixed-point identities in the globalization:
 
     1. X_G[H] equals the union over g of mu_g(iota(X)[g^-1 H g]),
@@ -743,7 +838,7 @@ def fixed_decomposition(pa: PartialAction, h: Subgroup,
     if env is None:
         env = globalize(pa, max_pairs)
     decomposition, embedded_fixed = fixed_identities(pa, h, env)
-    generated = generated_intersection(pa, env, max_families)
+    generated = generated_intersection(pa, env, max_families, group_order)
     holds = decomposition["holds"] and embedded_fixed["holds"] and generated["holds"]
     return {
         "status": "holds" if holds else "fails",

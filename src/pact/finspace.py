@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import chain
 from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -48,6 +49,15 @@ class FinSpace:
         """Bitmask per point: bit i set iff points[i] <= that point."""
         return tuple(map(self.mask_of, self.min_open))
 
+    @cached_property
+    def _up_masks(self) -> tuple[int, ...]:
+        """Bitmask per point: bit j set iff that point <= points[j]."""
+        up = [0] * len(self.points)
+        for j, down in enumerate(self._down_masks):
+            for i in bit_indices(down):
+                up[i] |= 1 << j
+        return tuple(up)
+
     def index(self, x: str) -> int:
         try:
             return self._index[x]
@@ -62,9 +72,7 @@ class FinSpace:
         return bool(self._down_masks[self.index(y)] & (1 << self.index(x)))
 
     def up_set(self, x: str) -> frozenset[str]:
-        i = self.index(x)
-        bit = 1 << i
-        return frozenset(p for j, p in enumerate(self.points) if self._down_masks[j] & bit)
+        return self.set_of(self._up_masks[self.index(x)])
 
     def mask_of(self, subset: Iterable[str]) -> int:
         try:
@@ -179,6 +187,12 @@ class SpaceMap:
         return cls(source, target, tuple(values))
 
     @classmethod
+    def from_row(cls, source: FinSpace, target: FinSpace,
+                 row: Sequence[int]) -> "SpaceMap":
+        """The map whose value at source.points[i] is target.points[row[i]]."""
+        return cls(source, target, tuple(map(target.points.__getitem__, row)))
+
+    @classmethod
     def identity(cls, space: FinSpace) -> "SpaceMap":
         return cls(space, space, space.points)
 
@@ -189,6 +203,13 @@ class SpaceMap:
 
     def __call__(self, x: str) -> str:
         return self.assignment[self.source.index(x)]
+
+    def row(self) -> tuple[int, ...]:
+        """The index row of the map: the target index of each source point."""
+        try:
+            return tuple(map(self.target._index.__getitem__, self.assignment))
+        except KeyError as exc:
+            raise _unknown_point(exc.args[0])
 
     def as_dict(self) -> dict[str, str]:
         return dict(zip(self.source.points, self.assignment))
@@ -235,8 +256,10 @@ def monotonicity_violation(src_down: Sequence[int], subset: int,
         low = rest & -rest
         rest ^= low
         y = low.bit_length() - 1
-        allowed = tgt_down[image[y]]
         below = src_down[y] & subset & ~low
+        if not below:
+            continue
+        allowed = tgt_down[image[y]]
         while below:
             bit = below & -below
             below ^= bit
@@ -248,10 +271,48 @@ def monotonicity_violation(src_down: Sequence[int], subset: int,
 
 def is_continuous(m: SpaceMap) -> bool:
     """Continuity == monotonicity for the specialization preorders."""
-    src, tgt = m.source, m.target
-    image = [tgt.index(y) for y in m.assignment]
+    src = m.source
     return monotonicity_violation(src._down_masks, (1 << len(src)) - 1,
-                                  image, tgt._down_masks) is None
+                                  m.row(), m.target._down_masks) is None
+
+
+_ZEROS = b"0" * 256
+
+
+def column_masks(rows: Sequence[Sequence[int]], width: int, m: int) -> list[list[int]]:
+    """The column masks of a table of index rows, each row ``width`` values
+    in range(m): ``masks[i][j]`` has bit k set iff ``rows[k][i] == j``.
+
+    Each column is one byte per row, last row first, so a value's mask is
+    the column translated to b"0"/b"1" and read in base 2: C-level passes
+    per (column, value that occurs in it), not a big-int shift per entry.
+    Values past a byte (m > 256) fall back to one shift per entry.
+    """
+    masks = [[0] * m for _ in range(width)]
+    if not rows:
+        return masks
+    if m > 256:
+        for k, row in enumerate(rows):
+            bit = 1 << k
+            for col, j in zip(masks, row):
+                col[j] |= bit
+        return masks
+    flat = bytes(chain.from_iterable(reversed(rows)))
+    for i, col in enumerate(masks):
+        column = flat[i::width]
+        for j in set(column):
+            col[j] = int(column.translate(_ZEROS[:j] + b"1" + _ZEROS[j + 1:]), 2)
+    return masks
+
+
+def spread(columns: Sequence[Sequence[int]], masks: Sequence[int]) -> list[list[int]]:
+    """Per column, per target point j: the union of the column's masks over
+    the points in ``masks[j]``.  With a target's down-set masks this is the
+    rows whose value at that column lies below j; with its up-set masks,
+    above j."""
+    spans = [bit_indices(mask) for mask in masks]
+    return [[reduce(or_, map(col.__getitem__, span), 0) for span in spans]
+            for col in columns]
 
 
 def is_open_map(m: SpaceMap) -> bool:
@@ -425,11 +486,12 @@ def is_T1(space: FinSpace) -> bool:
 
 def enumerate_monotone_maps(source: FinSpace, target: FinSpace,
                             node_budget: int = 1_000_000,
-                            max_maps: int = 4096) -> list[SpaceMap]:
-    """All continuous (monotone) maps source -> target.
+                            max_maps: int = 4096) -> list[tuple[int, ...]]:
+    """All continuous (monotone) maps source -> target, as index rows (the
+    target index of each source point; ``SpaceMap.from_row`` labels one).
 
     Constraint-propagating DFS with a most-constrained-point heuristic; the
-    result is sorted by assignment, so it is deterministic regardless of the
+    rows are sorted, so the result is deterministic regardless of the
     internal search order.  Raises BoundExceeded past either budget.
     """
     full = (1 << len(target)) - 1
@@ -440,11 +502,11 @@ def enumerate_monotone_maps(source: FinSpace, target: FinSpace,
 
 def _search_maps(source: FinSpace, target: FinSpace, allowed: Sequence[int],
                  forced: Sequence[Sequence[Sequence[tuple[int, int]]]],
-                 node_budget: int, max_maps: int) -> list[SpaceMap]:
+                 node_budget: int, max_maps: int) -> list[tuple[int, ...]]:
     """The search behind enumerate_monotone_maps and enumerate_G_maps:
     every monotone map with f(i) in ``allowed[i]`` (a target mask per source
     index) such that f(i) = j implies f(i2) = j2 for each (i2, j2) in
-    ``forced[i][j]``, sorted by assignment.
+    ``forced[i][j]``, as sorted index rows.
 
     DFS over the most constrained unassigned point (least index on ties),
     its candidates in target order; assigning f(i) = j narrows the points
@@ -452,24 +514,20 @@ def _search_maps(source: FinSpace, target: FinSpace, allowed: Sequence[int],
     the forced pairs.  Every candidate tried counts as a node.
     """
     n, m = len(source), len(target)
-    tgt_down = target._down_masks
-    tgt_up = [0] * m
-    for j in range(m):
-        for i in range(m):
-            if tgt_down[j] & (1 << i):
-                tgt_up[i] |= 1 << j
+    tgt_down, tgt_up = target._down_masks, target._up_masks
     src_down = [[i for i in range(n) if source._down_masks[j] & (1 << i) and i != j]
                 for j in range(n)]
     src_up = [[j for j in range(n) if source._down_masks[j] & (1 << i) and i != j]
               for i in range(n)]
 
+    every = range(n)
     out: list[tuple[int, ...]] = []
     nodes = 0
 
     def search(cands: list[int], chosen: dict[int, int]):
         nonlocal nodes
         if len(chosen) == n:
-            out.append(tuple(chosen[i] for i in range(n)))
+            out.append(tuple(map(chosen.__getitem__, every)))
             if len(out) > max_maps:
                 raise BoundExceeded("map enumeration (maps)", max_maps, len(out))
             return
@@ -514,6 +572,11 @@ def _search_maps(source: FinSpace, target: FinSpace, allowed: Sequence[int],
                 search(nxt, chosen)
                 del chosen[best]
 
-    search(list(allowed), {})
+    try:
+        search(list(allowed), {})
+    finally:
+        # search refers to itself through its closure; unbinding it frees
+        # the search state now instead of at the next full collection
+        del search
     out.sort()
-    return [SpaceMap(source, target, tuple(target.points[j] for j in tup)) for tup in out]
+    return out

@@ -6,15 +6,24 @@ which neighbours are pointwise comparable.  The straight-line two-step
 homotopy between comparable G-maps is itself a G-map because the group acts
 trivially on the interval, so this is adopted as the definition and
 cross-checked against an explicit finite-interval model by the test suite.
+
+A map poset is a table of index rows: row k holds the target point index of
+each source point, rows in sorted order, as the map search produces them.
+Comparison, fence components and fences read the rows and the table's
+column masks (the rows taking a given value at a given point); labelled
+SpaceMaps are made only for witnesses (a fence, a failing pair) and for
+callers that ask for ``MapPoset.maps``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_, getitem
 
 from .errors import InternalCheckError, ValidationError
-from .finspace import (FinSpace, SpaceMap, enumerate_monotone_maps, is_continuous,
-                       subspace, t0_quotient)
+from .finspace import (FinSpace, SpaceMap, bit_indices, column_masks,
+                       enumerate_monotone_maps, is_continuous, spread, subspace,
+                       t0_quotient)
 from .paction import (PartialAction, Subgroup, enumerate_G_maps, fixed_points,
                       is_G_map, is_invariant, isotropy, restrict_invariant,
                       restrict_to_subgroup)
@@ -23,75 +32,71 @@ from .paction import (PartialAction, Subgroup, enumerate_G_maps, fixed_points,
 @dataclass(frozen=True)
 class MapPoset:
     """A complete list of maps X -> Y under the pointwise order
-    f <= g  iff  f(x) <= g(x) for every x."""
+    f <= g  iff  f(x) <= g(x) for every x.
+
+    Each map is an index row (the target index of each source point), in
+    sorted order; ``maps`` labels them all, on first use, for callers that
+    want SpaceMaps."""
 
     source: FinSpace
     target: FinSpace
-    maps: tuple[SpaceMap, ...]
+    rows: tuple[tuple[int, ...], ...]
     kind: str = "continuous"
 
     @cached_property
-    def _lookup(self) -> dict[tuple[str, ...], int]:
-        return {m.assignment: i for i, m in enumerate(self.maps)}
+    def maps(self) -> tuple[SpaceMap, ...]:
+        return tuple(SpaceMap.from_row(self.source, self.target, row) for row in self.rows)
+
+    @cached_property
+    def _lookup(self) -> dict[tuple[int, ...], int]:
+        return {row: i for i, row in enumerate(self.rows)}
 
     def index_of(self, f: SpaceMap) -> int:
-        idx = self._lookup.get(f.assignment)
+        idx = self._lookup.get(tuple(map(self.target._index.get, f.assignment)))
         if idx is None:
-            raise ValidationError("not-in-poset", f.assignment,
-                                  f"map is not among the enumerated {self.kind} maps")
+            raise self._missing(f.assignment)
         return idx
 
+    def row_index(self, row: tuple[int, ...]) -> int:
+        idx = self._lookup.get(row)
+        if idx is None:
+            raise self._missing(tuple(map(self.target.points.__getitem__, row)))
+        return idx
+
+    def _missing(self, assignment: tuple[str, ...]) -> ValidationError:
+        return ValidationError("not-in-poset", assignment,
+                               f"map is not among the enumerated {self.kind} maps")
+
     def leq(self, i: int, j: int) -> bool:
-        fi, fj = self.maps[i], self.maps[j]
-        return all(self.target.leq(a, b)
-                   for a, b in zip(fi.assignment, fj.assignment))
+        down = self.target._down_masks
+        return all(down[b] >> a & 1 for a, b in zip(self.rows[i], self.rows[j]))
 
     def comparable(self, i: int, j: int) -> bool:
         return self.leq(i, j) or self.leq(j, i)
 
     @cached_property
+    def columns(self) -> list[list[int]]:
+        """Per (source position, target index): bitmask of the rows that take
+        that value there."""
+        return column_masks(self.rows, len(self.source), len(self.target))
+
+    @cached_property
     def _value_masks(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Per (source position, target index): bitmask over maps whose value
-        there lies below / above that target point."""
-        npts = len(self.source)
+        """Per (source position, target index): bitmask of the rows whose
+        value there lies below / above that target point."""
         tgt = self.target
-        m = len(tgt)
-        exact = [[0] * m for _ in range(npts)]
-        for k, f in enumerate(self.maps):
-            for pos in range(npts):
-                exact[pos][tgt.index(f.assignment[pos])] |= 1 << k
-        below = [[0] * m for _ in range(npts)]
-        above = [[0] * m for _ in range(npts)]
-        for pos in range(npts):
-            for j in range(m):
-                down = tgt._down_masks[j]
-                acc_b = 0
-                acc_a = 0
-                for u in range(m):
-                    if down & (1 << u):
-                        acc_b |= exact[pos][u]
-                    if tgt._down_masks[u] & (1 << j):
-                        acc_a |= exact[pos][u]
-                below[pos][j] = acc_b
-                above[pos][j] = acc_a
-        return below, above
+        return spread(self.columns, tgt._down_masks), spread(self.columns, tgt._up_masks)
 
     def _neighbors(self, k: int) -> int:
-        """Bitmask of maps comparable to maps[k] (including itself)."""
+        """Bitmask of the rows comparable to row k (including itself)."""
         below, above = self._value_masks
-        tgt = self.target
-        f = self.maps[k]
-        acc_b = acc_a = (1 << len(self.maps)) - 1
-        for pos in range(len(self.source)):
-            j = tgt.index(f.assignment[pos])
-            acc_b &= below[pos][j]
-            acc_a &= above[pos][j]
-        return acc_b | acc_a
+        row = self.rows[k]
+        return reduce(and_, map(getitem, below, row)) | reduce(and_, map(getitem, above, row))
 
     @cached_property
     def components(self) -> tuple[int, ...]:
         """Fence components: connected components of the comparability graph."""
-        n = len(self.maps)
+        n = len(self.rows)
         comp = [-1] * n
         current = 0
         for start in range(n):
@@ -102,43 +107,39 @@ class MapPoset:
             seen = frontier
             while frontier:
                 reach = 0
-                m = frontier
-                while m:
-                    low = m & -m
-                    m ^= low
-                    reach |= self._neighbors(low.bit_length() - 1)
+                for k in bit_indices(frontier):
+                    reach |= self._neighbors(k)
                 frontier = reach & ~seen
                 seen |= frontier
-                m = frontier
-                while m:
-                    low = m & -m
-                    m ^= low
-                    comp[low.bit_length() - 1] = current
+                for k in bit_indices(frontier):
+                    comp[k] = current
             current += 1
         return tuple(comp)
 
     def fence(self, i: int, j: int) -> list[SpaceMap] | None:
-        """A shortest fence from maps[i] to maps[j], or None."""
-        if self.components[i] != self.components[j]:
-            return None
+        """A shortest fence from row i to row j, or None.
+
+        Breadth-first from i, neighbours in row order; a search that runs
+        out of rows without reaching j means they lie in different
+        components."""
         prev: dict[int, int | None] = {i: None}
+        seen = 1 << i
         frontier = [i]
         while frontier and j not in prev:
             nxt = []
             for a in frontier:
-                mask = self._neighbors(a)
-                while mask:
-                    low = mask & -mask
-                    mask ^= low
-                    b = low.bit_length() - 1
-                    if b not in prev:
-                        prev[b] = a
-                        nxt.append(b)
+                new = self._neighbors(a) & ~seen
+                seen |= new
+                for b in bit_indices(new):
+                    prev[b] = a
+                    nxt.append(b)
             frontier = nxt
+        if j not in prev:
+            return None
         path = []
         cur: int | None = j
         while cur is not None:
-            path.append(self.maps[cur])
+            path.append(SpaceMap.from_row(self.source, self.target, self.rows[cur]))
             cur = prev[cur]
         path.reverse()
         return path
@@ -151,14 +152,14 @@ def enumerate_maps(source: FinSpace, target: FinSpace,
     """All continuous maps source -> target, or all G-maps when
     ``equivariant=(pa_x, pa_y)`` is supplied; deterministic order."""
     if equivariant is None:
-        maps = enumerate_monotone_maps(source, target,
+        rows = enumerate_monotone_maps(source, target,
                                        node_budget=node_budget, max_maps=max_maps)
-        return MapPoset(source, target, tuple(maps))
+        return MapPoset(source, target, tuple(rows))
     pa_x, pa_y = equivariant
     if pa_x.space != source or pa_y.space != target:
         raise ValidationError("space-mismatch", (), "actions do not live on the given spaces")
-    maps = enumerate_G_maps(pa_x, pa_y, node_budget=node_budget, max_maps=max_maps)
-    return MapPoset(source, target, tuple(maps), kind="equivariant")
+    rows = enumerate_G_maps(pa_x, pa_y, node_budget=node_budget, max_maps=max_maps)
+    return MapPoset(source, target, tuple(rows), kind="equivariant")
 
 
 def are_homotopic(f: SpaceMap, g: SpaceMap,

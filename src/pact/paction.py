@@ -18,7 +18,7 @@ from .finspace import (FinSpace, SpaceMap, _search_maps, bit_indices, compose,
                        discrete_space, equivalence_classes, is_closed,
                        is_continuous, is_down_mask, is_open, is_open_map,
                        monotonicity_violation, pair_label, product,
-                       quotient, subspace)
+                       quotient, spread, subspace)
 
 
 @dataclass(frozen=True)
@@ -423,7 +423,7 @@ def is_G_map(f: SpaceMap, pa_x: PartialAction, pa_y: PartialAction) -> bool:
         raise ValidationError("not-continuous", (), "is_G_map needs a continuous map")
     # per g, over x in X_{g^-1}: eta_g(f(x)) (-1 when undefined) against
     # f(theta_g(x)), which is always defined
-    fi = list(map(f.target._index.__getitem__, f.assignment))
+    fi = f.row()
     inverse_row = pa_x.group.inverse_row
     for g, (image_x, image_y) in enumerate(zip(pa_x.images, pa_y.images)):
         xs = pa_x.domain_points[inverse_row[g]]
@@ -431,6 +431,43 @@ def is_G_map(f: SpaceMap, pa_x: PartialAction, pa_y: PartialAction) -> bool:
                 != list(map(fi.__getitem__, map(image_x.__getitem__, xs)))):
             return False
     return True
+
+
+def g_map_faults(columns: Sequence[Sequence[int]], source: FinSpace, target: FinSpace,
+                 images_x: Sequence[Sequence[int]], images_y: Sequence[Sequence[int]]
+                 ) -> tuple[int, int]:
+    """The checks of :func:`is_G_map` on a whole table of index rows at once.
+
+    ``columns`` are the table's column masks (``finspace.column_masks``),
+    and ``images_x[g]``/``images_y[g]`` are theta_g and eta_g as index
+    tables, -1 where undefined.  Returns two bitmasks over the rows: those
+    that are not monotone, and those with eta_g(f(x)) != f(theta_g(x)) for
+    some g and x in X_{g^-1}.  The work is O(target points) big-int
+    operations per comparable pair of source points and O(points x target
+    points) per element, not Python steps per row.
+    """
+    below = spread(columns, target._down_masks)
+    discontinuous = 0
+    for y, down in enumerate(source._down_masks):
+        at_y = columns[y]
+        for x in bit_indices(down & ~(1 << y)):
+            # rows with f(y) = v but f(x) not below v
+            under = below[x]
+            for v, rows in enumerate(at_y):
+                if rows:
+                    discontinuous |= rows & ~under[v]
+    non_equivariant = 0
+    for image_x, image_y in zip(images_x, images_y):
+        for x, x2 in enumerate(image_x):
+            if x2 < 0:
+                continue
+            # rows with f(x) = v but f(theta_g(x)) != eta_g(v)
+            moved = columns[x2]
+            for v, rows in enumerate(columns[x]):
+                if rows:
+                    w = image_y[v]
+                    non_equivariant |= rows & ~moved[w] if w >= 0 else rows
+    return discontinuous, non_equivariant
 
 
 def is_isovariant(f: SpaceMap, pa_x: PartialAction, pa_y: PartialAction) -> bool:
@@ -447,8 +484,9 @@ def is_isovariant(f: SpaceMap, pa_x: PartialAction, pa_y: PartialAction) -> bool
 
 def enumerate_G_maps(pa_x: PartialAction, pa_y: PartialAction,
                      node_budget: int = 1_000_000,
-                     max_maps: int = 4096) -> list[SpaceMap]:
-    """All G-maps X -> Y.
+                     max_maps: int = 4096) -> list[tuple[int, ...]]:
+    """All G-maps X -> Y, as sorted index rows (``SpaceMap.from_row``
+    labels one).
 
     The monotone map search with the equivariance conditions folded into
     its propagation: assigning f(x) = y forces f(theta_g(x)) = eta_g(y) for

@@ -13,11 +13,11 @@ from typing import Callable, Sequence
 
 from .algebra import all_subgroups
 from .bounds import DEFAULT_BOUNDS, Bounds
-from .envelope import (EnvelopeResult, adjunction_maps, envelope_of_map,
-                       fixed_identities, generated_intersection, globalize,
-                       iterated_twist_comparison, product_comparison,
-                       recognize_globalization, trivial_collapse,
-                       twisted_product)
+from .envelope import (EnvelopeResult, adjunction_maps, fixed_identities,
+                       generated_intersection, globalize,
+                       iterated_twist_comparison, lift_maps,
+                       product_comparison, recognize_globalization,
+                       trivial_collapse, twisted_product)
 from .errors import BoundExceeded, ValidationError
 from .finspace import (SpaceMap, discrete_space, is_closed, is_continuous,
                        is_open, is_open_map, is_T1, pair_label,
@@ -325,20 +325,19 @@ def _claim_homotopy_preservation(inst: Instance, bounds: Bounds) -> tuple[str, d
     gpa = env.as_global_action()
     poset_y = enumerate_maps(env.total, env.total, equivariant=(gpa, gpa),
                              node_budget=bounds.map_nodes, max_maps=bounds.max_maps)
-    lifted = [poset_y.index_of(envelope_of_map(f, pa, pa, env_x=env, env_y=env))
-              for f in poset_x.maps]
+    lifted = list(map(poset_y.row_index, lift_maps(poset_x, pa, pa, env, env)))
     comp_x = poset_x.components
     comp_y = poset_y.components
     bad = first_split_pair(comp_x, [comp_y[k] for k in lifted])
     witness = {
-        "g_maps": len(poset_x.maps),
+        "g_maps": len(poset_x.rows),
         "components": len(set(comp_x)),
-        "envelope_g_maps": len(poset_y.maps),
+        "envelope_g_maps": len(poset_y.rows),
     }
     if bad:
         witness["reason"] = "a homotopic pair has non-homotopic envelopes"
-        witness["pair"] = [poset_x.maps[bad[0]].as_dict(),
-                           poset_x.maps[bad[1]].as_dict()]
+        witness["pair"] = [SpaceMap.from_row(pa.space, pa.space, poset_x.rows[k]).as_dict()
+                           for k in bad]
     return (FAILS if bad else HOLDS), witness
 
 
@@ -395,7 +394,7 @@ def _claim_fixed_decomposition(inst: Instance, bounds: Bounds) -> tuple[str, dic
 def _claim_generated_intersection(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
     pa = inst.embedded_pa
     env = globalize(pa, bounds.envelope_pairs)
-    inner = generated_intersection(pa, env)
+    inner = generated_intersection(pa, env, group_order=bounds.group_order)
     witness = {"families_checked": inner["families_checked"]}
     if not inner["holds"]:
         witness["reason"] = "an intersection differs from the generated fixed set"

@@ -714,6 +714,123 @@ def envelopes_G_homotopic(f, g, pa_x, pa_y) -> bool:
     return are_G_homotopic(ef, eg, env_x.as_global_action(), env_y.as_global_action())
 
 
+def label_envelope_of_map(f, pa_x, pa_y, big=None, env_x=None, env_y=None,
+                          max_pairs: int = 256):
+    """The induced map [g,x] |-> [g,f(x)] of one map, on labels: descend
+    through the class table, then check continuity and equivariance point
+    by point.  The reference for ``pact.envelope.lift_maps``."""
+    from pact import SpaceMap, is_continuous, is_G_map, twisted_product
+
+    if not is_G_map(f, pa_x, pa_y):
+        raise ValidationError("not-a-G-map", (), "envelope_of_map needs an equivariant map")
+    big = big or pa_x.group
+    if env_x is None:
+        env_x = twisted_product(pa_x, big, max_pairs)
+    if env_y is None:
+        env_y = twisted_product(pa_y, big, max_pairs)
+    values, clash = env_x.descend(lambda g, x: env_y.class_of(g, f(x)))
+    if clash is not None:
+        raise InternalCheckError(f"induced map not well defined at {clash!r}")
+    out = SpaceMap(env_x.total, env_y.total, values)
+    if not is_continuous(out):
+        raise InternalCheckError("induced map is not continuous")
+    for g in big.elements:
+        for c in env_x.total.points:
+            if env_y.action[g][out(c)] != out(env_x.action[g][c]):
+                raise InternalCheckError("induced map is not equivariant")
+    return out
+
+
+def label_g_map_faults(rows, pa_x, pa_y) -> tuple[int, int]:
+    """Bitmasks of the index rows (maps X -> Y) that are not monotone, by a
+    pairwise scan of the minimal open sets, and of those with
+    eta_g(f(x)) != f(theta_g(x)), or eta_g(f(x)) undefined, for some g and
+    x in X_{g^-1}, on labels."""
+    src, tgt, grp = pa_x.space, pa_y.space, pa_x.group
+    min_open_x = {x: src.min_open_of(x) for x in src.points}
+    min_open_y = {y: tgt.min_open_of(y) for y in tgt.points}
+    discontinuous = non_equivariant = 0
+    for k, row in enumerate(rows):
+        f = {x: tgt.points[j] for x, j in zip(src.points, row)}
+        if first_monotone_violation(list(src.points), min_open_x, min_open_y,
+                                    f, src.points) is not None:
+            discontinuous |= 1 << k
+        if any(not pa_y.defined(g, f[x]) or pa_y.apply(g, f[x]) != f[pa_x.apply(g, x)]
+               for g in grp.elements for x in pa_x.domains[grp.inv(g)]):
+            non_equivariant |= 1 << k
+    return discontinuous, non_equivariant
+
+
+def label_lift_rows(source, target, rows, pa_x, pa_y, env_x, env_y, big=None):
+    """Each row lifted by :func:`label_envelope_of_map`, one at a time and in
+    order, as index rows; the first failure propagates."""
+    from pact import SpaceMap
+
+    index = env_y.total.index
+    return [tuple(map(index, label_envelope_of_map(
+                SpaceMap.from_row(source, target, row), pa_x, pa_y, big,
+                env_x=env_x, env_y=env_y).assignment))
+            for row in rows]
+
+
+def _label_comparable(f, g) -> bool:
+    leq = f.target.leq
+    pairs = list(zip(f.assignment, g.assignment))
+    return all(leq(a, b) for a, b in pairs) or all(leq(b, a) for a, b in pairs)
+
+
+def label_components(maps) -> tuple[int, ...]:
+    """Fence components of a list of SpaceMaps, numbered in order of their
+    first member, by search over pairwise label comparisons."""
+    comp = [-1] * len(maps)
+    current = 0
+    for start in range(len(maps)):
+        if comp[start] >= 0:
+            continue
+        comp[start] = current
+        stack = [start]
+        while stack:
+            a = stack.pop()
+            for b in range(len(maps)):
+                if comp[b] < 0 and _label_comparable(maps[a], maps[b]):
+                    comp[b] = current
+                    stack.append(b)
+        current += 1
+    return tuple(comp)
+
+
+def label_fence(maps, i: int, j: int):
+    """A shortest fence from maps[i] to maps[j] by breadth-first search with
+    neighbours in list order, or None."""
+    prev = {i: None}
+    frontier = [i]
+    while frontier and j not in prev:
+        nxt = []
+        for a in frontier:
+            for b in range(len(maps)):
+                if b not in prev and _label_comparable(maps[a], maps[b]):
+                    prev[b] = a
+                    nxt.append(b)
+        frontier = nxt
+    if j not in prev:
+        return None
+    path = []
+    cur = j
+    while cur is not None:
+        path.append(maps[cur])
+        cur = prev[cur]
+    return path[::-1]
+
+
+def column_masks_by_definition(rows, width: int, m: int) -> list[list[int]]:
+    """masks[i][j] has bit k set iff rows[k][i] == j, one entry at a time."""
+    masks = [[0] * m for _ in range(width)]
+    for k, row in enumerate(rows):
+        for i, j in enumerate(row):
+            masks[i][j] |= 1 << k
+    return masks
+
+
 def theta_map(pa, g: str):
     """theta_g as a map of subspaces X_{g^-1} -> X_g."""
     from pact import SpaceMap, ValidationError, subspace

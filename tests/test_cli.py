@@ -310,3 +310,24 @@ def test_bound_flag_allows_larger_instances(capsys):
     assert main(["check", "homotopy-preservation", "z4-circle", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc[0]["status"] == "holds"
+
+
+def test_bound_flag_reaches_the_subgroup_lattice(tmp_path, capsys):
+    # Z24 has 8 subgroups, more than the default group-order bound of 16
+    # allows to enumerate; --bound must lift it for the claim and for
+    # `fixed --envelope` alike
+    from test_verify import half_circle_document
+    doc = half_circle_document(24)
+    doc["subgroups"] = {"H": ["0", "12"]}
+    path = tmp_path / "z24.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "generated-intersection", str(path), "--json",
+                 "--bound", "100000"]) == 0
+    report = json.loads(capsys.readouterr().out)[0]
+    assert report["status"] == "holds"
+    assert report["witness"]["families_checked"] == 2 ** 8 - 1
+    assert main(["fixed", str(path), "--subgroup", "H", "--envelope", "--json",
+                 "--bound", "100000"]) == 0
+    decomposition = json.loads(capsys.readouterr().out)["decomposition"]
+    assert decomposition["status"] == "holds"
+    assert decomposition["generated_intersection"]["families_checked"] == 2 ** 8 - 1

@@ -1,20 +1,29 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pact import (SpaceMap, Subgroup, ValidationError, adjunction_maps,
+from pact import (BoundExceeded, InternalCheckError, MapPoset, SpaceMap, Subgroup,
+                  ValidationError, adjunction_maps, all_subgroups,
                   compose, cyclic_group, discrete_space, envelope_of_map,
+                  enumerate_G_maps,
                   fixed_decomposition, globalize, is_G_map, is_T1,
                   is_continuous, is_open, iterated_twist_comparison,
                   load_fixture, pair_label, product_comparison,
-                  recognize_globalization, trivial_action, trivial_collapse,
-                  twisted_product, validate_group)
+                  recognize_globalization, restrict_to_subgroup,
+                  space_from_min_opens, trivial_action, trivial_collapse, twisted_product,
+                  validate_group)
+from pact.envelope import lift_maps
 from oracle import (brute_globalization_classes, brute_members,
                     brute_twisted_classes, find_homeomorphism,
                     globalization_document as oracle_document,
-                    is_G_homeomorphism)
+                    is_G_homeomorphism, label_envelope_of_map, label_lift_rows)
+from test_paction import _random_factor, random_rotation_action
 
 
 def fixture_pa(name):
@@ -501,3 +510,164 @@ def test_envelope_invariants_exercised_on_all_fixtures():
         for e in (env, env_t):
             for c in e.total.points:
                 assert list(e.members_of(c)) == brute_members(e, c), (name, c)
+
+
+# ---------------------------------------------------------------------------
+# the batch lift against the one-map label lift
+
+def _lift_case(rng):
+    """Random actions pa_x, pa_y of one group with envelopes env_x, env_y
+    over ``big``: globalizations of partial actions of Z_n, or twisted
+    products over Z4 of global actions of a subgroup of Z4."""
+    if rng.random() < 0.5:
+        n = rng.choice([2, 3, 4])
+        pa_x = _random_factor(rng, n)
+        pa_y = pa_x if rng.random() < 0.4 else _random_factor(rng, n)
+        return pa_x, pa_y, globalize(pa_x), globalize(pa_y), pa_x.group
+    z4 = cyclic_group(4)
+    sub = rng.choice(all_subgroups(z4))
+
+    def action():
+        return restrict_to_subgroup(random_rotation_action(rng, 4, max_base=2), sub)
+    pa_x = action()
+    pa_y = pa_x if rng.random() < 0.4 else action()
+    return pa_x, pa_y, twisted_product(pa_x, z4), twisted_product(pa_y, z4), z4
+
+
+def _stray_row(rng, pa_x, pa_y, g_rows, wanted):
+    """A row that is not monotone (``wanted`` "discontinuous") or monotone
+    but not equivariant ("non-equivariant"), from random rows and one-point
+    changes of G-map rows; None when none turns up."""
+    n, m = len(pa_x.space), len(pa_y.space)
+    for _ in range(200):
+        if g_rows and rng.random() < 0.5:
+            row = list(rng.choice(g_rows))
+            row[rng.randrange(n)] = rng.randrange(m)
+        else:
+            row = [rng.randrange(m) for _ in range(n)]
+        f = SpaceMap.from_row(pa_x.space, pa_y.space, row)
+        if not is_continuous(f):
+            if wanted == "discontinuous":
+                return tuple(row)
+        elif wanted == "non-equivariant" and not is_G_map(f, pa_x, pa_y):
+            return tuple(row)
+    return None
+
+
+def _corrupted_lift(rng, kinds):
+    """A lift problem (pa_x, pa_y, env_x, env_y, big, rows) carrying one
+    corruption of each of ``kinds``: a stray row at a random place, or env_y
+    with one pair moved to another class or one element's action table with
+    two images swapped."""
+    while True:
+        pa_x, pa_y, env_x, env_y, big = _lift_case(rng)
+        try:
+            g_rows = enumerate_G_maps(pa_x, pa_y, max_maps=1000)
+            break
+        except BoundExceeded:
+            continue
+    rows = sorted(rng.sample(g_rows, min(len(g_rows), 10)))
+    for kind in kinds:
+        if kind in ("discontinuous", "non-equivariant"):
+            stray = _stray_row(rng, pa_x, pa_y, g_rows, kind)
+            if stray is not None:
+                rows.insert(rng.randint(0, len(rows)), stray)
+        elif kind == "class-table" and len(env_y.total) > 1:
+            classes = dict(env_y.classes)
+            pair = rng.choice(sorted(classes))
+            classes[pair] = rng.choice([c for c in env_y.total.points if c != classes[pair]])
+            env_y = dataclasses.replace(env_y, classes=classes)
+        elif kind == "action-row" and len(env_y.total) > 1:
+            action = {g: dict(table) for g, table in env_y.action.items()}
+            g = rng.choice([g for g in big.elements if g != big.identity])
+            a, b = rng.sample(list(env_y.total.points), 2)
+            action[g][a], action[g][b] = action[g][b], action[g][a]
+            env_y = dataclasses.replace(env_y, action=action)
+    return pa_x, pa_y, env_x, env_y, big, rows
+
+
+def _lift_outcome(run):
+    try:
+        return "rows", run()
+    except ValidationError as exc:
+        return "ValidationError", exc.axiom, exc.witness
+    except InternalCheckError as exc:
+        return "InternalCheckError", str(exc)
+
+
+# one corruption each, then two or three at once so that rows fail
+# different checks and the batch must pick the first failing row
+LIFT_CORRUPTIONS = [("discontinuous",), ("non-equivariant",), ("class-table",),
+                    ("action-row",), ("non-equivariant", "discontinuous"),
+                    ("class-table", "action-row"),
+                    ("class-table", "action-row", "non-equivariant")]
+
+
+def _compare_lifts(rng, kinds):
+    """Batch and one-map lifts of one corrupted problem agree, row for row
+    or error for error; so do envelope_of_map and the label lift of each
+    row alone.  Returns the batch outcome."""
+    pa_x, pa_y, env_x, env_y, big, rows = _corrupted_lift(rng, kinds)
+    poset = MapPoset(pa_x.space, pa_y.space, tuple(rows))
+    got = _lift_outcome(lambda: lift_maps(poset, pa_x, pa_y, env_x, env_y, big))
+    want = _lift_outcome(lambda: label_lift_rows(pa_x.space, pa_y.space, rows,
+                                                 pa_x, pa_y, env_x, env_y, big))
+    assert got == want
+    for row in rows:
+        f = SpaceMap.from_row(pa_x.space, pa_y.space, row)
+        one = _lift_outcome(lambda: envelope_of_map(f, pa_x, pa_y, big, env_x, env_y))
+        ref = _lift_outcome(lambda: label_envelope_of_map(f, pa_x, pa_y, big, env_x, env_y))
+        if one[0] == "rows":
+            one, ref = ("rows", one[1].assignment), ("rows", ref[1].assignment)
+        assert one == ref
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(LIFT_CORRUPTIONS))
+def test_batch_lift_matches_label_lift(seed, kinds):
+    _compare_lifts(random.Random(seed), kinds)
+
+
+def test_batch_lift_reaches_every_error(rng):
+    # the same comparison on a fixed sample, which must reach each check of
+    # the one-map lift, on globalizations and on twisted products
+    seen = set()
+    for _ in range(40):
+        for kinds in LIFT_CORRUPTIONS:
+            got = _compare_lifts(rng, kinds)
+            if got[0] == "ValidationError":
+                seen.add(got[1])
+            elif got[0] == "InternalCheckError":
+                seen.add(got[1].split(" at ")[0])
+    assert seen == {"not-continuous", "not-a-G-map",
+                    "induced map not well defined",
+                    "induced map is not continuous",
+                    "induced map is not equivariant"}
+
+
+def test_batch_lift_raises_for_the_first_failing_row():
+    # two copies of a <- c -> b over Z2, from the trivial subgroup: the
+    # classes are single pairs, so corrupting env_y's class table moves one
+    # value of a lift without a clash.  After the corruptions the lift of
+    # the constant at a is continuous but not equivariant, and the lift of
+    # the identity is not continuous; the first of the two rows decides.
+    z2 = cyclic_group(2)
+    space = space_from_min_opens(["a", "b", "c"],
+                                 {"a": ["a"], "b": ["b"], "c": ["a", "b", "c"]})
+    pa = restrict_to_subgroup(trivial_action(z2, space), Subgroup(z2, frozenset({"0"})))
+    env = twisted_product(pa, z2)
+    classes = dict(env.classes)
+    classes[("0", "c")] = classes[("0", "a")]
+    action = {g: dict(table) for g, table in env.action.items()}
+    a0, b0 = classes[("0", "a")], classes[("0", "b")]
+    action["1"][a0], action["1"][b0] = action["1"][b0], action["1"][a0]
+    env_y = dataclasses.replace(env, classes=classes, action=action)
+    constant, identity = (0, 0, 0), (0, 1, 2)
+    for rows, message in (([constant, identity], "induced map is not equivariant"),
+                          ([identity, constant], "induced map is not continuous")):
+        got = _lift_outcome(lambda: lift_maps(MapPoset(space, space, tuple(rows)),
+                                              pa, pa, env, env_y, z2))
+        assert got == ("InternalCheckError", message)
+        assert got == _lift_outcome(lambda: label_lift_rows(space, space, rows, pa, pa,
+                                                            env, env_y, z2))

@@ -12,10 +12,11 @@ from pact import (BoundExceeded, InternalCheckError, SpaceMap, ValidationError,
                   load_fixture, pair_label, product, quotient,
                   space_from_min_opens, split_pair_label, subspace,
                   t0_quotient)
-from pact.finspace import equivalence_classes, monotonicity_violation
-from oracle import (brute_opens, closure_quotient_order, find_homeomorphism,
-                    first_monotone_violation, is_down_set, preimage_continuous,
-                    random_partition, random_preorder_space, space_violation)
+from pact.finspace import column_masks, equivalence_classes, monotonicity_violation
+from oracle import (brute_opens, closure_quotient_order, column_masks_by_definition,
+                    find_homeomorphism, first_monotone_violation, is_down_set,
+                    preimage_continuous, random_partition, random_preorder_space,
+                    space_violation)
 
 
 def c8():
@@ -332,11 +333,21 @@ def test_enumerate_monotone_maps_counts_and_order():
     space = c8()
     assert len(enumerate_monotone_maps(pt, space)) == 8
     d2 = discrete_space(["a", "b"])
-    maps = enumerate_monotone_maps(d2, d2)
-    assert [m.assignment for m in maps] == \
+    rows = enumerate_monotone_maps(d2, d2)
+    assert rows == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert [SpaceMap.from_row(d2, d2, row).assignment for row in rows] == \
         [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
     with pytest.raises(BoundExceeded):
         enumerate_monotone_maps(space, space, max_maps=100)
+
+
+@pytest.mark.parametrize("m", [1, 5, 40, 300])
+def test_column_masks_match_definition(rng, m):
+    # m = 300 takes the one-shift-per-entry branch for values past a byte
+    for rows_n in (0, 1, 7, 200):
+        width = rng.randint(1, 5)
+        rows = [tuple(rng.randrange(m) for _ in range(width)) for _ in range(rows_n)]
+        assert column_masks(rows, width, m) == column_masks_by_definition(rows, width, m)
 
 
 def test_equivalence_classes_order_and_internal_checks():

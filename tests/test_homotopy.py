@@ -12,8 +12,9 @@ from pact import (BoundExceeded, InternalCheckError, SpaceMap, ValidationError,
                   trivial_action)
 from oracle import (envelopes_G_homotopic, exhaustive_locally_G_contractible,
                     find_homeomorphism, homotopy_from_fence,
-                    interval_homotopy_exists, random_preorder_space)
-from test_paction import random_rotation_action
+                    interval_homotopy_exists, label_components, label_fence,
+                    random_preorder_space)
+from test_paction import _random_factor, random_rotation_action
 
 
 def fixture_pa(name):
@@ -81,6 +82,35 @@ def test_pointwise_comparable_maps_are_homotopic(rng):
             for j in range(min(len(poset.maps), 6)):
                 if poset.leq(i, j):
                     assert poset.components[i] == poset.components[j]
+
+
+def test_components_and_fences_on_rows_match_label_search(rng):
+    # continuous-map posets of random spaces and G-map posets of random
+    # partial actions: the row kernels against pairwise label comparisons
+    checked = 0
+    while checked < 30:
+        if checked % 2:
+            pa = _random_factor(rng, rng.choice([2, 3]))
+            try:
+                poset = enumerate_maps(pa.space, pa.space, equivariant=(pa, pa),
+                                       max_maps=300)
+            except BoundExceeded:
+                continue
+        else:
+            px, mx = random_preorder_space(rng, 4, prefix="x")
+            py, my = random_preorder_space(rng, 4, prefix="y")
+            poset = enumerate_maps(space_from_min_opens(px, mx),
+                                   space_from_min_opens(py, my), max_maps=300)
+        maps = list(poset.maps)
+        assert poset.components == label_components(maps)
+        for _ in range(5):
+            i, j = rng.randrange(len(maps)), rng.randrange(len(maps))
+            fence = poset.fence(i, j)
+            expected = label_fence(maps, i, j)
+            assert (fence is None) == (expected is None)
+            if fence is not None:
+                assert [f.assignment for f in fence] == [f.assignment for f in expected]
+        checked += 1
 
 
 def test_homotopy_is_equivalence_relation():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pact import (FinSpace, InternalCheckError, SpaceMap, Subgroup,
+from pact import (BoundExceeded, FinSpace, InternalCheckError, SpaceMap, Subgroup,
                   ValidationError, cyclic_group, diagonal_product,
                   discrete_space, enumerate_G_maps, fixed_points,
                   global_action, is_continuous, is_G_map, is_invariant,
@@ -14,7 +14,9 @@ from pact import (FinSpace, InternalCheckError, SpaceMap, Subgroup,
                   restrict_global, restrict_invariant, restrict_to_subgroup,
                   space_from_min_opens, trivial_action, validate_group,
                   validate_partial_action)
-from oracle import (brute_orbits, is_free, is_G_homeomorphism,
+from pact.finspace import column_masks
+from pact.paction import g_map_faults
+from oracle import (brute_orbits, is_free, is_G_homeomorphism, label_g_map_faults,
                     label_validate_partial_action, partial_action_violation,
                     random_preorder_space, theta_map)
 
@@ -126,8 +128,10 @@ def test_diagonal_product_universal_property():
     z2pair = fixture_pa("z2-pair")
     wedge = fixture_pa("z2-wedge")
     diag, (p1, p2) = diagonal_product([z2pair, z2pair])
-    cone_maps = enumerate_G_maps(wedge, z2pair)
-    pairing_maps = enumerate_G_maps(wedge, diag)
+    cone_maps = [SpaceMap.from_row(wedge.space, z2pair.space, row)
+                 for row in enumerate_G_maps(wedge, z2pair)]
+    pairing_maps = [SpaceMap.from_row(wedge.space, diag.space, row)
+                    for row in enumerate_G_maps(wedge, diag)]
     for f1 in cone_maps:
         for f2 in cone_maps:
             mediating = [h for h in pairing_maps
@@ -484,3 +488,30 @@ def test_index_table_checks_reach_pa1_and_pa2(rng):
                 seen.add((got[1], len(pa.space) > 64))
     assert {("theta-inverse-mismatch", False), ("theta-inverse-mismatch", True),
             ("pa2", False), ("pa2", True)} <= seen
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_g_map_faults_match_definitions(seed):
+    # random rows, G-map rows and one-point changes of G-map rows between
+    # random partial actions of one group, checked all at once on column
+    # masks against the definitions row by row
+    rng = random.Random(seed)
+    n = rng.choice([2, 3, 4])
+    pa_x = _random_factor(rng, n)
+    pa_y = pa_x if rng.random() < 0.3 else _random_factor(rng, n)
+    width, m = len(pa_x.space), len(pa_y.space)
+    try:
+        g_rows = enumerate_G_maps(pa_x, pa_y, max_maps=1000)
+    except BoundExceeded:
+        g_rows = []
+    picked = rng.sample(g_rows, min(len(g_rows), 10))
+    rows = [tuple(rng.randrange(m) for _ in range(width)) for _ in range(10)] + picked
+    for row in picked:
+        changed = list(row)
+        changed[rng.randrange(width)] = rng.randrange(m)
+        rows.append(tuple(changed))
+    rng.shuffle(rows)
+    assert (g_map_faults(column_masks(rows, width, m), pa_x.space, pa_y.space,
+                         pa_x.images, pa_y.images)
+            == label_g_map_faults(rows, pa_x, pa_y))

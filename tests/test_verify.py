@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 
 import pytest
@@ -235,10 +236,9 @@ def test_adjunction_claim_bounds():
     assert run_claim("adjunction", half).status == "holds"
 
 
-def z12_half_circle_document() -> dict:
-    """Z12 rotating the 24-point circle, restricted to the open half-circle
-    of arcs a0..a5 and the corners c1..c5 between them."""
-    n = 12
+def half_circle_document(n: int) -> dict:
+    """Z_n rotating the 2n-point circle, restricted to the open half-circle
+    of arcs a0..a_{n/2-1} and the corners c1..c_{n/2-1} between them."""
     opens = {f"a{i}": [f"a{i}"] for i in range(n)}
     opens.update({f"c{i}": [f"a{(i - 1) % n}", f"c{i}", f"a{i}"] for i in range(n)})
     half = [f"a{i}" for i in range(n // 2)] + [f"c{i}" for i in range(1, n // 2)]
@@ -248,7 +248,7 @@ def z12_half_circle_document() -> dict:
 
     domains = {str(g): [x for x in half if rotate(-g, x) in half] for g in range(n)}
     return {
-        "id": "z12-half-circle",
+        "id": f"z{n}-half-circle",
         "group": {"elements": [str(i) for i in range(n)],
                   "table": [[str((i + j) % n) for j in range(n)] for i in range(n)],
                   "identity": "0"},
@@ -265,7 +265,7 @@ def test_fixed_point_claims_enumerate_the_lattice_once(monkeypatch):
     import pact.algebra
     import pact.envelope
     import pact.verify
-    inst = parse_instance(z12_half_circle_document())
+    inst = parse_instance(half_circle_document(12))
     calls = {"all_subgroups": 0, "family_joins": 0}
 
     def counting(name, real):
@@ -290,6 +290,51 @@ def test_fixed_point_claims_enumerate_the_lattice_once(monkeypatch):
     assert report.status == "holds"
     assert report.witness["families_checked"] == 2 ** 6 - 1
     assert calls == {"all_subgroups": 1, "family_joins": 2 ** 6 - 1}
+
+
+def fence_document(length: int) -> dict:
+    """The fence x0 < y0 > x1 < ... > x_{length-1} (2 * length - 1 points)
+    with the trivial action of Z2, embedded in Z4 as {0, 2}."""
+    opens = {f"x{i}": [f"x{i}"] for i in range(length)}
+    opens.update({f"y{i}": [f"x{i}", f"y{i}", f"x{i + 1}"] for i in range(length - 1)})
+    points = list(opens)
+    z = {n: {"elements": [str(i) for i in range(n)],
+             "table": [[str((i + j) % n) for j in range(n)] for i in range(n)],
+             "identity": "0"} for n in (2, 4)}
+    return {
+        "id": f"fence{len(points)}-z2-in-z4",
+        "group": z[2],
+        "space": {"points": points, "min_open": opens},
+        "partial_action": {"domains": {"1": points}, "maps": {"1": {x: x for x in points}}},
+        "big_group": z[4],
+        "k_embedding": {"0": "0", "1": "2"},
+    }
+
+
+def test_homotopy_preservation_lifts_each_poset_at_once(monkeypatch):
+    import sys
+    import pact.envelope
+    import pact.paction
+    inst = parse_instance(fence_document(5))
+    calls = {"envelope_of_map": 0, "is_G_map": 0, "lift_maps": 0}
+    defined = {"envelope_of_map": pact.envelope, "is_G_map": pact.paction,
+               "lift_maps": pact.envelope}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        real = getattr(defined[name], name)
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "pact" and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting(name, real))
+    report = run_claim("homotopy-preservation", inst,
+                       dataclasses.replace(DEFAULT_BOUNDS, max_maps=16384))
+    assert report.status == "holds" and report.witness["g_maps"] > 1000
+    assert calls == {"envelope_of_map": 0, "is_G_map": 0, "lift_maps": 1}
 
 
 def test_generated_intersection_on_a_lattice_that_is_not_a_chain():
