@@ -15,7 +15,8 @@ class Bounds:
     max_maps: int = 4096         # cap on materialized map posets
 
     def with_limit(self, n: int) -> "Bounds":
-        """Set every size-type limit to n; search-node budgets stay as-is."""
+        """Set every size-type limit to n; the node budget and the map cap
+        (map_nodes, max_maps) stay as they are."""
         return replace(
             self,
             group_order=n,

@@ -7,25 +7,28 @@ Two independent routes build the same kind of object:
 * ``twisted_product`` quotients G x X by the orbits of the diagonal action
   of a subgroup K, with classes [g,x]_K = {(g k^-1, theta_k(x)) : k in K^x}.
 
-Both return an :class:`EnvelopeResult` carrying the quotient space, the
-global action mu, the projection p and the embedding iota, all of which are
-checked against the trusted invariants at construction time.  The
-comparison maps of the corollaries (products, iterated twists, trivial
-collapse) are built and *reported on*, never assumed to be homeomorphisms.
+Both hand the class masks of G x X to one assembly, which returns an
+:class:`EnvelopeResult` carrying the quotient space, the global action mu,
+the projection p and the embedding iota as index tables, all checked
+against the trusted invariants at construction time.  Labels are read off
+the tables only where text leaves the program.  The comparison maps of the
+corollaries (products, iterated twists, trivial collapse) are built and
+*reported on*, never assumed to be homeomorphisms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from operator import add
-from typing import Callable, Iterable, Mapping, Sequence
+from functools import reduce
+from operator import add, itemgetter, or_
+from typing import Callable, Sequence
 
 from .algebra import (Group, Subgroup, all_subgroups, conjugate_subgroup,
                       is_subgroup_embedding, subgroup_generated)
 from .errors import BoundExceeded, InternalCheckError, ValidationError
 from .finspace import (FinSpace, SpaceMap, bit_indices, column_masks, compose,
                        discrete_space, equivalence_classes, is_continuous,
-                       is_open, is_open_map, product, quotient)
+                       is_down_mask, is_open, monotonicity_violation, product,
+                       quotient_order, space_from_down_masks)
 from .homotopy import MapPoset
 from .paction import (PartialAction, diagonal_product, enumerate_G_maps,
                       fixed_points, g_map_faults, global_action, orbit_classes,
@@ -34,108 +37,89 @@ from .paction import (PartialAction, diagonal_product, enumerate_G_maps,
 
 @dataclass(frozen=True)
 class EnvelopeResult:
-    """A quotient G-space bundled with its action, projection and embedding.
+    """A quotient G-space with its action, projection and embedding, stored
+    as index tables.  Pair (g, x) of G x X is index g * |X| + x (element
+    index g of ``big_group``, point index x of ``base.space``), also its
+    point index in ``product_space``.  Class c, numbered by least member, is
+    ``total.points[c]``, labelled by its least member's pair label, which
+    keeps every downstream report deterministic.
 
-    ``classes`` sends each pair (g, x) to its class label; labels are the
-    pair label of the class's least member under the (element, point)
-    orderings, which keeps every downstream report deterministic.
-    ``members`` lists each label's pairs in that same order.  The index
-    tables ``pair_class``, ``member_pairs`` and ``action_rows`` are read
-    from ``classes``, ``members`` and ``action`` on first use.
+    ``pair_class[p]`` is the class of pair p (the projection),
+    ``members[c]`` the pairs of class c ascending, ``action_rows[g]`` mu_g as
+    an index row of the total space, and ``kstar`` the mask of K*X's pairs.
+    Labels are views, built where text leaves the program: ``embedding``,
+    ``to_document`` and ``as_global_action``.
     """
 
     base: PartialAction
     big_group: Group
-    total: FinSpace
-    action: Mapping[str, Mapping[str, str]]
-    projection: SpaceMap
-    embedding: SpaceMap
-    classes: Mapping[tuple[str, str], str]
     product_space: FinSpace
-    kstar: frozenset[str]
-    members: Mapping[str, tuple[tuple[str, str], ...]]
+    total: FinSpace
+    pair_class: tuple[int, ...]
+    members: tuple[tuple[int, ...], ...]
+    action_rows: tuple[tuple[int, ...], ...]
+    kstar: int
 
-    def class_of(self, g: str, x: str) -> str:
-        return self.classes[(g, x)]
+    @property
+    def embedding_row(self) -> tuple[int, ...]:
+        """iota as an index row: the class of (e, x) per point x."""
+        n = len(self.base.space)
+        start = self.big_group.index(self.big_group.identity) * n
+        return self.pair_class[start:start + n]
 
-    def members_of(self, label: str) -> tuple[tuple[str, str], ...]:
-        return self.members[label]
-
-    @cached_property
-    def pair_class(self) -> tuple[int, ...]:
-        """The total-point index of the class of each pair (g, x), at
-        g * |X| + x for element index g and point index x."""
-        index, classes = self.total._index, self.classes
-        return tuple(index[classes[(g, x)]]
-                     for g in self.big_group.elements for x in self.base.space.points)
-
-    @cached_property
-    def member_pairs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per total-point index, the class's members as (element index,
-        point index) pairs, in the order of ``members``."""
-        g_index, x_index = self.big_group.index, self.base.space.index
-        return tuple(tuple((g_index(g), x_index(x)) for g, x in self.members[c])
-                     for c in self.total.points)
-
-    @cached_property
-    def action_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Per element index g, mu_g as an index row of the total space."""
-        points, index = self.total.points, self.total._index
-        return tuple(tuple(map(index.__getitem__, map(self.action[g].__getitem__, points)))
-                     for g in self.big_group.elements)
-
-    def descend(self, f: Callable[[str, str], str]
-                ) -> tuple[tuple[str, ...], str | None]:
-        """The map on classes induced by f(g, x): per class in total-point
-        order, the one value f takes on the class's members, plus the first
-        class whose members disagree (None when the map is well defined).
-        A disagreeing class gets its least value, so a failing check still
-        yields a map to report."""
-        values = []
-        clash = None
-        for label in self.total.points:
-            seen = {f(g, x) for g, x in self.members[label]}
-            if len(seen) != 1 and clash is None:
-                clash = label
-            values.append(min(seen))
-        return tuple(values), clash
+    @property
+    def embedding(self) -> SpaceMap:
+        return SpaceMap.from_row(self.base.space, self.total, self.embedding_row)
 
     def embedding_image(self) -> frozenset[str]:
         return frozenset(self.embedding.assignment)
 
-    def mu(self, g: str, label: str) -> str:
-        return self.action[g][label]
-
-    def mu_map(self, g: str) -> SpaceMap:
-        table = self.action[g]
-        return SpaceMap(self.total, self.total,
-                        tuple(table[c] for c in self.total.points))
+    def descend(self, values: Sequence[int]) -> tuple[tuple[int, ...], int | None]:
+        """The map on classes induced by a map on pairs, given as its value
+        at each pair index: per class, the one value it takes on the
+        class's members, plus the first class whose members disagree (None
+        when the map is well defined).  A disagreeing class gets its least
+        value, so a failing check still yields a map to report."""
+        return _descend(self.pair_class, self.members, values)
 
     def as_global_action(self) -> PartialAction:
         """The enveloping action as a validated global PartialAction."""
-        thetas = {g: dict(self.action[g]) for g in self.big_group.elements}
+        points = self.total.points
+        thetas = {g: dict(zip(points, map(points.__getitem__, row)))
+                  for g, row in zip(self.big_group.elements, self.action_rows)}
         return global_action(self.big_group, self.total, thetas)
 
     def to_document(self) -> dict:
         """JSON-ready document: class table, opens of the total space,
         action table and embedding table."""
-        classes = {}
-        for label in self.total.points:
-            classes[label] = [[g, x] for g, x in self.members_of(label)]
-        order = {p: i for i, p in enumerate(self.total.points)}
+        elements, base_points = self.big_group.elements, self.base.space.points
+        n = len(base_points)
+        points = self.total.points
         return {
-            "group": list(self.big_group.elements),
-            "class_count": len(self.total),
-            "classes": classes,
+            "group": list(elements),
+            "class_count": len(points),
+            "classes": {c: [[elements[p // n], base_points[p % n]] for p in pairs]
+                        for c, pairs in zip(points, self.members)},
             "total": {
-                "points": list(self.total.points),
-                "min_open": {p: sorted(self.total.min_open_of(p), key=order.__getitem__)
-                             for p in self.total.points},
+                "points": list(points),
+                "min_open": {c: [points[i] for i in bit_indices(down)]
+                             for c, down in zip(points, self.total._down_masks)},
             },
-            "action": {g: {c: self.action[g][c] for c in self.total.points}
-                       for g in self.big_group.elements},
-            "embedding": {x: self.embedding(x) for x in self.base.space.points},
+            "action": {g: dict(zip(points, map(points.__getitem__, row)))
+                       for g, row in zip(elements, self.action_rows)},
+            "embedding": dict(zip(base_points, map(points.__getitem__, self.embedding_row))),
         }
+
+
+def _descend(pair_class: Sequence[int], members: Sequence[Sequence[int]],
+             values: Sequence[int]) -> tuple[tuple[int, ...], int | None]:
+    """:meth:`EnvelopeResult.descend` on the tables it reads."""
+    values = list(values)
+    out = list(map(values.__getitem__, map(itemgetter(0), members)))
+    if list(map(out.__getitem__, pair_class)) == values:
+        return tuple(out), None
+    least = tuple(min(map(values.__getitem__, pairs)) for pairs in members)
+    return least, min(c for c, v in zip(pair_class, values) if out[c] != v)
 
 
 def _product_with_group(big: Group, space: FinSpace, max_pairs: int) -> FinSpace:
@@ -147,87 +131,86 @@ def _product_with_group(big: Group, space: FinSpace, max_pairs: int) -> FinSpace
 
 
 def _assemble(pa: PartialAction, big: Group, prod: FinSpace,
-              class_sets: Sequence[frozenset[str]]) -> EnvelopeResult:
-    """Common tail of both constructions: name classes, build the quotient,
-    the action, the projection and the embedding, and assert the trusted
-    invariants."""
-    space = pa.space
-    k = pa.group
+              classes: Sequence[int]) -> EnvelopeResult:
+    """Common tail of both constructions.  From the class masks over pair
+    indices, ordered by least member, build the quotient, the action, the
+    projection and the embedding as index tables, and assert the trusted
+    invariants on them."""
+    space, k = pa.space, pa.group
+    n, pairs, count = len(space), len(prod), len(classes)
+    # (g, x) is below (g, y) iff x is below y, so the product's down-sets are
+    # the space's, shifted to each element's block of pairs
+    prod_down = [down << (g * n) for g in range(len(big)) for down in space._down_masks]
+    cls_of, below = quotient_order(prod_down, classes)
+    pair_class = tuple(cls_of)
+    members = tuple(tuple(bit_indices(m)) for m in classes)
+    labels = tuple(map(prod.points.__getitem__, map(itemgetter(0), members)))
+    total = space_from_down_masks(labels, below)
+    everything = (1 << count) - 1
 
-    def pair_of(label: str) -> tuple[str, str]:
-        gi, xi = divmod(prod.index(label), len(space))
-        return big.elements[gi], space.points[xi]
+    # mu_g sends the class of (h, y) to the class of (gh, y)
+    blocks = [p // n for p in range(pairs)]
+    action_rows = []
+    for g, row in enumerate(big.rows):
+        shift = [(row[h] - h) * n for h in range(len(big))]
+        moved = list(map(pair_class.__getitem__,
+                         map(add, range(pairs), map(shift.__getitem__, blocks))))
+        out, clash = _descend(pair_class, members, moved)
+        if clash is not None:
+            raise InternalCheckError(f"enveloping action not well defined at "
+                                     f"({big.elements[g]!r}, {labels[clash]!r})")
+        action_rows.append(out)
 
-    def label_of(g: str, x: str) -> str:
-        return prod.points[big.index(g) * len(space) + space.index(x)]
-
-    def name(cls: frozenset[str]) -> str:
-        return min(cls, key=prod.index)
-
-    total, proj = quotient(prod, class_sets, names=name)
-    classes = {pair_of(p): proj(p) for p in prod.points}
-    members_by_label: dict[str, list[tuple[str, str]]] = {c: [] for c in total.points}
-    for p in prod.points:
-        members_by_label[proj(p)].append(pair_of(p))
-    members = {c: tuple(pairs) for c, pairs in members_by_label.items()}
-
-    action: dict[str, dict[str, str]] = {}
-    for g in big.elements:
-        table: dict[str, str] = {}
-        for label in total.points:
-            targets = {classes[(big.mul(g, h), y)] for h, y in members[label]}
-            if len(targets) != 1:
-                raise InternalCheckError(
-                    f"enveloping action not well defined at ({g!r}, {label!r})")
-            table[label] = targets.pop()
-        action[g] = table
-
-    ident = action[big.identity]
-    if any(ident[c] != c for c in total.points):
+    if action_rows[big.index(big.identity)] != tuple(range(count)):
         raise InternalCheckError("mu_e is not the identity")
-    for g in big.elements:
-        for h in big.elements:
-            gh = big.mul(g, h)
-            if any(action[g][action[h][c]] != action[gh][c] for c in total.points):
-                raise InternalCheckError(f"mu is not an action at ({g!r}, {h!r})")
-    for g in big.elements:
-        m = SpaceMap(total, total, tuple(action[g][c] for c in total.points))
-        if not (m.is_bijective() and is_continuous(m) and is_continuous(m.inverse())):
-            raise InternalCheckError(f"mu_{g!r} is not a homeomorphism of the total space")
+    for g, row in enumerate(big.rows):
+        for h, gh in enumerate(row):
+            if tuple(map(action_rows[g].__getitem__, action_rows[h])) != action_rows[gh]:
+                raise InternalCheckError(f"mu is not an action at "
+                                         f"({big.elements[g]!r}, {big.elements[h]!r})")
+    for g, mu in enumerate(action_rows):
+        inverse = sorted(range(count), key=mu.__getitem__)
+        if not (len(set(mu)) == count
+                and monotonicity_violation(below, everything, mu, below) is None
+                and monotonicity_violation(below, everything, inverse, below) is None):
+            raise InternalCheckError(
+                f"mu_{big.elements[g]!r} is not a homeomorphism of the total space")
 
-    if not is_continuous(proj):
+    if monotonicity_violation(prod_down, (1 << pairs) - 1, pair_class, below) is not None:
         raise InternalCheckError("projection is not continuous")
-    if not is_open_map(proj):
+    class_bit = [1 << c for c in pair_class]
+    if not all(is_down_mask(below, reduce(or_, map(class_bit.__getitem__, bit_indices(u))))
+               for u in prod_down):
         raise InternalCheckError("projection is not open")
-    if set(proj.assignment) != set(total.points):
+    if len(set(pair_class)) != count:
         raise InternalCheckError("projection is not surjective")
 
-    e = big.identity
-    emb = SpaceMap(space, total, tuple(classes[(e, x)] for x in space.points))
-    if len(set(emb.assignment)) != len(space):
+    e = big.index(big.identity)
+    emb = pair_class[e * n:(e + 1) * n]
+    if len(set(emb)) != n:
         raise InternalCheckError("embedding is not injective")
-    if not is_continuous(emb):
+    if monotonicity_violation(space._down_masks, (1 << n) - 1, emb, below) is not None:
         raise InternalCheckError("embedding is not continuous")
 
-    kstar = frozenset(label_of(g, x)
-                      for g in k.elements for x in pa.domains[k.inv(g)])
-    image = frozenset(emb.assignment)
-    preimage = frozenset(p for p in prod.points if proj(p) in image)
+    kstar = sum(1 << (big.index(label) * n + x) for g, label in enumerate(k.elements)
+                for x in pa.domain_points[k.inverse_row[g]])
+    image = reduce(or_, map(class_bit.__getitem__, emb), 0)
+    preimage = reduce(or_, (1 << p for p, c in enumerate(pair_class) if image >> c & 1), 0)
     if preimage != kstar:
         raise InternalCheckError("p^-1(iota(X)) differs from K*X")
 
-    for g in k.elements:
-        for x in pa.domains[k.inv(g)]:
-            if action[g][emb(x)] != emb(pa.apply(g, x)):
+    for g, label in enumerate(k.elements):
+        mu, theta = action_rows[big.index(label)], pa.images[g]
+        for x in pa.domain_points[k.inverse_row[g]]:
+            if mu[emb[x]] != emb[theta[x]]:
                 raise InternalCheckError(
-                    f"action and embedding disagree at ({g!r}, {x!r})")
+                    f"action and embedding disagree at ({label!r}, {space.points[x]!r})")
 
-    covered = {action[g][c] for g in big.elements for c in image}
-    if covered != set(total.points):
+    if reduce(or_, (1 << mu[c] for mu in action_rows for c in bit_indices(image))) != everything:
         raise InternalCheckError("G.iota(X) does not cover the total space")
 
-    return EnvelopeResult(pa, big, total, action, proj, emb, classes, prod, kstar,
-                          members)
+    return EnvelopeResult(pa, big, prod, total, pair_class, members,
+                          tuple(action_rows), kstar)
 
 
 def globalize(pa: PartialAction, max_pairs: int = 256) -> EnvelopeResult:
@@ -240,7 +223,6 @@ def globalize(pa: PartialAction, max_pairs: int = 256) -> EnvelopeResult:
     g_grp = pa.group
     space = pa.space
     prod = _product_with_group(g_grp, space, max_pairs)
-    pairs = [(g, x) for g in g_grp.elements for x in space.points]
     # (g, x) is pair g * |X| + x; x lies in X_k iff theta_{k^-1} is defined at x
     n = len(space)
     rows, inverse_row = g_grp.rows, g_grp.inverse_row
@@ -254,8 +236,9 @@ def globalize(pa: PartialAction, max_pairs: int = 256) -> EnvelopeResult:
                 if y >= 0:
                     m |= 1 << (h * n + y)
             rel.append(m)
-    class_sets = [prod.set_of(c) for c in equivalence_classes(rel, "R", pairs)]
-    return _assemble(pa, g_grp, prod, class_sets)
+    classes = equivalence_classes(
+        rel, "R", lambda p: (g_grp.elements[p // n], space.points[p % n]))
+    return _assemble(pa, g_grp, prod, classes)
 
 
 def twisted_product(pa: PartialAction, big: Group,
@@ -278,12 +261,11 @@ def twisted_product(pa: PartialAction, big: Group,
                                max_points=len(big) * len(space))
     if diag.space != prod:
         raise InternalCheckError("diagonal product space differs from G x X")
-    class_sets = orbit_classes(diag)
+    classes = orbit_classes(diag)
     # (g, x) is product point g * |X| + x; class masks per product point
     n = len(space)
     class_mask = [0] * len(prod)
-    for cls in class_sets:
-        m = prod.mask_of(cls)
+    for m in classes:
         for p in bit_indices(m):
             class_mask[p] = m
     rows, inverse_row = big.rows, big.inverse_row
@@ -297,7 +279,7 @@ def twisted_product(pa: PartialAction, big: Group,
             if one_step != class_mask[g * n + x]:
                 raise InternalCheckError(f"one-step class of ({big.elements[g]!r}, "
                                          f"{space.points[x]!r}) differs from its orbit")
-    return _assemble(pa, big, prod, class_sets)
+    return _assemble(pa, big, prod, classes)
 
 
 def _right_translation(k_grp: Group, big: Group) -> PartialAction:
@@ -355,25 +337,19 @@ def lift_maps(poset: MapPoset, pa_x: PartialAction, pa_y: PartialAction,
     faults = discontinuous | non_equivariant
     first_fault = (faults & -faults).bit_length() - 1 if faults else len(poset.rows)
 
-    # Every member (g, x) of env_x's classes, flattened in class order: the
-    # class of (g, f(x)) in env_y is env_y.pair_class[offsets[p] + f(xs[p])].
-    width_y = len(pa_y.space)
-    offset = [env_y.big_group.index(g) * width_y for g in env_x.big_group.elements]
-    xs, offsets, owner, firsts = [], [], [], []
-    for c, pairs in enumerate(env_x.member_pairs):
-        firsts.append(len(xs))
-        for g, x in pairs:
-            xs.append(x)
-            offsets.append(offset[g])
-            owner.append(c)
+    # pair p = (g, x) of env_x goes to the class of (g, f(x)) in env_y,
+    # env_y.pair_class[offsets[p] + f(xs[p])]
+    width_x, width_y = len(pa_x.space), len(pa_y.space)
+    offsets = [env_y.big_group.index(g) * width_y
+               for g in env_x.big_group.elements for _ in range(width_x)]
+    xs = list(range(width_x)) * len(env_x.big_group)
     class_y = env_y.pair_class
     lifted: list[tuple[int, ...]] = []
     clash = None
     for row in poset.rows[:first_fault]:
-        values = list(map(class_y.__getitem__, map(add, offsets, map(row.__getitem__, xs))))
-        out = tuple(map(values.__getitem__, firsts))
-        if list(map(out.__getitem__, owner)) != values:
-            clash = next(c for c, v in zip(owner, values) if out[c] != v)
+        out, clash = env_x.descend(
+            list(map(class_y.__getitem__, map(add, offsets, map(row.__getitem__, xs)))))
+        if clash is not None:
             break
         lifted.append(out)
 
@@ -422,16 +398,18 @@ def recognize_globalization(pa_global: PartialAction, open_subset,
                       "uncovered": missing}
     restricted = restrict_global(pa_global, u)
     env = globalize(restricted, max_pairs)
-    values, clash = env.descend(pa_global.apply)
-    phi = SpaceMap(env.total, pa_global.space, values)
+    xs = list(map(pa_global.space.index, restricted.space.points))
+    values, clash = env.descend([image[x] for image in pa_global.images for x in xs])
+    phi = SpaceMap.from_row(env.total, pa_global.space, values)
     checks = {
         "well-defined": clash is None,
         "bijective": phi.is_bijective(),
         "continuous": is_continuous(phi),
         "inverse-continuous": phi.is_bijective() and is_continuous(phi.inverse()),
         "equivariant": all(
-            phi(env.action[g][c]) == pa_global.apply(g, phi(c))
-            for g in grp.elements for c in env.total.points),
+            values[mu[c]] == image[values[c]]
+            for mu, image in zip(env.action_rows, pa_global.images)
+            for c in range(len(env.total))),
     }
     status = "holds" if all(checks.values()) else "fails"
     report = {"status": status, "checks": checks,
@@ -504,8 +482,11 @@ def adjunction_maps(pa_x: PartialAction, pa_y: PartialAction,
         lam.append(idx)
 
     tau = []
+    y_points = pa_y.space.points
     for f in k_maps:
-        assignment, clash = env.descend(lambda g, x: pa_y.apply(g, f(x)))
+        row = f.row()
+        values, clash = env.descend([image[y] for image in pa_y.images for y in row])
+        assignment = tuple(map(y_points.__getitem__, values))
         if clash is not None:
             checks["tau-well-defined"] = False
         idx = g_index.get(assignment)
@@ -585,13 +566,16 @@ def product_comparison(pa_1: PartialAction, pa_2: PartialAction,
     env_d = twisted_product(diag, big, max_pairs)
     env_1 = twisted_product(pa_1, big, max_pairs)
     env_2 = twisted_product(pa_2, big, max_pairs)
-    target, q1, q2 = product(env_1.total, env_2.total,
-                             max_points=len(env_1.total) * len(env_2.total))
-    back = {(q1(p), q2(p)): p for p in target.points}
-
+    target, _, _ = product(env_1.total, env_2.total,
+                           max_points=len(env_1.total) * len(env_2.total))
+    # target point ([g,x1], [g,x2]) is index [g,x1] * |G x_K X2| + [g,x2]
+    width = len(env_2.total)
+    n_1, n_2 = len(pa_1.space), len(pa_2.space)
+    row_1, row_2 = rho_1.row(), rho_2.row()
     values, clash = env_d.descend(
-        lambda g, pt: back[(env_1.class_of(g, rho_1(pt)), env_2.class_of(g, rho_2(pt)))])
-    cmp_map = SpaceMap(env_d.total, target, values)
+        [env_1.pair_class[g * n_1 + x1] * width + env_2.pair_class[g * n_2 + x2]
+         for g in range(len(big)) for x1, x2 in zip(row_1, row_2)])
+    cmp_map = SpaceMap.from_row(env_d.total, target, values)
 
     hit = set(cmp_map.assignment)
     unhit = [p for p in target.points if p not in hit]
@@ -600,14 +584,10 @@ def product_comparison(pa_1: PartialAction, pa_2: PartialAction,
         collisions.setdefault(cmp_map(c), []).append(c)
     collision_pair = next((v for v in collisions.values() if len(v) > 1), None)
 
-    equivariant = True
-    for g in big.elements:
-        for c in env_d.total.points:
-            moved = cmp_map(env_d.action[g][c])
-            img = cmp_map(c)
-            expected = back[(env_1.action[g][q1(img)], env_2.action[g][q2(img)])]
-            if moved != expected:
-                equivariant = False
+    equivariant = all(
+        values[mu_d[c]] == mu_1[v // width] * width + mu_2[v % width]
+        for mu_d, mu_1, mu_2 in zip(env_d.action_rows, env_1.action_rows, env_2.action_rows)
+        for c, v in enumerate(values))
     checks = {
         "well-defined": clash is None,
         "continuous": is_continuous(cmp_map),
@@ -651,35 +631,40 @@ def iterated_twist_comparison(pa: PartialAction, big: Group | None = None,
     outer_1 = twisted_product(inner_global, big, max_pairs)
     outer_2 = twisted_product(pa, big, max_pairs)
 
-    m_table = {}
+    # m[g, [h, x]] = [gh, x], descended through inner's classes for each g
+    # and then through outer_1's
+    points = len(pa.space)
+    k_in_big = list(map(big.index, k_grp.elements))
+    m_table: list[int] = []
     m_well = True
-    for label in outer_1.total.points:
-        targets = set()
-        for g, inner_label in outer_1.members_of(label):
-            for h, x in inner.members_of(inner_label):
-                targets.add(outer_2.class_of(big.mul(g, h), x))
-        if len(targets) != 1:
-            m_well = False
-        m_table[label] = sorted(targets)[0]
-    m = SpaceMap(outer_1.total, outer_2.total,
-                 tuple(m_table[c] for c in outer_1.total.points))
+    for row in big.rows:
+        values, clash = inner.descend([outer_2.pair_class[row[h] * points + x]
+                                       for h in k_in_big for x in range(points)])
+        m_table += values
+        m_well = m_well and clash is None
+    m_values, m_clash = outer_1.descend(m_table)
+    m = SpaceMap.from_row(outer_1.total, outer_2.total, m_values)
 
-    e = k_grp.identity
-    n_values, n_clash = outer_2.descend(
-        lambda g, x: outer_1.class_of(g, inner.class_of(e, x)))
-    n = SpaceMap(outer_2.total, outer_1.total, n_values)
+    # n[g, x] = [g, [e, x]]
+    width = len(inner.total)
+    n_values, n_clash = outer_2.descend([outer_1.pair_class[g * width + c]
+                                         for g in range(len(big)) for c in inner.embedding_row])
+    n = SpaceMap.from_row(outer_2.total, outer_1.total, n_values)
+
+    def equivariant(f, source, target):
+        return all(f[mu_s[c]] == mu_t[f[c]]
+                   for mu_s, mu_t in zip(source.action_rows, target.action_rows)
+                   for c in range(len(f)))
 
     checks = {
-        "m-well-defined": m_well,
+        "m-well-defined": m_well and m_clash is None,
         "n-well-defined": n_clash is None,
         "m-continuous": is_continuous(m),
         "n-continuous": is_continuous(n),
-        "m-equivariant": all(m(outer_1.action[g][c]) == outer_2.action[g][m(c)]
-                             for g in big.elements for c in outer_1.total.points),
-        "n-equivariant": all(n(outer_2.action[g][c]) == outer_1.action[g][n(c)]
-                             for g in big.elements for c in outer_2.total.points),
-        "m-after-n-is-identity": all(m(n(c)) == c for c in outer_2.total.points),
-        "n-after-m-is-identity": all(n(m(c)) == c for c in outer_1.total.points),
+        "m-equivariant": equivariant(m_values, outer_1, outer_2),
+        "n-equivariant": equivariant(n_values, outer_2, outer_1),
+        "m-after-n-is-identity": all(m_values[c] == i for i, c in enumerate(n_values)),
+        "n-after-m-is-identity": all(n_values[c] == i for i, c in enumerate(m_values)),
     }
     status = "holds" if all(checks.values()) else "fails"
     report = {"status": status, "checks": checks,
@@ -700,8 +685,8 @@ def trivial_collapse(pa: PartialAction, big: Group | None = None,
         raise ValidationError("not-trivial", bad, "collapse needs a trivial action")
     big = big or pa.group
     env = twisted_product(pa, big, max_pairs)
-    values, clash = env.descend(lambda g, x: x)
-    delta = SpaceMap(env.total, pa.space, values)
+    values, clash = env.descend(list(range(len(pa.space))) * len(big))
+    delta = SpaceMap.from_row(env.total, pa.space, values)
     collisions: dict[str, list[str]] = {}
     for c in env.total.points:
         collisions.setdefault(delta(c), []).append(c)
@@ -732,22 +717,16 @@ def trivial_collapse(pa: PartialAction, big: Group | None = None,
     return delta, report
 
 
-def _fixed_sets(env: EnvelopeResult) -> Callable[[Iterable[str]], int]:
-    """fixed(members): the mask of total points that mu_k fixes for every k
-    in ``members``, from one moved-point mask per element."""
-    index = env.total._index
-    moved = {}
-    for k, act in env.action.items():
-        m = 0
-        for c, d in act.items():
-            if c != d:
-                m |= 1 << index[c]
-        moved[k] = m
+def _fixed_sets(env: EnvelopeResult) -> Callable[[int], int]:
+    """fixed(mask): the mask of total points that mu_k fixes for every k
+    whose element index is set in ``mask``, from one moved-point mask per
+    element."""
+    moved = [sum(1 << c for c, d in enumerate(mu) if c != d) for mu in env.action_rows]
     full = (1 << len(env.total)) - 1
 
-    def fixed(members: Iterable[str]) -> int:
+    def fixed(mask: int) -> int:
         m = 0
-        for k in members:
+        for k in bit_indices(mask):
             m |= moved[k]
         return full & ~m
     return fixed
@@ -756,23 +735,23 @@ def _fixed_sets(env: EnvelopeResult) -> Callable[[Iterable[str]], int]:
 def fixed_identities(pa: PartialAction, h: Subgroup,
                      env: EnvelopeResult) -> tuple[dict, dict]:
     """Identities 1 and 2 of :func:`fixed_decomposition` for one subgroup H,
-    as its ``decomposition`` and ``embedded_fixed`` documents."""
+    as its ``decomposition`` and ``embedded_fixed`` documents; ``env`` is
+    the globalization of ``pa``."""
     grp = pa.group
     if h.parent != grp:
         raise ValidationError("group-mismatch", (), "subgroup of a different group")
     total = env.total
-    image = total.mask_of(env.embedding.assignment)
+    emb = env.embedding_row
+    image = reduce(or_, (1 << c for c in emb))
     fixed = _fixed_sets(env)
 
-    lhs_1 = fixed(h.members)
+    lhs_1 = fixed(h.mask)
     rhs_1 = 0
-    for g in grp.elements:
-        conj = conjugate_subgroup(h, g)
-        act = env.action[g]
-        for c in bit_indices(fixed(conj.members) & image):
-            rhs_1 |= 1 << total.index(act[total.points[c]])
+    for g, mu in zip(grp.elements, env.action_rows):
+        for c in bit_indices(fixed(conjugate_subgroup(h, g).mask) & image):
+            rhs_1 |= 1 << mu[c]
 
-    lhs_2 = total.mask_of(env.embedding(x) for x in fixed_points(pa, h))
+    lhs_2 = reduce(or_, (1 << emb[pa.space.index(x)] for x in fixed_points(pa, h)), 0)
     rhs_2 = lhs_1 & image
 
     def labels(mask: int) -> list[str]:
@@ -795,9 +774,9 @@ def generated_intersection(pa: PartialAction, env: EnvelopeResult,
     ``group_order`` elements."""
     grp = pa.group
     subs = all_subgroups(grp, group_order)
-    image = env.total.mask_of(env.embedding.assignment)
+    image = reduce(or_, (1 << c for c in env.embedding_row))
     fixed = _fixed_sets(env)
-    fixed_in_image = [fixed(k.members) & image for k in subs]
+    fixed_in_image = [fixed(k.mask) & image for k in subs]
     families: list[tuple[int, ...]] = []
     if 2 ** len(subs) - 1 <= max_families:
         for mask in range(1, 2 ** len(subs)):
@@ -813,7 +792,7 @@ def generated_intersection(pa: PartialAction, env: EnvelopeResult,
             inter &= fixed_in_image[i]
             union |= subs[i].mask
         generated = subgroup_generated(grp, grp.labels_of(union))
-        if inter != fixed(generated.members) & image:
+        if inter != fixed(generated.mask) & image:
             holds = False
             if witness is None:
                 witness = [sorted(subs[i].members) for i in family]

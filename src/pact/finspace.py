@@ -130,6 +130,12 @@ def space_from_min_opens(points: Sequence[str],
     return space
 
 
+def space_from_down_masks(points: Sequence[str], down: Sequence[int]) -> FinSpace:
+    """The space on ``points`` with down-set masks ``down`` (trusted)."""
+    return FinSpace(tuple(points), tuple(frozenset(map(points.__getitem__, bit_indices(m)))
+                                         for m in down))
+
+
 def discrete_space(points: Sequence[str]) -> FinSpace:
     return space_from_min_opens(points, {p: [p] for p in points})
 
@@ -366,14 +372,13 @@ def split_pair_label(label: str) -> tuple[str, str] | None:
     return None
 
 
-def quotient(space: FinSpace, classes: Iterable[Iterable[str]],
-             names: Callable[[frozenset[str]], str] | None = None
+def quotient(space: FinSpace, classes: Iterable[Iterable[str]]
              ) -> tuple[FinSpace, SpaceMap]:
     """Quotient by a partition; preorder is the transitive closure of the
     induced relation, so the opens are exactly {A : preimage of A open}.
 
     Classes are ordered by their least member (in source point order) and
-    named by their lexicographically least member unless ``names`` is given.
+    named by their lexicographically least member.
     """
     sets = [frozenset(c) for c in classes]
     seen: dict[str, int] = {}
@@ -389,54 +394,63 @@ def quotient(space: FinSpace, classes: Iterable[Iterable[str]],
         missing = next(p for p in space.points if p not in seen)
         raise ValidationError("not-a-partition", (missing,), f"{missing!r} not covered")
 
-    sets.sort(key=lambda c: min(space.index(x) for x in c))
-    labels = [names(c) if names else min(c) for c in sets]
+    masks = sorted(map(space.mask_of, sets), key=lambda m: m & -m)
+    cls_of, below = quotient_order(space._down_masks, masks)
+    labels = [min(map(space.points.__getitem__, bit_indices(m))) for m in masks]
     if len(set(labels)) != len(labels):
         raise ValidationError("duplicate-point", (), "class labels collide")
-    cls_of = {x: k for k, cls in enumerate(sets) for x in cls}
-    cls_bit = [1 << cls_of[x] for x in space.points]
+    qspace = space_from_down_masks(labels, below)
+    return qspace, SpaceMap(space, qspace, tuple(map(labels.__getitem__, cls_of)))
 
-    n = len(sets)
-    below = [1 << k for k in range(n)]
-    for y, mask in zip(space.points, space._down_masks):
-        ky = cls_of[y]
+
+def quotient_order(down: Sequence[int], classes: Sequence[int]
+                   ) -> tuple[list[int], list[int]]:
+    """The integer core of every quotient: for a partition of the points of
+    a space with down-set masks ``down`` into the index masks ``classes``,
+    the class index of each point and, per class, the mask of the classes
+    below it in the transitive closure of the induced relation (which makes
+    them the down-set masks of the quotient).
+    """
+    cls_of = [0] * len(down)
+    for k, mask in enumerate(classes):
         for i in bit_indices(mask):
-            below[ky] |= cls_bit[i]
+            cls_of[i] = k
+    below = []
+    for k, mask in enumerate(classes):
+        reach = reduce(or_, map(down.__getitem__, bit_indices(mask)))
+        below.append(reduce(or_, (1 << cls_of[i] for i in bit_indices(reach)), 1 << k))
     changed = True
     while changed:
         changed = False
-        for k in range(n):
-            acc = below[k]
-            for i in bit_indices(acc):
+        for k, m in enumerate(below):
+            acc = m
+            for i in bit_indices(m):
                 acc |= below[i]
-            if acc != below[k]:
+            if acc != m:
                 below[k] = acc
                 changed = True
-    opens = [frozenset(map(labels.__getitem__, bit_indices(m))) for m in below]
-    qspace = FinSpace(tuple(labels), tuple(opens))
-    proj = SpaceMap(space, qspace, tuple(labels[cls_of[x]] for x in space.points))
-    return qspace, proj
+    return cls_of, below
 
 
 def equivalence_classes(rel: Sequence[int], name: str,
-                        labels: Sequence[object]) -> list[int]:
+                        label: Callable[[int], object]) -> list[int]:
     """Classes of a relation given as one bitmask of related indices per
     index, checked exhaustively to be an equivalence relation.
 
     Returns the class masks ordered by least member.  A failed reflexivity,
     symmetry or transitivity check raises InternalCheckError naming the
-    relation and the offending ``labels``.
+    relation and the offending indices through ``label``.
     """
     for i, row in enumerate(rel):
         if not row & (1 << i):
-            raise InternalCheckError(f"{name} not reflexive at {labels[i]!r}")
+            raise InternalCheckError(f"{name} not reflexive at {label(i)!r}")
         for j in bit_indices(row):
             if not rel[j] & (1 << i):
                 raise InternalCheckError(
-                    f"{name} not symmetric at ({labels[i]!r}, {labels[j]!r})")
+                    f"{name} not symmetric at ({label(i)!r}, {label(j)!r})")
             if rel[j] & ~row:
                 raise InternalCheckError(
-                    f"{name} not transitive through ({labels[i]!r}, {labels[j]!r})")
+                    f"{name} not transitive through ({label(i)!r}, {label(j)!r})")
     classes = []
     covered = 0
     for i, row in enumerate(rel):

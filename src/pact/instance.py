@@ -9,7 +9,8 @@ Schema (top level):
      "big_group": {...},          # optional, same shape as "group"
      "k_embedding": {k: g},       # optional, needs "big_group"
      "subgroups": {name: [...]},  # optional
-     "maps": {name: {x: y}}}      # optional named endomorphism tables
+     "maps": {name: {x: y}}}      # optional named endomorphism tables,
+                                  # validated but not kept
 
 The identity element's domain and map may be omitted (defaulted to the whole
 space and the identity function); other missing elements default to the
@@ -41,7 +42,6 @@ class Instance:
     big_group: Group | None = None
     k_embedding: Mapping[str, str] | None = None
     subgroups: Mapping[str, Subgroup] = field(default_factory=dict)
-    named_maps: Mapping[str, SpaceMap] = field(default_factory=dict)
     embedded_pa: PartialAction = None  # type: ignore[assignment]
 
     @property
@@ -210,7 +210,6 @@ def parse_instance(source: str | Path | Mapping) -> Instance:
             except ValidationError as exc:
                 raise InstanceError(f"subgroups.{name}", str(exc)) from exc
 
-    named_maps: dict[str, SpaceMap] = {}
     if "maps" in doc:
         if not isinstance(doc["maps"], dict):
             raise InstanceError("maps", "expected an object")
@@ -221,12 +220,12 @@ def parse_instance(source: str | Path | Mapping) -> Instance:
                 if not isinstance(y, str):
                     raise InstanceError(f"maps.{name}", f"image of {x!r} is not a string")
             try:
-                named_maps[name] = SpaceMap.from_dict(space, space, table)
+                SpaceMap.from_dict(space, space, table)
             except ValidationError as exc:
                 raise InstanceError(f"maps.{name}", str(exc)) from exc
 
     return Instance(instance_id, group, space, pa, big_group, k_embedding,
-                    subgroups, named_maps, embedded_pa)
+                    subgroups, embedded_pa)
 
 
 def _relabel_action(pa: PartialAction, embedding: Mapping[str, str],

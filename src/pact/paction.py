@@ -371,20 +371,20 @@ def fixed_points(pa: PartialAction, k: Subgroup) -> frozenset[str]:
                      if all(image[i] == i for image in images))
 
 
-def orbit_classes(pa: PartialAction) -> list[frozenset[str]]:
-    """Orbits G^x . x; the orbit relation is verified to be an equivalence."""
-    pts = pa.space.points
-    rel = [0] * len(pts)
+def orbit_classes(pa: PartialAction) -> list[int]:
+    """Orbits G^x . x as point masks, ordered by least member; the orbit
+    relation is verified to be an equivalence."""
+    rel = [0] * len(pa.space)
     for image in pa.images:
         for i, j in enumerate(image):
             if j >= 0:
                 rel[i] |= 1 << j
-    return [pa.space.set_of(c) for c in equivalence_classes(rel, "orbit relation", pts)]
+    return equivalence_classes(rel, "orbit relation", pa.space.points.__getitem__)
 
 
 def orbit_space(pa: PartialAction) -> OrbitSpace:
     """The orbit space X/G with its (continuous, open, surjective) projection."""
-    classes = orbit_classes(pa)
+    classes = list(map(pa.space.set_of, orbit_classes(pa)))
     qspace, proj = quotient(pa.space, classes)
     if not is_continuous(proj):
         raise InternalCheckError("orbit projection is not continuous")
@@ -392,9 +392,7 @@ def orbit_space(pa: PartialAction) -> OrbitSpace:
         raise InternalCheckError("orbit projection is not open")
     if set(proj.assignment) != set(qspace.points):
         raise InternalCheckError("orbit projection is not surjective")
-    ordered = sorted((frozenset(c) for c in classes),
-                     key=lambda c: min(pa.space.index(x) for x in c))
-    return OrbitSpace(pa, qspace, proj, tuple(ordered))
+    return OrbitSpace(pa, qspace, proj, tuple(classes))
 
 
 def is_invariant(pa: PartialAction, s: Iterable[str], k: Subgroup) -> bool:

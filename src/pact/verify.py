@@ -19,9 +19,10 @@ from .envelope import (EnvelopeResult, adjunction_maps, fixed_identities,
                        product_comparison, recognize_globalization,
                        trivial_collapse, twisted_product)
 from .errors import BoundExceeded, ValidationError
-from .finspace import (SpaceMap, discrete_space, is_closed, is_continuous,
-                       is_open, is_open_map, is_T1, pair_label,
-                       space_from_min_opens, split_pair_label, subspace)
+from .finspace import (SpaceMap, bit_indices, discrete_space, is_closed,
+                       is_continuous, is_down_mask, is_open, is_open_map, is_T1,
+                       pair_label, space_from_min_opens, split_pair_label,
+                       subspace)
 from .homotopy import (enumerate_maps, is_G_contractible,
                        is_locally_G_contractible)
 from .instance import Instance
@@ -35,9 +36,10 @@ Check = Callable[[Instance, Bounds], tuple[str, dict]]
 
 def _restrict_action_to_k(env: EnvelopeResult, pa: PartialAction) -> PartialAction:
     """The enveloping action restricted to K, keyed by K's own group object."""
-    pts = list(env.total.points)
+    pts = env.total.points
     domains = {k: pts for k in pa.group.elements}
-    thetas = {k: dict(env.action[k]) for k in pa.group.elements}
+    thetas = {k: dict(zip(pts, map(pts.__getitem__, env.action_rows[env.big_group.index(k)])))
+              for k in pa.group.elements}
     return validate_partial_action(pa.group, env.total, domains, thetas)
 
 
@@ -94,11 +96,14 @@ def _claim_twist_eq_glob(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
     pa = inst.embedded_pa
     env_g = globalize(pa, bounds.envelope_pairs)
     env_t = twisted_product(pa, pa.group, bounds.envelope_pairs)
+    # both are quotients of the same G x X with classes numbered and named
+    # by least member: equal class tables mean equal partitions and labels
+    same_classes = env_g.pair_class == env_t.pair_class
     checks = {
-        "same-class-partition": env_g.classes == env_t.classes,
-        "same-projection": env_g.projection.assignment == env_t.projection.assignment,
-        "same-action": {g: dict(t) for g, t in env_g.action.items()}
-                       == {g: dict(t) for g, t in env_t.action.items()},
+        "same-class-partition": same_classes,
+        "same-projection": same_classes,
+        "same-action": (env_g.total.points == env_t.total.points
+                        and env_g.action_rows == env_t.action_rows),
     }
     status = HOLDS if all(checks.values()) else FAILS
     witness = {"checks": checks, "classes": len(env_g.total),
@@ -115,8 +120,9 @@ def _claim_iota_k(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
     image = env.embedding_image()
     res_k = _restrict_action_to_k(env, pa)
     onto = SpaceMap(pa.space, subspace(env.total, image), emb.assignment)
-    kstar_open = is_open(env.product_space, env.kstar)
-    kstar_closed = is_closed(env.product_space, env.kstar)
+    pair_down = env.product_space._down_masks
+    kstar_open = is_down_mask(pair_down, env.kstar)
+    kstar_closed = is_down_mask(pair_down, ((1 << len(pair_down)) - 1) & ~env.kstar)
     checks = {
         "injective": len(set(emb.assignment)) == len(pa.space),
         "k-isovariant": is_isovariant(emb, pa, res_k),
@@ -136,15 +142,14 @@ def _claim_iota_k(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
 def _claim_preimage(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
     pa = inst.embedded_pa
     env = twisted_product(pa, inst.big, bounds.envelope_pairs)
-    image = env.embedding_image()
-    preimage = frozenset(p for p in env.product_space.points
-                         if env.projection(p) in image)
+    image = set(env.embedding_row)
+    preimage = sum(1 << p for p, c in enumerate(env.pair_class) if c in image)
     holds = preimage == env.kstar
-    order = env.product_space.index
-    witness = {"kstar": sorted(env.kstar, key=order), "classes": len(env.total)}
+    pairs = env.product_space.points
+    witness = {"kstar": [pairs[p] for p in bit_indices(env.kstar)], "classes": len(env.total)}
     if not holds:
         witness["reason"] = "preimage of the embedded image differs from K*X"
-        witness["difference"] = sorted(preimage ^ env.kstar, key=order)
+        witness["difference"] = [pairs[p] for p in bit_indices(preimage ^ env.kstar)]
     return (HOLDS if holds else FAILS), witness
 
 
@@ -173,7 +178,8 @@ def _claim_adjunction(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
         result = adjunction_maps(pa, pa_y, big,
                                  max_space=bounds.hom_space,
                                  max_group=bounds.hom_group,
-                                 node_budget=bounds.map_nodes)
+                                 node_budget=bounds.map_nodes,
+                                 max_pairs=bounds.envelope_pairs)
         ran[name] = {"g_maps": result.report["g_maps"],
                      "k_maps": result.report["k_maps"],
                      "status": result.report["status"]}

@@ -8,7 +8,8 @@ is evidence, not tautology.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping
 
 from pact.errors import InternalCheckError, ValidationError
 from pact.finspace import is_open, monotonicity_violation
@@ -665,7 +666,7 @@ def globalization_document(pa) -> dict:
 def brute_members(env, label: str) -> list[tuple[str, str]]:
     """The pairs (g, x) in class ``label``, found by scanning the whole class
     table and sorting in (element, point) order."""
-    pairs = [gx for gx, lab in env.classes.items() if lab == label]
+    pairs = [gx for gx, lab in label_view(env).classes.items() if lab == label]
     pairs.sort(key=lambda gx: (env.big_group.index(gx[0]),
                                env.base.space.index(gx[1])))
     return pairs
@@ -728,7 +729,8 @@ def label_envelope_of_map(f, pa_x, pa_y, big=None, env_x=None, env_y=None,
         env_x = twisted_product(pa_x, big, max_pairs)
     if env_y is None:
         env_y = twisted_product(pa_y, big, max_pairs)
-    values, clash = env_x.descend(lambda g, x: env_y.class_of(g, f(x)))
+    view_x, view_y = label_view(env_x), label_view(env_y)
+    values, clash = view_x.descend(lambda g, x: view_y.class_of(g, f(x)))
     if clash is not None:
         raise InternalCheckError(f"induced map not well defined at {clash!r}")
     out = SpaceMap(env_x.total, env_y.total, values)
@@ -736,7 +738,7 @@ def label_envelope_of_map(f, pa_x, pa_y, big=None, env_x=None, env_y=None,
         raise InternalCheckError("induced map is not continuous")
     for g in big.elements:
         for c in env_x.total.points:
-            if env_y.action[g][out(c)] != out(env_x.action[g][c]):
+            if view_y.action[g][out(c)] != out(view_x.action[g][c]):
                 raise InternalCheckError("induced map is not equivariant")
     return out
 
@@ -978,3 +980,226 @@ def find_homeomorphism(a, b, max_points: int = 24):
     if not search():
         return None
     return SpaceMap(a, b, tuple(b.points[j] for j in assigned))
+
+
+# ---------------------------------------------------------------------------
+# envelopes on labels: the reference for the integer assembly
+
+@dataclass(frozen=True)
+class LabelEnvelope:
+    """An envelope as label dicts, the form ``pact.envelope`` computed on
+    before it moved to index tables.  ``label_assemble`` builds one from
+    class label sets; ``label_view`` reads one off an ``EnvelopeResult``."""
+
+    base: object
+    big_group: object
+    total: object
+    action: Mapping[str, Mapping[str, str]]
+    projection: object
+    embedding: object
+    classes: Mapping[tuple[str, str], str]
+    product_space: object
+    kstar: frozenset[str]
+    members: Mapping[str, tuple[tuple[str, str], ...]]
+
+    def class_of(self, g: str, x: str) -> str:
+        return self.classes[(g, x)]
+
+    def members_of(self, label: str) -> tuple[tuple[str, str], ...]:
+        return self.members[label]
+
+    def descend(self, f: Callable[[str, str], str]
+                ) -> tuple[tuple[str, ...], str | None]:
+        """The map on classes induced by f(g, x): per class in total-point
+        order, the one value f takes on the class's members, plus the first
+        class whose members disagree (None when the map is well defined).
+        A disagreeing class gets its least value, so a failing check still
+        yields a map to report."""
+        values = []
+        clash = None
+        for label in self.total.points:
+            seen = {f(g, x) for g, x in self.members[label]}
+            if len(seen) != 1 and clash is None:
+                clash = label
+            values.append(min(seen))
+        return tuple(values), clash
+
+    def to_document(self) -> dict:
+        """JSON-ready document: class table, opens of the total space,
+        action table and embedding table."""
+        classes = {}
+        for label in self.total.points:
+            classes[label] = [[g, x] for g, x in self.members_of(label)]
+        order = {p: i for i, p in enumerate(self.total.points)}
+        return {
+            "group": list(self.big_group.elements),
+            "class_count": len(self.total),
+            "classes": classes,
+            "total": {
+                "points": list(self.total.points),
+                "min_open": {p: sorted(self.total.min_open_of(p), key=order.__getitem__)
+                             for p in self.total.points},
+            },
+            "action": {g: {c: self.action[g][c] for c in self.total.points}
+                       for g in self.big_group.elements},
+            "embedding": {x: self.embedding(x) for x in self.base.space.points},
+        }
+
+
+def label_quotient(space, classes, names=None):
+    """Quotient by a partition, on label sets, with the transitive closure
+    walked class by class; classes are ordered by least member and named
+    by ``names`` (default: the lexicographically least member)."""
+    from pact import FinSpace, SpaceMap
+    from pact.finspace import bit_indices
+
+    sets = [frozenset(c) for c in classes]
+    seen: dict[str, int] = {}
+    for k, cls in enumerate(sets):
+        if not cls:
+            raise ValidationError("not-a-partition", (), "empty class")
+        for x in cls:
+            space.index(x)
+            if x in seen:
+                raise ValidationError("not-a-partition", (x,), f"{x!r} appears in two classes")
+            seen[x] = k
+    if len(seen) != len(space):
+        missing = next(p for p in space.points if p not in seen)
+        raise ValidationError("not-a-partition", (missing,), f"{missing!r} not covered")
+
+    sets.sort(key=lambda c: min(space.index(x) for x in c))
+    labels = [names(c) if names else min(c) for c in sets]
+    if len(set(labels)) != len(labels):
+        raise ValidationError("duplicate-point", (), "class labels collide")
+    cls_of = {x: k for k, cls in enumerate(sets) for x in cls}
+    cls_bit = [1 << cls_of[x] for x in space.points]
+
+    n = len(sets)
+    below = [1 << k for k in range(n)]
+    for y, mask in zip(space.points, space._down_masks):
+        ky = cls_of[y]
+        for i in bit_indices(mask):
+            below[ky] |= cls_bit[i]
+    changed = True
+    while changed:
+        changed = False
+        for k in range(n):
+            acc = below[k]
+            for i in bit_indices(acc):
+                acc |= below[i]
+            if acc != below[k]:
+                below[k] = acc
+                changed = True
+    opens = [frozenset(map(labels.__getitem__, bit_indices(m))) for m in below]
+    qspace = FinSpace(tuple(labels), tuple(opens))
+    proj = SpaceMap(space, qspace, tuple(labels[cls_of[x]] for x in space.points))
+    return qspace, proj
+
+
+def label_assemble(pa, big, prod, class_sets) -> LabelEnvelope:
+    """Common tail of both constructions, on labels: name classes, build the
+    quotient, the action, the projection and the embedding, and assert the
+    trusted invariants.  The reference for ``pact.envelope._assemble``."""
+    from pact import SpaceMap, is_continuous, is_open_map
+
+    space = pa.space
+    k = pa.group
+
+    def pair_of(label: str) -> tuple[str, str]:
+        gi, xi = divmod(prod.index(label), len(space))
+        return big.elements[gi], space.points[xi]
+
+    def label_of(g: str, x: str) -> str:
+        return prod.points[big.index(g) * len(space) + space.index(x)]
+
+    def name(cls: frozenset[str]) -> str:
+        return min(cls, key=prod.index)
+
+    total, proj = label_quotient(prod, class_sets, names=name)
+    classes = {pair_of(p): proj(p) for p in prod.points}
+    members_by_label: dict[str, list[tuple[str, str]]] = {c: [] for c in total.points}
+    for p in prod.points:
+        members_by_label[proj(p)].append(pair_of(p))
+    members = {c: tuple(pairs) for c, pairs in members_by_label.items()}
+
+    action: dict[str, dict[str, str]] = {}
+    for g in big.elements:
+        table: dict[str, str] = {}
+        for label in total.points:
+            targets = {classes[(big.mul(g, h), y)] for h, y in members[label]}
+            if len(targets) != 1:
+                raise InternalCheckError(
+                    f"enveloping action not well defined at ({g!r}, {label!r})")
+            table[label] = targets.pop()
+        action[g] = table
+
+    ident = action[big.identity]
+    if any(ident[c] != c for c in total.points):
+        raise InternalCheckError("mu_e is not the identity")
+    for g in big.elements:
+        for h in big.elements:
+            gh = big.mul(g, h)
+            if any(action[g][action[h][c]] != action[gh][c] for c in total.points):
+                raise InternalCheckError(f"mu is not an action at ({g!r}, {h!r})")
+    for g in big.elements:
+        m = SpaceMap(total, total, tuple(action[g][c] for c in total.points))
+        if not (m.is_bijective() and is_continuous(m) and is_continuous(m.inverse())):
+            raise InternalCheckError(f"mu_{g!r} is not a homeomorphism of the total space")
+
+    if not is_continuous(proj):
+        raise InternalCheckError("projection is not continuous")
+    if not is_open_map(proj):
+        raise InternalCheckError("projection is not open")
+    if set(proj.assignment) != set(total.points):
+        raise InternalCheckError("projection is not surjective")
+
+    e = big.identity
+    emb = SpaceMap(space, total, tuple(classes[(e, x)] for x in space.points))
+    if len(set(emb.assignment)) != len(space):
+        raise InternalCheckError("embedding is not injective")
+    if not is_continuous(emb):
+        raise InternalCheckError("embedding is not continuous")
+
+    kstar = frozenset(label_of(g, x)
+                      for g in k.elements for x in pa.domains[k.inv(g)])
+    image = frozenset(emb.assignment)
+    preimage = frozenset(p for p in prod.points if proj(p) in image)
+    if preimage != kstar:
+        raise InternalCheckError("p^-1(iota(X)) differs from K*X")
+
+    for g in k.elements:
+        for x in pa.domains[k.inv(g)]:
+            if action[g][emb(x)] != emb(pa.apply(g, x)):
+                raise InternalCheckError(
+                    f"action and embedding disagree at ({g!r}, {x!r})")
+
+    covered = {action[g][c] for g in big.elements for c in image}
+    if covered != set(total.points):
+        raise InternalCheckError("G.iota(X) does not cover the total space")
+
+    return LabelEnvelope(pa, big, total, action, proj, emb, classes, prod, kstar,
+                         members)
+
+
+def label_view(env) -> LabelEnvelope:
+    """The label dicts of an ``EnvelopeResult``, read off its index tables."""
+    from pact import SpaceMap
+    from pact.finspace import bit_indices
+
+    elements, points = env.big_group.elements, env.base.space.points
+    labels, prod = env.total.points, env.product_space
+    n = len(points)
+
+    def pair(p: int) -> tuple[str, str]:
+        return elements[p // n], points[p % n]
+
+    return LabelEnvelope(
+        env.base, env.big_group, env.total,
+        {g: {c: labels[d] for c, d in zip(labels, row)}
+         for g, row in zip(elements, env.action_rows)},
+        SpaceMap.from_row(prod, env.total, env.pair_class),
+        env.embedding,
+        {pair(p): labels[c] for p, c in enumerate(env.pair_class)},
+        prod,
+        frozenset(prod.points[p] for p in bit_indices(env.kstar)),
+        {c: tuple(map(pair, pairs)) for c, pairs in zip(labels, env.members)})

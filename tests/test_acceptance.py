@@ -24,7 +24,7 @@ from pact.cli import main as cli_main
 from oracle import (brute_globalization_classes, brute_opens,
                     brute_twisted_classes, envelopes_G_homotopic,
                     find_homeomorphism,
-                    globalization_document, group_violation,
+                    globalization_document, group_violation, label_view,
                     homotopy_from_fence, interval_homotopy_exists,
                     partial_action_violation, preimage_continuous,
                     random_partition, random_preorder_space,
@@ -204,10 +204,11 @@ def test_acceptance_2_z2_pair_globalization():
     pa = load_fixture("z2-pair").pa
     env = globalize(pa)
     assert len(env.total) == 3
-    a_class = env.class_of("0", "a")
-    b0, b1 = env.class_of("0", "b"), env.class_of("1", "b")
-    assert env.action["1"][a_class] == a_class
-    assert env.action["1"][b0] == b1 and env.action["1"][b1] == b0
+    view = label_view(env)
+    a_class = view.class_of("0", "a")
+    b0, b1 = view.class_of("0", "b"), view.class_of("1", "b")
+    assert view.action["1"][a_class] == a_class
+    assert view.action["1"][b0] == b1 and view.action["1"][b1] == b0
     # iota is an open embedding
     image = env.embedding_image()
     assert is_open(env.total, image)
@@ -249,8 +250,9 @@ def test_acceptance_4_twisted_products():
         pa = load_fixture(name).embedded_pa
         env_g = globalize(pa)
         env_t = twisted_product(pa, pa.group)
-        assert env_g.classes == env_t.classes
-        assert env_g.projection.assignment == env_t.projection.assignment
+        view_g, view_t = label_view(env_g), label_view(env_t)
+        assert view_g.classes == view_t.classes
+        assert view_g.projection.assignment == view_t.projection.assignment
 
     z4 = cyclic_group(4)
     k = Subgroup(z4, frozenset({"0", "2"})).as_group()
@@ -267,7 +269,8 @@ def test_acceptance_4_twisted_products():
         {g: inst.embedded_pa.domains[g] for g in inst.embedded_pa.group.elements},
         {g: dict(inst.embedded_pa.thetas[g]) for g in inst.embedded_pa.group.elements})
     assert len(oracle) == 6
-    got = {frozenset(env.members_of(c)) for c in env.total.points}
+    view = label_view(env)
+    got = {frozenset(view.members_of(c)) for c in env.total.points}
     assert got == set(oracle)
 
     # preimage identity, exhaustively, on every fixture
@@ -275,9 +278,10 @@ def test_acceptance_4_twisted_products():
         inst = load_fixture(name)
         env = twisted_product(inst.embedded_pa, inst.big)
         image = env.embedding_image()
+        view = label_view(env)
         preimage = {p for p in env.product_space.points
-                    if env.projection(p) in image}
-        assert preimage == set(env.kstar)
+                    if view.projection(p) in image}
+        assert preimage == set(view.kstar)
     passed(4, "twisted products: K=G coincides with globalization on all 9 "
               "fixtures; Z4 x_{0,2} pt has 2 points; z4-from-z2-pair has 6 "
               "classes per the oracle; preimage identity exhaustive")
@@ -414,7 +418,7 @@ def test_acceptance_8_homotopy():
 
     # bundled homotopic pairs
     wid = SpaceMap.identity(wedge.space)
-    wconst = wedge.named_maps["const-w"]
+    wconst = SpaceMap.constant(wedge.space, wedge.space, "w")
     assert are_G_homotopic(wid, wconst, wedge.pa, wedge.pa)
     assert envelopes_G_homotopic(wid, wconst, wedge.pa, wedge.pa)
     pt = load_fixture("pt").pa

@@ -331,3 +331,25 @@ def test_bound_flag_reaches_the_subgroup_lattice(tmp_path, capsys):
     decomposition = json.loads(capsys.readouterr().out)["decomposition"]
     assert decomposition["status"] == "holds"
     assert decomposition["generated_intersection"]["families_checked"] == 2 ** 8 - 1
+
+
+def test_bound_flag_reaches_the_adjunction_envelope(tmp_path, capsys):
+    # Z65 acting trivially on a 4-point chain: G x X has 260 pairs, past the
+    # default envelope bound of 256; --bound must lift it for the twisted
+    # product that the adjunction builds, not only for the claim's own
+    n = 65
+    elements = [str(i) for i in range(n)]
+    points = ["p0", "p1", "p2", "p3"]
+    doc = {"id": "z65-chain",
+           "group": {"elements": elements,
+                     "table": [[str((i + j) % n) for j in range(n)] for i in range(n)],
+                     "identity": "0"},
+           "space": {"points": points,
+                     "min_open": {p: points[:i + 1] for i, p in enumerate(points)}},
+           "partial_action": {"domains": {g: points for g in elements},
+                              "maps": {g: {p: p for p in points} for g in elements}}}
+    path = tmp_path / "z65.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "adjunction", str(path), "--json", "--bound", "1000"]) == 0
+    report = json.loads(capsys.readouterr().out)[0]
+    assert report["status"] == "holds", report

@@ -18,11 +18,13 @@ from pact import (BoundExceeded, InternalCheckError, MapPoset, SpaceMap, Subgrou
                   recognize_globalization, restrict_to_subgroup,
                   space_from_min_opens, trivial_action, trivial_collapse, twisted_product,
                   validate_group)
-from pact.envelope import lift_maps
+from pact.envelope import _assemble, lift_maps
+from pact.finspace import bit_indices
 from oracle import (brute_globalization_classes, brute_members,
                     brute_twisted_classes, find_homeomorphism,
                     globalization_document as oracle_document,
-                    is_G_homeomorphism, label_envelope_of_map, label_lift_rows)
+                    is_G_homeomorphism, LabelEnvelope, label_assemble,
+                    label_envelope_of_map, label_lift_rows, label_view)
 from test_paction import _random_factor, random_rotation_action
 
 
@@ -41,10 +43,11 @@ def test_z2_pair_globalization_matches_oracle_byte_for_byte():
     pa = fixture_pa("z2-pair")
     env = globalize(pa)
     assert len(env.total) == 3
-    a_class = env.class_of("0", "a")
-    b0, b1 = env.class_of("0", "b"), env.class_of("1", "b")
-    assert env.action["1"][a_class] == a_class
-    assert env.action["1"][b0] == b1 and env.action["1"][b1] == b0
+    view = label_view(env)
+    a_class = view.class_of("0", "a")
+    b0, b1 = view.class_of("0", "b"), view.class_of("1", "b")
+    assert view.action["1"][a_class] == a_class
+    assert view.action["1"][b0] == b1 and view.action["1"][b1] == b0
     assert env.embedding("a") == a_class and env.embedding("b") == b0
     assert is_open(env.total, env.embedding_image())
     assert json.dumps(env.to_document(), sort_keys=True) == \
@@ -71,7 +74,7 @@ def test_global_actions_globalize_to_themselves():
 
 
 def test_z4_arcs_globalization_structure():
-    env = globalize(fixture_pa("z4-arcs"))
+    env = label_view(globalize(fixture_pa("z4-arcs")))
     assert len(env.total) == 24
     sizes = sorted(len(env.members_of(c)) for c in env.total.points)
     # 16 corner singletons, 2+2 classes over a1/a3, 4 classes pairing a0/a2
@@ -93,10 +96,10 @@ def test_twisted_equals_globalization_at_full_subgroup():
         pa = fixture_pa(name)
         env_g = globalize(pa)
         env_t = twisted_product(pa, pa.group)
-        assert env_g.classes == env_t.classes
-        assert env_g.projection.assignment == env_t.projection.assignment
-        assert {g: dict(t) for g, t in env_g.action.items()} == \
-            {g: dict(t) for g, t in env_t.action.items()}
+        view_g, view_t = label_view(env_g), label_view(env_t)
+        assert view_g.classes == view_t.classes
+        assert view_g.projection.assignment == view_t.projection.assignment
+        assert view_g.action == view_t.action
 
 
 def test_twisted_point_over_proper_subgroup_is_coset_space():
@@ -110,7 +113,7 @@ def test_twisted_point_over_proper_subgroup_is_coset_space():
 
 def test_twisted_z4_from_z2_pair_classes():
     inst = load_fixture("z4-from-z2-pair")
-    env = twisted_product(inst.embedded_pa, inst.big)
+    env = label_view(twisted_product(inst.embedded_pa, inst.big))
     assert len(env.total) == 6
     over_a = [c for c in env.total.points
               if {x for _, x in env.members_of(c)} == {"a"}]
@@ -147,8 +150,8 @@ def test_envelope_bounds_and_precondition_errors():
 
 def test_preimage_identity_and_kstar():
     inst = load_fixture("z4-from-z2-pair")
-    env = twisted_product(inst.embedded_pa, inst.big)
-    image = env.embedding_image()
+    env = label_view(twisted_product(inst.embedded_pa, inst.big))
+    image = frozenset(env.embedding.assignment)
     preimage = {p for p in env.product_space.points if env.projection(p) in image}
     assert preimage == set(env.kstar)
     assert env.kstar == {pair_label("0", "a"), pair_label("0", "b"),
@@ -166,7 +169,7 @@ def test_envelope_of_map_examples():
     env_pt = globalize(pt)
     bang = SpaceMap.constant(z2pair.space, pt.space, "x")
     collapsed = envelope_of_map(bang, z2pair, pt, env_x=env, env_y=env_pt)
-    assert set(collapsed.assignment) == {env_pt.class_of("0", "x")}
+    assert set(collapsed.assignment) == {label_view(env_pt).class_of("0", "x")}
 
     collapse = SpaceMap.from_dict(z2pair.space, z2pair.space, {"a": "a", "b": "a"})
     e_collapse = envelope_of_map(collapse, z2pair, z2pair, env_x=env, env_y=env)
@@ -207,9 +210,10 @@ def test_envelope_functoriality_over_proper_subgroup():
                              env_x=env, env_y=env)
     assert compose(e_collapse, e_collapse).assignment == e_comp.assignment
     # the induced map is equivariant for the big group on the 6-class total
+    action = label_view(env).action
     for g in big.elements:
         for c in env.total.points:
-            assert env.action[g][e_collapse(c)] == e_collapse(env.action[g][c])
+            assert action[g][e_collapse(c)] == e_collapse(action[g][c])
 
 
 def test_recognition_of_z4_half_inside_circle():
@@ -379,9 +383,10 @@ def test_fixed_decomposition_on_z4_arcs():
     assert report["embedded_fixed"]["holds"]
     assert report["generated_intersection"]["holds"]
     # direct set computation of X_G[H]
+    action = label_view(env).action
     expected = sorted(
         (c for c in env.total.points
-         if all(env.action[k][c] == c for k in ("0", "2"))),
+         if all(action[k][c] == c for k in ("0", "2"))),
         key=env.total.index)
     assert report["decomposition"]["fixed_in_total"] == expected
     assert expected  # the a1/a3 classes are fixed by {0,2}
@@ -445,7 +450,8 @@ def test_twisted_products_match_oracle_on_random_subgroup_actions(rng):
             list(res.group.elements), list(res.space.points),
             {g: res.domains[g] for g in res.group.elements},
             {g: dict(res.thetas[g]) for g in res.group.elements})
-        got = {frozenset(env.members_of(c)) for c in env.total.points}
+        view = label_view(env)
+        got = {frozenset(view.members_of(c)) for c in env.total.points}
         assert got == set(oracle)
         checked += 1
     assert checked == 15
@@ -461,7 +467,7 @@ def test_empty_domain_globalizes_to_disjoint_copies():
     assert len(env.total) == 4  # no identifications at all
     image = env.embedding_image()
     assert is_open(env.total, image)
-    moved = {env.action["1"][c] for c in image}
+    moved = {label_view(env).action["1"][c] for c in image}
     assert moved == set(env.total.points) - image
     _, report = trivial_collapse(pa)  # empty theta_1 is vacuously trivial
     assert report["status"] == "fails"
@@ -502,14 +508,16 @@ def test_envelope_invariants_exercised_on_all_fixtures():
                  "z4-circle", "z4-half", "z4-arcs", "z4-from-z2-pair"]:
         inst = load_fixture(name)
         env = globalize(inst.embedded_pa)
-        covered = {env.action[g][c] for g in env.big_group.elements
+        action = label_view(env).action
+        covered = {action[g][c] for g in env.big_group.elements
                    for c in env.embedding_image()}
         assert covered == set(env.total.points)
         env_t = twisted_product(inst.embedded_pa, inst.big)
-        assert set(env_t.classes.values()) == set(env_t.total.points)
+        assert set(label_view(env_t).classes.values()) == set(env_t.total.points)
         for e in (env, env_t):
+            view = label_view(e)
             for c in e.total.points:
-                assert list(e.members_of(c)) == brute_members(e, c), (name, c)
+                assert list(view.members_of(c)) == brute_members(e, c), (name, c)
 
 
 # ---------------------------------------------------------------------------
@@ -573,16 +581,17 @@ def _corrupted_lift(rng, kinds):
             if stray is not None:
                 rows.insert(rng.randint(0, len(rows)), stray)
         elif kind == "class-table" and len(env_y.total) > 1:
-            classes = dict(env_y.classes)
-            pair = rng.choice(sorted(classes))
-            classes[pair] = rng.choice([c for c in env_y.total.points if c != classes[pair]])
-            env_y = dataclasses.replace(env_y, classes=classes)
+            classes = list(env_y.pair_class)
+            pair = rng.randrange(len(classes))
+            classes[pair] = rng.choice([c for c in range(len(env_y.total))
+                                        if c != classes[pair]])
+            env_y = dataclasses.replace(env_y, pair_class=tuple(classes))
         elif kind == "action-row" and len(env_y.total) > 1:
-            action = {g: dict(table) for g, table in env_y.action.items()}
-            g = rng.choice([g for g in big.elements if g != big.identity])
-            a, b = rng.sample(list(env_y.total.points), 2)
+            action = [list(row) for row in env_y.action_rows]
+            g = rng.choice([g for g in range(len(big)) if g != big.index(big.identity)])
+            a, b = rng.sample(range(len(env_y.total)), 2)
             action[g][a], action[g][b] = action[g][b], action[g][a]
-            env_y = dataclasses.replace(env_y, action=action)
+            env_y = dataclasses.replace(env_y, action_rows=tuple(map(tuple, action)))
     return pa_x, pa_y, env_x, env_y, big, rows
 
 
@@ -657,12 +666,14 @@ def test_batch_lift_raises_for_the_first_failing_row():
                                  {"a": ["a"], "b": ["b"], "c": ["a", "b", "c"]})
     pa = restrict_to_subgroup(trivial_action(z2, space), Subgroup(z2, frozenset({"0"})))
     env = twisted_product(pa, z2)
-    classes = dict(env.classes)
-    classes[("0", "c")] = classes[("0", "a")]
-    action = {g: dict(table) for g, table in env.action.items()}
-    a0, b0 = classes[("0", "a")], classes[("0", "b")]
-    action["1"][a0], action["1"][b0] = action["1"][b0], action["1"][a0]
-    env_y = dataclasses.replace(env, classes=classes, action=action)
+    # pairs (0, a), (0, b), (0, c) are indices 0, 1, 2
+    classes = list(env.pair_class)
+    classes[2] = classes[0]
+    action = [list(row) for row in env.action_rows]
+    a0, b0 = classes[0], classes[1]
+    action[1][a0], action[1][b0] = action[1][b0], action[1][a0]
+    env_y = dataclasses.replace(env, pair_class=tuple(classes),
+                                action_rows=tuple(map(tuple, action)))
     constant, identity = (0, 0, 0), (0, 1, 2)
     for rows, message in (([constant, identity], "induced map is not equivariant"),
                           ([identity, constant], "induced map is not continuous")):
@@ -671,3 +682,124 @@ def test_batch_lift_raises_for_the_first_failing_row():
         assert got == ("InternalCheckError", message)
         assert got == _lift_outcome(lambda: label_lift_rows(space, space, rows, pa, pa,
                                                             env, env_y, z2))
+
+
+# ---------------------------------------------------------------------------
+# the integer assembly against the label assembly
+
+def _assembly_case(rng):
+    """A random partial action of Z_n and its envelope: the globalization
+    (K = G), or the twisted product over Z_n of the action's restriction to
+    a random subgroup K, proper or the whole group."""
+    pa = _random_factor(rng, rng.choice([2, 3, 4, 6]))
+    if rng.random() < 0.4:
+        return pa, globalize(pa)
+    res = restrict_to_subgroup(pa, rng.choice(all_subgroups(pa.group)))
+    return res, twisted_product(res, pa.group)
+
+
+def _brute_class_sets(pa, big):
+    """The classes of G x X as product-point label sets, from the
+    brute-force relation closures."""
+    raw = (list(pa.space.points), {g: pa.domains[g] for g in pa.group.elements},
+           {g: dict(pa.thetas[g]) for g in pa.group.elements})
+    table = [list(row) for row in big.table]
+    if pa.group == big:
+        classes = brute_globalization_classes(list(big.elements), table, big.identity, *raw)
+    else:
+        classes = brute_twisted_classes(list(big.elements), table, big.identity,
+                                        list(pa.group.elements), *raw)
+    return [frozenset(pair_label(g, x) for g, x in cls) for cls in classes]
+
+
+def _descend_tables(rng, env):
+    """A well-defined value table on the pairs and a random one."""
+    m = rng.randint(1, 5)
+    per_class = [rng.randrange(m) for _ in env.members]
+    return [per_class[c] for c in env.pair_class], \
+        [rng.randrange(m) for _ in env.pair_class]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_integer_assembly_matches_label_assembly(seed):
+    rng = random.Random(seed)
+    pa, env = _assembly_case(rng)
+    big = env.big_group
+    ref = label_assemble(pa, big, env.product_space, _brute_class_sets(pa, big))
+    assert label_view(env) == ref
+    assert json.dumps(env.to_document()) == json.dumps(ref.to_document())
+    # descend: values named so that label order is index order
+    names = [f"v{i:03d}" for i in range(8)]
+    n = len(pa.space)
+    for values in _descend_tables(rng, env):
+        got, clash = env.descend(values)
+        want = ref.descend(lambda g, x: names[values[big.index(g) * n + pa.space.index(x)]])
+        assert (tuple(names[v] for v in got),
+                None if clash is None else env.total.points[clash]) == want
+
+
+def _corrupted_partition(rng, env):
+    """env's class masks with two classes merged or one class split in two,
+    ordered by least member; None when there is nothing to merge or split."""
+    masks = [sum(1 << p for p in pairs) for pairs in env.members]
+    if rng.random() < 0.5:
+        if len(masks) < 2:
+            return None
+        i, j = sorted(rng.sample(range(len(masks)), 2))
+        masks[i] |= masks.pop(j)
+    else:
+        splittable = [i for i, m in enumerate(masks) if m.bit_count() > 1]
+        if not splittable:
+            return None
+        i = rng.choice(splittable)
+        pairs = bit_indices(masks[i])
+        rng.shuffle(pairs)
+        cut = rng.randint(1, len(pairs) - 1)
+        masks[i] = sum(1 << p for p in pairs[:cut])
+        masks.append(sum(1 << p for p in pairs[cut:]))
+    return sorted(masks, key=lambda m: m & -m)
+
+
+def _assembly_outcome(run):
+    try:
+        env = run()
+    except InternalCheckError as exc:
+        return "InternalCheckError", str(exc)
+    return "envelope", env if isinstance(env, LabelEnvelope) else label_view(env)
+
+
+def _compare_corrupted_assembly(rng):
+    """Both assemblies of one corrupted partition raise the same error, or
+    build the same envelope; returns the outcome (None: no corruption)."""
+    pa, env = _assembly_case(rng)
+    masks = _corrupted_partition(rng, env)
+    if masks is None:
+        return None
+    big, prod = env.big_group, env.product_space
+    got = _assembly_outcome(lambda: _assemble(pa, big, prod, masks))
+    want = _assembly_outcome(lambda: label_assemble(pa, big, prod,
+                                                    [prod.set_of(m) for m in masks]))
+    assert got == want
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_corrupted_partitions_fail_as_in_label_assembly(seed):
+    _compare_corrupted_assembly(random.Random(seed))
+
+
+def test_corrupted_partitions_reach_every_reachable_check(rng):
+    # merging or splitting classes breaks the action's well-definedness,
+    # the projection's openness, the embedding's injectivity or the
+    # preimage identity; the other checks of _assemble hold on any
+    # partition that passes those (mu is then induced by a homeomorphism of
+    # G x X, and G.iota(X) covers every class)
+    seen = set()
+    for _ in range(300):
+        got = _compare_corrupted_assembly(rng)
+        if got is not None and got[0] == "InternalCheckError":
+            seen.add(got[1].split(" at ")[0])
+    assert seen == {"enveloping action not well defined", "projection is not open",
+                    "embedding is not injective", "p^-1(iota(X)) differs from K*X"}
