@@ -31,8 +31,8 @@ from .paction import (OrbitSpace, PartialAction, diagonal_product,
                       orbit_classes, orbit_space, restrict_global,
                       restrict_invariant, restrict_to_subgroup,
                       trivial_action, validate_partial_action)
-from .report import (FAILS, HOLDS, PRECONDITION_UNMET, SKIPPED_BOUNDS,
-                     ClaimReport)
+from .report import (FAILS, HOLDS, INTERNAL_ERROR, PRECONDITION_UNMET,
+                     SKIPPED_BOUNDS, ClaimReport)
 from .verify import (claim_ids, exit_code, replay_witness, run_all,
                      run_claim, split_diagonal_factors)
 

@@ -59,6 +59,21 @@ class Group:
         except KeyError:
             raise _unknown(a)
 
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set as element indices, greedy in element order:
+        each element not in the subgroup generated by those before it is
+        added.  Every element is a product of these (no inverses needed in
+        a finite group)."""
+        start = self._index[self.identity]
+        gens: list[int] = []
+        mask = 1 << start
+        for g in range(len(self.elements)):
+            if not mask >> g & 1:
+                gens.append(g)
+                mask = _closure(self.rows, start, gens)
+        return tuple(gens)
+
     def labels_of(self, mask: int) -> tuple[str, ...]:
         """The elements whose index bits are set in ``mask``, in element order."""
         return tuple(self.elements[i] for i in bit_indices(mask))
@@ -191,8 +206,13 @@ def subgroup_generated(group: Group, gens: Iterable[str]) -> Subgroup:
     right multiplication by the generators over the product rows (in a
     finite group that closure is already closed under inverses)."""
     steps = [group.index(g) for g in gens]
-    rows = group.rows
-    start = group.index(group.identity)
+    mask = _closure(group.rows, group.index(group.identity), steps)
+    return Subgroup(group, frozenset(group.labels_of(mask)))
+
+
+def _closure(rows: Sequence[Sequence[int]], start: int, steps: Sequence[int]) -> int:
+    """The mask of the elements reached from ``start`` by right
+    multiplication by ``steps``, over the product rows."""
     mask = 1 << start
     frontier = [start]
     while frontier:
@@ -202,7 +222,7 @@ def subgroup_generated(group: Group, gens: Iterable[str]) -> Subgroup:
             if not mask >> p & 1:
                 mask |= 1 << p
                 frontier.append(p)
-    return Subgroup(group, frozenset(group.labels_of(mask)))
+    return mask
 
 
 def conjugate_subgroup(subgroup: Subgroup, g: str) -> Subgroup:

@@ -1,7 +1,9 @@
 """Command-line front end: instance parsing, dispatch, fixtures, reports.
 
 Exit codes: 0 all requested checks hold, 1 at least one claim fails,
-2 invalid input or an unmet operation precondition.
+2 invalid input or an unmet operation precondition, 3 a trusted invariant
+failed (a claim reported internal-error, or a command raised
+InternalCheckError): a bug in pact, not in the input.
 """
 from __future__ import annotations
 
@@ -12,12 +14,12 @@ from pathlib import Path
 
 from .bounds import DEFAULT_BOUNDS
 from .envelope import fixed_decomposition, globalize, twisted_product
-from .errors import PactError
+from .errors import InternalCheckError, PactError
 from .fixtures import fixture_dict, fixture_names, fixture_text
 from .homotopy import core, is_contractible, is_G_contractible, is_locally_G_contractible
 from .instance import Instance, parse_instance
 from .paction import fixed_points, orbit_space, restrict_to_subgroup
-from .report import FAILS, HOLDS
+from .report import FAILS, HOLDS, INTERNAL_ERROR
 from .verify import claim_ids, exit_code, run_all, run_claim
 
 
@@ -176,8 +178,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
             print(rep.render())
         failed = sum(1 for rep in reports if rep.status == FAILS)
         held = sum(1 for rep in reports if rep.status == HOLDS)
+        broken = sum(1 for rep in reports if rep.status == INTERNAL_ERROR)
         print(f"-- {held} hold, {failed} fail, "
-              f"{len(reports) - held - failed} not applicable/skipped")
+              f"{len(reports) - held - failed - broken} not applicable/skipped"
+              + (f", {broken} internal-error" if broken else ""))
     return exit_code(reports)
 
 
@@ -274,6 +278,9 @@ def main(argv: list[str] | None = None) -> int:
         else DEFAULT_BOUNDS.with_limit(args.bound)
     try:
         return args.func(args)
+    except InternalCheckError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except PactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

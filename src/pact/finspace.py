@@ -15,9 +15,21 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .errors import BoundExceeded, InternalCheckError, ValidationError
 
 
+# Masks wider than this many bits are walked as text: each step of the
+# bit-clearing loop costs time linear in the width, so that loop is quadratic.
+WIDE_MASK_BITS = 1024
+
+
 def bit_indices(mask: int) -> list[int]:
     """Indices of the set bits of ``mask``, ascending."""
     out = []
+    if mask.bit_length() > WIDE_MASK_BITS:
+        digits = bin(mask)[:1:-1]  # least significant digit first, no "0b"
+        i = digits.find("1")
+        while i >= 0:
+            out.append(i)
+            i = digits.find("1", i + 1)
+        return out
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)

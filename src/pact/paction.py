@@ -9,7 +9,7 @@ homeomorphism theta_g : X_{g^-1} -> X_g, subject to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import Group, Subgroup
@@ -23,7 +23,14 @@ from .finspace import (FinSpace, SpaceMap, _search_maps, bit_indices, compose,
 
 @dataclass(frozen=True)
 class PartialAction:
-    """Validated partial action; construct through validate_partial_action."""
+    """A partial action whose axioms have been checked.
+
+    Parsed input is built by :func:`validate_partial_action`, the full
+    validator.  The actions pact builds itself come from constructions that
+    certify them instead: :func:`global_action` on a generating set,
+    :func:`diagonal_product` coordinate by coordinate, and
+    :func:`restrict_to_subgroup` by reusing the parent's tables.
+    """
 
     group: Group
     space: FinSpace
@@ -246,10 +253,62 @@ def validate_partial_action(group: Group, space: FinSpace,
 
 def global_action(group: Group, space: FinSpace,
                   thetas: Mapping[str, Mapping[str, str]]) -> PartialAction:
-    """Convenience: validate a global action (all domains are the full space)."""
-    allpts = list(space.points)
-    return validate_partial_action(group, space,
-                                   {g: allpts for g in group.elements}, thetas)
+    """A global action (every domain is the whole space), certified on the
+    group's generating set S (``Group.generators``) instead of validated.
+
+    After the label checks (a table per element, each total on X, every
+    value a known point) the certificate checks that theta_e is the
+    identity, that theta_s is monotone for s in S, and that
+    theta_s . theta_g = theta_sg for s in S and every g.  Every element is
+    a word in S, so induction on its length gives theta_g . theta_h =
+    theta_gh for all g and h; hence theta_g . theta_{g^-1} = theta_e is the
+    identity (PA1 and bijectivity), and each theta_g is a composite of
+    monotone maps.  That is O(|S| |G| |X|) work against the validator's
+    O(|G|^2 |X|).  When the certificate fails, the full validator runs, so
+    the ValidationError and its witness are the validator's; if the
+    validator passes instead, the certificate is wrong and
+    InternalCheckError is raised.
+    """
+    images = _global_certificate(group, space, thetas)
+    if images is None:
+        validate_partial_action(group, space,
+                                {g: space.points for g in group.elements}, thetas)
+        raise InternalCheckError("the global-action certificate failed "
+                                 "but the full validator passed")
+    allpts = frozenset(space.points)
+    return PartialAction(group, space, {g: allpts for g in group.elements},
+                         {g: dict(thetas[g]) for g in group.elements},
+                         images, (tuple(range(len(space))),) * len(group))
+
+
+def _global_certificate(group: Group, space: FinSpace,
+                        thetas: Mapping[str, Mapping[str, str]]
+                        ) -> tuple[tuple[int, ...], ...] | None:
+    """The index tables of a global action when its certificate (see
+    :func:`global_action`) holds, else None."""
+    points, index = space.points, space._index
+    if not group._index.keys() >= thetas.keys():
+        return None
+    images = []
+    for g in group.elements:
+        table = thetas.get(g)
+        if table is None or len(table) != len(points) or not index.keys() >= table.keys():
+            return None
+        image = tuple(map(index.get, map(table.__getitem__, points)))
+        if None in image:
+            return None
+        images.append(image)
+    if images[group.index(group.identity)] != tuple(range(len(points))):
+        return None
+    down, full = space._down_masks, (1 << len(points)) - 1
+    for s in group.generators:
+        image_s, row = images[s], group.rows[s]
+        if monotonicity_violation(down, full, image_s, down) is not None:
+            return None
+        for g, image in enumerate(images):
+            if tuple(map(image_s.__getitem__, image)) != images[row[g]]:
+                return None
+    return tuple(images)
 
 
 def trivial_action(group: Group, space: FinSpace) -> PartialAction:
@@ -284,10 +343,15 @@ def restrict_to_subgroup(pa: PartialAction, sub: Subgroup) -> PartialAction:
     """res^G_K: forget the elements outside the subgroup."""
     if sub.parent != pa.group:
         raise ValidationError("group-mismatch", (), "subgroup belongs to a different group")
+    # K is closed under products and inverses (Subgroup checks it), so the
+    # parent's axioms restricted to K's members are K's: its rows are
+    # reused, in K's element order, without re-validation.
     k = sub.as_group()
-    domains = {g: pa.domains[g] for g in k.elements}
-    thetas = {g: dict(pa.thetas[g]) for g in k.elements}
-    return validate_partial_action(k, pa.space, domains, thetas)
+    order = bit_indices(sub.mask)
+    return PartialAction(k, pa.space, {g: pa.domains[g] for g in k.elements},
+                         {g: pa.thetas[g] for g in k.elements},
+                         tuple(map(pa.images.__getitem__, order)),
+                         tuple(map(pa.domain_points.__getitem__, order)))
 
 
 def restrict_invariant(pa: PartialAction, invariant_open: Iterable[str]) -> PartialAction:
@@ -309,7 +373,12 @@ def restrict_invariant(pa: PartialAction, invariant_open: Iterable[str]) -> Part
 
 def diagonal_product(pas: Sequence[PartialAction], max_points: int = 64
                      ) -> tuple[PartialAction, list[SpaceMap]]:
-    """Diagonal partial action on the product, plus the projection G-maps."""
+    """Diagonal partial action on the product, plus the projection G-maps.
+
+    Each two-factor step builds the product's index tables from the
+    factors' (point (x_i, y_j) is i * |B| + j) and certifies them
+    coordinate by coordinate (:func:`_certify_diagonal`) instead of running
+    the full validator; the projections are checked to be G-maps."""
     if not pas:
         raise ValidationError("empty-product", (), "need at least one factor")
     group = pas[0].group
@@ -331,21 +400,53 @@ def diagonal_product(pas: Sequence[PartialAction], max_points: int = 64
 
 def _diagonal2(a: PartialAction, b: PartialAction, max_points: int
                ) -> tuple[PartialAction, SpaceMap, SpaceMap]:
+    """The diagonal action on A x B, built from the factors' index tables
+    and certified by :func:`_certify_diagonal` instead of validated."""
     space, p1, p2 = product(a.space, b.space, max_points=max_points)
     # the product point (x_i, y_j) has index i * |B| + j
     pts, width = space.points, len(b.space)
+    undefined = (-1,) * width
+    images = tuple(
+        tuple(chain.from_iterable(
+            undefined if x < 0 else
+            (x * width + y if y >= 0 else -1 for y in image_b) for x in image_a))
+        for image_a, image_b in zip(a.images, b.images))
+    domain_points = tuple(tuple(i * width + j for i in xs for j in ys)
+                          for xs, ys in zip(a.domain_points, b.domain_points))
+    _certify_diagonal(a, b, images, domain_points)
     inverse_row = a.group.inverse_row
-    domains = {}
-    thetas = {}
-    for g, label in enumerate(a.group.elements):
-        domains[label] = frozenset(pts[i * width + j] for i in a.domain_points[g]
-                                   for j in b.domain_points[g])
+    domains = {label: frozenset(map(pts.__getitem__, xs))
+               for label, xs in zip(a.group.elements, domain_points)}
+    thetas = {label: {pts[p]: pts[image[p]] for p in domain_points[inverse_row[g]]}
+              for g, (label, image) in enumerate(zip(a.group.elements, images))}
+    return PartialAction(a.group, space, domains, thetas, images, domain_points), p1, p2
+
+
+def _certify_diagonal(a: PartialAction, b: PartialAction,
+                      images: Sequence[Sequence[int]],
+                      domain_points: Sequence[Sequence[int]]) -> None:
+    """Check the diagonal action's tables coordinate by coordinate: through
+    divmod by |B|, entry p of images[g] must project onto
+    (theta^A_g(i), theta^B_g(j)) for (i, j) = divmod(p, |B|), -1 where
+    either is undefined, and domain_points[g] onto X^A_g x X^B_g in order.
+    Each axiom (PA1-PA3, open domains, continuity of theta_g and its
+    inverse) then holds in both coordinates because it holds in each
+    factor, and the product topology is the coordinatewise order.  A
+    failure is a construction bug: InternalCheckError."""
+    width = len(b.space)
+    for g, (image, xs) in enumerate(zip(images, domain_points)):
         image_a, image_b = a.images[g], b.images[g]
-        src_b = b.domain_points[inverse_row[g]]
-        thetas[label] = {pts[i * width + j]: pts[image_a[i] * width + image_b[j]]
-                         for i in a.domain_points[inverse_row[g]] for j in src_b}
-    pa = validate_partial_action(a.group, space, domains, thetas)
-    return pa, p1, p2
+        want = [(i, j) if i >= 0 and j >= 0 else -1 for i in image_a for j in image_b]
+        got = [divmod(q, width) if q >= 0 else -1 for q in image]
+        if got != want:
+            p = next((p for p, (u, v) in enumerate(zip(got, want)) if u != v),
+                     min(len(got), len(want)))
+            raise InternalCheckError(f"diagonal table of {a.group.elements[g]!r} does "
+                                     f"not project onto its factors at point {p}")
+        if ([divmod(p, width) for p in xs]
+                != [(i, j) for i in a.domain_points[g] for j in b.domain_points[g]]):
+            raise InternalCheckError(f"diagonal domain of {a.group.elements[g]!r} is "
+                                     f"not the product of the factor domains")
 
 
 def isotropy(pa: PartialAction, x: str) -> tuple[frozenset[str], Subgroup]:

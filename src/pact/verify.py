@@ -18,7 +18,7 @@ from .envelope import (EnvelopeResult, adjunction_maps, fixed_identities,
                        iterated_twist_comparison, lift_maps,
                        product_comparison, recognize_globalization,
                        trivial_collapse, twisted_product)
-from .errors import BoundExceeded, ValidationError
+from .errors import BoundExceeded, InternalCheckError, ValidationError
 from .finspace import (SpaceMap, bit_indices, discrete_space, is_closed,
                        is_continuous, is_down_mask, is_open, is_open_map, is_T1,
                        pair_label, space_from_min_opens, split_pair_label,
@@ -28,8 +28,8 @@ from .homotopy import (enumerate_maps, is_G_contractible,
 from .instance import Instance
 from .paction import (PartialAction, diagonal_product, is_isovariant,
                       trivial_action, validate_partial_action)
-from .report import (FAILS, HOLDS, PRECONDITION_UNMET, SKIPPED_BOUNDS,
-                     ClaimReport)
+from .report import (FAILS, HOLDS, INTERNAL_ERROR, PRECONDITION_UNMET,
+                     SKIPPED_BOUNDS, ClaimReport)
 
 Check = Callable[[Instance, Bounds], tuple[str, dict]]
 
@@ -434,7 +434,9 @@ def claim_ids() -> list[str]:
 
 def run_claim(claim_id: str, instance: Instance,
               bounds: Bounds = DEFAULT_BOUNDS) -> ClaimReport:
-    """Run one registered claim; bound overruns become skipped-bounds."""
+    """Run one registered claim; bound overruns become skipped-bounds, and
+    a failed trusted invariant becomes internal-error, so that one claim's
+    bug neither hides the other claims' reports nor reads as bad input."""
     if claim_id not in CLAIMS:
         raise ValidationError("unknown-claim", (claim_id,),
                               f"no claim registered under {claim_id!r}")
@@ -443,6 +445,8 @@ def run_claim(claim_id: str, instance: Instance,
         status, witness = CLAIMS[claim_id](instance, bounds)
     except BoundExceeded as exc:
         status, witness = SKIPPED_BOUNDS, {"reason": str(exc)}
+    except InternalCheckError as exc:
+        status, witness = INTERNAL_ERROR, {"reason": str(exc)}
     return ClaimReport(claim_id, instance.id, status, witness,
                        time.perf_counter() - start)
 
@@ -453,8 +457,12 @@ def run_all(instance: Instance, bounds: Bounds = DEFAULT_BOUNDS) -> list[ClaimRe
 
 
 def exit_code(reports: list[ClaimReport]) -> int:
-    """1 when at least one claim fails, else 0."""
-    return 1 if any(rep.status == FAILS for rep in reports) else 0
+    """3 when at least one claim hit an internal error, else 1 when at least
+    one claim fails, else 0."""
+    statuses = {rep.status for rep in reports}
+    if INTERNAL_ERROR in statuses:
+        return 3
+    return 1 if FAILS in statuses else 0
 
 
 def replay_witness(report: ClaimReport, instance: Instance,
@@ -462,11 +470,12 @@ def replay_witness(report: ClaimReport, instance: Instance,
     """Re-check a failing report's witness against the instance.
 
     Reports that hold, were skipped or met no precondition replay
-    vacuously.  A failing ``product-comparison``, ``trivial-collapse`` or
-    ``t1`` report is replayed by rebuilding its construction (the comparison
-    map, the collapse map, the twisted product) and checking the witness's
-    own data against it: the unhit targets, the colliding classes, the
-    non-closed singleton.  Any other failing claim is re-run whole and
+    vacuously; an internal-error report never replays.  A failing
+    ``product-comparison``, ``trivial-collapse`` or ``t1`` report is
+    replayed by rebuilding its construction (the comparison map, the
+    collapse map, the twisted product) and checking the witness's own data
+    against it: the unhit targets, the colliding classes, the non-closed
+    singleton.  Any other failing claim is re-run whole and
     compared by status.
     """
     if report.instance_id != instance.id:
@@ -474,6 +483,8 @@ def replay_witness(report: ClaimReport, instance: Instance,
                               "report refers to a different instance")
     if report.status in (HOLDS, PRECONDITION_UNMET, SKIPPED_BOUNDS):
         return True
+    if report.status == INTERNAL_ERROR:
+        return False
     cid = report.claim_id
     w = report.witness
     if cid == "product-comparison":

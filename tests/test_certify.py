@@ -1,0 +1,349 @@
+"""The certificates that replace the full validator on the actions pact
+builds: global actions checked on a generating set, diagonal products
+checked coordinate by coordinate, and subgroup restrictions that reuse the
+parent's tables.  Each certified result must equal the validator's, field
+by field, and each broken input must fail exactly as the validator fails."""
+from __future__ import annotations
+
+import random
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pact import (InternalCheckError, Subgroup, ValidationError, all_subgroups,
+                  cyclic_group, diagonal_product, discrete_space, global_action,
+                  globalize, load_fixture, restrict_global, restrict_to_subgroup,
+                  space_from_min_opens, trivial_action, twisted_product,
+                  validate_group, validate_partial_action)
+from pact.algebra import subgroup_generated
+from pact.paction import _certify_diagonal
+from oracle import random_preorder_space
+from test_algebra import s3_group
+from test_paction import _outcome, _restricted
+
+FIXTURES = ["pt", "z2-pair", "z2-swap", "z2-wedge", "z2-pair-sq",
+            "z4-circle", "z4-half", "z4-arcs", "z4-from-z2-pair"]
+
+
+def klein_group():
+    elems = ["e", "a", "b", "c"]
+    table = [["e", "a", "b", "c"], ["a", "e", "c", "b"],
+             ["b", "c", "e", "a"], ["c", "b", "a", "e"]]
+    return validate_group(elems, table, "e")
+
+
+GROUPS = {"z2": lambda: cyclic_group(2), "z3": lambda: cyclic_group(3),
+          "z4": lambda: cyclic_group(4), "klein": klein_group, "s3": s3_group}
+
+
+def fields(pa):
+    return (pa.group, pa.space, pa.domains, pa.thetas, pa.images, pa.domain_points)
+
+
+def validated(pa):
+    return validate_partial_action(pa.group, pa.space, pa.domains, pa.thetas)
+
+
+def regular_action(rng, grp):
+    """grp permuting |grp| disjoint copies of a random base space by left
+    multiplication of the copy labels: a global action of any group."""
+    base, base_mo = random_preorder_space(rng, 3)
+    points = [f"{p}.{k}" for k in grp.elements for p in base]
+    min_open = {f"{p}.{k}": [f"{q}.{k}" for q in base_mo[p]]
+                for k in grp.elements for p in base}
+    space = space_from_min_opens(points, min_open)
+    return global_action(grp, space, {
+        g: {f"{p}.{k}": f"{p}.{grp.mul(g, k)}" for k in grp.elements for p in base}
+        for g in grp.elements})
+
+
+def random_global(rng, kind):
+    grp = GROUPS[rng.choice(sorted(GROUPS))]()
+    if kind == "regular":
+        return regular_action(rng, grp)
+    if kind == "trivial":
+        points, min_open = random_preorder_space(rng, 5)
+        return trivial_action(grp, space_from_min_opens(points, min_open))
+    # an envelope: the globalization of a restricted regular action
+    return globalize(_restricted(rng, regular_action(rng, grp))).as_global_action()
+
+
+# ---------------------------------------------------------------------------
+# the generating set
+
+
+@pytest.mark.parametrize("name, expected", [("z2", (1,)), ("z4", (1,)),
+                                            ("klein", (1, 2)), ("s3", (1, 2))])
+def test_generators_are_greedy_in_element_order(name, expected):
+    grp = GROUPS[name]()
+    assert grp.generators == expected
+    labels = [grp.elements[s] for s in grp.generators]
+    assert subgroup_generated(grp, labels).mask == (1 << len(grp)) - 1
+    for k, s in enumerate(grp.generators):
+        assert grp.elements[s] not in subgroup_generated(grp, labels[:k])
+    assert grp.generators is grp.generators  # computed once per group
+
+
+def test_generators_generate_every_subgroup_lattice_member():
+    grp = s3_group()
+    for sub in all_subgroups(grp):
+        k = sub.as_group()
+        gens = [k.elements[s] for s in k.generators]
+        assert subgroup_generated(grp, gens).mask == sub.mask
+
+
+# ---------------------------------------------------------------------------
+# certified results equal the validator's
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["regular", "trivial", "envelope"]))
+def test_certified_global_action_equals_validated(seed, kind):
+    pa = random_global(random.Random(seed), kind)
+    assert fields(pa) == fields(validated(pa))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_certified_subgroup_restriction_equals_validated(seed):
+    rng = random.Random(seed)
+    grp = GROUPS[rng.choice(sorted(GROUPS))]()
+    pa = _restricted(rng, regular_action(rng, grp))
+    for sub in all_subgroups(grp):
+        res = restrict_to_subgroup(pa, sub)
+        assert fields(res) == fields(validated(res))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_certified_diagonal_product_equals_validated(seed):
+    rng = random.Random(seed)
+    grp = GROUPS[rng.choice(sorted(GROUPS))]()
+    factors = [_restricted(rng, regular_action(rng, grp)) for _ in range(2)]
+    if rng.random() < 0.5:
+        factors[1] = _restricted(rng, trivial_action(grp, factors[1].space))
+    diag, _ = diagonal_product(factors, max_points=10 ** 4)
+    assert fields(diag) == fields(validated(diag))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_certified_constructions_equal_validated_on_fixtures(name):
+    inst = load_fixture(name)
+    pa = inst.embedded_pa
+    env = twisted_product(pa, inst.big, max_pairs=10 ** 4)
+    built = [env.as_global_action(), globalize(inst.pa).as_global_action(),
+             trivial_action(inst.group, inst.space),
+             diagonal_product([inst.pa, inst.pa], max_points=10 ** 4)[0]]
+    built += [restrict_to_subgroup(pa, sub) for sub in all_subgroups(pa.group)]
+    for certified in built:
+        assert fields(certified) == fields(validated(certified))
+
+
+# ---------------------------------------------------------------------------
+# broken input fails exactly as the validator fails
+
+
+def _broken_tables(rng, pa, g):
+    """pa's map tables with theta_g corrupted one of several ways."""
+    thetas = {h: dict(pa.thetas[h]) for h in pa.group.elements}
+    table = thetas[g]
+    xs = sorted(table)
+    kind = rng.choice(["swap", "collapse", "drop", "unknown", "missing"])
+    if kind == "swap" and len(xs) >= 2:
+        x, y = rng.sample(xs, 2)
+        table[x], table[y] = table[y], table[x]
+    elif kind == "collapse" and len(xs) >= 2:
+        x, y = rng.sample(xs, 2)
+        table[x] = table[y]
+    elif kind == "drop":
+        del table[rng.choice(xs)]
+    elif kind == "unknown":
+        table[rng.choice(xs)] = "nowhere"
+    elif kind == "missing":
+        del thetas[g]
+    else:
+        table[xs[0]] = rng.choice(xs)
+    return thetas
+
+
+def _same_failure(group, space, thetas):
+    """global_action on raw tables fails exactly as the validator does (or
+    both succeed with equal results); returns the validator's outcome."""
+    domains = {g: space.points for g in group.elements}
+    certified = _outcome(global_action, group, space, thetas)
+    full = _outcome(validate_partial_action, group, space, domains, thetas)
+    assert certified == full
+    if full is not None:
+        with pytest.raises(ValidationError) as a:
+            global_action(group, space, thetas)
+        with pytest.raises(ValidationError) as b:
+            validate_partial_action(group, space, domains, thetas)
+        assert str(a.value) == str(b.value)
+    else:
+        assert (fields(global_action(group, space, thetas))
+                == fields(validate_partial_action(group, space, domains, thetas)))
+    return full
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["regular", "trivial", "envelope"]))
+def test_corrupted_global_action_raises_the_validator_error(seed, kind):
+    rng = random.Random(seed)
+    pa = random_global(rng, kind)
+    g = rng.choice(pa.group.elements)
+    _same_failure(pa.group, pa.space, _broken_tables(rng, pa, g))
+
+
+@pytest.mark.parametrize("name, g", [("z4", "2"), ("z4", "3"), ("klein", "c"),
+                                     ("s3", "120"), ("s3", "210")])
+def test_corruption_on_a_non_generator_is_caught(name, g):
+    rng = random.Random(7)
+    grp = GROUPS[name]()
+    assert grp.index(g) not in grp.generators
+    pa = regular_action(rng, grp)
+    thetas = {h: dict(pa.thetas[h]) for h in grp.elements}
+    x, y = sorted(thetas[g])[:2]
+    thetas[g][x], thetas[g][y] = thetas[g][y], thetas[g][x]
+    assert _same_failure(grp, pa.space, thetas) is not None
+
+
+def test_every_generator_is_checked():
+    # Klein group, a acting trivially and b = ab by a non-monotone swap:
+    # theta_a . theta_g = theta_ag holds for every g, so only the second
+    # generator's checks see the fault.
+    grp = klein_group()
+    space = space_from_min_opens(["p", "q"], {"p": ["p"], "q": ["p", "q"]})
+    ident, swap = {"p": "p", "q": "q"}, {"p": "q", "q": "p"}
+    thetas = {"e": ident, "a": ident, "b": swap, "c": swap}
+    assert _same_failure(grp, space, thetas)[1] == "theta-not-continuous"
+    # b acting by a 3-cycle: every composition with a holds, b . b does not
+    cyc = {"p": "q", "q": "r", "r": "p"}
+    tri = discrete_space(["p", "q", "r"])
+    thetas = {"e": dict(zip("pqr", "pqr")), "a": dict(zip("pqr", "pqr")),
+              "b": cyc, "c": cyc}
+    assert _same_failure(grp, tri, thetas) is not None
+
+
+def test_every_element_is_composed():
+    # Z2 acting by a 3-cycle: theta_1 . theta_0 = theta_1 holds, and only
+    # the composition with the last element, theta_1 . theta_1 = theta_0,
+    # fails
+    tri = discrete_space(["p", "q", "r"])
+    thetas = {"0": dict(zip("pqr", "pqr")), "1": {"p": "q", "q": "r", "r": "p"}}
+    assert _same_failure(cyclic_group(2), tri, thetas) is not None
+
+
+def test_identity_is_checked():
+    # every element acting by one constant map: each composition theta_s .
+    # theta_g = theta_sg holds and the map is monotone, so only theta_e = id
+    # rules it out
+    space = discrete_space(["p", "q"])
+    const = {"p": "p", "q": "p"}
+    thetas = {g: dict(const) for g in ("0", "1", "2")}
+    assert _same_failure(cyclic_group(3), space, thetas)[1] == "pa3-identity"
+
+
+def test_failed_certificate_with_passing_validator_is_internal(monkeypatch):
+    monkeypatch.setattr(sys.modules["pact.paction"], "_global_certificate",
+                        lambda *args: None)
+    with pytest.raises(InternalCheckError):
+        trivial_action(cyclic_group(3), discrete_space(["p", "q"]))
+
+
+# ---------------------------------------------------------------------------
+# the diagonal certificate
+
+
+def _diag(seed):
+    rng = random.Random(seed)
+    grp = GROUPS[rng.choice(sorted(GROUPS))]()
+    a = _restricted(rng, regular_action(rng, grp))
+    b = _restricted(rng, regular_action(rng, grp))
+    return a, b, diagonal_product([a, b], max_points=10 ** 4)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["first", "second", "undefine", "domain"]))
+def test_corrupted_diagonal_table_is_internal(seed, kind):
+    a, b, diag = _diag(seed)
+    images = [list(image) for image in diag.images]
+    domain_points = [list(xs) for xs in diag.domain_points]
+    _certify_diagonal(a, b, images, domain_points)
+    width = len(b.space)
+    rng = random.Random(seed)
+    g, p = rng.choice([(g, p) for g, image in enumerate(images)
+                       for p, q in enumerate(image) if q >= 0])
+    i, j = divmod(images[g][p], width)
+    if kind == "first":
+        if len(a.space) < 2:
+            return
+        images[g][p] = (i + 1) % len(a.space) * width + j
+    elif kind == "second":
+        if width < 2:
+            return
+        images[g][p] = i * width + (j + 1) % width
+    elif kind == "undefine":
+        images[g][p] = -1
+    else:
+        domain_points[g].remove(images[g][p])
+    with pytest.raises(InternalCheckError):
+        _certify_diagonal(a, b, images, domain_points)
+
+
+def test_each_diagonal_coordinate_is_checked():
+    a, b, diag = _diag(3)
+    width = len(b.space)
+    assert len(a.space) >= 2 and width >= 2
+    g = next(g for g, image in enumerate(diag.images) if max(image) >= 0)
+    p = next(p for p, q in enumerate(diag.images[g]) if q >= 0)
+    i, j = divmod(diag.images[g][p], width)
+    for q in ((i + 1) % len(a.space) * width + j, i * width + (j + 1) % width):
+        images = [list(image) for image in diag.images]
+        images[g][p] = q
+        with pytest.raises(InternalCheckError):
+            _certify_diagonal(a, b, images, diag.domain_points)
+
+
+# ---------------------------------------------------------------------------
+# built actions skip the validator
+
+
+def count_validations(monkeypatch):
+    """Route every pact module's validate_partial_action through a counter;
+    returns the list of recorded calls."""
+    calls = []
+    real = validate_partial_action
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pact") and hasattr(module, "validate_partial_action"):
+            monkeypatch.setattr(module, "validate_partial_action", counting)
+    return calls
+
+
+def test_twisted_product_never_validates(monkeypatch):
+    inst = load_fixture("z4-arcs")  # parsed input: validated here
+    calls = count_validations(monkeypatch)
+    twisted_product(inst.embedded_pa, inst.big)
+    assert calls == []
+
+
+def test_built_actions_never_validate(monkeypatch):
+    pa = load_fixture("z4-arcs").pa
+    calls = count_validations(monkeypatch)
+    globalize(pa).as_global_action()
+    trivial_action(pa.group, pa.space)
+    diagonal_product([pa, pa], max_points=10 ** 4)
+    restrict_to_subgroup(pa, Subgroup(pa.group, frozenset({"0", "2"})))
+    assert calls == []
+    # the counter does see the constructions that still validate
+    restrict_global(trivial_action(pa.group, pa.space),
+                    pa.space.min_open_of(pa.space.points[0]))
+    assert len(calls) == 1
+

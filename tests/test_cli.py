@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from pact import fixture_names, load_fixture
+from pact import InternalCheckError, fixture_names, load_fixture, replay_witness
 from pact.cli import main
 
 
@@ -353,3 +353,43 @@ def test_bound_flag_reaches_the_adjunction_envelope(tmp_path, capsys):
     assert main(["check", "adjunction", str(path), "--json", "--bound", "1000"]) == 0
     report = json.loads(capsys.readouterr().out)[0]
     assert report["status"] == "holds", report
+
+
+def test_internal_error_in_one_claim_keeps_the_other_reports(monkeypatch, capsys):
+    import pact.verify
+
+    def broken(inst, bounds):
+        raise InternalCheckError("planted fault")
+
+    monkeypatch.setitem(pact.verify.CLAIMS, "recognition", broken)
+    rc = main(["check", "all", "z2-pair", "--json"])
+    reports = json.loads(capsys.readouterr().out)
+    assert rc == 3
+    assert len(reports) == 16
+    bad = [r for r in reports if r["status"] == "internal-error"]
+    assert [r["claim_id"] for r in bad] == ["recognition"]
+    assert bad[0]["witness"] == {"reason": "planted fault"}
+    assert all(r["status"] == "holds" for r in reports
+               if r["claim_id"] in ("pa-axioms", "twist-eq-glob"))
+
+    rc = main(["check", "recognition", "z2-pair"])
+    out = capsys.readouterr().out
+    assert rc == 3
+    assert "internal-error: planted fault" in out
+    assert "1 internal-error" in out
+
+    inst = load_fixture("z2-pair")
+    report = pact.verify.run_claim("recognition", inst)
+    assert report.status == "internal-error"
+    assert replay_witness(report, inst) is False
+
+
+def test_internal_error_outside_a_claim_exits_3(monkeypatch, capsys):
+    import pact.cli
+
+    def broken(*args, **kwargs):
+        raise InternalCheckError("planted fault")
+
+    monkeypatch.setattr(pact.cli, "globalize", broken)
+    assert main(["globalize", "z2-pair"]) == 3
+    assert "internal error: planted fault" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,8 @@ from pact import (BoundExceeded, InternalCheckError, SpaceMap, ValidationError,
                   load_fixture, pair_label, product, quotient,
                   space_from_min_opens, split_pair_label, subspace,
                   t0_quotient)
-from pact.finspace import column_masks, equivalence_classes, monotonicity_violation
+from pact.finspace import (WIDE_MASK_BITS, bit_indices, column_masks, equivalence_classes,
+                           monotonicity_violation)
 from oracle import (brute_opens, closure_quotient_order, column_masks_by_definition,
                     find_homeomorphism, first_monotone_violation, is_down_set,
                     preimage_continuous, random_partition, random_preorder_space,
@@ -470,3 +472,27 @@ def test_compose_and_inverse():
     const = SpaceMap.constant(d2, d2, "a")
     with pytest.raises(ValidationError):
         const.inverse()
+
+
+def _bit_indices_by_loop(mask):
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 2, 63, 64, 65, WIDE_MASK_BITS - 1, WIDE_MASK_BITS,
+                        WIDE_MASK_BITS + 1, 2 * WIDE_MASK_BITS, 5000]),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.02, 0.5, 1.0]))
+def test_bit_indices_matches_the_loop_on_both_sides_of_the_cutoff(width, seed, density):
+    rng = random.Random(seed)
+    # the top bit is set, so the mask is exactly ``width`` bits wide
+    mask = 1 << (width - 1)
+    for i in range(width - 1):
+        if rng.random() < density:
+            mask |= 1 << i
+    assert bit_indices(mask) == _bit_indices_by_loop(mask)
+    assert bit_indices(0) == []
