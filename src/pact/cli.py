@@ -16,7 +16,8 @@ from .bounds import DEFAULT_BOUNDS
 from .envelope import fixed_decomposition, globalize, twisted_product
 from .errors import InternalCheckError, PactError
 from .fixtures import fixture_dict, fixture_names, fixture_text
-from .homotopy import core, is_contractible, is_G_contractible, is_locally_G_contractible
+from .homotopy import (core, enumerate_maps, is_contractible, is_G_contractible,
+                       is_locally_G_contractible)
 from .instance import Instance, parse_instance
 from .paction import fixed_points, orbit_space, restrict_to_subgroup
 from .report import FAILS, HOLDS, INTERNAL_ERROR
@@ -140,8 +141,9 @@ def _cmd_homotopy(args: argparse.Namespace) -> int:
         _emit(doc, args, lambda d: f"{inst.id}: core has {len(d['core']['points'])} points")
         return 0
     if args.g_contractible:
-        result = is_G_contractible(pa, node_budget=args.bounds.map_nodes,
-                                   max_maps=args.bounds.max_maps)
+        result = is_G_contractible(pa, lambda: enumerate_maps(
+            pa.space, pa.space, equivariant=(pa, pa),
+            node_budget=args.bounds.map_nodes, max_maps=args.bounds.max_maps))
         doc = {"instance": inst.id, "g_contractible": result.value,
                "fixed_point": result.fixed_point,
                "fence": result.fence_tables(), "reason": result.reason}

@@ -18,7 +18,7 @@ corollaries (products, iterated twists, trivial collapse) are built and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add, itemgetter, or_
 from typing import Callable, Sequence
 
@@ -32,7 +32,7 @@ from .finspace import (FinSpace, SpaceMap, bit_indices, column_masks, compose,
 from .homotopy import MapPoset
 from .paction import (PartialAction, diagonal_product, enumerate_G_maps,
                       fixed_points, g_map_faults, global_action, orbit_classes,
-                      restrict_global, validate_partial_action)
+                      restrict_global, restrict_to_group)
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,13 @@ class EnvelopeResult:
         return _descend(self.pair_class, self.members, values)
 
     def as_global_action(self) -> PartialAction:
-        """The enveloping action as a validated global PartialAction."""
+        """The enveloping action as a certified global PartialAction, built
+        on the first call and kept with the envelope, so one envelope
+        yields one action."""
+        return self._global_action
+
+    @cached_property
+    def _global_action(self) -> PartialAction:
         points = self.total.points
         thetas = {g: dict(zip(points, map(points.__getitem__, row)))
                   for g, row in zip(self.big_group.elements, self.action_rows)}
@@ -428,20 +434,19 @@ class AdjunctionResult:
     report: dict
 
 
-def adjunction_maps(pa_x: PartialAction, pa_y: PartialAction,
-                    big: Group | None = None,
+def adjunction_maps(env: EnvelopeResult, pa_y: PartialAction,
                     max_space: int = 5, max_group: int = 4,
                     node_budget: int = 1_000_000,
-                    naturality_morphisms: int = 8,
-                    max_pairs: int = 256) -> AdjunctionResult:
-    """Enumerate both hom-sets and materialize lambda and tau.
+                    naturality_morphisms: int = 8) -> AdjunctionResult:
+    """Enumerate both hom-sets and materialize lambda and tau, for the
+    twisted product ``env`` = G x_K X of a K-action X and a global G-space Y.
 
     lambda(F) = F o iota_K and tau(f)([g,x]) = eta(g, f(x)); the report
     records whether they are mutually inverse bijections and whether the
     naturality squares commute for enumerated endomorphism test morphisms.
     """
+    pa_x, big = env.base, env.big_group
     k_grp = pa_x.group
-    big = big or k_grp
     if pa_y.group != big:
         raise ValidationError("group-mismatch", (), "Y must carry an action of the big group")
     if not pa_y.is_global():
@@ -452,16 +457,10 @@ def adjunction_maps(pa_x: PartialAction, pa_y: PartialAction,
         if len(space) > max_space:
             raise BoundExceeded("adjunction (space)", max_space, len(space))
 
-    env = twisted_product(pa_x, big, max_pairs)
-    twisted_global = env.as_global_action()
     # res^G_K(Y), keyed by K's own group object so hom-sets compose with pa_x.
-    y_points = list(pa_y.space.points)
-    res_y = validate_partial_action(
-        k_grp, pa_y.space,
-        {k: y_points for k in k_grp.elements},
-        {k: dict(pa_y.thetas[k]) for k in k_grp.elements})
+    res_y = restrict_to_group(pa_y, k_grp)
 
-    g_maps = _labelled_G_maps(twisted_global, pa_y, node_budget)
+    g_maps = _labelled_G_maps(env.as_global_action(), pa_y, node_budget)
     k_maps = _labelled_G_maps(pa_x, res_y, node_budget)
     k_index = {m.assignment: i for i, m in enumerate(k_maps)}
     g_index = {m.assignment: i for i, m in enumerate(g_maps)}
@@ -550,22 +549,27 @@ def _labelled_G_maps(pa_x: PartialAction, pa_y: PartialAction,
             for row in enumerate_G_maps(pa_x, pa_y, node_budget=node_budget)]
 
 
-def product_comparison(pa_1: PartialAction, pa_2: PartialAction,
-                       big: Group | None = None,
-                       max_pairs: int = 256,
-                       max_points: int = 64) -> tuple[SpaceMap, dict]:
+def product_comparison(env_d: EnvelopeResult, env_1: EnvelopeResult,
+                       env_2: EnvelopeResult, projections: Sequence[SpaceMap]
+                       ) -> tuple[SpaceMap, dict]:
     """The canonical map G x_K (X1 x X2) -> (G x_K X1) x (G x_K X2).
 
-    Every property (well-definedness, continuity, equivariance, injectivity,
-    surjectivity) is checked and reported; nothing is assumed.
+    ``env_d``, ``env_1`` and ``env_2`` are the twisted products over one
+    group G of the diagonal product X1 x X2 and of its two factors, and
+    ``projections`` the product's two projections, as
+    :func:`diagonal_product` returns them.  Every property
+    (well-definedness, continuity, equivariance, injectivity, surjectivity)
+    is checked and reported; nothing is assumed.
     """
-    if pa_1.group != pa_2.group:
-        raise ValidationError("group-mismatch", (), "factors must share a group")
-    big = big or pa_1.group
-    diag, (rho_1, rho_2) = diagonal_product([pa_1, pa_2], max_points=max_points)
-    env_d = twisted_product(diag, big, max_pairs)
-    env_1 = twisted_product(pa_1, big, max_pairs)
-    env_2 = twisted_product(pa_2, big, max_pairs)
+    big = env_d.big_group
+    rho_1, rho_2 = projections
+    if env_1.big_group != big or env_2.big_group != big:
+        raise ValidationError("group-mismatch", (), "the twisted products must share a group")
+    if (rho_1.source != env_d.base.space or rho_2.source != env_d.base.space
+            or rho_1.target != env_1.base.space or rho_2.target != env_2.base.space):
+        raise ValidationError("space-mismatch", (),
+                              "the projections do not match the twisted products")
+    pa_1, pa_2 = env_1.base, env_2.base
     target, _, _ = product(env_1.total, env_2.total,
                            max_points=len(env_1.total) * len(env_2.total))
     # target point ([g,x1], [g,x2]) is index [g,x1] * |G x_K X2| + [g,x2]
@@ -620,21 +624,24 @@ def product_comparison(pa_1: PartialAction, pa_2: PartialAction,
     return cmp_map, report
 
 
-def iterated_twist_comparison(pa: PartialAction, big: Group | None = None,
-                              max_pairs: int = 256
-                              ) -> tuple[SpaceMap, SpaceMap, dict]:
-    """The maps m : G x_K (X_K) -> G x_K X and n backwards, fully checked."""
-    k_grp = pa.group
-    big = big or k_grp
-    inner = twisted_product(pa, k_grp, max_pairs)
-    inner_global = inner.as_global_action()
-    outer_1 = twisted_product(inner_global, big, max_pairs)
-    outer_2 = twisted_product(pa, big, max_pairs)
+def iterated_twist_comparison(inner: EnvelopeResult, outer_1: EnvelopeResult,
+                              outer_2: EnvelopeResult) -> tuple[SpaceMap, SpaceMap, dict]:
+    """The maps m : G x_K (X_K) -> G x_K X and n backwards, fully checked.
+
+    ``inner`` is X_K = K x_K X, the twisted product of a K-action X over K
+    itself; ``outer_1`` is G x_K of inner's global action and ``outer_2``
+    is G x_K X.
+    """
+    pa, big = inner.base, outer_2.big_group
+    if (inner.big_group != pa.group or outer_2.base != pa
+            or outer_1.base.space != inner.total or outer_1.big_group != big):
+        raise ValidationError("envelope-mismatch", (),
+                              "the twisted products are not those of one action")
 
     # m[g, [h, x]] = [gh, x], descended through inner's classes for each g
     # and then through outer_1's
     points = len(pa.space)
-    k_in_big = list(map(big.index, k_grp.elements))
+    k_in_big = list(map(big.index, pa.group.elements))
     m_table: list[int] = []
     m_well = True
     for row in big.rows:
@@ -673,18 +680,17 @@ def iterated_twist_comparison(pa: PartialAction, big: Group | None = None,
     return m, n, report
 
 
-def trivial_collapse(pa: PartialAction, big: Group | None = None,
-                     max_pairs: int = 256) -> tuple[SpaceMap, dict]:
-    """The collapse delta : G x_K Y -> Y, [g,y] |-> y, for trivial actions.
+def trivial_collapse(env: EnvelopeResult) -> tuple[SpaceMap, dict]:
+    """The collapse delta : G x_K Y -> Y, [g,y] |-> y, of the twisted
+    product ``env`` of a trivial action.
 
     Reported, not assumed: delta can fail to be injective when K is proper.
     """
+    pa, big = env.base, env.big_group
     if not pa.is_trivial():
         bad = next((g, x) for g in pa.group.elements
                    for x, y in pa.thetas[g].items() if y != x)
         raise ValidationError("not-trivial", bad, "collapse needs a trivial action")
-    big = big or pa.group
-    env = twisted_product(pa, big, max_pairs)
     values, clash = env.descend(list(range(len(pa.space))) * len(big))
     delta = SpaceMap.from_row(env.total, pa.space, values)
     collisions: dict[str, list[str]] = {}

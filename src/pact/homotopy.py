@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_, getitem
+from typing import Callable
 
 from .errors import InternalCheckError, ValidationError
 from .finspace import (FinSpace, SpaceMap, bit_indices, column_masks,
@@ -237,23 +238,25 @@ class GContract:
         return [m.as_dict() for m in self.fence] if self.fence else []
 
 
-def is_G_contractible(pa: PartialAction,
-                      node_budget: int = 1_000_000,
-                      max_maps: int = 4096) -> GContract:
+def is_G_contractible(pa: PartialAction, g_maps: Callable[[], MapPoset]) -> GContract:
     """Search for a fence from the identity to a constant at a fixed point
-    inside the poset of G-self-maps.
+    inside the poset of G-self-maps, which ``g_maps()`` returns: the
+    caller builds it (``enumerate_maps(pa.space, pa.space,
+    equivariant=(pa, pa))``) or hands over one it already has.
 
-    An empty fixed-point set X[G] decides the question immediately; this
-    fast necessary condition agrees with the full search by construction,
-    since only fixed points feed the candidate list.
+    An empty fixed-point set X[G] decides the question immediately, and
+    then ``g_maps`` is never called; this fast necessary condition agrees
+    with the full search by construction, since only fixed points feed the
+    candidate list.
     """
     full = Subgroup(pa.group, frozenset(pa.group.elements))
     fixed = fixed_points(pa, full)
     candidates = [x for x in pa.space.points if x in fixed]
     if not candidates:
         return GContract(False, reason="no fixed points")
-    poset = enumerate_maps(pa.space, pa.space, equivariant=(pa, pa),
-                           node_budget=node_budget, max_maps=max_maps)
+    poset = g_maps()
+    if (poset.source, poset.target, poset.kind) != (pa.space, pa.space, "equivariant"):
+        raise ValidationError("space-mismatch", (), "not a poset of G-self-maps of the action")
     ident = poset.index_of(SpaceMap.identity(pa.space))
     for w in candidates:
         const = SpaceMap.constant(pa.space, pa.space, w)

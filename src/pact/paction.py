@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import Group, Subgroup
+from .algebra import Group, Subgroup, is_subgroup_embedding
 from .errors import InternalCheckError, ValidationError
 from .finspace import (FinSpace, SpaceMap, _search_maps, bit_indices, compose,
                        discrete_space, equivalence_classes, is_closed,
@@ -343,11 +343,20 @@ def restrict_to_subgroup(pa: PartialAction, sub: Subgroup) -> PartialAction:
     """res^G_K: forget the elements outside the subgroup."""
     if sub.parent != pa.group:
         raise ValidationError("group-mismatch", (), "subgroup belongs to a different group")
-    # K is closed under products and inverses (Subgroup checks it), so the
-    # parent's axioms restricted to K's members are K's: its rows are
-    # reused, in K's element order, without re-validation.
-    k = sub.as_group()
-    order = bit_indices(sub.mask)
+    return restrict_to_group(pa, sub.as_group())
+
+
+def restrict_to_group(pa: PartialAction, k: Group) -> PartialAction:
+    """res^G_K keyed by the group object ``k``, whose elements and products
+    are those of a subgroup of pa's group, so that maps between the result
+    and other actions of ``k`` compare groups equal."""
+    if not is_subgroup_embedding(k, pa.group):
+        raise ValidationError("not-a-subgroup", tuple(k.elements),
+                              "the group is not a subgroup of the acting group")
+    # K is closed under products and inverses, so the parent's axioms
+    # restricted to K's members are K's: its rows are reused, in K's
+    # element order, without re-validation.
+    order = list(map(pa.group.index, k.elements))
     return PartialAction(k, pa.space, {g: pa.domains[g] for g in k.elements},
                          {g: pa.thetas[g] for g in k.elements},
                          tuple(map(pa.images.__getitem__, order)),
@@ -355,7 +364,15 @@ def restrict_to_subgroup(pa: PartialAction, sub: Subgroup) -> PartialAction:
 
 
 def restrict_invariant(pa: PartialAction, invariant_open: Iterable[str]) -> PartialAction:
-    """Restrict to an invariant open subset: domains become V & X_g."""
+    """Restrict to an invariant open subset V: domains become V & X_g.
+
+    After the openness and invariance checks, the index tables are the
+    parent's rows re-indexed onto the subspace and certified instead of
+    validated: every image of a point of V must lie in V, and each
+    re-indexed domain must be V & X_g as the labels give it.  Restricting
+    a partial action to an invariant open subspace keeps PA1-PA3, open
+    domains and continuity, so nothing else needs checking; a failed
+    certificate is a construction bug (InternalCheckError)."""
     v = frozenset(invariant_open)
     if not v:
         raise ValidationError("empty-subset", (), "restriction needs a nonempty subset")
@@ -368,7 +385,20 @@ def restrict_invariant(pa: PartialAction, invariant_open: Iterable[str]) -> Part
     domains = {g: pa.domains[g] & v for g in pa.group.elements}
     thetas = {g: {x: pa.thetas[g][x] for x in domains[pa.group.inv(g)]}
               for g in pa.group.elements}
-    return validate_partial_action(pa.group, sub, domains, thetas)
+    # point i of the subspace is point old[i] of the parent
+    old = list(map(pa.space.index, sub.points))
+    new = dict(zip(old, range(len(old))))
+    images, domain_points = [], []
+    for label, image, xs in zip(pa.group.elements, pa.images, pa.domain_points):
+        row = list(map(image.__getitem__, old))
+        if not all(y < 0 or y in new for y in row):
+            raise InternalCheckError(f"theta_{label!r} leaves the invariant subset")
+        domain = tuple(new[x] for x in xs if x in new)
+        if domain != tuple(sorted(map(sub.index, domains[label]))):
+            raise InternalCheckError(f"re-indexed domain of {label!r} differs from V & X_g")
+        images.append(tuple(map(new.get, row, repeat(-1))))
+        domain_points.append(domain)
+    return PartialAction(pa.group, sub, domains, thetas, tuple(images), tuple(domain_points))
 
 
 def diagonal_product(pas: Sequence[PartialAction], max_points: int = 64

@@ -11,36 +11,68 @@ from __future__ import annotations
 import time
 from typing import Callable, Sequence
 
-from .algebra import all_subgroups
+from . import envelope, homotopy
+from .algebra import Group, all_subgroups
 from .bounds import DEFAULT_BOUNDS, Bounds
 from .envelope import (EnvelopeResult, adjunction_maps, fixed_identities,
-                       generated_intersection, globalize,
-                       iterated_twist_comparison, lift_maps,
-                       product_comparison, recognize_globalization,
-                       trivial_collapse, twisted_product)
+                       generated_intersection, iterated_twist_comparison,
+                       lift_maps, product_comparison, recognize_globalization,
+                       trivial_collapse)
 from .errors import BoundExceeded, InternalCheckError, ValidationError
 from .finspace import (SpaceMap, bit_indices, discrete_space, is_closed,
                        is_continuous, is_down_mask, is_open, is_open_map, is_T1,
                        pair_label, space_from_min_opens, split_pair_label,
                        subspace)
-from .homotopy import (enumerate_maps, is_G_contractible,
-                       is_locally_G_contractible)
+from .homotopy import MapPoset, is_G_contractible, is_locally_G_contractible
 from .instance import Instance
 from .paction import (PartialAction, diagonal_product, is_isovariant,
-                      trivial_action, validate_partial_action)
+                      restrict_to_group, trivial_action, validate_partial_action)
 from .report import (FAILS, HOLDS, INTERNAL_ERROR, PRECONDITION_UNMET,
                      SKIPPED_BOUNDS, ClaimReport)
 
-Check = Callable[[Instance, Bounds], tuple[str, dict]]
+
+class Run:
+    """The constructions of one instance, shared by the claims of one run.
+
+    Each is built on its first request, and every later request with equal
+    arguments gets the same object.  A build that raises stores nothing,
+    so each claim that needs it raises again.  ``globalize`` and
+    ``twisted_product`` keep separate entries, so ``twist-eq-glob`` still
+    compares two independent constructions.  An envelope keeps its global
+    action (``EnvelopeResult.as_global_action``), so one envelope per input
+    also means one global action.  The builders are read from their
+    modules at call time, so a wrapper installed there sees every build.
+    Nothing outlives the run: :func:`run_all` drops it when it returns.
+    """
+
+    def __init__(self) -> None:
+        self._built: dict[str, list[tuple[tuple, object]]] = {}
+
+    def _once(self, kind: str, build: Callable, *args):
+        entries = self._built.setdefault(kind, [])
+        for key, value in entries:
+            if key == args:
+                return value
+        value = build(*args)
+        entries.append((args, value))
+        return value
+
+    def globalize(self, pa: PartialAction, max_pairs: int) -> EnvelopeResult:
+        return self._once("globalize", envelope.globalize, pa, max_pairs)
+
+    def twisted_product(self, pa: PartialAction, big: Group,
+                        max_pairs: int) -> EnvelopeResult:
+        return self._once("twisted_product", envelope.twisted_product, pa, big, max_pairs)
+
+    def g_maps(self, pa: PartialAction, node_budget: int, max_maps: int) -> MapPoset:
+        """The poset of G-self-maps of ``pa``."""
+        def build(pa, node_budget, max_maps):
+            return homotopy.enumerate_maps(pa.space, pa.space, equivariant=(pa, pa),
+                                           node_budget=node_budget, max_maps=max_maps)
+        return self._once("g_maps", build, pa, node_budget, max_maps)
 
 
-def _restrict_action_to_k(env: EnvelopeResult, pa: PartialAction) -> PartialAction:
-    """The enveloping action restricted to K, keyed by K's own group object."""
-    pts = env.total.points
-    domains = {k: pts for k in pa.group.elements}
-    thetas = {k: dict(zip(pts, map(pts.__getitem__, env.action_rows[env.big_group.index(k)])))
-              for k in pa.group.elements}
-    return validate_partial_action(pa.group, env.total, domains, thetas)
+Check = Callable[[Instance, Bounds, Run], tuple[str, dict]]
 
 
 def _embedding_checks(env: EnvelopeResult) -> dict[str, bool]:
@@ -57,7 +89,7 @@ def _embedding_checks(env: EnvelopeResult) -> dict[str, bool]:
     }
 
 
-def _claim_pa_axioms(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
+def _claim_pa_axioms(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
     pa = inst.pa
     validate_partial_action(pa.group, pa.space, pa.domains, pa.thetas)
     witness = {
@@ -70,8 +102,8 @@ def _claim_pa_axioms(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
     return HOLDS, witness
 
 
-def _claim_embedding(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
-    env = globalize(inst.embedded_pa, bounds.envelope_pairs)
+def _claim_embedding(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
+    env = run.globalize(inst.embedded_pa, bounds.envelope_pairs)
     checks = _embedding_checks(env)
     status = HOLDS if all(checks.values()) else FAILS
     witness = {"checks": checks, "classes": len(env.total)}
@@ -80,9 +112,9 @@ def _claim_embedding(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
     return status, witness
 
 
-def _claim_recognition(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
+def _claim_recognition(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
     pa = inst.embedded_pa
-    env = globalize(pa, bounds.envelope_pairs)
+    env = run.globalize(pa, bounds.envelope_pairs)
     beta = env.as_global_action()
     phi, report = recognize_globalization(beta, env.embedding_image(),
                                           bounds.envelope_pairs)
@@ -92,10 +124,10 @@ def _claim_recognition(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
     return report["status"], witness
 
 
-def _claim_twist_eq_glob(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
+def _claim_twist_eq_glob(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
     pa = inst.embedded_pa
-    env_g = globalize(pa, bounds.envelope_pairs)
-    env_t = twisted_product(pa, pa.group, bounds.envelope_pairs)
+    env_g = run.globalize(pa, bounds.envelope_pairs)
+    env_t = run.twisted_product(pa, pa.group, bounds.envelope_pairs)
     # both are quotients of the same G x X with classes numbered and named
     # by least member: equal class tables mean equal partitions and labels
     same_classes = env_g.pair_class == env_t.pair_class
@@ -113,12 +145,13 @@ def _claim_twist_eq_glob(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
     return status, witness
 
 
-def _claim_iota_k(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
+def _claim_iota_k(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
     pa = inst.embedded_pa
-    env = twisted_product(pa, inst.big, bounds.envelope_pairs)
+    env = run.twisted_product(pa, inst.big, bounds.envelope_pairs)
     emb = env.embedding
     image = env.embedding_image()
-    res_k = _restrict_action_to_k(env, pa)
+    # the enveloping action restricted to K, keyed by K's own group object
+    res_k = restrict_to_group(env.as_global_action(), pa.group)
     onto = SpaceMap(pa.space, subspace(env.total, image), emb.assignment)
     pair_down = env.product_space._down_masks
     kstar_open = is_down_mask(pair_down, env.kstar)
@@ -139,9 +172,9 @@ def _claim_iota_k(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
     return status, witness
 
 
-def _claim_preimage(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
+def _claim_preimage(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
     pa = inst.embedded_pa
-    env = twisted_product(pa, inst.big, bounds.envelope_pairs)
+    env = run.twisted_product(pa, inst.big, bounds.envelope_pairs)
     image = set(env.embedding_row)
     preimage = sum(1 << p for p, c in enumerate(env.pair_class) if c in image)
     holds = preimage == env.kstar
@@ -153,33 +186,35 @@ def _claim_preimage(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
     return (HOLDS if holds else FAILS), witness
 
 
-def _claim_iterated_twist(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
-    pa = inst.embedded_pa
-    _, _, report = iterated_twist_comparison(pa, inst.big, bounds.envelope_pairs)
+def _claim_iterated_twist(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
+    pa, n = inst.embedded_pa, bounds.envelope_pairs
+    inner = run.twisted_product(pa, pa.group, n)
+    outer_1 = run.twisted_product(inner.as_global_action(), inst.big, n)
+    _, _, report = iterated_twist_comparison(inner, outer_1,
+                                             run.twisted_product(pa, inst.big, n))
     witness = {k: v for k, v in report.items() if k != "status"}
     if report["status"] == FAILS:
         witness["reason"] = next(k for k, v in report["checks"].items() if not v)
     return report["status"], witness
 
 
-def _claim_adjunction(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
+def _claim_adjunction(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
     pa = inst.embedded_pa
     big = inst.big
     if len(big) > bounds.hom_group or len(pa.space) > bounds.hom_space:
         return SKIPPED_BOUNDS, {"reason": "instance exceeds the hom-set bounds"}
     candidates: list[tuple[str, PartialAction]] = [
         ("pt", trivial_action(big, discrete_space(["y"])))]
-    env = twisted_product(pa, big, bounds.envelope_pairs)
+    env = run.twisted_product(pa, big, bounds.envelope_pairs)
     if len(env.total) <= bounds.hom_space:
         candidates.append(("envelope", env.as_global_action()))
     ran = {}
     ok = True
     for name, pa_y in candidates:
-        result = adjunction_maps(pa, pa_y, big,
+        result = adjunction_maps(env, pa_y,
                                  max_space=bounds.hom_space,
                                  max_group=bounds.hom_group,
-                                 node_budget=bounds.map_nodes,
-                                 max_pairs=bounds.envelope_pairs)
+                                 node_budget=bounds.map_nodes)
         ran[name] = {"g_maps": result.report["g_maps"],
                      "k_maps": result.report["k_maps"],
                      "status": result.report["status"]}
@@ -266,35 +301,42 @@ def split_diagonal_factors(pa: PartialAction
     return pa_1, pa_2
 
 
-def _claim_product_comparison(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
+def _compare_product(factors: tuple[PartialAction, PartialAction], inst: Instance,
+                     bounds: Bounds, run: Run) -> dict:
+    """The product comparison's report for the factors of the instance."""
+    diag, projections = diagonal_product(factors, max_points=bounds.product_points)
+    envs = [run.twisted_product(pa, inst.big, bounds.envelope_pairs)
+            for pa in (diag, *factors)]
+    return product_comparison(*envs, projections)[1]
+
+
+def _claim_product_comparison(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
     factors = split_diagonal_factors(inst.embedded_pa)
     if factors is None:
         return PRECONDITION_UNMET, {"reason": "needs two factors: the instance is "
                                               "not a diagonal product"}
-    _, report = product_comparison(factors[0], factors[1], inst.big,
-                                   max_pairs=bounds.envelope_pairs,
-                                   max_points=bounds.product_points)
+    report = _compare_product(factors, inst, bounds, run)
     witness = {k: v for k, v in report.items() if k != "status"}
     return report["status"], witness
 
 
-def _claim_trivial_collapse(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
+def _claim_trivial_collapse(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
     pa = inst.embedded_pa
     if not pa.is_trivial():
         return PRECONDITION_UNMET, {"reason": "the action is not trivial"}
     if not pa.is_global():
         return PRECONDITION_UNMET, {"reason": "the trivial action does not have "
                                               "full domains"}
-    _, report = trivial_collapse(pa, inst.big, bounds.envelope_pairs)
+    _, report = trivial_collapse(run.twisted_product(pa, inst.big, bounds.envelope_pairs))
     witness = {k: v for k, v in report.items() if k != "status"}
     return report["status"], witness
 
 
-def _claim_t1(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
+def _claim_t1(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
     pa = inst.embedded_pa
     if not is_T1(pa.space):
         return PRECONDITION_UNMET, {"reason": "the base space is not T1"}
-    env = twisted_product(pa, inst.big, bounds.envelope_pairs)
+    env = run.twisted_product(pa, inst.big, bounds.envelope_pairs)
     t1 = is_T1(env.total)
     witness = {"classes": len(env.total)}
     if not t1:
@@ -323,14 +365,11 @@ def first_split_pair(components: Sequence[int], images: Sequence[int]
     return best
 
 
-def _claim_homotopy_preservation(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
+def _claim_homotopy_preservation(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
     pa = inst.embedded_pa
-    poset_x = enumerate_maps(pa.space, pa.space, equivariant=(pa, pa),
-                             node_budget=bounds.map_nodes, max_maps=bounds.max_maps)
-    env = globalize(pa, bounds.envelope_pairs)
-    gpa = env.as_global_action()
-    poset_y = enumerate_maps(env.total, env.total, equivariant=(gpa, gpa),
-                             node_budget=bounds.map_nodes, max_maps=bounds.max_maps)
+    poset_x = run.g_maps(pa, bounds.map_nodes, bounds.max_maps)
+    env = run.globalize(pa, bounds.envelope_pairs)
+    poset_y = run.g_maps(env.as_global_action(), bounds.map_nodes, bounds.max_maps)
     lifted = list(map(poset_y.row_index, lift_maps(poset_x, pa, pa, env, env)))
     comp_x = poset_x.components
     comp_y = poset_y.components
@@ -347,18 +386,16 @@ def _claim_homotopy_preservation(inst: Instance, bounds: Bounds) -> tuple[str, d
     return (FAILS if bad else HOLDS), witness
 
 
-def _claim_g_contractible(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
+def _claim_g_contractible(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
     """If X is G-contractible then so is its globalization."""
     pa = inst.embedded_pa
-    base = is_G_contractible(pa, node_budget=bounds.map_nodes,
-                             max_maps=bounds.max_maps)
+    base = is_G_contractible(pa, lambda: run.g_maps(pa, bounds.map_nodes, bounds.max_maps))
     if not base:
         return PRECONDITION_UNMET, {"reason": f"the space is not equivariantly "
                                               f"contractible ({base.reason})"}
-    env = globalize(pa, bounds.envelope_pairs)
-    lifted = is_G_contractible(env.as_global_action(),
-                               node_budget=bounds.map_nodes,
-                               max_maps=bounds.max_maps)
+    gpa = run.globalize(pa, bounds.envelope_pairs).as_global_action()
+    lifted = is_G_contractible(gpa, lambda: run.g_maps(gpa, bounds.map_nodes,
+                                                       bounds.max_maps))
     witness = {
         "fixed_point": base.fixed_point,
         "fence": base.fence_tables(),
@@ -370,18 +407,19 @@ def _claim_g_contractible(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
     return (HOLDS if lifted else FAILS), witness
 
 
-def _claim_locally_g_contractible(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
+def _claim_locally_g_contractible(inst: Instance, bounds: Bounds,
+                                  run: Run) -> tuple[str, dict]:
     """Holds on every instance (see is_locally_G_contractible); the witness
     checks run on X and on its globalization."""
     pa = inst.embedded_pa
-    env = globalize(pa, bounds.envelope_pairs)
+    env = run.globalize(pa, bounds.envelope_pairs)
     return HOLDS, {"space": is_locally_G_contractible(pa),
                    "envelope": is_locally_G_contractible(env.as_global_action())}
 
 
-def _claim_fixed_decomposition(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
+def _claim_fixed_decomposition(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
     pa = inst.embedded_pa
-    env = globalize(pa, bounds.envelope_pairs)
+    env = run.globalize(pa, bounds.envelope_pairs)
     reports = []
     ok = True
     for sub in all_subgroups(pa.group, bounds.group_order):
@@ -397,9 +435,10 @@ def _claim_fixed_decomposition(inst: Instance, bounds: Bounds) -> tuple[str, dic
     return (HOLDS if ok else FAILS), witness
 
 
-def _claim_generated_intersection(inst: Instance, bounds: Bounds) -> tuple[str, dict]:
+def _claim_generated_intersection(inst: Instance, bounds: Bounds,
+                                  run: Run) -> tuple[str, dict]:
     pa = inst.embedded_pa
-    env = globalize(pa, bounds.envelope_pairs)
+    env = run.globalize(pa, bounds.envelope_pairs)
     inner = generated_intersection(pa, env, group_order=bounds.group_order)
     witness = {"families_checked": inner["families_checked"]}
     if not inner["holds"]:
@@ -434,15 +473,20 @@ def claim_ids() -> list[str]:
 
 def run_claim(claim_id: str, instance: Instance,
               bounds: Bounds = DEFAULT_BOUNDS) -> ClaimReport:
-    """Run one registered claim; bound overruns become skipped-bounds, and
-    a failed trusted invariant becomes internal-error, so that one claim's
-    bug neither hides the other claims' reports nor reads as bad input."""
+    """Run one registered claim, on constructions of its own (a fresh
+    :class:`Run`); bound overruns become skipped-bounds, and a failed
+    trusted invariant becomes internal-error, so that one claim's bug
+    neither hides the other claims' reports nor reads as bad input."""
     if claim_id not in CLAIMS:
         raise ValidationError("unknown-claim", (claim_id,),
                               f"no claim registered under {claim_id!r}")
+    return _report(claim_id, instance, bounds, Run())
+
+
+def _report(claim_id: str, instance: Instance, bounds: Bounds, run: Run) -> ClaimReport:
     start = time.perf_counter()
     try:
-        status, witness = CLAIMS[claim_id](instance, bounds)
+        status, witness = CLAIMS[claim_id](instance, bounds, run)
     except BoundExceeded as exc:
         status, witness = SKIPPED_BOUNDS, {"reason": str(exc)}
     except InternalCheckError as exc:
@@ -452,8 +496,12 @@ def run_claim(claim_id: str, instance: Instance,
 
 
 def run_all(instance: Instance, bounds: Bounds = DEFAULT_BOUNDS) -> list[ClaimReport]:
-    """Every registered claim, in registry order."""
-    return [run_claim(cid, instance, bounds) for cid in CLAIMS]
+    """Every registered claim, in registry order, reported as
+    :func:`run_claim` reports it.  The claims share one :class:`Run`, so
+    each construction (envelope, global action, G-map poset) is built once
+    for the whole registry; the run ends with the call."""
+    run = Run()
+    return [_report(cid, instance, bounds, run) for cid in CLAIMS]
 
 
 def exit_code(reports: list[ClaimReport]) -> int:
@@ -476,7 +524,8 @@ def replay_witness(report: ClaimReport, instance: Instance,
     collapse map, the twisted product) and checking the witness's own data
     against it: the unhit targets, the colliding classes, the non-closed
     singleton.  Any other failing claim is re-run whole and
-    compared by status.
+    compared by status.  Every rebuild happens on a fresh :class:`Run`,
+    never on the constructions that produced the report.
     """
     if report.instance_id != instance.id:
         raise ValidationError("instance-mismatch", (report.instance_id, instance.id),
@@ -487,13 +536,12 @@ def replay_witness(report: ClaimReport, instance: Instance,
         return False
     cid = report.claim_id
     w = report.witness
+    run = Run()
     if cid == "product-comparison":
         factors = split_diagonal_factors(instance.embedded_pa)
         if factors is None:
             return False
-        _, rep = product_comparison(factors[0], factors[1], instance.big,
-                                    max_pairs=bounds.envelope_pairs,
-                                    max_points=bounds.product_points)
+        rep = _compare_product(factors, instance, bounds, run)
         hit = set(rep["map"].values())
         unhit = w.get("unhit_targets", [])
         if any(t in hit for t in unhit):
@@ -515,7 +563,8 @@ def replay_witness(report: ClaimReport, instance: Instance,
         pa = instance.embedded_pa
         if not (pa.is_trivial() and pa.is_global()):
             return False
-        delta, rep = trivial_collapse(pa, instance.big, bounds.envelope_pairs)
+        delta, rep = trivial_collapse(run.twisted_product(pa, instance.big,
+                                                          bounds.envelope_pairs))
         collision = w.get("collision")
         if collision is not None:
             if len(collision) < 2 or collision[0] == collision[1]:
@@ -530,9 +579,8 @@ def replay_witness(report: ClaimReport, instance: Instance,
         pa = instance.embedded_pa
         if not is_T1(pa.space):
             return False
-        env = twisted_product(pa, instance.big, bounds.envelope_pairs)
+        env = run.twisted_product(pa, instance.big, bounds.envelope_pairs)
         bad = w.get("non_closed_singleton")
         return bad is not None and bad in env.total and \
             not is_closed(env.total, {bad})
-    rerun = run_claim(cid, instance, bounds)
-    return rerun.status == report.status
+    return _report(cid, instance, bounds, run).status == report.status

@@ -16,10 +16,12 @@ from pact import (SpaceMap, Subgroup, ValidationError,
                   discrete_space, enumerate_maps,
                   fixed_decomposition, fixed_points,
                   fixture_dict, fixture_names, global_action, globalize,
-                  is_contractible, is_continuous, is_G_contractible, is_open,
-                  load_fixture, parse_instance, product_comparison,
+                  is_contractible, is_continuous, is_open,
+                  load_fixture, parse_instance,
                   recognize_globalization, replay_witness, run_all, run_claim,
                   trivial_action, trivial_collapse, twisted_product)
+from test_envelope import compare_products, twist
+from test_homotopy import g_contract
 from pact.cli import main as cli_main
 from oracle import (brute_globalization_classes, brute_opens,
                     brute_twisted_classes, envelopes_G_homotopic,
@@ -303,7 +305,7 @@ def test_acceptance_5_adjunction():
             pa_y = load_fixture(yname).pa
             if len(pa_y.space) > 4:
                 continue
-            result = adjunction_maps(pa_x, pa_y, max_space=4)
+            result = adjunction_maps(twist(pa_x), pa_y, max_space=4)
             assert result.report["status"] == "holds", (xname, yname)
             assert result.report["checks"]["mutually-inverse"]
             assert result.report["checks"]["naturality-post"]
@@ -311,7 +313,7 @@ def test_acceptance_5_adjunction():
             pairs_checked += 1
     assert pairs_checked == 15
 
-    counted = adjunction_maps(load_fixture("z2-pair").pa,
+    counted = adjunction_maps(twist(load_fixture("z2-pair").pa),
                               load_fixture("z2-wedge").pa)
     assert counted.report["g_maps"] == 3 == counted.report["k_maps"]
 
@@ -322,7 +324,7 @@ def test_acceptance_5_adjunction():
     y = global_action(z4, d2, {
         "0": {"u": "u", "v": "v"}, "1": {"u": "v", "v": "u"},
         "2": {"u": "u", "v": "v"}, "3": {"u": "v", "v": "u"}})
-    res = adjunction_maps(inst.embedded_pa, y, z4)
+    res = adjunction_maps(twist(inst.embedded_pa, z4), y)
     assert res.report["status"] == "holds"
     passed(5, f"adjunction: lambda/tau mutually inverse with commuting "
               f"naturality squares on {pairs_checked} fixture pairs and a "
@@ -335,7 +337,7 @@ def test_acceptance_5_adjunction():
 
 def test_acceptance_6_product_comparison():
     z2pair = load_fixture("z2-pair").pa
-    cmp_map, report = product_comparison(z2pair, z2pair)
+    cmp_map, report = compare_products(z2pair, z2pair)
     assert report["checks"]["well-defined"]
     assert report["checks"]["continuous"]
     assert report["checks"]["equivariant"]
@@ -373,13 +375,13 @@ def test_acceptance_7_trivial_collapse():
     for pa in (load_fixture("pt").pa,
                trivial_action(cyclic_group(2), load_fixture("z2-wedge").space),
                trivial_action(cyclic_group(4), discrete_space(["p", "q"]))):
-        _, report = trivial_collapse(pa)
+        _, report = trivial_collapse(twist(pa))
         assert report["status"] == "holds", report
 
     z4 = cyclic_group(4)
     k = Subgroup(z4, frozenset({"0", "2"})).as_group()
     ptk = trivial_action(k, discrete_space(["y"]))
-    delta, report = trivial_collapse(ptk, z4)
+    delta, report = trivial_collapse(twist(ptk, z4))
     assert report["status"] == "fails"
     assert report["reason"] == "not injective"
     c1, c2 = report["collision"]
@@ -399,7 +401,7 @@ def test_acceptance_8_homotopy():
     assert not is_contractible(circle_space)
 
     wedge = load_fixture("z2-wedge")
-    res = is_G_contractible(wedge.pa)
+    res = g_contract(wedge.pa)
     assert res.value and res.fixed_point == "w"
     assert len(res.fence) == 2
     ident, const = res.fence[0], res.fence[-1]
@@ -411,7 +413,7 @@ def test_acceptance_8_homotopy():
     contractible = []
     for name in fixture_names():
         inst = load_fixture(name)
-        if is_G_contractible(inst.embedded_pa).value:
+        if g_contract(inst.embedded_pa).value:
             contractible.append(name)
             assert run_claim("g-contractible", inst).status == "holds"
     assert set(contractible) == {"pt", "z2-wedge"}

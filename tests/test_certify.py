@@ -1,10 +1,13 @@
 """The certificates that replace the full validator on the actions pact
 builds: global actions checked on a generating set, diagonal products
-checked coordinate by coordinate, and subgroup restrictions that reuse the
-parent's tables.  Each certified result must equal the validator's, field
-by field, and each broken input must fail exactly as the validator fails."""
+checked coordinate by coordinate, subgroup restrictions that reuse the
+parent's tables, and restrictions to invariant open sets that re-index
+them.  Each certified result must equal the validator's, field by field,
+and each broken input must fail exactly as the validator fails, or as an
+internal error where a certificate catches it."""
 from __future__ import annotations
 
+import dataclasses
 import random
 import sys
 
@@ -14,11 +17,12 @@ from hypothesis import strategies as st
 
 from pact import (InternalCheckError, Subgroup, ValidationError, all_subgroups,
                   cyclic_group, diagonal_product, discrete_space, global_action,
-                  globalize, load_fixture, restrict_global, restrict_to_subgroup,
+                  globalize, isotropy, load_fixture, restrict_global,
+                  restrict_invariant, restrict_to_subgroup, run_claim,
                   space_from_min_opens, trivial_action, twisted_product,
                   validate_group, validate_partial_action)
 from pact.algebra import subgroup_generated
-from pact.paction import _certify_diagonal
+from pact.paction import _certify_diagonal, restrict_to_group
 from oracle import random_preorder_space
 from test_algebra import s3_group
 from test_paction import _outcome, _restricted
@@ -137,8 +141,38 @@ def test_certified_constructions_equal_validated_on_fixtures(name):
              trivial_action(inst.group, inst.space),
              diagonal_product([inst.pa, inst.pa], max_points=10 ** 4)[0]]
     built += [restrict_to_subgroup(pa, sub) for sub in all_subgroups(pa.group)]
+    # the K-restrictions of iota-k (of the envelope) and of adjunction (of Y)
+    built += [restrict_to_group(env.as_global_action(), pa.group),
+              restrict_to_group(trivial_action(inst.big, discrete_space(["y"])), pa.group)]
+    # the restrictions of the local G-contractibility witness, on X and X_G
+    for base in (pa, globalize(pa, max_pairs=10 ** 4).as_global_action()):
+        for x in base.space.points:
+            sub = restrict_to_subgroup(base, isotropy(base, x)[1])
+            built.append(restrict_invariant(sub, base.space.min_open_of(x)))
     for certified in built:
         assert fields(certified) == fields(validated(certified))
+
+
+def invariant_open(rng, pa):
+    """A random open set saturated under pa: grown by every theta_g image
+    until nothing is added, so it stays open and becomes invariant."""
+    pts = pa.space.points
+    v = set(pa.space.min_open_of(rng.choice(pts)))
+    while True:
+        grown = v | {pa.thetas[g][x] for g in pa.group.elements
+                     for x in v & pa.domains[pa.group.inv(g)]}
+        if grown == v:
+            return v
+        v = grown
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_certified_invariant_restriction_equals_validated(seed):
+    rng = random.Random(seed)
+    pa = _restricted(rng, regular_action(rng, GROUPS[rng.choice(sorted(GROUPS))]()))
+    res = restrict_invariant(pa, invariant_open(rng, pa))
+    assert fields(res) == fields(validated(res))
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +342,33 @@ def test_each_diagonal_coordinate_is_checked():
 
 
 # ---------------------------------------------------------------------------
+# the invariant-restriction certificate
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["image", "domain"]))
+def test_corrupted_row_under_invariant_restriction_is_internal(seed, kind):
+    rng = random.Random(seed)
+    pa = regular_action(rng, GROUPS[rng.choice(sorted(GROUPS))]())
+    v = invariant_open(rng, pa)
+    outside = [i for i, x in enumerate(pa.space.points) if x not in v]
+    inside = [i for i, x in enumerate(pa.space.points) if x in v]
+    g = rng.randrange(len(pa.group))
+    images = [list(image) for image in pa.images]
+    domain_points = [list(xs) for xs in pa.domain_points]
+    if kind == "image":
+        if not outside:
+            return
+        images[g][rng.choice(inside)] = rng.choice(outside)  # labels still stay in V
+    else:
+        domain_points[g].remove(rng.choice(inside))
+    broken = dataclasses.replace(pa, images=tuple(map(tuple, images)),
+                                 domain_points=tuple(map(tuple, domain_points)))
+    with pytest.raises(InternalCheckError):
+        restrict_invariant(broken, v)
+
+
+# ---------------------------------------------------------------------------
 # built actions skip the validator
 
 
@@ -341,9 +402,21 @@ def test_built_actions_never_validate(monkeypatch):
     trivial_action(pa.group, pa.space)
     diagonal_product([pa, pa], max_points=10 ** 4)
     restrict_to_subgroup(pa, Subgroup(pa.group, frozenset({"0", "2"})))
+    k = Subgroup(pa.group, frozenset({"0", "2"})).as_group()
+    restrict_to_group(trivial_action(pa.group, pa.space), k)
+    restrict_invariant(pa, pa.space.points)
     assert calls == []
     # the counter does see the constructions that still validate
     restrict_global(trivial_action(pa.group, pa.space),
                     pa.space.min_open_of(pa.space.points[0]))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["z2-pair", "z4-from-z2-pair"])
+def test_restricting_claims_never_validate(monkeypatch, name):
+    inst = load_fixture(name)
+    calls = count_validations(monkeypatch)
+    for cid in ("iota-k", "adjunction", "locally-g-contractible"):
+        assert run_claim(cid, inst).status == "holds", cid
+    assert calls == []
 

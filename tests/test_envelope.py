@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from pact import (BoundExceeded, InternalCheckError, MapPoset, SpaceMap, Subgroup,
                   ValidationError, adjunction_maps, all_subgroups,
-                  compose, cyclic_group, discrete_space, envelope_of_map,
+                  compose, cyclic_group, diagonal_product, discrete_space,
+                  envelope_of_map,
                   enumerate_G_maps,
                   fixed_decomposition, globalize, is_G_map, is_T1,
                   is_continuous, is_open, iterated_twist_comparison,
@@ -30,6 +31,25 @@ from test_paction import _random_factor, random_rotation_action
 
 def fixture_pa(name):
     return load_fixture(name).pa
+
+
+def twist(pa, big=None):
+    return twisted_product(pa, big or pa.group)
+
+
+def compare_products(pa_1, pa_2, big=None):
+    """product_comparison on the twisted products of pa_1 x pa_2 and of
+    both factors, over pa_1's group unless ``big`` is given."""
+    diag, projections = diagonal_product([pa_1, pa_2])
+    envs = [twist(pa, big or pa_1.group) for pa in (diag, pa_1, pa_2)]
+    return product_comparison(*envs, projections)
+
+
+def compare_iterated_twists(pa, big=None):
+    """iterated_twist_comparison on X_K = K x_K X, G x_K X_K and G x_K X."""
+    inner = twist(pa)
+    return iterated_twist_comparison(inner, twist(inner.as_global_action(), big),
+                                     twist(pa, big))
 
 
 def raw_pieces(pa):
@@ -140,12 +160,11 @@ def test_envelope_bounds_and_precondition_errors():
     with pytest.raises(BoundExceeded):
         twisted_product(circle, circle.group, max_pairs=16)
     with pytest.raises(ValidationError) as err:
-        adjunction_maps(fixture_pa("z2-pair"), fixture_pa("z2-pair"))
+        adjunction_maps(twist(fixture_pa("z2-pair")), fixture_pa("z2-pair"))
     assert err.value.axiom == "not-global"
     with pytest.raises(BoundExceeded):
-        adjunction_maps(fixture_pa("z4-half"),
-                        globalize(fixture_pa("z4-circle")).as_global_action(),
-                        cyclic_group(4))
+        adjunction_maps(twist(fixture_pa("z4-half"), cyclic_group(4)),
+                        globalize(fixture_pa("z4-circle")).as_global_action())
 
 
 def test_preimage_identity_and_kstar():
@@ -254,17 +273,17 @@ def test_recognition_trivial_and_unmet_cases():
 def test_adjunction_counted_cases():
     z2pair = fixture_pa("z2-pair")
     wedge = fixture_pa("z2-wedge")
-    res = adjunction_maps(z2pair, wedge)
+    res = adjunction_maps(twist(z2pair), wedge)
     assert res.report["status"] == "holds"
     assert res.report["g_maps"] == 3 and res.report["k_maps"] == 3
 
     swap = fixture_pa("z2-swap")
-    res2 = adjunction_maps(z2pair, swap)
+    res2 = adjunction_maps(twist(z2pair), swap)
     assert res2.report["status"] == "holds"
     assert res2.report["g_maps"] == 0 and res2.report["k_maps"] == 0
 
     pt = trivial_action(z2pair.group, discrete_space(["y"]))
-    res3 = adjunction_maps(z2pair, pt)
+    res3 = adjunction_maps(twist(z2pair), pt)
     assert res3.report["status"] == "holds"
     assert res3.report["g_maps"] == 1 and res3.report["k_maps"] == 1
 
@@ -273,7 +292,7 @@ def test_adjunction_over_proper_subgroup():
     inst = load_fixture("z4-from-z2-pair")
     pa = inst.embedded_pa
     pt = trivial_action(inst.big, discrete_space(["y"]))
-    res = adjunction_maps(pa, pt, inst.big)
+    res = adjunction_maps(twist(pa, inst.big), pt)
     assert res.report["status"] == "holds"
     assert res.report["g_maps"] == 1 == res.report["k_maps"]
 
@@ -285,26 +304,26 @@ def test_adjunction_over_proper_subgroup():
     from pact import global_action
     y = global_action(z4, d2, {"0": dict(ident), "1": dict(swap),
                                "2": dict(ident), "3": dict(swap)})
-    res2 = adjunction_maps(pa, y, z4)
+    res2 = adjunction_maps(twist(pa, z4), y)
     assert res2.report["status"] == "holds"
     assert res2.report["g_maps"] == res2.report["k_maps"]
 
 
 def test_product_comparison_bijective_cases():
     swap = fixture_pa("z2-swap")
-    cmp_map, report = product_comparison(swap, swap)
+    cmp_map, report = compare_products(swap, swap)
     assert report["status"] == "holds"
     assert report["source_classes"] == report["target_points"] == 4
 
     z2pair = fixture_pa("z2-pair")
     pt = fixture_pa("pt")
-    _, report2 = product_comparison(z2pair, pt)
+    _, report2 = compare_products(z2pair, pt)
     assert report2["status"] == "holds"
 
 
 def test_product_comparison_fails_on_z2_pair_square():
     z2pair = fixture_pa("z2-pair")
-    cmp_map, report = product_comparison(z2pair, z2pair)
+    cmp_map, report = compare_products(z2pair, z2pair)
     assert report["status"] == "fails"
     assert report["reason"] == "not bijective"
     assert report["checks"]["well-defined"]
@@ -326,36 +345,61 @@ def test_iterated_twist_examples():
     z4 = cyclic_group(4)
     k = Subgroup(z4, frozenset({"0", "2"})).as_group()
     pt = trivial_action(k, discrete_space(["y"]))
-    m, n, report = iterated_twist_comparison(pt, z4)
+    m, n, report = compare_iterated_twists(pt, z4)
     assert report["status"] == "holds"
     assert report["iterated_classes"] == report["plain_classes"] == 2
 
     z2pair = fixture_pa("z2-pair")
-    _, _, report2 = iterated_twist_comparison(z2pair)
+    _, _, report2 = compare_iterated_twists(z2pair)
     assert report2["status"] == "holds"
     assert report2["iterated_classes"] == 3
 
     inst = load_fixture("z4-from-z2-pair")
-    _, _, report3 = iterated_twist_comparison(inst.embedded_pa, inst.big)
+    _, _, report3 = compare_iterated_twists(inst.embedded_pa, inst.big)
     assert report3["status"] == "holds"
     assert report3["iterated_classes"] == report3["plain_classes"] == 6
 
 
+def test_comparisons_reject_envelopes_of_other_actions():
+    inst = load_fixture("z4-from-z2-pair")
+    pa, z4 = inst.embedded_pa, inst.big
+    inner = twist(pa)
+    outer_1, outer_2 = twist(inner.as_global_action(), z4), twist(pa, z4)
+    with pytest.raises(ValidationError) as err:
+        iterated_twist_comparison(inner, outer_2, outer_2)
+    assert err.value.axiom == "envelope-mismatch"
+    with pytest.raises(ValidationError):
+        iterated_twist_comparison(inner, outer_1, twist(pa))
+    with pytest.raises(ValidationError):
+        iterated_twist_comparison(outer_2, outer_1, outer_2)
+    z2pair, pt = fixture_pa("z2-pair"), fixture_pa("pt")
+    diag, projections = diagonal_product([z2pair, pt])
+    with pytest.raises(ValidationError) as err:
+        product_comparison(twist(diag), twist(pt), twist(z2pair), projections)
+    assert err.value.axiom == "space-mismatch"
+    klein = validate_group(["0", "1", "a", "b"],
+                           [["0", "1", "a", "b"], ["1", "0", "b", "a"],
+                            ["a", "b", "0", "1"], ["b", "a", "1", "0"]], "0")
+    with pytest.raises(ValidationError) as err:
+        product_comparison(twist(diag), twist(z2pair, klein), twist(pt), projections)
+    assert err.value.axiom == "group-mismatch"
+
+
 def test_trivial_collapse_cases():
     pt = fixture_pa("pt")
-    delta, report = trivial_collapse(pt)
+    delta, report = trivial_collapse(twist(pt))
     assert report["status"] == "holds"
 
     wedge_space = load_fixture("z2-wedge").space
     z2 = cyclic_group(2)
     triv = trivial_action(z2, wedge_space)
-    _, report_full = trivial_collapse(triv)
+    _, report_full = trivial_collapse(twist(triv))
     assert report_full["status"] == "holds"
 
     z4 = cyclic_group(4)
     k = Subgroup(z4, frozenset({"0", "2"})).as_group()
     ptk = trivial_action(k, discrete_space(["y"]))
-    delta2, report2 = trivial_collapse(ptk, z4)
+    delta2, report2 = trivial_collapse(twist(ptk, z4))
     assert report2["status"] == "fails"
     assert report2["reason"] == "not injective"
     assert report2["classes"] == 2
@@ -364,11 +408,11 @@ def test_trivial_collapse_cases():
 
     e_group = validate_group(["e"], [["e"]], "e")
     one = trivial_action(e_group, discrete_space(["x", "y"]))
-    _, report3 = trivial_collapse(one)
+    _, report3 = trivial_collapse(twist(one))
     assert report3["status"] == "holds"
 
     with pytest.raises(ValidationError) as err:
-        trivial_collapse(fixture_pa("z2-swap"))
+        trivial_collapse(twist(fixture_pa("z2-swap")))
     assert err.value.axiom == "not-trivial"
 
 
@@ -469,13 +513,13 @@ def test_empty_domain_globalizes_to_disjoint_copies():
     assert is_open(env.total, image)
     moved = {label_view(env).action["1"][c] for c in image}
     assert moved == set(env.total.points) - image
-    _, report = trivial_collapse(pa)  # empty theta_1 is vacuously trivial
+    _, report = trivial_collapse(twist(pa))  # empty theta_1 is vacuously trivial
     assert report["status"] == "fails"
     assert report["reason"] == "not injective"
 
 
 def test_split_recovers_non_square_factors():
-    from pact import diagonal_product, split_diagonal_factors
+    from pact import split_diagonal_factors
     z2pair = fixture_pa("z2-pair")
     wedge = fixture_pa("z2-wedge")
     diag, _ = diagonal_product([z2pair, wedge])
@@ -486,7 +530,7 @@ def test_split_recovers_non_square_factors():
     assert pa2.space.points == wedge.space.points
     assert pa1.domains == z2pair.domains
     assert pa2.domains == wedge.domains
-    _, report = product_comparison(pa1, pa2)
+    _, report = compare_products(pa1, pa2)
     assert report["status"] in ("holds", "fails")
     assert report["checks"]["well-defined"]
     assert report["checks"]["continuous"]

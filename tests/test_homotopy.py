@@ -178,27 +178,46 @@ def test_is_contractible_examples_and_cross_check(rng):
         assert is_contractible(space) == by_fence
 
 
+def g_contract(pa):
+    """is_G_contractible on the poset of G-self-maps built here."""
+    return is_G_contractible(pa, lambda: enumerate_maps(pa.space, pa.space,
+                                                        equivariant=(pa, pa)))
+
+
 def test_is_g_contractible_examples():
     pt = fixture_pa("pt")
-    assert is_G_contractible(pt).value
+    assert g_contract(pt).value
 
     wedge = fixture_pa("z2-wedge")
-    res = is_G_contractible(wedge)
+    res = g_contract(wedge)
     assert res.value and res.fixed_point == "w"
     assert len(res.fence) == 2  # fence of length 1: constant below identity
     assert res.fence[0].assignment == tuple(wedge.space.points)
     assert set(res.fence[-1].assignment) == {"w"}
 
     circle = fixture_pa("z4-circle")
-    res2 = is_G_contractible(circle)
+    res2 = g_contract(circle)
     assert not res2.value and res2.reason == "no fixed points"
+
+
+def test_is_g_contractible_builds_no_poset_without_fixed_points():
+    def no_poset():
+        raise AssertionError("a space without fixed points needs no map search")
+    assert not is_G_contractible(fixture_pa("z4-circle"), no_poset)
+    wedge, pt = fixture_pa("z2-wedge"), fixture_pa("pt")
+    with pytest.raises(ValidationError) as err:
+        is_G_contractible(wedge, lambda: enumerate_maps(pt.space, pt.space,
+                                                        equivariant=(pt, pt)))
+    assert err.value.axiom == "space-mismatch"
+    with pytest.raises(ValidationError):
+        is_G_contractible(wedge, lambda: enumerate_maps(wedge.space, wedge.space))
 
 
 def test_g_contractible_implies_contractible():
     for name in ["pt", "z2-pair", "z2-swap", "z2-wedge", "z4-circle",
                  "z4-half", "z4-arcs"]:
         pa = fixture_pa(name)
-        if is_G_contractible(pa).value:
+        if g_contract(pa).value:
             assert is_contractible(pa.space)
 
 
@@ -356,6 +375,6 @@ def test_trivial_full_action_is_g_contractible_iff_contractible():
     z2 = cyclic_group(2)
     wedge_space = load_fixture("z2-wedge").space
     triv = trivial_action(z2, wedge_space)
-    assert is_G_contractible(triv).value
+    assert g_contract(triv).value
     circle_triv = trivial_action(z2, c8())
-    assert not is_G_contractible(circle_triv).value
+    assert not g_contract(circle_triv).value

@@ -1,0 +1,154 @@
+"""One run, one construction: the claims of one ``run_all`` share each
+envelope and G-map poset, and sharing changes no report.
+
+Builds are counted by wrapping the builders in every ``pact`` module that
+holds them, the way the benchmark's tracer does."""
+from __future__ import annotations
+
+import dataclasses
+import sys
+
+import pytest
+
+import pact.envelope
+import pact.homotopy
+import pact.paction
+import pact.verify
+from pact import (DEFAULT_BOUNDS, Bounds, InternalCheckError, claim_ids,
+                  fixture_names, load_fixture, parse_instance, run_all, run_claim)
+from test_verify import fence_document, half_circle_document
+
+BUILDERS = {"globalize": pact.envelope, "twisted_product": pact.envelope,
+            "enumerate_maps": pact.homotopy, "enumerate_G_maps": pact.paction}
+
+
+def count_builds(monkeypatch) -> dict[str, list]:
+    """Route every builder through a recorder; returns, per builder, the
+    (args, kwargs) of each call in order."""
+    calls: dict[str, list] = {name: [] for name in BUILDERS}
+
+    def recording(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name].append((args, sorted(kwargs.items())))
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name, home in BUILDERS.items():
+        real = getattr(home, name)
+        wrapper = recording(name, real)
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "pact" and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def instances():
+    yield from (load_fixture(name) for name in fixture_names())
+    yield from (parse_instance(half_circle_document(n)) for n in (4, 6, 8))
+    yield parse_instance(fence_document(3))
+
+
+INSTANCES = list(instances())
+
+
+def without_elapsed(reports):
+    return [dataclasses.replace(rep, elapsed=0.0) for rep in reports]
+
+
+@pytest.mark.parametrize("inst", INSTANCES, ids=lambda inst: inst.id)
+def test_run_all_builds_each_input_once(monkeypatch, inst):
+    calls = count_builds(monkeypatch)
+    run_all(inst)
+    assert calls["globalize"] and calls["twisted_product"]
+    for name in ("globalize", "twisted_product", "enumerate_maps"):
+        seen = calls[name]
+        assert all(seen[i] != seen[j] for j in range(len(seen)) for i in range(j)), name
+
+
+def test_g_contractible_reuses_the_posets_of_homotopy_preservation(monkeypatch):
+    calls = count_builds(monkeypatch)
+    during = {}
+    claim = pact.verify.CLAIMS["g-contractible"]
+
+    def watched(inst, bounds, run):
+        before = len(calls["enumerate_G_maps"])
+        result = claim(inst, bounds, run)
+        during[inst.id] = len(calls["enumerate_G_maps"]) - before
+        return result
+
+    monkeypatch.setitem(pact.verify.CLAIMS, "g-contractible", watched)
+    statuses = {}
+    for inst in INSTANCES:
+        statuses[inst.id] = next(rep.status for rep in run_all(inst)
+                                 if rep.claim_id == "g-contractible")
+    assert set(during.values()) == {0}
+    # both posets were needed where the claim holds
+    assert statuses["pt"] == statuses["z2-wedge"] == "holds"
+    # a lone claim builds its own
+    run_claim("g-contractible", load_fixture("z2-wedge"))
+    assert during["z2-wedge"] == 2
+
+
+def test_consecutive_runs_build_everything_again(monkeypatch):
+    calls = count_builds(monkeypatch)
+    inst = load_fixture("z4-from-z2-pair")
+    run_all(inst)
+    first = {name: len(seen) for name, seen in calls.items()}
+    assert min(first.values()) > 0
+    run_all(inst)
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        name: 2 * n for name, n in first.items()}
+
+
+@pytest.mark.parametrize("bounds", [DEFAULT_BOUNDS, Bounds().with_limit(8)],
+                         ids=["default", "limit-8"])
+@pytest.mark.parametrize("inst", INSTANCES, ids=lambda inst: inst.id)
+def test_shared_run_changes_no_report(inst, bounds):
+    shared = run_all(inst, bounds)
+    alone = [run_claim(cid, inst, bounds) for cid in claim_ids()]
+    assert without_elapsed(shared) == without_elapsed(alone)
+
+
+def test_limited_bounds_skip_shared_constructions():
+    statuses = {rep.claim_id: rep.status
+                for rep in run_all(load_fixture("z4-circle"), Bounds().with_limit(8))}
+    assert statuses["embedding"] == statuses["twist-eq-glob"] == "skipped-bounds"
+    assert statuses["pa-axioms"] == "holds"
+
+
+@pytest.mark.parametrize("name", ["z2-pair", "z4-from-z2-pair"])
+def test_failed_construction_fails_every_claim_that_needs_it(monkeypatch, name):
+    built = []
+
+    def broken(*args):
+        built.append(args)
+        raise InternalCheckError("planted fault")
+
+    monkeypatch.setattr(pact.envelope, "_assemble", broken)
+    inst = load_fixture(name)
+    shared = run_all(inst)
+    in_run_all = len(built)
+    alone = [run_claim(cid, inst) for cid in claim_ids()]
+    assert without_elapsed(shared) == without_elapsed(alone)
+    # nothing that raised was kept: each claim built (and failed) it again
+    assert in_run_all == len(built) - in_run_all
+    statuses = {rep.status for rep in shared}
+    assert "internal-error" in statuses and len(statuses) > 1
+
+
+@pytest.mark.parametrize("name", ["z2-pair", "z2-swap", "z2-wedge", "z2-pair-sq"])
+def test_twist_eq_glob_compares_independent_constructions(monkeypatch, name):
+    # mu_1 replaced by the identity: still a Z2 action, so every other claim
+    # runs, but no longer the globalization's
+    real = pact.envelope.twisted_product
+
+    def corrupted(*args):
+        env = real(*args)
+        rows = env.action_rows[:-1] + (tuple(range(len(env.total))),)
+        return dataclasses.replace(env, action_rows=rows)
+
+    inst = load_fixture(name)
+    assert run_claim("twist-eq-glob", inst).status == "holds"
+    monkeypatch.setattr(pact.envelope, "twisted_product", corrupted)
+    report = next(rep for rep in run_all(inst) if rep.claim_id == "twist-eq-glob")
+    assert report.status == "fails" and report.witness["reason"] == "same-action"
