@@ -25,13 +25,14 @@ from typing import Callable, Sequence
 from .algebra import (Group, Subgroup, all_subgroups, conjugate_subgroup,
                       is_subgroup_embedding, subgroup_generated)
 from .errors import BoundExceeded, InternalCheckError, ValidationError
-from .finspace import (FinSpace, SpaceMap, bit_indices, column_masks, compose,
-                       discrete_space, equivalence_classes, is_continuous,
-                       is_down_mask, is_open, monotonicity_violation, product,
-                       quotient_order, space_from_down_masks)
+from .finspace import (FinSpace, SpaceMap, bit_indices, block_down_masks,
+                       column_masks, discrete_space, equivalence_classes,
+                       is_continuous, is_down_mask, is_open,
+                       monotonicity_violation, product, quotient_order,
+                       space_from_down_masks)
 from .homotopy import MapPoset
-from .paction import (PartialAction, diagonal_product, enumerate_G_maps,
-                      fixed_points, g_map_faults, global_action, orbit_classes,
+from .paction import (PartialAction, certified_global_action, diagonal_product,
+                      enumerate_G_maps, fixed_points, g_map_faults, orbit_classes,
                       restrict_global, restrict_to_group)
 
 
@@ -69,10 +70,10 @@ class EnvelopeResult:
 
     @property
     def embedding(self) -> SpaceMap:
-        return SpaceMap.from_row(self.base.space, self.total, self.embedding_row)
+        return SpaceMap(self.base.space, self.total, self.embedding_row)
 
     def embedding_image(self) -> frozenset[str]:
-        return frozenset(self.embedding.assignment)
+        return frozenset(map(self.total.points.__getitem__, self.embedding_row))
 
     def descend(self, values: Sequence[int]) -> tuple[tuple[int, ...], int | None]:
         """The map on classes induced by a map on pairs, given as its value
@@ -84,16 +85,13 @@ class EnvelopeResult:
 
     def as_global_action(self) -> PartialAction:
         """The enveloping action as a certified global PartialAction, built
-        on the first call and kept with the envelope, so one envelope
-        yields one action."""
+        from ``action_rows`` on the first call and kept with the envelope,
+        so one envelope yields one action."""
         return self._global_action
 
     @cached_property
     def _global_action(self) -> PartialAction:
-        points = self.total.points
-        thetas = {g: dict(zip(points, map(points.__getitem__, row)))
-                  for g, row in zip(self.big_group.elements, self.action_rows)}
-        return global_action(self.big_group, self.total, thetas)
+        return certified_global_action(self.big_group, self.total, self.action_rows)
 
     def to_document(self) -> dict:
         """JSON-ready document: class table, opens of the total space,
@@ -128,12 +126,11 @@ def _descend(pair_class: Sequence[int], members: Sequence[Sequence[int]],
     return least, min(c for c, v in zip(pair_class, values) if out[c] != v)
 
 
-def _product_with_group(big: Group, space: FinSpace, max_pairs: int) -> FinSpace:
+def _pair_count(big: Group, space: FinSpace, max_pairs: int) -> int:
     n = len(big) * len(space)
     if n > max_pairs:
         raise BoundExceeded("envelope construction", max_pairs, n)
-    prod, _, _ = product(discrete_space(big.elements), space, max_points=n)
-    return prod
+    return n
 
 
 def _assemble(pa: PartialAction, big: Group, prod: FinSpace,
@@ -144,9 +141,7 @@ def _assemble(pa: PartialAction, big: Group, prod: FinSpace,
     invariants on them."""
     space, k = pa.space, pa.group
     n, pairs, count = len(space), len(prod), len(classes)
-    # (g, x) is below (g, y) iff x is below y, so the product's down-sets are
-    # the space's, shifted to each element's block of pairs
-    prod_down = [down << (g * n) for g in range(len(big)) for down in space._down_masks]
+    prod_down = block_down_masks(space._down_masks, len(big))
     cls_of, below = quotient_order(prod_down, classes)
     pair_class = tuple(cls_of)
     members = tuple(tuple(bit_indices(m)) for m in classes)
@@ -200,7 +195,7 @@ def _assemble(pa: PartialAction, big: Group, prod: FinSpace,
 
     kstar = sum(1 << (big.index(label) * n + x) for g, label in enumerate(k.elements)
                 for x in pa.domain_points[k.inverse_row[g]])
-    image = reduce(or_, map(class_bit.__getitem__, emb), 0)
+    image = reduce(or_, (1 << c for c in emb), 0)
     preimage = reduce(or_, (1 << p for p, c in enumerate(pair_class) if image >> c & 1), 0)
     if preimage != kstar:
         raise InternalCheckError("p^-1(iota(X)) differs from K*X")
@@ -228,7 +223,8 @@ def globalize(pa: PartialAction, max_pairs: int = 256) -> EnvelopeResult:
     """
     g_grp = pa.group
     space = pa.space
-    prod = _product_with_group(g_grp, space, max_pairs)
+    prod, _, _ = product(discrete_space(g_grp.elements), space,
+                         max_points=_pair_count(g_grp, space, max_pairs))
     # (g, x) is pair g * |X| + x; x lies in X_k iff theta_{k^-1} is defined at x
     n = len(space)
     rows, inverse_row = g_grp.rows, g_grp.inverse_row
@@ -261,16 +257,16 @@ def twisted_product(pa: PartialAction, big: Group,
         raise ValidationError("not-a-subgroup", tuple(k_grp.elements),
                               "the acting group is not a subgroup of the big group")
     space = pa.space
-    prod = _product_with_group(big, space, max_pairs)
-    translation = _right_translation(k_grp, big)
-    diag, _ = diagonal_product([translation, pa],
-                               max_points=len(big) * len(space))
-    if diag.space != prod:
+    pairs = _pair_count(big, space, max_pairs)
+    diag, _ = diagonal_product([_right_translation(k_grp, big), pa], max_points=pairs)
+    # the diagonal product's space is the labelled G x X
+    prod = diag.space
+    if list(prod._down_masks) != block_down_masks(space._down_masks, len(big)):
         raise InternalCheckError("diagonal product space differs from G x X")
     classes = orbit_classes(diag)
     # (g, x) is product point g * |X| + x; class masks per product point
     n = len(space)
-    class_mask = [0] * len(prod)
+    class_mask = [0] * pairs
     for m in classes:
         for p in bit_indices(m):
             class_mask[p] = m
@@ -290,10 +286,9 @@ def twisted_product(pa: PartialAction, big: Group,
 
 def _right_translation(k_grp: Group, big: Group) -> PartialAction:
     """The global action of K on the discrete space G by g |-> g k^-1."""
-    gspace = discrete_space(big.elements)
-    thetas = {k: {g: big.mul(g, big.inv(k)) for g in big.elements}
-              for k in k_grp.elements}
-    return global_action(k_grp, gspace, thetas)
+    k_inverse = [big.inverse_row[big.index(k)] for k in k_grp.elements]
+    return certified_global_action(k_grp, discrete_space(big.elements),
+                                   [[row[k] for row in big.rows] for k in k_inverse])
 
 
 def envelope_of_map(f: SpaceMap, pa_x: PartialAction, pa_y: PartialAction,
@@ -313,9 +308,9 @@ def envelope_of_map(f: SpaceMap, pa_x: PartialAction, pa_y: PartialAction,
         env_x = twisted_product(pa_x, big, max_pairs)
     if env_y is None:
         env_y = twisted_product(pa_y, big, max_pairs)
-    (row,) = lift_maps(MapPoset(f.source, f.target, (f.row(),)),
+    (row,) = lift_maps(MapPoset(f.source, f.target, (f.row,)),
                        pa_x, pa_y, env_x, env_y, big)
-    return SpaceMap.from_row(env_x.total, env_y.total, row)
+    return SpaceMap(env_x.total, env_y.total, row)
 
 
 def lift_maps(poset: MapPoset, pa_x: PartialAction, pa_y: PartialAction,
@@ -395,9 +390,9 @@ def recognize_globalization(pa_global: PartialAction, open_subset,
         raise ValidationError("empty-subset", (), "subset must be nonempty")
     if not is_open(pa_global.space, u):
         raise ValidationError("not-open", tuple(sorted(u)), "subset must be open")
-    grp = pa_global.group
-    covered = {pa_global.apply(g, x) for g in grp.elements for x in u}
-    missing = [p for p in pa_global.space.points if p not in covered]
+    xs = bit_indices(pa_global.space.mask_of(u))
+    covered = reduce(or_, (1 << image[x] for image in pa_global.images for x in xs))
+    missing = [p for i, p in enumerate(pa_global.space.points) if not covered >> i & 1]
     if missing:
         return None, {"status": "precondition-unmet",
                       "reason": "orbit of the subset does not cover the space",
@@ -406,7 +401,7 @@ def recognize_globalization(pa_global: PartialAction, open_subset,
     env = globalize(restricted, max_pairs)
     xs = list(map(pa_global.space.index, restricted.space.points))
     values, clash = env.descend([image[x] for image in pa_global.images for x in xs])
-    phi = SpaceMap.from_row(env.total, pa_global.space, values)
+    phi = SpaceMap(env.total, pa_global.space, values)
     checks = {
         "well-defined": clash is None,
         "bijective": phi.is_bijective(),
@@ -425,12 +420,13 @@ def recognize_globalization(pa_global: PartialAction, open_subset,
 
 @dataclass(frozen=True)
 class AdjunctionResult:
-    """Materialized hom-sets and the two adjunction maps between them."""
+    """Materialized hom-sets, as index rows, and the two adjunction maps
+    between them."""
 
-    g_maps: tuple[SpaceMap, ...]       # A_G(G x_K X, Y)
-    k_maps: tuple[SpaceMap, ...]       # PA_K(X, res Y)
-    lam: tuple[int, ...]               # index into k_maps per g_map
-    tau: tuple[int, ...]               # index into g_maps per k_map
+    g_maps: tuple[tuple[int, ...], ...]  # A_G(G x_K X, Y)
+    k_maps: tuple[tuple[int, ...], ...]  # PA_K(X, res Y)
+    lam: tuple[int, ...]                 # index into k_maps per g_map
+    tau: tuple[int, ...]                 # index into g_maps per k_map
     report: dict
 
 
@@ -460,10 +456,12 @@ def adjunction_maps(env: EnvelopeResult, pa_y: PartialAction,
     # res^G_K(Y), keyed by K's own group object so hom-sets compose with pa_x.
     res_y = restrict_to_group(pa_y, k_grp)
 
-    g_maps = _labelled_G_maps(env.as_global_action(), pa_y, node_budget)
-    k_maps = _labelled_G_maps(pa_x, res_y, node_budget)
-    k_index = {m.assignment: i for i, m in enumerate(k_maps)}
-    g_index = {m.assignment: i for i, m in enumerate(g_maps)}
+    # both hom-sets as index rows; labels only in witnesses
+    g_rows = enumerate_G_maps(env.as_global_action(), pa_y, node_budget=node_budget)
+    k_rows = enumerate_G_maps(pa_x, res_y, node_budget=node_budget)
+    k_index = {row: i for i, row in enumerate(k_rows)}
+    g_index = {row: i for i, row in enumerate(g_rows)}
+    y_points = pa_y.space.points
 
     checks = {"lambda-lands-in-homset": True, "tau-lands-in-homset": True,
               "tau-well-defined": True, "mutually-inverse": True,
@@ -471,31 +469,31 @@ def adjunction_maps(env: EnvelopeResult, pa_y: PartialAction,
     witness: dict = {}
 
     lam = []
-    for bf in g_maps:
-        assignment = tuple(bf(env.embedding(x)) for x in pa_x.space.points)
-        idx = k_index.get(assignment)
+    emb = env.embedding_row
+    for bf in g_rows:
+        row = tuple(map(bf.__getitem__, emb))
+        idx = k_index.get(row)
         if idx is None:
             checks["lambda-lands-in-homset"] = False
-            witness.setdefault("lambda-miss", dict(zip(pa_x.space.points, assignment)))
+            witness.setdefault("lambda-miss", dict(zip(pa_x.space.points,
+                                                       map(y_points.__getitem__, row))))
             idx = -1
         lam.append(idx)
 
     tau = []
-    y_points = pa_y.space.points
-    for f in k_maps:
-        row = f.row()
-        values, clash = env.descend([image[y] for image in pa_y.images for y in row])
-        assignment = tuple(map(y_points.__getitem__, values))
+    for f in k_rows:
+        values, clash = env.descend([image[y] for image in pa_y.images for y in f])
         if clash is not None:
             checks["tau-well-defined"] = False
-        idx = g_index.get(assignment)
+        idx = g_index.get(values)
         if idx is None:
             checks["tau-lands-in-homset"] = False
-            witness.setdefault("tau-miss", dict(zip(env.total.points, assignment)))
+            witness.setdefault("tau-miss", dict(zip(env.total.points,
+                                                    map(y_points.__getitem__, values))))
             idx = -1
         tau.append(idx)
 
-    if len(g_maps) != len(k_maps):
+    if len(g_rows) != len(k_rows):
         checks["mutually-inverse"] = False
     else:
         for i, li in enumerate(lam):
@@ -507,46 +505,38 @@ def adjunction_maps(env: EnvelopeResult, pa_y: PartialAction,
                 checks["mutually-inverse"] = False
                 witness.setdefault("inverse-miss", j)
 
+    def lam_of(row: tuple[int, ...]) -> tuple[int, ...] | None:
+        idx = g_index.get(row)
+        return None if idx is None or lam[idx] < 0 else k_rows[lam[idx]]
+
     # Naturality: post-composition square with s : Y -> Y and
     # pre-composition square with r : X -> X, over enumerated endomorphisms.
-    ss = _labelled_G_maps(pa_y, pa_y, node_budget)[:naturality_morphisms]
+    ss = enumerate_G_maps(pa_y, pa_y, node_budget=node_budget)[:naturality_morphisms]
     for s in ss:
-        for i, bf in enumerate(g_maps):
+        for i, bf in enumerate(g_rows):
             if lam[i] < 0:
                 continue
-            left = tuple(s(y) for y in k_maps[lam[i]].assignment)
-            post = compose(s, bf)
-            idx = g_index.get(post.assignment)
-            right = None if idx is None or lam[idx] < 0 else k_maps[lam[idx]].assignment
-            if right != left:
+            left = tuple(map(s.__getitem__, k_rows[lam[i]]))
+            if lam_of(tuple(map(s.__getitem__, bf))) != left:
                 checks["naturality-post"] = False
                 witness.setdefault("naturality-post-miss", i)
-    rs = _labelled_G_maps(pa_x, pa_x, node_budget)[:naturality_morphisms]
+    rs = enumerate_G_maps(pa_x, pa_x, node_budget=node_budget)[:naturality_morphisms]
     for r in rs:
-        er = envelope_of_map(r, pa_x, pa_x, big, env_x=env, env_y=env)
-        for i, bf in enumerate(g_maps):
+        er = envelope_of_map(SpaceMap(pa_x.space, pa_x.space, r), pa_x, pa_x, big,
+                             env_x=env, env_y=env).row
+        for i, bf in enumerate(g_rows):
             if lam[i] < 0:
                 continue
-            left = tuple(k_maps[lam[i]](r(x)) for x in pa_x.space.points)
-            pre = compose(bf, er)
-            idx = g_index.get(pre.assignment)
-            right = None if idx is None or lam[idx] < 0 else k_maps[lam[idx]].assignment
-            if right != left:
+            left = tuple(map(k_rows[lam[i]].__getitem__, r))
+            if lam_of(tuple(map(bf.__getitem__, er))) != left:
                 checks["naturality-pre"] = False
                 witness.setdefault("naturality-pre-miss", i)
 
     status = "holds" if all(checks.values()) else "fails"
     report = {"status": status, "checks": checks,
-              "g_maps": len(g_maps), "k_maps": len(k_maps),
+              "g_maps": len(g_rows), "k_maps": len(k_rows),
               "witness": witness}
-    return AdjunctionResult(tuple(g_maps), tuple(k_maps),
-                            tuple(lam), tuple(tau), report)
-
-
-def _labelled_G_maps(pa_x: PartialAction, pa_y: PartialAction,
-                     node_budget: int) -> list[SpaceMap]:
-    return [SpaceMap.from_row(pa_x.space, pa_y.space, row)
-            for row in enumerate_G_maps(pa_x, pa_y, node_budget=node_budget)]
+    return AdjunctionResult(tuple(g_rows), tuple(k_rows), tuple(lam), tuple(tau), report)
 
 
 def product_comparison(env_d: EnvelopeResult, env_1: EnvelopeResult,
@@ -575,18 +565,15 @@ def product_comparison(env_d: EnvelopeResult, env_1: EnvelopeResult,
     # target point ([g,x1], [g,x2]) is index [g,x1] * |G x_K X2| + [g,x2]
     width = len(env_2.total)
     n_1, n_2 = len(pa_1.space), len(pa_2.space)
-    row_1, row_2 = rho_1.row(), rho_2.row()
+    row_1, row_2 = rho_1.row, rho_2.row
     values, clash = env_d.descend(
         [env_1.pair_class[g * n_1 + x1] * width + env_2.pair_class[g * n_2 + x2]
          for g in range(len(big)) for x1, x2 in zip(row_1, row_2)])
-    cmp_map = SpaceMap.from_row(env_d.total, target, values)
+    cmp_map = SpaceMap(env_d.total, target, values)
 
-    hit = set(cmp_map.assignment)
-    unhit = [p for p in target.points if p not in hit]
-    collisions = {}
-    for c in env_d.total.points:
-        collisions.setdefault(cmp_map(c), []).append(c)
-    collision_pair = next((v for v in collisions.values() if len(v) > 1), None)
+    hit = set(values)
+    unhit = [p for j, p in enumerate(target.points) if j not in hit]
+    collision_pair = _first_collision(env_d.total, values)
 
     equivariant = all(
         values[mu_d[c]] == mu_1[v // width] * width + mu_2[v % width]
@@ -614,7 +601,7 @@ def product_comparison(env_d: EnvelopeResult, env_1: EnvelopeResult,
         "checks": checks,
         "source_classes": len(env_d.total),
         "target_points": len(target),
-        "map": {c: cmp_map(c) for c in env_d.total.points},
+        "map": cmp_map.as_dict(),
         "unhit_targets": unhit,
     }
     if reason:
@@ -650,13 +637,13 @@ def iterated_twist_comparison(inner: EnvelopeResult, outer_1: EnvelopeResult,
         m_table += values
         m_well = m_well and clash is None
     m_values, m_clash = outer_1.descend(m_table)
-    m = SpaceMap.from_row(outer_1.total, outer_2.total, m_values)
+    m = SpaceMap(outer_1.total, outer_2.total, m_values)
 
     # n[g, x] = [g, [e, x]]
     width = len(inner.total)
     n_values, n_clash = outer_2.descend([outer_1.pair_class[g * width + c]
                                          for g in range(len(big)) for c in inner.embedding_row])
-    n = SpaceMap.from_row(outer_2.total, outer_1.total, n_values)
+    n = SpaceMap(outer_2.total, outer_1.total, n_values)
 
     def equivariant(f, source, target):
         return all(f[mu_s[c]] == mu_t[f[c]]
@@ -688,20 +675,18 @@ def trivial_collapse(env: EnvelopeResult) -> tuple[SpaceMap, dict]:
     """
     pa, big = env.base, env.big_group
     if not pa.is_trivial():
-        bad = next((g, x) for g in pa.group.elements
-                   for x, y in pa.thetas[g].items() if y != x)
+        bad = next((g, pa.space.points[x]) for g, image in zip(pa.group.elements, pa.images)
+                   for x, y in enumerate(image) if y >= 0 and y != x)
         raise ValidationError("not-trivial", bad, "collapse needs a trivial action")
     values, clash = env.descend(list(range(len(pa.space))) * len(big))
-    delta = SpaceMap.from_row(env.total, pa.space, values)
-    collisions: dict[str, list[str]] = {}
-    for c in env.total.points:
-        collisions.setdefault(delta(c), []).append(c)
-    collision_pair = next((v for v in collisions.values() if len(v) > 1), None)
-    bijective = collision_pair is None and set(delta.assignment) == set(pa.space.points)
+    delta = SpaceMap(env.total, pa.space, values)
+    collision_pair = _first_collision(env.total, values)
+    surjective = len(set(values)) == len(pa.space)
+    bijective = collision_pair is None and surjective
     checks = {
         "well-defined": clash is None,
         "continuous": is_continuous(delta),
-        "surjective": set(delta.assignment) == set(pa.space.points),
+        "surjective": surjective,
         "injective": collision_pair is None,
         "inverse-continuous": bool(bijective and is_continuous(delta.inverse())),
     }
@@ -721,6 +706,14 @@ def trivial_collapse(env: EnvelopeResult) -> tuple[SpaceMap, dict]:
         report["collision"] = collision_pair[:2]
         report["collision_value"] = delta(collision_pair[0])
     return delta, report
+
+
+def _first_collision(source: FinSpace, values: Sequence[int]) -> list[str] | None:
+    """The source points of the first value taken more than once, or None."""
+    fibres: dict[int, list[str]] = {}
+    for c, v in zip(source.points, values):
+        fibres.setdefault(v, []).append(c)
+    return next((cs for cs in fibres.values() if len(cs) > 1), None)
 
 
 def _fixed_sets(env: EnvelopeResult) -> Callable[[int], int]:

@@ -83,9 +83,6 @@ class FinSpace:
         """Specialization preorder: x <= y iff x lies in U_y."""
         return bool(self._down_masks[self.index(y)] & (1 << self.index(x)))
 
-    def up_set(self, x: str) -> frozenset[str]:
-        return self.set_of(self._up_masks[self.index(x)])
-
     def mask_of(self, subset: Iterable[str]) -> int:
         try:
             return reduce(or_, map((1).__lshift__, map(self._index.__getitem__, subset)), 0)
@@ -162,6 +159,14 @@ def is_closed(space: FinSpace, subset: Iterable[str]) -> bool:
     return is_down_mask(space._down_masks, full & ~space.mask_of(subset))
 
 
+def block_down_masks(down: Sequence[int], blocks: int) -> list[int]:
+    """The down-set masks of D x X for a discrete D of ``blocks`` points,
+    given X's down-set masks ``down``: pair (d, x) has index d * |X| + x,
+    and (d, x) is below (d, y) iff x is below y."""
+    n = len(down)
+    return [mask << (d * n) for d in range(blocks) for mask in down]
+
+
 def is_down_mask(down: Sequence[int], mask: int) -> bool:
     """Whether ``mask`` contains the down-set mask ``down[i]`` of each of
     its points i, i.e. is open."""
@@ -184,11 +189,14 @@ def enumerate_opens(space: FinSpace, max_points: int = 20) -> list[frozenset[str
 
 @dataclass(frozen=True)
 class SpaceMap:
-    """A total point function between spaces; continuity is checked, not assumed."""
+    """A total point function between spaces, stored as its index row:
+    ``row[i]`` is the target index of ``source.points[i]``.  Continuity is
+    checked, not assumed.  ``assignment`` is the label view of the row,
+    built on first use."""
 
     source: FinSpace
     target: FinSpace
-    assignment: tuple[str, ...]
+    row: tuple[int, ...]
 
     @classmethod
     def from_dict(cls, source: FinSpace, target: FinSpace,
@@ -197,62 +205,48 @@ class SpaceMap:
         if missing:
             raise ValidationError("partial-assignment", (missing[0],),
                                   f"no image for point {missing[0]!r}")
-        values = []
-        for p in source.points:
-            y = mapping[p]
-            target.index(y)
-            values.append(y)
-        return cls(source, target, tuple(values))
-
-    @classmethod
-    def from_row(cls, source: FinSpace, target: FinSpace,
-                 row: Sequence[int]) -> "SpaceMap":
-        """The map whose value at source.points[i] is target.points[row[i]]."""
-        return cls(source, target, tuple(map(target.points.__getitem__, row)))
+        return cls(source, target, tuple(target.index(mapping[p]) for p in source.points))
 
     @classmethod
     def identity(cls, space: FinSpace) -> "SpaceMap":
-        return cls(space, space, space.points)
+        return cls(space, space, tuple(range(len(space))))
 
     @classmethod
     def constant(cls, source: FinSpace, target: FinSpace, value: str) -> "SpaceMap":
-        target.index(value)
-        return cls(source, target, tuple(value for _ in source.points))
+        return cls(source, target, (target.index(value),) * len(source))
+
+    @cached_property
+    def assignment(self) -> tuple[str, ...]:
+        """The image label of each source point."""
+        return tuple(map(self.target.points.__getitem__, self.row))
 
     def __call__(self, x: str) -> str:
-        return self.assignment[self.source.index(x)]
-
-    def row(self) -> tuple[int, ...]:
-        """The index row of the map: the target index of each source point."""
-        try:
-            return tuple(map(self.target._index.__getitem__, self.assignment))
-        except KeyError as exc:
-            raise _unknown_point(exc.args[0])
+        return self.target.points[self.row[self.source.index(x)]]
 
     def as_dict(self) -> dict[str, str]:
         return dict(zip(self.source.points, self.assignment))
 
     def image(self, subset: Iterable[str]) -> frozenset[str]:
-        return frozenset(self(x) for x in subset)
+        return self.target.set_of(reduce(or_, (1 << self.row[self.source.index(x)]
+                                               for x in subset), 0))
 
     def is_bijective(self) -> bool:
-        return (len(self.source) == len(self.target)
-                and len(set(self.assignment)) == len(self.target))
+        return len(self.source) == len(self.target) == len(set(self.row))
 
     def inverse(self) -> "SpaceMap":
         if not self.is_bijective():
             raise ValidationError("not-bijective", (), "map has no inverse")
-        back = {y: x for x, y in zip(self.source.points, self.assignment)}
-        return SpaceMap(self.target, self.source,
-                        tuple(back[y] for y in self.target.points))
+        back = [0] * len(self.row)
+        for x, y in enumerate(self.row):
+            back[y] = x
+        return SpaceMap(self.target, self.source, tuple(back))
 
 
 def compose(outer: SpaceMap, inner: SpaceMap) -> SpaceMap:
     """outer after inner."""
     if inner.target != outer.source:
         raise ValidationError("composition-mismatch", (), "codomain/domain spaces differ")
-    return SpaceMap(inner.source, outer.target,
-                    tuple(outer(y) for y in inner.assignment))
+    return SpaceMap(inner.source, outer.target, tuple(map(outer.row.__getitem__, inner.row)))
 
 
 def monotonicity_violation(src_down: Sequence[int], subset: int,
@@ -291,7 +285,7 @@ def is_continuous(m: SpaceMap) -> bool:
     """Continuity == monotonicity for the specialization preorders."""
     src = m.source
     return monotonicity_violation(src._down_masks, (1 << len(src)) - 1,
-                                  m.row(), m.target._down_masks) is None
+                                  m.row, m.target._down_masks) is None
 
 
 _ZEROS = b"0" * 256
@@ -335,7 +329,7 @@ def spread(columns: Sequence[Sequence[int]], masks: Sequence[int]) -> list[list[
 
 def is_open_map(m: SpaceMap) -> bool:
     """Images of opens are open; it suffices to check the minimal opens."""
-    bit = [1 << m.target.index(y) for y in m.assignment]
+    bit = [1 << y for y in m.row]
     down = m.target._down_masks
     return all(is_down_mask(down, reduce(or_, map(bit.__getitem__, bit_indices(u))))
                for u in m.source._down_masks)
@@ -347,20 +341,12 @@ def product(a: FinSpace, b: FinSpace, max_points: int = 64
     n = len(a) * len(b)
     if n > max_points:
         raise BoundExceeded("product space", max_points, n)
-    points = []
-    opens = []
-    firsts = []
-    seconds = []
-    for x in a.points:
-        for y in b.points:
-            points.append(pair_label(x, y))
-            opens.append(frozenset(pair_label(p, q)
-                                   for p in a.min_open_of(x) for q in b.min_open_of(y)))
-            firsts.append(x)
-            seconds.append(y)
-    space = FinSpace(tuple(points), tuple(opens))
-    p1 = SpaceMap(space, a, tuple(firsts))
-    p2 = SpaceMap(space, b, tuple(seconds))
+    space = FinSpace(tuple(pair_label(x, y) for x in a.points for y in b.points),
+                     tuple(frozenset(pair_label(p, q) for p in u for q in v)
+                           for u in a.min_open for v in b.min_open))
+    # point (x_i, y_j) has index i * |B| + j
+    p1 = SpaceMap(space, a, tuple(i for i in range(len(a)) for _ in b.points))
+    p2 = SpaceMap(space, b, tuple(range(len(b))) * len(a))
     return space, p1, p2
 
 
@@ -412,7 +398,7 @@ def quotient(space: FinSpace, classes: Iterable[Iterable[str]]
     if len(set(labels)) != len(labels):
         raise ValidationError("duplicate-point", (), "class labels collide")
     qspace = space_from_down_masks(labels, below)
-    return qspace, SpaceMap(space, qspace, tuple(map(labels.__getitem__, cls_of)))
+    return qspace, SpaceMap(space, qspace, tuple(cls_of))
 
 
 def quotient_order(down: Sequence[int], classes: Sequence[int]
@@ -485,20 +471,12 @@ def subspace(space: FinSpace, subset: Iterable[str]) -> FinSpace:
 
 
 def t0_quotient(space: FinSpace) -> tuple[FinSpace, SpaceMap]:
-    """Identify topologically indistinguishable points (x <= y and y <= x)."""
-    classes: list[set[str]] = []
-    placed: dict[str, int] = {}
-    for x in space.points:
-        for k, cls in enumerate(classes):
-            rep = next(iter(cls))
-            if space.leq(x, rep) and space.leq(rep, x):
-                cls.add(x)
-                placed[x] = k
-                break
-        else:
-            placed[x] = len(classes)
-            classes.append({x})
-    return quotient(space, classes)
+    """Identify topologically indistinguishable points (x <= y and y <= x),
+    which are exactly the points with the same minimal open set."""
+    classes: dict[int, int] = {}
+    for i, down in enumerate(space._down_masks):
+        classes[down] = classes.get(down, 0) | 1 << i
+    return quotient(space, map(space.set_of, classes.values()))
 
 
 def is_T1(space: FinSpace) -> bool:
@@ -514,7 +492,7 @@ def enumerate_monotone_maps(source: FinSpace, target: FinSpace,
                             node_budget: int = 1_000_000,
                             max_maps: int = 4096) -> list[tuple[int, ...]]:
     """All continuous (monotone) maps source -> target, as index rows (the
-    target index of each source point; ``SpaceMap.from_row`` labels one).
+    target index of each source point; ``SpaceMap`` takes one).
 
     Constraint-propagating DFS with a most-constrained-point heuristic; the
     rows are sorted, so the result is deterministic regardless of the

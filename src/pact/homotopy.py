@@ -36,8 +36,8 @@ class MapPoset:
     f <= g  iff  f(x) <= g(x) for every x.
 
     Each map is an index row (the target index of each source point), in
-    sorted order; ``maps`` labels them all, on first use, for callers that
-    want SpaceMaps."""
+    sorted order; ``maps`` wraps them all as SpaceMaps, on first use, for
+    callers that want them."""
 
     source: FinSpace
     target: FinSpace
@@ -46,34 +46,19 @@ class MapPoset:
 
     @cached_property
     def maps(self) -> tuple[SpaceMap, ...]:
-        return tuple(SpaceMap.from_row(self.source, self.target, row) for row in self.rows)
+        return tuple(SpaceMap(self.source, self.target, row) for row in self.rows)
 
     @cached_property
     def _lookup(self) -> dict[tuple[int, ...], int]:
         return {row: i for i, row in enumerate(self.rows)}
 
-    def index_of(self, f: SpaceMap) -> int:
-        idx = self._lookup.get(tuple(map(self.target._index.get, f.assignment)))
-        if idx is None:
-            raise self._missing(f.assignment)
-        return idx
-
-    def row_index(self, row: tuple[int, ...]) -> int:
+    def index_of(self, row: tuple[int, ...]) -> int:
+        """The position of the map with index row ``row`` (``SpaceMap.row``)."""
         idx = self._lookup.get(row)
         if idx is None:
-            raise self._missing(tuple(map(self.target.points.__getitem__, row)))
+            raise ValidationError("not-in-poset", tuple(map(self.target.points.__getitem__, row)),
+                                  f"map is not among the enumerated {self.kind} maps")
         return idx
-
-    def _missing(self, assignment: tuple[str, ...]) -> ValidationError:
-        return ValidationError("not-in-poset", assignment,
-                               f"map is not among the enumerated {self.kind} maps")
-
-    def leq(self, i: int, j: int) -> bool:
-        down = self.target._down_masks
-        return all(down[b] >> a & 1 for a, b in zip(self.rows[i], self.rows[j]))
-
-    def comparable(self, i: int, j: int) -> bool:
-        return self.leq(i, j) or self.leq(j, i)
 
     @cached_property
     def columns(self) -> list[list[int]]:
@@ -140,7 +125,7 @@ class MapPoset:
         path = []
         cur: int | None = j
         while cur is not None:
-            path.append(SpaceMap.from_row(self.source, self.target, self.rows[cur]))
+            path.append(SpaceMap(self.source, self.target, self.rows[cur]))
             cur = prev[cur]
         path.reverse()
         return path
@@ -172,7 +157,7 @@ def are_homotopic(f: SpaceMap, g: SpaceMap,
             raise ValidationError("not-continuous", (), "homotopy needs continuous maps")
     poset = enumerate_maps(f.source, f.target,
                            node_budget=node_budget, max_maps=max_maps)
-    return poset.components[poset.index_of(f)] == poset.components[poset.index_of(g)]
+    return poset.components[poset.index_of(f.row)] == poset.components[poset.index_of(g.row)]
 
 
 def are_G_homotopic(f: SpaceMap, g: SpaceMap,
@@ -185,7 +170,7 @@ def are_G_homotopic(f: SpaceMap, g: SpaceMap,
             raise ValidationError("not-a-G-map", (), "equivariant homotopy needs G-maps")
     poset = enumerate_maps(f.source, f.target, equivariant=(pa_x, pa_y),
                            node_budget=node_budget, max_maps=max_maps)
-    return poset.components[poset.index_of(f)] == poset.components[poset.index_of(g)]
+    return poset.components[poset.index_of(f.row)] == poset.components[poset.index_of(g.row)]
 
 
 def _check_parallel(f: SpaceMap, g: SpaceMap) -> None:
@@ -193,14 +178,13 @@ def _check_parallel(f: SpaceMap, g: SpaceMap) -> None:
         raise ValidationError("space-mismatch", (), "maps must be parallel")
 
 
-def _beat_point(space: FinSpace, x: str) -> bool:
-    down = [y for y in space.min_open_of(x) if y != x]
-    if down and any(all(space.leq(d, m) for d in down) for m in down):
-        return True
-    up = [y for y in space.up_set(x) if y != x]
-    if up and any(all(space.leq(m, u) for u in up) for m in up):
-        return True
-    return False
+def _beat_point(space: FinSpace, i: int) -> bool:
+    """Whether the points strictly below point i have a maximum, or those
+    strictly above it a minimum."""
+    down, up = space._down_masks, space._up_masks
+    below, above = down[i] & ~(1 << i), up[i] & ~(1 << i)
+    return (any(not below & ~down[m] for m in bit_indices(below))
+            or any(not above & ~up[m] for m in bit_indices(above)))
 
 
 def core(space: FinSpace) -> FinSpace:
@@ -211,10 +195,10 @@ def core(space: FinSpace) -> FinSpace:
     """
     current, _ = t0_quotient(space)
     while True:
-        beat = next((x for x in current.points if _beat_point(current, x)), None)
+        beat = next((i for i in range(len(current)) if _beat_point(current, i)), None)
         if beat is None:
             return current
-        current = subspace(current, [p for p in current.points if p != beat])
+        current = subspace(current, current.points[:beat] + current.points[beat + 1:])
 
 
 def is_contractible(space: FinSpace) -> bool:
@@ -257,12 +241,12 @@ def is_G_contractible(pa: PartialAction, g_maps: Callable[[], MapPoset]) -> GCon
     poset = g_maps()
     if (poset.source, poset.target, poset.kind) != (pa.space, pa.space, "equivariant"):
         raise ValidationError("space-mismatch", (), "not a poset of G-self-maps of the action")
-    ident = poset.index_of(SpaceMap.identity(pa.space))
+    ident = poset.index_of(SpaceMap.identity(pa.space).row)
     for w in candidates:
         const = SpaceMap.constant(pa.space, pa.space, w)
         if not is_G_map(const, pa, pa):
             raise InternalCheckError(f"constant at fixed point {w!r} is not a G-map")
-        ci = poset.index_of(const)
+        ci = poset.index_of(const.row)
         fence = poset.fence(ident, ci)
         if fence is not None:
             return GContract(True, fixed_point=w, fence=tuple(fence))

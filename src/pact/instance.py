@@ -230,13 +230,15 @@ def parse_instance(source: str | Path | Mapping) -> Instance:
 
 def _relabel_action(pa: PartialAction, embedding: Mapping[str, str],
                     big: Group) -> PartialAction:
-    """Re-key a partial action along an injective homomorphism into ``big``."""
+    """Re-key a partial action along an injective homomorphism into ``big``,
+    reusing its index tables."""
     elems = tuple(embedding[k] for k in pa.group.elements)
     table = tuple(tuple(embedding[pa.group.mul(a, b)] for b in pa.group.elements)
                   for a in pa.group.elements)
     k_grp = Group(elems, table, embedding[pa.group.identity])
     if not is_subgroup_embedding(k_grp, big):
         raise InstanceError("k_embedding", "image is not a subgroup of big_group")
-    domains = {embedding[g]: pa.domains[g] for g in pa.group.elements}
-    thetas = {embedding[g]: dict(pa.thetas[g]) for g in pa.group.elements}
-    return validate_partial_action(k_grp, pa.space, domains, thetas)
+    # the embedding is an injective homomorphism (checked by the caller), so
+    # the relabelled group lists pa's elements in pa's order with pa's
+    # products, and pa's validated tables hold for it unchanged
+    return PartialAction(k_grp, pa.space, pa.images, pa.domain_points)

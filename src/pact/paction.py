@@ -8,95 +8,116 @@ homeomorphism theta_g : X_{g^-1} -> X_g, subject to
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import Group, Subgroup, is_subgroup_embedding
 from .errors import InternalCheckError, ValidationError
-from .finspace import (FinSpace, SpaceMap, _search_maps, bit_indices, compose,
-                       discrete_space, equivalence_classes, is_closed,
+from .finspace import (FinSpace, SpaceMap, _search_maps, bit_indices,
+                       block_down_masks, compose, equivalence_classes,
                        is_continuous, is_down_mask, is_open, is_open_map,
-                       monotonicity_violation, pair_label, product,
-                       quotient, spread, subspace)
+                       monotonicity_violation, product, quotient, spread,
+                       subspace)
 
 
 @dataclass(frozen=True)
 class PartialAction:
-    """A partial action whose axioms have been checked.
+    """A partial action whose axioms have been checked, stored as index
+    tables per element index: ``images[g][i]`` is the point index of
+    theta_g(points[i]), -1 where theta_g is undefined, and
+    ``domain_points[g]`` lists X_g's point indices in point order.
 
     Parsed input is built by :func:`validate_partial_action`, the full
-    validator.  The actions pact builds itself come from constructions that
-    certify them instead: :func:`global_action` on a generating set,
-    :func:`diagonal_product` coordinate by coordinate, and
-    :func:`restrict_to_subgroup` by reusing the parent's tables.
+    validator, which hands over the label tables it checked as the first
+    values of the label views ``domains`` and ``thetas``.  The actions pact
+    builds itself come from constructions that certify their tables
+    instead: :func:`certified_global_action` on a generating set,
+    :func:`diagonal_product` coordinate by coordinate, and the restrictions
+    by re-indexing the parent's tables; their label views are built from
+    the tables on first use.
     """
 
     group: Group
     space: FinSpace
-    domains: Mapping[str, frozenset[str]]
-    thetas: Mapping[str, Mapping[str, str]]
-    # Index tables built from domains and thetas, per element index:
-    # images[g][i] is the point index of theta_g(points[i]), -1 where theta_g
-    # is undefined, and domain_points[g] lists X_g's point indices in order.
-    images: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    domain_points: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    images: tuple[tuple[int, ...], ...]
+    domain_points: tuple[tuple[int, ...], ...]
 
-    def domain(self, g: str) -> frozenset[str]:
-        self.group.index(g)
-        return self.domains[g]
+    @cached_property
+    def domains(self) -> dict[str, frozenset[str]]:
+        """X_g as a label set, per element label."""
+        pts = self.space.points
+        return {g: frozenset(map(pts.__getitem__, xs))
+                for g, xs in zip(self.group.elements, self.domain_points)}
+
+    @cached_property
+    def thetas(self) -> dict[str, dict[str, str]]:
+        """theta_g as a label table on X_{g^-1}, per element label."""
+        pts, inverse_row = self.space.points, self.group.inverse_row
+        return {g: {pts[x]: pts[image[x]] for x in self.domain_points[inverse_row[i]]}
+                for i, (g, image) in enumerate(zip(self.group.elements, self.images))}
 
     def defined(self, g: str, x: str) -> bool:
         """Whether g.x exists, i.e. (g, x) lies in G*X."""
-        return x in self.domains[self.group.inv(g)]
+        i = self.space._index.get(x)
+        return i is not None and self.images[self.group.index(g)][i] >= 0
 
     def apply(self, g: str, x: str) -> str:
-        return self.thetas[g][x]
+        y = self.images[self.group.index(g)][self.space.index(x)]
+        if y < 0:
+            raise ValidationError("undefined", (g, x), f"theta_{g!r} is undefined at {x!r}")
+        return self.space.points[y]
 
     def gstar(self) -> list[tuple[str, str]]:
         """G*X as (g, x) pairs, in (element, point) order."""
-        return [(g, x) for g in self.group.elements for x in self.space.points
-                if self.defined(g, x)]
-
-    def g_hat(self, x: str) -> frozenset[str]:
-        """G^x: the elements g with g.x defined."""
-        self.space.index(x)
-        return frozenset(g for g in self.group.elements if self.defined(g, x))
+        pts = self.space.points
+        return [(g, pts[x]) for g, image in zip(self.group.elements, self.images)
+                for x, y in enumerate(image) if y >= 0]
 
     def is_global(self) -> bool:
-        allpts = frozenset(self.space.points)
-        return all(self.domains[g] == allpts for g in self.group.elements)
+        return all(len(xs) == len(self.space) for xs in self.domain_points)
 
     def is_trivial(self) -> bool:
         """theta(g, x) = x wherever defined."""
-        return all(y == x for g in self.group.elements
-                   for x, y in self.thetas[g].items())
+        return all(y < 0 or y == x for image in self.images for x, y in enumerate(image))
+
+    def _gstar_masks(self) -> tuple[list[int], int]:
+        """The down-set masks of G x X (G discrete, pair (g, x) at index
+        g * |X| + x) and the pair mask of G*X, read off ``images``."""
+        n = len(self.space)
+        gstar = sum(1 << (g * n + x) for g, image in enumerate(self.images)
+                    for x, y in enumerate(image) if y >= 0)
+        return block_down_masks(self.space._down_masks, len(self.group)), gstar
 
     def gstar_is_open(self) -> bool:
         """Whether G*X is open in G x X.  With open domains and a finite
         discrete group this is automatic (every partial action here is
-        nice); the direct computation is kept as a cross-check."""
-        prod, _, _ = product(discrete_space(self.group.elements), self.space,
-                             max_points=len(self.group) * len(self.space))
-        gstar_labels = [pair_label(g, x) for g, x in self.gstar()]
-        direct = is_open(prod, gstar_labels)
-        if not direct:
+        nice); the direct computation on pair masks is kept as a
+        cross-check."""
+        down, gstar = self._gstar_masks()
+        if not is_down_mask(down, gstar):
             raise InternalCheckError("G*X is not open despite open domains")
-        return direct
+        return True
 
     def gstar_is_closed(self) -> bool:
         """Whether G*X is closed in G x X; for discrete finite G this is
         equivalent to every X_g being closed, and both routes are compared."""
-        per_domain = all(is_closed(self.space, self.domains[g])
-                         for g in self.group.elements)
-        prod, _, _ = product(discrete_space(self.group.elements), self.space,
-                             max_points=len(self.group) * len(self.space))
-        gstar_labels = {pair_label(g, x) for g, x in self.gstar()}
-        complement = [p for p in prod.points if p not in gstar_labels]
-        direct = is_open(prod, complement)
+        down, full = self.space._down_masks, (1 << len(self.space)) - 1
+        per_domain = all(is_down_mask(down, full & ~sum(1 << x for x in xs))
+                         for xs in self.domain_points)
+        pair_down, gstar = self._gstar_masks()
+        direct = is_down_mask(pair_down, ((1 << len(pair_down)) - 1) & ~gstar)
         if per_domain != direct:
             raise InternalCheckError("G*X closedness disagrees with domain closedness")
         return direct
+
+
+def _with_labels(pa: PartialAction, domains: Mapping[str, frozenset[str]],
+                 thetas: Mapping[str, Mapping[str, str]]) -> PartialAction:
+    """``pa`` with its label views set to tables already at hand."""
+    pa.__dict__.update(domains=domains, thetas=thetas)
+    return pa
 
 
 @dataclass(frozen=True)
@@ -247,60 +268,73 @@ def validate_partial_action(group: Group, space: FinSpace,
         raise ValidationError("pa2", pa2_scan,
                               "PA2 fails: theta_g(theta_h(x)) != theta_gh(x)")
 
-    return PartialAction(group, space, dom, the,
-                         tuple(map(tuple, images)), tuple(map(tuple, dom_points)))
+    return _with_labels(PartialAction(group, space, tuple(map(tuple, images)),
+                                      tuple(map(tuple, dom_points))), dom, the)
 
 
 def global_action(group: Group, space: FinSpace,
                   thetas: Mapping[str, Mapping[str, str]]) -> PartialAction:
-    """A global action (every domain is the whole space), certified on the
-    group's generating set S (``Group.generators``) instead of validated.
+    """A global action (every domain is the whole space) given by label
+    tables: the label edge in front of :func:`certified_global_action`.
 
-    After the label checks (a table per element, each total on X, every
-    value a known point) the certificate checks that theta_e is the
-    identity, that theta_s is monotone for s in S, and that
-    theta_s . theta_g = theta_sg for s in S and every g.  Every element is
-    a word in S, so induction on its length gives theta_g . theta_h =
-    theta_gh for all g and h; hence theta_g . theta_{g^-1} = theta_e is the
-    identity (PA1 and bijectivity), and each theta_g is a composite of
-    monotone maps.  That is O(|S| |G| |X|) work against the validator's
-    O(|G|^2 |X|).  When the certificate fails, the full validator runs, so
-    the ValidationError and its witness are the validator's; if the
-    validator passes instead, the certificate is wrong and
-    InternalCheckError is raised.
+    Tables that are not total on known points, or fail the certificate,
+    go to the full validator, so the ValidationError and its witness are
+    the validator's; if the validator passes instead, the certificate is
+    wrong: InternalCheckError.
     """
-    images = _global_certificate(group, space, thetas)
-    if images is None:
+    index = space._index
+    try:
+        images = tuple(tuple(index[thetas[g][x]] for x in space.points)
+                       for g in group.elements)
+    except KeyError:
+        images = None
+    total = images is not None and len(thetas) == len(group) and all(
+        len(thetas[g]) == len(space) for g in group.elements)
+    pa = _global_certificate(group, space, images) if total else None
+    if pa is None:
         validate_partial_action(group, space,
                                 {g: space.points for g in group.elements}, thetas)
         raise InternalCheckError("the global-action certificate failed "
                                  "but the full validator passed")
     allpts = frozenset(space.points)
-    return PartialAction(group, space, {g: allpts for g in group.elements},
-                         {g: dict(thetas[g]) for g in group.elements},
-                         images, (tuple(range(len(space))),) * len(group))
+    return _with_labels(pa, {g: allpts for g in group.elements},
+                        {g: dict(thetas[g]) for g in group.elements})
+
+
+def certified_global_action(group: Group, space: FinSpace,
+                            images: Sequence[Sequence[int]]) -> PartialAction:
+    """The global action whose theta_g is the index row ``images[g]``, for
+    rows pact builds itself.
+
+    The certificate checks that every row is a total table of point
+    indices, that theta_e is the identity, that theta_s is monotone for s
+    in the group's generating set S (``Group.generators``), and that
+    theta_s . theta_g = theta_sg for s in S and every g.  Every element is
+    a word in S, so induction on its length gives theta_g . theta_h =
+    theta_gh for all g and h; hence theta_g . theta_{g^-1} = theta_e is the
+    identity (PA1 and bijectivity), and each theta_g is a composite of
+    monotone maps.  That is O(|S| |G| |X|) work against the validator's
+    O(|G|^2 |X|).  A failed certificate on built rows is a construction
+    bug: InternalCheckError.
+    """
+    pa = _global_certificate(group, space, tuple(map(tuple, images)))
+    if pa is None:
+        raise InternalCheckError("a built global action fails its certificate")
+    return pa
 
 
 def _global_certificate(group: Group, space: FinSpace,
-                        thetas: Mapping[str, Mapping[str, str]]
-                        ) -> tuple[tuple[int, ...], ...] | None:
-    """The index tables of a global action when its certificate (see
-    :func:`global_action`) holds, else None."""
-    points, index = space.points, space._index
-    if not group._index.keys() >= thetas.keys():
+                        images: tuple[tuple[int, ...], ...]) -> PartialAction | None:
+    """The global action on the index rows ``images`` when they pass the
+    certificate of :func:`certified_global_action`, else None."""
+    n = len(space)
+    every = set(range(n))
+    if len(images) != len(group) or not all(
+            len(image) == n and set(image) <= every for image in images):
         return None
-    images = []
-    for g in group.elements:
-        table = thetas.get(g)
-        if table is None or len(table) != len(points) or not index.keys() >= table.keys():
-            return None
-        image = tuple(map(index.get, map(table.__getitem__, points)))
-        if None in image:
-            return None
-        images.append(image)
-    if images[group.index(group.identity)] != tuple(range(len(points))):
+    if images[group.index(group.identity)] != tuple(range(n)):
         return None
-    down, full = space._down_masks, (1 << len(points)) - 1
+    down, full = space._down_masks, (1 << n) - 1
     for s in group.generators:
         image_s, row = images[s], group.rows[s]
         if monotonicity_violation(down, full, image_s, down) is not None:
@@ -308,18 +342,24 @@ def _global_certificate(group: Group, space: FinSpace,
         for g, image in enumerate(images):
             if tuple(map(image_s.__getitem__, image)) != images[row[g]]:
                 return None
-    return tuple(images)
+    return PartialAction(group, space, images, (tuple(range(n)),) * len(group))
 
 
 def trivial_action(group: Group, space: FinSpace) -> PartialAction:
     """The full-domain action where every element acts as the identity."""
-    ident = {x: x for x in space.points}
-    return global_action(group, space, {g: dict(ident) for g in group.elements})
+    return certified_global_action(group, space, (tuple(range(len(space))),) * len(group))
 
 
 def restrict_global(pa: PartialAction, open_subset: Iterable[str]) -> PartialAction:
-    """Restrict a global action to a nonempty open subset:
-    X_g = U & mu_g(U), theta_g = mu_g restricted."""
+    """Restrict a global action to a nonempty open subset U:
+    X_g = U & mu_g(U), theta_g = mu_g restricted.
+
+    The index tables are the parent's rows re-indexed onto U: theta_g is
+    mu_g where it lands in U and undefined elsewhere, and X_g is the image
+    of theta_g.  The result is certified by :func:`_certify_restriction`
+    instead of validated: the restriction of a global action to an open
+    subset is a partial action (its domains are open because each mu_g is
+    a homeomorphism), so only the re-indexing needs checking."""
     if not pa.is_global():
         raise ValidationError("not-global", (), "restriction needs a global action")
     u = frozenset(open_subset)
@@ -328,15 +368,32 @@ def restrict_global(pa: PartialAction, open_subset: Iterable[str]) -> PartialAct
     if not is_open(pa.space, u):
         raise ValidationError("not-open", tuple(sorted(u)), "restriction subset must be open")
     sub = subspace(pa.space, u)
-    domains = {}
-    thetas = {}
-    for g in pa.group.elements:
-        image = frozenset(pa.apply(g, x) for x in u)
-        domains[g] = u & image
-    for g in pa.group.elements:
-        src = domains[pa.group.inv(g)]
-        thetas[g] = {x: pa.apply(g, x) for x in src}
-    return validate_partial_action(pa.group, sub, domains, thetas)
+    _, images = _reindex(pa, sub)
+    return _certify_restriction(pa.group, sub, images,
+                                [tuple(sorted(y for y in image if y >= 0)) for image in images])
+
+
+def _reindex(pa: PartialAction, sub: FinSpace
+             ) -> tuple[dict[int, int], list[tuple[int, ...]]]:
+    """The new index of each of pa's points in the subspace ``sub``, and
+    pa's rows re-indexed onto it: theta_g where it lands in ``sub``, else -1."""
+    old = list(map(pa.space.index, sub.points))
+    new = dict(zip(old, range(len(old))))
+    return new, [tuple(new.get(image[x], -1) for x in old) for image in pa.images]
+
+
+def _certify_restriction(group: Group, space: FinSpace,
+                         images: Sequence[tuple[int, ...]],
+                         domain_points: Sequence[tuple[int, ...]]) -> PartialAction:
+    """The restriction with these re-indexed tables, once each X_g is
+    exactly where theta_{g^-1} is defined; a failure is a construction
+    bug: InternalCheckError."""
+    for label, xs, undo in zip(group.elements, domain_points,
+                               map(images.__getitem__, group.inverse_row)):
+        if xs != tuple(i for i, y in enumerate(undo) if y >= 0):
+            raise InternalCheckError(f"re-indexed domain of {label!r} is not where "
+                                     f"the inverse of theta_{label!r} is defined")
+    return PartialAction(group, space, tuple(images), tuple(domain_points))
 
 
 def restrict_to_subgroup(pa: PartialAction, sub: Subgroup) -> PartialAction:
@@ -357,9 +414,7 @@ def restrict_to_group(pa: PartialAction, k: Group) -> PartialAction:
     # restricted to K's members are K's: its rows are reused, in K's
     # element order, without re-validation.
     order = list(map(pa.group.index, k.elements))
-    return PartialAction(k, pa.space, {g: pa.domains[g] for g in k.elements},
-                         {g: pa.thetas[g] for g in k.elements},
-                         tuple(map(pa.images.__getitem__, order)),
+    return PartialAction(k, pa.space, tuple(map(pa.images.__getitem__, order)),
                          tuple(map(pa.domain_points.__getitem__, order)))
 
 
@@ -368,11 +423,12 @@ def restrict_invariant(pa: PartialAction, invariant_open: Iterable[str]) -> Part
 
     After the openness and invariance checks, the index tables are the
     parent's rows re-indexed onto the subspace and certified instead of
-    validated: every image of a point of V must lie in V, and each
-    re-indexed domain must be V & X_g as the labels give it.  Restricting
-    a partial action to an invariant open subspace keeps PA1-PA3, open
-    domains and continuity, so nothing else needs checking; a failed
-    certificate is a construction bug (InternalCheckError)."""
+    validated: each re-indexed domain V & X_g must be exactly where the
+    re-indexed theta_{g^-1} is defined (:func:`_certify_restriction`),
+    which also fails when a theta leaves V.  Restricting a partial action
+    to an invariant open subspace keeps PA1-PA3, open domains and
+    continuity, so nothing else needs checking; a failed certificate is a
+    construction bug (InternalCheckError)."""
     v = frozenset(invariant_open)
     if not v:
         raise ValidationError("empty-subset", (), "restriction needs a nonempty subset")
@@ -382,23 +438,9 @@ def restrict_invariant(pa: PartialAction, invariant_open: Iterable[str]) -> Part
     if not is_invariant(pa, v, full):
         raise ValidationError("not-invariant", tuple(sorted(v)), "subset must be invariant")
     sub = subspace(pa.space, v)
-    domains = {g: pa.domains[g] & v for g in pa.group.elements}
-    thetas = {g: {x: pa.thetas[g][x] for x in domains[pa.group.inv(g)]}
-              for g in pa.group.elements}
-    # point i of the subspace is point old[i] of the parent
-    old = list(map(pa.space.index, sub.points))
-    new = dict(zip(old, range(len(old))))
-    images, domain_points = [], []
-    for label, image, xs in zip(pa.group.elements, pa.images, pa.domain_points):
-        row = list(map(image.__getitem__, old))
-        if not all(y < 0 or y in new for y in row):
-            raise InternalCheckError(f"theta_{label!r} leaves the invariant subset")
-        domain = tuple(new[x] for x in xs if x in new)
-        if domain != tuple(sorted(map(sub.index, domains[label]))):
-            raise InternalCheckError(f"re-indexed domain of {label!r} differs from V & X_g")
-        images.append(tuple(map(new.get, row, repeat(-1))))
-        domain_points.append(domain)
-    return PartialAction(pa.group, sub, domains, thetas, tuple(images), tuple(domain_points))
+    new, images = _reindex(pa, sub)
+    return _certify_restriction(pa.group, sub, images,
+                                [tuple(new[x] for x in xs if x in new) for xs in pa.domain_points])
 
 
 def diagonal_product(pas: Sequence[PartialAction], max_points: int = 64
@@ -434,7 +476,7 @@ def _diagonal2(a: PartialAction, b: PartialAction, max_points: int
     and certified by :func:`_certify_diagonal` instead of validated."""
     space, p1, p2 = product(a.space, b.space, max_points=max_points)
     # the product point (x_i, y_j) has index i * |B| + j
-    pts, width = space.points, len(b.space)
+    width = len(b.space)
     undefined = (-1,) * width
     images = tuple(
         tuple(chain.from_iterable(
@@ -444,12 +486,7 @@ def _diagonal2(a: PartialAction, b: PartialAction, max_points: int
     domain_points = tuple(tuple(i * width + j for i in xs for j in ys)
                           for xs, ys in zip(a.domain_points, b.domain_points))
     _certify_diagonal(a, b, images, domain_points)
-    inverse_row = a.group.inverse_row
-    domains = {label: frozenset(map(pts.__getitem__, xs))
-               for label, xs in zip(a.group.elements, domain_points)}
-    thetas = {label: {pts[p]: pts[image[p]] for p in domain_points[inverse_row[g]]}
-              for g, (label, image) in enumerate(zip(a.group.elements, images))}
-    return PartialAction(a.group, space, domains, thetas, images, domain_points), p1, p2
+    return PartialAction(a.group, space, images, domain_points), p1, p2
 
 
 def _certify_diagonal(a: PartialAction, b: PartialAction,
@@ -484,8 +521,10 @@ def isotropy(pa: PartialAction, x: str) -> tuple[frozenset[str], Subgroup]:
 
     G^x need not be a subgroup; G_x always is (asserted).
     """
-    ghat = pa.g_hat(x)
-    fixers = frozenset(g for g in ghat if pa.apply(g, x) == x)
+    i = pa.space.index(x)
+    column = [image[i] for image in pa.images]
+    ghat = frozenset(g for g, y in zip(pa.group.elements, column) if y >= 0)
+    fixers = frozenset(g for g, y in zip(pa.group.elements, column) if y == i)
     try:
         gx = Subgroup(pa.group, fixers)
     except ValidationError as exc:
@@ -521,7 +560,7 @@ def orbit_space(pa: PartialAction) -> OrbitSpace:
         raise InternalCheckError("orbit projection is not continuous")
     if not is_open_map(proj):
         raise InternalCheckError("orbit projection is not open")
-    if set(proj.assignment) != set(qspace.points):
+    if len(set(proj.row)) != len(qspace):
         raise InternalCheckError("orbit projection is not surjective")
     return OrbitSpace(pa, qspace, proj, tuple(classes))
 
@@ -530,12 +569,10 @@ def is_invariant(pa: PartialAction, s: Iterable[str], k: Subgroup) -> bool:
     """theta_k(s) stays in S for k in K and s in S where defined."""
     if k.parent != pa.group:
         raise ValidationError("group-mismatch", (), "subgroup belongs to a different group")
-    sset = frozenset(s)
-    for x in sset:
-        pa.space.index(x)
-    return all(pa.apply(g, x) in sset
-               for g in k.members
-               for x in sset & pa.domains[pa.group.inv(g)])
+    mask = pa.space.mask_of(s)
+    xs = bit_indices(mask)
+    return all(y < 0 or mask >> y & 1
+               for g in bit_indices(k.mask) for y in map(pa.images[g].__getitem__, xs))
 
 
 def is_G_map(f: SpaceMap, pa_x: PartialAction, pa_y: PartialAction) -> bool:
@@ -552,7 +589,7 @@ def is_G_map(f: SpaceMap, pa_x: PartialAction, pa_y: PartialAction) -> bool:
         raise ValidationError("not-continuous", (), "is_G_map needs a continuous map")
     # per g, over x in X_{g^-1}: eta_g(f(x)) (-1 when undefined) against
     # f(theta_g(x)), which is always defined
-    fi = f.row()
+    fi = f.row
     inverse_row = pa_x.group.inverse_row
     for g, (image_x, image_y) in enumerate(zip(pa_x.images, pa_y.images)):
         xs = pa_x.domain_points[inverse_row[g]]
@@ -601,21 +638,15 @@ def g_map_faults(columns: Sequence[Sequence[int]], source: FinSpace, target: Fin
 
 def is_isovariant(f: SpaceMap, pa_x: PartialAction, pa_y: PartialAction) -> bool:
     """A G-map with G_x = G_{f(x)} at every point."""
-    if not is_G_map(f, pa_x, pa_y):
-        return False
-    for x in pa_x.space.points:
-        _, gx = isotropy(pa_x, x)
-        _, gfx = isotropy(pa_y, f(x))
-        if gx.members != gfx.members:
-            return False
-    return True
+    return is_G_map(f, pa_x, pa_y) and all(
+        isotropy(pa_x, x)[1].members == isotropy(pa_y, f(x))[1].members
+        for x in pa_x.space.points)
 
 
 def enumerate_G_maps(pa_x: PartialAction, pa_y: PartialAction,
                      node_budget: int = 1_000_000,
                      max_maps: int = 4096) -> list[tuple[int, ...]]:
-    """All G-maps X -> Y, as sorted index rows (``SpaceMap.from_row``
-    labels one).
+    """All G-maps X -> Y, as sorted index rows (``SpaceMap`` takes one).
 
     The monotone map search with the equivariance conditions folded into
     its propagation: assigning f(x) = y forces f(theta_g(x)) = eta_g(y) for

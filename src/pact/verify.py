@@ -75,17 +75,27 @@ class Run:
 Check = Callable[[Instance, Bounds, Run], tuple[str, dict]]
 
 
+def _onto_image(env: EnvelopeResult) -> SpaceMap:
+    """The embedding X -> iota(X), onto its image as a subspace of the
+    total space (whose points keep the total space's order)."""
+    emb = env.embedding_row
+    rank = {c: i for i, c in enumerate(sorted(set(emb)))}
+    return SpaceMap(env.base.space, subspace(env.total, env.embedding_image()),
+                    tuple(map(rank.__getitem__, emb)))
+
+
+def _is_homeomorphism(f: SpaceMap) -> bool:
+    return f.is_bijective() and is_continuous(f) and is_continuous(f.inverse())
+
+
 def _embedding_checks(env: EnvelopeResult) -> dict[str, bool]:
-    emb = env.embedding
-    image = env.embedding_image()
-    onto = SpaceMap(env.base.space, subspace(env.total, image), emb.assignment)
+    onto = _onto_image(env)
     return {
-        "injective": len(set(emb.assignment)) == len(env.base.space),
-        "continuous": is_continuous(emb),
+        "injective": len(set(env.embedding_row)) == len(env.base.space),
+        "continuous": is_continuous(env.embedding),
         "open-onto-image": is_open_map(onto),
-        "image-open": is_open(env.total, image),
-        "homeomorphism-onto-image": (onto.is_bijective() and is_continuous(onto)
-                                     and is_continuous(onto.inverse())),
+        "image-open": is_open(env.total, onto.target.points),
+        "homeomorphism-onto-image": _is_homeomorphism(onto),
     }
 
 
@@ -148,19 +158,17 @@ def _claim_twist_eq_glob(inst: Instance, bounds: Bounds, run: Run) -> tuple[str,
 def _claim_iota_k(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
     pa = inst.embedded_pa
     env = run.twisted_product(pa, inst.big, bounds.envelope_pairs)
-    emb = env.embedding
-    image = env.embedding_image()
+    onto = _onto_image(env)
+    image = onto.target.points
     # the enveloping action restricted to K, keyed by K's own group object
     res_k = restrict_to_group(env.as_global_action(), pa.group)
-    onto = SpaceMap(pa.space, subspace(env.total, image), emb.assignment)
     pair_down = env.product_space._down_masks
     kstar_open = is_down_mask(pair_down, env.kstar)
     kstar_closed = is_down_mask(pair_down, ((1 << len(pair_down)) - 1) & ~env.kstar)
     checks = {
-        "injective": len(set(emb.assignment)) == len(pa.space),
-        "k-isovariant": is_isovariant(emb, pa, res_k),
-        "homeomorphism-onto-image": (onto.is_bijective() and is_continuous(onto)
-                                     and is_continuous(onto.inverse())),
+        "injective": len(set(env.embedding_row)) == len(pa.space),
+        "k-isovariant": is_isovariant(env.embedding, pa, res_k),
+        "homeomorphism-onto-image": _is_homeomorphism(onto),
         "image-open-iff-kstar-open": is_open(env.total, image) == kstar_open,
         "image-closed-iff-kstar-closed": is_closed(env.total, image) == kstar_closed,
     }
@@ -370,7 +378,7 @@ def _claim_homotopy_preservation(inst: Instance, bounds: Bounds, run: Run) -> tu
     poset_x = run.g_maps(pa, bounds.map_nodes, bounds.max_maps)
     env = run.globalize(pa, bounds.envelope_pairs)
     poset_y = run.g_maps(env.as_global_action(), bounds.map_nodes, bounds.max_maps)
-    lifted = list(map(poset_y.row_index, lift_maps(poset_x, pa, pa, env, env)))
+    lifted = list(map(poset_y.index_of, lift_maps(poset_x, pa, pa, env, env)))
     comp_x = poset_x.components
     comp_y = poset_y.components
     bad = first_split_pair(comp_x, [comp_y[k] for k in lifted])
@@ -381,7 +389,7 @@ def _claim_homotopy_preservation(inst: Instance, bounds: Bounds, run: Run) -> tu
     }
     if bad:
         witness["reason"] = "a homotopic pair has non-homotopic envelopes"
-        witness["pair"] = [SpaceMap.from_row(pa.space, pa.space, poset_x.rows[k]).as_dict()
+        witness["pair"] = [SpaceMap(pa.space, pa.space, poset_x.rows[k]).as_dict()
                            for k in bad]
     return (FAILS if bad else HOLDS), witness
 

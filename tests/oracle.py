@@ -138,6 +138,57 @@ def first_monotone_violation(points: list[str], min_open_x: Mapping,
 
 
 # ---------------------------------------------------------------------------
+# maps on labels: the reference for the index-row SpaceMap
+
+@dataclass(frozen=True)
+class LabelSpaceMap:
+    """A total point function as a tuple of image labels, the form
+    ``pact.finspace.SpaceMap`` had before it stored index rows."""
+
+    source: object
+    target: object
+    assignment: tuple[str, ...]
+
+    @classmethod
+    def from_row(cls, source, target, row) -> "LabelSpaceMap":
+        return cls(source, target, tuple(map(target.points.__getitem__, row)))
+
+    def __call__(self, x: str) -> str:
+        return self.assignment[self.source.index(x)]
+
+    def as_dict(self) -> dict[str, str]:
+        return dict(zip(self.source.points, self.assignment))
+
+    def image(self, subset: Iterable[str]) -> frozenset[str]:
+        return frozenset(self(x) for x in subset)
+
+    def is_bijective(self) -> bool:
+        return (len(self.source) == len(self.target)
+                and len(set(self.assignment)) == len(self.target))
+
+    def inverse(self) -> "LabelSpaceMap":
+        if not self.is_bijective():
+            raise ValidationError("not-bijective", (), "map has no inverse")
+        back = {y: x for x, y in zip(self.source.points, self.assignment)}
+        return LabelSpaceMap(self.target, self.source,
+                             tuple(back[y] for y in self.target.points))
+
+
+def label_compose(outer: LabelSpaceMap, inner: LabelSpaceMap) -> LabelSpaceMap:
+    """outer after inner, point by point on labels."""
+    if inner.target != outer.source:
+        raise ValidationError("composition-mismatch", (), "codomain/domain spaces differ")
+    return LabelSpaceMap(inner.source, outer.target,
+                         tuple(outer(y) for y in inner.assignment))
+
+
+def label_is_open_map(m: LabelSpaceMap) -> bool:
+    """Images of minimal opens are open, on label sets."""
+    return all(is_open(m.target, m.image(m.source.min_open_of(x)))
+               for x in m.source.points)
+
+
+# ---------------------------------------------------------------------------
 # partial actions
 
 def partial_action_violation(elements, table, identity,
@@ -330,6 +381,32 @@ def label_validate_partial_action(group, space, domains: Mapping[str, Iterable[s
                               "PA2 fails: theta_g(theta_h(x)) != theta_gh(x)")
 
     return None
+
+
+def label_restrict_global(pa, open_subset):
+    """The restriction of a global action to an open subset U on labels,
+    X_g = U & mu_g(U) and theta_g = mu_g restricted, run through the full
+    validator: ``pact.restrict_global`` as it was before it re-indexed the
+    parent's rows."""
+    from pact import is_open, subspace, validate_partial_action
+
+    if not pa.is_global():
+        raise ValidationError("not-global", (), "restriction needs a global action")
+    u = frozenset(open_subset)
+    if not u:
+        raise ValidationError("empty-subset", (), "restriction needs a nonempty subset")
+    if not is_open(pa.space, u):
+        raise ValidationError("not-open", tuple(sorted(u)), "restriction subset must be open")
+    sub = subspace(pa.space, u)
+    domains = {}
+    thetas = {}
+    for g in pa.group.elements:
+        image = frozenset(pa.apply(g, x) for x in u)
+        domains[g] = u & image
+    for g in pa.group.elements:
+        src = domains[pa.group.inv(g)]
+        thetas[g] = {x: pa.apply(g, x) for x in src}
+    return validate_partial_action(pa.group, sub, domains, thetas)
 
 
 def brute_orbits(elements, mul, inv, identity, points,
@@ -733,7 +810,7 @@ def label_envelope_of_map(f, pa_x, pa_y, big=None, env_x=None, env_y=None,
     values, clash = view_x.descend(lambda g, x: view_y.class_of(g, f(x)))
     if clash is not None:
         raise InternalCheckError(f"induced map not well defined at {clash!r}")
-    out = SpaceMap(env_x.total, env_y.total, values)
+    out = SpaceMap.from_dict(env_x.total, env_y.total, dict(zip(env_x.total.points, values)))
     if not is_continuous(out):
         raise InternalCheckError("induced map is not continuous")
     for g in big.elements:
@@ -770,7 +847,7 @@ def label_lift_rows(source, target, rows, pa_x, pa_y, env_x, env_y, big=None):
 
     index = env_y.total.index
     return [tuple(map(index, label_envelope_of_map(
-                SpaceMap.from_row(source, target, row), pa_x, pa_y, big,
+                SpaceMap(source, target, row), pa_x, pa_y, big,
                 env_x=env_x, env_y=env_y).assignment))
             for row in rows]
 
@@ -889,15 +966,15 @@ def exhaustive_locally_G_contractible(pa, max_points: int = 12,
             for v in sorted((v for v in candidates_u if x in v and v <= u),
                             key=lambda s: (len(s), sorted(pa.space.index(p) for p in s))):
                 pa_v = restrict_invariant(sub, v)
-                inclusion = SpaceMap(pa_v.space, pa_u.space,
-                                     tuple(pa_v.space.points))
+                inclusion = SpaceMap.from_dict(pa_v.space, pa_u.space,
+                                               {p: p for p in pa_v.space.points})
                 poset = enumerate_maps(pa_v.space, pa_u.space,
                                        equivariant=(pa_v, pa_u),
                                        node_budget=node_budget, max_maps=max_maps)
-                inc = poset.index_of(inclusion)
+                inc = poset.index_of(inclusion.row)
                 for w in sorted(targets, key=pa.space.index):
                     const = SpaceMap.constant(pa_v.space, pa_u.space, w)
-                    if poset.components[inc] == poset.components[poset.index_of(const)]:
+                    if poset.components[inc] == poset.components[poset.index_of(const.row)]:
                         found = True
                         break
                 if found:
@@ -905,6 +982,32 @@ def exhaustive_locally_G_contractible(pa, max_points: int = 12,
             if not found:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# cores on labels: the reference for the mask scan
+
+def label_beat_point(space, x) -> bool:
+    """Whether x's punctured down-set has a maximum or its punctured
+    up-set a minimum, by pairwise label comparisons."""
+    down = [y for y in space.min_open_of(x) if y != x]
+    up = [y for y in space.points if space.leq(x, y) and y != x]
+    return bool(down and any(all(space.leq(d, m) for d in down) for m in down)
+                or up and any(all(space.leq(m, u) for u in up) for m in up))
+
+
+def label_core(space):
+    """``pact.core`` with its beat-point test on labels: dismantle the
+    lowest-indexed beat point (:func:`label_beat_point`) until none is
+    left."""
+    from pact import subspace, t0_quotient
+
+    current, _ = t0_quotient(space)
+    while True:
+        point = next((x for x in current.points if label_beat_point(current, x)), None)
+        if point is None:
+            return current
+        current = subspace(current, [p for p in current.points if p != point])
 
 
 # ---------------------------------------------------------------------------
@@ -979,7 +1082,7 @@ def find_homeomorphism(a, b, max_points: int = 24):
 
     if not search():
         return None
-    return SpaceMap(a, b, tuple(b.points[j] for j in assigned))
+    return SpaceMap(a, b, tuple(assigned))
 
 
 # ---------------------------------------------------------------------------
@@ -1092,7 +1195,7 @@ def label_quotient(space, classes, names=None):
                 changed = True
     opens = [frozenset(map(labels.__getitem__, bit_indices(m))) for m in below]
     qspace = FinSpace(tuple(labels), tuple(opens))
-    proj = SpaceMap(space, qspace, tuple(labels[cls_of[x]] for x in space.points))
+    proj = SpaceMap.from_dict(space, qspace, {x: labels[cls_of[x]] for x in space.points})
     return qspace, proj
 
 
@@ -1142,7 +1245,7 @@ def label_assemble(pa, big, prod, class_sets) -> LabelEnvelope:
             if any(action[g][action[h][c]] != action[gh][c] for c in total.points):
                 raise InternalCheckError(f"mu is not an action at ({g!r}, {h!r})")
     for g in big.elements:
-        m = SpaceMap(total, total, tuple(action[g][c] for c in total.points))
+        m = SpaceMap.from_dict(total, total, action[g])
         if not (m.is_bijective() and is_continuous(m) and is_continuous(m.inverse())):
             raise InternalCheckError(f"mu_{g!r} is not a homeomorphism of the total space")
 
@@ -1154,7 +1257,7 @@ def label_assemble(pa, big, prod, class_sets) -> LabelEnvelope:
         raise InternalCheckError("projection is not surjective")
 
     e = big.identity
-    emb = SpaceMap(space, total, tuple(classes[(e, x)] for x in space.points))
+    emb = SpaceMap.from_dict(space, total, {x: classes[(e, x)] for x in space.points})
     if len(set(emb.assignment)) != len(space):
         raise InternalCheckError("embedding is not injective")
     if not is_continuous(emb):
@@ -1197,7 +1300,7 @@ def label_view(env) -> LabelEnvelope:
         env.base, env.big_group, env.total,
         {g: {c: labels[d] for c, d in zip(labels, row)}
          for g, row in zip(elements, env.action_rows)},
-        SpaceMap.from_row(prod, env.total, env.pair_class),
+        SpaceMap(prod, env.total, env.pair_class),
         env.embedding,
         {pair(p): labels[c] for p, c in enumerate(env.pair_class)},
         prod,

@@ -1,13 +1,15 @@
 """The certificates that replace the full validator on the actions pact
 builds: global actions checked on a generating set, diagonal products
 checked coordinate by coordinate, subgroup restrictions that reuse the
-parent's tables, and restrictions to invariant open sets that re-index
-them.  Each certified result must equal the validator's, field by field,
-and each broken input must fail exactly as the validator fails, or as an
-internal error where a certificate catches it."""
+parent's tables, and restrictions to open or invariant open sets that
+re-index them.  Each certified result must equal the validator's run on
+its own label views, field by field, and each broken input must fail
+exactly as the validator fails, or as an internal error where a
+certificate catches it."""
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 import sys
 
@@ -15,15 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pact import (InternalCheckError, Subgroup, ValidationError, all_subgroups,
-                  cyclic_group, diagonal_product, discrete_space, global_action,
-                  globalize, isotropy, load_fixture, restrict_global,
-                  restrict_invariant, restrict_to_subgroup, run_claim,
+from pact import (DEFAULT_BOUNDS, InternalCheckError, PartialAction, Subgroup,
+                  ValidationError, all_subgroups, cyclic_group, diagonal_product,
+                  discrete_space, exit_code, global_action, globalize, isotropy,
+                  load_fixture, parse_instance, restrict_global,
+                  restrict_invariant, restrict_to_subgroup, run_all, run_claim,
                   space_from_min_opens, trivial_action, twisted_product,
                   validate_group, validate_partial_action)
 from pact.algebra import subgroup_generated
 from pact.paction import _certify_diagonal, restrict_to_group
-from oracle import random_preorder_space
+from oracle import label_restrict_global, random_preorder_space
+from test_golden_generated import GOLDEN as GENERATED_GOLDEN
 from test_algebra import s3_group
 from test_paction import _outcome, _restricted
 
@@ -149,6 +153,11 @@ def test_certified_constructions_equal_validated_on_fixtures(name):
         for x in base.space.points:
             sub = restrict_to_subgroup(base, isotropy(base, x)[1])
             built.append(restrict_invariant(sub, base.space.min_open_of(x)))
+    # the k-embedded action and the restrictions of recognition
+    built.append(pa)
+    for beta in (env.as_global_action(), globalize(pa).as_global_action()):
+        for x in beta.space.points:
+            built.append(restrict_global(beta, beta.space.min_open_of(x)))
     for certified in built:
         assert fields(certified) == fields(validated(certified))
 
@@ -260,6 +269,16 @@ def test_every_generator_is_checked():
     assert _same_failure(grp, tri, thetas) is not None
 
 
+def test_label_tables_are_one_total_table_per_element():
+    # a table for an element the group lacks, and a table naming a point
+    # the space lacks: global_action must fail as the validator fails
+    space = discrete_space(["p", "q"])
+    ident = {"p": "p", "q": "q"}
+    z2 = cyclic_group(2)
+    assert _same_failure(z2, space, {"0": ident, "1": ident, "2": ident}) is not None
+    assert _same_failure(z2, space, {"0": ident, "1": {**ident, "r": "p"}}) is not None
+
+
 def test_every_element_is_composed():
     # Z2 acting by a 3-cycle: theta_1 . theta_0 = theta_1 holds, and only
     # the composition with the last element, theta_1 . theta_1 = theta_0,
@@ -277,6 +296,16 @@ def test_identity_is_checked():
     const = {"p": "p", "q": "p"}
     thetas = {g: dict(const) for g in ("0", "1", "2")}
     assert _same_failure(cyclic_group(3), space, thetas)[1] == "pa3-identity"
+
+
+@pytest.mark.parametrize("value", [-1, 3, 7])
+def test_built_rows_off_the_space_are_internal(value):
+    # the identity plus a row that is a bijection on the points it names
+    # but names a point the space does not have
+    from pact.paction import certified_global_action
+    space = discrete_space(["p", "q", "r"])
+    with pytest.raises(InternalCheckError):
+        certified_global_action(cyclic_group(2), space, [(0, 1, 2), (1, 0, value)])
 
 
 def test_failed_certificate_with_passing_validator_is_internal(monkeypatch):
@@ -346,7 +375,7 @@ def test_each_diagonal_coordinate_is_checked():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["image", "domain"]))
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["image", "undefine", "domain"]))
 def test_corrupted_row_under_invariant_restriction_is_internal(seed, kind):
     rng = random.Random(seed)
     pa = regular_action(rng, GROUPS[rng.choice(sorted(GROUPS))]())
@@ -359,13 +388,57 @@ def test_corrupted_row_under_invariant_restriction_is_internal(seed, kind):
     if kind == "image":
         if not outside:
             return
-        images[g][rng.choice(inside)] = rng.choice(outside)  # labels still stay in V
+        images[g][rng.choice(inside)] = rng.choice(outside)
+    elif kind == "undefine":
+        images[g][rng.choice(inside)] = -1
     else:
         domain_points[g].remove(rng.choice(inside))
     broken = dataclasses.replace(pa, images=tuple(map(tuple, images)),
                                  domain_points=tuple(map(tuple, domain_points)))
+    with pytest.MonkeyPatch.context() as patch:
+        if kind == "image":
+            # is_invariant reads the same tables and would reject V as
+            # input error first; the certificate's own check must still
+            # catch a row that leaves V
+            patch.setattr(sys.modules["pact.paction"], "is_invariant", lambda *args: True)
+        with pytest.raises(InternalCheckError):
+            restrict_invariant(broken, v)
+
+
+# ---------------------------------------------------------------------------
+# the open-restriction certificate
+
+
+def random_open(rng, space):
+    """A random nonempty open set: a union of minimal opens."""
+    u = set()
+    for x in rng.sample(space.points, rng.randint(1, len(space))):
+        u |= space.min_open_of(x)
+    return u
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["regular", "trivial", "envelope"]))
+def test_certified_open_restriction_equals_label_restriction(seed, kind):
+    rng = random.Random(seed)
+    beta = random_global(rng, kind)
+    u = random_open(rng, beta.space)
+    res = restrict_global(beta, u)
+    assert fields(res) == fields(label_restrict_global(beta, u))
+    assert fields(res) == fields(validated(res))
+
+
+def test_corrupted_global_row_under_open_restriction_is_internal():
+    # Z2 swapping p and q on a discrete space, with mu_1 corrupted to the
+    # 3-cycle p -> q -> r -> p, which is not its own inverse: on U = {p, r}
+    # theta_1 sends r to p, so X_1 = {p}, but theta_1 (= theta_1^-1) is
+    # defined at r only
+    space = discrete_space(["p", "q", "r"])
+    beta = global_action(cyclic_group(2), space, {"0": dict(zip("pqr", "pqr")),
+                                                  "1": dict(zip("pqr", "qpr"))})
+    broken = dataclasses.replace(beta, images=(beta.images[0], (1, 2, 0)))
     with pytest.raises(InternalCheckError):
-        restrict_invariant(broken, v)
+        restrict_global(broken, {"p", "r"})
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +478,13 @@ def test_built_actions_never_validate(monkeypatch):
     k = Subgroup(pa.group, frozenset({"0", "2"})).as_group()
     restrict_to_group(trivial_action(pa.group, pa.space), k)
     restrict_invariant(pa, pa.space.points)
-    assert calls == []
-    # the counter does see the constructions that still validate
     restrict_global(trivial_action(pa.group, pa.space),
                     pa.space.min_open_of(pa.space.points[0]))
+    assert calls == []
+    # the counter does see the validator behind label tables that fail
+    # the global certificate
+    with pytest.raises(ValidationError):
+        global_action(pa.group, pa.space, {g: {} for g in pa.group.elements})
     assert len(calls) == 1
 
 
@@ -420,3 +496,88 @@ def test_restricting_claims_never_validate(monkeypatch, name):
         assert run_claim(cid, inst).status == "holds", cid
     assert calls == []
 
+
+
+@pytest.mark.parametrize("name", ["z2-pair", "z4-circle"])
+def test_recognition_never_validates(monkeypatch, name):
+    inst = load_fixture(name)
+    calls = count_validations(monkeypatch)
+    assert run_claim("recognition", inst).status == "holds"
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# labels stay at the edges
+
+
+def test_run_all_builds_no_label_views_of_built_actions(monkeypatch):
+    """Parsed actions carry the label tables the validator checked; every
+    other action is built from index tables, and over whole runs on the
+    fixtures and the generated instances no claim reads its label views,
+    except the label edge that splits a diagonal product into factors."""
+    from functools import cached_property
+
+    import pact.verify
+
+    insts = [(load_fixture(name), DEFAULT_BOUNDS) for name in FIXTURES]
+    for entry in json.loads(GENERATED_GOLDEN.read_text()):
+        insts.append((parse_instance(entry["document"]),
+                      dataclasses.replace(DEFAULT_BOUNDS, **entry["bounds"])))
+    views, splitting = [], []
+    for name in ("domains", "thetas"):
+        build = PartialAction.__dict__[name].func
+
+        def counting(pa, build=build, name=name):
+            if not splitting:
+                views.append(name)
+            return build(pa)
+        view = cached_property(counting)
+        view.__set_name__(PartialAction, name)
+        monkeypatch.setattr(PartialAction, name, view)
+    split = pact.verify.split_diagonal_factors
+
+    def splitting_factors(pa):
+        splitting.append(pa)
+        try:
+            return split(pa)
+        finally:
+            splitting.pop()
+    monkeypatch.setattr(pact.verify, "split_diagonal_factors", splitting_factors)
+    for inst, bounds in insts:
+        run_all(inst, bounds)
+    assert views == []
+
+
+# ---------------------------------------------------------------------------
+# a construction bug is an internal error, never input error
+
+
+def test_broken_envelope_action_is_internal_for_its_claims_only(monkeypatch):
+    """One entry of mu_3 corrupted in every twisted product: building the
+    envelope's global action fails its certificate, which is an internal
+    error of the claims that need it, while the other claims still report
+    and ``pact check all`` exits 3."""
+    import contextlib
+    import io
+
+    import pact.envelope
+    from pact.cli import main
+
+    real = pact.envelope.twisted_product
+
+    def corrupted(pa, big, max_pairs=256):
+        env = real(pa, big, max_pairs)
+        rows = [list(row) for row in env.action_rows]
+        g = big.index("3")
+        rows[g][0] = rows[g][1]
+        return dataclasses.replace(env, action_rows=tuple(map(tuple, rows)))
+    monkeypatch.setattr(pact.envelope, "twisted_product", corrupted)
+    reports = run_all(load_fixture("z4-circle"))
+    status = {rep.claim_id: rep.status for rep in reports}
+    assert len(status) == 16
+    assert status["iota-k"] == "internal-error"
+    assert status["iterated-twist"] == "internal-error"
+    assert status["pa-axioms"] == status["embedding"] == status["recognition"] == "holds"
+    assert exit_code(reports) == 3
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["check", "all", "z4-circle", "--json"]) == 3

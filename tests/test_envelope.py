@@ -18,7 +18,7 @@ from pact import (BoundExceeded, InternalCheckError, MapPoset, SpaceMap, Subgrou
                   load_fixture, pair_label, product_comparison,
                   recognize_globalization, restrict_to_subgroup,
                   space_from_min_opens, trivial_action, trivial_collapse, twisted_product,
-                  validate_group)
+                  validate_group, validate_partial_action)
 from pact.envelope import _assemble, lift_maps
 from pact.finspace import bit_indices
 from oracle import (brute_globalization_classes, brute_members,
@@ -286,6 +286,20 @@ def test_adjunction_counted_cases():
     res3 = adjunction_maps(twist(z2pair), pt)
     assert res3.report["status"] == "holds"
     assert res3.report["g_maps"] == 1 and res3.report["k_maps"] == 1
+
+
+def test_adjunction_with_the_identity_listed_last():
+    # Z2 listing its identity second, so the embedding's classes are not
+    # the first ones: lambda must read F through iota, not by position
+    z2 = validate_group(["1", "0"], [["0", "1"], ["1", "0"]], "0")
+
+    def over_z2(pa):
+        return validate_partial_action(z2, pa.space, pa.domains, pa.thetas)
+    pa_x, pa_y = over_z2(fixture_pa("z2-pair")), over_z2(fixture_pa("z2-wedge"))
+    assert twist(pa_x).embedding_row != tuple(range(len(pa_x.space)))
+    res = adjunction_maps(twist(pa_x), pa_y)
+    assert res.report["status"] == "holds"
+    assert res.report["g_maps"] == 3 == res.report["k_maps"]
 
 
 def test_adjunction_over_proper_subgroup():
@@ -597,7 +611,7 @@ def _stray_row(rng, pa_x, pa_y, g_rows, wanted):
             row[rng.randrange(n)] = rng.randrange(m)
         else:
             row = [rng.randrange(m) for _ in range(n)]
-        f = SpaceMap.from_row(pa_x.space, pa_y.space, row)
+        f = SpaceMap(pa_x.space, pa_y.space, row)
         if not is_continuous(f):
             if wanted == "discontinuous":
                 return tuple(row)
@@ -667,7 +681,7 @@ def _compare_lifts(rng, kinds):
                                                  pa_x, pa_y, env_x, env_y, big))
     assert got == want
     for row in rows:
-        f = SpaceMap.from_row(pa_x.space, pa_y.space, row)
+        f = SpaceMap(pa_x.space, pa_y.space, row)
         one = _lift_outcome(lambda: envelope_of_map(f, pa_x, pa_y, big, env_x, env_y))
         ref = _lift_outcome(lambda: label_envelope_of_map(f, pa_x, pa_y, big, env_x, env_y))
         if one[0] == "rows":

@@ -15,10 +15,11 @@ from pact import (BoundExceeded, InternalCheckError, SpaceMap, ValidationError,
                   t0_quotient)
 from pact.finspace import (WIDE_MASK_BITS, bit_indices, column_masks, equivalence_classes,
                            monotonicity_violation)
-from oracle import (brute_opens, closure_quotient_order, column_masks_by_definition,
-                    find_homeomorphism, first_monotone_violation, is_down_set,
-                    preimage_continuous, random_partition, random_preorder_space,
-                    space_violation)
+from oracle import (LabelSpaceMap, brute_opens, closure_quotient_order,
+                    column_masks_by_definition, find_homeomorphism,
+                    first_monotone_violation, is_down_set, label_compose,
+                    label_is_open_map, preimage_continuous, random_partition,
+                    random_preorder_space, space_violation)
 
 
 def c8():
@@ -337,7 +338,7 @@ def test_enumerate_monotone_maps_counts_and_order():
     d2 = discrete_space(["a", "b"])
     rows = enumerate_monotone_maps(d2, d2)
     assert rows == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert [SpaceMap.from_row(d2, d2, row).assignment for row in rows] == \
+    assert [SpaceMap(d2, d2, row).assignment for row in rows] == \
         [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
     with pytest.raises(BoundExceeded):
         enumerate_monotone_maps(space, space, max_maps=100)
@@ -412,8 +413,7 @@ def test_t0_quotient_is_t0_idempotent_and_continuous(space):
 def test_projection_sections_compose_to_identity(a, b):
     prod, p1, p2 = product(a, b, max_points=30)
     for y in b.points:
-        section = SpaceMap(a, prod,
-                           tuple(pair_label(x, y) for x in a.points))
+        section = SpaceMap.from_dict(a, prod, {x: pair_label(x, y) for x in a.points})
         assert is_continuous(section)
         assert compose(p1, section).assignment == a.points
 
@@ -458,7 +458,7 @@ def test_monotonicity_kernel_matches_pairwise_oracle(a, b, data):
 def test_is_continuous_matches_preimage_oracle(a, b, data):
     values = data.draw(st.lists(st.sampled_from(b.points),
                                 min_size=len(a), max_size=len(a)))
-    m = SpaceMap(a, b, tuple(values))
+    m = SpaceMap.from_dict(a, b, dict(zip(a.points, values)))
     assert is_continuous(m) == preimage_continuous(
         list(a.points), raw_min_opens(a), list(b.points), raw_min_opens(b),
         m.as_dict())
@@ -472,6 +472,41 @@ def test_compose_and_inverse():
     const = SpaceMap.constant(d2, d2, "a")
     with pytest.raises(ValidationError):
         const.inverse()
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_spaces(5), shuffled_spaces(5), shuffled_spaces(5), st.data())
+def test_index_row_maps_match_label_maps(a, b, c, data):
+    # the index-row SpaceMap against the label SpaceMap it replaced, on
+    # random rows between shuffled spaces (including bijections)
+    def draw_row(src, tgt):
+        if len(src) == len(tgt) and data.draw(st.booleans()):
+            return tuple(data.draw(st.permutations(range(len(tgt)))))
+        return tuple(data.draw(st.lists(st.integers(0, len(tgt) - 1),
+                                        min_size=len(src), max_size=len(src))))
+
+    row_f, row_g = draw_row(a, b), draw_row(b, c)
+    f, g = SpaceMap(a, b, row_f), SpaceMap(b, c, row_g)
+    label_f, label_g = LabelSpaceMap.from_row(a, b, row_f), LabelSpaceMap.from_row(b, c, row_g)
+    subset = data.draw(st.sets(st.sampled_from(a.points)))
+    assert f.assignment == label_f.assignment
+    assert [f(x) for x in a.points] == [label_f(x) for x in a.points]
+    assert f.as_dict() == label_f.as_dict()
+    assert f.image(subset) == label_f.image(subset)
+    assert f.is_bijective() == label_f.is_bijective()
+    if f.is_bijective():
+        assert f.inverse().assignment == label_f.inverse().assignment
+    else:
+        with pytest.raises(ValidationError):
+            f.inverse()
+    assert compose(g, f).assignment == label_compose(label_g, label_f).assignment
+    assert SpaceMap.from_dict(a, b, label_f.as_dict()) == f
+    assert is_continuous(f) == preimage_continuous(
+        list(a.points), raw_min_opens(a), list(b.points), raw_min_opens(b),
+        label_f.as_dict())
+    assert is_open_map(f) == label_is_open_map(label_f)
+    assert SpaceMap.identity(a).assignment == a.points
+    assert SpaceMap.constant(a, b, b.points[-1]).assignment == (b.points[-1],) * len(a)
 
 
 def _bit_indices_by_loop(mask):

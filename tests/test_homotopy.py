@@ -12,8 +12,8 @@ from pact import (BoundExceeded, InternalCheckError, SpaceMap, ValidationError,
                   trivial_action)
 from oracle import (envelopes_G_homotopic, exhaustive_locally_G_contractible,
                     find_homeomorphism, homotopy_from_fence,
-                    interval_homotopy_exists, label_components, label_fence,
-                    random_preorder_space)
+                    interval_homotopy_exists, label_beat_point, label_components,
+                    label_core, label_fence, random_preorder_space)
 from test_paction import _random_factor, random_rotation_action
 
 
@@ -80,7 +80,8 @@ def test_pointwise_comparable_maps_are_homotopic(rng):
             continue
         for i in range(min(len(poset.maps), 6)):
             for j in range(min(len(poset.maps), 6)):
-                if poset.leq(i, j):
+                pairs = zip(poset.maps[i].assignment, poset.maps[j].assignment)
+                if all(sy.leq(a, b) for a, b in pairs):
                     assert poset.components[i] == poset.components[j]
 
 
@@ -143,9 +144,24 @@ def test_core_examples():
     # down-set or up-set
     for x in space.points:
         down = [y for y in space.min_open_of(x) if y != x]
-        up = [y for y in space.up_set(x) if y != x]
+        up = [y for y in space.points if space.leq(x, y) and y != x]
         assert not (down and any(all(space.leq(d, m) for d in down) for m in down))
         assert not (up and any(all(space.leq(m, u) for u in up) for m in up))
+
+
+def test_core_matches_label_scan(rng):
+    # the mask beat-point test agrees with the label test at every point of
+    # random T0 quotients, and the scan dismantles exactly the points the
+    # label scan does, on random preorders (including non-T0 ones)
+    from pact import t0_quotient
+    from pact.homotopy import _beat_point
+    for _ in range(60):
+        points, min_open = random_preorder_space(rng, 8)
+        space = space_from_min_opens(points, min_open)
+        quotient, _ = t0_quotient(space)
+        assert ([_beat_point(quotient, i) for i in range(len(quotient))]
+                == [label_beat_point(quotient, x) for x in quotient.points])
+        assert core(space) == label_core(space)
 
 
 def test_core_unique_up_to_homeomorphism_over_orderings(rng):
@@ -365,7 +381,7 @@ def test_every_finite_space_is_locally_contractible_sanity():
                 assert v <= u
                 sub_v = subspace(space, v)
                 sub_u = subspace(space, u)
-                inclusion = SpaceMap(sub_v, sub_u, sub_v.points)
+                inclusion = SpaceMap.from_dict(sub_v, sub_u, {p: p for p in sub_v.points})
                 const = SpaceMap.constant(sub_v, sub_u, x)
                 assert all(sub_u.leq(a, b) for a, b in
                            zip(inclusion.assignment, const.assignment))

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pact import (BoundExceeded, FinSpace, InternalCheckError, SpaceMap, Subgroup,
+from pact import (BoundExceeded, FinSpace, InternalCheckError, PartialAction, SpaceMap,
+                  Subgroup,
                   ValidationError, cyclic_group, diagonal_product,
                   discrete_space, enumerate_G_maps, fixed_points,
                   global_action, is_continuous, is_G_map, is_invariant,
@@ -128,9 +129,9 @@ def test_diagonal_product_universal_property():
     z2pair = fixture_pa("z2-pair")
     wedge = fixture_pa("z2-wedge")
     diag, (p1, p2) = diagonal_product([z2pair, z2pair])
-    cone_maps = [SpaceMap.from_row(wedge.space, z2pair.space, row)
+    cone_maps = [SpaceMap(wedge.space, z2pair.space, row)
                  for row in enumerate_G_maps(wedge, z2pair)]
-    pairing_maps = [SpaceMap.from_row(wedge.space, diag.space, row)
+    pairing_maps = [SpaceMap(wedge.space, diag.space, row)
                     for row in enumerate_G_maps(wedge, diag)]
     for f1 in cone_maps:
         for f2 in cone_maps:
@@ -326,6 +327,15 @@ def test_gstar_closedness_recorded():
     # discrete base space: every domain is closed, so G*X is closed too
     assert fixture_pa("z2-pair").gstar_is_closed()
     assert not fixture_pa("z4-half").gstar_is_closed()
+
+
+def test_gstar_openness_cross_check_sees_a_non_open_domain():
+    # tables built by hand with theta_1 defined only at the top point c of
+    # a < c, so X_1 = {c} is not open: the pair-mask cross-check must fire
+    space = space_from_min_opens(["a", "c"], {"a": ["a"], "c": ["a", "c"]})
+    broken = PartialAction(cyclic_group(2), space, ((0, 1), (-1, 1)), ((0, 1), (1,)))
+    with pytest.raises(InternalCheckError):
+        broken.gstar_is_open()
 
 
 def test_twisted_diagonal_action_validates_without_pairwise_leq(monkeypatch):

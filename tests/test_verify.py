@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pact import (DEFAULT_BOUNDS, ClaimReport, ValidationError, claim_ids,
-                  exit_code, load_fixture, parse_instance, replay_witness,
+                  exit_code, fixture_dict, fixture_names, load_fixture,
+                  parse_instance, replay_witness,
                   run_all, run_claim, split_diagonal_factors)
 from pact.verify import first_split_pair
 from oracle import pairwise_split_pair, worst_status
@@ -365,3 +366,25 @@ def test_generated_intersection_on_a_lattice_that_is_not_a_chain():
     assert [s["fixed_in_total"] for s in report.witness["subgroups"]] == [
         ["(0,p0)", "(0,p1)", "(0,p2)", "(0,q0)", "(0,q1)"],
         ["(0,p0)", "(0,p1)", "(0,p2)"], ["(0,q0)", "(0,q1)"], []]
+
+
+def _identity_last(group: dict) -> dict:
+    """The same group document with its identity listed last."""
+    elements, e = group["elements"], group["identity"]
+    order = [g for g in elements if g != e] + [e]
+    at = {g: i for i, g in enumerate(elements)}
+    return {"elements": order, "identity": e,
+            "table": [[group["table"][at[a]][at[b]] for b in order] for a in order]}
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_verdicts_do_not_depend_on_where_the_identity_is_listed(name):
+    # the envelope assembly once read the embedded image by pair index
+    # where it meant class index, which only agreed when the identity was
+    # the first element
+    doc = copy.deepcopy(fixture_dict(name))
+    expected = [rep.status for rep in run_all(parse_instance(doc))]
+    doc["group"] = _identity_last(doc["group"])
+    if "big_group" in doc:
+        doc["big_group"] = _identity_last(doc["big_group"])
+    assert [rep.status for rep in run_all(parse_instance(doc))] == expected
