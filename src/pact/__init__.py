@@ -21,9 +21,9 @@ from .finspace import (FinSpace, SpaceMap, compose, discrete_space,
                        pair_label, product, quotient, space_from_min_opens,
                        split_pair_label, subspace, t0_quotient)
 from .fixtures import FIXTURES, fixture_dict, fixture_names, load_fixture
-from .homotopy import (GContract, MapPoset, are_G_homotopic, are_homotopic,
-                       core, enumerate_maps, is_contractible,
-                       is_G_contractible, is_locally_G_contractible)
+from .homotopy import (GContract, MapPoset, core, enumerate_maps,
+                       is_contractible, is_G_contractible,
+                       is_locally_G_contractible)
 from .instance import Instance, parse_instance
 from .paction import (OrbitSpace, PartialAction, diagonal_product,
                       enumerate_G_maps, fixed_points, global_action,

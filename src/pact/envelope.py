@@ -28,8 +28,8 @@ from .errors import BoundExceeded, InternalCheckError, ValidationError
 from .finspace import (FinSpace, SpaceMap, bit_indices, block_down_masks,
                        column_masks, discrete_space, equivalence_classes,
                        is_continuous, is_down_mask, is_open,
-                       monotonicity_violation, product, quotient_order,
-                       space_from_down_masks)
+                       monotonicity_violation, pair_label, product,
+                       quotient_order)
 from .homotopy import MapPoset
 from .paction import (PartialAction, certified_global_action, diagonal_product,
                       enumerate_G_maps, fixed_points, g_map_faults, orbit_classes,
@@ -107,7 +107,7 @@ class EnvelopeResult:
             "total": {
                 "points": list(points),
                 "min_open": {c: [points[i] for i in bit_indices(down)]
-                             for c, down in zip(points, self.total._down_masks)},
+                             for c, down in zip(points, self.total.down)},
             },
             "action": {g: dict(zip(points, map(points.__getitem__, row)))
                        for g, row in zip(elements, self.action_rows)},
@@ -141,12 +141,11 @@ def _assemble(pa: PartialAction, big: Group, prod: FinSpace,
     invariants on them."""
     space, k = pa.space, pa.group
     n, pairs, count = len(space), len(prod), len(classes)
-    prod_down = block_down_masks(space._down_masks, len(big))
-    cls_of, below = quotient_order(prod_down, classes)
+    cls_of, below = quotient_order(prod.down, classes)
     pair_class = tuple(cls_of)
     members = tuple(tuple(bit_indices(m)) for m in classes)
     labels = tuple(map(prod.points.__getitem__, map(itemgetter(0), members)))
-    total = space_from_down_masks(labels, below)
+    total = FinSpace(labels, tuple(below))
     everything = (1 << count) - 1
 
     # mu_g sends the class of (h, y) to the class of (gh, y)
@@ -177,11 +176,11 @@ def _assemble(pa: PartialAction, big: Group, prod: FinSpace,
             raise InternalCheckError(
                 f"mu_{big.elements[g]!r} is not a homeomorphism of the total space")
 
-    if monotonicity_violation(prod_down, (1 << pairs) - 1, pair_class, below) is not None:
+    if monotonicity_violation(prod.down, (1 << pairs) - 1, pair_class, below) is not None:
         raise InternalCheckError("projection is not continuous")
     class_bit = [1 << c for c in pair_class]
     if not all(is_down_mask(below, reduce(or_, map(class_bit.__getitem__, bit_indices(u))))
-               for u in prod_down):
+               for u in prod.down):
         raise InternalCheckError("projection is not open")
     if len(set(pair_class)) != count:
         raise InternalCheckError("projection is not surjective")
@@ -190,7 +189,7 @@ def _assemble(pa: PartialAction, big: Group, prod: FinSpace,
     emb = pair_class[e * n:(e + 1) * n]
     if len(set(emb)) != n:
         raise InternalCheckError("embedding is not injective")
-    if monotonicity_violation(space._down_masks, (1 << n) - 1, emb, below) is not None:
+    if monotonicity_violation(space.down, (1 << n) - 1, emb, below) is not None:
         raise InternalCheckError("embedding is not continuous")
 
     kstar = sum(1 << (big.index(label) * n + x) for g, label in enumerate(k.elements)
@@ -223,8 +222,9 @@ def globalize(pa: PartialAction, max_pairs: int = 256) -> EnvelopeResult:
     """
     g_grp = pa.group
     space = pa.space
-    prod, _, _ = product(discrete_space(g_grp.elements), space,
-                         max_points=_pair_count(g_grp, space, max_pairs))
+    _pair_count(g_grp, space, max_pairs)
+    prod = FinSpace(tuple(pair_label(g, x) for g in g_grp.elements for x in space.points),
+                    tuple(block_down_masks(space.down, len(g_grp))))
     # (g, x) is pair g * |X| + x; x lies in X_k iff theta_{k^-1} is defined at x
     n = len(space)
     rows, inverse_row = g_grp.rows, g_grp.inverse_row
@@ -261,7 +261,7 @@ def twisted_product(pa: PartialAction, big: Group,
     diag, _ = diagonal_product([_right_translation(k_grp, big), pa], max_points=pairs)
     # the diagonal product's space is the labelled G x X
     prod = diag.space
-    if list(prod._down_masks) != block_down_masks(space._down_masks, len(big)):
+    if list(prod.down) != block_down_masks(space.down, len(big)):
         raise InternalCheckError("diagonal product space differs from G x X")
     classes = orbit_classes(diag)
     # (g, x) is product point g * |X| + x; class masks per product point

@@ -1,8 +1,11 @@
-"""Finite Alexandrov spaces encoded by minimal open sets.
+"""Finite Alexandrov spaces encoded by down-set masks.
 
 Convention, fixed once: x <= y  iff  x in U_y, and the open sets are exactly
 the down-sets of <=.  That makes U_y = {x : x <= y} literally the minimal
-open set of y.
+open set of y.  A space stores one bitmask per point, the down-set of that
+point over point indices, which is its whole topology; the minimal open
+sets as label sets are a view, and :func:`space_from_min_opens` is the
+label constructor at the parse edge.
 """
 from __future__ import annotations
 
@@ -43,29 +46,33 @@ def _unknown_point(x: object) -> ValidationError:
 
 @dataclass(frozen=True)
 class FinSpace:
-    """A finite topological space: ordered points plus minimal open sets.
+    """A finite topological space: ordered points plus one down-set mask
+    per point.
 
-    ``min_open[i]`` is the minimal open set of ``points[i]``.  Instances are
-    assumed valid; construct them through :func:`space_from_min_opens`.
+    Bit i of ``down[j]`` is set iff points[i] <= points[j], i.e. ``down[j]``
+    is the minimal open set of ``points[j]`` over point indices.  Instances
+    are assumed valid: labelled input goes through
+    :func:`space_from_min_opens`, and constructions build their masks
+    directly.  ``min_open`` is the label view, built on first use.
     """
 
     points: tuple[str, ...]
-    min_open: tuple[frozenset[str], ...]
+    down: tuple[int, ...]
 
     @cached_property
     def _index(self) -> dict[str, int]:
         return {p: i for i, p in enumerate(self.points)}
 
     @cached_property
-    def _down_masks(self) -> tuple[int, ...]:
-        """Bitmask per point: bit i set iff points[i] <= that point."""
-        return tuple(map(self.mask_of, self.min_open))
+    def min_open(self) -> tuple[frozenset[str], ...]:
+        """The minimal open set of each point, as a label set."""
+        return tuple(map(self.set_of, self.down))
 
     @cached_property
     def _up_masks(self) -> tuple[int, ...]:
         """Bitmask per point: bit j set iff that point <= points[j]."""
         up = [0] * len(self.points)
-        for j, down in enumerate(self._down_masks):
+        for j, down in enumerate(self.down):
             for i in bit_indices(down):
                 up[i] |= 1 << j
         return tuple(up)
@@ -77,11 +84,11 @@ class FinSpace:
             raise _unknown_point(x)
 
     def min_open_of(self, x: str) -> frozenset[str]:
-        return self.min_open[self.index(x)]
+        return self.set_of(self.down[self.index(x)])
 
     def leq(self, x: str, y: str) -> bool:
         """Specialization preorder: x <= y iff x lies in U_y."""
-        return bool(self._down_masks[self.index(y)] & (1 << self.index(x)))
+        return bool(self.down[self.index(y)] & (1 << self.index(x)))
 
     def mask_of(self, subset: Iterable[str]) -> int:
         try:
@@ -131,18 +138,13 @@ def space_from_min_opens(points: Sequence[str],
                 bad = sorted(lookup[q] - lookup[p])[0]
                 raise ValidationError("min-open-nesting", (q, p, bad),
                                       f"U_{q!r} is not contained in U_{p!r}")
-    space = FinSpace(points, tuple(table))
+    index = {p: i for i, p in enumerate(points)}
+    down = tuple(reduce(or_, (1 << index[q] for q in u)) for u in table)
     # reflexivity/transitivity of <= follow from the two checks above; assert.
-    for p in points:
-        if not space.leq(p, p):
+    for i in range(len(points)):
+        if not down[i] >> i & 1:
             raise InternalCheckError("preorder not reflexive")
-    return space
-
-
-def space_from_down_masks(points: Sequence[str], down: Sequence[int]) -> FinSpace:
-    """The space on ``points`` with down-set masks ``down`` (trusted)."""
-    return FinSpace(tuple(points), tuple(frozenset(map(points.__getitem__, bit_indices(m)))
-                                         for m in down))
+    return FinSpace(points, down)
 
 
 def discrete_space(points: Sequence[str]) -> FinSpace:
@@ -151,12 +153,12 @@ def discrete_space(points: Sequence[str]) -> FinSpace:
 
 def is_open(space: FinSpace, subset: Iterable[str]) -> bool:
     """True iff the subset is a union of minimal opens (a down-set of <=)."""
-    return is_down_mask(space._down_masks, space.mask_of(subset))
+    return is_down_mask(space.down, space.mask_of(subset))
 
 
 def is_closed(space: FinSpace, subset: Iterable[str]) -> bool:
     full = (1 << len(space)) - 1
-    return is_down_mask(space._down_masks, full & ~space.mask_of(subset))
+    return is_down_mask(space.down, full & ~space.mask_of(subset))
 
 
 def block_down_masks(down: Sequence[int], blocks: int) -> list[int]:
@@ -180,7 +182,7 @@ def enumerate_opens(space: FinSpace, max_points: int = 20) -> list[frozenset[str
         raise BoundExceeded("open-set enumeration", max_points, n)
     opens = []
     for mask in range(1 << n):
-        if all((space._down_masks[i] & mask) == space._down_masks[i]
+        if all((space.down[i] & mask) == space.down[i]
                for i in range(n) if mask & (1 << i)):
             opens.append(space.set_of(mask))
     opens.sort(key=lambda s: (len(s), sorted(space.index(x) for x in s)))
@@ -201,6 +203,8 @@ class SpaceMap:
     @classmethod
     def from_dict(cls, source: FinSpace, target: FinSpace,
                   mapping: Mapping[str, str]) -> "SpaceMap":
+        for x in mapping:
+            source.index(x)
         missing = [p for p in source.points if p not in mapping]
         if missing:
             raise ValidationError("partial-assignment", (missing[0],),
@@ -254,7 +258,7 @@ def monotonicity_violation(src_down: Sequence[int], subset: int,
                            ) -> tuple[int, int] | None:
     """The integer core of every monotonicity test.
 
-    ``src_down``/``tgt_down`` are down-set masks (``FinSpace._down_masks``),
+    ``src_down``/``tgt_down`` are down-set masks (``FinSpace.down``),
     ``subset`` masks the source points the map is defined on, and
     ``image[i]`` is the target index of source point i (read only for i in
     ``subset``).  The map is monotone on the subset iff for each y in it and
@@ -284,8 +288,8 @@ def monotonicity_violation(src_down: Sequence[int], subset: int,
 def is_continuous(m: SpaceMap) -> bool:
     """Continuity == monotonicity for the specialization preorders."""
     src = m.source
-    return monotonicity_violation(src._down_masks, (1 << len(src)) - 1,
-                                  m.row, m.target._down_masks) is None
+    return monotonicity_violation(src.down, (1 << len(src)) - 1,
+                                  m.row, m.target.down) is None
 
 
 _ZEROS = b"0" * 256
@@ -330,9 +334,9 @@ def spread(columns: Sequence[Sequence[int]], masks: Sequence[int]) -> list[list[
 def is_open_map(m: SpaceMap) -> bool:
     """Images of opens are open; it suffices to check the minimal opens."""
     bit = [1 << y for y in m.row]
-    down = m.target._down_masks
+    down = m.target.down
     return all(is_down_mask(down, reduce(or_, map(bit.__getitem__, bit_indices(u))))
-               for u in m.source._down_masks)
+               for u in m.source.down)
 
 
 def product(a: FinSpace, b: FinSpace, max_points: int = 64
@@ -341,10 +345,13 @@ def product(a: FinSpace, b: FinSpace, max_points: int = 64
     n = len(a) * len(b)
     if n > max_points:
         raise BoundExceeded("product space", max_points, n)
+    # point (x_i, y_j) has index i * |B| + j, so U_(x_i,y_j) is U_(y_j)'s
+    # mask copied into block i' for each x_i' in U_(x_i): the product of
+    # U_(y_j)'s mask with one bit per such block, as the copies never overlap
+    width = len(b)
+    blocks = [reduce(or_, (1 << (i * width) for i in bit_indices(u))) for u in a.down]
     space = FinSpace(tuple(pair_label(x, y) for x in a.points for y in b.points),
-                     tuple(frozenset(pair_label(p, q) for p in u for q in v)
-                           for u in a.min_open for v in b.min_open))
-    # point (x_i, y_j) has index i * |B| + j
+                     tuple(block * v for block in blocks for v in b.down))
     p1 = SpaceMap(space, a, tuple(i for i in range(len(a)) for _ in b.points))
     p2 = SpaceMap(space, b, tuple(range(len(b))) * len(a))
     return space, p1, p2
@@ -378,26 +385,35 @@ def quotient(space: FinSpace, classes: Iterable[Iterable[str]]
     Classes are ordered by their least member (in source point order) and
     named by their lexicographically least member.
     """
-    sets = [frozenset(c) for c in classes]
-    seen: dict[str, int] = {}
-    for k, cls in enumerate(sets):
-        if not cls:
-            raise ValidationError("not-a-partition", (), "empty class")
+    masks = []
+    covered = 0
+    for cls in classes:
+        mask = 0
         for x in cls:
-            space.index(x)
-            if x in seen:
+            bit = 1 << space.index(x)
+            if covered & bit:
                 raise ValidationError("not-a-partition", (x,), f"{x!r} appears in two classes")
-            seen[x] = k
-    if len(seen) != len(space):
-        missing = next(p for p in space.points if p not in seen)
+            mask |= bit
+        if not mask:
+            raise ValidationError("not-a-partition", (), "empty class")
+        covered |= mask
+        masks.append(mask)
+    uncovered = ((1 << len(space)) - 1) & ~covered
+    if uncovered:
+        missing = space.points[(uncovered & -uncovered).bit_length() - 1]
         raise ValidationError("not-a-partition", (missing,), f"{missing!r} not covered")
+    return _quotient_by_masks(space, masks)
 
-    masks = sorted(map(space.mask_of, sets), key=lambda m: m & -m)
-    cls_of, below = quotient_order(space._down_masks, masks)
-    labels = [min(map(space.points.__getitem__, bit_indices(m))) for m in masks]
+
+def _quotient_by_masks(space: FinSpace, classes: Iterable[int]
+                       ) -> tuple[FinSpace, SpaceMap]:
+    """:func:`quotient` by a partition given as point-index masks."""
+    masks = sorted(classes, key=lambda m: m & -m)
+    cls_of, below = quotient_order(space.down, masks)
+    labels = tuple(min(map(space.points.__getitem__, bit_indices(m))) for m in masks)
     if len(set(labels)) != len(labels):
         raise ValidationError("duplicate-point", (), "class labels collide")
-    qspace = space_from_down_masks(labels, below)
+    qspace = FinSpace(labels, tuple(below))
     return qspace, SpaceMap(space, qspace, tuple(cls_of))
 
 
@@ -460,29 +476,30 @@ def equivalence_classes(rel: Sequence[int], name: str,
 
 def subspace(space: FinSpace, subset: Iterable[str]) -> FinSpace:
     """Subspace topology: minimal opens are U_x intersected with the subset."""
-    keep = set(subset)
+    keep = space.mask_of(subset)
     if not keep:
         raise ValidationError("empty-subset", (), "subspace needs a nonempty subset")
-    for x in keep:
-        space.index(x)
-    points = tuple(p for p in space.points if p in keep)
-    opens = tuple(space.min_open_of(p) & keep for p in points)
-    return FinSpace(points, opens)
+    kept = bit_indices(keep)
+    bit = dict(zip(kept, map((1).__lshift__, range(len(kept)))))
+    return FinSpace(tuple(map(space.points.__getitem__, kept)),
+                    tuple(reduce(or_, map(bit.__getitem__, bit_indices(space.down[i] & keep)))
+                          for i in kept))
 
 
 def t0_quotient(space: FinSpace) -> tuple[FinSpace, SpaceMap]:
     """Identify topologically indistinguishable points (x <= y and y <= x),
     which are exactly the points with the same minimal open set."""
     classes: dict[int, int] = {}
-    for i, down in enumerate(space._down_masks):
+    for i, down in enumerate(space.down):
         classes[down] = classes.get(down, 0) | 1 << i
-    return quotient(space, map(space.set_of, classes.values()))
+    return _quotient_by_masks(space, classes.values())
 
 
 def is_T1(space: FinSpace) -> bool:
     """Every singleton closed; for finite spaces this is exactly discreteness."""
-    t1 = all(is_closed(space, {x}) for x in space.points)
-    discrete = all(space.min_open_of(x) == frozenset({x}) for x in space.points)
+    down, full = space.down, (1 << len(space)) - 1
+    t1 = all(is_down_mask(down, full & ~(1 << i)) for i in range(len(down)))
+    discrete = all(mask == 1 << i for i, mask in enumerate(down))
     if t1 != discrete:
         raise InternalCheckError("T1 and discreteness disagree on a finite space")
     return t1
@@ -518,10 +535,10 @@ def _search_maps(source: FinSpace, target: FinSpace, allowed: Sequence[int],
     the forced pairs.  Every candidate tried counts as a node.
     """
     n, m = len(source), len(target)
-    tgt_down, tgt_up = target._down_masks, target._up_masks
-    src_down = [[i for i in range(n) if source._down_masks[j] & (1 << i) and i != j]
+    tgt_down, tgt_up = target.down, target._up_masks
+    src_down = [[i for i in range(n) if source.down[j] & (1 << i) and i != j]
                 for j in range(n)]
-    src_up = [[j for j in range(n) if source._down_masks[j] & (1 << i) and i != j]
+    src_up = [[j for j in range(n) if source.down[j] & (1 << i) and i != j]
               for i in range(n)]
 
     every = range(n)

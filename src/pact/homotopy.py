@@ -23,7 +23,7 @@ from typing import Callable
 
 from .errors import InternalCheckError, ValidationError
 from .finspace import (FinSpace, SpaceMap, bit_indices, column_masks,
-                       enumerate_monotone_maps, is_continuous, spread, subspace,
+                       enumerate_monotone_maps, spread, subspace,
                        t0_quotient)
 from .paction import (PartialAction, Subgroup, enumerate_G_maps, fixed_points,
                       is_G_map, is_invariant, isotropy, restrict_invariant,
@@ -71,7 +71,7 @@ class MapPoset:
         """Per (source position, target index): bitmask of the rows whose
         value there lies below / above that target point."""
         tgt = self.target
-        return spread(self.columns, tgt._down_masks), spread(self.columns, tgt._up_masks)
+        return spread(self.columns, tgt.down), spread(self.columns, tgt._up_masks)
 
     def _neighbors(self, k: int) -> int:
         """Bitmask of the rows comparable to row k (including itself)."""
@@ -148,40 +148,10 @@ def enumerate_maps(source: FinSpace, target: FinSpace,
     return MapPoset(source, target, tuple(rows), kind="equivariant")
 
 
-def are_homotopic(f: SpaceMap, g: SpaceMap,
-                  node_budget: int = 1_000_000, max_maps: int = 4096) -> bool:
-    """Fence-connectivity of f and g in the full poset of continuous maps."""
-    _check_parallel(f, g)
-    for m in (f, g):
-        if not is_continuous(m):
-            raise ValidationError("not-continuous", (), "homotopy needs continuous maps")
-    poset = enumerate_maps(f.source, f.target,
-                           node_budget=node_budget, max_maps=max_maps)
-    return poset.components[poset.index_of(f.row)] == poset.components[poset.index_of(g.row)]
-
-
-def are_G_homotopic(f: SpaceMap, g: SpaceMap,
-                    pa_x: PartialAction, pa_y: PartialAction,
-                    node_budget: int = 1_000_000, max_maps: int = 4096) -> bool:
-    """Fence-connectivity inside the poset of G-maps."""
-    _check_parallel(f, g)
-    for m in (f, g):
-        if not is_G_map(m, pa_x, pa_y):
-            raise ValidationError("not-a-G-map", (), "equivariant homotopy needs G-maps")
-    poset = enumerate_maps(f.source, f.target, equivariant=(pa_x, pa_y),
-                           node_budget=node_budget, max_maps=max_maps)
-    return poset.components[poset.index_of(f.row)] == poset.components[poset.index_of(g.row)]
-
-
-def _check_parallel(f: SpaceMap, g: SpaceMap) -> None:
-    if f.source != g.source or f.target != g.target:
-        raise ValidationError("space-mismatch", (), "maps must be parallel")
-
-
 def _beat_point(space: FinSpace, i: int) -> bool:
     """Whether the points strictly below point i have a maximum, or those
     strictly above it a minimum."""
-    down, up = space._down_masks, space._up_masks
+    down, up = space.down, space._up_masks
     below, above = down[i] & ~(1 << i), up[i] & ~(1 << i)
     return (any(not below & ~down[m] for m in bit_indices(below))
             or any(not above & ~up[m] for m in bit_indices(above)))

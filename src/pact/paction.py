@@ -15,11 +15,11 @@ from typing import Iterable, Mapping, Sequence
 
 from .algebra import Group, Subgroup, is_subgroup_embedding
 from .errors import InternalCheckError, ValidationError
-from .finspace import (FinSpace, SpaceMap, _search_maps, bit_indices,
-                       block_down_masks, compose, equivalence_classes,
-                       is_continuous, is_down_mask, is_open, is_open_map,
-                       monotonicity_violation, product, quotient, spread,
-                       subspace)
+from .finspace import (FinSpace, SpaceMap, _quotient_by_masks, _search_maps,
+                       bit_indices, block_down_masks, compose,
+                       equivalence_classes, is_continuous, is_down_mask,
+                       is_open, is_open_map, monotonicity_violation, product,
+                       spread, subspace)
 
 
 @dataclass(frozen=True)
@@ -63,12 +63,6 @@ class PartialAction:
         i = self.space._index.get(x)
         return i is not None and self.images[self.group.index(g)][i] >= 0
 
-    def apply(self, g: str, x: str) -> str:
-        y = self.images[self.group.index(g)][self.space.index(x)]
-        if y < 0:
-            raise ValidationError("undefined", (g, x), f"theta_{g!r} is undefined at {x!r}")
-        return self.space.points[y]
-
     def gstar(self) -> list[tuple[str, str]]:
         """G*X as (g, x) pairs, in (element, point) order."""
         pts = self.space.points
@@ -88,7 +82,7 @@ class PartialAction:
         n = len(self.space)
         gstar = sum(1 << (g * n + x) for g, image in enumerate(self.images)
                     for x, y in enumerate(image) if y >= 0)
-        return block_down_masks(self.space._down_masks, len(self.group)), gstar
+        return block_down_masks(self.space.down, len(self.group)), gstar
 
     def gstar_is_open(self) -> bool:
         """Whether G*X is open in G x X.  With open domains and a finite
@@ -103,7 +97,7 @@ class PartialAction:
     def gstar_is_closed(self) -> bool:
         """Whether G*X is closed in G x X; for discrete finite G this is
         equivalent to every X_g being closed, and both routes are compared."""
-        down, full = self.space._down_masks, (1 << len(self.space)) - 1
+        down, full = self.space.down, (1 << len(self.space)) - 1
         per_domain = all(is_down_mask(down, full & ~sum(1 << x for x in xs))
                          for xs in self.domain_points)
         pair_down, gstar = self._gstar_masks()
@@ -179,7 +173,7 @@ def validate_partial_action(group: Group, space: FinSpace,
         x = next(x for x in space.points if the[e][x] != x)
         raise ValidationError("pa3-identity", (x,), "theta_e must be the identity")
 
-    points, index, down = space.points, space._index, space._down_masks
+    points, index, down = space.points, space._index, space.down
     mask = {g: space.mask_of(dom[g]) for g in group.elements}
     for g in group.elements:
         if not is_down_mask(down, mask[g]):
@@ -334,7 +328,7 @@ def _global_certificate(group: Group, space: FinSpace,
         return None
     if images[group.index(group.identity)] != tuple(range(n)):
         return None
-    down, full = space._down_masks, (1 << n) - 1
+    down, full = space.down, (1 << n) - 1
     for s in group.generators:
         image_s, row = images[s], group.rows[s]
         if monotonicity_violation(down, full, image_s, down) is not None:
@@ -554,15 +548,15 @@ def orbit_classes(pa: PartialAction) -> list[int]:
 
 def orbit_space(pa: PartialAction) -> OrbitSpace:
     """The orbit space X/G with its (continuous, open, surjective) projection."""
-    classes = list(map(pa.space.set_of, orbit_classes(pa)))
-    qspace, proj = quotient(pa.space, classes)
+    classes = orbit_classes(pa)
+    qspace, proj = _quotient_by_masks(pa.space, classes)
     if not is_continuous(proj):
         raise InternalCheckError("orbit projection is not continuous")
     if not is_open_map(proj):
         raise InternalCheckError("orbit projection is not open")
     if len(set(proj.row)) != len(qspace):
         raise InternalCheckError("orbit projection is not surjective")
-    return OrbitSpace(pa, qspace, proj, tuple(classes))
+    return OrbitSpace(pa, qspace, proj, tuple(map(pa.space.set_of, classes)))
 
 
 def is_invariant(pa: PartialAction, s: Iterable[str], k: Subgroup) -> bool:
@@ -612,9 +606,9 @@ def g_map_faults(columns: Sequence[Sequence[int]], source: FinSpace, target: Fin
     operations per comparable pair of source points and O(points x target
     points) per element, not Python steps per row.
     """
-    below = spread(columns, target._down_masks)
+    below = spread(columns, target.down)
     discontinuous = 0
-    for y, down in enumerate(source._down_masks):
+    for y, down in enumerate(source.down):
         at_y = columns[y]
         for x in bit_indices(down & ~(1 << y)):
             # rows with f(y) = v but f(x) not below v

@@ -162,7 +162,7 @@ def _claim_iota_k(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
     image = onto.target.points
     # the enveloping action restricted to K, keyed by K's own group object
     res_k = restrict_to_group(env.as_global_action(), pa.group)
-    pair_down = env.product_space._down_masks
+    pair_down = env.product_space.down
     kstar_open = is_down_mask(pair_down, env.kstar)
     kstar_closed = is_down_mask(pair_down, ((1 << len(pair_down)) - 1) & ~env.kstar)
     checks = {

@@ -138,6 +138,118 @@ def first_monotone_violation(points: list[str], min_open_x: Mapping,
 
 
 # ---------------------------------------------------------------------------
+# spaces on labels: the reference for the down-set mask FinSpace
+
+@dataclass(frozen=True)
+class LabelFinSpace:
+    """A finite space as the label minimal open set of each point, the form
+    ``pact.finspace.FinSpace`` had before it stored down-set masks."""
+
+    points: tuple[str, ...]
+    min_open: tuple[frozenset[str], ...]
+
+    def index(self, x: str) -> int:
+        if x not in self.points:
+            raise ValidationError("unknown-point", (x,), f"unknown point {x!r}")
+        return self.points.index(x)
+
+    def min_open_of(self, x: str) -> frozenset[str]:
+        return self.min_open[self.index(x)]
+
+    def leq(self, x: str, y: str) -> bool:
+        return x in self.min_open_of(y)
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+
+def as_label_space(space) -> LabelFinSpace:
+    """A ``FinSpace`` read through its ``min_open`` label view."""
+    return LabelFinSpace(space.points, space.min_open)
+
+
+def mask_space(space: LabelFinSpace):
+    """The ``FinSpace`` of a label space: one down-set mask per point, bit
+    i set for each points[i] in its minimal open set."""
+    from pact import FinSpace
+
+    return FinSpace(space.points, tuple(sum(1 << space.index(q) for q in u)
+                                        for u in space.min_open))
+
+
+def label_space_from_min_opens(points, min_open) -> LabelFinSpace:
+    """``pact.space_from_min_opens`` as it was when it stored label sets:
+    the same checks, in the same order, with the same witnesses."""
+    points = tuple(points)
+    if not points:
+        raise ValidationError("empty-space", (), "a space needs at least one point")
+    if len(set(points)) != len(points):
+        raise ValidationError("duplicate-point", (), "point labels must be unique")
+    pointset = set(points)
+    table: list[frozenset[str]] = []
+    for p in points:
+        if p not in min_open:
+            raise ValidationError("missing-min-open", (p,), f"no minimal open set for {p!r}")
+        u = frozenset(min_open[p])
+        for q in u:
+            if q not in pointset:
+                raise ValidationError("unknown-point", (q,), f"U_{p!r} mentions unknown point {q!r}")
+        if p not in u:
+            raise ValidationError("min-open-membership", (p,), f"{p!r} is not in its own minimal open set")
+        table.append(u)
+    lookup = dict(zip(points, table))
+    for p in points:
+        for q in lookup[p]:
+            if not lookup[q] <= lookup[p]:
+                bad = sorted(lookup[q] - lookup[p])[0]
+                raise ValidationError("min-open-nesting", (q, p, bad),
+                                      f"U_{q!r} is not contained in U_{p!r}")
+    return LabelFinSpace(points, tuple(table))
+
+
+def label_product(a: LabelFinSpace, b: LabelFinSpace):
+    """The product with U_(x,y) = U_x x U_y on pair labels, in (x, y) order,
+    plus its two projections as :class:`LabelSpaceMap`."""
+    from pact import pair_label
+
+    space = LabelFinSpace(tuple(pair_label(x, y) for x in a.points for y in b.points),
+                          tuple(frozenset(pair_label(p, q) for p in u for q in v)
+                                for u in a.min_open for v in b.min_open))
+    p1 = LabelSpaceMap(space, a, tuple(x for x in a.points for _ in b.points))
+    p2 = LabelSpaceMap(space, b, b.points * len(a))
+    return space, p1, p2
+
+
+def label_subspace(space: LabelFinSpace, subset) -> LabelFinSpace:
+    """The subspace whose minimal opens are U_x intersected with the subset."""
+    keep = set(subset)
+    if not keep:
+        raise ValidationError("empty-subset", (), "subspace needs a nonempty subset")
+    for x in keep:
+        space.index(x)
+    points = tuple(p for p in space.points if p in keep)
+    return LabelFinSpace(points, tuple(space.min_open_of(p) & keep for p in points))
+
+
+def label_t0_quotient(space: LabelFinSpace):
+    """The quotient identifying the points with equal minimal open sets."""
+    classes: dict[frozenset[str], list[str]] = {}
+    for p, u in zip(space.points, space.min_open):
+        classes.setdefault(u, []).append(p)
+    return label_quotient(space, classes.values())
+
+
+def label_is_T1(space: LabelFinSpace) -> bool:
+    """Every singleton closed, checked against discreteness."""
+    table = dict(zip(space.points, space.min_open))
+    t1 = all(is_down_set(table, set(space.points) - {x}) for x in space.points)
+    discrete = all(u == {x} for x, u in table.items())
+    if t1 != discrete:
+        raise InternalCheckError("T1 and discreteness disagree on a finite space")
+    return t1
+
+
+# ---------------------------------------------------------------------------
 # maps on labels: the reference for the index-row SpaceMap
 
 @dataclass(frozen=True)
@@ -299,7 +411,7 @@ def label_validate_partial_action(group, space, domains: Mapping[str, Iterable[s
             raise ValidationError("domain-not-open", (g,) + tuple(sorted(dom[g])),
                                   f"X_{g!r} is not open")
 
-    points, index, down = space.points, space._index, space._down_masks
+    points, index, down = space.points, space._index, space.down
     mask = {g: space.mask_of(dom[g]) for g in group.elements}
     # each domain in point order, so every scan below finds its first
     # violation in the same place under any hash seed
@@ -401,11 +513,11 @@ def label_restrict_global(pa, open_subset):
     domains = {}
     thetas = {}
     for g in pa.group.elements:
-        image = frozenset(pa.apply(g, x) for x in u)
+        image = frozenset(label_apply(pa, g, x) for x in u)
         domains[g] = u & image
     for g in pa.group.elements:
         src = domains[pa.group.inv(g)]
-        thetas[g] = {x: pa.apply(g, x) for x in src}
+        thetas[g] = {x: label_apply(pa, g, x) for x in src}
     return validate_partial_action(pa.group, sub, domains, thetas)
 
 
@@ -763,10 +875,50 @@ def pairwise_split_pair(components, images) -> tuple[int, int] | None:
 # ---------------------------------------------------------------------------
 # predicates only the tests use
 
+def label_apply(pa, g: str, x: str) -> str:
+    """theta_g(x) on labels; ValidationError "undefined" off X_{g^-1}."""
+    y = pa.images[pa.group.index(g)][pa.space.index(x)]
+    if y < 0:
+        raise ValidationError("undefined", (g, x), f"theta_{g!r} is undefined at {x!r}")
+    return pa.space.points[y]
+
+
+def _check_parallel(f, g) -> None:
+    if f.source != g.source or f.target != g.target:
+        raise ValidationError("space-mismatch", (), "maps must be parallel")
+
+
+def are_homotopic(f, g, node_budget: int = 1_000_000, max_maps: int = 4096) -> bool:
+    """Fence-connectivity of f and g in the full poset of continuous maps."""
+    from pact import enumerate_maps, is_continuous
+
+    _check_parallel(f, g)
+    for m in (f, g):
+        if not is_continuous(m):
+            raise ValidationError("not-continuous", (), "homotopy needs continuous maps")
+    poset = enumerate_maps(f.source, f.target,
+                           node_budget=node_budget, max_maps=max_maps)
+    return poset.components[poset.index_of(f.row)] == poset.components[poset.index_of(g.row)]
+
+
+def are_G_homotopic(f, g, pa_x, pa_y,
+                    node_budget: int = 1_000_000, max_maps: int = 4096) -> bool:
+    """Fence-connectivity inside the poset of G-maps."""
+    from pact import enumerate_maps, is_G_map
+
+    _check_parallel(f, g)
+    for m in (f, g):
+        if not is_G_map(m, pa_x, pa_y):
+            raise ValidationError("not-a-G-map", (), "equivariant homotopy needs G-maps")
+    poset = enumerate_maps(f.source, f.target, equivariant=(pa_x, pa_y),
+                           node_budget=node_budget, max_maps=max_maps)
+    return poset.components[poset.index_of(f.row)] == poset.components[poset.index_of(g.row)]
+
+
 def is_free(pa) -> bool:
     """No nonidentity element fixes a point where it is defined."""
     e = pa.group.identity
-    return not any(pa.apply(g, x) == x
+    return not any(label_apply(pa, g, x) == x
                    for g in pa.group.elements if g != e
                    for x in pa.domains[pa.group.inv(g)])
 
@@ -784,7 +936,7 @@ def is_G_homeomorphism(f, pa_x, pa_y) -> bool:
 
 def envelopes_G_homotopic(f, g, pa_x, pa_y) -> bool:
     """Whether the maps f, g induce G-homotopic maps of the globalizations."""
-    from pact import are_G_homotopic, envelope_of_map, globalize
+    from pact import envelope_of_map, globalize
 
     env_x, env_y = globalize(pa_x), globalize(pa_y)
     ef = envelope_of_map(f, pa_x, pa_y, env_x=env_x, env_y=env_y)
@@ -834,7 +986,8 @@ def label_g_map_faults(rows, pa_x, pa_y) -> tuple[int, int]:
         if first_monotone_violation(list(src.points), min_open_x, min_open_y,
                                     f, src.points) is not None:
             discontinuous |= 1 << k
-        if any(not pa_y.defined(g, f[x]) or pa_y.apply(g, f[x]) != f[pa_x.apply(g, x)]
+        if any(not pa_y.defined(g, f[x])
+               or label_apply(pa_y, g, f[x]) != f[label_apply(pa_x, g, x)]
                for g in grp.elements for x in pa_x.domains[grp.inv(g)]):
             non_equivariant |= 1 << k
     return discontinuous, non_equivariant
@@ -996,18 +1149,16 @@ def label_beat_point(space, x) -> bool:
                 or up and any(all(space.leq(m, u) for u in up) for m in up))
 
 
-def label_core(space):
-    """``pact.core`` with its beat-point test on labels: dismantle the
+def label_core(space) -> LabelFinSpace:
+    """``pact.core`` on labels: the Kolmogorov quotient, then dismantle the
     lowest-indexed beat point (:func:`label_beat_point`) until none is
     left."""
-    from pact import subspace, t0_quotient
-
-    current, _ = t0_quotient(space)
+    current, _ = label_t0_quotient(space)
     while True:
         point = next((x for x in current.points if label_beat_point(current, x)), None)
         if point is None:
             return current
-        current = subspace(current, [p for p in current.points if p != point])
+        current = label_subspace(current, [p for p in current.points if p != point])
 
 
 # ---------------------------------------------------------------------------
@@ -1016,9 +1167,9 @@ def label_core(space):
 def _color_refinement(space) -> tuple[int, ...]:
     """Isomorphism-invariant point colors used as pruning for the search."""
     n = len(space)
-    down = [frozenset(i for i in range(n) if space._down_masks[j] & (1 << i))
+    down = [frozenset(i for i in range(n) if space.down[j] & (1 << i))
             for j in range(n)]
-    up = [frozenset(j for j in range(n) if space._down_masks[j] & (1 << i))
+    up = [frozenset(j for j in range(n) if space.down[j] & (1 << i))
           for i in range(n)]
     colors = [(len(down[i]), len(up[i])) for i in range(n)]
     palette: dict[tuple, int] = {}
@@ -1150,12 +1301,12 @@ class LabelEnvelope:
 
 
 def label_quotient(space, classes, names=None):
-    """Quotient by a partition, on label sets, with the transitive closure
-    walked class by class; classes are ordered by least member and named
-    by ``names`` (default: the lexicographically least member)."""
-    from pact import FinSpace, SpaceMap
-    from pact.finspace import bit_indices
-
+    """Quotient by a partition, on label sets, with the preorder closed by
+    :func:`closure_quotient_order`; classes are ordered by least member and
+    named by ``names`` (default: the lexicographically least member).
+    ``space`` is read through ``points``, ``index`` and ``min_open_of``, so
+    it may be a ``FinSpace`` or a :class:`LabelFinSpace`; the quotient is a
+    :class:`LabelFinSpace` with a :class:`LabelSpaceMap` projection."""
     sets = [frozenset(c) for c in classes]
     seen: dict[str, int] = {}
     for k, cls in enumerate(sets):
@@ -1175,27 +1326,11 @@ def label_quotient(space, classes, names=None):
     if len(set(labels)) != len(labels):
         raise ValidationError("duplicate-point", (), "class labels collide")
     cls_of = {x: k for k, cls in enumerate(sets) for x in cls}
-    cls_bit = [1 << cls_of[x] for x in space.points]
-
-    n = len(sets)
-    below = [1 << k for k in range(n)]
-    for y, mask in zip(space.points, space._down_masks):
-        ky = cls_of[y]
-        for i in bit_indices(mask):
-            below[ky] |= cls_bit[i]
-    changed = True
-    while changed:
-        changed = False
-        for k in range(n):
-            acc = below[k]
-            for i in bit_indices(acc):
-                acc |= below[i]
-            if acc != below[k]:
-                below[k] = acc
-                changed = True
-    opens = [frozenset(map(labels.__getitem__, bit_indices(m))) for m in below]
-    qspace = FinSpace(tuple(labels), tuple(opens))
-    proj = SpaceMap.from_dict(space, qspace, {x: labels[cls_of[x]] for x in space.points})
+    below = closure_quotient_order(list(space.points),
+                                   {p: space.min_open_of(p) for p in space.points}, sets)
+    qspace = LabelFinSpace(tuple(labels),
+                           tuple(frozenset(map(labels.__getitem__, b)) for b in below))
+    proj = LabelSpaceMap(space, qspace, tuple(labels[cls_of[x]] for x in space.points))
     return qspace, proj
 
 
@@ -1218,7 +1353,9 @@ def label_assemble(pa, big, prod, class_sets) -> LabelEnvelope:
     def name(cls: frozenset[str]) -> str:
         return min(cls, key=prod.index)
 
-    total, proj = label_quotient(prod, class_sets, names=name)
+    label_total, label_proj = label_quotient(prod, class_sets, names=name)
+    total = mask_space(label_total)
+    proj = SpaceMap.from_dict(prod, total, label_proj.as_dict())
     classes = {pair_of(p): proj(p) for p in prod.points}
     members_by_label: dict[str, list[tuple[str, str]]] = {c: [] for c in total.points}
     for p in prod.points:
@@ -1272,7 +1409,7 @@ def label_assemble(pa, big, prod, class_sets) -> LabelEnvelope:
 
     for g in k.elements:
         for x in pa.domains[k.inv(g)]:
-            if action[g][emb(x)] != emb(pa.apply(g, x)):
+            if action[g][emb(x)] != emb(label_apply(pa, g, x)):
                 raise InternalCheckError(
                     f"action and embedding disagree at ({g!r}, {x!r})")
 

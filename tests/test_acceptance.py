@@ -12,7 +12,7 @@ import json
 import random
 
 from pact import (SpaceMap, Subgroup, ValidationError,
-                  adjunction_maps, are_G_homotopic, core, cyclic_group,
+                  adjunction_maps, core, cyclic_group,
                   discrete_space, enumerate_maps,
                   fixed_decomposition, fixed_points,
                   fixture_dict, fixture_names, global_action, globalize,
@@ -23,7 +23,7 @@ from pact import (SpaceMap, Subgroup, ValidationError,
 from test_envelope import compare_products, twist
 from test_homotopy import g_contract
 from pact.cli import main as cli_main
-from oracle import (brute_globalization_classes, brute_opens,
+from oracle import (are_G_homotopic, brute_globalization_classes, brute_opens,
                     brute_twisted_classes, envelopes_G_homotopic,
                     find_homeomorphism,
                     globalization_document, group_violation, label_view,

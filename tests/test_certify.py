@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pact import (DEFAULT_BOUNDS, InternalCheckError, PartialAction, Subgroup,
+from pact import (DEFAULT_BOUNDS, FinSpace, InternalCheckError, PartialAction, Subgroup,
                   ValidationError, all_subgroups, cyclic_group, diagonal_product,
                   discrete_space, exit_code, global_action, globalize, isotropy,
                   load_fixture, parse_instance, restrict_global,
@@ -514,7 +514,8 @@ def test_run_all_builds_no_label_views_of_built_actions(monkeypatch):
     """Parsed actions carry the label tables the validator checked; every
     other action is built from index tables, and over whole runs on the
     fixtures and the generated instances no claim reads its label views,
-    except the label edge that splits a diagonal product into factors."""
+    except the label edge that splits a diagonal product into factors.  No
+    space, parsed or built, has its minimal-open label view built at all."""
     from functools import cached_property
 
     import pact.verify
@@ -524,16 +525,17 @@ def test_run_all_builds_no_label_views_of_built_actions(monkeypatch):
         insts.append((parse_instance(entry["document"]),
                       dataclasses.replace(DEFAULT_BOUNDS, **entry["bounds"])))
     views, splitting = [], []
-    for name in ("domains", "thetas"):
-        build = PartialAction.__dict__[name].func
+    for cls, name in ((PartialAction, "domains"), (PartialAction, "thetas"),
+                      (FinSpace, "min_open")):
+        build = cls.__dict__[name].func
 
-        def counting(pa, build=build, name=name):
-            if not splitting:
+        def counting(obj, build=build, name=name):
+            if not splitting or name == "min_open":
                 views.append(name)
-            return build(pa)
+            return build(obj)
         view = cached_property(counting)
-        view.__set_name__(PartialAction, name)
-        monkeypatch.setattr(PartialAction, name, view)
+        view.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, view)
     split = pact.verify.split_diagonal_factors
 
     def splitting_factors(pa):

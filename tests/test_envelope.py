@@ -24,7 +24,7 @@ from pact.finspace import bit_indices
 from oracle import (brute_globalization_classes, brute_members,
                     brute_twisted_classes, find_homeomorphism,
                     globalization_document as oracle_document,
-                    is_G_homeomorphism, LabelEnvelope, label_assemble,
+                    is_G_homeomorphism, LabelEnvelope, label_apply, label_assemble,
                     label_envelope_of_map, label_lift_rows, label_view)
 from test_paction import _random_factor, random_rotation_action
 
@@ -476,7 +476,7 @@ def test_recognition_on_random_restrictions(rng):
         beta = random_rotation_action(rng, rng.choice([2, 3]))
         opens = [u for u in enumerate_opens(beta.space) if u]
         u = rng.choice(opens)
-        covered = {beta.apply(g, x) for g in beta.group.elements for x in u}
+        covered = {label_apply(beta, g, x) for g in beta.group.elements for x in u}
         phi, report = recognize_globalization(beta, u)
         if covered == set(beta.space.points):
             holds += 1

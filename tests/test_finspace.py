@@ -8,18 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pact import (BoundExceeded, InternalCheckError, SpaceMap, ValidationError,
-                  compose, discrete_space, enumerate_monotone_maps, enumerate_opens,
+                  compose, core, discrete_space, enumerate_monotone_maps, enumerate_opens,
                   is_closed, is_continuous, is_open, is_open_map, is_T1,
                   load_fixture, pair_label, product, quotient,
                   space_from_min_opens, split_pair_label, subspace,
                   t0_quotient)
 from pact.finspace import (WIDE_MASK_BITS, bit_indices, column_masks, equivalence_classes,
                            monotonicity_violation)
-from oracle import (LabelSpaceMap, brute_opens, closure_quotient_order,
-                    column_masks_by_definition, find_homeomorphism,
-                    first_monotone_violation, is_down_set, label_compose,
-                    label_is_open_map, preimage_continuous, random_partition,
-                    random_preorder_space, space_violation)
+from oracle import (LabelSpaceMap, brute_opens,
+                    closure_quotient_order, column_masks_by_definition,
+                    find_homeomorphism, first_monotone_violation, is_down_set,
+                    label_compose, label_core, label_is_open_map, label_is_T1,
+                    label_product, label_quotient, label_space_from_min_opens,
+                    label_subspace, label_t0_quotient, mask_space,
+                    preimage_continuous, random_partition, random_preorder_space,
+                    space_violation)
 
 
 def c8():
@@ -365,7 +368,9 @@ def test_equivalence_classes_order_and_internal_checks():
 
 
 @st.composite
-def small_spaces(draw, max_points=5):
+def preorder_tables(draw, max_points=5):
+    """A valid minimal-open table as (points, table): a random relation on
+    p0, p1, ..., closed reflexively and transitively."""
     n = draw(st.integers(min_value=1, max_value=max_points))
     points = [f"p{i}" for i in range(n)]
     rel = [[i == j for j in range(n)] for i in range(n)]
@@ -379,9 +384,13 @@ def small_spaces(draw, max_points=5):
                 for j in range(n):
                     if rel[k][j]:
                         rel[i][j] = True
-    return space_from_min_opens(
-        points, {points[j]: [points[i] for i in range(n) if rel[i][j]]
-                 for j in range(n)})
+    return points, {points[j]: [points[i] for i in range(n) if rel[i][j]]
+                    for j in range(n)}
+
+
+@st.composite
+def small_spaces(draw, max_points=5):
+    return space_from_min_opens(*draw(preorder_tables(max_points)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -438,7 +447,7 @@ def test_monotonicity_kernel_matches_pairwise_oracle(a, b, data):
     subset = data.draw(st.integers(0, (1 << n) - 1))
     assignment = {x: b.points[j] for x, j in zip(a.points, image)}
     kept = [x for i, x in enumerate(a.points) if subset >> i & 1]
-    found = monotonicity_violation(a._down_masks, subset, image, b._down_masks)
+    found = monotonicity_violation(a.down, subset, image, b.down)
     expected = first_monotone_violation(list(a.points), raw_min_opens(a),
                                         raw_min_opens(b), assignment, kept)
     if expected is None:
@@ -531,3 +540,93 @@ def test_bit_indices_matches_the_loop_on_both_sides_of_the_cutoff(width, seed, d
             mask |= 1 << i
     assert bit_indices(mask) == _bit_indices_by_loop(mask)
     assert bit_indices(0) == []
+
+
+# ---------------------------------------------------------------------------
+# the down-set mask FinSpace against the label FinSpace it replaced
+
+
+@st.composite
+def shuffled_tables(draw, max_points=6):
+    """A valid minimal-open table in a random point order, under labels
+    whose lexicographic order is not the point order either."""
+    points, table = draw(preorder_tables(max_points))
+    names = dict(zip(points, draw(st.permutations([f"q{i}" for i in range(len(points))]))))
+    order = draw(st.permutations(points))
+    return ([names[p] for p in order],
+            {names[p]: [names[q] for q in table[p]] for p in order})
+
+
+def _assert_same_space(space, ref):
+    """``space`` and the label space ``ref`` are one space: same points,
+    same minimal opens through both views, same down-set masks, same order."""
+    assert space.points == ref.points
+    assert space.min_open == ref.min_open
+    assert [space.min_open_of(p) for p in space.points] == list(ref.min_open)
+    assert space == mask_space(ref) and hash(space) == hash(mask_space(ref))
+    assert [[space.leq(x, y) for y in space.points] for x in space.points] == \
+        [[ref.leq(x, y) for y in ref.points] for x in ref.points]
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValidationError as exc:
+        return exc.axiom, exc.witness
+
+
+@settings(max_examples=120, deadline=None)
+@given(shuffled_tables(), shuffled_tables(4), st.data())
+def test_mask_space_matches_label_space(a_table, b_table, data):
+    a, la = space_from_min_opens(*a_table), label_space_from_min_opens(*a_table)
+    b, lb = space_from_min_opens(*b_table), label_space_from_min_opens(*b_table)
+    _assert_same_space(a, la)
+    _assert_same_space(b, lb)
+
+    prod, p1, p2 = product(a, b)
+    lprod, lp1, lp2 = label_product(la, lb)
+    _assert_same_space(prod, lprod)
+    assert (p1.assignment, p2.assignment) == (lp1.assignment, lp2.assignment)
+
+    subset = data.draw(st.lists(st.sampled_from(a.points), min_size=1))
+    _assert_same_space(subspace(a, subset), label_subspace(la, subset))
+
+    classes = random_partition(random.Random(data.draw(st.integers(0, 2 ** 32 - 1))),
+                               list(a.points))
+    for (q, proj), (lq, lproj) in ((quotient(a, classes), label_quotient(la, classes)),
+                                   (t0_quotient(a), label_t0_quotient(la))):
+        _assert_same_space(q, lq)
+        assert proj.assignment == lproj.assignment
+    _assert_same_space(core(a), label_core(la))
+    assert is_T1(a) == label_is_T1(la)
+
+    # equality and hash follow the label form, whichever route built it
+    again = space_from_min_opens(a.points, dict(zip(a.points, a.min_open)))
+    assert again == a and hash(again) == hash(a)
+    assert (a == b) == (la == lb)
+    assert (prod == a) == (lprod == la)
+
+
+@settings(max_examples=120, deadline=None)
+@given(shuffled_tables(), st.data())
+def test_space_from_min_opens_rejects_as_the_label_constructor(table, data):
+    points, opens = table
+    opens = {p: list(u) for p, u in opens.items()}
+    p = data.draw(st.sampled_from(points))
+    edit = data.draw(st.sampled_from(["drop", "add", "ghost", "missing", "duplicate"]))
+    if edit == "drop":
+        opens[p].remove(data.draw(st.sampled_from(opens[p])))
+    elif edit == "add":
+        opens[p].append(data.draw(st.sampled_from(points)))
+    elif edit == "ghost":
+        opens[p].append("ghost")
+    elif edit == "missing":
+        del opens[p]
+    else:
+        points = points + [p]
+    got = _outcome(lambda: space_from_min_opens(points, opens))
+    want = _outcome(lambda: label_space_from_min_opens(points, opens))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        _assert_same_space(got, want)

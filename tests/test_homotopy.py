@@ -3,14 +3,15 @@ from __future__ import annotations
 import pytest
 
 from pact import (BoundExceeded, InternalCheckError, SpaceMap, ValidationError,
-                  are_G_homotopic, are_homotopic, core, cyclic_group,
+                  core, cyclic_group,
                   discrete_space, enumerate_maps, enumerate_opens,
                   fixture_names, global_action, globalize,
                   is_contractible, is_G_contractible,
                   is_G_map, is_locally_G_contractible, load_fixture,
                   restrict_global, run_claim, space_from_min_opens,
                   trivial_action)
-from oracle import (envelopes_G_homotopic, exhaustive_locally_G_contractible,
+from oracle import (are_G_homotopic, are_homotopic, as_label_space,
+                    envelopes_G_homotopic, exhaustive_locally_G_contractible,
                     find_homeomorphism, homotopy_from_fence,
                     interval_homotopy_exists, label_beat_point, label_components,
                     label_core, label_fence, random_preorder_space)
@@ -161,7 +162,7 @@ def test_core_matches_label_scan(rng):
         quotient, _ = t0_quotient(space)
         assert ([_beat_point(quotient, i) for i in range(len(quotient))]
                 == [label_beat_point(quotient, x) for x in quotient.points])
-        assert core(space) == label_core(space)
+        assert as_label_space(core(space)) == label_core(space)
 
 
 def test_core_unique_up_to_homeomorphism_over_orderings(rng):

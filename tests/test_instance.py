@@ -160,6 +160,15 @@ def test_non_string_map_image_rejected():
     assert err.value.location == "maps.const-w"
 
 
+def test_map_table_key_outside_the_space_rejected():
+    doc = fixture_dict("z2-pair")
+    doc["maps"] = {"f": {"a": "a", "b": "b", "ghost": "a"}}
+    with pytest.raises(InstanceError) as err:
+        parse_instance(doc)
+    assert err.value.location == "maps.f"
+    assert "ghost" in str(err.value)
+
+
 def _paths(node, path=()):
     """Every key path below the document root, parents before children."""
     items = node.items() if isinstance(node, dict) else \

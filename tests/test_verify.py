@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from pact import (DEFAULT_BOUNDS, ClaimReport, ValidationError, claim_ids,
                   exit_code, fixture_dict, fixture_names, load_fixture,
-                  parse_instance, replay_witness,
-                  run_all, run_claim, split_diagonal_factors)
+                  pair_label, parse_instance, replay_witness,
+                  run_all, run_claim, split_diagonal_factors, split_pair_label)
 from pact.verify import first_split_pair
 from oracle import pairwise_split_pair, worst_status
+from test_golden import GOLDEN as FIXTURE_GOLDEN
+from test_golden_generated import GOLDEN as GENERATED_GOLDEN
 
 Z4_PT_TRIVIAL = {
     "id": "z4-pt-trivial",
@@ -368,23 +370,82 @@ def test_generated_intersection_on_a_lattice_that_is_not_a_chain():
         ["(0,p0)", "(0,p1)", "(0,p2)"], ["(0,q0)", "(0,q1)"], []]
 
 
-def _identity_last(group: dict) -> dict:
-    """The same group document with its identity listed last."""
-    elements, e = group["elements"], group["identity"]
-    order = [g for g in elements if g != e] + [e]
-    at = {g: i for i, g in enumerate(elements)}
-    return {"elements": order, "identity": e,
-            "table": [[group["table"][at[a]][at[b]] for b in order] for a in order]}
+def _relabelled(doc: dict, data) -> dict:
+    """``doc`` with its points and group elements listed in drawn orders and
+    renamed by drawn bijections, the identity of each group never listed
+    first.  A point named as a pair "(x,y)" keeps that form, with x and y
+    renamed, so the product structure that product-comparison reads from
+    the labels survives."""
+    assert set(doc) <= {"id", "group", "space", "partial_action", "big_group",
+                        "k_embedding", "subgroups", "maps"}
+    points = doc["space"]["points"]
+    atoms = sorted({a for p in points for a in split_pair_label(p) or (p,)})
+    atom = dict(zip(atoms, data.draw(st.permutations([f"v{i}" for i in range(len(atoms))]))))
 
+    def pt(p: str) -> str:
+        pair = split_pair_label(p)
+        return pair_label(atom[pair[0]], atom[pair[1]]) if pair else atom[p]
 
-@pytest.mark.parametrize("name", fixture_names())
-def test_verdicts_do_not_depend_on_where_the_identity_is_listed(name):
-    # the envelope assembly once read the embedded image by pair index
-    # where it meant class index, which only agreed when the identity was
-    # the first element
-    doc = copy.deepcopy(fixture_dict(name))
-    expected = [rep.status for rep in run_all(parse_instance(doc))]
-    doc["group"] = _identity_last(doc["group"])
+    groups = [doc[key] for key in ("group", "big_group") if key in doc]
+    elements = sorted({g for group in groups for g in group["elements"]})
+    el = dict(zip(elements, data.draw(st.permutations([f"e{i}" for i in range(len(elements))]))))
+
+    def regroup(group: dict) -> dict:
+        e = group["identity"]
+        rest = data.draw(st.permutations([g for g in group["elements"] if g != e]))
+        at = data.draw(st.integers(1, len(rest))) if rest else 0
+        order = rest[:at] + [e] + rest[at:]
+        index = {g: i for i, g in enumerate(group["elements"])}
+        return {"elements": [el[g] for g in order], "identity": el[e],
+                "table": [[el[group["table"][index[a]][index[b]]] for b in order]
+                          for a in order]}
+
+    pa = doc["partial_action"]
+    out = {"id": doc["id"], "group": regroup(doc["group"]),
+           "space": {"points": list(map(pt, data.draw(st.permutations(points)))),
+                     "min_open": {pt(p): list(map(pt, u))
+                                  for p, u in doc["space"]["min_open"].items()}},
+           "partial_action": {
+               "domains": {el[g]: list(map(pt, xs)) for g, xs in pa["domains"].items()},
+               "maps": {el[g]: {pt(x): pt(y) for x, y in table.items()}
+                        for g, table in pa["maps"].items()}}}
     if "big_group" in doc:
-        doc["big_group"] = _identity_last(doc["big_group"])
-    assert [rep.status for rep in run_all(parse_instance(doc))] == expected
+        out["big_group"] = regroup(doc["big_group"])
+    if "k_embedding" in doc:
+        out["k_embedding"] = {el[k]: el[g] for k, g in doc["k_embedding"].items()}
+    if "subgroups" in doc:
+        out["subgroups"] = {name: [el[g] for g in members]
+                            for name, members in doc["subgroups"].items()}
+    if "maps" in doc:
+        out["maps"] = {name: {pt(x): pt(y) for x, y in table.items()}
+                       for name, table in doc["maps"].items()}
+    return out
+
+
+def _relabelling_cases() -> list:
+    """(document, bound overrides, recorded statuses) of every fixture and
+    every generated instance, read from the two goldens."""
+    fixtures = json.loads(FIXTURE_GOLDEN.read_text())
+    cases = [pytest.param(fixture_dict(name), {}, [rep["status"] for rep in fixtures[name]],
+                          id=name) for name in fixture_names()]
+    for entry in json.loads(GENERATED_GOLDEN.read_text()):
+        cases.append(pytest.param(entry["document"], entry["bounds"],
+                                  [rep["status"] for rep in entry["reports"]],
+                                  id=f"{entry['document']['id']}-seed{entry['seed']}"))
+    return cases
+
+
+@pytest.mark.parametrize("doc, overrides, expected", _relabelling_cases())
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_verdicts_do_not_depend_on_where_the_identity_is_listed(doc, overrides,
+                                                               expected, data):
+    """Every verdict survives listing the identity anywhere but first, and
+    with it any listing order of points and elements and any renaming of
+    their labels.  The envelope assembly once read the embedded image by
+    pair index where it meant class index, which only agreed when the
+    identity was the first element; mask bit order follows point order and
+    class names follow label order, and neither may move a verdict."""
+    bounds = dataclasses.replace(DEFAULT_BOUNDS, **overrides)
+    inst = parse_instance(_relabelled(doc, data))
+    assert [rep.status for rep in run_all(inst, bounds)] == expected
