@@ -26,10 +26,9 @@ from .algebra import (Group, Subgroup, all_subgroups, conjugate_subgroup,
                       is_subgroup_embedding, subgroup_generated)
 from .errors import BoundExceeded, InternalCheckError, ValidationError
 from .finspace import (FinSpace, SpaceMap, bit_indices, block_down_masks,
-                       column_masks, discrete_space, equivalence_classes,
-                       is_continuous, is_down_mask, is_open,
-                       monotonicity_violation, pair_label, product,
-                       quotient_order)
+                       discrete_space, equivalence_classes, is_continuous,
+                       is_down_mask, is_open, monotonicity_violation,
+                       pair_label, product, quotient_order)
 from .homotopy import MapPoset
 from .paction import (PartialAction, certified_global_action, diagonal_product,
                       enumerate_G_maps, fixed_points, g_map_faults, orbit_classes,
@@ -323,10 +322,16 @@ def lift_maps(poset: MapPoset, pa_x: PartialAction, pa_y: PartialAction,
     it is continuous and equivariant (``ValidationError`` "not-continuous"
     or "not-a-G-map"), and its lift is well defined on every class member,
     continuous and equivariant (``InternalCheckError``).  The first row that
-    fails raises its first failing check.  The G-map checks and the lifts'
-    continuity and equivariance run once per table on column masks
-    (:func:`g_map_faults`); well-definedness runs per row on int lists
-    built from the envelopes' index tables.
+    fails raises its first failing check.
+
+    Every check runs once per table on column masks.  The G-map checks and
+    the lifts' continuity and equivariance are :func:`g_map_faults`.
+    Well-definedness compares, class by class, the rows where each member
+    lands in env_y with those where the class's first member does, through
+    the inverse of env_y's class table per element; only the first row that
+    clashes is descended pair by pair, to name its class.  The rows before
+    the first failing one are lifted column by column through the first
+    member of each class, which also yields the lifts' column masks.
     """
     if pa_x.group != pa_y.group:
         raise ValidationError("group-mismatch", (), "maps need actions of the same group")
@@ -338,25 +343,64 @@ def lift_maps(poset: MapPoset, pa_x: PartialAction, pa_y: PartialAction,
     faults = discontinuous | non_equivariant
     first_fault = (faults & -faults).bit_length() - 1 if faults else len(poset.rows)
 
-    # pair p = (g, x) of env_x goes to the class of (g, f(x)) in env_y,
-    # env_y.pair_class[offsets[p] + f(xs[p])]
+    # pair (g, x) of env_x goes to the class of (g, f(x)) in env_y, read
+    # off env_y.pair_class at offset[g] + f(x)
     width_x, width_y = len(pa_x.space), len(pa_y.space)
-    offsets = [env_y.big_group.index(g) * width_y
-               for g in env_x.big_group.elements for _ in range(width_x)]
-    xs = list(range(width_x)) * len(env_x.big_group)
+    offset = [env_y.big_group.index(g) * width_y for g in env_x.big_group.elements]
     class_y = env_y.pair_class
-    lifted: list[tuple[int, ...]] = []
-    clash = None
-    for row in poset.rows[:first_fault]:
-        out, clash = env_x.descend(
-            list(map(class_y.__getitem__, map(add, offsets, map(row.__getitem__, xs)))))
-        if clash is not None:
-            break
-        lifted.append(out)
+    # per element g of env_x, the inverse of v |-> class of (g, v)
+    inverse: list[dict[int, list[int]]] = []
+    for start in offset:
+        values: dict[int, list[int]] = {}
+        for v, c in enumerate(class_y[start:start + width_y]):
+            values.setdefault(c, []).append(v)
+        inverse.append(values)
+    # the rows whose lift is not well defined: per class, the rows where a
+    # member lands in a different env_y class than the first member does
+    columns = poset.columns
+    clashes = 0
+    for pairs in env_x.members:
+        if len(pairs) == 1:
+            continue
+        g, x = divmod(pairs[0], width_x)
+        start = offset[g]
+        landing = [(rows, class_y[start + v]) for v, rows in enumerate(columns[x]) if rows]
+        for p in pairs[1:]:
+            g, x = divmod(p, width_x)
+            values, column = inverse[g], columns[x]
+            for rows, c in landing:
+                agree = 0
+                for v in values.get(c, ()):
+                    agree |= column[v]
+                clashes |= rows & ~agree
+    first_clash = (clashes & -clashes).bit_length() - 1 if clashes else len(poset.rows)
 
+    # each class takes the value of its first member (g, x): the class of
+    # (g, f(x)), read column by column, both as rows and as column masks
+    stop = min(first_fault, first_clash)
+    keep = (1 << stop) - 1
     total_x, total_y = env_x.total, env_y.total
+    at_x = list(zip(*poset.rows[:stop])) or [()] * width_x
+    lift_tables, lifted_columns = [], []
+    for pairs in env_x.members:
+        g, x = divmod(pairs[0], width_x)
+        table = class_y[offset[g]:offset[g] + width_y]
+        lift_tables.append(map(table.__getitem__, at_x[x]))
+        masks = [0] * len(total_y)
+        for v, rows in enumerate(columns[x]):
+            if rows:
+                masks[table[v]] |= rows & keep
+        lifted_columns.append(masks)
+    lifted = list(zip(*lift_tables))
+    clash = None
+    if first_clash < first_fault:
+        # name the class: the first one whose members disagree
+        row = poset.rows[first_clash]
+        _, clash = env_x.descend([class_y[offset[g] + row[x]]
+                                  for g in range(len(offset)) for x in range(width_x)])
+
     lift_discontinuous, lift_non_equivariant = g_map_faults(
-        column_masks(lifted, len(total_x), len(total_y)), total_x, total_y,
+        lifted_columns, total_x, total_y,
         [env_x.action_rows[env_x.big_group.index(g)] for g in big.elements],
         [env_y.action_rows[env_y.big_group.index(g)] for g in big.elements])
     lift_faults = lift_discontinuous | lift_non_equivariant

@@ -533,6 +533,14 @@ def _search_maps(source: FinSpace, target: FinSpace, allowed: Sequence[int],
     its candidates in target order; assigning f(i) = j narrows the points
     above i to the up-set of j, those below to the down-set, then applies
     the forced pairs.  Every candidate tried counts as a node.
+
+    The search runs in place on one candidate list: each narrowing pushes
+    (index, old mask) on a trail, and backtracking pops the trail back to
+    the node's mark (the reversible updates of Knuth's "Dancing Links").
+    An assigned point keeps the single bit of its value.  The last
+    unassigned point runs in one loop that checks only its forced pairs:
+    the order constraints against the assigned points already hold, since
+    each assignment narrowed this point's candidates.
     """
     n, m = len(source), len(target)
     tgt_down, tgt_up = target.down, target._up_masks
@@ -541,24 +549,41 @@ def _search_maps(source: FinSpace, target: FinSpace, allowed: Sequence[int],
     src_up = [[j for j in range(n) if source.down[j] & (1 << i) and i != j]
               for i in range(n)]
 
-    every = range(n)
+    cands = list(allowed)
+    value = [-1] * n
+    trail: list[tuple[int, int]] = []
     out: list[tuple[int, ...]] = []
     nodes = 0
 
-    def search(cands: list[int], chosen: dict[int, int]):
+    def search(left: int):
         nonlocal nodes
-        if len(chosen) == n:
-            out.append(tuple(map(chosen.__getitem__, every)))
-            if len(out) > max_maps:
-                raise BoundExceeded("map enumeration (maps)", max_maps, len(out))
-            return
         best, best_count = -1, m + 1
         for i in range(n):
-            if i not in chosen:
+            if value[i] < 0:
                 count = cands[i].bit_count()
                 if count < best_count:
                     best, best_count = i, count
         mask = cands[best]
+        pairs = forced[best]
+        if left == 1:
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                j = low.bit_length() - 1
+                nodes += 1
+                if nodes > node_budget:
+                    raise BoundExceeded("map enumeration (nodes)", node_budget, nodes)
+                value[best] = j
+                for i2, j2 in pairs[j]:
+                    if value[i2] != j2:
+                        break
+                else:
+                    out.append(tuple(value))
+                    if len(out) > max_maps:
+                        raise BoundExceeded("map enumeration (maps)", max_maps, len(out))
+            value[best] = -1
+            return
+        up_of, down_of = src_up[best], src_down[best]
         while mask:
             low = mask & -mask
             mask ^= low
@@ -566,35 +591,52 @@ def _search_maps(source: FinSpace, target: FinSpace, allowed: Sequence[int],
             nodes += 1
             if nodes > node_budget:
                 raise BoundExceeded("map enumeration (nodes)", node_budget, nodes)
-            nxt = list(cands)
-            nxt[best] = low
+            mark = len(trail)
+            trail.append((best, cands[best]))
+            cands[best] = low
             ok = True
-            for i2 in src_up[best]:
-                if i2 not in chosen:
-                    nxt[i2] &= tgt_up[j]
-                    if not nxt[i2]:
-                        ok = False
-                        break
-            if ok:
-                for i2 in src_down[best]:
-                    if i2 not in chosen:
-                        nxt[i2] &= tgt_down[j]
-                        if not nxt[i2]:
+            narrow = tgt_up[j]
+            for i2 in up_of:
+                if value[i2] < 0:
+                    old = cands[i2]
+                    new = old & narrow
+                    if new != old:
+                        if not new:
                             ok = False
                             break
+                        trail.append((i2, old))
+                        cands[i2] = new
             if ok:
-                for i2, j2 in forced[best][j]:
-                    nxt[i2] &= 1 << j2
-                    if not nxt[i2]:
+                narrow = tgt_down[j]
+                for i2 in down_of:
+                    if value[i2] < 0:
+                        old = cands[i2]
+                        new = old & narrow
+                        if new != old:
+                            if not new:
+                                ok = False
+                                break
+                            trail.append((i2, old))
+                            cands[i2] = new
+            if ok:
+                for i2, j2 in pairs[j]:
+                    old = cands[i2]
+                    if not old >> j2 & 1:
                         ok = False
                         break
+                    if old != 1 << j2:
+                        trail.append((i2, old))
+                        cands[i2] = 1 << j2
             if ok:
-                chosen[best] = j
-                search(nxt, chosen)
-                del chosen[best]
+                value[best] = j
+                search(left - 1)
+                value[best] = -1
+            while len(trail) > mark:
+                i2, old = trail.pop()
+                cands[i2] = old
 
     try:
-        search(list(allowed), {})
+        search(n)
     finally:
         # search refers to itself through its closure; unbinding it frees
         # the search state now instead of at the next full collection

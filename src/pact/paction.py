@@ -645,8 +645,11 @@ def enumerate_G_maps(pa_x: PartialAction, pa_y: PartialAction,
     The monotone map search with the equivariance conditions folded into
     its propagation: assigning f(x) = y forces f(theta_g(x)) = eta_g(y) for
     every g defined at x, and prunes y outright when (g, y) is undefined.
-    The output is identical to filtering the monotone maps by is_G_map
-    (the test suite cross-checks), just without materializing them.
+    A forced pair that restates f(x) = y itself, as every pair of a trivial
+    action does, or that several elements force alike is kept out; that
+    changes neither the rows nor the node count.  The output is identical
+    to filtering the monotone maps by is_G_map (the test suite
+    cross-checks), just without materializing them.
     """
     if pa_x.group != pa_y.group:
         raise ValidationError("group-mismatch", (), "actions of different groups")
@@ -658,17 +661,29 @@ def enumerate_G_maps(pa_x: PartialAction, pa_y: PartialAction,
                   for g, (image_x, image_y) in enumerate(zip(pa_x.images, pa_y.images))
                   if g != unit]
     allowed = [(1 << m) - 1] * n
-    forced: list[list[list[tuple[int, int]]]] = [[[] for _ in range(m)] for _ in range(n)]
+    forced: list[list[list[tuple[int, int]]]] = []
     for i in range(n):
+        # the elements defined at i, grouped by theta_g(i): pairs from two
+        # groups never coincide, so only a group of several elements needs a
+        # set; a pair that restates f(i) = j itself forces nothing
+        groups: dict[int, list[Sequence[int]]] = {}
         for image_x, image_y in nontrivial:
             i2 = image_x[i]
-            if i2 < 0:
+            if i2 >= 0:
+                groups.setdefault(i2, []).append(image_y)
+        pairs: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+        for i2, rows in groups.items():
+            if len(rows) == 1:
+                for j, j2 in enumerate(rows[0]):
+                    if j2 < 0:
+                        allowed[i] &= ~(1 << j)
+                    elif i2 != i or j2 != j:
+                        pairs[j].append((i2, j2))
                 continue
-            for j in range(m):
-                if not (allowed[i] & (1 << j)):
-                    continue
-                if image_y[j] < 0:
+            for j, values in enumerate(zip(*rows)):
+                if -1 in values:
                     allowed[i] &= ~(1 << j)
                 else:
-                    forced[i][j].append((i2, image_y[j]))
+                    pairs[j].extend((i2, j2) for j2 in set(values) if i2 != i or j2 != j)
+        forced.append(pairs)
     return _search_maps(src, tgt, allowed, forced, node_budget, max_maps)

@@ -693,6 +693,157 @@ def brute_twisted_classes(big_elements, big_table, identity, k_elements,
 
 
 # ---------------------------------------------------------------------------
+# map search: the copying DFS, the reference for the in-place search
+
+def copying_search_maps(source, target, allowed, forced, node_budget: int,
+                        max_maps: int) -> list[tuple[int, ...]]:
+    """``pact.finspace._search_maps`` as it was before it searched in place:
+    the same DFS, copying the whole candidate list at every node.  Rows,
+    node counts and every ``BoundExceeded`` must match it."""
+    from pact import BoundExceeded
+
+    n, m = len(source), len(target)
+    tgt_down, tgt_up = target.down, target._up_masks
+    src_down = [[i for i in range(n) if source.down[j] & (1 << i) and i != j]
+                for j in range(n)]
+    src_up = [[j for j in range(n) if source.down[j] & (1 << i) and i != j]
+              for i in range(n)]
+
+    every = range(n)
+    out: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def search(cands: list[int], chosen: dict[int, int]):
+        nonlocal nodes
+        if len(chosen) == n:
+            out.append(tuple(map(chosen.__getitem__, every)))
+            if len(out) > max_maps:
+                raise BoundExceeded("map enumeration (maps)", max_maps, len(out))
+            return
+        best, best_count = -1, m + 1
+        for i in range(n):
+            if i not in chosen:
+                count = cands[i].bit_count()
+                if count < best_count:
+                    best, best_count = i, count
+        mask = cands[best]
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            j = low.bit_length() - 1
+            nodes += 1
+            if nodes > node_budget:
+                raise BoundExceeded("map enumeration (nodes)", node_budget, nodes)
+            nxt = list(cands)
+            nxt[best] = low
+            ok = True
+            for i2 in src_up[best]:
+                if i2 not in chosen:
+                    nxt[i2] &= tgt_up[j]
+                    if not nxt[i2]:
+                        ok = False
+                        break
+            if ok:
+                for i2 in src_down[best]:
+                    if i2 not in chosen:
+                        nxt[i2] &= tgt_down[j]
+                        if not nxt[i2]:
+                            ok = False
+                            break
+            if ok:
+                for i2, j2 in forced[best][j]:
+                    nxt[i2] &= 1 << j2
+                    if not nxt[i2]:
+                        ok = False
+                        break
+            if ok:
+                chosen[best] = j
+                search(nxt, chosen)
+                del chosen[best]
+
+    try:
+        search(list(allowed), {})
+    finally:
+        del search
+    out.sort()
+    return out
+
+
+def copying_enumerate_G_maps(pa_x, pa_y, node_budget: int = 1_000_000,
+                             max_maps: int = 4096) -> list[tuple[int, ...]]:
+    """``pact.enumerate_G_maps`` as it was before it dropped no-op and
+    repeated forced pairs: one pair (theta_g(i), eta_g(j)) per nontrivial g
+    defined at i, searched by :func:`copying_search_maps`."""
+    grp = pa_x.group
+    src, tgt = pa_x.space, pa_y.space
+    n, m = len(src), len(tgt)
+    unit = grp.index(grp.identity)
+    nontrivial = [(image_x, image_y)
+                  for g, (image_x, image_y) in enumerate(zip(pa_x.images, pa_y.images))
+                  if g != unit]
+    allowed = [(1 << m) - 1] * n
+    forced = [[[] for _ in range(m)] for _ in range(n)]
+    for i in range(n):
+        for image_x, image_y in nontrivial:
+            i2 = image_x[i]
+            if i2 < 0:
+                continue
+            for j in range(m):
+                if not (allowed[i] & (1 << j)):
+                    continue
+                if image_y[j] < 0:
+                    allowed[i] &= ~(1 << j)
+                else:
+                    forced[i][j].append((i2, image_y[j]))
+    return copying_search_maps(src, tgt, allowed, forced, node_budget, max_maps)
+
+
+def search_outcome(search, node_budget: int, max_maps: int):
+    """A search's rows, or the kind, limit and need of its BoundExceeded;
+    ``search`` takes (node_budget, max_maps)."""
+    from pact import BoundExceeded
+
+    try:
+        return "rows", search(node_budget, max_maps)
+    except BoundExceeded as exc:
+        return "bound", exc.what, exc.limit, exc.needed
+
+
+def assert_same_search(fast, reference, rng, max_budgets: int = 300) -> int:
+    """Assert that two searches, each taking (node_budget, max_maps), agree
+    on their rows and on every BoundExceeded: at each node budget from 0 up
+    to the full node count (a sample of ``max_budgets`` of them when there
+    are more) with maps uncapped, at map caps around 0, 1 and the map count
+    with nodes unbounded, and at a few random pairs of the two.  Returns the
+    full node count."""
+    unbounded = 1 << 40
+    rows = reference(unbounded, unbounded)
+    assert fast(unbounded, unbounded) == rows
+    # the full node count is the least budget that lets the search finish
+    low, high = -1, 1
+    while search_outcome(reference, high, unbounded)[0] == "bound":
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        if search_outcome(reference, mid, unbounded)[0] == "bound":
+            low = mid
+        else:
+            high = mid
+    nodes = high
+    budgets = range(nodes + 1)
+    if nodes > max_budgets:
+        budgets = sorted({0, nodes, *rng.sample(budgets, max_budgets)})
+    caps = {0, 1, 2, max(0, len(rows) - 1), len(rows)}
+    pairs = ([(budget, unbounded) for budget in budgets]
+             + [(unbounded, cap) for cap in caps]
+             + [(rng.randint(0, nodes), rng.randint(0, len(rows))) for _ in range(10)])
+    for budget, cap in pairs:
+        assert (search_outcome(fast, budget, cap)
+                == search_outcome(reference, budget, cap)), (budget, cap)
+    return nodes
+
+
+# ---------------------------------------------------------------------------
 # the finite-interval (fence) model of homotopy
 
 def fence_space_raw(m: int):

@@ -742,6 +742,34 @@ def test_batch_lift_raises_for_the_first_failing_row():
                                                             env, env_y, z2))
 
 
+def test_batch_lift_orders_a_clash_against_an_input_fault():
+    # Z2 acting trivially on a <- c -> b, globalized: each class is
+    # {(0, x), (1, x)}.  Moving pair (1, a) of env_y into the class of b
+    # makes every row that takes the value a clash, while the constant at c
+    # lifts.  The row (c, c, b) is not continuous (a <= c, but f(a) = c is
+    # not below f(c) = b) and clashes nowhere, so whichever of the two rows
+    # comes first decides the error.
+    z2 = cyclic_group(2)
+    space = space_from_min_opens(["a", "b", "c"],
+                                 {"a": ["a"], "b": ["b"], "c": ["a", "b", "c"]})
+    pa = trivial_action(z2, space)
+    env = globalize(pa)
+    classes = list(env.pair_class)
+    classes[3] = classes[1]  # pair (1, a) is index 3, pair (0, b) index 1
+    env_y = dataclasses.replace(env, pair_class=tuple(classes))
+    constant, discontinuous, identity = (2, 2, 2), (2, 2, 1), (0, 1, 2)
+    clash = ("InternalCheckError",
+             f"induced map not well defined at {env.total.points[env.pair_class[0]]!r}")
+    for rows, want in (([constant, discontinuous, identity],
+                        ("ValidationError", "not-continuous", ())),
+                       ([constant, identity, discontinuous], clash)):
+        got = _lift_outcome(lambda: lift_maps(MapPoset(space, space, tuple(rows)),
+                                              pa, pa, env, env_y, z2))
+        assert got == want
+        assert got == _lift_outcome(lambda: label_lift_rows(space, space, rows, pa, pa,
+                                                            env, env_y, z2))
+
+
 # ---------------------------------------------------------------------------
 # the integer assembly against the label assembly
 

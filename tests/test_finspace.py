@@ -13,11 +13,11 @@ from pact import (BoundExceeded, InternalCheckError, SpaceMap, ValidationError,
                   load_fixture, pair_label, product, quotient,
                   space_from_min_opens, split_pair_label, subspace,
                   t0_quotient)
-from pact.finspace import (WIDE_MASK_BITS, bit_indices, column_masks, equivalence_classes,
-                           monotonicity_violation)
-from oracle import (LabelSpaceMap, brute_opens,
+from pact.finspace import (WIDE_MASK_BITS, _search_maps, bit_indices, column_masks,
+                           equivalence_classes, monotonicity_violation)
+from oracle import (LabelSpaceMap, assert_same_search, brute_opens,
                     closure_quotient_order, column_masks_by_definition,
-                    find_homeomorphism, first_monotone_violation, is_down_set,
+                    copying_search_maps, find_homeomorphism, first_monotone_violation, is_down_set,
                     label_compose, label_core, label_is_open_map, label_is_T1,
                     label_product, label_quotient, label_space_from_min_opens,
                     label_subspace, label_t0_quotient, mask_space,
@@ -345,6 +345,32 @@ def test_enumerate_monotone_maps_counts_and_order():
         [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
     with pytest.raises(BoundExceeded):
         enumerate_monotone_maps(space, space, max_maps=100)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_trail_search_matches_copying_search(seed):
+    # random candidate masks and forced pairs (some restating the
+    # assignment, some repeated) on random spaces: the in-place search
+    # yields the copying search's rows and, under every node budget and
+    # map cap, its BoundExceeded, so it visits the same nodes in order
+    rng = random.Random(seed)
+    source, target = (space_from_min_opens(*random_preorder_space(
+        rng, 5, prefix=prefix, density=rng.uniform(0.1, 0.4))) for prefix in "xy")
+    n, m = len(source), len(target)
+    full = (1 << m) - 1
+    allowed = [full if rng.random() < 0.8 else rng.randrange(full + 1) for _ in range(n)]
+    forced = [[[] for _ in range(m)] for _ in range(n)]
+    for i in range(n):
+        for j in range(m):
+            if rng.random() < 0.1:
+                forced[i][j].append((i, j))
+            if rng.random() < 0.1:
+                forced[i][j] += [(rng.randrange(n), rng.randrange(m))] * rng.randint(1, 2)
+    assert_same_search(
+        lambda budget, cap: _search_maps(source, target, allowed, forced, budget, cap),
+        lambda budget, cap: copying_search_maps(source, target, allowed, forced, budget, cap),
+        rng, max_budgets=100)
 
 
 @pytest.mark.parametrize("m", [1, 5, 40, 300])

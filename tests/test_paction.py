@@ -17,7 +17,8 @@ from pact import (BoundExceeded, FinSpace, InternalCheckError, PartialAction, Sp
                   validate_partial_action)
 from pact.finspace import column_masks
 from pact.paction import g_map_faults
-from oracle import (brute_orbits, is_free, is_G_homeomorphism, label_g_map_faults,
+from oracle import (assert_same_search, brute_orbits, copying_enumerate_G_maps, is_free,
+                    is_G_homeomorphism, label_g_map_faults,
                     label_validate_partial_action, partial_action_violation,
                     random_preorder_space, theta_map)
 
@@ -525,3 +526,31 @@ def test_g_map_faults_match_definitions(seed):
     assert (g_map_faults(column_masks(rows, width, m), pa_x.space, pa_y.space,
                          pa_x.images, pa_y.images)
             == label_g_map_faults(rows, pa_x, pa_y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_enumerate_G_maps_matches_copying_search(seed):
+    # the forced pairs without no-ops and repeats, searched in place, give
+    # the rows, node counts and bounds of every pair searched by copying
+    rng = random.Random(seed)
+    n = rng.choice([2, 3, 4])
+    pa_x = _random_factor(rng, n)
+    pa_y = rng.choice([pa_x, _random_factor(rng, n), _circle_action(n), _cycles_action(n, 1)])
+    assert_same_search(lambda budget, cap: enumerate_G_maps(pa_x, pa_y, budget, cap),
+                       lambda budget, cap: copying_enumerate_G_maps(pa_x, pa_y, budget, cap),
+                       rng)
+
+
+def test_enumerate_G_maps_prunes_a_target_one_of_several_elements_leaves():
+    # Z3 fixes both points of X, so at each point the two nontrivial
+    # elements force pairs together; on Z3 rotating the 3-cycle restricted
+    # to {q0.0, q0.1}, eta_1 is defined at q0.0 and eta_2 is not, so q0.0
+    # is no candidate however the elements are ordered; likewise q0.1
+    z3 = cyclic_group(3)
+    pa_x = trivial_action(z3, discrete_space(["x", "y"]))
+    pa_y = restrict_global(_cycles_action(3, 1), ["q0.0", "q0.1"])
+    assert enumerate_G_maps(pa_x, pa_y) == []
+    assert_same_search(lambda budget, cap: enumerate_G_maps(pa_x, pa_y, budget, cap),
+                       lambda budget, cap: copying_enumerate_G_maps(pa_x, pa_y, budget, cap),
+                       random.Random(0))
