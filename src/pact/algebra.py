@@ -78,9 +78,15 @@ class Group:
         """The elements whose index bits are set in ``mask``, in element order."""
         return tuple(self.elements[i] for i in bit_indices(mask))
 
-    def conjugate(self, h: str, g: str) -> str:
-        """g^-1 h g."""
-        return self.mul(self.mul(self.inv(g), h), g)
+    def is_subgroup(self, mask: int) -> bool:
+        """Whether the elements whose index bits are set in ``mask`` form a
+        subgroup: their closure over the product rows adds nothing."""
+        return _closure(self.rows, self._index[self.identity], bit_indices(mask)) == mask
+
+    @cached_property
+    def whole(self) -> Subgroup:
+        """The group as a subgroup of itself."""
+        return Subgroup(self, (1 << len(self.elements)) - 1)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -94,30 +100,28 @@ class Group:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup of ``parent``, stored as a member set and, derived from it,
-    ``mask``: the bitmask of the members' element indices.
-
-    Construction checks the subgroup invariants (identity, closure under
-    inverse and product) and raises :class:`ValidationError` otherwise.
-    Members are checked in the parent's element order, each first for its
-    inverse and then for its products with every member, so the witness
-    does not depend on hashing.
-    """
+    """A subgroup of ``parent``, stored as ``mask``, the bitmask of its
+    members' element indices, which is trusted: the subgroups pact derives
+    are built from masks closed by construction, and member labels from
+    outside go through :meth:`from_labels`.  ``members`` and
+    ``sorted_members`` are label views, built on first use."""
 
     parent: Group
-    members: frozenset[str]
+    mask: int
 
-    def __post_init__(self):
-        parent = self.parent
-        members = frozenset(self.members)
-        object.__setattr__(self, "members", members)
+    @classmethod
+    def from_labels(cls, parent: Group, members: Iterable[str]) -> Subgroup:
+        """The subgroup with these member labels, after checking the
+        subgroup invariants (identity, closure under inverse and product);
+        raises :class:`ValidationError` otherwise.  Members are checked in
+        the parent's element order, each first for its inverse and then for
+        its products with every member, so the witness does not depend on
+        hashing."""
+        members = frozenset(members)
         unknown = sorted(m for m in members if m not in parent)
         if unknown:
             raise _unknown(unknown[0])
-        mask = 0
-        for m in members:
-            mask |= 1 << parent._index[m]
-        object.__setattr__(self, "mask", mask)
+        mask = sum(1 << parent._index[m] for m in members)
         if not mask >> parent._index[parent.identity] & 1:
             raise ValidationError("subgroup-identity", (parent.identity,),
                                   "subgroup does not contain the identity")
@@ -133,6 +137,11 @@ class Subgroup:
                 b = next(b for b in order if row[b] not in inside)
                 raise ValidationError("subgroup-closure", (elems[a], elems[b]),
                                       "subgroup not closed under product")
+        return cls(parent, mask)
+
+    @cached_property
+    def members(self) -> frozenset[str]:
+        return frozenset(self.sorted_members)
 
     @cached_property
     def sorted_members(self) -> tuple[str, ...]:
@@ -147,13 +156,7 @@ class Subgroup:
         return Group(self.sorted_members, table, parent.identity)
 
     def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, a: object) -> bool:
-        return a in self.members
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.sorted_members)
+        return self.mask.bit_count()
 
 
 def validate_group(elements: Sequence[str], table: Sequence[Sequence[str]],
@@ -206,8 +209,7 @@ def subgroup_generated(group: Group, gens: Iterable[str]) -> Subgroup:
     right multiplication by the generators over the product rows (in a
     finite group that closure is already closed under inverses)."""
     steps = [group.index(g) for g in gens]
-    mask = _closure(group.rows, group.index(group.identity), steps)
-    return Subgroup(group, frozenset(group.labels_of(mask)))
+    return Subgroup(group, _closure(group.rows, group.index(group.identity), steps))
 
 
 def _closure(rows: Sequence[Sequence[int]], start: int, steps: Sequence[int]) -> int:
@@ -230,27 +232,29 @@ def conjugate_subgroup(subgroup: Subgroup, g: str) -> Subgroup:
     parent = subgroup.parent
     gi = parent.index(g)
     rows, left = parent.rows, parent.rows[parent.inverse_row[gi]]
-    return Subgroup(parent, frozenset(parent.elements[rows[left[h]][gi]]
-                                      for h in bit_indices(subgroup.mask)))
+    return Subgroup(parent, sum(1 << rows[left[h]][gi] for h in bit_indices(subgroup.mask)))
 
 
 def all_subgroups(group: Group, max_order: int = 16) -> list[Subgroup]:
-    """Every subgroup, each exactly once, ordered by (size, member indices)."""
+    """Every subgroup, each exactly once, ordered by (size, member indices):
+    from the trivial subgroup, each one found is joined with every element
+    outside it by closure over the product rows."""
     if len(group) > max_order:
         raise BoundExceeded("subgroup enumeration", max_order, len(group))
-    trivial = Subgroup(group, frozenset({group.identity}))
-    found: dict[int, Subgroup] = {trivial.mask: trivial}
-    frontier = [trivial]
+    rows, unit = group.rows, group.index(group.identity)
+    found = {1 << unit}
+    frontier = [1 << unit]
     while frontier:
         base = frontier.pop()
-        for i, g in enumerate(group.elements):
-            if base.mask >> i & 1:
-                continue
-            bigger = subgroup_generated(group, base.sorted_members + (g,))
-            if bigger.mask not in found:
-                found[bigger.mask] = bigger
-                frontier.append(bigger)
-    subs = sorted(found.values(), key=lambda s: (len(s), bit_indices(s.mask)))
+        members = bit_indices(base)
+        for i in range(len(group)):
+            if not base >> i & 1:
+                bigger = _closure(rows, unit, members + [i])
+                if bigger not in found:
+                    found.add(bigger)
+                    frontier.append(bigger)
+    subs = [Subgroup(group, mask)
+            for mask in sorted(found, key=lambda m: (m.bit_count(), bit_indices(m)))]
     for sub in subs:
         if len(group) % len(sub) != 0:
             raise InternalCheckError(f"Lagrange violated by subgroup {sorted(sub.members)}")

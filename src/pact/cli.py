@@ -117,7 +117,7 @@ def _cmd_fixed(args: argparse.Namespace) -> int:
     fixed = fixed_points(pa, sub)
     doc = {
         "instance": inst.id,
-        "subgroup": sorted(sub.members, key=sub.parent.index),
+        "subgroup": list(sub.sorted_members),
         "fixed_points": sorted(fixed, key=inst.space.index),
     }
     if args.envelope:

@@ -25,9 +25,8 @@ from .errors import InternalCheckError, ValidationError
 from .finspace import (FinSpace, SpaceMap, bit_indices, column_masks,
                        enumerate_monotone_maps, spread, subspace,
                        t0_quotient)
-from .paction import (PartialAction, Subgroup, enumerate_G_maps, fixed_points,
-                      is_G_map, is_invariant, isotropy, restrict_invariant,
-                      restrict_to_subgroup)
+from .paction import (PartialAction, enumerate_G_maps, fixed_points, is_G_map,
+                      isotropy_mask)
 
 
 @dataclass(frozen=True)
@@ -203,8 +202,7 @@ def is_G_contractible(pa: PartialAction, g_maps: Callable[[], MapPoset]) -> GCon
     with the full search by construction, since only fixed points feed the
     candidate list.
     """
-    full = Subgroup(pa.group, frozenset(pa.group.elements))
-    fixed = fixed_points(pa, full)
+    fixed = fixed_points(pa, pa.group.whole)
     candidates = [x for x in pa.space.points if x in fixed]
     if not candidates:
         return GContract(False, reason="no fixed points")
@@ -228,35 +226,32 @@ def is_locally_G_contractible(pa: PartialAction) -> bool:
     G_x-invariant open V with x in V, V inside U admits a fence (of
     G_x-maps V -> U) from the inclusion to a constant at a G_x-fixed point.
 
-    The minimal open set U_x is such a V for every U at once.  Each k in
-    G_x is defined at x, so x lies in the open domain X_{k^-1} and hence
-    U_x does too; theta_k is monotone and fixes x, so it maps U_x into
-    U_x.  Thus U_x is G_x-invariant, the constant map at x is a G_x-map
-    U_x -> U_x, and the inclusion lies below it pointwise: a two-step
-    fence (the equivariant cone argument).  Composing with the inclusion
-    U_x in U gives the fence into every invariant open U containing x, so
-    no U needs to be visited.  The property is proven, so the witness is
-    checked at every point and a failure is an internal error.
+    The minimal open set U_x = down[x] is such a V for every U at once, by
+    the equivariant cone argument.  Each k in G_x is defined at x, so x
+    lies in the open domain X_{k^-1} and hence U_x does too; theta_k is
+    monotone and fixes x, so it maps U_x into U_x.  These premises are
+    checked at every point on the index tables, with G_x a subgroup
+    (:func:`isotropy_mask`), and a failure is an internal error.  The rest
+    follows from the definitions, so no restricted action is built:
+      - restricted to G_x and U_x, the action is global (U_x is open, and
+        G_x holds each theta_k with its inverse);
+      - x is fixed by G_x, by the definition of G_x;
+      - the constant c at x is a G_x-map U_x -> U_x:
+        theta_k(c(y)) = theta_k(x) = x = c(theta_k(y));
+      - the inclusion lies below c, as U_x = {y : y <= x}: a two-step fence.
+    Composing with the inclusion U_x in U gives the fence into every
+    invariant open U containing x, so no U needs to be visited.
     """
-    for x in pa.space.points:
-        _, gx = isotropy(pa, x)
-        sub = restrict_to_subgroup(pa, gx)
-        ux = pa.space.min_open_of(x)
-        if not is_invariant(sub, ux, _full(sub)):
-            raise InternalCheckError(f"minimal open set of {x!r} is not "
-                                     f"invariant under its isotropy group")
-        pa_u = restrict_invariant(sub, ux)
-        if x not in fixed_points(pa_u, _full(pa_u)):
-            raise InternalCheckError(f"{x!r} is not fixed by its isotropy group")
-        const = SpaceMap.constant(pa_u.space, pa_u.space, x)
-        if not is_G_map(const, pa_u, pa_u):
-            raise InternalCheckError(f"constant at {x!r} is not a G_x-map "
-                                     f"on its minimal open set")
-        if not all(pa_u.space.leq(y, x) for y in pa_u.space.points):
-            raise InternalCheckError(f"inclusion of the minimal open set of {x!r} "
-                                     f"is not below the constant")
+    down = pa.space.down
+    for i, x in enumerate(pa.space.points):
+        ux = down[i]
+        for k in bit_indices(isotropy_mask(pa, i)):
+            image = pa.images[k]
+            for y in bit_indices(ux):
+                if image[y] < 0:
+                    raise InternalCheckError(f"theta_{pa.group.elements[k]!r} is undefined "
+                                             f"on the minimal open set of {x!r}")
+                if not ux >> image[y] & 1:
+                    raise InternalCheckError(f"theta_{pa.group.elements[k]!r} leaves "
+                                             f"the minimal open set of {x!r}")
     return True
-
-
-def _full(pa: PartialAction) -> Subgroup:
-    return Subgroup(pa.group, frozenset(pa.group.elements))

@@ -53,10 +53,9 @@ class Instance:
         """A named subgroup, relabelled into the big group when embedded."""
         if name not in self.subgroups:
             raise InstanceError(f"subgroups.{name}", "no such subgroup")
-        members = self.subgroups[name].members
-        if self.k_embedding:
-            members = frozenset(self.k_embedding[m] for m in members)
-        return Subgroup(self.embedded_pa.group, members)
+        # the embedded group lists the images of the group's elements in the
+        # group's order, so the member mask carries over unchanged
+        return Subgroup(self.embedded_pa.group, self.subgroups[name].mask)
 
 
 def _need(block: Mapping, key: str, kind: type, loc: str) -> Any:
@@ -206,7 +205,7 @@ def parse_instance(source: str | Path | Mapping) -> Instance:
                 if m not in group:
                     raise InstanceError(f"subgroups.{name}", f"unknown element {m!r}")
             try:
-                subgroups[name] = Subgroup(group, frozenset(members))
+                subgroups[name] = Subgroup.from_labels(group, members)
             except ValidationError as exc:
                 raise InstanceError(f"subgroups.{name}", str(exc)) from exc
 

@@ -428,8 +428,7 @@ def restrict_invariant(pa: PartialAction, invariant_open: Iterable[str]) -> Part
         raise ValidationError("empty-subset", (), "restriction needs a nonempty subset")
     if not is_open(pa.space, v):
         raise ValidationError("not-open", tuple(sorted(v)), "subset must be open")
-    full = Subgroup(pa.group, frozenset(pa.group.elements))
-    if not is_invariant(pa, v, full):
+    if not is_invariant(pa, v, pa.group.whole):
         raise ValidationError("not-invariant", tuple(sorted(v)), "subset must be invariant")
     sub = subspace(pa.space, v)
     new, images = _reindex(pa, sub)
@@ -513,17 +512,21 @@ def _certify_diagonal(a: PartialAction, b: PartialAction,
 def isotropy(pa: PartialAction, x: str) -> tuple[frozenset[str], Subgroup]:
     """(G^x, G_x): the defined set and the isotropy subgroup of x.
 
-    G^x need not be a subgroup; G_x always is (asserted).
+    G^x need not be a subgroup; G_x always is (asserted by
+    :func:`isotropy_mask`).
     """
     i = pa.space.index(x)
-    column = [image[i] for image in pa.images]
-    ghat = frozenset(g for g, y in zip(pa.group.elements, column) if y >= 0)
-    fixers = frozenset(g for g, y in zip(pa.group.elements, column) if y == i)
-    try:
-        gx = Subgroup(pa.group, fixers)
-    except ValidationError as exc:
-        raise InternalCheckError(f"isotropy of {x!r} is not a subgroup: {exc}")
-    return ghat, gx
+    ghat = frozenset(g for g, image in zip(pa.group.elements, pa.images) if image[i] >= 0)
+    return ghat, Subgroup(pa.group, isotropy_mask(pa, i))
+
+
+def isotropy_mask(pa: PartialAction, i: int) -> int:
+    """The element mask of G_x for the point x of index ``i``.  By PA1-PA3
+    it is a subgroup, so a failure is a construction bug: InternalCheckError."""
+    mask = sum(1 << g for g, image in enumerate(pa.images) if image[i] == i)
+    if not pa.group.is_subgroup(mask):
+        raise InternalCheckError(f"isotropy of {pa.space.points[i]!r} is not a subgroup")
+    return mask
 
 
 def fixed_points(pa: PartialAction, k: Subgroup) -> frozenset[str]:
@@ -633,8 +636,7 @@ def g_map_faults(columns: Sequence[Sequence[int]], source: FinSpace, target: Fin
 def is_isovariant(f: SpaceMap, pa_x: PartialAction, pa_y: PartialAction) -> bool:
     """A G-map with G_x = G_{f(x)} at every point."""
     return is_G_map(f, pa_x, pa_y) and all(
-        isotropy(pa_x, x)[1].members == isotropy(pa_y, f(x))[1].members
-        for x in pa_x.space.points)
+        isotropy_mask(pa_x, i) == isotropy_mask(pa_y, j) for i, j in enumerate(f.row))
 
 
 def enumerate_G_maps(pa_x: PartialAction, pa_y: PartialAction,

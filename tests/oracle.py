@@ -73,6 +73,69 @@ def brute_subgroups(elements: list[str], table: list[list[str]],
     return out
 
 
+def subgroup_violation(elements: list[str], table: list[list[str]], identity: str,
+                       members: Iterable[str]) -> tuple[str, tuple] | None:
+    """First violated subgroup invariant of a member set, with witness, in
+    the order (unknown label, identity, then per member in element order
+    its inverse and its products with every member); None for a subgroup."""
+    index = {e: i for i, e in enumerate(elements)}
+    members = set(members)
+    unknown = sorted(m for m in members if m not in index)
+    if unknown:
+        return ("unknown-element", (unknown[0],))
+    if identity not in members:
+        return ("subgroup-identity", (identity,))
+
+    def mul(a, b):
+        return table[index[a]][index[b]]
+
+    inside = [e for e in elements if e in members]
+    for a in inside:
+        if not any(mul(a, b) == identity for b in inside):
+            return ("subgroup-inverse", (a,))
+        for b in inside:
+            if mul(a, b) not in members:
+                return ("subgroup-closure", (a, b))
+    return None
+
+
+def family_scan_intersection(pa, env, subs, max_families: int = 4096) -> dict:
+    """The generated-intersection identity checked family by family, as
+    ``generated_intersection`` reports it: for every nonempty family of
+    ``subs`` when there are at most ``max_families``, else every pair, the
+    intersection of iota(X)[K_i] against iota(X)[<union of the K_i>], with
+    the generated subgroup closed by label products and fixed sets read
+    point by point off the envelope's action rows."""
+    grp = pa.group
+    n = len(subs)
+    if 2 ** n - 1 <= max_families:
+        families = [tuple(i for i in range(n) if m >> i & 1) for m in range(1, 2 ** n)]
+    else:
+        families = [(i, j) for i in range(n) for j in range(i, n)]
+
+    def fixed(labels):
+        ks = [grp.index(k) for k in labels]
+        return {c for c in env.embedding_row if all(env.action_rows[k][c] == c for k in ks)}
+
+    holds, witness = True, None
+    for family in families:
+        inter = set(env.embedding_row)
+        generated = {grp.identity}
+        for i in family:
+            inter &= fixed(subs[i].members)
+            generated |= subs[i].members
+        while True:
+            more = generated | {grp.mul(a, b) for a in generated for b in generated}
+            if more == generated:
+                break
+            generated = more
+        if inter != fixed(generated):
+            holds = False
+            if witness is None:
+                witness = [sorted(subs[i].members) for i in family]
+    return {"holds": holds, "families_checked": len(families), "witness": witness}
+
+
 # ---------------------------------------------------------------------------
 # spaces: opens as unions of minimal opens
 
@@ -1248,12 +1311,9 @@ def exhaustive_locally_G_contractible(pa, max_points: int = 12,
     All invariant open neighbourhoods are enumerated and every (x, U, V)
     runs a G-map search; no minimality shortcut is taken.
     """
-    from pact import (BoundExceeded, SpaceMap, Subgroup, enumerate_maps,
-                      enumerate_opens, fixed_points, is_invariant, isotropy,
-                      restrict_invariant, restrict_to_subgroup)
-
-    def _full(pa):
-        return Subgroup(pa.group, frozenset(pa.group.elements))
+    from pact import (BoundExceeded, SpaceMap, enumerate_maps, enumerate_opens,
+                      fixed_points, is_invariant, isotropy, restrict_invariant,
+                      restrict_to_subgroup)
 
     if len(pa.space) > max_points:
         raise BoundExceeded("local contractibility", max_points, len(pa.space))
@@ -1262,10 +1322,10 @@ def exhaustive_locally_G_contractible(pa, max_points: int = 12,
         _, gx = isotropy(pa, x)
         sub = restrict_to_subgroup(pa, gx)
         candidates_u = [u for u in opens
-                        if x in u and is_invariant(sub, u, _full(sub))]
+                        if x in u and is_invariant(sub, u, sub.group.whole)]
         for u in candidates_u:
             pa_u = restrict_invariant(sub, u)
-            targets = fixed_points(pa_u, _full(pa_u))
+            targets = fixed_points(pa_u, pa_u.group.whole)
             found = False
             for v in sorted((v for v in candidates_u if x in v and v <= u),
                             key=lambda s: (len(s), sorted(pa.space.index(p) for p in s))):

@@ -257,7 +257,7 @@ def test_acceptance_4_twisted_products():
         assert view_g.projection.assignment == view_t.projection.assignment
 
     z4 = cyclic_group(4)
-    k = Subgroup(z4, frozenset({"0", "2"})).as_group()
+    k = Subgroup.from_labels(z4, {"0", "2"}).as_group()
     pt = trivial_action(k, discrete_space(["y"]))
     assert len(twisted_product(pt, z4).total) == 2
 
@@ -379,7 +379,7 @@ def test_acceptance_7_trivial_collapse():
         assert report["status"] == "holds", report
 
     z4 = cyclic_group(4)
-    k = Subgroup(z4, frozenset({"0", "2"})).as_group()
+    k = Subgroup.from_labels(z4, {"0", "2"}).as_group()
     ptk = trivial_action(k, discrete_space(["y"]))
     delta, report = trivial_collapse(twist(ptk, z4))
     assert report["status"] == "fails"
@@ -440,7 +440,7 @@ def test_acceptance_9_fixed_point_identities():
     inst = load_fixture("z4-arcs")
     arcs = inst.pa
     z4 = arcs.group
-    h = Subgroup(z4, frozenset({"0", "2"}))
+    h = Subgroup.from_labels(z4, {"0", "2"})
     assert fixed_points(arcs, h) == {"a1", "a3"}
 
     env = globalize(arcs)

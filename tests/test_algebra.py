@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from pact import (BoundExceeded, Group, Subgroup, ValidationError,
                   all_subgroups, conjugate_subgroup, cyclic_group,
                   subgroup_generated, validate_group)
-from oracle import brute_subgroups, group_violation
+from oracle import brute_subgroups, group_violation, subgroup_violation
 
 Z2_TABLE = [["0", "1"], ["1", "0"]]
 Z4_ELEMS = ["0", "1", "2", "3"]
@@ -30,7 +30,7 @@ def test_z2_and_z4_validate():
     assert g2.mul("1", "1") == "0"
     g4 = validate_group(Z4_ELEMS, Z4_TABLE, "0")
     assert g4.inv("1") == "3"
-    assert g4.conjugate("1", "3") == "1"
+    assert conjugate_subgroup(Subgroup.from_labels(g4, {"0", "2"}), "3").members == {"0", "2"}
 
 
 def test_broken_z4_reports_associativity_with_witness():
@@ -87,9 +87,9 @@ def test_subgroup_generated_idempotent_and_unknown_label():
 
 def test_conjugation_examples():
     z4 = cyclic_group(4)
-    h = Subgroup(z4, frozenset({"0", "2"}))
+    h = Subgroup.from_labels(z4, {"0", "2"})
     assert conjugate_subgroup(h, "1").members == {"0", "2"}
-    trivial = Subgroup(z4, frozenset({"0"}))
+    trivial = Subgroup.from_labels(z4, {"0"})
     for g in z4.elements:
         assert conjugate_subgroup(trivial, g).members == {"0"}
 
@@ -132,14 +132,14 @@ def test_all_subgroups_lagrange_and_bound():
 def test_subgroup_invariants_enforced():
     z4 = cyclic_group(4)
     with pytest.raises(ValidationError):
-        Subgroup(z4, frozenset({"1"}))          # no identity
+        Subgroup.from_labels(z4, {"1"})          # no identity
     with pytest.raises(ValidationError):
-        Subgroup(z4, frozenset({"0", "1"}))     # not closed
+        Subgroup.from_labels(z4, {"0", "1"})     # not closed
 
 
 def test_subgroup_as_group_roundtrip():
     z4 = cyclic_group(4)
-    sub = Subgroup(z4, frozenset({"0", "2"})).as_group()
+    sub = Subgroup.from_labels(z4, {"0", "2"}).as_group()
     assert sub.elements == ("0", "2")
     assert sub.mul("2", "2") == "0"
     assert group_violation(list(sub.elements), [list(r) for r in sub.table],
@@ -197,16 +197,27 @@ def test_subgroup_kernels_match_exhaustive_scan(group, rng):
         sorted((len(b), sorted(map(group.index, b))) for b in brute)
     for sub in subs:
         assert sub.mask == sum(1 << group.index(m) for m in sub.members)
+        assert sub == Subgroup.from_labels(group, sub.members)
+        g = rng.choice(group.elements)
+        conjugate = {group.mul(group.mul(group.inv(g), h), g) for h in sub.members}
+        assert conjugate_subgroup(sub, g) == Subgroup.from_labels(group, conjugate)
+    table = [list(r) for r in group.table]
     for _ in range(30):
         gens = rng.sample(group.elements, rng.randint(0, min(3, len(group))))
         smallest = min((b for b in brute if set(gens) <= b), key=len)
-        assert subgroup_generated(group, gens).members == smallest
-        # the construction checks accept exactly the subgroups
-        subset = frozenset(gens) | {group.identity}
-        try:
-            Subgroup(group, subset)
-        except ValidationError as exc:
-            assert subset not in brute
-            assert exc.axiom in ("subgroup-inverse", "subgroup-closure")
-        else:
-            assert subset in brute
+        generated = subgroup_generated(group, gens)
+        assert generated.members == smallest
+        assert generated == Subgroup.from_labels(group, smallest)
+        # the validating constructor accepts exactly the subgroups, and
+        # names the violation the label scan finds first
+        scattered = set(rng.sample(group.elements, rng.randint(0, len(group))))
+        scattered |= set(rng.choice([[group.identity], [group.identity], ["?", "!"], []]))
+        for subset in (set(gens) | {group.identity}, scattered):
+            expected = subgroup_violation(list(group.elements), table, group.identity, subset)
+            try:
+                sub = Subgroup.from_labels(group, subset)
+            except ValidationError as exc:
+                assert (exc.axiom, exc.witness) == expected
+            else:
+                assert expected is None and frozenset(subset) in brute
+                assert sub.members == subset

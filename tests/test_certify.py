@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from pact import (DEFAULT_BOUNDS, FinSpace, InternalCheckError, PartialAction, Subgroup,
                   ValidationError, all_subgroups, cyclic_group, diagonal_product,
-                  discrete_space, exit_code, global_action, globalize, isotropy,
-                  load_fixture, parse_instance, restrict_global,
+                  discrete_space, exit_code, fixture_dict, global_action, globalize,
+                  is_locally_G_contractible, isotropy, load_fixture, parse_instance, restrict_global,
                   restrict_invariant, restrict_to_subgroup, run_all, run_claim,
                   space_from_min_opens, trivial_action, twisted_product,
                   validate_group, validate_partial_action)
@@ -90,7 +90,7 @@ def test_generators_are_greedy_in_element_order(name, expected):
     labels = [grp.elements[s] for s in grp.generators]
     assert subgroup_generated(grp, labels).mask == (1 << len(grp)) - 1
     for k, s in enumerate(grp.generators):
-        assert grp.elements[s] not in subgroup_generated(grp, labels[:k])
+        assert grp.elements[s] not in subgroup_generated(grp, labels[:k]).members
     assert grp.generators is grp.generators  # computed once per group
 
 
@@ -474,8 +474,8 @@ def test_built_actions_never_validate(monkeypatch):
     globalize(pa).as_global_action()
     trivial_action(pa.group, pa.space)
     diagonal_product([pa, pa], max_points=10 ** 4)
-    restrict_to_subgroup(pa, Subgroup(pa.group, frozenset({"0", "2"})))
-    k = Subgroup(pa.group, frozenset({"0", "2"})).as_group()
+    restrict_to_subgroup(pa, Subgroup.from_labels(pa.group, {"0", "2"}))
+    k = Subgroup.from_labels(pa.group, {"0", "2"}).as_group()
     restrict_to_group(trivial_action(pa.group, pa.space), k)
     restrict_invariant(pa, pa.space.points)
     restrict_global(trivial_action(pa.group, pa.space),
@@ -583,3 +583,106 @@ def test_broken_envelope_action_is_internal_for_its_claims_only(monkeypatch):
     assert exit_code(reports) == 3
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["check", "all", "z4-circle", "--json"]) == 3
+
+
+def _with_entry(rows, g: int, i: int, value: int):
+    rows = [list(row) for row in rows]
+    rows[g][i] = value
+    return tuple(map(tuple, rows))
+
+
+def _assert_internal_for_its_claim_only(inst, before, claim, message):
+    reports = run_all(inst)
+    after = {rep.claim_id: rep.status for rep in reports}
+    assert {cid for cid in after if after[cid] != before[cid]} == {claim}
+    assert after[claim] == "internal-error"
+    assert next(rep for rep in reports if rep.claim_id == claim).witness == {"reason": message}
+
+
+def _trivial_wedge():
+    """Z2 acting trivially on the wedge w < a, w < b."""
+    doc = fixture_dict("z2-wedge")
+    points = doc["space"]["points"]
+    doc["partial_action"] = {"domains": {g: points for g in ("0", "1")},
+                             "maps": {g: {p: p for p in points} for g in ("0", "1")}}
+    return parse_instance(doc)
+
+
+@pytest.mark.parametrize("name, g, x, y, message", [
+    # theta_1 fixing a0 in the free Z4 action: G_a0 = {0, 1} is not closed
+    ("z4-circle", "1", "a0", "a0", "isotropy of 'a0' is not a subgroup"),
+    # theta_1 fixes a, so it must be defined on U_a = {w, a} and stay in it
+    ("trivial-wedge", "1", "w", None, "theta_'1' is undefined on the minimal open set of 'a'"),
+    ("trivial-wedge", "1", "w", "b", "theta_'1' leaves the minimal open set of 'a'"),
+], ids=["isotropy", "undefined", "leaves"])
+def test_broken_local_contractibility_premise_is_internal_for_its_claim_only(
+        monkeypatch, name, g, x, y, message):
+    """One entry of one theta corrupted in the space's tables: the premise
+    check of is_locally_G_contractible raises, and in a whole run only
+    locally-g-contractible becomes an internal error."""
+    import pact.verify
+    inst = _trivial_wedge() if name == "trivial-wedge" else load_fixture(name)
+    before = {rep.claim_id: rep.status for rep in run_all(inst)}
+    pa = inst.embedded_pa
+    broken = dataclasses.replace(pa, images=_with_entry(
+        pa.images, pa.group.index(g), pa.space.index(x), -1 if y is None else pa.space.index(y)))
+    with pytest.raises(InternalCheckError) as err:
+        is_locally_G_contractible(broken)
+    assert str(err.value) == message
+    real = pact.verify.is_locally_G_contractible
+    monkeypatch.setattr(pact.verify, "is_locally_G_contractible",
+                        lambda p: real(broken if p is pa else p))
+    _assert_internal_for_its_claim_only(inst, before, "locally-g-contractible", message)
+
+
+def test_stabiliser_that_is_not_a_subgroup_is_internal_for_its_claim_only(monkeypatch):
+    """mu_2 and mu_4 made to fix the image of p0 in the Z6 envelope: its
+    stabiliser {0, 2, 3, 4} is the union of {0, 3} and {0, 2, 4} but no
+    subgroup, so the family scan sees identity 3 fail for that pair, and
+    the stabiliser check makes it an internal error of
+    generated-intersection alone."""
+    import pact.verify
+    from pact.envelope import generated_intersection
+    from oracle import family_scan_intersection
+    from test_verify import z6_two_orbits_document
+    inst = parse_instance(z6_two_orbits_document())
+    before = {rep.claim_id: rep.status for rep in run_all(inst)}
+
+    def broken(env):
+        c = env.embedding_row[0]
+        rows = _with_entry(env.action_rows, 2, c, c)
+        return dataclasses.replace(env, action_rows=_with_entry(rows, 4, c, c))
+    pa = inst.embedded_pa
+    env = broken(globalize(pa))
+    subs = all_subgroups(pa.group)
+    assert family_scan_intersection(pa, env, subs)["witness"] == [["0", "3"], ["0", "2", "4"]]
+    message = "stabiliser of '(0,p0)' is not a subgroup"
+    with pytest.raises(InternalCheckError) as err:
+        generated_intersection(pa, env, subs)
+    assert str(err.value) == message
+    real = pact.verify.generated_intersection
+    monkeypatch.setattr(pact.verify, "generated_intersection",
+                        lambda p, e, s: real(p, broken(e), s))
+    _assert_internal_for_its_claim_only(inst, before, "generated-intersection", message)
+
+
+def test_run_all_validates_no_subgroup_labels(monkeypatch):
+    """Named subgroups are validated when an instance is parsed; over whole
+    runs on the fixtures and the generated documents, every subgroup a
+    claim uses is built from a mask, never from labels."""
+    insts = [(load_fixture(name), DEFAULT_BOUNDS) for name in FIXTURES]
+    for entry in json.loads(GENERATED_GOLDEN.read_text()):
+        insts.append((parse_instance(entry["document"]),
+                      dataclasses.replace(DEFAULT_BOUNDS, **entry["bounds"])))
+    calls = []
+    real = Subgroup.from_labels.__func__
+
+    def counting(cls, parent, members):
+        calls.append(members)
+        return real(cls, parent, members)
+    monkeypatch.setattr(Subgroup, "from_labels", classmethod(counting))
+    for inst, bounds in insts:
+        run_all(inst, bounds)
+    assert calls == []
+    load_fixture("z4-arcs")  # its named subgroup goes through the label edge
+    assert calls == [["0", "2"]]

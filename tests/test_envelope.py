@@ -22,7 +22,7 @@ from pact import (BoundExceeded, InternalCheckError, MapPoset, SpaceMap, Subgrou
 from pact.envelope import _assemble, lift_maps
 from pact.finspace import bit_indices
 from oracle import (brute_globalization_classes, brute_members,
-                    brute_twisted_classes, find_homeomorphism,
+                    brute_twisted_classes, family_scan_intersection, find_homeomorphism,
                     globalization_document as oracle_document,
                     is_G_homeomorphism, LabelEnvelope, label_apply, label_assemble,
                     label_envelope_of_map, label_lift_rows, label_view)
@@ -124,7 +124,7 @@ def test_twisted_equals_globalization_at_full_subgroup():
 
 def test_twisted_point_over_proper_subgroup_is_coset_space():
     z4 = cyclic_group(4)
-    k = Subgroup(z4, frozenset({"0", "2"})).as_group()
+    k = Subgroup.from_labels(z4, {"0", "2"}).as_group()
     pa = trivial_action(k, discrete_space(["y"]))
     env = twisted_product(pa, z4)
     assert len(env.total) == 2
@@ -357,7 +357,7 @@ def test_product_comparison_fails_on_z2_pair_square():
 
 def test_iterated_twist_examples():
     z4 = cyclic_group(4)
-    k = Subgroup(z4, frozenset({"0", "2"})).as_group()
+    k = Subgroup.from_labels(z4, {"0", "2"}).as_group()
     pt = trivial_action(k, discrete_space(["y"]))
     m, n, report = compare_iterated_twists(pt, z4)
     assert report["status"] == "holds"
@@ -411,7 +411,7 @@ def test_trivial_collapse_cases():
     assert report_full["status"] == "holds"
 
     z4 = cyclic_group(4)
-    k = Subgroup(z4, frozenset({"0", "2"})).as_group()
+    k = Subgroup.from_labels(z4, {"0", "2"}).as_group()
     ptk = trivial_action(k, discrete_space(["y"]))
     delta2, report2 = trivial_collapse(twist(ptk, z4))
     assert report2["status"] == "fails"
@@ -434,7 +434,7 @@ def test_fixed_decomposition_on_z4_arcs():
     arcs = fixture_pa("z4-arcs")
     z4 = arcs.group
     env = globalize(arcs)
-    h = Subgroup(z4, frozenset({"0", "2"}))
+    h = Subgroup.from_labels(z4, {"0", "2"})
     report = fixed_decomposition(arcs, h, env=env)
     assert report["status"] == "holds"
     assert report["decomposition"]["holds"]
@@ -453,7 +453,7 @@ def test_fixed_decomposition_on_z4_arcs():
 def test_fixed_decomposition_trivial_subgroup_covers_everything():
     z2pair = fixture_pa("z2-pair")
     env = globalize(z2pair)
-    trivial = Subgroup(z2pair.group, frozenset({"0"}))
+    trivial = Subgroup.from_labels(z2pair.group, {"0"})
     report = fixed_decomposition(z2pair, trivial, env=env)
     assert report["status"] == "holds"
     assert report["decomposition"]["fixed_in_total"] == list(env.total.points)
@@ -462,10 +462,40 @@ def test_fixed_decomposition_trivial_subgroup_covers_everything():
 def test_fixed_decomposition_on_wedge_full_group():
     wedge = fixture_pa("z2-wedge")
     env = globalize(wedge)
-    full = Subgroup(wedge.group, frozenset({"0", "1"}))
+    full = Subgroup.from_labels(wedge.group, {"0", "1"})
     report = fixed_decomposition(wedge, full, env=env)
     assert report["status"] == "holds"
     assert report["decomposition"]["fixed_in_total"] == [env.embedding("w")]
+
+
+def test_generated_intersection_matches_the_family_scan(rng):
+    """The stabiliser check decides identity 3 as the family-by-family scan
+    does, on the fixtures, the generated documents, random global actions
+    and Z24 (8 subgroups, 255 families), at the default family cap, at a
+    cap of 3, where only pairs are counted, and on either side of the cap
+    that admits every family."""
+    from pact import DEFAULT_BOUNDS, FIXTURES, parse_instance
+    from pact.envelope import generated_intersection
+    from test_certify import random_global
+    from test_golden_generated import GOLDEN
+    from test_verify import half_circle_document
+    cases = [(load_fixture(name).embedded_pa, DEFAULT_BOUNDS) for name in FIXTURES]
+    for entry in json.loads(GOLDEN.read_text()):
+        cases.append((parse_instance(entry["document"]).embedded_pa,
+                      dataclasses.replace(DEFAULT_BOUNDS, **entry["bounds"])))
+    cases += [(random_global(rng, kind), DEFAULT_BOUNDS)
+              for kind in ("regular", "trivial", "envelope") for _ in range(4)]
+    cases.append((parse_instance(half_circle_document(24)).embedded_pa,
+                  DEFAULT_BOUNDS.with_limit(100_000)))
+    counts = []
+    for pa, bounds in cases:
+        env = globalize(pa, bounds.envelope_pairs)
+        subs = all_subgroups(pa.group, bounds.group_order)
+        for max_families in (4096, 3, 2 ** len(subs) - 1, 2 ** len(subs) - 2):
+            got = generated_intersection(pa, env, subs, max_families)
+            assert got == family_scan_intersection(pa, env, subs, max_families)
+            counts.append(got["families_checked"])
+    assert 2 ** 8 - 1 in counts and 8 * 9 // 2 in counts
 
 
 def test_recognition_on_random_restrictions(rng):
@@ -722,7 +752,7 @@ def test_batch_lift_raises_for_the_first_failing_row():
     z2 = cyclic_group(2)
     space = space_from_min_opens(["a", "b", "c"],
                                  {"a": ["a"], "b": ["b"], "c": ["a", "b", "c"]})
-    pa = restrict_to_subgroup(trivial_action(z2, space), Subgroup(z2, frozenset({"0"})))
+    pa = restrict_to_subgroup(trivial_action(z2, space), Subgroup.from_labels(z2, {"0"}))
     env = twisted_product(pa, z2)
     # pairs (0, a), (0, b), (0, c) are indices 0, 1, 2
     classes = list(env.pair_class)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from pact import (BoundExceeded, InternalCheckError, SpaceMap, ValidationError,
+from pact import (BoundExceeded, SpaceMap, ValidationError,
                   core, cyclic_group,
                   discrete_space, enumerate_maps, enumerate_opens,
                   fixture_names, global_action, globalize,
@@ -292,12 +292,6 @@ def test_locally_g_contractible_claim_decides_z4_arcs():
     rep = run_claim("locally-g-contractible", load_fixture("z4-arcs"))
     assert rep.status == "holds"
     assert rep.witness == {"space": True, "envelope": True}
-
-
-def test_locally_g_contractible_checks_its_witness(monkeypatch):
-    monkeypatch.setattr("pact.homotopy.is_G_map", lambda *args: False)
-    with pytest.raises(InternalCheckError, match="not a G_x-map"):
-        is_locally_G_contractible(fixture_pa("pt"))
 
 
 def test_fence_agrees_with_interval_model(rng):

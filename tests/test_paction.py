@@ -164,7 +164,8 @@ def test_isotropy_is_always_a_subgroup():
                  "z4-half", "z4-arcs"]:
         pa = fixture_pa(name)
         for x in pa.space.points:
-            isotropy(pa, x)  # Subgroup construction inside asserts
+            _, gx = isotropy(pa, x)  # the closure check inside asserts
+            assert gx == Subgroup.from_labels(pa.group, gx.members)
 
 
 def test_defined_set_need_not_be_a_subgroup():
@@ -172,18 +173,18 @@ def test_defined_set_need_not_be_a_subgroup():
     ghat, _ = isotropy(arcs, "a0")
     assert ghat == {"0", "3"}
     with pytest.raises(ValidationError):
-        Subgroup(arcs.group, frozenset(ghat))  # {0,3} is not closed in Z4
+        Subgroup.from_labels(arcs.group, ghat)  # {0,3} is not closed in Z4
 
 
 def test_fixed_points_examples():
     arcs = fixture_pa("z4-arcs")
     z4 = arcs.group
-    h = Subgroup(z4, frozenset({"0", "2"}))
+    h = Subgroup.from_labels(z4, {"0", "2"})
     assert fixed_points(arcs, h) == {"a1", "a3"}
-    trivial = Subgroup(z4, frozenset({"0"}))
+    trivial = Subgroup.from_labels(z4, {"0"})
     assert fixed_points(arcs, trivial) == frozenset(arcs.space.points)
     z2pair = fixture_pa("z2-pair")
-    assert fixed_points(z2pair, Subgroup(z2pair.group, frozenset({"0", "1"}))) == {"a"}
+    assert fixed_points(z2pair, Subgroup.from_labels(z2pair.group, {"0", "1"})) == {"a"}
 
 
 def test_orbit_space_examples():
@@ -207,6 +208,21 @@ def test_orbit_space_examples():
     assert frozenset({"a0", "a2"}) in expected
 
 
+def test_orbits_of_a_partial_action_need_more_than_the_generators():
+    """Z4 rotating four discrete points, restricted to {q0.0, q0.2}: the
+    greedy generating set is {1} and theta_1 is empty, yet theta_2 joins
+    the two points into one orbit, so a union-find over generator edges
+    would split it.  The twisted product over Z4 has 4 classes of 8 pairs."""
+    from pact import orbit_classes, twisted_product
+    pa = restrict_global(_cycles_action(4, 1), {"q0.0", "q0.2"})
+    assert [pa.group.elements[g] for g in pa.group.generators] == ["1"]
+    assert pa.thetas["1"] == {}
+    assert orbit_classes(pa) == [0b11]
+    env = twisted_product(pa, pa.group)
+    assert len(env.product_space) == 8
+    assert [len(pairs) for pairs in env.members] == [2, 2, 2, 2]
+
+
 def test_orbit_projection_open_on_every_fixture():
     from pact.finspace import is_open
     for name in ["pt", "z2-pair", "z2-swap", "z2-wedge", "z4-circle",
@@ -228,9 +244,9 @@ def test_is_free_examples():
 def test_is_invariant_examples():
     arcs = fixture_pa("z4-arcs")
     z4 = arcs.group
-    everything = Subgroup(z4, frozenset(z4.elements))
+    everything = Subgroup.from_labels(z4, z4.elements)
     assert is_invariant(arcs, arcs.space.points, everything)
-    h = Subgroup(z4, frozenset({"0", "2"}))
+    h = Subgroup.from_labels(z4, {"0", "2"})
     assert is_invariant(arcs, {"a1"}, h)
     assert not is_invariant(arcs, {"a0"}, everything)
 
@@ -310,7 +326,7 @@ def test_mutated_theta_never_triggers_internal_disagreement(rng):
 
 def test_restrict_to_subgroup_and_invariant():
     circle = fixture_pa("z4-circle")
-    h = Subgroup(circle.group, frozenset({"0", "2"}))
+    h = Subgroup.from_labels(circle.group, {"0", "2"})
     res = restrict_to_subgroup(circle, h)
     assert res.group.elements == ("0", "2")
     assert res.is_global()

@@ -266,8 +266,6 @@ def half_circle_document(n: int) -> dict:
 
 def test_fixed_point_claims_enumerate_the_lattice_once(monkeypatch):
     import pact.algebra
-    import pact.envelope
-    import pact.verify
     inst = parse_instance(half_circle_document(12))
     calls = {"all_subgroups": 0, "family_joins": 0}
 
@@ -277,22 +275,19 @@ def test_fixed_point_claims_enumerate_the_lattice_once(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    lattice = counting("all_subgroups", pact.algebra.all_subgroups)
-    for module in (pact.envelope, pact.verify):
-        monkeypatch.setattr(module, "all_subgroups", lattice)
-    # a family join generates the subgroup of a family's union from envelope.py
-    monkeypatch.setattr(pact.envelope, "subgroup_generated",
+    monkeypatch.setattr(pact.algebra, "all_subgroups",
+                        counting("all_subgroups", pact.algebra.all_subgroups))
+    # a family join would generate the subgroup of a family's union
+    monkeypatch.setattr(pact.algebra, "subgroup_generated",
                         counting("family_joins", pact.algebra.subgroup_generated))
 
-    report = run_claim("fixed-decomposition", inst)
+    reports = {rep.claim_id: rep for rep in run_all(inst)}
+    report = reports["fixed-decomposition"]
     assert report.status == "holds" and len(report.witness["subgroups"]) == 6
-    assert calls == {"all_subgroups": 1, "family_joins": 0}
-
-    calls.update(all_subgroups=0, family_joins=0)
-    report = run_claim("generated-intersection", inst)
+    report = reports["generated-intersection"]
     assert report.status == "holds"
     assert report.witness["families_checked"] == 2 ** 6 - 1
-    assert calls == {"all_subgroups": 1, "family_joins": 2 ** 6 - 1}
+    assert calls == {"all_subgroups": 1, "family_joins": 0}
 
 
 def fence_document(length: int) -> dict:
@@ -340,17 +335,16 @@ def test_homotopy_preservation_lifts_each_poset_at_once(monkeypatch):
     assert calls == {"envelope_of_map": 0, "is_G_map": 0, "lift_maps": 1}
 
 
-def test_generated_intersection_on_a_lattice_that_is_not_a_chain():
-    # Z6 on three points rotated mod 3 (isotropy {0, 3}) and two points
-    # swapped mod 2 (isotropy {0, 2, 4}): no point is fixed by both, while
-    # each subgroup alone fixes some, so joins must use the whole family
+def z6_two_orbits_document() -> dict:
+    """Z6 on three points rotated mod 3 (isotropy {0, 3}) and two points
+    swapped mod 2 (isotropy {0, 2, 4}), all discrete."""
     points = ["p0", "p1", "p2", "q0", "q1"]
 
     def act(g: int, x: str) -> str:
         k = 3 if x[0] == "p" else 2
         return f"{x[0]}{(int(x[1]) + g) % k}"
 
-    inst = parse_instance({
+    return {
         "id": "z6-two-orbits",
         "group": {"elements": [str(i) for i in range(6)],
                   "table": [[str((i + j) % 6) for j in range(6)] for i in range(6)],
@@ -359,7 +353,13 @@ def test_generated_intersection_on_a_lattice_that_is_not_a_chain():
         "partial_action": {"domains": {str(g): points for g in range(6)},
                            "maps": {str(g): {x: act(g, x) for x in points}
                                     for g in range(6)}},
-    })
+    }
+
+
+def test_generated_intersection_on_a_lattice_that_is_not_a_chain():
+    # no point is fixed by both {0, 3} and {0, 2, 4}, while each subgroup
+    # alone fixes some, so joins must use the whole family
+    inst = parse_instance(z6_two_orbits_document())
     report = run_claim("generated-intersection", inst)
     assert report.status == "holds"
     assert report.witness == {"families_checked": 2 ** 4 - 1}
