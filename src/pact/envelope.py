@@ -18,21 +18,22 @@ corollaries (products, iterated twists, trivial collapse) are built and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import add, itemgetter, or_
-from typing import Callable, Sequence
+from functools import cached_property, partial, reduce
+from itertools import chain
+from operator import itemgetter, or_
+from typing import Sequence
 
 from .algebra import (Group, Subgroup, all_subgroups, conjugate_subgroup,
                       is_subgroup_embedding)
 from .errors import BoundExceeded, InternalCheckError, ValidationError
 from .finspace import (FinSpace, SpaceMap, bit_indices, block_down_masks,
                        discrete_space, equivalence_classes, is_continuous,
-                       is_down_mask, is_open, monotonicity_violation,
+                       is_open, monotonicity_violation,
                        pair_label, product, quotient_order)
 from .homotopy import MapPoset
-from .paction import (PartialAction, certified_global_action, diagonal_product,
-                      enumerate_G_maps, fixed_points, g_map_faults, orbit_classes,
-                      restrict_global, restrict_to_group)
+from .paction import (PartialAction, _global_certificate, certified_global_action,
+                      diagonal_product, enumerate_G_maps, fixed_points, g_map_faults,
+                      orbit_classes, restrict_global, restrict_to_group)
 
 
 @dataclass(frozen=True)
@@ -83,14 +84,20 @@ class EnvelopeResult:
         return _descend(self.pair_class, self.members, values)
 
     def as_global_action(self) -> PartialAction:
-        """The enveloping action as a certified global PartialAction, built
-        from ``action_rows`` on the first call and kept with the envelope,
-        so one envelope yields one action."""
+        """The enveloping action as a certified global PartialAction, kept
+        with the envelope, so one envelope yields one action."""
         return self._global_action
 
     @cached_property
     def _global_action(self) -> PartialAction:
+        # _assemble sets it; a copy with other rows certifies its own here
         return certified_global_action(self.big_group, self.total, self.action_rows)
+
+    @cached_property
+    def moved(self) -> tuple[int, ...]:
+        """Per element index g, the mask of the total points mu_g moves."""
+        return tuple(sum(1 << c for c, d in enumerate(mu) if c != d)
+                     for mu in self.action_rows)
 
     def to_document(self) -> dict:
         """JSON-ready document: class table, opens of the total space,
@@ -134,10 +141,26 @@ def _pair_count(big: Group, space: FinSpace, max_pairs: int) -> int:
 
 def _assemble(pa: PartialAction, big: Group, prod: FinSpace,
               classes: Sequence[int]) -> EnvelopeResult:
-    """Common tail of both constructions.  From the class masks over pair
-    indices, ordered by least member, build the quotient, the action, the
-    projection and the embedding as index tables, and assert the trusted
-    invariants on them."""
+    """Common tail of both constructions.  From the class masks over the
+    pairs of G x X (``prod``, as :func:`block_down_masks` builds it),
+    ordered by least member, build the quotient, the action, the projection
+    and the embedding as index tables, and assert the trusted invariants on
+    them.  Two are certified in less work; when a certificate fails, the
+    exhaustive checks run to name the witness they always named:
+
+    * mu_g, read at each class's first member (h, y) as the class of
+      (gh, y), is well defined for every g once the left translation L_s of
+      G x X keeps classes together for each generator s, as each L_g is a
+      composite of L_s's.  Then ``_global_certificate`` (mu_e, and mu_s
+      monotone with mu_s . mu_g = mu_sg for each s and g) proves mu an
+      action by homeomorphisms, as :func:`certified_global_action` shows;
+      the action is kept as the envelope's.  Else :func:`_action_scan`.
+    * The projection p is continuous and open iff p(U_q) = below[p(q)] for
+      every pair q: equality makes p monotone and every p(U_q), hence the
+      image of every open, a down-set; conversely continuity gives the
+      inclusion, and openness the down-set of p(q).  As U_(g,x) is
+      {g} x U_x, the images are read one column x at a time.
+    """
     space, k = pa.space, pa.group
     n, pairs, count = len(space), len(prod), len(classes)
     cls_of, below = quotient_order(prod.down, classes)
@@ -145,41 +168,28 @@ def _assemble(pa: PartialAction, big: Group, prod: FinSpace,
     members = tuple(tuple(bit_indices(m)) for m in classes)
     labels = tuple(map(prod.points.__getitem__, map(itemgetter(0), members)))
     total = FinSpace(labels, tuple(below))
-    everything = (1 << count) - 1
 
-    # mu_g sends the class of (h, y) to the class of (gh, y)
-    blocks = [p // n for p in range(pairs)]
-    action_rows = []
-    for g, row in enumerate(big.rows):
-        shift = [(row[h] - h) * n for h in range(len(big))]
-        moved = list(map(pair_class.__getitem__,
-                         map(add, range(pairs), map(shift.__getitem__, blocks))))
-        out, clash = _descend(pair_class, members, moved)
-        if clash is not None:
-            raise InternalCheckError(f"enveloping action not well defined at "
-                                     f"({big.elements[g]!r}, {labels[clash]!r})")
-        action_rows.append(out)
+    # mu_g sends the class of (h, y) to the class of (gh, y): read at each
+    # class's first member, and compared on every member for the generators
+    first_pairs = [divmod(m[0], n) for m in members]
+    every_pair = [divmod(p, n) for p in range(pairs)]
+    action_rows = tuple(_translated(big.rows, n, cls_of, first_pairs))
+    generators = big.generators
+    moved = _translated([big.rows[s] for s in generators], n, cls_of, every_pair)
+    action = None
+    if all(tuple([action_rows[s][c] for c in cls_of]) == row
+           for s, row in zip(generators, moved)):
+        action = _global_certificate(big, total, action_rows)
+    if action is None:
+        _action_scan(big, pair_class, members, labels, action_rows, below)
 
-    if action_rows[big.index(big.identity)] != tuple(range(count)):
-        raise InternalCheckError("mu_e is not the identity")
-    for g, row in enumerate(big.rows):
-        for h, gh in enumerate(row):
-            if tuple(map(action_rows[g].__getitem__, action_rows[h])) != action_rows[gh]:
-                raise InternalCheckError(f"mu is not an action at "
-                                         f"({big.elements[g]!r}, {big.elements[h]!r})")
-    # mu is an action with mu_e the identity, so mu_g's inverse is
-    # mu_{g^-1}, whose continuity this same loop checks
-    for g, mu in enumerate(action_rows):
-        if not (len(set(mu)) == count
-                and monotonicity_violation(below, everything, mu, below) is None):
-            raise InternalCheckError(
-                f"mu_{big.elements[g]!r} is not a homeomorphism of the total space")
-
-    if monotonicity_violation(prod.down, (1 << pairs) - 1, pair_class, below) is not None:
-        raise InternalCheckError("projection is not continuous")
     class_bit = [1 << c for c in pair_class]
-    if not all(is_down_mask(below, reduce(or_, map(class_bit.__getitem__, bit_indices(u))))
-               for u in prod.down):
+    columns = [class_bit[x::n] for x in range(n)]
+    if ([list(reduce(partial(map, or_), map(columns.__getitem__, bit_indices(u))))
+         for u in space.down]
+            != [list(map(below.__getitem__, pair_class[x::n])) for x in range(n)]):
+        if monotonicity_violation(prod.down, (1 << pairs) - 1, pair_class, below) is not None:
+            raise InternalCheckError("projection is not continuous")
         raise InternalCheckError("projection is not open")
     if len(set(pair_class)) != count:
         raise InternalCheckError("projection is not surjective")
@@ -193,9 +203,7 @@ def _assemble(pa: PartialAction, big: Group, prod: FinSpace,
 
     kstar = sum(1 << (big.index(label) * n + x) for g, label in enumerate(k.elements)
                 for x in pa.domain_points[k.inverse_row[g]])
-    image = reduce(or_, (1 << c for c in emb), 0)
-    preimage = reduce(or_, (1 << p for p, c in enumerate(pair_class) if image >> c & 1), 0)
-    if preimage != kstar:
+    if reduce(or_, map(classes.__getitem__, emb)) != kstar:
         raise InternalCheckError("p^-1(iota(X)) differs from K*X")
 
     for g, label in enumerate(k.elements):
@@ -205,38 +213,68 @@ def _assemble(pa: PartialAction, big: Group, prod: FinSpace,
                 raise InternalCheckError(
                     f"action and embedding disagree at ({label!r}, {space.points[x]!r})")
 
-    if reduce(or_, (1 << mu[c] for mu in action_rows for c in bit_indices(image))) != everything:
+    if len(set(chain.from_iterable(map(mu.__getitem__, emb) for mu in action_rows))) != count:
         raise InternalCheckError("G.iota(X) does not cover the total space")
 
-    return EnvelopeResult(pa, big, prod, total, pair_class, members,
-                          tuple(action_rows), kstar)
+    env = EnvelopeResult(pa, big, prod, total, pair_class, members, action_rows, kstar)
+    env.__dict__["_global_action"] = action  # certified above: the cached view's value
+    return env
+
+
+def _translated(rows: Sequence[Sequence[int]], n: int, cls_of: Sequence[int],
+                hys: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Per group table row (element g), the class of (gh, y) per (h, y)."""
+    return [tuple([cls_of[row[h] * n + y] for h, y in hys]) for row in rows]
+
+
+def _action_scan(big: Group, pair_class: tuple[int, ...], members: Sequence[Sequence[int]],
+                 labels: Sequence[str], action_rows: Sequence[tuple[int, ...]],
+                 below: Sequence[int]) -> None:
+    """The checks behind :func:`_assemble`'s action certificate, in their
+    order: each L_g keeps classes together, mu_e is the identity, mu is an
+    action at each (g, h), each mu_g is a homeomorphism.  The first that
+    fails raises InternalCheckError."""
+    n, count = len(pair_class) // len(big), len(below)
+    every_pair = [divmod(p, n) for p in range(len(pair_class))]
+    for g, moved in enumerate(_translated(big.rows, n, pair_class, every_pair)):
+        _, clash = _descend(pair_class, members, moved)
+        if clash is not None:
+            raise InternalCheckError(f"enveloping action not well defined at "
+                                     f"({big.elements[g]!r}, {labels[clash]!r})")
+    if action_rows[big.index(big.identity)] != tuple(range(count)):
+        raise InternalCheckError("mu_e is not the identity")
+    for g, row in enumerate(big.rows):
+        for h, gh in enumerate(row):
+            if tuple(map(action_rows[g].__getitem__, action_rows[h])) != action_rows[gh]:
+                raise InternalCheckError(f"mu is not an action at "
+                                         f"({big.elements[g]!r}, {big.elements[h]!r})")
+    # mu is an action with mu_e the identity, so mu_g's inverse is
+    # mu_{g^-1}, whose continuity this same loop checks
+    for g, mu in enumerate(action_rows):
+        if not (len(set(mu)) == count
+                and monotonicity_violation(below, (1 << count) - 1, mu, below) is None):
+            raise InternalCheckError(
+                f"mu_{big.elements[g]!r} is not a homeomorphism of the total space")
+    raise InternalCheckError("a built global action fails its certificate")
 
 
 def globalize(pa: PartialAction, max_pairs: int = 256) -> EnvelopeResult:
     """The enveloping space X_G: quotient of G x X by the relation R.
 
-    R is checked to be an equivalence relation exhaustively before the
-    quotient is taken; for a finite group every partial action is nice, so
-    the embedding is an open embedding (asserted downstream by the claims).
+    R is checked to be an equivalence relation (by the certificate of
+    :func:`equivalence_classes`) before the quotient is taken; for a finite
+    group every partial action is nice, so the embedding is an open
+    embedding (asserted downstream by the claims).
     """
     g_grp = pa.group
     space = pa.space
     _pair_count(g_grp, space, max_pairs)
     prod = FinSpace(tuple(pair_label(g, x) for g in g_grp.elements for x in space.points),
                     tuple(block_down_masks(space.down, len(g_grp))))
-    # (g, x) is pair g * |X| + x; x lies in X_k iff theta_{k^-1} is defined at x
+    # (g, x) ~ (gk, theta_{k^-1}(x)) for each k with x in X_k
     n = len(space)
-    rows, inverse_row = g_grp.rows, g_grp.inverse_row
-    rel = []
-    for g in range(len(g_grp)):
-        to_k = rows[inverse_row[g]]
-        for x in range(n):
-            m = 0
-            for h, k in enumerate(to_k):
-                y = pa.images[inverse_row[k]][x]
-                if y >= 0:
-                    m |= 1 << (h * n + y)
-            rel.append(m)
+    rel = _pair_relation(g_grp, n, [(k, pa.images[g_grp.inverse_row[k]])
+                                    for k in range(len(g_grp))])
     classes = equivalence_classes(
         rel, "R", lambda p: (g_grp.elements[p // n], space.points[p % n]))
     return _assemble(pa, g_grp, prod, classes)
@@ -269,18 +307,28 @@ def twisted_product(pa: PartialAction, big: Group,
     for m in classes:
         for p in bit_indices(m):
             class_mask[p] = m
-    rows, inverse_row = big.rows, big.inverse_row
-    steps = [(inverse_row[big.index(k)], image) for k, image in zip(k_grp.elements, pa.images)]
-    for g, row in enumerate(rows):
-        for x in range(n):
-            one_step = 0
-            for k_inv, image in steps:
-                if image[x] >= 0:
-                    one_step |= 1 << (row[k_inv] * n + image[x])
-            if one_step != class_mask[g * n + x]:
-                raise InternalCheckError(f"one-step class of ({big.elements[g]!r}, "
-                                         f"{space.points[x]!r}) differs from its orbit")
+    # the one-step class of (g, x): {(g k^-1, theta_k(x)) : k in K^x}
+    one_step = _pair_relation(big, n, [(big.inverse_row[big.index(k)], image)
+                                       for k, image in zip(k_grp.elements, pa.images)])
+    if one_step != class_mask:
+        g, x = divmod(next(p for p, (a, b) in enumerate(zip(one_step, class_mask)) if a != b), n)
+        raise InternalCheckError(f"one-step class of ({big.elements[g]!r}, "
+                                 f"{space.points[x]!r}) differs from its orbit")
     return _assemble(pa, big, prod, classes)
+
+
+def _pair_relation(big: Group, n: int, steps: Sequence[tuple[int, Sequence[int]]]
+                   ) -> list[int]:
+    """One mask per pair (g, x) = g * n + x of G x X: the pairs
+    (gk, theta(x)) over the steps (k, theta), theta an index table of X
+    with -1 where undefined, which reads the 0 at the end of each block."""
+    bit = [1 << p for p in range(len(big) * n)]
+    blocks = [bit[t * n:(t + 1) * n] + [0] for t in range(len(big))]
+    rel = [0] * (len(big) * n)
+    for k, image in steps:
+        targets = [blocks[row[k]] for row in big.rows]
+        rel = [m | b for m, b in zip(rel, [bits[y] for bits in targets for y in image])]
+    return rel
 
 
 def _right_translation(k_grp: Group, big: Group) -> PartialAction:
@@ -760,21 +808,6 @@ def _first_collision(source: FinSpace, values: Sequence[int]) -> list[str] | Non
     return next((cs for cs in fibres.values() if len(cs) > 1), None)
 
 
-def _fixed_sets(env: EnvelopeResult) -> Callable[[int], int]:
-    """fixed(mask): the mask of total points that mu_k fixes for every k
-    whose element index is set in ``mask``, from one moved-point mask per
-    element."""
-    moved = [sum(1 << c for c, d in enumerate(mu) if c != d) for mu in env.action_rows]
-    full = (1 << len(env.total)) - 1
-
-    def fixed(mask: int) -> int:
-        m = 0
-        for k in bit_indices(mask):
-            m |= moved[k]
-        return full & ~m
-    return fixed
-
-
 def fixed_identities(pa: PartialAction, h: Subgroup,
                      env: EnvelopeResult) -> tuple[dict, dict]:
     """Identities 1 and 2 of :func:`fixed_decomposition` for one subgroup H,
@@ -786,7 +819,11 @@ def fixed_identities(pa: PartialAction, h: Subgroup,
     total = env.total
     emb = env.embedding_row
     image = reduce(or_, (1 << c for c in emb))
-    fixed = _fixed_sets(env)
+    moved, full = env.moved, (1 << len(total)) - 1
+
+    def fixed(mask: int) -> int:
+        """The total points that mu_k fixes for every k in ``mask``."""
+        return full & ~reduce(or_, map(moved.__getitem__, bit_indices(mask)), 0)
 
     lhs_1 = fixed(h.mask)
     rhs_1 = 0

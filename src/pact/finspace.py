@@ -9,6 +9,7 @@ label constructor at the parse edge.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain
@@ -425,14 +426,15 @@ def quotient_order(down: Sequence[int], classes: Sequence[int]
     below it in the transitive closure of the induced relation (which makes
     them the down-set masks of the quotient).
     """
+    members = [bit_indices(mask) for mask in classes]
     cls_of = [0] * len(down)
-    for k, mask in enumerate(classes):
-        for i in bit_indices(mask):
+    for k, idx in enumerate(members):
+        for i in idx:
             cls_of[i] = k
-    below = []
-    for k, mask in enumerate(classes):
-        reach = reduce(or_, map(down.__getitem__, bit_indices(mask)))
-        below.append(reduce(or_, (1 << cls_of[i] for i in bit_indices(reach)), 1 << k))
+    class_bit = [1 << k for k in cls_of]
+    below = [reduce(or_, [class_bit[i] for i in bit_indices(reduce(or_, [down[j] for j in idx]))],
+                    1 << k)
+             for k, idx in enumerate(members)]
     changed = True
     while changed:
         changed = False
@@ -449,12 +451,30 @@ def quotient_order(down: Sequence[int], classes: Sequence[int]
 def equivalence_classes(rel: Sequence[int], name: str,
                         label: Callable[[int], object]) -> list[int]:
     """Classes of a relation given as one bitmask of related indices per
-    index, checked exhaustively to be an equivalence relation.
+    index, checked to be an equivalence relation.
 
-    Returns the class masks ordered by least member.  A failed reflexivity,
-    symmetry or transitivity check raises InternalCheckError naming the
-    relation and the offending indices through ``label``.
+    Returns the class masks ordered by least member.  The check is a
+    certificate of O(N) big-int operations.  With rep(i) the least index of
+    row i: (a) i lies in row i, (b) row i = row rep(i), and (c) row r has
+    as many members as there are i with rep(i) = r.  By (a) and (b) each
+    such i lies in row r, so (c) makes row r = {i : rep(i) = r}.  Then j in
+    row i gives rep(j) = rep(i), so row j = row i: the relation is
+    symmetric and transitive, and reflexive by (a).  Every equivalence
+    passes.  Else :func:`_equivalence_scan` names the first failed check.
     """
+    rep = [(row & -row).bit_length() - 1 for row in rel]
+    sizes = Counter(rep)
+    if not (all(row >> i & 1 for i, row in enumerate(rel))
+            and list(map(rel.__getitem__, rep)) == list(rel)
+            and all(rel[r].bit_count() == size for r, size in sizes.items())):
+        _equivalence_scan(rel, name, label)
+    return [rel[r] for r in sorted(sizes)]
+
+
+def _equivalence_scan(rel: Sequence[int], name: str,
+                      label: Callable[[int], object]) -> None:
+    """The first failed reflexivity, symmetry or transitivity check raises
+    InternalCheckError naming the relation and indices through ``label``."""
     for i, row in enumerate(rel):
         if not row & (1 << i):
             raise InternalCheckError(f"{name} not reflexive at {label(i)!r}")
@@ -465,13 +485,6 @@ def equivalence_classes(rel: Sequence[int], name: str,
             if rel[j] & ~row:
                 raise InternalCheckError(
                     f"{name} not transitive through ({label(i)!r}, {label(j)!r})")
-    classes = []
-    covered = 0
-    for i, row in enumerate(rel):
-        if not covered >> i & 1:
-            classes.append(row)
-            covered |= row
-    return classes
 
 
 def subspace(space: FinSpace, subset: Iterable[str]) -> FinSpace:

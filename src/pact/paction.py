@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import Group, Subgroup, is_subgroup_embedding
@@ -334,7 +334,7 @@ def _global_certificate(group: Group, space: FinSpace,
         if monotonicity_violation(down, full, image_s, down) is not None:
             return None
         for g, image in enumerate(images):
-            if tuple(map(image_s.__getitem__, image)) != images[row[g]]:
+            if tuple([image_s[y] for y in image]) != images[row[g]]:
                 return None
     return PartialAction(group, space, images, (tuple(range(n)),) * len(group))
 
@@ -468,15 +468,15 @@ def _diagonal2(a: PartialAction, b: PartialAction, max_points: int
     """The diagonal action on A x B, built from the factors' index tables
     and certified by :func:`_certify_diagonal` instead of validated."""
     space, p1, p2 = product(a.space, b.space, max_points=max_points)
-    # the product point (x_i, y_j) has index i * |B| + j
+    # point (x_i, y_j) is i * |B| + j; block x reads it at j, and -1 at -1,
+    # and the last block, for x = -1, reads -1 everywhere
     width = len(b.space)
-    undefined = (-1,) * width
-    images = tuple(
-        tuple(chain.from_iterable(
-            undefined if x < 0 else
-            (x * width + y if y >= 0 else -1 for y in image_b) for x in image_a))
-        for image_a, image_b in zip(a.images, b.images))
-    domain_points = tuple(tuple(i * width + j for i in xs for j in ys)
+    blocks = [list(range(x * width, (x + 1) * width)) + [-1] for x in range(len(a.space))]
+    blocks.append([-1] * (width + 1))
+    images = tuple(tuple([block[y] for block in map(blocks.__getitem__, image_a)
+                          for y in image_b])
+                   for image_a, image_b in zip(a.images, b.images))
+    domain_points = tuple(tuple([i * width + j for i in xs for j in ys])
                           for xs, ys in zip(a.domain_points, b.domain_points))
     _certify_diagonal(a, b, images, domain_points)
     return PartialAction(a.group, space, images, domain_points), p1, p2
@@ -494,17 +494,26 @@ def _certify_diagonal(a: PartialAction, b: PartialAction,
     factor, and the product topology is the coordinatewise order.  A
     failure is a construction bug: InternalCheckError."""
     width = len(b.space)
+    # one divmod table: p decodes to (i, j), -1 to -1, the rest to None;
+    # blocks of it read the factors' values as in _diagonal2
+    pairs = [divmod(p, width) for p in range(len(a.space) * width)]
+    pair_of = dict(enumerate(pairs))
+    pair_of[-1] = -1
+    blocks = [pairs[i * width:(i + 1) * width] + [-1] for i in range(len(a.space))]
+    blocks.append([-1] * (width + 1))
     for g, (image, xs) in enumerate(zip(images, domain_points)):
-        image_a, image_b = a.images[g], b.images[g]
-        want = [(i, j) if i >= 0 and j >= 0 else -1 for i in image_a for j in image_b]
-        got = [divmod(q, width) if q >= 0 else -1 for q in image]
+        image_b = b.images[g]
+        want = [block[j] for block in map(blocks.__getitem__, a.images[g]) for j in image_b]
+        got = list(map(pair_of.get, image))
         if got != want:
             p = next((p for p, (u, v) in enumerate(zip(got, want)) if u != v),
                      min(len(got), len(want)))
             raise InternalCheckError(f"diagonal table of {a.group.elements[g]!r} does "
                                      f"not project onto its factors at point {p}")
-        if ([divmod(p, width) for p in xs]
-                != [(i, j) for i in a.domain_points[g] for j in b.domain_points[g]]):
+        ys = b.domain_points[g]
+        if (list(map(pair_of.get, xs))
+                != [block[j] for block in map(blocks.__getitem__, a.domain_points[g])
+                    for j in ys]):
             raise InternalCheckError(f"diagonal domain of {a.group.elements[g]!r} is "
                                      f"not the product of the factor domains")
 
@@ -541,11 +550,11 @@ def fixed_points(pa: PartialAction, k: Subgroup) -> frozenset[str]:
 def orbit_classes(pa: PartialAction) -> list[int]:
     """Orbits G^x . x as point masks, ordered by least member; the orbit
     relation is verified to be an equivalence."""
-    rel = [0] * len(pa.space)
+    n = len(pa.space)
+    bit = [1 << j for j in range(n)] + [0]  # an undefined entry, -1, adds nothing
+    rel = [0] * n
     for image in pa.images:
-        for i, j in enumerate(image):
-            if j >= 0:
-                rel[i] |= 1 << j
+        rel = [row | bit[j] for row, j in zip(rel, image)]
     return equivalence_classes(rel, "orbit relation", pa.space.points.__getitem__)
 
 
@@ -590,8 +599,7 @@ def is_G_map(f: SpaceMap, pa_x: PartialAction, pa_y: PartialAction) -> bool:
     inverse_row = pa_x.group.inverse_row
     for g, (image_x, image_y) in enumerate(zip(pa_x.images, pa_y.images)):
         xs = pa_x.domain_points[inverse_row[g]]
-        if (list(map(image_y.__getitem__, map(fi.__getitem__, xs)))
-                != list(map(fi.__getitem__, map(image_x.__getitem__, xs)))):
+        if [image_y[fi[x]] for x in xs] != [fi[image_x[x]] for x in xs]:
             return False
     return True
 

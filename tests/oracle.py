@@ -708,6 +708,35 @@ def is_down_set(min_open: Mapping, subset: Iterable[str]) -> bool:
     return all(set(min_open[y]) <= keep for y in keep)
 
 
+def exhaustive_equivalence_classes(rel, name: str, label) -> list[int]:
+    """Classes of a relation given as one bitmask of related indices per
+    index, after the exhaustive scan of every related pair: the first
+    failed reflexivity, symmetry or transitivity check raises
+    InternalCheckError naming the relation and the offending indices
+    through ``label``.  The class masks come ordered by least member.  The
+    reference for ``pact.finspace.equivalence_classes``, whose certificate
+    must agree with it on every relation."""
+    for i, row in enumerate(rel):
+        if not row & (1 << i):
+            raise InternalCheckError(f"{name} not reflexive at {label(i)!r}")
+        for j in range(len(rel)):
+            if not row >> j & 1:
+                continue
+            if not rel[j] & (1 << i):
+                raise InternalCheckError(
+                    f"{name} not symmetric at ({label(i)!r}, {label(j)!r})")
+            if rel[j] & ~row:
+                raise InternalCheckError(
+                    f"{name} not transitive through ({label(i)!r}, {label(j)!r})")
+    classes = []
+    covered = 0
+    for i, row in enumerate(rel):
+        if not covered >> i & 1:
+            classes.append(row)
+            covered |= row
+    return classes
+
+
 def random_partition(rng, items: list[str]) -> list[list[str]]:
     k = rng.randint(1, len(items))
     blocks: list[list[str]] = [[] for _ in range(k)]

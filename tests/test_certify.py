@@ -25,6 +25,7 @@ from pact import (DEFAULT_BOUNDS, FinSpace, InternalCheckError, PartialAction, S
                   space_from_min_opens, trivial_action, twisted_product,
                   validate_group, validate_partial_action)
 from pact.algebra import subgroup_generated
+from pact.verify import CLAIMS
 from pact.paction import _certify_diagonal, restrict_to_group
 from oracle import label_restrict_global, random_preorder_space
 from test_golden_generated import GOLDEN as GENERATED_GOLDEN
@@ -329,7 +330,7 @@ def _diag(seed):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1),
-       st.sampled_from(["first", "second", "undefine", "domain"]))
+       st.sampled_from(["first", "second", "undefine", "off", "domain"]))
 def test_corrupted_diagonal_table_is_internal(seed, kind):
     a, b, diag = _diag(seed)
     images = [list(image) for image in diag.images]
@@ -350,6 +351,8 @@ def test_corrupted_diagonal_table_is_internal(seed, kind):
         images[g][p] = i * width + (j + 1) % width
     elif kind == "undefine":
         images[g][p] = -1
+    elif kind == "off":  # past the product, where divmod reads the same j
+        images[g][p] = len(a.space) * width + j
     else:
         domain_points[g].remove(images[g][p])
     with pytest.raises(InternalCheckError):
@@ -583,6 +586,149 @@ def test_broken_envelope_action_is_internal_for_its_claims_only(monkeypatch):
     assert exit_code(reports) == 3
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["check", "all", "z4-circle", "--json"]) == 3
+
+
+def _assembling_claims(monkeypatch, inst) -> set[str]:
+    """The claims whose own run (run_claim) assembles an envelope."""
+    import pact.envelope
+    real, calls = pact.envelope._assemble, []
+    monkeypatch.setattr(pact.envelope, "_assemble",
+                        lambda *args: calls.append(args) or real(*args))
+    claims = set()
+    for cid in CLAIMS:
+        before = len(calls)
+        run_claim(cid, inst)
+        if len(calls) > before:
+            claims.add(cid)
+    monkeypatch.setattr(pact.envelope, "_assemble", real)
+    return claims
+
+
+def _assert_internal_for_assembling_claims(monkeypatch, patch, message):
+    """On z4-circle, ``patch`` (applied to pact.envelope) makes every
+    envelope assembly raise ``message``: exactly the claims that assemble
+    one become internal errors with it, and the others still report."""
+    inst = load_fixture("z4-circle")
+    before = {rep.claim_id: rep.status for rep in run_all(inst)}
+    claims = _assembling_claims(monkeypatch, inst)
+    patch()
+    with pytest.raises(InternalCheckError) as err:
+        globalize(inst.pa)
+    assert str(err.value) == message
+    reports = run_all(inst)
+    after = {rep.claim_id: rep.status for rep in reports}
+    assert {cid for cid in after if after[cid] != before[cid]} == claims
+    assert claims and len(claims) < len(after)
+    for rep in reports:
+        if rep.claim_id in claims:
+            assert (rep.status, rep.witness) == ("internal-error", {"reason": message})
+
+
+@pytest.mark.parametrize("element, message", [
+    ("0", "mu_e is not the identity"),
+    # mu_2 is no generator of Z4 = <1>, so the certificate finds it through
+    # mu_1 . mu_1, and the scan at the first pair it checks that uses it
+    ("2", "mu is not an action at ('1', '1')"),
+])
+def test_corrupted_action_rows_fail_as_the_exhaustive_checks(monkeypatch, element, message):
+    """Two values of one row of mu swapped where the rows are read off the
+    classes: the action certificate fails, and the exhaustive checks name
+    the same witness as when they were the only checks."""
+    import pact.envelope
+    real = pact.envelope._translated
+
+    def translated(rows, n, cls_of, hys):
+        out = real(rows, n, cls_of, hys)
+        if len(hys) == len(set(cls_of)) < len(cls_of):  # the rows of mu
+            g = int(element)
+            out[g] = (out[g][1], out[g][0]) + out[g][2:]
+        return out
+    _assert_internal_for_assembling_claims(
+        monkeypatch, lambda: monkeypatch.setattr(pact.envelope, "_translated", translated),
+        message)
+
+
+def _unrelated_pair(below):
+    return next((c, d) for d, mask in enumerate(below) for c in range(len(below))
+                if not (mask >> c & 1 or below[c] >> d & 1))
+
+
+def _one_more_relation(below):
+    c, d = _unrelated_pair(below)
+    return [mask | 1 << c if i == d else mask for i, mask in enumerate(below)]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    # c below d but no translate of c below the translate of d
+    (_one_more_relation, "mu_'1' is not a homeomorphism of the total space"),
+    # every class below every class: each mu_g is still a homeomorphism,
+    # but the image of a minimal open is no down-set
+    (lambda below: [(1 << len(below)) - 1] * len(below), "projection is not open"),
+    # every class below itself only: a pair below another in another class
+    (lambda below: [1 << i for i in range(len(below))], "projection is not continuous"),
+], ids=["homeomorphism", "open", "continuous"])
+def test_corrupted_quotient_order_fails_as_the_exhaustive_checks(monkeypatch, corrupt, message):
+    """The down-set masks of the total space corrupted as the quotient
+    order hands them over: the action certificate or the projection
+    equality fails, and the exhaustive checks name the same witness as
+    when they were the only checks."""
+    import pact.envelope
+    real = pact.envelope.quotient_order
+
+    def quotient_order(down, classes):
+        cls_of, below = real(down, classes)
+        return cls_of, corrupt(below)
+    _assert_internal_for_assembling_claims(
+        monkeypatch, lambda: monkeypatch.setattr(pact.envelope, "quotient_order", quotient_order),
+        message)
+
+
+def test_merged_orbits_fail_the_one_step_cross_check(monkeypatch):
+    """The last two orbits of the diagonal action merged: the one-step
+    classes, read off the factors' tables row by row, name the first pair
+    whose class differs, the least member of the merged orbits."""
+    import pact.envelope
+    real = pact.envelope.orbit_classes
+
+    def merged(pa):
+        classes = real(pa)
+        return classes[:-2] + [classes[-2] | classes[-1]]
+    monkeypatch.setattr(pact.envelope, "orbit_classes", merged)
+    inst = load_fixture("z4-arcs")
+    with pytest.raises(InternalCheckError) as err:
+        twisted_product(inst.embedded_pa, inst.big)
+    assert str(err.value) == "one-step class of ('3', 'c2') differs from its orbit"
+
+
+def test_run_all_takes_no_exhaustive_fallback(monkeypatch):
+    """Over whole runs on the fixtures and the generated documents, every
+    relation passes the class certificate and every envelope the action
+    certificate: the exhaustive scans behind them never run.  A certificate
+    that stopped passing on valid input would still give right answers
+    through them, only slower, so this test is what notices."""
+    import pact.envelope
+    import pact.finspace
+    insts = [(load_fixture(name), DEFAULT_BOUNDS) for name in FIXTURES]
+    for entry in json.loads(GENERATED_GOLDEN.read_text()):
+        insts.append((parse_instance(entry["document"]),
+                      dataclasses.replace(DEFAULT_BOUNDS, **entry["bounds"])))
+    calls = []
+    for module, name in ((pact.finspace, "_equivalence_scan"), (pact.envelope, "_action_scan")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    assembled = []
+    real_assemble = pact.envelope._assemble
+    monkeypatch.setattr(pact.envelope, "_assemble",
+                        lambda *args: assembled.append(args) or real_assemble(*args))
+    for inst, bounds in insts:
+        assert "internal-error" not in {rep.status for rep in run_all(inst, bounds)}
+    assert calls == []
+    assert len(assembled) > 50
+    # the counters do see a fallback that runs
+    with pytest.raises(InternalCheckError):
+        pact.finspace.equivalence_classes([0b10, 0b10], "R", str)
+    assert calls == ["_equivalence_scan"]
 
 
 def _with_entry(rows, g: int, i: int, value: int):

@@ -919,3 +919,20 @@ def test_corrupted_partitions_reach_every_reachable_check(rng):
             seen.add(got[1].split(" at ")[0])
     assert seen == {"enveloping action not well defined", "projection is not open",
                     "embedding is not injective", "p^-1(iota(X)) differs from K*X"}
+
+
+def test_well_definedness_is_checked_where_the_action_law_cannot_see_it():
+    """Trivial Z2 on two discrete points, G x X partitioned as
+    {(0,a), (0,b), (1,b)} and {(1,a)}.  Read at the first members (0,a)
+    and (1,a), mu_1 swaps the two classes, a homeomorphism with mu_1 .
+    mu_1 = mu_0, so only the generator's well-definedness check sees that
+    the translate of (0,b) is not in the class of the translate of (0,a):
+    no first member lies in the slice G x {b}."""
+    pa = trivial_action(cyclic_group(2), discrete_space(["a", "b"]))
+    env = globalize(pa)
+    prod, big = env.product_space, env.big_group
+    masks = [0b1011, 0b0100]
+    message = "enveloping action not well defined at ('1', '(0,a)')"
+    for assemble in (lambda: _assemble(pa, big, prod, masks),
+                     lambda: label_assemble(pa, big, prod, [prod.set_of(m) for m in masks])):
+        assert _assembly_outcome(assemble) == ("InternalCheckError", message)

@@ -17,7 +17,8 @@ from pact.finspace import (WIDE_MASK_BITS, _search_maps, bit_indices, column_mas
                            equivalence_classes, monotonicity_violation)
 from oracle import (LabelSpaceMap, assert_same_search, brute_opens,
                     closure_quotient_order, column_masks_by_definition,
-                    copying_search_maps, find_homeomorphism, first_monotone_violation, is_down_set,
+                    copying_search_maps, exhaustive_equivalence_classes, find_homeomorphism,
+                    first_monotone_violation, is_down_set,
                     label_compose, label_core, label_is_open_map, label_is_T1,
                     label_product, label_quotient, label_space_from_min_opens,
                     label_subspace, label_t0_quotient, mask_space,
@@ -388,9 +389,79 @@ def test_equivalence_classes_order_and_internal_checks():
     for rel, broken in (([0b10, 0b10], "not reflexive at 'a'"),
                         ([0b11, 0b10], r"not symmetric at \('a', 'b'\)"),
                         ([0b011, 0b111, 0b110],
-                         r"not transitive through \('a', 'b'\)")):
+                         r"not transitive through \('a', 'b'\)"),
+                        # rows {a, b} at a and c, {b, d} at b and d: each row
+                        # is its representative's, as large as the indices
+                        # it represents, but c is not in its own row
+                        ([0b0011, 0b1010, 0b0011, 0b1010],
+                         r"not symmetric at \('a', 'b'\)")):
         with pytest.raises(InternalCheckError, match="R " + broken):
-            equivalence_classes(rel, "R", "abc".__getitem__)
+            equivalence_classes(rel, "R", "abcd".__getitem__)
+
+
+def _corrupted_relation(rng, kind: str) -> list[int]:
+    """The rows of a random partition of range(n), one class mask per
+    index, then corrupted by ``kind``: two classes merged in the rows of
+    both classes or of one only, a class split in the rows of both parts or
+    of one only, a class's rows replaced by another set as large with the
+    same least member, one related pair added one way (asymmetric) or both ways
+    (not transitive unless both classes are singletons), one index dropped
+    from its own row, or a few bits flipped anywhere."""
+    n = rng.randint(1, 12)
+    label = [rng.randrange(n) for _ in range(n)]
+    masks = {k: sum(1 << i for i in range(n) if label[i] == k) for k in set(label)}
+    rel = [masks[label[i]] for i in range(n)]
+    classes = list(masks.values())
+    both = rng.random() < 0.5
+    if kind == "merged" and len(classes) > 1:
+        a, b = rng.sample(classes, 2)
+        for i in bit_indices(a | b if both else a):
+            rel[i] = a | b
+    elif kind == "split" and any(m.bit_count() > 1 for m in classes):
+        members = bit_indices(rng.choice([m for m in classes if m.bit_count() > 1]))
+        rng.shuffle(members)
+        cut = rng.randint(1, len(members) - 1)
+        for part in (members[:cut], members[cut:]) if both else (members[:cut],):
+            for i in part:
+                rel[i] = sum(1 << j for j in part)
+    elif kind in ("asymmetric", "non-transitive") and len(classes) > 1:
+        i, j = rng.sample(range(n), 2)
+        while label[i] == label[j]:
+            i, j = rng.sample(range(n), 2)
+        rel[i] |= 1 << j
+        if kind == "non-transitive":
+            rel[j] |= 1 << i
+    elif kind == "same-size" and any(m.bit_count() > 1 for m in classes):
+        members = bit_indices(rng.choice([m for m in classes if m.bit_count() > 1]))
+        others = rng.sample(range(members[0] + 1, n), len(members) - 1)
+        for i in members:
+            rel[i] = sum(1 << j for j in [members[0]] + others)
+    elif kind == "non-reflexive":
+        i = rng.randrange(n)
+        rel[i] &= ~(1 << i)
+    elif kind == "random":
+        for _ in range(rng.randint(1, 3)):
+            rel[rng.randrange(n)] ^= 1 << rng.randrange(n)
+    return rel
+
+
+def _class_outcome(classes, rel):
+    try:
+        return "classes", classes(rel, "R", "p{}".format)
+    except InternalCheckError as exc:
+        return "InternalCheckError", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["none", "merged", "split", "same-size", "asymmetric",
+                        "non-transitive", "non-reflexive", "random"]))
+def test_class_certificate_agrees_with_the_exhaustive_scan(seed, kind):
+    """On valid and corrupted partitions, the representative certificate
+    returns the exhaustive scan's classes or raises its exact message."""
+    rel = _corrupted_relation(random.Random(seed), kind)
+    assert (_class_outcome(equivalence_classes, rel)
+            == _class_outcome(exhaustive_equivalence_classes, rel))
 
 
 @st.composite

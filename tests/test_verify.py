@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -422,6 +423,22 @@ def _relabelled(doc: dict, data) -> dict:
     return out
 
 
+def _automorphic(doc: dict, data) -> dict:
+    """A generated arc document, whose group is Z_n listed as 0, ..., n-1,
+    acting through the automorphism x |-> u x for a drawn unit u != 1:
+    theta'_g = theta_{ug} with X'_g = X_{ug}.  Labels and listing orders
+    stay, so the identity is listed first and the greedy generator is
+    still 1, but each element's tables, and so every class's least member
+    and every certificate's representatives, are another element's."""
+    n = len(doc["group"]["elements"])
+    assert doc["group"]["elements"] == [str(g) for g in range(n)]
+    u = data.draw(st.sampled_from([u for u in range(2, n) if math.gcd(u, n) == 1]))
+    pa = doc["partial_action"]
+    return {**doc, "partial_action": {
+        key: {str(g): pa[key][str(u * g % n)] for g in range(n) if str(u * g % n) in pa[key]}
+        for key in ("domains", "maps")}}
+
+
 def _relabelling_cases() -> list:
     """(document, bound overrides, recorded statuses) of every fixture and
     every generated instance, read from the two goldens."""
@@ -445,7 +462,13 @@ def test_verdicts_do_not_depend_on_where_the_identity_is_listed(doc, overrides,
     their labels.  The envelope assembly once read the embedded image by
     pair index where it meant class index, which only agreed when the
     identity was the first element; mask bit order follows point order and
-    class names follow label order, and neither may move a verdict."""
+    class names follow label order, and neither may move a verdict.  The
+    arc documents also keep their verdicts when Z_n acts through an
+    automorphism, which moves every least index that the class and action
+    certificates key on while the listing stays."""
     bounds = dataclasses.replace(DEFAULT_BOUNDS, **overrides)
     inst = parse_instance(_relabelled(doc, data))
     assert [rep.status for rep in run_all(inst, bounds)] == expected
+    if doc["id"].startswith("arc-z"):
+        inst = parse_instance(_automorphic(doc, data))
+        assert [rep.status for rep in run_all(inst, bounds)] == expected
