@@ -163,9 +163,9 @@ def _assemble(pa: PartialAction, big: Group, prod: FinSpace,
     """
     space, k = pa.space, pa.group
     n, pairs, count = len(space), len(prod), len(classes)
-    cls_of, below = quotient_order(prod.down, classes)
+    cls_of, below, member_lists = quotient_order(prod.down, classes)
     pair_class = tuple(cls_of)
-    members = tuple(tuple(bit_indices(m)) for m in classes)
+    members = tuple(map(tuple, member_lists))
     labels = tuple(map(prod.points.__getitem__, map(itemgetter(0), members)))
     total = FinSpace(labels, tuple(below))
 
@@ -295,7 +295,7 @@ def twisted_product(pa: PartialAction, big: Group,
                               "the acting group is not a subgroup of the big group")
     space = pa.space
     pairs = _pair_count(big, space, max_pairs)
-    diag, _ = diagonal_product([_right_translation(k_grp, big), pa], max_points=pairs)
+    diag = diagonal_product(_right_translation(k_grp, big), pa, max_points=pairs)
     # the diagonal product's space is the labelled G x X
     prod = diag.space
     if list(prod.down) != block_down_masks(space.down, len(big)):
@@ -613,9 +613,8 @@ def adjunction_maps(env: EnvelopeResult, pa_y: PartialAction,
                 checks["naturality-post"] = False
                 witness.setdefault("naturality-post-miss", i)
     rs = enumerate_G_maps(pa_x, pa_x, node_budget=node_budget)[:naturality_morphisms]
-    for r in rs:
-        er = envelope_of_map(SpaceMap(pa_x.space, pa_x.space, r), pa_x, pa_x, big,
-                             env_x=env, env_y=env).row
+    ers = lift_maps(MapPoset(pa_x.space, pa_x.space, tuple(rs)), pa_x, pa_x, env, env, big)
+    for r, er in zip(rs, ers):
         for i, bf in enumerate(g_rows):
             if lam[i] < 0:
                 continue
@@ -632,35 +631,32 @@ def adjunction_maps(env: EnvelopeResult, pa_y: PartialAction,
 
 
 def product_comparison(env_d: EnvelopeResult, env_1: EnvelopeResult,
-                       env_2: EnvelopeResult, projections: Sequence[SpaceMap]
-                       ) -> tuple[SpaceMap, dict]:
+                       env_2: EnvelopeResult) -> tuple[SpaceMap, dict]:
     """The canonical map G x_K (X1 x X2) -> (G x_K X1) x (G x_K X2).
 
     ``env_d``, ``env_1`` and ``env_2`` are the twisted products over one
-    group G of the diagonal product X1 x X2 and of its two factors, and
-    ``projections`` the product's two projections, as
-    :func:`diagonal_product` returns them.  Every property
-    (well-definedness, continuity, equivariance, injectivity, surjectivity)
-    is checked and reported; nothing is assumed.
+    group G of the diagonal product X1 x X2 and of its two factors, with
+    X1 x X2's points in :func:`diagonal_product`'s order, so point p is
+    (x1, x2) = divmod(p, |X2|).  Every property (well-definedness,
+    continuity, equivariance, injectivity, surjectivity) is checked and
+    reported; nothing is assumed.
     """
     big = env_d.big_group
-    rho_1, rho_2 = projections
     if env_1.big_group != big or env_2.big_group != big:
         raise ValidationError("group-mismatch", (), "the twisted products must share a group")
-    if (rho_1.source != env_d.base.space or rho_2.source != env_d.base.space
-            or rho_1.target != env_1.base.space or rho_2.target != env_2.base.space):
+    points_1, points_2 = env_1.base.space.points, env_2.base.space.points
+    if env_d.base.space.points != tuple(pair_label(x1, x2) for x1 in points_1
+                                        for x2 in points_2):
         raise ValidationError("space-mismatch", (),
-                              "the projections do not match the twisted products")
-    pa_1, pa_2 = env_1.base, env_2.base
+                              "the first twisted product is not over the factors' product")
     target, _, _ = product(env_1.total, env_2.total,
                            max_points=len(env_1.total) * len(env_2.total))
     # target point ([g,x1], [g,x2]) is index [g,x1] * |G x_K X2| + [g,x2]
     width = len(env_2.total)
-    n_1, n_2 = len(pa_1.space), len(pa_2.space)
-    row_1, row_2 = rho_1.row, rho_2.row
+    n_1, n_2 = len(points_1), len(points_2)
     values, clash = env_d.descend(
         [env_1.pair_class[g * n_1 + x1] * width + env_2.pair_class[g * n_2 + x2]
-         for g in range(len(big)) for x1, x2 in zip(row_1, row_2)])
+         for g in range(len(big)) for x1 in range(n_1) for x2 in range(n_2)])
     cmp_map = SpaceMap(env_d.total, target, values)
 
     hit = set(values)

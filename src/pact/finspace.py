@@ -410,8 +410,8 @@ def _quotient_by_masks(space: FinSpace, classes: Iterable[int]
                        ) -> tuple[FinSpace, SpaceMap]:
     """:func:`quotient` by a partition given as point-index masks."""
     masks = sorted(classes, key=lambda m: m & -m)
-    cls_of, below = quotient_order(space.down, masks)
-    labels = tuple(min(map(space.points.__getitem__, bit_indices(m))) for m in masks)
+    cls_of, below, members = quotient_order(space.down, masks)
+    labels = tuple(min(map(space.points.__getitem__, idx)) for idx in members)
     if len(set(labels)) != len(labels):
         raise ValidationError("duplicate-point", (), "class labels collide")
     qspace = FinSpace(labels, tuple(below))
@@ -419,12 +419,13 @@ def _quotient_by_masks(space: FinSpace, classes: Iterable[int]
 
 
 def quotient_order(down: Sequence[int], classes: Sequence[int]
-                   ) -> tuple[list[int], list[int]]:
+                   ) -> tuple[list[int], list[int], list[list[int]]]:
     """The integer core of every quotient: for a partition of the points of
     a space with down-set masks ``down`` into the index masks ``classes``,
-    the class index of each point and, per class, the mask of the classes
-    below it in the transitive closure of the induced relation (which makes
-    them the down-set masks of the quotient).
+    the class index of each point, per class the mask of the classes below
+    it in the transitive closure of the induced relation (which makes them
+    the down-set masks of the quotient), and per class its point indices,
+    ascending.
     """
     members = [bit_indices(mask) for mask in classes]
     cls_of = [0] * len(down)
@@ -445,7 +446,7 @@ def quotient_order(down: Sequence[int], classes: Sequence[int]
             if acc != m:
                 below[k] = acc
                 changed = True
-    return cls_of, below
+    return cls_of, below, members
 
 
 def equivalence_classes(rel: Sequence[int], name: str,

@@ -16,10 +16,9 @@ from typing import Iterable, Mapping, Sequence
 from .algebra import Group, Subgroup, is_subgroup_embedding
 from .errors import InternalCheckError, ValidationError
 from .finspace import (FinSpace, SpaceMap, _quotient_by_masks, _search_maps,
-                       bit_indices, block_down_masks, compose,
-                       equivalence_classes, is_continuous, is_down_mask,
-                       is_open, is_open_map, monotonicity_violation, product,
-                       spread, subspace)
+                       bit_indices, block_down_masks, equivalence_classes,
+                       is_continuous, is_down_mask, is_open, is_open_map,
+                       monotonicity_violation, product, spread, subspace)
 
 
 @dataclass(frozen=True)
@@ -436,40 +435,22 @@ def restrict_invariant(pa: PartialAction, invariant_open: Iterable[str]) -> Part
                                 [tuple(new[x] for x in xs if x in new) for xs in pa.domain_points])
 
 
-def diagonal_product(pas: Sequence[PartialAction], max_points: int = 64
-                     ) -> tuple[PartialAction, list[SpaceMap]]:
-    """Diagonal partial action on the product, plus the projection G-maps.
+def diagonal_product(a: PartialAction, b: PartialAction, max_points: int = 64
+                     ) -> PartialAction:
+    """The diagonal partial action of the factors' group on A x B.
 
-    Each two-factor step builds the product's index tables from the
-    factors' (point (x_i, y_j) is i * |B| + j) and certifies them
-    coordinate by coordinate (:func:`_certify_diagonal`) instead of running
-    the full validator; the projections are checked to be G-maps."""
-    if not pas:
-        raise ValidationError("empty-product", (), "need at least one factor")
-    group = pas[0].group
-    for pa in pas[1:]:
-        if pa.group != group:
-            raise ValidationError("group-mismatch", (), "factors must share a group")
-    result = pas[0]
-    projections: list[SpaceMap] = [SpaceMap.identity(pas[0].space)]
-    for nxt in pas[1:]:
-        combined, p1, p2 = _diagonal2(result, nxt, max_points)
-        projections = [compose(pr, p1) for pr in projections]
-        projections.append(p2)
-        result = combined
-    for pa, pr in zip(pas, projections):
-        if not is_G_map(pr, result, pa):
-            raise InternalCheckError("a product projection is not equivariant")
-    return result, projections
-
-
-def _diagonal2(a: PartialAction, b: PartialAction, max_points: int
-               ) -> tuple[PartialAction, SpaceMap, SpaceMap]:
-    """The diagonal action on A x B, built from the factors' index tables
-    and certified by :func:`_certify_diagonal` instead of validated."""
-    space, p1, p2 = product(a.space, b.space, max_points=max_points)
-    # point (x_i, y_j) is i * |B| + j; block x reads it at j, and -1 at -1,
-    # and the last block, for x = -1, reads -1 everywhere
+    Its index tables are built from the factors' (point (x_i, y_j) is
+    i * |B| + j) and certified coordinate by coordinate
+    (:func:`_certify_diagonal`) instead of validated.  The two projections
+    of :func:`product` are then G-maps with no check of their own: the
+    certificate decodes each entry theta_g(i, j) to (theta^A_g(i),
+    theta^B_g(j)), which is the equivariance of both coordinate maps, and
+    U_(x,y) = U_x x U_y makes them monotone."""
+    if a.group != b.group:
+        raise ValidationError("group-mismatch", (), "factors must share a group")
+    space, _, _ = product(a.space, b.space, max_points=max_points)
+    # block x reads point (x, y_j) at j, and -1 at -1, and the last block,
+    # for x = -1, reads -1 everywhere
     width = len(b.space)
     blocks = [list(range(x * width, (x + 1) * width)) + [-1] for x in range(len(a.space))]
     blocks.append([-1] * (width + 1))
@@ -479,7 +460,7 @@ def _diagonal2(a: PartialAction, b: PartialAction, max_points: int
     domain_points = tuple(tuple([i * width + j for i in xs for j in ys])
                           for xs, ys in zip(a.domain_points, b.domain_points))
     _certify_diagonal(a, b, images, domain_points)
-    return PartialAction(a.group, space, images, domain_points), p1, p2
+    return PartialAction(a.group, space, images, domain_points)
 
 
 def _certify_diagonal(a: PartialAction, b: PartialAction,
@@ -495,7 +476,7 @@ def _certify_diagonal(a: PartialAction, b: PartialAction,
     failure is a construction bug: InternalCheckError."""
     width = len(b.space)
     # one divmod table: p decodes to (i, j), -1 to -1, the rest to None;
-    # blocks of it read the factors' values as in _diagonal2
+    # blocks of it read the factors' values as in diagonal_product
     pairs = [divmod(p, width) for p in range(len(a.space) * width)]
     pair_of = dict(enumerate(pairs))
     pair_of[-1] = -1

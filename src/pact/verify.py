@@ -19,7 +19,7 @@ from .envelope import (EnvelopeResult, adjunction_maps, fixed_identities,
                        lift_maps, product_comparison, recognize_globalization,
                        trivial_collapse)
 from .errors import BoundExceeded, InternalCheckError, ValidationError
-from .finspace import (SpaceMap, bit_indices, discrete_space, is_closed,
+from .finspace import (FinSpace, SpaceMap, bit_indices, discrete_space, is_closed,
                        is_continuous, is_down_mask, is_open, is_open_map, is_T1,
                        pair_label, space_from_min_opens, split_pair_label,
                        subspace)
@@ -238,23 +238,25 @@ def _claim_adjunction(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, di
 
 
 def split_diagonal_factors(pa: PartialAction
-                           ) -> tuple[PartialAction, PartialAction] | None:
+                           ) -> tuple[PartialAction, PartialAction, PartialAction] | None:
     """Recover the two factors of a diagonal-product action from the pair
-    labels, or None when the instance does not carry a product structure."""
+    labels, with their diagonal product, or None when the instance does not
+    carry a product structure.
+
+    The factors' opens, domains and thetas are read off the first and
+    second coordinates, and the diagonal product rebuilt from them must
+    equal ``pa`` label for label: its minimal opens, domains and thetas are
+    products of the factors', so that one comparison decides whether
+    ``pa``'s are."""
     pts = pa.space.points
     split = [split_pair_label(p) for p in pts]
     if any(s is None for s in split):
         return None
-    firsts: list[str] = []
-    seconds: list[str] = []
-    for a, b in split:  # type: ignore[misc]
-        if a not in firsts:
-            firsts.append(a)
-        if b not in seconds:
-            seconds.append(b)
+    firsts = list(dict.fromkeys(a for a, _ in split))
+    seconds = list(dict.fromkeys(b for _, b in split))
+    # each point is the pair label of its split, so this count makes the
+    # points exactly the pairs of firsts x seconds
     if len(pts) != len(firsts) * len(seconds):
-        return None
-    if {pair_label(a, b) for a in firsts for b in seconds} != set(pts):
         return None
 
     def u1(p: str) -> set[str]:
@@ -267,67 +269,44 @@ def split_diagonal_factors(pa: PartialAction
                 if all(pa.space.leq(pair_label(p, q2), pair_label(p, q))
                        for p in firsts)}
 
-    opens_1 = {p: u1(p) for p in firsts}
-    opens_2 = {q: u2(q) for q in seconds}
-    for a, b in split:  # type: ignore[misc]
-        expected = {pair_label(p, q) for p in opens_1[a] for q in opens_2[b]}
-        if expected != set(pa.space.min_open_of(pair_label(a, b))):
-            return None
-    try:
-        space_1 = space_from_min_opens(firsts, opens_1)
-        space_2 = space_from_min_opens(seconds, opens_2)
-    except ValidationError:
-        return None
+    def factor(k: int, space: FinSpace) -> PartialAction:
+        # the domains and thetas read off coordinate k
+        return validate_partial_action(
+            pa.group, space,
+            {g: {split_pair_label(p)[k] for p in xs} for g, xs in pa.domains.items()},
+            {g: {split_pair_label(p)[k]: split_pair_label(q)[k] for p, q in theta.items()}
+             for g, theta in pa.thetas.items()})
 
-    domains_1: dict[str, set[str]] = {}
-    domains_2: dict[str, set[str]] = {}
-    for g in pa.group.elements:
-        domains_1[g] = {a for a, _ in (split_pair_label(p) for p in pa.domains[g])}
-        domains_2[g] = {b for _, b in (split_pair_label(p) for p in pa.domains[g])}
-        if {pair_label(a, b) for a in domains_1[g] for b in domains_2[g]} != set(pa.domains[g]):
-            return None
-    thetas_1: dict[str, dict[str, str]] = {}
-    thetas_2: dict[str, dict[str, str]] = {}
-    for g in pa.group.elements:
-        t1: dict[str, str] = {}
-        t2: dict[str, str] = {}
-        for p in pa.domains[pa.group.inv(g)]:
-            a, b = split_pair_label(p)  # type: ignore[misc]
-            ia, ib = split_pair_label(pa.thetas[g][p])  # type: ignore[misc]
-            if t1.setdefault(a, ia) != ia or t2.setdefault(b, ib) != ib:
-                return None
-        thetas_1[g] = t1
-        thetas_2[g] = t2
     try:
-        pa_1 = validate_partial_action(pa.group, space_1, domains_1, thetas_1)
-        pa_2 = validate_partial_action(pa.group, space_2, domains_2, thetas_2)
-        diag, _ = diagonal_product([pa_1, pa_2], max_points=len(pts))
+        pa_1 = factor(0, space_from_min_opens(firsts, {p: u1(p) for p in firsts}))
+        pa_2 = factor(1, space_from_min_opens(seconds, {q: u2(q) for q in seconds}))
+        diag = diagonal_product(pa_1, pa_2, max_points=len(pts))
     except ValidationError:
         return None
-    same = (set(diag.space.points) == set(pts)
-            and all(diag.space.min_open_of(p) == pa.space.min_open_of(p) for p in pts)
-            and all(diag.domains[g] == pa.domains[g] for g in pa.group.elements)
+    # theta_g's table is keyed by X_{g^-1}, so equal thetas mean equal domains
+    same = (all(diag.space.min_open_of(p) == pa.space.min_open_of(p) for p in pts)
             and all(dict(diag.thetas[g]) == dict(pa.thetas[g]) for g in pa.group.elements))
-    if not same:
-        return None
-    return pa_1, pa_2
+    return (pa_1, pa_2, diag) if same else None
 
 
-def _compare_product(factors: tuple[PartialAction, PartialAction], inst: Instance,
-                     bounds: Bounds, run: Run) -> dict:
-    """The product comparison's report for the factors of the instance."""
-    diag, projections = diagonal_product(factors, max_points=bounds.product_points)
+def _compare_product(split: tuple[PartialAction, PartialAction, PartialAction],
+                     inst: Instance, bounds: Bounds, run: Run) -> dict:
+    """The product comparison's report for the factors and diagonal product
+    that :func:`split_diagonal_factors` found in the instance."""
+    pa_1, pa_2, diag = split
+    if len(diag.space) > bounds.product_points:
+        raise BoundExceeded("product space", bounds.product_points, len(diag.space))
     envs = [run.twisted_product(pa, inst.big, bounds.envelope_pairs)
-            for pa in (diag, *factors)]
-    return product_comparison(*envs, projections)[1]
+            for pa in (diag, pa_1, pa_2)]
+    return product_comparison(*envs)[1]
 
 
 def _claim_product_comparison(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
-    factors = split_diagonal_factors(inst.embedded_pa)
-    if factors is None:
+    split = split_diagonal_factors(inst.embedded_pa)
+    if split is None:
         return PRECONDITION_UNMET, {"reason": "needs two factors: the instance is "
                                               "not a diagonal product"}
-    report = _compare_product(factors, inst, bounds, run)
+    report = _compare_product(split, inst, bounds, run)
     witness = {k: v for k, v in report.items() if k != "status"}
     return report["status"], witness
 
@@ -549,10 +528,10 @@ def replay_witness(report: ClaimReport, instance: Instance,
     w = report.witness
     run = Run()
     if cid == "product-comparison":
-        factors = split_diagonal_factors(instance.embedded_pa)
-        if factors is None:
+        split = split_diagonal_factors(instance.embedded_pa)
+        if split is None:
             return False
-        rep = _compare_product(factors, instance, bounds, run)
+        rep = _compare_product(split, instance, bounds, run)
         hit = set(rep["map"].values())
         unhit = w.get("unhit_targets", [])
         if any(t in hit for t in unhit):

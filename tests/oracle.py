@@ -584,6 +584,88 @@ def label_restrict_global(pa, open_subset):
     return validate_partial_action(pa.group, sub, domains, thetas)
 
 
+
+def label_split_diagonal_factors(pa):
+    """The two factors of a diagonal-product action read off its pair
+    labels, or None, with every check made on its own: each minimal open
+    is the product of the factors', each domain is a grid, each theta acts
+    coordinate by coordinate, and the rebuilt diagonal product equals
+    ``pa`` label for label.  ``pact.split_diagonal_factors`` as it was
+    before it left the first three to the last."""
+    from pact import (diagonal_product, pair_label, space_from_min_opens,
+                      split_pair_label, validate_partial_action)
+
+    pts = pa.space.points
+    split = [split_pair_label(p) for p in pts]
+    if any(s is None for s in split):
+        return None
+    firsts: list[str] = []
+    seconds: list[str] = []
+    for a, b in split:
+        if a not in firsts:
+            firsts.append(a)
+        if b not in seconds:
+            seconds.append(b)
+    if len(pts) != len(firsts) * len(seconds):
+        return None
+    if {pair_label(a, b) for a in firsts for b in seconds} != set(pts):
+        return None
+
+    def u1(p: str) -> set[str]:
+        return {p2 for p2 in firsts
+                if all(pa.space.leq(pair_label(p2, q), pair_label(p, q))
+                       for q in seconds)}
+
+    def u2(q: str) -> set[str]:
+        return {q2 for q2 in seconds
+                if all(pa.space.leq(pair_label(p, q2), pair_label(p, q))
+                       for p in firsts)}
+
+    opens_1 = {p: u1(p) for p in firsts}
+    opens_2 = {q: u2(q) for q in seconds}
+    for a, b in split:
+        expected = {pair_label(p, q) for p in opens_1[a] for q in opens_2[b]}
+        if expected != set(pa.space.min_open_of(pair_label(a, b))):
+            return None
+    try:
+        space_1 = space_from_min_opens(firsts, opens_1)
+        space_2 = space_from_min_opens(seconds, opens_2)
+    except ValidationError:
+        return None
+
+    domains_1: dict[str, set[str]] = {}
+    domains_2: dict[str, set[str]] = {}
+    for g in pa.group.elements:
+        domains_1[g] = {a for a, _ in (split_pair_label(p) for p in pa.domains[g])}
+        domains_2[g] = {b for _, b in (split_pair_label(p) for p in pa.domains[g])}
+        if {pair_label(a, b) for a in domains_1[g] for b in domains_2[g]} != set(pa.domains[g]):
+            return None
+    thetas_1: dict[str, dict[str, str]] = {}
+    thetas_2: dict[str, dict[str, str]] = {}
+    for g in pa.group.elements:
+        t1: dict[str, str] = {}
+        t2: dict[str, str] = {}
+        for p in pa.domains[pa.group.inv(g)]:
+            a, b = split_pair_label(p)
+            ia, ib = split_pair_label(pa.thetas[g][p])
+            if t1.setdefault(a, ia) != ia or t2.setdefault(b, ib) != ib:
+                return None
+        thetas_1[g] = t1
+        thetas_2[g] = t2
+    try:
+        pa_1 = validate_partial_action(pa.group, space_1, domains_1, thetas_1)
+        pa_2 = validate_partial_action(pa.group, space_2, domains_2, thetas_2)
+        diag = diagonal_product(pa_1, pa_2, max_points=len(pts))
+    except ValidationError:
+        return None
+    same = (set(diag.space.points) == set(pts)
+            and all(diag.space.min_open_of(p) == pa.space.min_open_of(p) for p in pts)
+            and all(diag.domains[g] == pa.domains[g] for g in pa.group.elements)
+            and all(dict(diag.thetas[g]) == dict(pa.thetas[g]) for g in pa.group.elements))
+    if not same:
+        return None
+    return pa_1, pa_2
+
 def brute_orbits(elements, mul, inv, identity, points,
                  domains, thetas) -> list[frozenset[str]]:
     """Orbits by explicit union-find over the one-step reachability."""

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from pact import (DEFAULT_BOUNDS, FinSpace, InternalCheckError, PartialAction, Subgroup,
                   ValidationError, all_subgroups, cyclic_group, diagonal_product,
                   discrete_space, exit_code, fixture_dict, global_action, globalize,
-                  is_locally_G_contractible, isotropy, load_fixture, parse_instance, restrict_global,
+                  is_G_map, is_locally_G_contractible, isotropy, load_fixture,
+                  parse_instance, product, restrict_global,
                   restrict_invariant, restrict_to_subgroup, run_all, run_claim,
                   space_from_min_opens, trivial_action, twisted_product,
                   validate_group, validate_partial_action)
@@ -125,16 +126,33 @@ def test_certified_subgroup_restriction_equals_validated(seed):
         assert fields(res) == fields(validated(res))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1))
-def test_certified_diagonal_product_equals_validated(seed):
+def random_factors(seed):
+    """Two restricted actions of one random group, the second trivial half
+    of the time."""
     rng = random.Random(seed)
     grp = GROUPS[rng.choice(sorted(GROUPS))]()
     factors = [_restricted(rng, regular_action(rng, grp)) for _ in range(2)]
     if rng.random() < 0.5:
         factors[1] = _restricted(rng, trivial_action(grp, factors[1].space))
-    diag, _ = diagonal_product(factors, max_points=10 ** 4)
+    return factors
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_certified_diagonal_product_equals_validated(seed):
+    diag = diagonal_product(*random_factors(seed), max_points=10 ** 4)
     assert fields(diag) == fields(validated(diag))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_product_projections_are_G_maps_of_the_diagonal_product(seed):
+    """What the diagonal certificate proves and no runtime check repeats:
+    the projections of the product space are G-maps onto each factor."""
+    a, b = random_factors(seed)
+    diag = diagonal_product(a, b, max_points=10 ** 4)
+    _, p1, p2 = product(a.space, b.space, max_points=10 ** 4)
+    assert is_G_map(p1, diag, a) and is_G_map(p2, diag, b)
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -144,7 +162,7 @@ def test_certified_constructions_equal_validated_on_fixtures(name):
     env = twisted_product(pa, inst.big, max_pairs=10 ** 4)
     built = [env.as_global_action(), globalize(inst.pa).as_global_action(),
              trivial_action(inst.group, inst.space),
-             diagonal_product([inst.pa, inst.pa], max_points=10 ** 4)[0]]
+             diagonal_product(inst.pa, inst.pa, max_points=10 ** 4)]
     built += [restrict_to_subgroup(pa, sub) for sub in all_subgroups(pa.group)]
     # the K-restrictions of iota-k (of the envelope) and of adjunction (of Y)
     built += [restrict_to_group(env.as_global_action(), pa.group),
@@ -325,7 +343,7 @@ def _diag(seed):
     grp = GROUPS[rng.choice(sorted(GROUPS))]()
     a = _restricted(rng, regular_action(rng, grp))
     b = _restricted(rng, regular_action(rng, grp))
-    return a, b, diagonal_product([a, b], max_points=10 ** 4)[0]
+    return a, b, diagonal_product(a, b, max_points=10 ** 4)
 
 
 @settings(max_examples=60, deadline=None)
@@ -476,7 +494,7 @@ def test_built_actions_never_validate(monkeypatch):
     calls = count_validations(monkeypatch)
     globalize(pa).as_global_action()
     trivial_action(pa.group, pa.space)
-    diagonal_product([pa, pa], max_points=10 ** 4)
+    diagonal_product(pa, pa, max_points=10 ** 4)
     restrict_to_subgroup(pa, Subgroup.from_labels(pa.group, {"0", "2"}))
     k = Subgroup.from_labels(pa.group, {"0", "2"}).as_group()
     restrict_to_group(trivial_action(pa.group, pa.space), k)
@@ -676,8 +694,8 @@ def test_corrupted_quotient_order_fails_as_the_exhaustive_checks(monkeypatch, co
     real = pact.envelope.quotient_order
 
     def quotient_order(down, classes):
-        cls_of, below = real(down, classes)
-        return cls_of, corrupt(below)
+        cls_of, below, members = real(down, classes)
+        return cls_of, corrupt(below), members
     _assert_internal_for_assembling_claims(
         monkeypatch, lambda: monkeypatch.setattr(pact.envelope, "quotient_order", quotient_order),
         message)

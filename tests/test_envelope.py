@@ -40,9 +40,9 @@ def twist(pa, big=None):
 def compare_products(pa_1, pa_2, big=None):
     """product_comparison on the twisted products of pa_1 x pa_2 and of
     both factors, over pa_1's group unless ``big`` is given."""
-    diag, projections = diagonal_product([pa_1, pa_2])
+    diag = diagonal_product(pa_1, pa_2)
     envs = [twist(pa, big or pa_1.group) for pa in (diag, pa_1, pa_2)]
-    return product_comparison(*envs, projections)
+    return product_comparison(*envs)
 
 
 def compare_iterated_twists(pa, big=None):
@@ -387,15 +387,15 @@ def test_comparisons_reject_envelopes_of_other_actions():
     with pytest.raises(ValidationError):
         iterated_twist_comparison(outer_2, outer_1, outer_2)
     z2pair, pt = fixture_pa("z2-pair"), fixture_pa("pt")
-    diag, projections = diagonal_product([z2pair, pt])
+    diag = diagonal_product(z2pair, pt)
     with pytest.raises(ValidationError) as err:
-        product_comparison(twist(diag), twist(pt), twist(z2pair), projections)
+        product_comparison(twist(diag), twist(pt), twist(z2pair))
     assert err.value.axiom == "space-mismatch"
     klein = validate_group(["0", "1", "a", "b"],
                            [["0", "1", "a", "b"], ["1", "0", "b", "a"],
                             ["a", "b", "0", "1"], ["b", "a", "1", "0"]], "0")
     with pytest.raises(ValidationError) as err:
-        product_comparison(twist(diag), twist(z2pair, klein), twist(pt), projections)
+        product_comparison(twist(diag), twist(z2pair, klein), twist(pt))
     assert err.value.axiom == "group-mismatch"
 
 
@@ -566,10 +566,11 @@ def test_split_recovers_non_square_factors():
     from pact import split_diagonal_factors
     z2pair = fixture_pa("z2-pair")
     wedge = fixture_pa("z2-wedge")
-    diag, _ = diagonal_product([z2pair, wedge])
-    factors = split_diagonal_factors(diag)
-    assert factors is not None
-    pa1, pa2 = factors
+    diag = diagonal_product(z2pair, wedge)
+    split = split_diagonal_factors(diag)
+    assert split is not None
+    pa1, pa2, rebuilt = split
+    assert rebuilt == diag
     assert pa1.space.points == z2pair.space.points
     assert pa2.space.points == wedge.space.points
     assert pa1.domains == z2pair.domains

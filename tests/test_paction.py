@@ -11,7 +11,7 @@ from pact import (BoundExceeded, FinSpace, InternalCheckError, PartialAction, Sp
                   ValidationError, cyclic_group, diagonal_product,
                   discrete_space, enumerate_G_maps, fixed_points,
                   global_action, is_continuous, is_G_map, is_invariant,
-                  is_isovariant, isotropy, load_fixture, orbit_space,
+                  is_isovariant, isotropy, load_fixture, orbit_space, product,
                   restrict_global, restrict_invariant, restrict_to_subgroup,
                   space_from_min_opens, trivial_action, validate_group,
                   validate_partial_action)
@@ -101,10 +101,10 @@ def test_restrict_global_examples():
 def test_diagonal_product_examples():
     z2pair = fixture_pa("z2-pair")
     pt = fixture_pa("pt")
-    diag, projs = diagonal_product([z2pair, pt])
-    assert is_G_homeomorphism(projs[0], diag, z2pair)
+    diag = diagonal_product(z2pair, pt)
+    assert is_G_homeomorphism(product(z2pair.space, pt.space)[1], diag, z2pair)
 
-    sq, _ = diagonal_product([z2pair, z2pair])
+    sq = diagonal_product(z2pair, z2pair)
     fixture_sq = fixture_pa("z2-pair-sq")
     assert sq.space == fixture_sq.space
     assert sq.domains == fixture_sq.domains
@@ -113,23 +113,21 @@ def test_diagonal_product_examples():
     assert sq.domains["1"] == frozenset({"(a,a)"})
 
     circle = fixture_pa("z4-circle")
-    double, _ = diagonal_product([circle, circle])
+    double = diagonal_product(circle, circle)
     assert len(double.space) == 64
     assert double.is_global()
 
     with pytest.raises(ValidationError):
-        diagonal_product([z2pair, fixture_pa("z4-circle")])
-    with pytest.raises(ValidationError):
-        diagonal_product([])
-    from pact import BoundExceeded
+        diagonal_product(z2pair, fixture_pa("z4-circle"))
     with pytest.raises(BoundExceeded):
-        diagonal_product([circle, circle], max_points=32)
+        diagonal_product(circle, circle, max_points=32)
 
 
 def test_diagonal_product_universal_property():
     z2pair = fixture_pa("z2-pair")
     wedge = fixture_pa("z2-wedge")
-    diag, (p1, p2) = diagonal_product([z2pair, z2pair])
+    diag = diagonal_product(z2pair, z2pair)
+    _, p1, p2 = product(z2pair.space, z2pair.space)
     cone_maps = [SpaceMap(wedge.space, z2pair.space, row)
                  for row in enumerate_G_maps(wedge, z2pair)]
     pairing_maps = [SpaceMap(wedge.space, diag.space, row)
@@ -380,8 +378,8 @@ def test_twisted_diagonal_action_validates_without_pairwise_leq(monkeypatch):
         raise AssertionError("monotonicity must be checked on down-set masks")
 
     monkeypatch.setattr(FinSpace, "leq", no_pairwise_scan)
-    diag, projections = diagonal_product([translation, pa],
-                                         max_points=n * len(half))
+    diag = diagonal_product(translation, pa, max_points=n * len(half))
+    _, *projections = product(translation.space, pa.space, max_points=n * len(half))
     assert len(diag.space) == 240
     again = validate_partial_action(diag.group, diag.space, diag.domains,
                                     diag.thetas)
@@ -443,7 +441,7 @@ def _random_partial_action(rng, shape: str):
         return _random_factor(rng, n)
     if shape == "diagonal":
         a, b = _random_factor(rng, n), _random_factor(rng, n)
-        return diagonal_product([a, b], max_points=len(a.space) * len(b.space))[0]
+        return diagonal_product(a, b, max_points=len(a.space) * len(b.space))
     # wide: 12 x 8 points, or 12 x 6..7 with the second factor restricted,
     # so the domain masks span two machine words
     a = _cycles_action(4, 3)
@@ -451,7 +449,7 @@ def _random_partial_action(rng, shape: str):
     small = _restricted(rng, b)
     if len(small.space) >= 6:
         b = small
-    return diagonal_product([a, b], max_points=len(a.space) * len(b.space))[0]
+    return diagonal_product(a, b, max_points=len(a.space) * len(b.space))
 
 
 def _corrupted(rng, pa, kind: str):

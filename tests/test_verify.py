@@ -4,17 +4,23 @@ import copy
 import dataclasses
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pact import (DEFAULT_BOUNDS, ClaimReport, ValidationError, claim_ids,
-                  exit_code, fixture_dict, fixture_names, load_fixture,
-                  pair_label, parse_instance, replay_witness,
-                  run_all, run_claim, split_diagonal_factors, split_pair_label)
+                  cyclic_group, diagonal_product, discrete_space, exit_code,
+                  fixture_dict, fixture_names, load_fixture, pair_label,
+                  parse_instance, replay_witness, run_all, run_claim,
+                  space_from_min_opens, split_diagonal_factors, split_pair_label,
+                  trivial_action, validate_partial_action)
 from pact.verify import first_split_pair
-from oracle import pairwise_split_pair, worst_status
+from oracle import (label_split_diagonal_factors, pairwise_split_pair,
+                    random_preorder_space, worst_status)
+from test_certify import GROUPS, regular_action
+from test_paction import _restricted
 from test_golden import GOLDEN as FIXTURE_GOLDEN
 from test_golden_generated import GOLDEN as GENERATED_GOLDEN
 
@@ -84,14 +90,132 @@ def test_run_all_examples():
 
 def test_split_diagonal_factors():
     sq = load_fixture("z2-pair-sq")
-    factors = split_diagonal_factors(sq.pa)
-    assert factors is not None
-    pa1, pa2 = factors
+    split = split_diagonal_factors(sq.pa)
+    assert split is not None
+    pa1, pa2, diag = split
+    assert diag.space.points == sq.pa.space.points
     assert pa1.space.points == ("a", "b")
     assert pa1.domains["1"] == frozenset({"a"})
     assert pa1 == pa2
     assert split_diagonal_factors(load_fixture("z2-pair").pa) is None
     assert split_diagonal_factors(load_fixture("z4-circle").pa) is None
+
+
+def test_product_comparison_is_bounded_by_the_product_size():
+    """z2-pair-sq's product has 4 points: a product bound of 4 decides the
+    claim, and 3 skips it on the product, before any twisted product."""
+    sq = load_fixture("z2-pair-sq")
+    at = dataclasses.replace(DEFAULT_BOUNDS, product_points=4)
+    assert run_claim("product-comparison", sq, at).status == "fails"
+    below = dataclasses.replace(DEFAULT_BOUNDS, product_points=3)
+    rep = run_claim("product-comparison", sq, below)
+    assert rep.status == "skipped-bounds"
+    assert rep.witness == {"reason": "product space: needs 4, bound is 3"}
+
+
+def _tables(pa):
+    """pa's label tables: points, minimal opens, domains and thetas."""
+    sp = pa.space
+    return (list(sp.points), {p: set(sp.min_open_of(p)) for p in sp.points},
+            {g: set(pa.domains[g]) for g in pa.group.elements},
+            {g: dict(pa.thetas[g]) for g in pa.group.elements})
+
+
+def _from_tables(group, points, min_open, domains, thetas, name=lambda p: p):
+    """The partial action on the label tables, every label passed through
+    ``name``, or None when the tables are not one."""
+    try:
+        return validate_partial_action(
+            group,
+            space_from_min_opens([name(p) for p in points],
+                                 {name(p): [name(q) for q in u] for p, u in min_open.items()}),
+            {g: [name(x) for x in xs] for g, xs in domains.items()},
+            {g: {name(x): name(y) for x, y in t.items()} for g, t in thetas.items()})
+    except ValidationError:
+        return None
+
+
+def _split_input(rng, kind):
+    """A two-factor diagonal product with renamed factor labels, changed by
+    ``kind`` ("product" changes nothing), with its points shuffled; None
+    when the change leaves no partial action."""
+    grp = cyclic_group(2) if kind == "theta" else GROUPS[rng.choice(sorted(GROUPS))]()
+
+    def factor():
+        if kind == "theta":  # discrete, so any permutation is a homeomorphism
+            return trivial_action(grp, discrete_space([f"p{i}" for i in range(rng.randint(2, 3))]))
+        points, min_open = random_preorder_space(rng, 4)
+        space = space_from_min_opens(points, min_open)
+        shape = "trivial" if kind == "min-open" else rng.choice(["regular", "trivial", "on-v"])
+        if kind == "domain" or shape == "on-v":
+            # identity maps on one open V for every g != e, all of X when a
+            # point of V is to drop out
+            v = set(points) if kind == "domain" else set().union(
+                *(min_open[p] for p in rng.sample(points, rng.randint(1, len(points)))))
+            return validate_partial_action(
+                grp, space, {g: set(points) if g == grp.identity else v for g in grp.elements},
+                {g: {x: x for x in (points if g == grp.identity else v)}
+                 for g in grp.elements})
+        if shape == "trivial":
+            return trivial_action(grp, space)
+        return _restricted(rng, regular_action(rng, grp))
+
+    names = ["x", "(x,y)", "((u,v),w)", "()"]
+    factors = []
+    for tag in "ab":
+        pa = factor()
+        fresh = {p: f"{rng.choice(names)}{tag}{i}" for i, p in enumerate(pa.space.points)}
+        factors.append(_from_tables(grp, *_tables(pa), name=fresh.__getitem__))
+    points, min_open, domains, thetas = _tables(diagonal_product(*factors, max_points=10 ** 4))
+
+    # the points of a class at the top of the order within ``within``:
+    # U_r is U_p for every r in ``within`` above p
+    def top_class(within):
+        p = rng.choice([p for p in within
+                        if all(min_open[r] == min_open[p] for r in within if p in min_open[r])])
+        return [r for r in within if min_open[r] == min_open[p]]
+
+    if kind == "min-open":  # U_p grows by some U_q, with p's class at the top
+        top = top_class(points)
+        grown = min_open[rng.choice([q for q in points if not min_open[q] <= min_open[top[0]]]
+                                    or points)]
+        for p in top:
+            min_open[p] = min_open[p] | grown
+    elif kind == "domain":  # a top class of V drops out of the domains
+        for p in top_class(domains[grp.elements[-1]]):
+            for g in grp.elements:
+                if g != grp.identity:
+                    domains[g].discard(p)
+                    thetas[g].pop(p)
+    elif kind == "theta":  # theta_1 swaps two points
+        p, q = rng.sample(points, 2)
+        thetas["1"][p], thetas["1"][q] = q, p
+    rng.shuffle(points)
+    return _from_tables(grp, points, min_open, domains, thetas)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["product", "min-open", "domain", "theta"]))
+def test_split_matches_the_label_split(seed, kind):
+    """The split that leaves every check to its final comparison finds the
+    factors the label split with one check per part finds, or None when it
+    does, on shuffled and renamed products and on products changed in one
+    class's minimal open, in one class of a domain, or in two theta entries
+    swapped."""
+    pa = _split_input(random.Random(seed), kind)
+    if pa is None:
+        return
+    want = label_split_diagonal_factors(pa)
+    got = split_diagonal_factors(pa)
+    if kind == "product" and all(pa.domain_points):
+        assert want is not None  # no empty domain hides a factor's
+    if want is None:
+        assert got is None
+        return
+    assert got is not None and got[:2] == want
+    diag = got[2]
+    assert diag == diagonal_product(*want, max_points=len(pa.space))
+    assert sorted(diag.space.points) == sorted(pa.space.points)
 
 
 def test_trivial_collapse_claim_on_adhoc_instance():
