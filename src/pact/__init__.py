@@ -8,8 +8,8 @@ structural propositions about them on concrete instances.
 from .algebra import (Group, Subgroup, all_subgroups, conjugate_subgroup,
                       cyclic_group, subgroup_generated, validate_group)
 from .bounds import DEFAULT_BOUNDS, Bounds
-from .envelope import (AdjunctionResult, EnvelopeResult, adjunction_maps,
-                       envelope_of_map, fixed_decomposition, globalize,
+from .envelope import (EnvelopeResult, adjunction_maps, envelope_of_map,
+                       fixed_decomposition, globalize,
                        iterated_twist_comparison, product_comparison,
                        recognize_globalization, trivial_collapse,
                        twisted_product)

@@ -32,19 +32,17 @@ def _load_instance(ref: str) -> Instance:
     return parse_instance(Path(ref))  # raises with a clear message
 
 
-def _emit(doc: dict, args: argparse.Namespace, text__fallback=None) -> None:
+def _emit(doc: dict, args: argparse.Namespace, text=None) -> None:
     payload = json.dumps(doc, indent=2, sort_keys=True)
     out = getattr(args, "output", None)
     if out:
         Path(out).write_text(payload + "\n")
         print(f"wrote {out}")
         return
-    if getattr(args, "json", False) or text__fallback is None:
+    if getattr(args, "json", False) or text is None:
         print(payload)
     else:
-        print(text__fallback(doc))
-
-
+        print(text(doc))
 
 
 def _space_doc(space) -> dict:

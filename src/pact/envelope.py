@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from itertools import chain
 from operator import itemgetter, or_
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .algebra import (Group, Subgroup, all_subgroups, conjugate_subgroup,
                       is_subgroup_embedding)
@@ -32,7 +32,7 @@ from .finspace import (FinSpace, SpaceMap, bit_indices, block_down_masks,
                        pair_label, product, quotient_order)
 from .homotopy import MapPoset
 from .paction import (PartialAction, _global_certificate, certified_global_action,
-                      diagonal_product, enumerate_G_maps, fixed_points, g_map_faults,
+                      diagonal_product, fixed_points, g_map_faults,
                       orbit_classes, restrict_global, restrict_to_group)
 
 
@@ -295,7 +295,7 @@ def twisted_product(pa: PartialAction, big: Group,
                               "the acting group is not a subgroup of the big group")
     space = pa.space
     pairs = _pair_count(big, space, max_pairs)
-    diag = diagonal_product(_right_translation(k_grp, big), pa, max_points=pairs)
+    diag = diagonal_product(_right_translation(k_grp, big), pa)
     # the diagonal product's space is the labelled G x X
     prod = diag.space
     if list(prod.down) != block_down_masks(space.down, len(big)):
@@ -510,28 +510,22 @@ def recognize_globalization(pa_global: PartialAction, open_subset,
     return phi, report
 
 
-@dataclass(frozen=True)
-class AdjunctionResult:
-    """Materialized hom-sets, as index rows, and the two adjunction maps
-    between them."""
-
-    g_maps: tuple[tuple[int, ...], ...]  # A_G(G x_K X, Y)
-    k_maps: tuple[tuple[int, ...], ...]  # PA_K(X, res Y)
-    lam: tuple[int, ...]                 # index into k_maps per g_map
-    tau: tuple[int, ...]                 # index into g_maps per k_map
-    report: dict
+NATURALITY_MORPHISMS = 8
+"""How many endomorphisms (the first in row order) test each naturality
+square of :func:`adjunction_maps`."""
 
 
 def adjunction_maps(env: EnvelopeResult, pa_y: PartialAction,
-                    max_space: int = 5, max_group: int = 4,
-                    node_budget: int = 1_000_000,
-                    naturality_morphisms: int = 8) -> AdjunctionResult:
-    """Enumerate both hom-sets and materialize lambda and tau, for the
-    twisted product ``env`` = G x_K X of a K-action X and a global G-space Y.
+                    hom: Callable[[PartialAction, PartialAction], MapPoset]) -> dict:
+    """Materialize lambda and tau for the twisted product ``env`` = G x_K X
+    of a K-action X and a global G-space Y, and return the report.
 
-    lambda(F) = F o iota_K and tau(f)([g,x]) = eta(g, f(x)); the report
-    records whether they are mutually inverse bijections and whether the
-    naturality squares commute for enumerated endomorphism test morphisms.
+    ``hom(pa_a, pa_b)`` returns the poset of G-maps A -> B, built by the
+    caller (``enumerate_maps(..., equivariant=(pa_a, pa_b))``) under its
+    own bounds, or one it already has.  lambda(F) = F o iota_K and
+    tau(f)([g,x]) = eta(g, f(x)); the report records whether they are
+    mutually inverse bijections and whether the naturality squares commute
+    for the first :data:`NATURALITY_MORPHISMS` endomorphisms of X and of Y.
     """
     pa_x, big = env.base, env.big_group
     k_grp = pa_x.group
@@ -539,18 +533,13 @@ def adjunction_maps(env: EnvelopeResult, pa_y: PartialAction,
         raise ValidationError("group-mismatch", (), "Y must carry an action of the big group")
     if not pa_y.is_global():
         raise ValidationError("not-global", (), "Y must be a global G-space")
-    if len(big) > max_group:
-        raise BoundExceeded("adjunction (group)", max_group, len(big))
-    for space in (pa_x.space, pa_y.space):
-        if len(space) > max_space:
-            raise BoundExceeded("adjunction (space)", max_space, len(space))
 
     # res^G_K(Y), keyed by K's own group object so hom-sets compose with pa_x.
     res_y = restrict_to_group(pa_y, k_grp)
 
     # both hom-sets as index rows; labels only in witnesses
-    g_rows = enumerate_G_maps(env.as_global_action(), pa_y, node_budget=node_budget)
-    k_rows = enumerate_G_maps(pa_x, res_y, node_budget=node_budget)
+    g_rows = hom(env.as_global_action(), pa_y).rows
+    k_rows = hom(pa_x, res_y).rows
     k_index = {row: i for i, row in enumerate(k_rows)}
     g_index = {row: i for i, row in enumerate(g_rows)}
     y_points = pa_y.space.points
@@ -603,7 +592,7 @@ def adjunction_maps(env: EnvelopeResult, pa_y: PartialAction,
 
     # Naturality: post-composition square with s : Y -> Y and
     # pre-composition square with r : X -> X, over enumerated endomorphisms.
-    ss = enumerate_G_maps(pa_y, pa_y, node_budget=node_budget)[:naturality_morphisms]
+    ss = hom(pa_y, pa_y).rows[:NATURALITY_MORPHISMS]
     for s in ss:
         for i, bf in enumerate(g_rows):
             if lam[i] < 0:
@@ -612,8 +601,8 @@ def adjunction_maps(env: EnvelopeResult, pa_y: PartialAction,
             if lam_of(tuple(map(s.__getitem__, bf))) != left:
                 checks["naturality-post"] = False
                 witness.setdefault("naturality-post-miss", i)
-    rs = enumerate_G_maps(pa_x, pa_x, node_budget=node_budget)[:naturality_morphisms]
-    ers = lift_maps(MapPoset(pa_x.space, pa_x.space, tuple(rs)), pa_x, pa_x, env, env, big)
+    rs = hom(pa_x, pa_x).rows[:NATURALITY_MORPHISMS]
+    ers = lift_maps(MapPoset(pa_x.space, pa_x.space, rs), pa_x, pa_x, env, env, big)
     for r, er in zip(rs, ers):
         for i, bf in enumerate(g_rows):
             if lam[i] < 0:
@@ -624,10 +613,8 @@ def adjunction_maps(env: EnvelopeResult, pa_y: PartialAction,
                 witness.setdefault("naturality-pre-miss", i)
 
     status = "holds" if all(checks.values()) else "fails"
-    report = {"status": status, "checks": checks,
-              "g_maps": len(g_rows), "k_maps": len(k_rows),
-              "witness": witness}
-    return AdjunctionResult(tuple(g_rows), tuple(k_rows), tuple(lam), tuple(tau), report)
+    return {"status": status, "checks": checks,
+            "g_maps": len(g_rows), "k_maps": len(k_rows), "witness": witness}
 
 
 def product_comparison(env_d: EnvelopeResult, env_1: EnvelopeResult,
@@ -649,8 +636,7 @@ def product_comparison(env_d: EnvelopeResult, env_1: EnvelopeResult,
                                         for x2 in points_2):
         raise ValidationError("space-mismatch", (),
                               "the first twisted product is not over the factors' product")
-    target, _, _ = product(env_1.total, env_2.total,
-                           max_points=len(env_1.total) * len(env_2.total))
+    target, _, _ = product(env_1.total, env_2.total)
     # target point ([g,x1], [g,x2]) is index [g,x1] * |G x_K X2| + [g,x2]
     width = len(env_2.total)
     n_1, n_2 = len(points_1), len(points_2)

@@ -340,12 +340,10 @@ def is_open_map(m: SpaceMap) -> bool:
                for u in m.source.down)
 
 
-def product(a: FinSpace, b: FinSpace, max_points: int = 64
-            ) -> tuple[FinSpace, SpaceMap, SpaceMap]:
-    """Product space with U_(x,y) = U_x x U_y, plus the two projections."""
-    n = len(a) * len(b)
-    if n > max_points:
-        raise BoundExceeded("product space", max_points, n)
+def product(a: FinSpace, b: FinSpace) -> tuple[FinSpace, SpaceMap, SpaceMap]:
+    """Product space with U_(x,y) = U_x x U_y, plus the two projections.
+    Its size is bounded by the callers (``Bounds.product_points``,
+    ``Bounds.envelope_pairs``)."""
     # point (x_i, y_j) has index i * |B| + j, so U_(x_i,y_j) is U_(y_j)'s
     # mask copied into block i' for each x_i' in U_(x_i): the product of
     # U_(y_j)'s mask with one bit per such block, as the copies never overlap

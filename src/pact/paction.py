@@ -435,8 +435,7 @@ def restrict_invariant(pa: PartialAction, invariant_open: Iterable[str]) -> Part
                                 [tuple(new[x] for x in xs if x in new) for xs in pa.domain_points])
 
 
-def diagonal_product(a: PartialAction, b: PartialAction, max_points: int = 64
-                     ) -> PartialAction:
+def diagonal_product(a: PartialAction, b: PartialAction) -> PartialAction:
     """The diagonal partial action of the factors' group on A x B.
 
     Its index tables are built from the factors' (point (x_i, y_j) is
@@ -448,7 +447,7 @@ def diagonal_product(a: PartialAction, b: PartialAction, max_points: int = 64
     U_(x,y) = U_x x U_y makes them monotone."""
     if a.group != b.group:
         raise ValidationError("group-mismatch", (), "factors must share a group")
-    space, _, _ = product(a.space, b.space, max_points=max_points)
+    space, _, _ = product(a.space, b.space)
     # block x reads point (x, y_j) at j, and -1 at -1, and the last block,
     # for x = -1, reads -1 everywhere
     width = len(b.space)

@@ -38,7 +38,7 @@ class ClaimReport:
             if key in self.witness:
                 extras.append(f"{key}={self.witness[key]}")
         if self.status == FAILS:
-            for key in ("unhit_targets", "collision", "pair", "family",
+            for key in ("unhit_targets", "collision", "pair",
                         "non_closed_singleton", "difference"):
                 if self.witness.get(key):
                     extras.append(f"{key}={self.witness[key]}")

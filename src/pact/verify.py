@@ -40,7 +40,9 @@ class Run:
     ``twisted_product`` keep separate entries, so ``twist-eq-glob`` still
     compares two independent constructions.  An envelope keeps its global
     action (``EnvelopeResult.as_global_action``), so one envelope per input
-    also means one global action.  The builders are read from their
+    also means one global action.  ``hom`` keeps one entry per hom-set: the
+    poset of G-maps between two actions, under one node budget and map
+    cap, whichever claim asks for it.  The builders are read from their
     modules at call time, so a wrapper installed there sees every build.
     Nothing outlives the run: :func:`run_all` drops it when it returns.
     """
@@ -68,12 +70,13 @@ class Run:
         """The subgroup lattice of ``group``."""
         return self._once("subgroups", algebra.all_subgroups, group, max_order)
 
-    def g_maps(self, pa: PartialAction, node_budget: int, max_maps: int) -> MapPoset:
-        """The poset of G-self-maps of ``pa``."""
-        def build(pa, node_budget, max_maps):
-            return homotopy.enumerate_maps(pa.space, pa.space, equivariant=(pa, pa),
+    def hom(self, pa_x: PartialAction, pa_y: PartialAction, bounds: Bounds) -> MapPoset:
+        """The poset of G-maps from ``pa_x`` to ``pa_y``, under the bounds'
+        ``map_nodes`` and ``max_maps``."""
+        def build(pa_x, pa_y, node_budget, max_maps):
+            return homotopy.enumerate_maps(pa_x.space, pa_y.space, equivariant=(pa_x, pa_y),
                                            node_budget=node_budget, max_maps=max_maps)
-        return self._once("g_maps", build, pa, node_budget, max_maps)
+        return self._once("hom", build, pa_x, pa_y, bounds.map_nodes, bounds.max_maps)
 
 
 Check = Callable[[Instance, Bounds, Run], tuple[str, dict]]
@@ -223,14 +226,9 @@ def _claim_adjunction(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, di
     ran = {}
     ok = True
     for name, pa_y in candidates:
-        result = adjunction_maps(env, pa_y,
-                                 max_space=bounds.hom_space,
-                                 max_group=bounds.hom_group,
-                                 node_budget=bounds.map_nodes)
-        ran[name] = {"g_maps": result.report["g_maps"],
-                     "k_maps": result.report["k_maps"],
-                     "status": result.report["status"]}
-        ok = ok and result.report["status"] == HOLDS
+        report = adjunction_maps(env, pa_y, lambda a, b: run.hom(a, b, bounds))
+        ran[name] = {key: report[key] for key in ("g_maps", "k_maps", "status")}
+        ok = ok and report["status"] == HOLDS
     witness = {"targets": ran}
     if not ok:
         witness["reason"] = "adjunction bijection or naturality failed"
@@ -280,7 +278,7 @@ def split_diagonal_factors(pa: PartialAction
     try:
         pa_1 = factor(0, space_from_min_opens(firsts, {p: u1(p) for p in firsts}))
         pa_2 = factor(1, space_from_min_opens(seconds, {q: u2(q) for q in seconds}))
-        diag = diagonal_product(pa_1, pa_2, max_points=len(pts))
+        diag = diagonal_product(pa_1, pa_2)
     except ValidationError:
         return None
     # theta_g's table is keyed by X_{g^-1}, so equal thetas mean equal domains
@@ -358,9 +356,10 @@ def first_split_pair(components: Sequence[int], images: Sequence[int]
 
 def _claim_homotopy_preservation(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
     pa = inst.embedded_pa
-    poset_x = run.g_maps(pa, bounds.map_nodes, bounds.max_maps)
+    poset_x = run.hom(pa, pa, bounds)
     env = run.globalize(pa, bounds.envelope_pairs)
-    poset_y = run.g_maps(env.as_global_action(), bounds.map_nodes, bounds.max_maps)
+    gpa = env.as_global_action()
+    poset_y = run.hom(gpa, gpa, bounds)
     lifted = list(map(poset_y.index_of, lift_maps(poset_x, pa, pa, env, env)))
     comp_x = poset_x.components
     comp_y = poset_y.components
@@ -380,13 +379,12 @@ def _claim_homotopy_preservation(inst: Instance, bounds: Bounds, run: Run) -> tu
 def _claim_g_contractible(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
     """If X is G-contractible then so is its globalization."""
     pa = inst.embedded_pa
-    base = is_G_contractible(pa, lambda: run.g_maps(pa, bounds.map_nodes, bounds.max_maps))
+    base = is_G_contractible(pa, lambda: run.hom(pa, pa, bounds))
     if not base:
         return PRECONDITION_UNMET, {"reason": f"the space is not equivariantly "
                                               f"contractible ({base.reason})"}
     gpa = run.globalize(pa, bounds.envelope_pairs).as_global_action()
-    lifted = is_G_contractible(gpa, lambda: run.g_maps(gpa, bounds.map_nodes,
-                                                       bounds.max_maps))
+    lifted = is_G_contractible(gpa, lambda: run.hom(gpa, gpa, bounds))
     witness = {
         "fixed_point": base.fixed_point,
         "fence": base.fence_tables(),

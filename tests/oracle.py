@@ -655,7 +655,7 @@ def label_split_diagonal_factors(pa):
     try:
         pa_1 = validate_partial_action(pa.group, space_1, domains_1, thetas_1)
         pa_2 = validate_partial_action(pa.group, space_2, domains_2, thetas_2)
-        diag = diagonal_product(pa_1, pa_2, max_points=len(pts))
+        diag = diagonal_product(pa_1, pa_2)
     except ValidationError:
         return None
     same = (set(diag.space.points) == set(pts)

@@ -20,7 +20,7 @@ from pact import (SpaceMap, Subgroup, ValidationError,
                   load_fixture, parse_instance,
                   recognize_globalization, replay_witness, run_all, run_claim,
                   trivial_action, trivial_collapse, twisted_product)
-from test_envelope import compare_products, twist
+from test_envelope import compare_products, hom, twist
 from test_homotopy import g_contract
 from pact.cli import main as cli_main
 from oracle import (are_G_homotopic, brute_globalization_classes, brute_opens,
@@ -305,17 +305,17 @@ def test_acceptance_5_adjunction():
             pa_y = load_fixture(yname).pa
             if len(pa_y.space) > 4:
                 continue
-            result = adjunction_maps(twist(pa_x), pa_y, max_space=4)
-            assert result.report["status"] == "holds", (xname, yname)
-            assert result.report["checks"]["mutually-inverse"]
-            assert result.report["checks"]["naturality-post"]
-            assert result.report["checks"]["naturality-pre"]
+            result = adjunction_maps(twist(pa_x), pa_y, hom)
+            assert result["status"] == "holds", (xname, yname)
+            assert result["checks"]["mutually-inverse"]
+            assert result["checks"]["naturality-post"]
+            assert result["checks"]["naturality-pre"]
             pairs_checked += 1
     assert pairs_checked == 15
 
     counted = adjunction_maps(twist(load_fixture("z2-pair").pa),
-                              load_fixture("z2-wedge").pa)
-    assert counted.report["g_maps"] == 3 == counted.report["k_maps"]
+                              load_fixture("z2-wedge").pa, hom)
+    assert counted["g_maps"] == 3 == counted["k_maps"]
 
     # a proper-subgroup pairing: K = {0,2} inside Z4
     inst = load_fixture("z4-from-z2-pair")
@@ -324,8 +324,8 @@ def test_acceptance_5_adjunction():
     y = global_action(z4, d2, {
         "0": {"u": "u", "v": "v"}, "1": {"u": "v", "v": "u"},
         "2": {"u": "u", "v": "v"}, "3": {"u": "v", "v": "u"}})
-    res = adjunction_maps(twist(inst.embedded_pa, z4), y)
-    assert res.report["status"] == "holds"
+    res = adjunction_maps(twist(inst.embedded_pa, z4), y, hom)
+    assert res["status"] == "holds"
     passed(5, f"adjunction: lambda/tau mutually inverse with commuting "
               f"naturality squares on {pairs_checked} fixture pairs and a "
               f"proper-subgroup pairing; counted case gives 3 = 3")

@@ -140,7 +140,7 @@ def random_factors(seed):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_certified_diagonal_product_equals_validated(seed):
-    diag = diagonal_product(*random_factors(seed), max_points=10 ** 4)
+    diag = diagonal_product(*random_factors(seed))
     assert fields(diag) == fields(validated(diag))
 
 
@@ -150,8 +150,8 @@ def test_product_projections_are_G_maps_of_the_diagonal_product(seed):
     """What the diagonal certificate proves and no runtime check repeats:
     the projections of the product space are G-maps onto each factor."""
     a, b = random_factors(seed)
-    diag = diagonal_product(a, b, max_points=10 ** 4)
-    _, p1, p2 = product(a.space, b.space, max_points=10 ** 4)
+    diag = diagonal_product(a, b)
+    _, p1, p2 = product(a.space, b.space)
     assert is_G_map(p1, diag, a) and is_G_map(p2, diag, b)
 
 
@@ -162,7 +162,7 @@ def test_certified_constructions_equal_validated_on_fixtures(name):
     env = twisted_product(pa, inst.big, max_pairs=10 ** 4)
     built = [env.as_global_action(), globalize(inst.pa).as_global_action(),
              trivial_action(inst.group, inst.space),
-             diagonal_product(inst.pa, inst.pa, max_points=10 ** 4)]
+             diagonal_product(inst.pa, inst.pa)]
     built += [restrict_to_subgroup(pa, sub) for sub in all_subgroups(pa.group)]
     # the K-restrictions of iota-k (of the envelope) and of adjunction (of Y)
     built += [restrict_to_group(env.as_global_action(), pa.group),
@@ -343,7 +343,7 @@ def _diag(seed):
     grp = GROUPS[rng.choice(sorted(GROUPS))]()
     a = _restricted(rng, regular_action(rng, grp))
     b = _restricted(rng, regular_action(rng, grp))
-    return a, b, diagonal_product(a, b, max_points=10 ** 4)
+    return a, b, diagonal_product(a, b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -494,7 +494,7 @@ def test_built_actions_never_validate(monkeypatch):
     calls = count_validations(monkeypatch)
     globalize(pa).as_global_action()
     trivial_action(pa.group, pa.space)
-    diagonal_product(pa, pa, max_points=10 ** 4)
+    diagonal_product(pa, pa)
     restrict_to_subgroup(pa, Subgroup.from_labels(pa.group, {"0", "2"}))
     k = Subgroup.from_labels(pa.group, {"0", "2"}).as_group()
     restrict_to_group(trivial_action(pa.group, pa.space), k)

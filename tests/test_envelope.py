@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from pact import (BoundExceeded, InternalCheckError, MapPoset, SpaceMap, Subgroup,
                   ValidationError, adjunction_maps, all_subgroups,
                   compose, cyclic_group, diagonal_product, discrete_space,
-                  envelope_of_map,
-                  enumerate_G_maps,
+                  envelope_of_map, enumerate_G_maps, enumerate_maps,
                   fixed_decomposition, globalize, is_G_map, is_T1,
                   is_continuous, is_open, iterated_twist_comparison,
                   load_fixture, pair_label, product_comparison,
-                  recognize_globalization, restrict_to_subgroup,
+                  recognize_globalization, restrict_to_subgroup, run_claim,
                   space_from_min_opens, trivial_action, trivial_collapse, twisted_product,
                   validate_group, validate_partial_action)
 from pact.envelope import _assemble, lift_maps
@@ -35,6 +34,11 @@ def fixture_pa(name):
 
 def twist(pa, big=None):
     return twisted_product(pa, big or pa.group)
+
+
+def hom(pa_x, pa_y):
+    """The poset of G-maps pa_x -> pa_y, as adjunction_maps asks for it."""
+    return enumerate_maps(pa_x.space, pa_y.space, equivariant=(pa_x, pa_y))
 
 
 def compare_products(pa_1, pa_2, big=None):
@@ -160,11 +164,12 @@ def test_envelope_bounds_and_precondition_errors():
     with pytest.raises(BoundExceeded):
         twisted_product(circle, circle.group, max_pairs=16)
     with pytest.raises(ValidationError) as err:
-        adjunction_maps(twist(fixture_pa("z2-pair")), fixture_pa("z2-pair"))
+        adjunction_maps(twist(fixture_pa("z2-pair")), fixture_pa("z2-pair"), hom)
     assert err.value.axiom == "not-global"
-    with pytest.raises(BoundExceeded):
-        adjunction_maps(twist(fixture_pa("z4-half"), cyclic_group(4)),
-                        globalize(fixture_pa("z4-circle")).as_global_action())
+    # the claim's hom-set gate is the only size check on the adjunction
+    report = run_claim("adjunction", load_fixture("z4-circle"))
+    assert report.status == "skipped-bounds"
+    assert report.witness == {"reason": "instance exceeds the hom-set bounds"}
 
 
 def test_preimage_identity_and_kstar():
@@ -273,19 +278,19 @@ def test_recognition_trivial_and_unmet_cases():
 def test_adjunction_counted_cases():
     z2pair = fixture_pa("z2-pair")
     wedge = fixture_pa("z2-wedge")
-    res = adjunction_maps(twist(z2pair), wedge)
-    assert res.report["status"] == "holds"
-    assert res.report["g_maps"] == 3 and res.report["k_maps"] == 3
+    res = adjunction_maps(twist(z2pair), wedge, hom)
+    assert res["status"] == "holds"
+    assert res["g_maps"] == 3 and res["k_maps"] == 3
 
     swap = fixture_pa("z2-swap")
-    res2 = adjunction_maps(twist(z2pair), swap)
-    assert res2.report["status"] == "holds"
-    assert res2.report["g_maps"] == 0 and res2.report["k_maps"] == 0
+    res2 = adjunction_maps(twist(z2pair), swap, hom)
+    assert res2["status"] == "holds"
+    assert res2["g_maps"] == 0 and res2["k_maps"] == 0
 
     pt = trivial_action(z2pair.group, discrete_space(["y"]))
-    res3 = adjunction_maps(twist(z2pair), pt)
-    assert res3.report["status"] == "holds"
-    assert res3.report["g_maps"] == 1 and res3.report["k_maps"] == 1
+    res3 = adjunction_maps(twist(z2pair), pt, hom)
+    assert res3["status"] == "holds"
+    assert res3["g_maps"] == 1 and res3["k_maps"] == 1
 
 
 def test_adjunction_with_the_identity_listed_last():
@@ -297,18 +302,18 @@ def test_adjunction_with_the_identity_listed_last():
         return validate_partial_action(z2, pa.space, pa.domains, pa.thetas)
     pa_x, pa_y = over_z2(fixture_pa("z2-pair")), over_z2(fixture_pa("z2-wedge"))
     assert twist(pa_x).embedding_row != tuple(range(len(pa_x.space)))
-    res = adjunction_maps(twist(pa_x), pa_y)
-    assert res.report["status"] == "holds"
-    assert res.report["g_maps"] == 3 == res.report["k_maps"]
+    res = adjunction_maps(twist(pa_x), pa_y, hom)
+    assert res["status"] == "holds"
+    assert res["g_maps"] == 3 == res["k_maps"]
 
 
 def test_adjunction_over_proper_subgroup():
     inst = load_fixture("z4-from-z2-pair")
     pa = inst.embedded_pa
     pt = trivial_action(inst.big, discrete_space(["y"]))
-    res = adjunction_maps(twist(pa, inst.big), pt)
-    assert res.report["status"] == "holds"
-    assert res.report["g_maps"] == 1 == res.report["k_maps"]
+    res = adjunction_maps(twist(pa, inst.big), pt, hom)
+    assert res["status"] == "holds"
+    assert res["g_maps"] == 1 == res["k_maps"]
 
     # a global Z4 action on two points through the quotient Z4 -> Z2
     z4 = inst.big
@@ -318,9 +323,9 @@ def test_adjunction_over_proper_subgroup():
     from pact import global_action
     y = global_action(z4, d2, {"0": dict(ident), "1": dict(swap),
                                "2": dict(ident), "3": dict(swap)})
-    res2 = adjunction_maps(twist(pa, z4), y)
-    assert res2.report["status"] == "holds"
-    assert res2.report["g_maps"] == res2.report["k_maps"]
+    res2 = adjunction_maps(twist(pa, z4), y, hom)
+    assert res2["status"] == "holds"
+    assert res2["g_maps"] == res2["k_maps"]
 
 
 def test_product_comparison_bijective_cases():

@@ -119,8 +119,6 @@ def test_diagonal_product_examples():
 
     with pytest.raises(ValidationError):
         diagonal_product(z2pair, fixture_pa("z4-circle"))
-    with pytest.raises(BoundExceeded):
-        diagonal_product(circle, circle, max_points=32)
 
 
 def test_diagonal_product_universal_property():
@@ -378,8 +376,8 @@ def test_twisted_diagonal_action_validates_without_pairwise_leq(monkeypatch):
         raise AssertionError("monotonicity must be checked on down-set masks")
 
     monkeypatch.setattr(FinSpace, "leq", no_pairwise_scan)
-    diag = diagonal_product(translation, pa, max_points=n * len(half))
-    _, *projections = product(translation.space, pa.space, max_points=n * len(half))
+    diag = diagonal_product(translation, pa)
+    _, *projections = product(translation.space, pa.space)
     assert len(diag.space) == 240
     again = validate_partial_action(diag.group, diag.space, diag.domains,
                                     diag.thetas)
@@ -441,7 +439,7 @@ def _random_partial_action(rng, shape: str):
         return _random_factor(rng, n)
     if shape == "diagonal":
         a, b = _random_factor(rng, n), _random_factor(rng, n)
-        return diagonal_product(a, b, max_points=len(a.space) * len(b.space))
+        return diagonal_product(a, b)
     # wide: 12 x 8 points, or 12 x 6..7 with the second factor restricted,
     # so the domain masks span two machine words
     a = _cycles_action(4, 3)
@@ -449,7 +447,7 @@ def _random_partial_action(rng, shape: str):
     small = _restricted(rng, b)
     if len(small.space) >= 6:
         b = small
-    return diagonal_product(a, b, max_points=len(a.space) * len(b.space))
+    return diagonal_product(a, b)
 
 
 def _corrupted(rng, pa, kind: str):

@@ -60,7 +60,7 @@ def test_run_all_builds_each_input_once(monkeypatch, inst):
     calls = count_builds(monkeypatch)
     run_all(inst)
     assert calls["globalize"] and calls["twisted_product"]
-    for name in ("globalize", "twisted_product", "enumerate_maps"):
+    for name in ("globalize", "twisted_product", "enumerate_maps", "enumerate_G_maps"):
         seen = calls[name]
         assert all(seen[i] != seen[j] for j in range(len(seen)) for i in range(j)), name
 
@@ -98,6 +98,20 @@ def test_consecutive_runs_build_everything_again(monkeypatch):
     run_all(inst)
     assert {name: len(seen) for name, seen in calls.items()} == {
         name: 2 * n for name, n in first.items()}
+
+
+def test_adjunction_honours_the_map_cap_of_its_shared_posets():
+    # z2-pair's G-self-maps number 3, so a cap of 2 stops every claim that
+    # enumerates them, the adjunction's naturality squares among them
+    bounds = dataclasses.replace(DEFAULT_BOUNDS, max_maps=2)
+    inst = load_fixture("z2-pair")
+    reports = {rep.claim_id: rep for rep in run_all(inst, bounds)}
+    adjunction, homotopy = reports["adjunction"], reports["homotopy-preservation"]
+    assert adjunction.status == homotopy.status == "skipped-bounds"
+    assert adjunction.witness == homotopy.witness == {
+        "reason": "map enumeration (maps): needs 3, bound is 2"}
+    assert run_claim("adjunction", inst, bounds).witness == adjunction.witness
+    assert run_claim("adjunction", inst).status == "holds"
 
 
 @pytest.mark.parametrize("bounds", [DEFAULT_BOUNDS, Bounds().with_limit(8)],
