@@ -6,7 +6,7 @@ finite groups on finite Alexandrov spaces, and mechanically checks the
 structural propositions about them on concrete instances.
 """
 from .algebra import (Group, Subgroup, all_subgroups, conjugate_subgroup,
-                      cyclic_group, subgroup_generated, validate_group)
+                      subgroup_generated, validate_group)
 from .bounds import DEFAULT_BOUNDS, Bounds
 from .envelope import (EnvelopeResult, adjunction_maps, envelope_of_map,
                        fixed_decomposition, globalize,

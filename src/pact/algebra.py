@@ -270,10 +270,3 @@ def is_subgroup_embedding(small: Group, big: Group) -> bool:
         return False
     return all(small.mul(a, b) == big.mul(a, b)
                for a in small.elements for b in small.elements)
-
-
-def cyclic_group(n: int) -> Group:
-    """Z_n with elements "0".."n-1"; handy for tests and fixtures."""
-    elems = tuple(str(i) for i in range(n))
-    table = tuple(tuple(str((i + j) % n) for j in range(n)) for i in range(n))
-    return Group(elems, table, "0")

@@ -433,7 +433,7 @@ def lift_maps(poset: MapPoset, pa_x: PartialAction, pa_y: PartialAction,
     for pairs in env_x.members:
         g, x = divmod(pairs[0], width_x)
         table = class_y[offset[g]:offset[g] + width_y]
-        lift_tables.append(map(table.__getitem__, at_x[x]))
+        lift_tables.append([table[v] for v in at_x[x]])
         masks = [0] * len(total_y)
         for v, rows in enumerate(columns[x]):
             if rows:
@@ -552,7 +552,7 @@ def adjunction_maps(env: EnvelopeResult, pa_y: PartialAction,
     lam = []
     emb = env.embedding_row
     for bf in g_rows:
-        row = tuple(map(bf.__getitem__, emb))
+        row = tuple([bf[x] for x in emb])
         idx = k_index.get(row)
         if idx is None:
             checks["lambda-lands-in-homset"] = False
@@ -597,8 +597,8 @@ def adjunction_maps(env: EnvelopeResult, pa_y: PartialAction,
         for i, bf in enumerate(g_rows):
             if lam[i] < 0:
                 continue
-            left = tuple(map(s.__getitem__, k_rows[lam[i]]))
-            if lam_of(tuple(map(s.__getitem__, bf))) != left:
+            left = tuple([s[v] for v in k_rows[lam[i]]])
+            if lam_of(tuple([s[v] for v in bf])) != left:
                 checks["naturality-post"] = False
                 witness.setdefault("naturality-post-miss", i)
     rs = hom(pa_x, pa_x).rows[:NATURALITY_MORPHISMS]
@@ -607,8 +607,9 @@ def adjunction_maps(env: EnvelopeResult, pa_y: PartialAction,
         for i, bf in enumerate(g_rows):
             if lam[i] < 0:
                 continue
-            left = tuple(map(k_rows[lam[i]].__getitem__, r))
-            if lam_of(tuple(map(bf.__getitem__, er))) != left:
+            k_row = k_rows[lam[i]]
+            left = tuple([k_row[v] for v in r])
+            if lam_of(tuple([bf[c] for c in er])) != left:
                 checks["naturality-pre"] = False
                 witness.setdefault("naturality-pre-miss", i)
 
@@ -636,7 +637,7 @@ def product_comparison(env_d: EnvelopeResult, env_1: EnvelopeResult,
                                         for x2 in points_2):
         raise ValidationError("space-mismatch", (),
                               "the first twisted product is not over the factors' product")
-    target, _, _ = product(env_1.total, env_2.total)
+    target = product(env_1.total, env_2.total)
     # target point ([g,x1], [g,x2]) is index [g,x1] * |G x_K X2| + [g,x2]
     width = len(env_2.total)
     n_1, n_2 = len(points_1), len(points_2)

@@ -340,20 +340,16 @@ def is_open_map(m: SpaceMap) -> bool:
                for u in m.source.down)
 
 
-def product(a: FinSpace, b: FinSpace) -> tuple[FinSpace, SpaceMap, SpaceMap]:
-    """Product space with U_(x,y) = U_x x U_y, plus the two projections.
-    Its size is bounded by the callers (``Bounds.product_points``,
-    ``Bounds.envelope_pairs``)."""
+def product(a: FinSpace, b: FinSpace) -> FinSpace:
+    """Product space with U_(x,y) = U_x x U_y.  Its size is bounded by the
+    callers (``Bounds.product_points``, ``Bounds.envelope_pairs``)."""
     # point (x_i, y_j) has index i * |B| + j, so U_(x_i,y_j) is U_(y_j)'s
     # mask copied into block i' for each x_i' in U_(x_i): the product of
     # U_(y_j)'s mask with one bit per such block, as the copies never overlap
     width = len(b)
     blocks = [reduce(or_, (1 << (i * width) for i in bit_indices(u))) for u in a.down]
-    space = FinSpace(tuple(pair_label(x, y) for x in a.points for y in b.points),
-                     tuple(block * v for block in blocks for v in b.down))
-    p1 = SpaceMap(space, a, tuple(i for i in range(len(a)) for _ in b.points))
-    p2 = SpaceMap(space, b, tuple(range(len(b))) * len(a))
-    return space, p1, p2
+    return FinSpace(tuple(pair_label(x, y) for x in a.points for y in b.points),
+                    tuple(block * v for block in blocks for v in b.down))
 
 
 def pair_label(x: str, y: str) -> str:

@@ -440,14 +440,14 @@ def diagonal_product(a: PartialAction, b: PartialAction) -> PartialAction:
 
     Its index tables are built from the factors' (point (x_i, y_j) is
     i * |B| + j) and certified coordinate by coordinate
-    (:func:`_certify_diagonal`) instead of validated.  The two projections
-    of :func:`product` are then G-maps with no check of their own: the
+    (:func:`_certify_diagonal`) instead of validated.  The two coordinate
+    projections of A x B are then G-maps with no check of their own: the
     certificate decodes each entry theta_g(i, j) to (theta^A_g(i),
     theta^B_g(j)), which is the equivariance of both coordinate maps, and
     U_(x,y) = U_x x U_y makes them monotone."""
     if a.group != b.group:
         raise ValidationError("group-mismatch", (), "factors must share a group")
-    space, _, _ = product(a.space, b.space)
+    space = product(a.space, b.space)
     # block x reads point (x, y_j) at j, and -1 at -1, and the last block,
     # for x = -1, reads -1 everywhere
     width = len(b.space)

@@ -739,30 +739,7 @@ def brute_globalization_classes(elements, table, identity,
 
 
 # ---------------------------------------------------------------------------
-# random generators
-
-def random_preorder_space(rng, max_points: int = 6, prefix: str = "p",
-                          density: float = 0.3):
-    """A random space as (points, min_open dict): random relation, each pair
-    related with probability ``density``, closed reflexively and
-    transitively."""
-    n = rng.randint(1, max_points)
-    points = [f"{prefix}{i}" for i in range(n)]
-    rel = [[i == j for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and rng.random() < density:
-                rel[i][j] = True
-    for k in range(n):
-        for i in range(n):
-            if rel[i][k]:
-                for j in range(n):
-                    if rel[k][j]:
-                        rel[i][j] = True
-    min_open = {points[j]: [points[i] for i in range(n) if rel[i][j]]
-                for j in range(n)}
-    return points, min_open
-
+# quotients and partitions
 
 def closure_quotient_order(points: list[str], min_open: Mapping,
                            classes: list[list[str]]) -> list[set[int]]:
@@ -1486,29 +1463,27 @@ def label_core(space) -> LabelFinSpace:
 # ---------------------------------------------------------------------------
 # homeomorphism search
 
-def _color_refinement(space) -> tuple[int, ...]:
-    """Isomorphism-invariant point colors used as pruning for the search."""
-    n = len(space)
-    down = [frozenset(i for i in range(n) if space.down[j] & (1 << i))
-            for j in range(n)]
-    up = [frozenset(j for j in range(n) if space.down[j] & (1 << i))
-          for i in range(n)]
-    colors = [(len(down[i]), len(up[i])) for i in range(n)]
-    palette: dict[tuple, int] = {}
-    current = [palette.setdefault(c, len(palette)) for c in colors]
-    for _ in range(n):
-        sigs = []
-        for i in range(n):
-            sig = (current[i],
-                   tuple(sorted(current[j] for j in down[i])),
-                   tuple(sorted(current[j] for j in up[i])))
-            sigs.append(sig)
-        palette = {}
-        refined = [palette.setdefault(s, len(palette)) for s in sigs]
-        if refined == current:
-            break
+def _color_refinement(*spaces) -> list[tuple[int, ...]]:
+    """Isomorphism-invariant point colors, one tuple per space, used as
+    pruning for the search.  The spaces are refined together with one
+    palette per round, so equal colors mean the same thing in every space."""
+    downs, ups = [], []
+    for space in spaces:
+        n = len(space)
+        downs.append([[i for i in range(n) if space.down[j] >> i & 1] for j in range(n)])
+        ups.append([[j for j in range(n) if space.down[j] >> i & 1] for i in range(n)])
+    current = [[(len(down[i]), len(up[i])) for i in range(len(down))]
+               for down, up in zip(downs, ups)]
+    while True:  # each round splits a color class or stops
+        palette: dict[tuple, int] = {}
+        refined = [[palette.setdefault((colors[i],
+                                        tuple(sorted(colors[j] for j in down[i])),
+                                        tuple(sorted(colors[j] for j in up[i]))), len(palette))
+                    for i in range(len(down))]
+                   for colors, down, up in zip(current, downs, ups)]
+        if len(palette) == len({c for colors in current for c in colors}):
+            return [tuple(colors) for colors in refined]
         current = refined
-    return tuple(current)
 
 
 def find_homeomorphism(a, b, max_points: int = 24):
@@ -1523,8 +1498,7 @@ def find_homeomorphism(a, b, max_points: int = 24):
         raise BoundExceeded("homeomorphism search", max_points, max(len(a), len(b)))
     if len(a) != len(b):
         return None
-    ca = _color_refinement(a)
-    cb = _color_refinement(b)
+    ca, cb = _color_refinement(a, b)
     if sorted(ca) != sorted(cb):
         return None
     n = len(a)

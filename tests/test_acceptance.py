@@ -12,7 +12,7 @@ import json
 import random
 
 from pact import (SpaceMap, Subgroup, ValidationError,
-                  adjunction_maps, core, cyclic_group,
+                  adjunction_maps, core, space_from_min_opens,
                   discrete_space, enumerate_maps,
                   fixed_decomposition, fixed_points,
                   fixture_dict, fixture_names, global_action, globalize,
@@ -20,8 +20,8 @@ from pact import (SpaceMap, Subgroup, ValidationError,
                   load_fixture, parse_instance,
                   recognize_globalization, replay_witness, run_all, run_claim,
                   trivial_action, trivial_collapse, twisted_product)
-from test_envelope import compare_products, hom, twist
-from test_homotopy import g_contract
+from gen import (compare_products, cyclic_group, g_contract, hom, label_tables,
+                 random_preorder_space, random_space, twist)
 from pact.cli import main as cli_main
 from oracle import (are_G_homotopic, brute_globalization_classes, brute_opens,
                     brute_twisted_classes, envelopes_G_homotopic,
@@ -29,8 +29,7 @@ from oracle import (are_G_homotopic, brute_globalization_classes, brute_opens,
                     globalization_document, group_violation, label_view,
                     homotopy_from_fence, interval_homotopy_exists,
                     partial_action_violation, preimage_continuous,
-                    random_partition, random_preorder_space,
-                    space_violation)
+                    random_partition, space_violation)
 
 from conftest import SEED
 
@@ -264,12 +263,9 @@ def test_acceptance_4_twisted_products():
     inst = load_fixture("z4-from-z2-pair")
     env = twisted_product(inst.embedded_pa, inst.big)
     assert len(env.total) == 6
-    oracle = brute_twisted_classes(
-        list(inst.big.elements), [list(r) for r in inst.big.table], "0",
-        list(inst.embedded_pa.group.elements),
-        list(inst.space.points),
-        {g: inst.embedded_pa.domains[g] for g in inst.embedded_pa.group.elements},
-        {g: dict(inst.embedded_pa.thetas[g]) for g in inst.embedded_pa.group.elements})
+    k_elements, _, _, *raw = label_tables(inst.embedded_pa)
+    oracle = brute_twisted_classes(list(inst.big.elements), [list(r) for r in inst.big.table],
+                                   "0", k_elements, *raw)
     assert len(oracle) == 6
     view = label_view(env)
     got = {frozenset(view.members_of(c)) for c in env.total.points}
@@ -346,15 +342,8 @@ def test_acceptance_6_product_comparison():
     assert len(report["unhit_targets"]) == 2
     # independent oracles for both cardinalities
     sq = load_fixture("z2-pair-sq").pa
-    assert len(brute_globalization_classes(
-        list(sq.group.elements), [list(r) for r in sq.group.table], "0",
-        list(sq.space.points), {g: sq.domains[g] for g in sq.group.elements},
-        {g: dict(sq.thetas[g]) for g in sq.group.elements})) == 7
-    assert len(brute_globalization_classes(
-        list(z2pair.group.elements), [list(r) for r in z2pair.group.table],
-        "0", list(z2pair.space.points),
-        {g: z2pair.domains[g] for g in z2pair.group.elements},
-        {g: dict(z2pair.thetas[g]) for g in z2pair.group.elements})) ** 2 == 9
+    assert len(brute_globalization_classes(*label_tables(sq))) == 7
+    assert len(brute_globalization_classes(*label_tables(z2pair))) ** 2 == 9
 
     inst = load_fixture("z2-pair-sq")
     claim = run_claim("product-comparison", inst)
@@ -445,10 +434,7 @@ def test_acceptance_9_fixed_point_identities():
 
     env = globalize(arcs)
     assert len(env.total) == 24
-    oracle = brute_globalization_classes(
-        list(z4.elements), [list(r) for r in z4.table], "0",
-        list(arcs.space.points), {g: arcs.domains[g] for g in z4.elements},
-        {g: dict(arcs.thetas[g]) for g in z4.elements})
+    oracle = brute_globalization_classes(*label_tables(arcs))
     assert len(oracle) == 24
 
     from pact import all_subgroups
@@ -467,14 +453,12 @@ def test_acceptance_9_fixed_point_identities():
 
 def test_acceptance_10_substrate_oracles():
     rng = random.Random(SEED + 1)
-    from pact import space_from_min_opens
 
     continuity_samples = 0
     while continuity_samples < 110:
         px, mx = random_preorder_space(rng, 6, prefix="x")
         py, my = random_preorder_space(rng, 6, prefix="y")
-        sx = space_from_min_opens(px, mx)
-        sy = space_from_min_opens(py, my)
+        sx, sy = space_from_min_opens(px, mx), space_from_min_opens(py, my)
         assignment = {x: rng.choice(py) for x in px}
         m = SpaceMap.from_dict(sx, sy, assignment)
         assert is_continuous(m) == preimage_continuous(px, mx, py, my, assignment)
@@ -505,10 +489,7 @@ def test_acceptance_10_substrate_oracles():
     attempts = 0
     while (fence_positive < 5 or fence_negative < 5) and attempts < 200:
         attempts += 1
-        px, mx = random_preorder_space(rng, 3, prefix="x")
-        py, my = random_preorder_space(rng, 4, prefix="y")
-        sx = space_from_min_opens(px, mx)
-        sy = space_from_min_opens(py, my)
+        sx, sy = random_space(rng, 3, "x"), random_space(rng, 4, "y")
         poset = enumerate_maps(sx, sy)
         if len(poset.maps) < 2:
             continue

@@ -1,28 +1,18 @@
 from __future__ import annotations
 
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pact import (BoundExceeded, Group, Subgroup, ValidationError,
-                  all_subgroups, conjugate_subgroup, cyclic_group,
+                  all_subgroups, conjugate_subgroup,
                   subgroup_generated, validate_group)
+from gen import cyclic_group, s3_group
 from oracle import brute_subgroups, group_violation, subgroup_violation
 
 Z2_TABLE = [["0", "1"], ["1", "0"]]
 Z4_ELEMS = ["0", "1", "2", "3"]
 Z4_TABLE = [[str((i + j) % 4) for j in range(4)] for i in range(4)]
-
-
-def s3_group() -> Group:
-    """Symmetric group on 3 letters, elements named by one-line notation."""
-    perms = list(itertools.permutations((0, 1, 2)))
-    names = {p: "".join(str(i) for i in p) for p in perms}
-    elems = [names[p] for p in perms]
-    table = [[names[tuple(p[q[i]] for i in range(3))] for q in perms] for p in perms]
-    return validate_group(elems, table, "012")
 
 
 def test_z2_and_z4_validate():

@@ -9,7 +9,6 @@ certificate catches it."""
 from __future__ import annotations
 
 import dataclasses
-import json
 import random
 import sys
 
@@ -17,35 +16,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pact import (DEFAULT_BOUNDS, FinSpace, InternalCheckError, PartialAction, Subgroup,
-                  ValidationError, all_subgroups, cyclic_group, diagonal_product,
-                  discrete_space, exit_code, fixture_dict, global_action, globalize,
-                  is_G_map, is_locally_G_contractible, isotropy, load_fixture,
-                  parse_instance, product, restrict_global,
+from pact import (FinSpace, InternalCheckError, PartialAction, Subgroup,
+                  ValidationError, all_subgroups, diagonal_product,
+                  discrete_space, exit_code, fixture_dict, fixture_names, global_action,
+                  globalize, is_G_map, is_locally_G_contractible, isotropy, load_fixture,
+                  parse_instance, restrict_global,
                   restrict_invariant, restrict_to_subgroup, run_all, run_claim,
                   space_from_min_opens, trivial_action, twisted_product,
-                  validate_group, validate_partial_action)
+                  validate_partial_action)
 from pact.algebra import subgroup_generated
 from pact.verify import CLAIMS
 from pact.paction import _certify_diagonal, restrict_to_group
-from oracle import label_restrict_global, random_preorder_space
-from test_golden_generated import GOLDEN as GENERATED_GOLDEN
-from test_algebra import s3_group
-from test_paction import _outcome, _restricted
-
-FIXTURES = ["pt", "z2-pair", "z2-swap", "z2-wedge", "z2-pair-sq",
-            "z4-circle", "z4-half", "z4-arcs", "z4-from-z2-pair"]
-
-
-def klein_group():
-    elems = ["e", "a", "b", "c"]
-    table = [["e", "a", "b", "c"], ["a", "e", "c", "b"],
-             ["b", "c", "e", "a"], ["c", "b", "a", "e"]]
-    return validate_group(elems, table, "e")
-
-
-GROUPS = {"z2": lambda: cyclic_group(2), "z3": lambda: cyclic_group(3),
-          "z4": lambda: cyclic_group(4), "klein": klein_group, "s3": s3_group}
+from gen import (GLOBAL_KINDS, GROUPS, cyclic_group, fixture_pa, golden_instances,
+                 invariant_open, klein_group, outcome, random_global, random_group,
+                 random_partial, restricted, s3_group, with_projections,
+                 z6_two_orbits_document)
+from oracle import label_restrict_global
 
 
 def fields(pa):
@@ -54,30 +40,6 @@ def fields(pa):
 
 def validated(pa):
     return validate_partial_action(pa.group, pa.space, pa.domains, pa.thetas)
-
-
-def regular_action(rng, grp):
-    """grp permuting |grp| disjoint copies of a random base space by left
-    multiplication of the copy labels: a global action of any group."""
-    base, base_mo = random_preorder_space(rng, 3)
-    points = [f"{p}.{k}" for k in grp.elements for p in base]
-    min_open = {f"{p}.{k}": [f"{q}.{k}" for q in base_mo[p]]
-                for k in grp.elements for p in base}
-    space = space_from_min_opens(points, min_open)
-    return global_action(grp, space, {
-        g: {f"{p}.{k}": f"{p}.{grp.mul(g, k)}" for k in grp.elements for p in base}
-        for g in grp.elements})
-
-
-def random_global(rng, kind):
-    grp = GROUPS[rng.choice(sorted(GROUPS))]()
-    if kind == "regular":
-        return regular_action(rng, grp)
-    if kind == "trivial":
-        points, min_open = random_preorder_space(rng, 5)
-        return trivial_action(grp, space_from_min_opens(points, min_open))
-    # an envelope: the globalization of a restricted regular action
-    return globalize(_restricted(rng, regular_action(rng, grp))).as_global_action()
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +71,7 @@ def test_generators_generate_every_subgroup_lattice_member():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["regular", "trivial", "envelope"]))
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(GLOBAL_KINDS))
 def test_certified_global_action_equals_validated(seed, kind):
     pa = random_global(random.Random(seed), kind)
     assert fields(pa) == fields(validated(pa))
@@ -119,8 +81,8 @@ def test_certified_global_action_equals_validated(seed, kind):
 @given(st.integers(0, 2 ** 32 - 1))
 def test_certified_subgroup_restriction_equals_validated(seed):
     rng = random.Random(seed)
-    grp = GROUPS[rng.choice(sorted(GROUPS))]()
-    pa = _restricted(rng, regular_action(rng, grp))
+    grp = random_group(rng)
+    pa = random_partial(rng, grp, ["regular", "cone"], 3)
     for sub in all_subgroups(grp):
         res = restrict_to_subgroup(pa, sub)
         assert fields(res) == fields(validated(res))
@@ -130,11 +92,9 @@ def random_factors(seed):
     """Two restricted actions of one random group, the second trivial half
     of the time."""
     rng = random.Random(seed)
-    grp = GROUPS[rng.choice(sorted(GROUPS))]()
-    factors = [_restricted(rng, regular_action(rng, grp)) for _ in range(2)]
-    if rng.random() < 0.5:
-        factors[1] = _restricted(rng, trivial_action(grp, factors[1].space))
-    return factors
+    grp = random_group(rng)
+    return (random_partial(rng, grp, ["regular"], 3),
+            random_partial(rng, grp, ["regular", "trivial"], 3))
 
 
 @settings(max_examples=60, deadline=None)
@@ -151,11 +111,11 @@ def test_product_projections_are_G_maps_of_the_diagonal_product(seed):
     the projections of the product space are G-maps onto each factor."""
     a, b = random_factors(seed)
     diag = diagonal_product(a, b)
-    _, p1, p2 = product(a.space, b.space)
+    _, p1, p2 = with_projections(a.space, b.space)
     assert is_G_map(p1, diag, a) and is_G_map(p2, diag, b)
 
 
-@pytest.mark.parametrize("name", FIXTURES)
+@pytest.mark.parametrize("name", fixture_names())
 def test_certified_constructions_equal_validated_on_fixtures(name):
     inst = load_fixture(name)
     pa = inst.embedded_pa
@@ -181,24 +141,11 @@ def test_certified_constructions_equal_validated_on_fixtures(name):
         assert fields(certified) == fields(validated(certified))
 
 
-def invariant_open(rng, pa):
-    """A random open set saturated under pa: grown by every theta_g image
-    until nothing is added, so it stays open and becomes invariant."""
-    pts = pa.space.points
-    v = set(pa.space.min_open_of(rng.choice(pts)))
-    while True:
-        grown = v | {pa.thetas[g][x] for g in pa.group.elements
-                     for x in v & pa.domains[pa.group.inv(g)]}
-        if grown == v:
-            return v
-        v = grown
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_certified_invariant_restriction_equals_validated(seed):
     rng = random.Random(seed)
-    pa = _restricted(rng, regular_action(rng, GROUPS[rng.choice(sorted(GROUPS))]()))
+    pa = random_partial(rng, random_group(rng), ["regular", "cone"], 3)
     res = restrict_invariant(pa, invariant_open(rng, pa))
     assert fields(res) == fields(validated(res))
 
@@ -234,8 +181,8 @@ def _same_failure(group, space, thetas):
     """global_action on raw tables fails exactly as the validator does (or
     both succeed with equal results); returns the validator's outcome."""
     domains = {g: space.points for g in group.elements}
-    certified = _outcome(global_action, group, space, thetas)
-    full = _outcome(validate_partial_action, group, space, domains, thetas)
+    certified = outcome(global_action, group, space, thetas)
+    full = outcome(validate_partial_action, group, space, domains, thetas)
     assert certified == full
     if full is not None:
         with pytest.raises(ValidationError) as a:
@@ -250,7 +197,7 @@ def _same_failure(group, space, thetas):
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["regular", "trivial", "envelope"]))
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(GLOBAL_KINDS))
 def test_corrupted_global_action_raises_the_validator_error(seed, kind):
     rng = random.Random(seed)
     pa = random_global(rng, kind)
@@ -264,7 +211,7 @@ def test_corruption_on_a_non_generator_is_caught(name, g):
     rng = random.Random(7)
     grp = GROUPS[name]()
     assert grp.index(g) not in grp.generators
-    pa = regular_action(rng, grp)
+    pa = random_global(rng, "regular", grp)
     thetas = {h: dict(pa.thetas[h]) for h in grp.elements}
     x, y = sorted(thetas[g])[:2]
     thetas[g][x], thetas[g][y] = thetas[g][y], thetas[g][x]
@@ -338,19 +285,12 @@ def test_failed_certificate_with_passing_validator_is_internal(monkeypatch):
 # the diagonal certificate
 
 
-def _diag(seed):
-    rng = random.Random(seed)
-    grp = GROUPS[rng.choice(sorted(GROUPS))]()
-    a = _restricted(rng, regular_action(rng, grp))
-    b = _restricted(rng, regular_action(rng, grp))
-    return a, b, diagonal_product(a, b)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1),
        st.sampled_from(["first", "second", "undefine", "off", "domain"]))
 def test_corrupted_diagonal_table_is_internal(seed, kind):
-    a, b, diag = _diag(seed)
+    a, b = random_factors(seed)
+    diag = diagonal_product(a, b)
     images = [list(image) for image in diag.images]
     domain_points = [list(xs) for xs in diag.domain_points]
     _certify_diagonal(a, b, images, domain_points)
@@ -378,9 +318,9 @@ def test_corrupted_diagonal_table_is_internal(seed, kind):
 
 
 def test_each_diagonal_coordinate_is_checked():
-    a, b, diag = _diag(3)
+    a, b = fixture_pa("z2-pair"), fixture_pa("z2-wedge")
+    diag = diagonal_product(a, b)
     width = len(b.space)
-    assert len(a.space) >= 2 and width >= 2
     g = next(g for g, image in enumerate(diag.images) if max(image) >= 0)
     p = next(p for p, q in enumerate(diag.images[g]) if q >= 0)
     i, j = divmod(diag.images[g][p], width)
@@ -399,7 +339,7 @@ def test_each_diagonal_coordinate_is_checked():
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["image", "undefine", "domain"]))
 def test_corrupted_row_under_invariant_restriction_is_internal(seed, kind):
     rng = random.Random(seed)
-    pa = regular_action(rng, GROUPS[rng.choice(sorted(GROUPS))]())
+    pa = random_global(rng, rng.choice(GLOBAL_KINDS))
     v = invariant_open(rng, pa)
     outside = [i for i, x in enumerate(pa.space.points) if x not in v]
     inside = [i for i, x in enumerate(pa.space.points) if x in v]
@@ -430,22 +370,13 @@ def test_corrupted_row_under_invariant_restriction_is_internal(seed, kind):
 # the open-restriction certificate
 
 
-def random_open(rng, space):
-    """A random nonempty open set: a union of minimal opens."""
-    u = set()
-    for x in rng.sample(space.points, rng.randint(1, len(space))):
-        u |= space.min_open_of(x)
-    return u
-
-
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["regular", "trivial", "envelope"]))
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(GLOBAL_KINDS))
 def test_certified_open_restriction_equals_label_restriction(seed, kind):
     rng = random.Random(seed)
     beta = random_global(rng, kind)
-    u = random_open(rng, beta.space)
-    res = restrict_global(beta, u)
-    assert fields(res) == fields(label_restrict_global(beta, u))
+    res = restricted(rng, beta)
+    assert fields(res) == fields(label_restrict_global(beta, res.space.points))
     assert fields(res) == fields(validated(res))
 
 
@@ -541,10 +472,7 @@ def test_run_all_builds_no_label_views_of_built_actions(monkeypatch):
 
     import pact.verify
 
-    insts = [(load_fixture(name), DEFAULT_BOUNDS) for name in FIXTURES]
-    for entry in json.loads(GENERATED_GOLDEN.read_text()):
-        insts.append((parse_instance(entry["document"]),
-                      dataclasses.replace(DEFAULT_BOUNDS, **entry["bounds"])))
+    insts = golden_instances()
     views, splitting = [], []
     for cls, name in ((PartialAction, "domains"), (PartialAction, "thetas"),
                       (FinSpace, "min_open")):
@@ -726,10 +654,7 @@ def test_run_all_takes_no_exhaustive_fallback(monkeypatch):
     through them, only slower, so this test is what notices."""
     import pact.envelope
     import pact.finspace
-    insts = [(load_fixture(name), DEFAULT_BOUNDS) for name in FIXTURES]
-    for entry in json.loads(GENERATED_GOLDEN.read_text()):
-        insts.append((parse_instance(entry["document"]),
-                      dataclasses.replace(DEFAULT_BOUNDS, **entry["bounds"])))
+    insts = golden_instances()
     calls = []
     for module, name in ((pact.finspace, "_equivalence_scan"), (pact.envelope, "_action_scan")):
         real = getattr(module, name)
@@ -808,7 +733,6 @@ def test_stabiliser_that_is_not_a_subgroup_is_internal_for_its_claim_only(monkey
     import pact.verify
     from pact.envelope import generated_intersection
     from oracle import family_scan_intersection
-    from test_verify import z6_two_orbits_document
     inst = parse_instance(z6_two_orbits_document())
     before = {rep.claim_id: rep.status for rep in run_all(inst)}
 
@@ -834,10 +758,7 @@ def test_run_all_validates_no_subgroup_labels(monkeypatch):
     """Named subgroups are validated when an instance is parsed; over whole
     runs on the fixtures and the generated documents, every subgroup a
     claim uses is built from a mask, never from labels."""
-    insts = [(load_fixture(name), DEFAULT_BOUNDS) for name in FIXTURES]
-    for entry in json.loads(GENERATED_GOLDEN.read_text()):
-        insts.append((parse_instance(entry["document"]),
-                      dataclasses.replace(DEFAULT_BOUNDS, **entry["bounds"])))
+    insts = golden_instances()
     calls = []
     real = Subgroup.from_labels.__func__
 

@@ -178,7 +178,8 @@ def test_validation_witnesses_are_identical_under_hash_randomization(tmp_path):
     import os
     import subprocess
     import sys
-    from pact import cyclic_group, fixture_dict
+    from pact import fixture_dict
+    from gen import cyclic_group, group_document
     # theta_1 on z4-circle with the images of two keys swapped: several
     # pairs break monotonicity, and the witness is the first in point order
     circle = fixture_dict("z4-circle")
@@ -188,12 +189,9 @@ def test_validation_witnesses_are_identical_under_hash_randomization(tmp_path):
     # Z4 acting by powers of a swap: PA2 fails at every point for g = h = 1
     points = [f"p{i}" for i in range(6)]
     swap = {p: points[i ^ 1] for i, p in enumerate(points)}
-    z4 = cyclic_group(4)
     swaps = {
         "id": "z4-swap-powers",
-        "group": {"elements": list(z4.elements),
-                  "table": [list(row) for row in z4.table],
-                  "identity": z4.identity},
+        "group": group_document(cyclic_group(4)),
         "space": {"points": points, "min_open": {p: [p] for p in points}},
         "partial_action": {"domains": {g: points for g in "123"},
                            "maps": {g: swap for g in "123"}}}
@@ -316,7 +314,7 @@ def test_bound_flag_reaches_the_subgroup_lattice(tmp_path, capsys):
     # Z24 has 8 subgroups, more than the default group-order bound of 16
     # allows to enumerate; --bound must lift it for the claim and for
     # `fixed --envelope` alike
-    from test_verify import half_circle_document
+    from gen import half_circle_document
     doc = half_circle_document(24)
     doc["subgroups"] = {"H": ["0", "12"]}
     path = tmp_path / "z24.json"

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from pact import (BoundExceeded, InternalCheckError, MapPoset, SpaceMap, Subgroup,
                   ValidationError, adjunction_maps, all_subgroups,
-                  compose, cyclic_group, diagonal_product, discrete_space,
-                  envelope_of_map, enumerate_G_maps, enumerate_maps,
+                  compose, diagonal_product, discrete_space,
+                  envelope_of_map, enumerate_G_maps,
                   fixed_decomposition, globalize, is_G_map, is_T1,
                   is_continuous, is_open, iterated_twist_comparison,
                   load_fixture, pair_label, product_comparison,
@@ -25,28 +25,9 @@ from oracle import (brute_globalization_classes, brute_members,
                     globalization_document as oracle_document,
                     is_G_homeomorphism, LabelEnvelope, label_apply, label_assemble,
                     label_envelope_of_map, label_lift_rows, label_view)
-from test_paction import _random_factor, random_rotation_action
-
-
-def fixture_pa(name):
-    return load_fixture(name).pa
-
-
-def twist(pa, big=None):
-    return twisted_product(pa, big or pa.group)
-
-
-def hom(pa_x, pa_y):
-    """The poset of G-maps pa_x -> pa_y, as adjunction_maps asks for it."""
-    return enumerate_maps(pa_x.space, pa_y.space, equivariant=(pa_x, pa_y))
-
-
-def compare_products(pa_1, pa_2, big=None):
-    """product_comparison on the twisted products of pa_1 x pa_2 and of
-    both factors, over pa_1's group unless ``big`` is given."""
-    diag = diagonal_product(pa_1, pa_2)
-    envs = [twist(pa, big or pa_1.group) for pa in (diag, pa_1, pa_2)]
-    return product_comparison(*envs)
+from gen import (compare_products, cyclic_group, fixture_pa, golden_instances, klein_group,
+                 half_circle_document, hom, label_tables, random_global, random_partial,
+                 restricted, twist)
 
 
 def compare_iterated_twists(pa, big=None):
@@ -54,13 +35,6 @@ def compare_iterated_twists(pa, big=None):
     inner = twist(pa)
     return iterated_twist_comparison(inner, twist(inner.as_global_action(), big),
                                      twist(pa, big))
-
-
-def raw_pieces(pa):
-    return (list(pa.group.elements), [list(r) for r in pa.group.table],
-            pa.group.identity, list(pa.space.points),
-            {g: pa.domains[g] for g in pa.group.elements},
-            {g: dict(pa.thetas[g]) for g in pa.group.elements})
 
 
 def test_z2_pair_globalization_matches_oracle_byte_for_byte():
@@ -354,9 +328,9 @@ def test_product_comparison_fails_on_z2_pair_square():
     assert len(report["unhit_targets"]) == 2
     # independent oracle: brute class counts on both sides
     sq = fixture_pa("z2-pair-sq")
-    oracle_classes = brute_globalization_classes(*raw_pieces(sq))
+    oracle_classes = brute_globalization_classes(*label_tables(sq))
     assert len(oracle_classes) == 7
-    factor_classes = brute_globalization_classes(*raw_pieces(z2pair))
+    factor_classes = brute_globalization_classes(*label_tables(z2pair))
     assert len(factor_classes) ** 2 == 9
 
 
@@ -396,11 +370,8 @@ def test_comparisons_reject_envelopes_of_other_actions():
     with pytest.raises(ValidationError) as err:
         product_comparison(twist(diag), twist(pt), twist(z2pair))
     assert err.value.axiom == "space-mismatch"
-    klein = validate_group(["0", "1", "a", "b"],
-                           [["0", "1", "a", "b"], ["1", "0", "b", "a"],
-                            ["a", "b", "0", "1"], ["b", "a", "1", "0"]], "0")
     with pytest.raises(ValidationError) as err:
-        product_comparison(twist(diag), twist(z2pair, klein), twist(pt))
+        product_comparison(twist(diag), twist(z2pair, klein_group("01ab")), twist(pt))
     assert err.value.axiom == "group-mismatch"
 
 
@@ -479,17 +450,11 @@ def test_generated_intersection_matches_the_family_scan(rng):
     and Z24 (8 subgroups, 255 families), at the default family cap, at a
     cap of 3, where only pairs are counted, and on either side of the cap
     that admits every family."""
-    from pact import DEFAULT_BOUNDS, FIXTURES, parse_instance
+    from pact import DEFAULT_BOUNDS, parse_instance
     from pact.envelope import generated_intersection
-    from test_certify import random_global
-    from test_golden_generated import GOLDEN
-    from test_verify import half_circle_document
-    cases = [(load_fixture(name).embedded_pa, DEFAULT_BOUNDS) for name in FIXTURES]
-    for entry in json.loads(GOLDEN.read_text()):
-        cases.append((parse_instance(entry["document"]).embedded_pa,
-                      dataclasses.replace(DEFAULT_BOUNDS, **entry["bounds"])))
+    cases = [(inst.embedded_pa, bounds) for inst, bounds in golden_instances()]
     cases += [(random_global(rng, kind), DEFAULT_BOUNDS)
-              for kind in ("regular", "trivial", "envelope") for _ in range(4)]
+              for kind in ("regular", "cone", "trivial", "envelope") for _ in range(4)]
     cases.append((parse_instance(half_circle_document(24)).embedded_pa,
                   DEFAULT_BOUNDS.with_limit(100_000)))
     counts = []
@@ -504,22 +469,21 @@ def test_generated_intersection_matches_the_family_scan(rng):
 
 
 def test_recognition_on_random_restrictions(rng):
-    from test_paction import random_rotation_action
-    from pact import enumerate_opens, restrict_global
     holds = unmet = 0
-    for _ in range(25):
-        beta = random_rotation_action(rng, rng.choice([2, 3]))
-        opens = [u for u in enumerate_opens(beta.space) if u]
-        u = rng.choice(opens)
+    for draw in range(300):  # 25 draws, and more until each outcome is seen 3 times
+        if draw >= 25 and holds >= 3 and unmet >= 3:
+            break
+        beta = random_global(rng, "regular", cyclic_group(rng.choice([2, 3])))
+        restricted_pa = restricted(rng, beta)
+        u = restricted_pa.space.points
         covered = {label_apply(beta, g, x) for g in beta.group.elements for x in u}
         phi, report = recognize_globalization(beta, u)
         if covered == set(beta.space.points):
             holds += 1
             assert report["status"] == "holds"
             assert phi.is_bijective()
-            restricted = restrict_global(beta, u)
             assert is_G_homeomorphism(
-                phi, globalize(restricted).as_global_action(), beta)
+                phi, globalize(restricted_pa).as_global_action(), beta)
         else:
             unmet += 1
             assert report["status"] == "precondition-unmet"
@@ -529,20 +493,15 @@ def test_recognition_on_random_restrictions(rng):
 
 
 def test_twisted_products_match_oracle_on_random_subgroup_actions(rng):
-    from test_paction import random_rotation_action
-    from pact import all_subgroups, restrict_to_subgroup
     checked = 0
     for _ in range(15):
-        pa = random_rotation_action(rng, 4, max_base=2)
+        pa = random_global(rng, rng.choice(["regular", "cone"]), cyclic_group(4), 2)
         z4 = pa.group
         sub = rng.choice(all_subgroups(z4))
         res = restrict_to_subgroup(pa, sub)
         env = twisted_product(res, z4)
-        oracle = brute_twisted_classes(
-            list(z4.elements), [list(r) for r in z4.table], z4.identity,
-            list(res.group.elements), list(res.space.points),
-            {g: res.domains[g] for g in res.group.elements},
-            {g: dict(res.thetas[g]) for g in res.group.elements})
+        k_elements, _, _, *raw = label_tables(res)
+        oracle = brute_twisted_classes(*label_tables(pa)[:3], k_elements, *raw)
         view = label_view(env)
         got = {frozenset(view.members_of(c)) for c in env.total.points}
         assert got == set(oracle)
@@ -622,15 +581,15 @@ def _lift_case(rng):
     over ``big``: globalizations of partial actions of Z_n, or twisted
     products over Z4 of global actions of a subgroup of Z4."""
     if rng.random() < 0.5:
-        n = rng.choice([2, 3, 4])
-        pa_x = _random_factor(rng, n)
-        pa_y = pa_x if rng.random() < 0.4 else _random_factor(rng, n)
-        return pa_x, pa_y, globalize(pa_x), globalize(pa_y), pa_x.group
+        grp = cyclic_group(rng.choice([2, 3, 4]))
+        pa_x = random_partial(rng, grp)
+        pa_y = pa_x if rng.random() < 0.4 else random_partial(rng, grp)
+        return pa_x, pa_y, globalize(pa_x), globalize(pa_y), grp
     z4 = cyclic_group(4)
     sub = rng.choice(all_subgroups(z4))
 
     def action():
-        return restrict_to_subgroup(random_rotation_action(rng, 4, max_base=2), sub)
+        return restrict_to_subgroup(random_global(rng, "regular", z4, 2), sub)
     pa_x = action()
     pa_y = pa_x if rng.random() < 0.4 else action()
     return pa_x, pa_y, twisted_product(pa_x, z4), twisted_product(pa_y, z4), z4
@@ -706,11 +665,10 @@ LIFT_CORRUPTIONS = [("discontinuous",), ("non-equivariant",), ("class-table",),
                     ("class-table", "action-row", "non-equivariant")]
 
 
-def _compare_lifts(rng, kinds):
-    """Batch and one-map lifts of one corrupted problem agree, row for row
-    or error for error; so do envelope_of_map and the label lift of each
-    row alone.  Returns the batch outcome."""
-    pa_x, pa_y, env_x, env_y, big, rows = _corrupted_lift(rng, kinds)
+def _compare_lifts(pa_x, pa_y, env_x, env_y, big, rows):
+    """Batch and one-map lifts of one lift problem agree, row for row or
+    error for error; so do envelope_of_map and the label lift of each row
+    alone.  Returns the batch outcome."""
     poset = MapPoset(pa_x.space, pa_y.space, tuple(rows))
     got = _lift_outcome(lambda: lift_maps(poset, pa_x, pa_y, env_x, env_y, big))
     want = _lift_outcome(lambda: label_lift_rows(pa_x.space, pa_y.space, rows,
@@ -729,36 +687,24 @@ def _compare_lifts(rng, kinds):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(LIFT_CORRUPTIONS))
 def test_batch_lift_matches_label_lift(seed, kinds):
-    _compare_lifts(random.Random(seed), kinds)
+    _compare_lifts(*_corrupted_lift(random.Random(seed), kinds))
 
 
-def test_batch_lift_reaches_every_error(rng):
-    # the same comparison on a fixed sample, which must reach each check of
-    # the one-map lift, on globalizations and on twisted products
-    seen = set()
-    for _ in range(40):
-        for kinds in LIFT_CORRUPTIONS:
-            got = _compare_lifts(rng, kinds)
-            if got[0] == "ValidationError":
-                seen.add(got[1])
-            elif got[0] == "InternalCheckError":
-                seen.add(got[1].split(" at ")[0])
-    assert seen == {"not-continuous", "not-a-G-map",
-                    "induced map not well defined",
-                    "induced map is not continuous",
-                    "induced map is not equivariant"}
+def _trivial_on_a_cone():
+    """Z2 acting trivially on a <- c -> b."""
+    z2 = cyclic_group(2)
+    return trivial_action(z2, space_from_min_opens(
+        ["a", "b", "c"], {"a": ["a"], "b": ["b"], "c": ["a", "b", "c"]})), z2
 
 
-def test_batch_lift_raises_for_the_first_failing_row():
+def _first_failing_row_lifts():
     # two copies of a <- c -> b over Z2, from the trivial subgroup: the
     # classes are single pairs, so corrupting env_y's class table moves one
     # value of a lift without a clash.  After the corruptions the lift of
     # the constant at a is continuous but not equivariant, and the lift of
     # the identity is not continuous; the first of the two rows decides.
-    z2 = cyclic_group(2)
-    space = space_from_min_opens(["a", "b", "c"],
-                                 {"a": ["a"], "b": ["b"], "c": ["a", "b", "c"]})
-    pa = restrict_to_subgroup(trivial_action(z2, space), Subgroup.from_labels(z2, {"0"}))
+    pa, z2 = _trivial_on_a_cone()
+    pa = restrict_to_subgroup(pa, Subgroup.from_labels(z2, {"0"}))
     env = twisted_product(pa, z2)
     # pairs (0, a), (0, b), (0, c) are indices 0, 1, 2
     classes = list(env.pair_class)
@@ -769,26 +715,19 @@ def test_batch_lift_raises_for_the_first_failing_row():
     env_y = dataclasses.replace(env, pair_class=tuple(classes),
                                 action_rows=tuple(map(tuple, action)))
     constant, identity = (0, 0, 0), (0, 1, 2)
-    for rows, message in (([constant, identity], "induced map is not equivariant"),
-                          ([identity, constant], "induced map is not continuous")):
-        got = _lift_outcome(lambda: lift_maps(MapPoset(space, space, tuple(rows)),
-                                              pa, pa, env, env_y, z2))
-        assert got == ("InternalCheckError", message)
-        assert got == _lift_outcome(lambda: label_lift_rows(space, space, rows, pa, pa,
-                                                            env, env_y, z2))
+    return [((pa, pa, env, env_y, z2, rows), ("InternalCheckError", message))
+            for rows, message in (([constant, identity], "induced map is not equivariant"),
+                                  ([identity, constant], "induced map is not continuous"))]
 
 
-def test_batch_lift_orders_a_clash_against_an_input_fault():
+def _clash_order_lifts():
     # Z2 acting trivially on a <- c -> b, globalized: each class is
     # {(0, x), (1, x)}.  Moving pair (1, a) of env_y into the class of b
     # makes every row that takes the value a clash, while the constant at c
     # lifts.  The row (c, c, b) is not continuous (a <= c, but f(a) = c is
     # not below f(c) = b) and clashes nowhere, so whichever of the two rows
     # comes first decides the error.
-    z2 = cyclic_group(2)
-    space = space_from_min_opens(["a", "b", "c"],
-                                 {"a": ["a"], "b": ["b"], "c": ["a", "b", "c"]})
-    pa = trivial_action(z2, space)
+    pa, z2 = _trivial_on_a_cone()
     env = globalize(pa)
     classes = list(env.pair_class)
     classes[3] = classes[1]  # pair (1, a) is index 3, pair (0, b) index 1
@@ -796,14 +735,43 @@ def test_batch_lift_orders_a_clash_against_an_input_fault():
     constant, discontinuous, identity = (2, 2, 2), (2, 2, 1), (0, 1, 2)
     clash = ("InternalCheckError",
              f"induced map not well defined at {env.total.points[env.pair_class[0]]!r}")
-    for rows, want in (([constant, discontinuous, identity],
-                        ("ValidationError", "not-continuous", ())),
-                       ([constant, identity, discontinuous], clash)):
-        got = _lift_outcome(lambda: lift_maps(MapPoset(space, space, tuple(rows)),
-                                              pa, pa, env, env_y, z2))
-        assert got == want
-        assert got == _lift_outcome(lambda: label_lift_rows(space, space, rows, pa, pa,
-                                                            env, env_y, z2))
+    return [((pa, pa, env, env_y, z2, rows), want)
+            for rows, want in (([constant, discontinuous, identity],
+                                ("ValidationError", "not-continuous", ())),
+                               ([constant, identity, discontinuous], clash))]
+
+
+def test_batch_lift_raises_for_the_first_failing_row():
+    for problem, want in _first_failing_row_lifts():
+        assert _compare_lifts(*problem) == want
+
+
+def test_batch_lift_orders_a_clash_against_an_input_fault():
+    for problem, want in _clash_order_lifts():
+        assert _compare_lifts(*problem) == want
+
+
+def test_batch_lift_reaches_every_error(rng):
+    # the same comparison on a random sample, on globalizations and on
+    # twisted products, and on hand-built problems that reach each check of
+    # the one-map lift whatever the sample draws; the last is the swap of
+    # z2-pair's points, continuous but not equivariant
+    problems = [_corrupted_lift(rng, kinds) for _ in range(40) for kinds in LIFT_CORRUPTIONS]
+    problems += [problem for problem, _ in _first_failing_row_lifts() + _clash_order_lifts()]
+    z2pair = fixture_pa("z2-pair")
+    env = globalize(z2pair)
+    problems.append((z2pair, z2pair, env, env, z2pair.group, [(1, 0)]))
+    seen = set()
+    for problem in problems:
+        got = _compare_lifts(*problem)
+        if got[0] == "ValidationError":
+            seen.add(got[1])
+        elif got[0] == "InternalCheckError":
+            seen.add(got[1].split(" at ")[0])
+    assert seen == {"not-continuous", "not-a-G-map",
+                    "induced map not well defined",
+                    "induced map is not continuous",
+                    "induced map is not equivariant"}
 
 
 # ---------------------------------------------------------------------------
@@ -813,7 +781,7 @@ def _assembly_case(rng):
     """A random partial action of Z_n and its envelope: the globalization
     (K = G), or the twisted product over Z_n of the action's restriction to
     a random subgroup K, proper or the whole group."""
-    pa = _random_factor(rng, rng.choice([2, 3, 4, 6]))
+    pa = random_partial(rng, cyclic_group(rng.choice([2, 3, 4, 6])))
     if rng.random() < 0.4:
         return pa, globalize(pa)
     res = restrict_to_subgroup(pa, rng.choice(all_subgroups(pa.group)))
@@ -823,14 +791,12 @@ def _assembly_case(rng):
 def _brute_class_sets(pa, big):
     """The classes of G x X as product-point label sets, from the
     brute-force relation closures."""
-    raw = (list(pa.space.points), {g: pa.domains[g] for g in pa.group.elements},
-           {g: dict(pa.thetas[g]) for g in pa.group.elements})
-    table = [list(row) for row in big.table]
+    k_elements, _, _, *raw = label_tables(pa)
+    big_tables = (list(big.elements), [list(row) for row in big.table], big.identity)
     if pa.group == big:
-        classes = brute_globalization_classes(list(big.elements), table, big.identity, *raw)
+        classes = brute_globalization_classes(*big_tables, *raw)
     else:
-        classes = brute_twisted_classes(list(big.elements), table, big.identity,
-                                        list(pa.group.elements), *raw)
+        classes = brute_twisted_classes(*big_tables, k_elements, *raw)
     return [frozenset(pair_label(g, x) for g, x in cls) for cls in classes]
 
 

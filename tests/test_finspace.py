@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pact import (BoundExceeded, InternalCheckError, SpaceMap, ValidationError,
+from pact import (BoundExceeded, FinSpace, InternalCheckError, SpaceMap, ValidationError,
                   compose, core, discrete_space, enumerate_monotone_maps, enumerate_opens,
                   is_closed, is_continuous, is_open, is_open_map, is_T1,
                   load_fixture, pair_label, product, quotient,
@@ -22,12 +22,8 @@ from oracle import (LabelSpaceMap, assert_same_search, brute_opens,
                     label_compose, label_core, label_is_open_map, label_is_T1,
                     label_product, label_quotient, label_space_from_min_opens,
                     label_subspace, label_t0_quotient, mask_space,
-                    preimage_continuous, random_partition, random_preorder_space,
-                    space_violation)
-
-
-def c8():
-    return load_fixture("z4-circle").space
+                    preimage_continuous, random_partition, space_violation)
+from gen import c8, random_preorder_space, random_space, with_projections
 
 
 def test_space_from_min_opens_validates():
@@ -95,17 +91,17 @@ def test_enumerate_opens_matches_brute():
 def test_product_examples():
     space = c8()
     pt = discrete_space(["x"])
-    prod, p1, p2 = product(pt, space)
+    prod, p1, p2 = with_projections(pt, space)
     assert find_homeomorphism(prod, space) is not None
     assert is_continuous(p1) and is_continuous(p2)
     assert is_open_map(p2)
 
     d2 = discrete_space(["a", "b"])
-    sq, _, _ = product(d2, d2)
+    sq = product(d2, d2)
     assert len(sq) == 4
     assert all(sq.min_open_of(p) == frozenset({p}) for p in sq.points)
 
-    big, q1, q2 = product(space, d2)
+    big = product(space, d2)
     assert len(big) == 16
     assert big.min_open_of(pair_label("c0", "a")) == \
         frozenset({pair_label("a3", "a"), pair_label("c0", "a"), pair_label("a0", "a")})
@@ -115,7 +111,7 @@ def test_product_projections_and_min_opens_exhaustively():
     space = c8()
     d2 = discrete_space(["a", "b"])
     for left, right in ((space, d2), (d2, space), (d2, d2)):
-        prod, p1, p2 = product(left, right)
+        prod, p1, p2 = with_projections(left, right)
         assert is_continuous(p1) and is_continuous(p2)
         assert is_open_map(p1) and is_open_map(p2)
         for x in left.points:
@@ -300,14 +296,25 @@ def test_find_homeomorphism_completeness_vs_bijections(rng):
         assert find_homeomorphism(a, taller) is None
 
     for _ in range(25):
-        pa, ma = random_preorder_space(rng, 5, prefix="u")
-        pb, mb = random_preorder_space(rng, 5, prefix="v")
-        a = space_from_min_opens(pa, ma)
-        b = space_from_min_opens(pb, mb)
-        found = find_homeomorphism(a, b)
-        assert (found is not None) == _iso_exists_by_scan(a, b)
-        if found is not None:
-            assert is_continuous(found) and is_continuous(found.inverse())
+        _assert_homeomorphism_search_is_exact(random_space(rng, 5, "u"),
+                                              random_space(rng, 5, "v"))
+
+
+def _assert_homeomorphism_search_is_exact(a, b):
+    found = find_homeomorphism(a, b)
+    assert (found is not None) == _iso_exists_by_scan(a, b)
+    if found is not None:
+        assert is_continuous(found) and is_continuous(found.inverse())
+
+
+def test_find_homeomorphism_compares_colors_across_the_spaces():
+    # a 3-chain plus an isolated point, listed in two orders: refined one
+    # space at a time, each space numbered its colors (0, 1, 2, 3) by first
+    # appearance, which paired unrelated points and missed the isomorphism
+    a = FinSpace(("u0", "u1", "u2", "u3"), (11, 2, 4, 10))
+    b = FinSpace(("v0", "v1", "v2", "v3"), (5, 2, 4, 13))
+    assert find_homeomorphism(a, b) is not None
+    _assert_homeomorphism_search_is_exact(a, b)
 
 
 def test_t0_quotient_examples():
@@ -355,7 +362,7 @@ def test_trail_search_matches_copying_search(seed):
     # map cap, its BoundExceeded, so it visits the same nodes in order
     rng = random.Random(seed)
     source, target = (space_from_min_opens(*random_preorder_space(
-        rng, 5, prefix=prefix, density=rng.uniform(0.1, 0.4))) for prefix in "xy")
+        rng, 5, prefix, rng.uniform(0.1, 0.4))) for prefix in "xy")
     n, m = len(source), len(target)
     full = (1 << m) - 1
     allowed = [full if rng.random() < 0.8 else rng.randrange(full + 1) for _ in range(n)]
@@ -515,7 +522,7 @@ def test_t0_quotient_is_t0_idempotent_and_continuous(space):
 @settings(max_examples=40, deadline=None)
 @given(small_spaces(), small_spaces())
 def test_projection_sections_compose_to_identity(a, b):
-    prod, p1, p2 = product(a, b)
+    prod, p1, p2 = with_projections(a, b)
     for y in b.points:
         section = SpaceMap.from_dict(a, prod, {x: pair_label(x, y) for x in a.points})
         assert is_continuous(section)
@@ -678,7 +685,8 @@ def test_mask_space_matches_label_space(a_table, b_table, data):
     _assert_same_space(a, la)
     _assert_same_space(b, lb)
 
-    prod, p1, p2 = product(a, b)
+    prod, p1, p2 = with_projections(a, b)
+    assert prod == product(a, b)
     lprod, lp1, lp2 = label_product(la, lb)
     _assert_same_space(prod, lprod)
     assert (p1.assignment, p2.assignment) == (lp1.assignment, lp2.assignment)

@@ -10,12 +10,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-from pathlib import Path
 
+from gen import FIXTURE_GOLDEN as GOLDEN
 from pact import fixture_names
 from pact.cli import main
-
-GOLDEN = Path(__file__).parent / "golden" / "check_all_fixtures.json"
 
 
 def report_lines(name: str) -> list[str]:

@@ -3,20 +3,19 @@
 The golden stores, for each generated instance (the Z_n arcs and the map
 search family of two fixed seeds), its document, its bound overrides and
 its reports without ``elapsed_ms`` as lines of sorted-key JSON.  The test
-reads only that file, so it needs no generator.  A change that alters a
-report on purpose re-records the file with
+reads only that file, so it needs no benchmark generator.  A change that
+alters a report on purpose re-records the file with
 ``PYTHONPATH=src:. python tests/test_golden_generated.py`` (run from the
-repository root, where the generators live) and says so in CHANGES.md.
+repository root, where ``bench/workloads.py`` lives) and says so in
+CHANGES.md.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
-from pathlib import Path
 
+from gen import GENERATED_GOLDEN as GOLDEN
 from pact import DEFAULT_BOUNDS, parse_instance, run_all
-
-GOLDEN = Path(__file__).parent / "golden" / "run_all_generated.json"
 SEEDS = (3, 5)
 
 

@@ -3,27 +3,19 @@ from __future__ import annotations
 import pytest
 
 from pact import (BoundExceeded, SpaceMap, ValidationError,
-                  core, cyclic_group,
-                  discrete_space, enumerate_maps, enumerate_opens,
-                  fixture_names, global_action, globalize,
+                  core, discrete_space, enumerate_maps, enumerate_opens,
+                  fixture_names, globalize,
                   is_contractible, is_G_contractible,
                   is_G_map, is_locally_G_contractible, load_fixture,
-                  restrict_global, run_claim, space_from_min_opens,
+                  run_claim, space_from_min_opens,
                   trivial_action)
+from gen import (c8, cyclic_group, fixture_pa, g_contract, random_global, random_partial,
+                 random_preorder_space, random_space, restricted)
 from oracle import (are_G_homotopic, are_homotopic, as_label_space,
                     envelopes_G_homotopic, exhaustive_locally_G_contractible,
                     find_homeomorphism, homotopy_from_fence,
                     interval_homotopy_exists, label_beat_point, label_components,
-                    label_core, label_fence, random_preorder_space)
-from test_paction import _random_factor, random_rotation_action
-
-
-def fixture_pa(name):
-    return load_fixture(name).pa
-
-
-def c8():
-    return load_fixture("z4-circle").space
+                    label_core, label_fence)
 
 
 # ---------------------------------------------------------------------------
@@ -72,10 +64,7 @@ def test_are_homotopic_rejects_bad_maps():
 
 def test_pointwise_comparable_maps_are_homotopic(rng):
     for _ in range(20):
-        px, mx = random_preorder_space(rng, 4, prefix="x")
-        py, my = random_preorder_space(rng, 4, prefix="y")
-        sx = space_from_min_opens(px, mx)
-        sy = space_from_min_opens(py, my)
+        sx, sy = random_space(rng, 4, "x"), random_space(rng, 4, "y")
         poset = enumerate_maps(sx, sy)
         if len(poset.maps) < 2:
             continue
@@ -92,17 +81,15 @@ def test_components_and_fences_on_rows_match_label_search(rng):
     checked = 0
     while checked < 30:
         if checked % 2:
-            pa = _random_factor(rng, rng.choice([2, 3]))
+            pa = random_partial(rng, cyclic_group(rng.choice([2, 3])))
             try:
                 poset = enumerate_maps(pa.space, pa.space, equivariant=(pa, pa),
                                        max_maps=300)
             except BoundExceeded:
                 continue
         else:
-            px, mx = random_preorder_space(rng, 4, prefix="x")
-            py, my = random_preorder_space(rng, 4, prefix="y")
-            poset = enumerate_maps(space_from_min_opens(px, mx),
-                                   space_from_min_opens(py, my), max_maps=300)
+            poset = enumerate_maps(random_space(rng, 4, "x"), random_space(rng, 4, "y"),
+                                   max_maps=300)
         maps = list(poset.maps)
         assert poset.components == label_components(maps)
         for _ in range(5):
@@ -157,8 +144,7 @@ def test_core_matches_label_scan(rng):
     from pact import t0_quotient
     from pact.homotopy import _beat_point
     for _ in range(60):
-        points, min_open = random_preorder_space(rng, 8)
-        space = space_from_min_opens(points, min_open)
+        space = random_space(rng, 8)
         quotient, _ = t0_quotient(space)
         assert ([_beat_point(quotient, i) for i in range(len(quotient))]
                 == [label_beat_point(quotient, x) for x in quotient.points])
@@ -187,18 +173,11 @@ def test_is_contractible_examples_and_cross_check(rng):
     assert is_contractible(load_fixture("z2-wedge").space)
     assert not is_contractible(c8())
     for _ in range(12):
-        points, min_open = random_preorder_space(rng, 5)
-        space = space_from_min_opens(points, min_open)
+        space = random_space(rng, 5)
         ident = SpaceMap.identity(space)
         by_fence = any(are_homotopic(ident, SpaceMap.constant(space, space, w))
                        for w in space.points)
         assert is_contractible(space) == by_fence
-
-
-def g_contract(pa):
-    """is_G_contractible on the poset of G-self-maps built here."""
-    return is_G_contractible(pa, lambda: enumerate_maps(pa.space, pa.space,
-                                                        equivariant=(pa, pa)))
 
 
 def test_is_g_contractible_examples():
@@ -245,34 +224,21 @@ def test_locally_g_contractible_examples():
     assert is_locally_G_contractible(fixture_pa("z4-arcs")) is True
 
 
-def random_cone_rotation(rng, copies: int, max_base: int = 2):
-    """A rotation of copies under a fixed apex above them all, so the
-    apex's isotropy group moves its minimal open set."""
-    rot = random_rotation_action(rng, copies, max_base)
-    points = list(rot.space.points) + ["top"]
-    min_open = {p: rot.space.min_open_of(p) for p in rot.space.points}
-    min_open["top"] = points
-    thetas = {g: {**rot.thetas[g], "top": "top"} for g in rot.group.elements}
-    return global_action(rot.group, space_from_min_opens(points, min_open), thetas)
-
-
 def local_contractibility_instances(rng):
     """The fixtures and their globalizations, trivial Z2/Z3/Z4 actions on
-    random spaces (G_x = G everywhere), and random restrictions of
-    rotations and of cone rotations."""
+    random spaces (G_x = G everywhere), and rotations of copies of a random
+    base, with and without a fixed apex above them, and random restrictions
+    of them."""
     for name in fixture_names():
         pa = load_fixture(name).embedded_pa
         yield pa
         yield globalize(pa).as_global_action()
     for _ in range(60):
-        points, min_open = random_preorder_space(rng, 5)
-        yield trivial_action(cyclic_group(rng.choice([2, 3, 4])),
-                             space_from_min_opens(points, min_open))
-    for make in [random_rotation_action] * 50 + [random_cone_rotation] * 25:
-        beta = make(rng, rng.choice([2, 3, 4]), max_base=2)
+        yield random_global(rng, "trivial", cyclic_group(rng.choice([2, 3, 4])))
+    for kind in ["regular"] * 50 + ["cone"] * 25:
+        beta = random_global(rng, kind, cyclic_group(rng.choice([2, 3, 4])), 2)
         yield beta
-        opens = [u for u in enumerate_opens(beta.space) if u]
-        yield restrict_global(beta, rng.choice(opens))
+        yield restricted(rng, beta)
 
 
 def test_locally_g_contractible_matches_exhaustive_scan(rng):
@@ -297,10 +263,7 @@ def test_locally_g_contractible_claim_decides_z4_arcs():
 def test_fence_agrees_with_interval_model(rng):
     found_positive = found_negative = 0
     for _ in range(40):
-        px, mx = random_preorder_space(rng, 3, prefix="x")
-        py, my = random_preorder_space(rng, 4, prefix="y")
-        sx = space_from_min_opens(px, mx)
-        sy = space_from_min_opens(py, my)
+        sx, sy = random_space(rng, 3, "x"), random_space(rng, 4, "y")
         poset = enumerate_maps(sx, sy)
         if len(poset.maps) < 2:
             continue
@@ -361,7 +324,7 @@ def test_every_finite_space_is_locally_contractible_sanity():
     # set of a point is a cone over it, so it contracts inside any
     # neighbourhood; assert that for the fixture spaces and their
     # globalizations so the degenerate statement stays visibly true
-    from pact import enumerate_opens, globalize, subspace
+    from pact import subspace
     spaces = []
     for name in ["pt", "z2-pair", "z2-wedge", "z4-circle", "z4-half"]:
         inst = load_fixture(name)

@@ -8,42 +8,30 @@ from hypothesis import strategies as st
 
 from pact import (BoundExceeded, FinSpace, InternalCheckError, PartialAction, SpaceMap,
                   Subgroup,
-                  ValidationError, cyclic_group, diagonal_product,
-                  discrete_space, enumerate_G_maps, fixed_points,
+                  ValidationError, diagonal_product,
+                  discrete_space, enumerate_G_maps, fixed_points, fixture_names,
                   global_action, is_continuous, is_G_map, is_invariant,
-                  is_isovariant, isotropy, load_fixture, orbit_space, product,
+                  is_isovariant, isotropy, load_fixture, orbit_space,
                   restrict_global, restrict_invariant, restrict_to_subgroup,
                   space_from_min_opens, trivial_action, validate_group,
                   validate_partial_action)
 from pact.finspace import column_masks
 from pact.paction import g_map_faults
+from gen import (circle, cyclic_group, fixture_pa, label_tables, outcome, random_global,
+                 random_partial, regular, restricted, with_projections)
 from oracle import (assert_same_search, brute_orbits, copying_enumerate_G_maps, is_free,
                     is_G_homeomorphism, label_g_map_faults,
                     label_validate_partial_action, partial_action_violation,
-                    random_preorder_space, theta_map)
+                    theta_map)
 
 
-def fixture_pa(name):
-    return load_fixture(name).pa
-
-
-def raw_blocks(inst):
-    space = inst.space
-    return (list(inst.group.elements),
-            [list(r) for r in inst.group.table],
-            inst.group.identity,
-            list(space.points),
-            {p: sorted(space.min_open_of(p)) for p in space.points},
-            {g: sorted(inst.pa.domains[g]) for g in inst.group.elements},
-            {g: dict(inst.pa.thetas[g]) for g in inst.group.elements})
-
-
-@pytest.mark.parametrize("name", ["pt", "z2-pair", "z2-swap", "z2-wedge",
-                                  "z2-pair-sq", "z4-circle", "z4-half",
-                                  "z4-arcs", "z4-from-z2-pair"])
+@pytest.mark.parametrize("name", fixture_names())
 def test_fixtures_validate_and_match_exhaustive_scan(name):
-    inst = load_fixture(name)
-    assert partial_action_violation(*raw_blocks(inst)) is None
+    pa = load_fixture(name).pa
+    elements, table, identity, points, domains, thetas = label_tables(pa)
+    min_open = {p: sorted(pa.space.min_open_of(p)) for p in points}
+    assert partial_action_violation(elements, table, identity, points, min_open,
+                                    domains, thetas) is None
 
 
 def test_enlarged_domain_is_rejected_as_not_open():
@@ -102,7 +90,7 @@ def test_diagonal_product_examples():
     z2pair = fixture_pa("z2-pair")
     pt = fixture_pa("pt")
     diag = diagonal_product(z2pair, pt)
-    assert is_G_homeomorphism(product(z2pair.space, pt.space)[1], diag, z2pair)
+    assert is_G_homeomorphism(with_projections(z2pair.space, pt.space)[1], diag, z2pair)
 
     sq = diagonal_product(z2pair, z2pair)
     fixture_sq = fixture_pa("z2-pair-sq")
@@ -125,7 +113,7 @@ def test_diagonal_product_universal_property():
     z2pair = fixture_pa("z2-pair")
     wedge = fixture_pa("z2-wedge")
     diag = diagonal_product(z2pair, z2pair)
-    _, p1, p2 = product(z2pair.space, z2pair.space)
+    _, p1, p2 = with_projections(z2pair.space, z2pair.space)
     cone_maps = [SpaceMap(wedge.space, z2pair.space, row)
                  for row in enumerate_G_maps(wedge, z2pair)]
     pairing_maps = [SpaceMap(wedge.space, diag.space, row)
@@ -195,11 +183,9 @@ def test_orbit_space_examples():
     arcs = fixture_pa("z4-arcs")
     orb_arcs = orbit_space(arcs)
     assert len(orb_arcs.space) == 7
-    expected = set(brute_orbits(
-        arcs.group.elements, arcs.group.mul, arcs.group.inv,
-        arcs.group.identity, arcs.space.points,
-        {g: arcs.domains[g] for g in arcs.group.elements},
-        {g: dict(arcs.thetas[g]) for g in arcs.group.elements}))
+    _, _, _, points, domains, thetas = label_tables(arcs)
+    expected = set(brute_orbits(arcs.group.elements, arcs.group.mul, arcs.group.inv,
+                                arcs.group.identity, points, domains, thetas))
     assert set(orb_arcs.classes) == expected
     assert frozenset({"a0", "a2"}) in expected
 
@@ -210,7 +196,7 @@ def test_orbits_of_a_partial_action_need_more_than_the_generators():
     the two points into one orbit, so a union-find over generator edges
     would split it.  The twisted product over Z4 has 4 classes of 8 pairs."""
     from pact import orbit_classes, twisted_product
-    pa = restrict_global(_cycles_action(4, 1), {"q0.0", "q0.2"})
+    pa = restrict_global(regular(cyclic_group(4), discrete_space(["q0"])), {"q0.0", "q0.2"})
     assert [pa.group.elements[g] for g in pa.group.generators] == ["1"]
     assert pa.thetas["1"] == {}
     assert orbit_classes(pa) == [0b11]
@@ -271,35 +257,14 @@ def test_is_g_map_requires_continuity_as_error():
     assert err.value.axiom == "not-continuous"
 
 
-def random_rotation_action(rng, copies: int, max_base: int = 3):
-    """A global Z_n action rotating n disjoint copies of a random base
-    space; restriction targets for the PA2-identity property tests."""
-    base_points, base_mo = random_preorder_space(rng, max_base)
-    points = [f"{p}.{k}" for k in range(copies) for p in base_points]
-    min_open = {f"{p}.{k}": [f"{q}.{k}" for q in base_mo[p]]
-                for k in range(copies) for p in base_points}
-    space = space_from_min_opens(points, min_open)
-    thetas = {}
-    for g in range(copies):
-        thetas[str(g)] = {f"{p}.{k}": f"{p}.{(k + g) % copies}"
-                          for k in range(copies) for p in base_points}
-    return global_action(cyclic_group(copies), space, thetas)
-
-
 def test_domain_identity_holds_on_random_restrictions(rng):
-    from pact import enumerate_opens
     for _ in range(50):
-        pa = random_rotation_action(rng, rng.choice([2, 3, 4]))
+        pa = random_partial(rng, None, ["regular", "cone", "envelope", "diagonal"], 3)
         grp = pa.group
-        opens = [u for u in enumerate_opens(pa.space) if u]
-        restricted = restrict_global(pa, rng.choice(opens))
         for g in grp.elements:
             for h in grp.elements:
-                lhs = frozenset(restricted.thetas[g][x]
-                                for x in restricted.domains[grp.inv(g)]
-                                & restricted.domains[h])
-                rhs = restricted.domains[g] & restricted.domains[grp.mul(g, h)]
-                assert lhs == rhs
+                lhs = frozenset(pa.thetas[g][x] for x in pa.domains[grp.inv(g)] & pa.domains[h])
+                assert lhs == pa.domains[g] & pa.domains[grp.mul(g, h)]
 
 
 def test_mutated_theta_never_triggers_internal_disagreement(rng):
@@ -356,19 +321,10 @@ def test_twisted_diagonal_action_validates_without_pairwise_leq(monkeypatch):
     # the diagonal K-action behind twisted_product lives on 16 x 15 = 240
     # points, where a pairwise leq scan costs millions of look-ups.
     n = 16
-    points = [f"a{i}" for i in range(n)] + [f"c{i}" for i in range(n)]
-    min_open = {f"a{i}": [f"a{i}"] for i in range(n)}
-    min_open.update({f"c{i}": [f"a{(i - 1) % n}", f"c{i}", f"a{i}"]
-                     for i in range(n)})
-    circle = space_from_min_opens(points, min_open)
     z = cyclic_group(n)
-    rotation = global_action(z, circle, {
-        g: {f"{kind}{i}": f"{kind}{(i + int(g)) % n}"
-            for kind in "ac" for i in range(n)}
-        for g in z.elements})
     half = ([f"a{i}" for i in range(n // 2)]
             + [f"c{i}" for i in range(1, n // 2)])
-    pa = restrict_global(rotation, half)
+    pa = restrict_global(circle(z), half)
     translation = global_action(z, discrete_space(z.elements), {
         k: {g: z.mul(g, z.inv(k)) for g in z.elements} for k in z.elements})
 
@@ -377,7 +333,7 @@ def test_twisted_diagonal_action_validates_without_pairwise_leq(monkeypatch):
 
     monkeypatch.setattr(FinSpace, "leq", no_pairwise_scan)
     diag = diagonal_product(translation, pa)
-    _, *projections = product(translation.space, pa.space)
+    _, *projections = with_projections(translation.space, pa.space)
     assert len(diag.space) == 240
     again = validate_partial_action(diag.group, diag.space, diag.domains,
                                     diag.thetas)
@@ -391,63 +347,19 @@ def test_twisted_diagonal_action_validates_without_pairwise_leq(monkeypatch):
 # ---------------------------------------------------------------------------
 # index-table checks against the label-based reference
 
-def _restricted(rng, pa):
-    """pa restricted to a random nonempty open set: a union of minimal opens."""
-    pts = list(pa.space.points)
-    u = set()
-    for p in rng.sample(pts, rng.randint(1, len(pts))):
-        u |= pa.space.min_open_of(p)
-    return restrict_global(pa, u)
-
-
-def _cycles_action(n: int, copies: int):
-    """Z_n rotating ``copies`` disjoint discrete n-cycles: every subset is open
-    and every bijection monotone, so a corruption reaches PA1 and PA2."""
-    points = [f"q{k}.{i}" for k in range(copies) for i in range(n)]
-    return global_action(cyclic_group(n), discrete_space(points), {
-        str(g): {f"q{k}.{i}": f"q{k}.{(i + g) % n}"
-                 for k in range(copies) for i in range(n)}
-        for g in range(n)})
-
-
-def _circle_action(n: int):
-    """Z_n rotating the 2n-point circle."""
-    points = [f"a{i}" for i in range(n)] + [f"c{i}" for i in range(n)]
-    min_open = {f"a{i}": [f"a{i}"] for i in range(n)}
-    min_open.update({f"c{i}": [f"a{(i - 1) % n}", f"c{i}", f"a{i}"]
-                     for i in range(n)})
-    return global_action(cyclic_group(n), space_from_min_opens(points, min_open), {
-        str(g): {f"{kind}{i}": f"{kind}{(i + g) % n}" for kind in "ac" for i in range(n)}
-        for g in range(n)})
-
-
-def _random_factor(rng, n: int):
-    kind = rng.choice(["cycles", "circle", "trivial"])
-    if kind == "cycles":
-        pa = _cycles_action(n, rng.randint(1, 2))
-    elif kind == "circle":
-        pa = _circle_action(n)
-    else:
-        points, min_open = random_preorder_space(rng, 5)
-        pa = trivial_action(cyclic_group(n), space_from_min_opens(points, min_open))
-    return _restricted(rng, pa)
-
-
 def _random_partial_action(rng, shape: str):
-    n = rng.choice([2, 3, 4])
+    grp = cyclic_group(rng.choice([2, 3, 4]))
     if shape == "single":
-        return _random_factor(rng, n)
+        return random_partial(rng, grp)
     if shape == "diagonal":
-        a, b = _random_factor(rng, n), _random_factor(rng, n)
-        return diagonal_product(a, b)
-    # wide: 12 x 8 points, or 12 x 6..7 with the second factor restricted,
-    # so the domain masks span two machine words
-    a = _cycles_action(4, 3)
-    b = _cycles_action(4, 2) if rng.random() < 0.5 else _circle_action(4)
-    small = _restricted(rng, b)
-    if len(small.space) >= 6:
-        b = small
-    return diagonal_product(a, b)
+        return diagonal_product(random_partial(rng, grp), random_partial(rng, grp))
+    # wide: Z4 rotating 12 discrete points times 8 points, or 6..7 with the
+    # second factor restricted, so the domain masks span two machine words
+    z4 = cyclic_group(4)
+    a = regular(z4, discrete_space(["q0", "q1", "q2"]))
+    b = regular(z4, discrete_space(["q0", "q1"])) if rng.random() < 0.5 else circle(z4)
+    small = restricted(rng, b)
+    return diagonal_product(a, small if len(small.space) >= 6 else b)
 
 
 def _corrupted(rng, pa, kind: str):
@@ -471,16 +383,6 @@ def _corrupted(rng, pa, kind: str):
     return domains, thetas
 
 
-def _outcome(check, *args):
-    try:
-        check(*args)
-    except ValidationError as exc:
-        return "ValidationError", exc.axiom, exc.witness
-    except InternalCheckError as exc:
-        return "InternalCheckError", str(exc)
-    return None
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1),
        st.sampled_from(["single", "diagonal", "wide"]),
@@ -489,11 +391,11 @@ def test_index_table_checks_match_label_reference(seed, shape, kind):
     rng = random.Random(seed)
     pa = _random_partial_action(rng, shape)
     args = (pa.group, pa.space, pa.domains, pa.thetas)
-    assert _outcome(label_validate_partial_action, *args) is None
+    assert outcome(label_validate_partial_action, *args) is None
     domains, thetas = _corrupted(rng, pa, kind)
     args = (pa.group, pa.space, domains, thetas)
-    assert (_outcome(validate_partial_action, *args)
-            == _outcome(label_validate_partial_action, *args))
+    assert (outcome(validate_partial_action, *args)
+            == outcome(label_validate_partial_action, *args))
 
 
 def test_index_table_checks_reach_pa1_and_pa2(rng):
@@ -505,8 +407,8 @@ def test_index_table_checks_reach_pa1_and_pa2(rng):
         for kind in ("swap-images", "drop-domain-point", "break-composition"):
             domains, thetas = _corrupted(rng, pa, kind)
             args = (pa.group, pa.space, domains, thetas)
-            got = _outcome(validate_partial_action, *args)
-            assert got == _outcome(label_validate_partial_action, *args)
+            got = outcome(validate_partial_action, *args)
+            assert got == outcome(label_validate_partial_action, *args)
             if got:
                 seen.add((got[1], len(pa.space) > 64))
     assert {("theta-inverse-mismatch", False), ("theta-inverse-mismatch", True),
@@ -520,9 +422,9 @@ def test_g_map_faults_match_definitions(seed):
     # random partial actions of one group, checked all at once on column
     # masks against the definitions row by row
     rng = random.Random(seed)
-    n = rng.choice([2, 3, 4])
-    pa_x = _random_factor(rng, n)
-    pa_y = pa_x if rng.random() < 0.3 else _random_factor(rng, n)
+    grp = cyclic_group(rng.choice([2, 3, 4]))
+    pa_x = random_partial(rng, grp)
+    pa_y = pa_x if rng.random() < 0.3 else random_partial(rng, grp)
     width, m = len(pa_x.space), len(pa_y.space)
     try:
         g_rows = enumerate_G_maps(pa_x, pa_y, max_maps=1000)
@@ -546,9 +448,10 @@ def test_enumerate_G_maps_matches_copying_search(seed):
     # the forced pairs without no-ops and repeats, searched in place, give
     # the rows, node counts and bounds of every pair searched by copying
     rng = random.Random(seed)
-    n = rng.choice([2, 3, 4])
-    pa_x = _random_factor(rng, n)
-    pa_y = rng.choice([pa_x, _random_factor(rng, n), _circle_action(n), _cycles_action(n, 1)])
+    grp = cyclic_group(rng.choice([2, 3, 4]))
+    pa_x = random_partial(rng, grp)
+    pa_y = rng.choice([pa_x, random_partial(rng, grp), random_global(rng, "circle", grp),
+                       random_global(rng, "regular", grp, 1)])
     assert_same_search(lambda budget, cap: enumerate_G_maps(pa_x, pa_y, budget, cap),
                        lambda budget, cap: copying_enumerate_G_maps(pa_x, pa_y, budget, cap),
                        rng)
@@ -561,7 +464,7 @@ def test_enumerate_G_maps_prunes_a_target_one_of_several_elements_leaves():
     # is no candidate however the elements are ordered; likewise q0.1
     z3 = cyclic_group(3)
     pa_x = trivial_action(z3, discrete_space(["x", "y"]))
-    pa_y = restrict_global(_cycles_action(3, 1), ["q0.0", "q0.1"])
+    pa_y = restrict_global(regular(z3, discrete_space(["q0"])), ["q0.0", "q0.1"])
     assert enumerate_G_maps(pa_x, pa_y) == []
     assert_same_search(lambda budget, cap: enumerate_G_maps(pa_x, pa_y, budget, cap),
                        lambda budget, cap: copying_enumerate_G_maps(pa_x, pa_y, budget, cap),

@@ -16,7 +16,7 @@ import pact.paction
 import pact.verify
 from pact import (DEFAULT_BOUNDS, Bounds, InternalCheckError, claim_ids,
                   fixture_names, load_fixture, parse_instance, run_all, run_claim)
-from test_verify import fence_document, half_circle_document
+from gen import fence_document, half_circle_document
 
 BUILDERS = {"globalize": pact.envelope, "twisted_product": pact.envelope,
             "enumerate_maps": pact.homotopy, "enumerate_G_maps": pact.paction}

@@ -11,18 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pact import (DEFAULT_BOUNDS, ClaimReport, ValidationError, claim_ids,
-                  cyclic_group, diagonal_product, discrete_space, exit_code,
+                  diagonal_product, discrete_space, exit_code,
                   fixture_dict, fixture_names, load_fixture, pair_label,
                   parse_instance, replay_witness, run_all, run_claim,
                   space_from_min_opens, split_diagonal_factors, split_pair_label,
                   trivial_action, validate_partial_action)
 from pact.verify import first_split_pair
-from oracle import (label_split_diagonal_factors, pairwise_split_pair,
-                    random_preorder_space, worst_status)
-from test_certify import GROUPS, regular_action
-from test_paction import _restricted
-from test_golden import GOLDEN as FIXTURE_GOLDEN
-from test_golden_generated import GOLDEN as GENERATED_GOLDEN
+from gen import (FIXTURE_GOLDEN, GENERATED_GOLDEN, cyclic_group, fence_document,
+                 half_circle_document, instance_document, random_group,
+                 random_partial, random_preorder_space, z6_two_orbits_document)
+from oracle import label_split_diagonal_factors, pairwise_split_pair, worst_status
 
 Z4_PT_TRIVIAL = {
     "id": "z4-pt-trivial",
@@ -139,7 +137,7 @@ def _split_input(rng, kind):
     """A two-factor diagonal product with renamed factor labels, changed by
     ``kind`` ("product" changes nothing), with its points shuffled; None
     when the change leaves no partial action."""
-    grp = cyclic_group(2) if kind == "theta" else GROUPS[rng.choice(sorted(GROUPS))]()
+    grp = cyclic_group(2) if kind == "theta" else random_group(rng)
 
     def factor():
         if kind == "theta":  # discrete, so any permutation is a homeomorphism
@@ -158,7 +156,7 @@ def _split_input(rng, kind):
                  for g in grp.elements})
         if shape == "trivial":
             return trivial_action(grp, space)
-        return _restricted(rng, regular_action(rng, grp))
+        return random_partial(rng, grp, ["regular", "cone"], 3)
 
     names = ["x", "(x,y)", "((u,v),w)", "()"]
     factors = []
@@ -296,35 +294,13 @@ def test_claim_reports_are_json_serializable():
             json.dumps(rep.to_dict())
 
 
-def _instance_doc_from_action(pa, name: str) -> dict:
-    return {
-        "id": name,
-        "group": {"elements": list(pa.group.elements),
-                  "table": [list(r) for r in pa.group.table],
-                  "identity": pa.group.identity},
-        "space": {"points": list(pa.space.points),
-                  "min_open": {p: sorted(pa.space.min_open_of(p))
-                               for p in pa.space.points}},
-        "partial_action": {
-            "domains": {g: sorted(pa.domains[g]) for g in pa.group.elements
-                        if g != pa.group.identity},
-            "maps": {g: dict(pa.thetas[g]) for g in pa.group.elements
-                     if g != pa.group.identity},
-        },
-    }
-
-
 def test_theorem_claims_hold_on_random_instances(rng):
     # restrictions of global actions are the generic valid instances; the
     # registry's theorem claims must never report fails on them
-    from test_paction import random_rotation_action
-    from pact import enumerate_opens, restrict_global
     checked = 0
     while checked < 8:
-        beta = random_rotation_action(rng, 2, max_base=2)
-        opens = [u for u in enumerate_opens(beta.space) if u]
-        pa = restrict_global(beta, rng.choice(opens))
-        inst = parse_instance(_instance_doc_from_action(pa, f"rand{checked}"))
+        pa = random_partial(rng, cyclic_group(2), ["regular", "cone", "circle"])
+        inst = parse_instance(instance_document(pa, f"rand{checked}"))
         for rep in run_all(inst):
             if rep.claim_id in ("product-comparison", "trivial-collapse"):
                 continue  # checked claims with known failure modes
@@ -364,31 +340,6 @@ def test_adjunction_claim_bounds():
     assert run_claim("adjunction", half).status == "holds"
 
 
-def half_circle_document(n: int) -> dict:
-    """Z_n rotating the 2n-point circle, restricted to the open half-circle
-    of arcs a0..a_{n/2-1} and the corners c1..c_{n/2-1} between them."""
-    opens = {f"a{i}": [f"a{i}"] for i in range(n)}
-    opens.update({f"c{i}": [f"a{(i - 1) % n}", f"c{i}", f"a{i}"] for i in range(n)})
-    half = [f"a{i}" for i in range(n // 2)] + [f"c{i}" for i in range(1, n // 2)]
-
-    def rotate(g: int, p: str) -> str:
-        return f"{p[0]}{(int(p[1:]) + g) % n}"
-
-    domains = {str(g): [x for x in half if rotate(-g, x) in half] for g in range(n)}
-    return {
-        "id": f"z{n}-half-circle",
-        "group": {"elements": [str(i) for i in range(n)],
-                  "table": [[str((i + j) % n) for j in range(n)] for i in range(n)],
-                  "identity": "0"},
-        "space": {"points": half, "min_open": {p: [q for q in opens[p] if q in half]
-                                               for p in half}},
-        "partial_action": {
-            "domains": domains,
-            "maps": {str(g): {x: rotate(g, x) for x in domains[str(-g % n)]}
-                     for g in range(n)}},
-    }
-
-
 def test_fixed_point_claims_enumerate_the_lattice_once(monkeypatch):
     import pact.algebra
     inst = parse_instance(half_circle_document(12))
@@ -415,25 +366,6 @@ def test_fixed_point_claims_enumerate_the_lattice_once(monkeypatch):
     assert calls == {"all_subgroups": 1, "family_joins": 0}
 
 
-def fence_document(length: int) -> dict:
-    """The fence x0 < y0 > x1 < ... > x_{length-1} (2 * length - 1 points)
-    with the trivial action of Z2, embedded in Z4 as {0, 2}."""
-    opens = {f"x{i}": [f"x{i}"] for i in range(length)}
-    opens.update({f"y{i}": [f"x{i}", f"y{i}", f"x{i + 1}"] for i in range(length - 1)})
-    points = list(opens)
-    z = {n: {"elements": [str(i) for i in range(n)],
-             "table": [[str((i + j) % n) for j in range(n)] for i in range(n)],
-             "identity": "0"} for n in (2, 4)}
-    return {
-        "id": f"fence{len(points)}-z2-in-z4",
-        "group": z[2],
-        "space": {"points": points, "min_open": opens},
-        "partial_action": {"domains": {"1": points}, "maps": {"1": {x: x for x in points}}},
-        "big_group": z[4],
-        "k_embedding": {"0": "0", "1": "2"},
-    }
-
-
 def test_homotopy_preservation_lifts_each_poset_at_once(monkeypatch):
     import sys
     import pact.envelope
@@ -458,27 +390,6 @@ def test_homotopy_preservation_lifts_each_poset_at_once(monkeypatch):
                        dataclasses.replace(DEFAULT_BOUNDS, max_maps=16384))
     assert report.status == "holds" and report.witness["g_maps"] > 1000
     assert calls == {"envelope_of_map": 0, "is_G_map": 0, "lift_maps": 1}
-
-
-def z6_two_orbits_document() -> dict:
-    """Z6 on three points rotated mod 3 (isotropy {0, 3}) and two points
-    swapped mod 2 (isotropy {0, 2, 4}), all discrete."""
-    points = ["p0", "p1", "p2", "q0", "q1"]
-
-    def act(g: int, x: str) -> str:
-        k = 3 if x[0] == "p" else 2
-        return f"{x[0]}{(int(x[1]) + g) % k}"
-
-    return {
-        "id": "z6-two-orbits",
-        "group": {"elements": [str(i) for i in range(6)],
-                  "table": [[str((i + j) % 6) for j in range(6)] for i in range(6)],
-                  "identity": "0"},
-        "space": {"points": points, "min_open": {p: [p] for p in points}},
-        "partial_action": {"domains": {str(g): points for g in range(6)},
-                           "maps": {str(g): {x: act(g, x) for x in points}
-                                    for g in range(6)}},
-    }
 
 
 def test_generated_intersection_on_a_lattice_that_is_not_a_chain():
