@@ -7,7 +7,6 @@ from dataclasses import dataclass, replace
 @dataclass(frozen=True)
 class Bounds:
     group_order: int = 16        # subgroup enumeration
-    product_points: int = 64     # product spaces
     envelope_pairs: int = 256    # |G| * |X| for globalizations / twisted products
     hom_space: int = 5           # |X|, |Y| for hom-set enumeration
     hom_group: int = 4           # |G| for hom-set enumeration
@@ -20,7 +19,6 @@ class Bounds:
         return replace(
             self,
             group_order=n,
-            product_points=n,
             envelope_pairs=n,
             hom_space=n,
             hom_group=n,

@@ -13,7 +13,7 @@ the projection p and the embedding iota as index tables, all checked
 against the trusted invariants at construction time.  Labels are read off
 the tables only where text leaves the program.  The comparison maps of the
 corollaries (products, iterated twists, trivial collapse) are built and
-*reported on*, never assumed to be homeomorphisms.
+checked by one kernel, :func:`_map_checks`, never assumed homeomorphisms.
 """
 from __future__ import annotations
 
@@ -494,16 +494,9 @@ def recognize_globalization(pa_global: PartialAction, open_subset,
     xs = list(map(pa_global.space.index, restricted.space.points))
     values, clash = env.descend([image[x] for image in pa_global.images for x in xs])
     phi = SpaceMap(env.total, pa_global.space, values)
-    checks = {
-        "well-defined": clash is None,
-        "bijective": phi.is_bijective(),
-        "continuous": is_continuous(phi),
-        "inverse-continuous": phi.is_bijective() and is_continuous(phi.inverse()),
-        "equivariant": all(
-            values[mu[c]] == image[values[c]]
-            for mu, image in zip(env.action_rows, pa_global.images)
-            for c in range(len(env.total))),
-    }
+    checks, _, _ = _map_checks(phi, ("bijective", "continuous", "inverse-continuous",
+                                     "equivariant"), env.action_rows, pa_global.images)
+    checks = {"well-defined": clash is None, **checks}
     status = "holds" if all(checks.values()) else "fails"
     report = {"status": status, "checks": checks,
               "classes": len(env.total), "target_points": len(pa_global.space)}
@@ -645,22 +638,12 @@ def product_comparison(env_d: EnvelopeResult, env_1: EnvelopeResult,
         [env_1.pair_class[g * n_1 + x1] * width + env_2.pair_class[g * n_2 + x2]
          for g in range(len(big)) for x1 in range(n_1) for x2 in range(n_2)])
     cmp_map = SpaceMap(env_d.total, target, values)
-
-    hit = set(values)
-    unhit = [p for j, p in enumerate(target.points) if j not in hit]
-    collision_pair = _first_collision(env_d.total, values)
-
-    equivariant = all(
-        values[mu_d[c]] == mu_1[v // width] * width + mu_2[v % width]
-        for mu_d, mu_1, mu_2 in zip(env_d.action_rows, env_1.action_rows, env_2.action_rows)
-        for c, v in enumerate(values))
-    checks = {
-        "well-defined": clash is None,
-        "continuous": is_continuous(cmp_map),
-        "equivariant": equivariant,
-        "injective": collision_pair is None,
-        "surjective": not unhit,
-    }
+    target_rows = [[a * width + b for a in mu_1 for b in mu_2]
+                   for mu_1, mu_2 in zip(env_1.action_rows, env_2.action_rows)]
+    checks, collision, unhit = _map_checks(
+        cmp_map, ("continuous", "equivariant", "injective", "surjective"),
+        env_d.action_rows, target_rows)
+    checks = {"well-defined": clash is None, **checks}
     status = "holds" if all(checks.values()) else "fails"
     reason = None
     if not checks["well-defined"]:
@@ -681,8 +664,8 @@ def product_comparison(env_d: EnvelopeResult, env_1: EnvelopeResult,
     }
     if reason:
         report["reason"] = reason
-    if collision_pair:
-        report["collision"] = collision_pair
+    if collision:
+        report["collision"] = collision
     return cmp_map, report
 
 
@@ -720,18 +703,16 @@ def iterated_twist_comparison(inner: EnvelopeResult, outer_1: EnvelopeResult,
                                          for g in range(len(big)) for c in inner.embedding_row])
     n = SpaceMap(outer_2.total, outer_1.total, n_values)
 
-    def equivariant(f, source, target):
-        return all(f[mu_s[c]] == mu_t[f[c]]
-                   for mu_s, mu_t in zip(source.action_rows, target.action_rows)
-                   for c in range(len(f)))
-
+    names = ("continuous", "equivariant")
+    m_checks, _, _ = _map_checks(m, names, outer_1.action_rows, outer_2.action_rows)
+    n_checks, _, _ = _map_checks(n, names, outer_2.action_rows, outer_1.action_rows)
     checks = {
         "m-well-defined": m_well and m_clash is None,
         "n-well-defined": n_clash is None,
-        "m-continuous": is_continuous(m),
-        "n-continuous": is_continuous(n),
-        "m-equivariant": equivariant(m_values, outer_1, outer_2),
-        "n-equivariant": equivariant(n_values, outer_2, outer_1),
+        "m-continuous": m_checks["continuous"],
+        "n-continuous": n_checks["continuous"],
+        "m-equivariant": m_checks["equivariant"],
+        "n-equivariant": n_checks["equivariant"],
         "m-after-n-is-identity": all(m_values[c] == i for i, c in enumerate(n_values)),
         "n-after-m-is-identity": all(n_values[c] == i for i, c in enumerate(m_values)),
     }
@@ -755,16 +736,9 @@ def trivial_collapse(env: EnvelopeResult) -> tuple[SpaceMap, dict]:
         raise ValidationError("not-trivial", bad, "collapse needs a trivial action")
     values, clash = env.descend(list(range(len(pa.space))) * len(big))
     delta = SpaceMap(env.total, pa.space, values)
-    collision_pair = _first_collision(env.total, values)
-    surjective = len(set(values)) == len(pa.space)
-    bijective = collision_pair is None and surjective
-    checks = {
-        "well-defined": clash is None,
-        "continuous": is_continuous(delta),
-        "surjective": surjective,
-        "injective": collision_pair is None,
-        "inverse-continuous": bool(bijective and is_continuous(delta.inverse())),
-    }
+    checks, collision, _ = _map_checks(
+        delta, ("continuous", "surjective", "injective", "inverse-continuous"))
+    checks = {"well-defined": clash is None, **checks}
     status = "holds" if all(checks.values()) else "fails"
     reason = None
     if not checks["injective"]:
@@ -777,18 +751,36 @@ def trivial_collapse(env: EnvelopeResult) -> tuple[SpaceMap, dict]:
               "classes": len(env.total), "target_points": len(pa.space)}
     if reason:
         report["reason"] = reason
-    if collision_pair:
-        report["collision"] = collision_pair[:2]
-        report["collision_value"] = delta(collision_pair[0])
+    if collision:
+        report["collision"] = collision[:2]
+        report["collision_value"] = delta(collision[0])
     return delta, report
 
 
-def _first_collision(source: FinSpace, values: Sequence[int]) -> list[str] | None:
-    """The source points of the first value taken more than once, or None."""
-    fibres: dict[int, list[str]] = {}
-    for c, v in zip(source.points, values):
-        fibres.setdefault(v, []).append(c)
-    return next((cs for cs in fibres.values() if len(cs) > 1), None)
+def _map_checks(f: SpaceMap, names: Sequence[str], source_rows: Sequence = (),
+                target_rows: Sequence = ()) -> tuple[dict, list[str] | None, list[str]]:
+    """The checks of ``f`` named in ``names``, in that order, each run only
+    when named: "continuous", "equivariant" (f . mu_g = nu_g . f, mu_g and
+    nu_g the g-th rows of ``source_rows`` and ``target_rows``), "injective",
+    "surjective", "bijective" and "inverse-continuous".  Also returns the
+    first collision, the source points of the repeated value whose least
+    preimage comes first (None when f is injective), and the unhit targets."""
+    row, hit = f.row, set(f.row)
+    collision = None
+    if len(hit) < len(row):
+        value = next(v for v in row if row.count(v) > 1)
+        collision = [p for p, v in zip(f.source.points, row) if v == value]
+    unhit = [p for j, p in enumerate(f.target.points) if j not in hit]
+    checks = {
+        "continuous": lambda: is_continuous(f),
+        "equivariant": lambda: all([row[c] for c in mu] == [nu[v] for v in row]
+                                   for mu, nu in zip(source_rows, target_rows)),
+        "injective": lambda: collision is None,
+        "surjective": lambda: not unhit,
+        "bijective": f.is_bijective,
+        "inverse-continuous": lambda: f.is_bijective() and is_continuous(f.inverse()),
+    }
+    return {name: checks[name]() for name in names}, collision, unhit
 
 
 def fixed_identities(pa: PartialAction, h: Subgroup,
@@ -828,8 +820,11 @@ def fixed_identities(pa: PartialAction, h: Subgroup,
              "fixed_in_image": labels(rhs_2)})
 
 
+MAX_FAMILIES = 4096  # generated_intersection counts up to this many families, else pairs
+
+
 def generated_intersection(pa: PartialAction, env: EnvelopeResult,
-                           subs: Sequence[Subgroup], max_families: int = 4096) -> dict:
+                           subs: Sequence[Subgroup]) -> dict:
     """Identity 3 of :func:`fixed_decomposition` over families of the
     subgroups ``subs``, pa's lattice: the intersection of iota(X)[K_i]
     equals iota(X)[<union of the K_i>].  A point c lies in Fix(K) iff K is
@@ -838,7 +833,7 @@ def generated_intersection(pa: PartialAction, env: EnvelopeResult,
     Fix(K_i) iff the union of the K_i is inside S_c iff <union of the K_i>
     is, and the identity holds for every family without visiting any.
     ``families_checked`` counts every nonempty family when there are at
-    most ``max_families``, else every pair."""
+    most :data:`MAX_FAMILIES`, else every pair."""
     grp = pa.group
     for c in env.embedding_row:
         if not grp.is_subgroup(sum(1 << k for k, mu in enumerate(env.action_rows)
@@ -846,14 +841,13 @@ def generated_intersection(pa: PartialAction, env: EnvelopeResult,
             raise InternalCheckError(f"stabiliser of {env.total.points[c]!r} "
                                      f"is not a subgroup")
     n = len(subs)
-    families = 2 ** n - 1 if 2 ** n - 1 <= max_families else n * (n + 1) // 2
+    families = 2 ** n - 1 if 2 ** n - 1 <= MAX_FAMILIES else n * (n + 1) // 2
     return {"holds": True, "families_checked": families, "witness": None}
 
 
 def fixed_decomposition(pa: PartialAction, h: Subgroup,
                         env: EnvelopeResult | None = None,
                         max_pairs: int = 256,
-                        max_families: int = 4096,
                         group_order: int = 16) -> dict:
     """Check the fixed-point identities in the globalization:
 
@@ -868,8 +862,7 @@ def fixed_decomposition(pa: PartialAction, h: Subgroup,
     if env is None:
         env = globalize(pa, max_pairs)
     decomposition, embedded_fixed = fixed_identities(pa, h, env)
-    generated = generated_intersection(pa, env, all_subgroups(grp, group_order),
-                                       max_families)
+    generated = generated_intersection(pa, env, all_subgroups(grp, group_order))
     holds = decomposition["holds"] and embedded_fixed["holds"] and generated["holds"]
     return {
         "status": "holds" if holds else "fails",

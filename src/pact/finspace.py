@@ -92,10 +92,13 @@ class FinSpace:
         return bool(self.down[self.index(y)] & (1 << self.index(x)))
 
     def mask_of(self, subset: Iterable[str]) -> int:
+        """The index mask of ``subset``; an unknown label raises naming the
+        least one."""
+        subset = tuple(subset)
         try:
             return reduce(or_, map((1).__lshift__, map(self._index.__getitem__, subset)), 0)
-        except KeyError as exc:
-            raise _unknown_point(exc.args[0])
+        except KeyError:
+            raise _unknown_point(min(x for x in subset if x not in self._index))
 
     def set_of(self, mask: int) -> frozenset[str]:
         return frozenset(map(self.points.__getitem__, bit_indices(mask)))
@@ -120,32 +123,31 @@ def space_from_min_opens(points: Sequence[str],
         raise ValidationError("empty-space", (), "a space needs at least one point")
     if len(set(points)) != len(points):
         raise ValidationError("duplicate-point", (), "point labels must be unique")
-    pointset = set(points)
-    table: list[frozenset[str]] = []
+    index = {p: i for i, p in enumerate(points)}
+    down: list[int] = []
     for p in points:
         if p not in min_open:
             raise ValidationError("missing-min-open", (p,), f"no minimal open set for {p!r}")
         u = frozenset(min_open[p])
-        for q in u:
-            if q not in pointset:
-                raise ValidationError("unknown-point", (q,), f"U_{p!r} mentions unknown point {q!r}")
+        if not index.keys() >= u:
+            q = min(u.difference(index))
+            raise ValidationError("unknown-point", (q,), f"U_{p!r} mentions unknown point {q!r}")
         if p not in u:
             raise ValidationError("min-open-membership", (p,), f"{p!r} is not in its own minimal open set")
-        table.append(u)
-    lookup = dict(zip(points, table))
-    for p in points:
-        for q in lookup[p]:
-            if not lookup[q] <= lookup[p]:
-                bad = sorted(lookup[q] - lookup[p])[0]
-                raise ValidationError("min-open-nesting", (q, p, bad),
-                                      f"U_{q!r} is not contained in U_{p!r}")
-    index = {p: i for i, p in enumerate(points)}
-    down = tuple(reduce(or_, (1 << index[q] for q in u)) for u in table)
+        down.append(reduce(or_, map((1).__lshift__, map(index.__getitem__, u))))
+    # U_q for q in U_p in point order, so the witness does not depend on hashing
+    for i, p in enumerate(points):
+        for j in bit_indices(down[i]):
+            extra = down[j] & ~down[i]
+            if extra:
+                bad = min(map(points.__getitem__, bit_indices(extra)))
+                raise ValidationError("min-open-nesting", (points[j], p, bad),
+                                      f"U_{points[j]!r} is not contained in U_{p!r}")
     # reflexivity/transitivity of <= follow from the two checks above; assert.
     for i in range(len(points)):
         if not down[i] >> i & 1:
             raise InternalCheckError("preorder not reflexive")
-    return FinSpace(points, down)
+    return FinSpace(points, tuple(down))
 
 
 def discrete_space(points: Sequence[str]) -> FinSpace:
@@ -342,7 +344,7 @@ def is_open_map(m: SpaceMap) -> bool:
 
 def product(a: FinSpace, b: FinSpace) -> FinSpace:
     """Product space with U_(x,y) = U_x x U_y.  Its size is bounded by the
-    callers (``Bounds.product_points``, ``Bounds.envelope_pairs``)."""
+    callers (``Bounds.envelope_pairs``)."""
     # point (x_i, y_j) has index i * |B| + j, so U_(x_i,y_j) is U_(y_j)'s
     # mask copied into block i' for each x_i' in U_(x_i): the product of
     # U_(y_j)'s mask with one bit per such block, as the copies never overlap
@@ -383,14 +385,14 @@ def quotient(space: FinSpace, classes: Iterable[Iterable[str]]
     masks = []
     covered = 0
     for cls in classes:
-        mask = 0
-        for x in cls:
-            bit = 1 << space.index(x)
-            if covered & bit:
-                raise ValidationError("not-a-partition", (x,), f"{x!r} appears in two classes")
-            mask |= bit
+        mask = space.mask_of(cls)
         if not mask:
             raise ValidationError("not-a-partition", (), "empty class")
+        twice = covered & mask
+        if twice:
+            # the first such point in point order
+            x = space.points[(twice & -twice).bit_length() - 1]
+            raise ValidationError("not-a-partition", (x,), f"{x!r} appears in two classes")
         covered |= mask
         masks.append(mask)
     uncovered = ((1 << len(space)) - 1) & ~covered

@@ -141,8 +141,7 @@ def validate_partial_action(group: Group, space: FinSpace,
             raise ValidationError("domain-keys", (g,), f"no domain for element {g!r}")
         d = frozenset(domains[g])
         if not space._index.keys() >= d:
-            for x in d:
-                space.index(x)
+            space.index(min(d.difference(space._index)))
         dom[g] = d
     for g in domains:
         group.index(g)

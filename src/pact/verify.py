@@ -14,13 +14,13 @@ from typing import Callable, Sequence
 from . import algebra, envelope, homotopy
 from .algebra import Group, Subgroup
 from .bounds import DEFAULT_BOUNDS, Bounds
-from .envelope import (EnvelopeResult, adjunction_maps, fixed_identities,
+from .envelope import (EnvelopeResult, _map_checks, adjunction_maps, fixed_identities,
                        generated_intersection, iterated_twist_comparison,
                        lift_maps, product_comparison, recognize_globalization,
                        trivial_collapse)
 from .errors import BoundExceeded, InternalCheckError, ValidationError
 from .finspace import (FinSpace, SpaceMap, bit_indices, discrete_space, is_closed,
-                       is_continuous, is_down_mask, is_open, is_open_map, is_T1,
+                       is_down_mask, is_open, is_open_map, is_T1,
                        pair_label, space_from_min_opens, split_pair_label,
                        subspace)
 from .homotopy import MapPoset, is_G_contractible, is_locally_G_contractible
@@ -82,28 +82,15 @@ class Run:
 Check = Callable[[Instance, Bounds, Run], tuple[str, dict]]
 
 
-def _onto_image(env: EnvelopeResult) -> SpaceMap:
+def _onto_image(env: EnvelopeResult) -> tuple[SpaceMap, dict[str, bool]]:
     """The embedding X -> iota(X), onto its image as a subspace of the
-    total space (whose points keep the total space's order)."""
+    total space (whose points keep the total space's order), with its
+    injective, continuous and inverse-continuous checks, also the embedding's."""
     emb = env.embedding_row
     rank = {c: i for i, c in enumerate(sorted(set(emb)))}
-    return SpaceMap(env.base.space, subspace(env.total, env.embedding_image()),
+    onto = SpaceMap(env.base.space, subspace(env.total, env.embedding_image()),
                     tuple(map(rank.__getitem__, emb)))
-
-
-def _is_homeomorphism(f: SpaceMap) -> bool:
-    return f.is_bijective() and is_continuous(f) and is_continuous(f.inverse())
-
-
-def _embedding_checks(env: EnvelopeResult) -> dict[str, bool]:
-    onto = _onto_image(env)
-    return {
-        "injective": len(set(env.embedding_row)) == len(env.base.space),
-        "continuous": is_continuous(env.embedding),
-        "open-onto-image": is_open_map(onto),
-        "image-open": is_open(env.total, onto.target.points),
-        "homeomorphism-onto-image": _is_homeomorphism(onto),
-    }
+    return onto, _map_checks(onto, ("injective", "continuous", "inverse-continuous"))[0]
 
 
 def _claim_pa_axioms(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
@@ -121,7 +108,14 @@ def _claim_pa_axioms(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dic
 
 def _claim_embedding(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
     env = run.globalize(inst.embedded_pa, bounds.envelope_pairs)
-    checks = _embedding_checks(env)
+    onto, checked = _onto_image(env)
+    checks = {
+        "injective": checked["injective"],
+        "continuous": checked["continuous"],
+        "open-onto-image": is_open_map(onto),
+        "image-open": is_open(env.total, onto.target.points),
+        "homeomorphism-onto-image": checked["continuous"] and checked["inverse-continuous"],
+    }
     status = HOLDS if all(checks.values()) else FAILS
     witness = {"checks": checks, "classes": len(env.total)}
     if status == FAILS:
@@ -165,7 +159,7 @@ def _claim_twist_eq_glob(inst: Instance, bounds: Bounds, run: Run) -> tuple[str,
 def _claim_iota_k(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
     pa = inst.embedded_pa
     env = run.twisted_product(pa, inst.big, bounds.envelope_pairs)
-    onto = _onto_image(env)
+    onto, checked = _onto_image(env)
     image = onto.target.points
     # the enveloping action restricted to K, keyed by K's own group object
     res_k = restrict_to_group(env.as_global_action(), pa.group)
@@ -173,9 +167,9 @@ def _claim_iota_k(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
     kstar_open = is_down_mask(pair_down, env.kstar)
     kstar_closed = is_down_mask(pair_down, ((1 << len(pair_down)) - 1) & ~env.kstar)
     checks = {
-        "injective": len(set(env.embedding_row)) == len(pa.space),
+        "injective": checked["injective"],
         "k-isovariant": is_isovariant(env.embedding, pa, res_k),
-        "homeomorphism-onto-image": _is_homeomorphism(onto),
+        "homeomorphism-onto-image": checked["continuous"] and checked["inverse-continuous"],
         "image-open-iff-kstar-open": is_open(env.total, image) == kstar_open,
         "image-closed-iff-kstar-closed": is_closed(env.total, image) == kstar_closed,
     }
@@ -292,8 +286,6 @@ def _compare_product(split: tuple[PartialAction, PartialAction, PartialAction],
     """The product comparison's report for the factors and diagonal product
     that :func:`split_diagonal_factors` found in the instance."""
     pa_1, pa_2, diag = split
-    if len(diag.space) > bounds.product_points:
-        raise BoundExceeded("product space", bounds.product_points, len(diag.space))
     envs = [run.twisted_product(pa, inst.big, bounds.envelope_pairs)
             for pa in (diag, pa_1, pa_2)]
     return product_comparison(*envs)[1]

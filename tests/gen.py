@@ -47,6 +47,14 @@ def s3_group() -> Group:
     return validate_group([names[p] for p in perms], table, "012")
 
 
+def z2_cubed() -> Group:
+    """(Z2)^3, elements "000".."111" added bitwise mod 2; it has 16
+    subgroups."""
+    elems = [format(i, "03b") for i in range(8)]
+    return validate_group(elems, [[format(i ^ j, "03b") for j in range(8)] for i in range(8)],
+                          "000")
+
+
 GROUPS = {"z2": lambda: cyclic_group(2), "z3": lambda: cyclic_group(3),
           "z4": lambda: cyclic_group(4), "klein": klein_group, "s3": s3_group}
 

@@ -11,6 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
+from pact.envelope import MAX_FAMILIES
 from pact.errors import InternalCheckError, ValidationError
 from pact.finspace import is_open, monotonicity_violation
 
@@ -99,16 +100,16 @@ def subgroup_violation(elements: list[str], table: list[list[str]], identity: st
     return None
 
 
-def family_scan_intersection(pa, env, subs, max_families: int = 4096) -> dict:
+def family_scan_intersection(pa, env, subs) -> dict:
     """The generated-intersection identity checked family by family, as
     ``generated_intersection`` reports it: for every nonempty family of
-    ``subs`` when there are at most ``max_families``, else every pair, the
+    ``subs`` when there are at most ``MAX_FAMILIES``, else every pair, the
     intersection of iota(X)[K_i] against iota(X)[<union of the K_i>], with
     the generated subgroup closed by label products and fixed sets read
     point by point off the envelope's action rows."""
     grp = pa.group
     n = len(subs)
-    if 2 ** n - 1 <= max_families:
+    if 2 ** n - 1 <= MAX_FAMILIES:
         families = [tuple(i for i in range(n) if m >> i & 1) for m in range(1, 2 ** n)]
     else:
         families = [(i, j) for i in range(n) for j in range(i, n)]
@@ -183,6 +184,41 @@ def preimage_continuous(points_x: list[str], min_open_x: Mapping,
     return True
 
 
+def label_map_checks(source, target, assignment: Mapping[str, str],
+                     source_action: Mapping, target_action: Mapping) -> tuple:
+    """The checks of a comparison map by their definitions on labels, as
+    ``(checks, collision, unhit)``.  ``source`` and ``target`` are read
+    through ``points`` and ``min_open_of``; ``assignment`` is the map, and
+    the actions map each element to its point table on either side.
+
+    The map is continuous when preimages of opens are open
+    (:func:`preimage_continuous`), equivariant when f(g.x) = g.f(x) for
+    every element g and point x, and inverse-continuous when it is a
+    bijection whose inverse is continuous.  The collision lists, in source
+    order, the points of the first value hit twice, values taken in the
+    order of their first preimage; the unhit targets are in target order."""
+    points_s, points_t = list(source.points), list(target.points)
+    opens_s = {p: source.min_open_of(p) for p in points_s}
+    opens_t = {p: target.min_open_of(p) for p in points_t}
+    fibres: dict[str, list[str]] = {}
+    for x in points_s:
+        fibres.setdefault(assignment[x], []).append(x)
+    collision = next((xs for xs in fibres.values() if len(xs) > 1), None)
+    unhit = [y for y in points_t if y not in fibres]
+    bijective = collision is None and not unhit
+    checks = {
+        "continuous": preimage_continuous(points_s, opens_s, points_t, opens_t, assignment),
+        "equivariant": all(assignment[source_action[g][x]] == target_action[g][assignment[x]]
+                           for g in source_action for x in points_s),
+        "injective": collision is None,
+        "surjective": not unhit,
+        "bijective": bijective,
+        "inverse-continuous": bijective and preimage_continuous(
+            points_t, opens_t, points_s, opens_s, {y: x for x, y in assignment.items()}),
+    }
+    return checks, collision, unhit
+
+
 def first_monotone_violation(points: list[str], min_open_x: Mapping,
                              min_open_y: Mapping, assignment: Mapping[str, str],
                              subset: Iterable[str]) -> tuple[str, str] | None:
@@ -254,7 +290,7 @@ def label_space_from_min_opens(points, min_open) -> LabelFinSpace:
         if p not in min_open:
             raise ValidationError("missing-min-open", (p,), f"no minimal open set for {p!r}")
         u = frozenset(min_open[p])
-        for q in u:
+        for q in sorted(u):
             if q not in pointset:
                 raise ValidationError("unknown-point", (q,), f"U_{p!r} mentions unknown point {q!r}")
         if p not in u:
@@ -262,7 +298,7 @@ def label_space_from_min_opens(points, min_open) -> LabelFinSpace:
         table.append(u)
     lookup = dict(zip(points, table))
     for p in points:
-        for q in lookup[p]:
+        for q in (q for q in points if q in lookup[p]):
             if not lookup[q] <= lookup[p]:
                 bad = sorted(lookup[q] - lookup[p])[0]
                 raise ValidationError("min-open-nesting", (q, p, bad),
@@ -439,7 +475,7 @@ def label_validate_partial_action(group, space, domains: Mapping[str, Iterable[s
         if g not in domains:
             raise ValidationError("domain-keys", (g,), f"no domain for element {g!r}")
         d = frozenset(domains[g])
-        for x in d:
+        for x in sorted(d):
             space.index(x)
         dom[g] = d
     for g in domains:
@@ -1608,8 +1644,9 @@ def label_quotient(space, classes, names=None):
     for k, cls in enumerate(sets):
         if not cls:
             raise ValidationError("not-a-partition", (), "empty class")
-        for x in cls:
+        for x in sorted(cls):
             space.index(x)
+        for x in sorted(cls, key=space.index):
             if x in seen:
                 raise ValidationError("not-a-partition", (x,), f"{x!r} appears in two classes")
             seen[x] = k

@@ -195,8 +195,15 @@ def test_validation_witnesses_are_identical_under_hash_randomization(tmp_path):
         "space": {"points": points, "min_open": {p: [p] for p in points}},
         "partial_action": {"domains": {g: points for g in "123"},
                            "maps": {g: swap for g in "123"}}}
+    # U_q, U_r and U_s all leave U_p: the witness names the first, q
+    opens = {"p": ["p", "q", "r", "s"], "q": ["q", "t"], "r": ["r", "t"], "s": ["s", "t"],
+             "t": ["t"]}
+    nest = {"id": "nest", "group": group_document(cyclic_group(1)),
+            "space": {"points": list(opens), "min_open": opens},
+            "partial_action": {"domains": {}, "maps": {}}}
     for doc, witness in ((circle, "('1', 'a0', 'c0')"),
-                         (swaps, "('1', '1', 'p0')")):
+                         (swaps, "('1', '1', 'p0')"),
+                         (nest, "('q', 'p', 't')")):
         path = tmp_path / f"{doc['id']}.json"
         path.write_text(json.dumps(doc))
         errors = []

@@ -12,22 +12,22 @@ from pact import (BoundExceeded, InternalCheckError, MapPoset, SpaceMap, Subgrou
                   ValidationError, adjunction_maps, all_subgroups,
                   compose, diagonal_product, discrete_space,
                   envelope_of_map, enumerate_G_maps,
-                  fixed_decomposition, globalize, is_G_map, is_T1,
+                  fixed_decomposition, fixture_names, globalize, is_G_map, is_T1,
                   is_continuous, is_open, iterated_twist_comparison,
                   load_fixture, pair_label, product_comparison,
                   recognize_globalization, restrict_to_subgroup, run_claim,
                   space_from_min_opens, trivial_action, trivial_collapse, twisted_product,
                   validate_group, validate_partial_action)
-from pact.envelope import _assemble, lift_maps
-from pact.finspace import bit_indices
-from oracle import (brute_globalization_classes, brute_members,
+from pact.envelope import _assemble, _map_checks, lift_maps
+from pact.finspace import FinSpace, bit_indices
+from oracle import (as_label_space, brute_globalization_classes, brute_members,
                     brute_twisted_classes, family_scan_intersection, find_homeomorphism,
                     globalization_document as oracle_document,
                     is_G_homeomorphism, LabelEnvelope, label_apply, label_assemble,
-                    label_envelope_of_map, label_lift_rows, label_view)
+                    label_envelope_of_map, label_lift_rows, label_map_checks, label_view)
 from gen import (compare_products, cyclic_group, fixture_pa, golden_instances, klein_group,
-                 half_circle_document, hom, label_tables, random_global, random_partial,
-                 restricted, twist)
+                 half_circle_document, hom, label_tables, random_global, random_group,
+                 random_partial, restricted, twist, z2_cubed)
 
 
 def compare_iterated_twists(pa, big=None):
@@ -89,9 +89,8 @@ def test_z4_arcs_globalization_structure():
 
 
 def test_twisted_equals_globalization_at_full_subgroup():
-    for name in ["pt", "z2-pair", "z2-swap", "z2-wedge", "z2-pair-sq",
-                 "z4-circle", "z4-half", "z4-arcs"]:
-        pa = fixture_pa(name)
+    for name in fixture_names():
+        pa = load_fixture(name).embedded_pa
         env_g = globalize(pa)
         env_t = twisted_product(pa, pa.group)
         view_g, view_t = label_view(env_g), label_view(env_t)
@@ -446,26 +445,28 @@ def test_fixed_decomposition_on_wedge_full_group():
 
 def test_generated_intersection_matches_the_family_scan(rng):
     """The stabiliser check decides identity 3 as the family-by-family scan
-    does, on the fixtures, the generated documents, random global actions
-    and Z24 (8 subgroups, 255 families), at the default family cap, at a
-    cap of 3, where only pairs are counted, and on either side of the cap
-    that admits every family."""
+    does, on the fixtures, the generated documents, random global actions,
+    Z24 (8 subgroups, 255 families, every one counted) and (Z2)^3 (16
+    subgroups, so 65535 families, past MAX_FAMILIES: only pairs are
+    counted)."""
     from pact import DEFAULT_BOUNDS, parse_instance
-    from pact.envelope import generated_intersection
+    from pact.envelope import MAX_FAMILIES, generated_intersection
     cases = [(inst.embedded_pa, bounds) for inst, bounds in golden_instances()]
     cases += [(random_global(rng, kind), DEFAULT_BOUNDS)
               for kind in ("regular", "cone", "trivial", "envelope") for _ in range(4)]
     cases.append((parse_instance(half_circle_document(24)).embedded_pa,
                   DEFAULT_BOUNDS.with_limit(100_000)))
+    cases += [(random_global(rng, kind, z2_cubed()), DEFAULT_BOUNDS)
+              for kind in ("regular", "trivial")]
     counts = []
     for pa, bounds in cases:
         env = globalize(pa, bounds.envelope_pairs)
         subs = all_subgroups(pa.group, bounds.group_order)
-        for max_families in (4096, 3, 2 ** len(subs) - 1, 2 ** len(subs) - 2):
-            got = generated_intersection(pa, env, subs, max_families)
-            assert got == family_scan_intersection(pa, env, subs, max_families)
-            counts.append(got["families_checked"])
-    assert 2 ** 8 - 1 in counts and 8 * 9 // 2 in counts
+        got = generated_intersection(pa, env, subs)
+        assert got == family_scan_intersection(pa, env, subs)
+        counts.append(got["families_checked"])
+    assert 2 ** 16 - 1 > MAX_FAMILIES >= 2 ** 8 - 1
+    assert 2 ** 8 - 1 in counts and 16 * 17 // 2 in counts
 
 
 def test_recognition_on_random_restrictions(rng):
@@ -908,3 +909,71 @@ def test_well_definedness_is_checked_where_the_action_law_cannot_see_it():
     for assemble in (lambda: _assemble(pa, big, prod, masks),
                      lambda: label_assemble(pa, big, prod, [prod.set_of(m) for m in masks])):
         assert _assembly_outcome(assemble) == ("InternalCheckError", message)
+
+
+MAP_CHECKS = ("continuous", "equivariant", "injective", "surjective", "bijective",
+              "inverse-continuous")
+
+
+def _relabelled(space, rows, perm):
+    """``space`` and the action ``rows`` on it carried along the index
+    permutation ``perm``: point i becomes point perm[i], its label primed."""
+    n = len(space)
+    points, down = [""] * n, [0] * n
+    moved = [[0] * n for _ in rows]
+    for i, p in enumerate(space.points):
+        points[perm[i]] = p + "'"
+        down[perm[i]] = sum(1 << perm[k] for k in bit_indices(space.down[i]))
+        for new, row in zip(moved, rows):
+            new[perm[i]] = perm[row[i]]
+    return FinSpace(tuple(points), tuple(down)), moved
+
+
+def _comparison_maps(rng, env_x, env_y):
+    """(map, source action rows, target action rows) between the total
+    spaces of two envelopes of one group, of every kind the checks tell
+    apart: a random map, a constant one (equivariant when its value is
+    fixed), an equivariant homeomorphism onto a relabelled copy and that
+    map with one value changed, a random self-bijection, and the identity
+    between the total space and the discrete space on its points, either
+    way."""
+    x, y = env_x.total, env_y.total
+    mu, nu = env_x.action_rows, env_y.action_rows
+    n, m = len(x), len(y)
+    perm = rng.sample(range(n), n)
+    copy, copy_rows = _relabelled(x, mu, perm)
+    near = list(perm)
+    near[rng.randrange(n)] = rng.randrange(n)
+    fixed = [v for v in range(m) if all(row[v] == v for row in nu)] or range(m)
+    discrete = discrete_space(x.points)
+    return [(SpaceMap(x, y, tuple(rng.randrange(m) for _ in range(n))), mu, nu),
+            (SpaceMap(x, y, (rng.choice(fixed),) * n), mu, nu),
+            (SpaceMap(x, copy, tuple(perm)), mu, copy_rows),
+            (SpaceMap(x, copy, tuple(near)), mu, copy_rows),
+            (SpaceMap(x, x, tuple(rng.sample(range(n), n))), mu, mu),
+            (SpaceMap(discrete, x, tuple(range(n))), mu, mu),
+            (SpaceMap(x, discrete, tuple(range(n))), mu, mu)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_map_checks_match_their_definitions(seed):
+    """The comparison-map kernel returns exactly the checks named, in their
+    order, each equal to its definition on labels, with the collision and
+    the unhit targets of the definitions."""
+    rng = random.Random(seed)
+    grp = random_group(rng)
+    env_x, env_y = (globalize(restricted(rng, random_global(
+        rng, rng.choice(["regular", "cone", "trivial"]), grp, 2))) for _ in "xy")
+    for f, source_rows, target_rows in _comparison_maps(rng, env_x, env_y):
+        names = tuple(rng.sample(MAP_CHECKS, rng.randint(1, len(MAP_CHECKS))))
+
+        def action(space, rows):
+            return {g: dict(zip(space.points, map(space.points.__getitem__, row)))
+                    for g, row in enumerate(rows)}
+
+        checks, collision, unhit = label_map_checks(
+            as_label_space(f.source), as_label_space(f.target), f.as_dict(),
+            action(f.source, source_rows), action(f.target, target_rows))
+        assert _map_checks(f, names, source_rows, target_rows) == (
+            {name: checks[name] for name in names}, collision, unhit)

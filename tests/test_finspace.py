@@ -23,7 +23,7 @@ from oracle import (LabelSpaceMap, assert_same_search, brute_opens,
                     label_product, label_quotient, label_space_from_min_opens,
                     label_subspace, label_t0_quotient, mask_space,
                     preimage_continuous, random_partition, space_violation)
-from gen import c8, random_preorder_space, random_space, with_projections
+from gen import c8, outcome, random_preorder_space, random_space, with_projections
 
 
 def test_space_from_min_opens_validates():
@@ -42,6 +42,29 @@ def test_nesting_violation_reported():
             ["a", "b", "c"],
             {"a": ["a", "b"], "b": ["b", "c"], "c": ["c"]})
     assert err.value.axiom == "min-open-nesting"
+    # U_q, U_r and U_s all leave U_p: the witness is the first in point
+    # order, whatever order the label sets iterate in
+    nest = {"p": ["p", "q", "r", "s"], "q": ["q", "t"], "r": ["r", "t"], "s": ["s", "t"],
+            "t": ["t"]}
+    for build in (space_from_min_opens, label_space_from_min_opens):
+        assert outcome(build, list(nest), nest) == \
+            ("ValidationError", "min-open-nesting", ("q", "p", "t"))
+
+
+def test_witnesses_name_the_least_unknown_label():
+    """Whatever order a label set iterates in, unknown labels name the
+    least one, and a point in two classes is the first in point order."""
+    space = discrete_space(["a", "b", "c"])
+    unknown = {"zz", "qq", "yy", "a"}
+    least = ("ValidationError", "unknown-point", ("qq",))
+    for build in (space_from_min_opens, label_space_from_min_opens):
+        assert outcome(build, ["a"], {"a": unknown}) == least
+    for check in (space.mask_of, lambda s: is_open(space, s), lambda s: subspace(space, s),
+                  lambda s: quotient(space, [s])):
+        assert outcome(check, unknown) == least
+    for build in (quotient, label_quotient):
+        assert outcome(build, space, [{"a", "b", "c"}, {"c", "b"}]) == \
+            ("ValidationError", "not-a-partition", ("b",))
 
 
 def test_c8_is_valid_by_independent_nesting_scan():

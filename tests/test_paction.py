@@ -72,6 +72,15 @@ def test_pa2_violation_detected_with_witness():
     assert thetas[g][thetas[h][x]] != thetas[z4.mul(g, h)][x]
 
 
+def test_unknown_domain_labels_name_the_least_one():
+    space = discrete_space(["a"])
+    domains = {"0": ["a"], "1": {"zz", "qq", "yy", "a"}}
+    thetas = {"0": {"a": "a"}, "1": {"a": "a"}}
+    for validate in (validate_partial_action, label_validate_partial_action):
+        assert outcome(validate, cyclic_group(2), space, domains, thetas) == \
+            ("ValidationError", "unknown-point", ("qq",))
+
+
 def test_restrict_global_examples():
     circle = load_fixture("z4-circle")
     full = restrict_global(circle.pa, circle.space.points)

@@ -99,18 +99,6 @@ def test_split_diagonal_factors():
     assert split_diagonal_factors(load_fixture("z4-circle").pa) is None
 
 
-def test_product_comparison_is_bounded_by_the_product_size():
-    """z2-pair-sq's product has 4 points: a product bound of 4 decides the
-    claim, and 3 skips it on the product, before any twisted product."""
-    sq = load_fixture("z2-pair-sq")
-    at = dataclasses.replace(DEFAULT_BOUNDS, product_points=4)
-    assert run_claim("product-comparison", sq, at).status == "fails"
-    below = dataclasses.replace(DEFAULT_BOUNDS, product_points=3)
-    rep = run_claim("product-comparison", sq, below)
-    assert rep.status == "skipped-bounds"
-    assert rep.witness == {"reason": "product space: needs 4, bound is 3"}
-
-
 def _tables(pa):
     """pa's label tables: points, minimal opens, domains and thetas."""
     sp = pa.space
@@ -264,14 +252,14 @@ def test_replay_witness_validates_instance_binding():
 
 
 def test_reports_are_deterministic_modulo_elapsed():
-    for name in ("pt", "z2-pair", "z2-pair-sq", "z4-from-z2-pair"):
+    for name in fixture_names():
         inst = load_fixture(name)
         first = [r.to_dict() for r in run_all(inst)]
         second = [r.to_dict() for r in run_all(inst)]
         for d in first + second:
             d.pop("elapsed_ms")
         assert json.dumps(first, sort_keys=True) == \
-            json.dumps(second, sort_keys=True)
+            json.dumps(second, sort_keys=True), name
 
 
 def test_bound_monotonicity_never_flips_holds_to_fails():
