@@ -612,8 +612,8 @@ def adjunction_maps(env: EnvelopeResult, pa_y: PartialAction,
 
 
 def product_comparison(env_d: EnvelopeResult, env_1: EnvelopeResult,
-                       env_2: EnvelopeResult) -> tuple[SpaceMap, dict]:
-    """The canonical map G x_K (X1 x X2) -> (G x_K X1) x (G x_K X2).
+                       env_2: EnvelopeResult) -> dict:
+    """The report on the canonical map G x_K (X1 x X2) -> (G x_K X1) x (G x_K X2).
 
     ``env_d``, ``env_1`` and ``env_2`` are the twisted products over one
     group G of the diagonal product X1 x X2 and of its two factors, with
@@ -666,12 +666,13 @@ def product_comparison(env_d: EnvelopeResult, env_1: EnvelopeResult,
         report["reason"] = reason
     if collision:
         report["collision"] = collision
-    return cmp_map, report
+    return report
 
 
 def iterated_twist_comparison(inner: EnvelopeResult, outer_1: EnvelopeResult,
-                              outer_2: EnvelopeResult) -> tuple[SpaceMap, SpaceMap, dict]:
-    """The maps m : G x_K (X_K) -> G x_K X and n backwards, fully checked.
+                              outer_2: EnvelopeResult) -> dict:
+    """The report on the maps m : G x_K (X_K) -> G x_K X and n backwards,
+    fully checked.
 
     ``inner`` is X_K = K x_K X, the twisted product of a K-action X over K
     itself; ``outer_1`` is G x_K of inner's global action and ``outer_2``
@@ -720,12 +721,12 @@ def iterated_twist_comparison(inner: EnvelopeResult, outer_1: EnvelopeResult,
     report = {"status": status, "checks": checks,
               "iterated_classes": len(outer_1.total),
               "plain_classes": len(outer_2.total)}
-    return m, n, report
+    return report
 
 
-def trivial_collapse(env: EnvelopeResult) -> tuple[SpaceMap, dict]:
-    """The collapse delta : G x_K Y -> Y, [g,y] |-> y, of the twisted
-    product ``env`` of a trivial action.
+def trivial_collapse(env: EnvelopeResult) -> dict:
+    """The report on the collapse delta : G x_K Y -> Y, [g,y] |-> y, of
+    the twisted product ``env`` of a trivial action.
 
     Reported, not assumed: delta can fail to be injective when K is proper.
     """
@@ -754,7 +755,7 @@ def trivial_collapse(env: EnvelopeResult) -> tuple[SpaceMap, dict]:
     if collision:
         report["collision"] = collision[:2]
         report["collision_value"] = delta(collision[0])
-    return delta, report
+    return report
 
 
 def _map_checks(f: SpaceMap, names: Sequence[str], source_rows: Sequence = (),

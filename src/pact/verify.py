@@ -8,6 +8,7 @@ as internal errors long before a claim runs.
 """
 from __future__ import annotations
 
+import json
 import time
 from typing import Callable, Sequence
 
@@ -199,8 +200,7 @@ def _claim_iterated_twist(inst: Instance, bounds: Bounds, run: Run) -> tuple[str
     pa, n = inst.embedded_pa, bounds.envelope_pairs
     inner = run.twisted_product(pa, pa.group, n)
     outer_1 = run.twisted_product(inner.as_global_action(), inst.big, n)
-    _, _, report = iterated_twist_comparison(inner, outer_1,
-                                             run.twisted_product(pa, inst.big, n))
+    report = iterated_twist_comparison(inner, outer_1, run.twisted_product(pa, inst.big, n))
     witness = {k: v for k, v in report.items() if k != "status"}
     if report["status"] == FAILS:
         witness["reason"] = next(k for k, v in report["checks"].items() if not v)
@@ -281,22 +281,14 @@ def split_diagonal_factors(pa: PartialAction
     return (pa_1, pa_2, diag) if same else None
 
 
-def _compare_product(split: tuple[PartialAction, PartialAction, PartialAction],
-                     inst: Instance, bounds: Bounds, run: Run) -> dict:
-    """The product comparison's report for the factors and diagonal product
-    that :func:`split_diagonal_factors` found in the instance."""
-    pa_1, pa_2, diag = split
-    envs = [run.twisted_product(pa, inst.big, bounds.envelope_pairs)
-            for pa in (diag, pa_1, pa_2)]
-    return product_comparison(*envs)[1]
-
-
 def _claim_product_comparison(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
     split = split_diagonal_factors(inst.embedded_pa)
     if split is None:
         return PRECONDITION_UNMET, {"reason": "needs two factors: the instance is "
                                               "not a diagonal product"}
-    report = _compare_product(split, inst, bounds, run)
+    pa_1, pa_2, diag = split
+    report = product_comparison(*(run.twisted_product(pa, inst.big, bounds.envelope_pairs)
+                                  for pa in (diag, pa_1, pa_2)))
     witness = {k: v for k, v in report.items() if k != "status"}
     return report["status"], witness
 
@@ -308,7 +300,7 @@ def _claim_trivial_collapse(inst: Instance, bounds: Bounds, run: Run) -> tuple[s
     if not pa.is_global():
         return PRECONDITION_UNMET, {"reason": "the trivial action does not have "
                                               "full domains"}
-    _, report = trivial_collapse(run.twisted_product(pa, inst.big, bounds.envelope_pairs))
+    report = trivial_collapse(run.twisted_product(pa, inst.big, bounds.envelope_pairs))
     witness = {k: v for k, v in report.items() if k != "status"}
     return report["status"], witness
 
@@ -495,72 +487,29 @@ def exit_code(reports: list[ClaimReport]) -> int:
 
 def replay_witness(report: ClaimReport, instance: Instance,
                    bounds: Bounds = DEFAULT_BOUNDS) -> bool:
-    """Re-check a failing report's witness against the instance.
+    """Replay a report by deriving it again.
 
-    Reports that hold, were skipped or met no precondition replay
-    vacuously; an internal-error report never replays.  A failing
-    ``product-comparison``, ``trivial-collapse`` or ``t1`` report is
-    replayed by rebuilding its construction (the comparison map, the
-    collapse map, the twisted product) and checking the witness's own data
-    against it: the unhit targets, the colliding classes, the non-closed
-    singleton.  Any other failing claim is re-run whole and
-    compared by status.  Every rebuild happens on a fresh :class:`Run`,
-    never on the constructions that produced the report.
+    The claim is re-run with :func:`run_claim` under ``bounds``, which must
+    be the bounds the report was derived under, on a fresh :class:`Run`,
+    never on the constructions that produced the report.  The report is
+    accepted only when its status and witness are the ones derived again.
+    The witnesses are compared in JSON form, so a report read back from
+    ``check --json`` replays exactly as the one in memory.  This holds for
+    every claim and status alike: a forged witness, whatever key it changes,
+    adds or drops, does not replay.  An ``internal-error`` report never
+    replays; a report on another instance, or of an unregistered claim,
+    raises :class:`ValidationError`.
     """
     if report.instance_id != instance.id:
         raise ValidationError("instance-mismatch", (report.instance_id, instance.id),
                               "report refers to a different instance")
-    if report.status in (HOLDS, PRECONDITION_UNMET, SKIPPED_BOUNDS):
-        return True
-    if report.status == INTERNAL_ERROR:
-        return False
-    cid = report.claim_id
-    w = report.witness
-    run = Run()
-    if cid == "product-comparison":
-        split = split_diagonal_factors(instance.embedded_pa)
-        if split is None:
-            return False
-        rep = _compare_product(split, instance, bounds, run)
-        hit = set(rep["map"].values())
-        unhit = w.get("unhit_targets", [])
-        if any(t in hit for t in unhit):
-            return False
-        if "map" in w and w["map"] != rep["map"]:
-            return False
-        if "source_classes" in w and w["source_classes"] != rep["source_classes"]:
-            return False
-        if "target_points" in w and w["target_points"] != rep["target_points"]:
-            return False
-        collision = w.get("collision")
-        if collision is not None:
-            if len(collision) < 2 or collision[0] == collision[1]:
-                return False
-            if rep["map"].get(collision[0]) != rep["map"].get(collision[1]):
-                return False
-        return bool(unhit or collision is not None)
-    if cid == "trivial-collapse":
-        pa = instance.embedded_pa
-        if not (pa.is_trivial() and pa.is_global()):
-            return False
-        delta, rep = trivial_collapse(run.twisted_product(pa, instance.big,
-                                                          bounds.envelope_pairs))
-        collision = w.get("collision")
-        if collision is not None:
-            if len(collision) < 2 or collision[0] == collision[1]:
-                return False
-            if delta(collision[0]) != delta(collision[1]):
-                return False
-            if "collision_value" in w and delta(collision[0]) != w["collision_value"]:
-                return False
-            return True
-        return rep["status"] == report.status
-    if cid == "t1":
-        pa = instance.embedded_pa
-        if not is_T1(pa.space):
-            return False
-        env = run.twisted_product(pa, instance.big, bounds.envelope_pairs)
-        bad = w.get("non_closed_singleton")
-        return bad is not None and bad in env.total and \
-            not is_closed(env.total, {bad})
-    return _report(cid, instance, bounds, run).status == report.status
+    again = run_claim(report.claim_id, instance, bounds)
+    return (report.status != INTERNAL_ERROR and again.status == report.status
+            and _json_text(again.witness) == _json_text(report.witness))
+
+
+def _json_text(witness: dict) -> str:
+    """The witness as JSON text with sorted keys.  One round trip first
+    makes every key a string, so the keys sort, and ``true`` stays apart
+    from ``1``."""
+    return json.dumps(json.loads(json.dumps(witness)), sort_keys=True)

@@ -283,7 +283,7 @@ def hom(pa_x, pa_y):
 
 
 def compare_products(pa_1, pa_2, big=None):
-    """product_comparison on the twisted products of pa_1 x pa_2 and of
+    """product_comparison's report on the twisted products of pa_1 x pa_2 and of
     both factors, over pa_1's group unless ``big`` is given."""
     diag = diagonal_product(pa_1, pa_2)
     return product_comparison(*(twist(pa, big or pa_1.group) for pa in (diag, pa_1, pa_2)))

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
+import functools
+import io
 import json
 import math
 import random
@@ -10,12 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pact import (DEFAULT_BOUNDS, ClaimReport, ValidationError, claim_ids,
+from pact import (DEFAULT_BOUNDS, Bounds, ClaimReport, Instance, ValidationError, claim_ids,
                   diagonal_product, discrete_space, exit_code,
                   fixture_dict, fixture_names, load_fixture, pair_label,
                   parse_instance, replay_witness, run_all, run_claim,
                   space_from_min_opens, split_diagonal_factors, split_pair_label,
                   trivial_action, validate_partial_action)
+from pact.cli import main
 from pact.verify import first_split_pair
 from gen import (FIXTURE_GOLDEN, GENERATED_GOLDEN, cyclic_group, fence_document,
                  half_circle_document, instance_document, random_group,
@@ -216,31 +220,48 @@ def test_trivial_collapse_claim_on_adhoc_instance():
     assert run_claim("trivial-collapse", pt).status == "holds"
 
 
+def forged(rep: ClaimReport, **changes) -> ClaimReport:
+    """``rep`` with its witness read back from JSON and ``changes`` put in."""
+    return ClaimReport(rep.claim_id, rep.instance_id, rep.status,
+                       {**json.loads(json.dumps(rep.witness)), **changes})
+
+
 def test_replay_witness_product_comparison():
     sq = load_fixture("z2-pair-sq")
     rep = run_claim("product-comparison", sq)
     assert replay_witness(rep, sq)
 
-    tampered = ClaimReport(rep.claim_id, rep.instance_id, rep.status,
-                           json.loads(json.dumps(rep.witness)))
-    hit_target = next(iter(rep.witness["map"].values()))
-    tampered.witness["unhit_targets"] = [hit_target]
+    tampered = forged(rep, unhit_targets=[next(iter(rep.witness["map"].values()))])
     tampered.witness.pop("map")
     assert not replay_witness(tampered, sq)
+    # labels that are no points of the source or of the target
+    assert not replay_witness(forged(rep, collision=["zz", "yy"]), sq)
+    assert not replay_witness(forged(rep, unhit_targets=["nope"]), sq)
 
     holds_rep = run_claim("twist-eq-glob", sq)
-    assert replay_witness(holds_rep, sq)  # vacuous
+    assert replay_witness(holds_rep, sq)  # derived again, like a failing one
+    assert not replay_witness(forged(holds_rep, classes=holds_rep.witness["classes"] + 1), sq)
+    checks = holds_rep.witness["checks"]
+    assert not replay_witness(forged(holds_rep, checks={**checks, "same-action": 1}), sq)
 
 
 def test_replay_witness_trivial_collapse_tampering():
     inst = parse_instance(copy.deepcopy(Z4_PT_TRIVIAL))
     rep = run_claim("trivial-collapse", inst)
     assert rep.status == "fails" and replay_witness(rep, inst)
-    tampered = ClaimReport(rep.claim_id, rep.instance_id, rep.status,
-                           json.loads(json.dumps(rep.witness)))
-    c = tampered.witness["collision"][0]
-    tampered.witness["collision"] = [c, c]  # not two distinct classes
-    assert not replay_witness(tampered, inst)
+    c = rep.witness["collision"][0]
+    assert not replay_witness(forged(rep, collision=[c, c]), inst)  # not two classes
+    # unknown labels make the replay answer False, not raise
+    assert replay_witness(forged(rep, collision=["zz", "yy"]), inst) is False
+
+
+def test_a_report_replays_only_under_its_own_bounds():
+    inst = load_fixture("z2-pair")
+    narrow = DEFAULT_BOUNDS.with_limit(1)
+    rep = run_claim("adjunction", inst, narrow)
+    assert rep.status == "skipped-bounds"
+    assert replay_witness(rep, inst, narrow)
+    assert not replay_witness(rep, inst)
 
 
 def test_replay_witness_validates_instance_binding():
@@ -249,6 +270,9 @@ def test_replay_witness_validates_instance_binding():
     other = load_fixture("z2-pair")
     with pytest.raises(ValidationError):
         replay_witness(rep, other)
+    with pytest.raises(ValidationError) as err:
+        replay_witness(ClaimReport("nope", sq.id, "fails", {}), sq)
+    assert err.value.axiom == "unknown-claim"
 
 
 def test_reports_are_deterministic_modulo_elapsed():
@@ -296,13 +320,86 @@ def test_theorem_claims_hold_on_random_instances(rng):
         checked += 1
 
 
+@functools.cache
+def json_corpus() -> tuple[tuple[ClaimReport, Instance, Bounds], ...]:
+    """Every report, of every status, read back from ``check all --json`` on
+    the fixtures and from the generated golden, with its instance and the
+    bounds it was derived under."""
+    corpus = []
+    for name in fixture_names():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(["check", "all", name, "--json"])
+        corpus += [(report_of(d), load_fixture(name), DEFAULT_BOUNDS)
+                   for d in json.loads(out.getvalue())]
+    for entry in json.loads(GENERATED_GOLDEN.read_text()):
+        inst = parse_instance(entry["document"])
+        bounds = dataclasses.replace(DEFAULT_BOUNDS, **entry["bounds"])
+        corpus += [(report_of(d), inst, bounds) for d in entry["reports"]]
+    return tuple(corpus)
+
+
+def report_of(data: dict) -> ClaimReport:
+    return ClaimReport(data["claim_id"], data["instance_id"], data["status"], data["witness"])
+
+
 def test_every_failing_report_in_the_corpus_replays():
-    from pact import fixture_names
     for name in fixture_names():
         inst = load_fixture(name)
         for rep in run_all(inst):
             if rep.status == "fails":
                 assert replay_witness(rep, inst), (name, rep.claim_id)
+    # and every report of every status, as read back from JSON
+    corpus = json_corpus()
+    assert len(corpus) == len(claim_ids()) * (len(fixture_names()) + 10)  # 10 generated
+    for rep, inst, bounds in corpus:
+        assert replay_witness(rep, inst, bounds), (inst.id, rep.claim_id)
+
+
+def edit_sites(node, path=()):
+    """Where a JSON witness can be forged in one step: ("add", path) adds a
+    key to the dict at ``path``, ("drop", path) drops the key at ``path``,
+    ("flip", path) flips the bool there and ("relabel", path) puts an
+    unknown label in place of the string there."""
+    if isinstance(node, dict):
+        yield "add", path
+        for key, value in node.items():
+            yield "drop", path + (key,)
+            yield from edit_sites(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from edit_sites(value, path + (i,))
+    elif isinstance(node, bool):
+        yield "flip", path
+    elif isinstance(node, str):
+        yield "relabel", path
+
+
+def apply_edit(witness: dict, kind: str, path: tuple) -> dict:
+    """A copy of ``witness`` with the one edit (kind, path) of :func:`edit_sites`."""
+    witness = copy.deepcopy(witness)
+    if kind == "add":
+        path = path + ("forged",)
+    parent = witness
+    for step in path[:-1]:
+        parent = parent[step]
+    last = path[-1]
+    if kind == "drop":
+        del parent[last]
+    elif kind == "flip":
+        parent[last] = not parent[last]
+    else:
+        parent[last] = "no-such-label"
+    return witness
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_witness_forged_in_one_leaf_does_not_replay(data):
+    rep, inst, bounds = data.draw(st.sampled_from(json_corpus()))
+    kind, path = data.draw(st.sampled_from(list(edit_sites(rep.witness))))
+    forgery = dataclasses.replace(rep, witness=apply_edit(rep.witness, kind, path))
+    assert not replay_witness(forgery, inst, bounds), (inst.id, rep.claim_id, kind, path)
 
 
 @settings(max_examples=300, deadline=None)
