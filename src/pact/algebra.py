@@ -5,6 +5,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
+from .bounds import DEFAULT_BOUNDS, Bounds
 from .errors import BoundExceeded, InternalCheckError, ValidationError
 from .finspace import bit_indices
 
@@ -235,12 +236,12 @@ def conjugate_subgroup(subgroup: Subgroup, g: str) -> Subgroup:
     return Subgroup(parent, sum(1 << rows[left[h]][gi] for h in bit_indices(subgroup.mask)))
 
 
-def all_subgroups(group: Group, max_order: int = 16) -> list[Subgroup]:
+def all_subgroups(group: Group, bounds: Bounds = DEFAULT_BOUNDS) -> list[Subgroup]:
     """Every subgroup, each exactly once, ordered by (size, member indices):
     from the trivial subgroup, each one found is joined with every element
     outside it by closure over the product rows."""
-    if len(group) > max_order:
-        raise BoundExceeded("subgroup enumeration", max_order, len(group))
+    if len(group) > bounds.group_order:
+        raise BoundExceeded("subgroup enumeration", bounds.group_order, len(group))
     rows, unit = group.rows, group.index(group.identity)
     found = {1 << unit}
     frontier = [1 << unit]

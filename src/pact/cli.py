@@ -72,7 +72,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_globalize(args: argparse.Namespace) -> int:
     inst = _load_instance(args.file)
-    env = globalize(inst.embedded_pa, args.bounds.envelope_pairs)
+    env = globalize(inst.embedded_pa, args.bounds)
     doc = {"instance": inst.id, **env.to_document()}
     _emit(doc, args, lambda d: f"{inst.id}: globalization has {d['class_count']} classes\n"
           + "\n".join(f"  {label}: {members}" for label, members in d["classes"].items()))
@@ -85,7 +85,7 @@ def _cmd_twist(args: argparse.Namespace) -> int:
     if args.subgroup:
         sub = inst.embedded_subgroup(args.subgroup)
         pa = restrict_to_subgroup(pa, sub)
-    env = twisted_product(pa, inst.big, args.bounds.envelope_pairs)
+    env = twisted_product(pa, inst.big, args.bounds)
     doc = {"instance": inst.id, "subgroup": sorted(pa.group.elements), **env.to_document()}
     _emit(doc, args, lambda d: f"{inst.id}: twisted product over K={d['subgroup']} "
           f"has {d['class_count']} classes")
@@ -119,9 +119,7 @@ def _cmd_fixed(args: argparse.Namespace) -> int:
         "fixed_points": sorted(fixed, key=inst.space.index),
     }
     if args.envelope:
-        doc["decomposition"] = fixed_decomposition(pa, sub,
-                                                   max_pairs=args.bounds.envelope_pairs,
-                                                   group_order=args.bounds.group_order)
+        doc["decomposition"] = fixed_decomposition(pa, sub, bounds=args.bounds)
     _emit(doc, args, lambda d: f"{inst.id}: X[K] = {d['fixed_points']} "
           f"for K = {d['subgroup']}"
           + ("" if "decomposition" not in d else
@@ -140,8 +138,7 @@ def _cmd_homotopy(args: argparse.Namespace) -> int:
         return 0
     if args.g_contractible:
         result = is_G_contractible(pa, lambda: enumerate_maps(
-            pa.space, pa.space, equivariant=(pa, pa),
-            node_budget=args.bounds.map_nodes, max_maps=args.bounds.max_maps))
+            pa.space, pa.space, (pa, pa), args.bounds))
         doc = {"instance": inst.id, "g_contractible": result.value,
                "fixed_point": result.fixed_point,
                "fence": result.fence_tables(), "reason": result.reason}

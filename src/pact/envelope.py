@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 
 from .algebra import (Group, Subgroup, all_subgroups, conjugate_subgroup,
                       is_subgroup_embedding)
+from .bounds import DEFAULT_BOUNDS, Bounds
 from .errors import BoundExceeded, InternalCheckError, ValidationError
 from .finspace import (FinSpace, SpaceMap, bit_indices, block_down_masks,
                        discrete_space, equivalence_classes, is_continuous,
@@ -132,10 +133,10 @@ def _descend(pair_class: Sequence[int], members: Sequence[Sequence[int]],
     return least, min(c for c, v in zip(pair_class, values) if out[c] != v)
 
 
-def _pair_count(big: Group, space: FinSpace, max_pairs: int) -> int:
+def _pair_count(big: Group, space: FinSpace, bounds: Bounds) -> int:
     n = len(big) * len(space)
-    if n > max_pairs:
-        raise BoundExceeded("envelope construction", max_pairs, n)
+    if n > bounds.envelope_pairs:
+        raise BoundExceeded("envelope construction", bounds.envelope_pairs, n)
     return n
 
 
@@ -258,7 +259,7 @@ def _action_scan(big: Group, pair_class: tuple[int, ...], members: Sequence[Sequ
     raise InternalCheckError("a built global action fails its certificate")
 
 
-def globalize(pa: PartialAction, max_pairs: int = 256) -> EnvelopeResult:
+def globalize(pa: PartialAction, bounds: Bounds = DEFAULT_BOUNDS) -> EnvelopeResult:
     """The enveloping space X_G: quotient of G x X by the relation R.
 
     R is checked to be an equivalence relation (by the certificate of
@@ -268,7 +269,7 @@ def globalize(pa: PartialAction, max_pairs: int = 256) -> EnvelopeResult:
     """
     g_grp = pa.group
     space = pa.space
-    _pair_count(g_grp, space, max_pairs)
+    _pair_count(g_grp, space, bounds)
     prod = FinSpace(tuple(pair_label(g, x) for g in g_grp.elements for x in space.points),
                     tuple(block_down_masks(space.down, len(g_grp))))
     # (g, x) ~ (gk, theta_{k^-1}(x)) for each k with x in X_k
@@ -281,7 +282,7 @@ def globalize(pa: PartialAction, max_pairs: int = 256) -> EnvelopeResult:
 
 
 def twisted_product(pa: PartialAction, big: Group,
-                    max_pairs: int = 256) -> EnvelopeResult:
+                    bounds: Bounds = DEFAULT_BOUNDS) -> EnvelopeResult:
     """G x_K X: orbit space of G x X under the diagonal K-action.
 
     K is the acting group of ``pa`` and must be a literal subgroup of
@@ -294,7 +295,7 @@ def twisted_product(pa: PartialAction, big: Group,
         raise ValidationError("not-a-subgroup", tuple(k_grp.elements),
                               "the acting group is not a subgroup of the big group")
     space = pa.space
-    pairs = _pair_count(big, space, max_pairs)
+    pairs = _pair_count(big, space, bounds)
     diag = diagonal_product(_right_translation(k_grp, big), pa)
     # the diagonal product's space is the labelled G x X
     prod = diag.space
@@ -342,7 +343,7 @@ def envelope_of_map(f: SpaceMap, pa_x: PartialAction, pa_y: PartialAction,
                     big: Group | None = None,
                     env_x: EnvelopeResult | None = None,
                     env_y: EnvelopeResult | None = None,
-                    max_pairs: int = 256) -> SpaceMap:
+                    bounds: Bounds = DEFAULT_BOUNDS) -> SpaceMap:
     """The induced map [g,x] |-> [g,f(x)] between twisted products.
 
     The one-map case of :func:`lift_maps`, with its checks: ``f`` must be a
@@ -352,9 +353,9 @@ def envelope_of_map(f: SpaceMap, pa_x: PartialAction, pa_y: PartialAction,
     """
     big = big or pa_x.group
     if env_x is None:
-        env_x = twisted_product(pa_x, big, max_pairs)
+        env_x = twisted_product(pa_x, big, bounds)
     if env_y is None:
-        env_y = twisted_product(pa_y, big, max_pairs)
+        env_y = twisted_product(pa_y, big, bounds)
     (row,) = lift_maps(MapPoset(f.source, f.target, (f.row,)),
                        pa_x, pa_y, env_x, env_y, big)
     return SpaceMap(env_x.total, env_y.total, row)
@@ -467,7 +468,7 @@ def lift_maps(poset: MapPoset, pa_x: PartialAction, pa_y: PartialAction,
 
 
 def recognize_globalization(pa_global: PartialAction, open_subset,
-                            max_pairs: int = 256) -> tuple[SpaceMap | None, dict]:
+                            bounds: Bounds = DEFAULT_BOUNDS) -> tuple[SpaceMap | None, dict]:
     """Recognize a global action (Y, beta) as the globalization of its
     restriction to an open subset U.
 
@@ -490,7 +491,7 @@ def recognize_globalization(pa_global: PartialAction, open_subset,
                       "reason": "orbit of the subset does not cover the space",
                       "uncovered": missing}
     restricted = restrict_global(pa_global, u)
-    env = globalize(restricted, max_pairs)
+    env = globalize(restricted, bounds)
     xs = list(map(pa_global.space.index, restricted.space.points))
     values, clash = env.descend([image[x] for image in pa_global.images for x in xs])
     phi = SpaceMap(env.total, pa_global.space, values)
@@ -848,8 +849,7 @@ def generated_intersection(pa: PartialAction, env: EnvelopeResult,
 
 def fixed_decomposition(pa: PartialAction, h: Subgroup,
                         env: EnvelopeResult | None = None,
-                        max_pairs: int = 256,
-                        group_order: int = 16) -> dict:
+                        bounds: Bounds = DEFAULT_BOUNDS) -> dict:
     """Check the fixed-point identities in the globalization:
 
     1. X_G[H] equals the union over g of mu_g(iota(X)[g^-1 H g]),
@@ -861,9 +861,9 @@ def fixed_decomposition(pa: PartialAction, h: Subgroup,
     if h.parent != grp:
         raise ValidationError("group-mismatch", (), "subgroup of a different group")
     if env is None:
-        env = globalize(pa, max_pairs)
+        env = globalize(pa, bounds)
     decomposition, embedded_fixed = fixed_identities(pa, h, env)
-    generated = generated_intersection(pa, env, all_subgroups(grp, group_order))
+    generated = generated_intersection(pa, env, all_subgroups(grp, bounds))
     holds = decomposition["holds"] and embedded_fixed["holds"] and generated["holds"]
     return {
         "status": "holds" if holds else "fails",

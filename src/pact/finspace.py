@@ -16,6 +16,7 @@ from itertools import chain
 from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .bounds import DEFAULT_BOUNDS, Bounds
 from .errors import BoundExceeded, InternalCheckError, ValidationError
 
 
@@ -516,8 +517,7 @@ def is_T1(space: FinSpace) -> bool:
 
 
 def enumerate_monotone_maps(source: FinSpace, target: FinSpace,
-                            node_budget: int = 1_000_000,
-                            max_maps: int = 4096) -> list[tuple[int, ...]]:
+                            bounds: Bounds = DEFAULT_BOUNDS) -> list[tuple[int, ...]]:
     """All continuous (monotone) maps source -> target, as index rows (the
     target index of each source point; ``SpaceMap`` takes one).
 
@@ -528,7 +528,7 @@ def enumerate_monotone_maps(source: FinSpace, target: FinSpace,
     full = (1 << len(target)) - 1
     no_pairs = [()] * len(target)
     return _search_maps(source, target, [full] * len(source),
-                        [no_pairs] * len(source), node_budget, max_maps)
+                        [no_pairs] * len(source), bounds.map_nodes, bounds.max_maps)
 
 
 def _search_maps(source: FinSpace, target: FinSpace, allowed: Sequence[int],

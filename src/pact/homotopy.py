@@ -21,6 +21,7 @@ from functools import cached_property, reduce
 from operator import and_, getitem
 from typing import Callable
 
+from .bounds import DEFAULT_BOUNDS, Bounds
 from .errors import InternalCheckError, ValidationError
 from .finspace import (FinSpace, SpaceMap, bit_indices, column_masks,
                        enumerate_monotone_maps, spread, subspace,
@@ -132,18 +133,16 @@ class MapPoset:
 
 def enumerate_maps(source: FinSpace, target: FinSpace,
                    equivariant: tuple[PartialAction, PartialAction] | None = None,
-                   node_budget: int = 1_000_000,
-                   max_maps: int = 4096) -> MapPoset:
+                   bounds: Bounds = DEFAULT_BOUNDS) -> MapPoset:
     """All continuous maps source -> target, or all G-maps when
     ``equivariant=(pa_x, pa_y)`` is supplied; deterministic order."""
     if equivariant is None:
-        rows = enumerate_monotone_maps(source, target,
-                                       node_budget=node_budget, max_maps=max_maps)
+        rows = enumerate_monotone_maps(source, target, bounds)
         return MapPoset(source, target, tuple(rows))
     pa_x, pa_y = equivariant
     if pa_x.space != source or pa_y.space != target:
         raise ValidationError("space-mismatch", (), "actions do not live on the given spaces")
-    rows = enumerate_G_maps(pa_x, pa_y, node_budget=node_budget, max_maps=max_maps)
+    rows = enumerate_G_maps(pa_x, pa_y, bounds)
     return MapPoset(source, target, tuple(rows), kind="equivariant")
 
 

@@ -14,6 +14,7 @@ from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import Group, Subgroup, is_subgroup_embedding
+from .bounds import DEFAULT_BOUNDS, Bounds
 from .errors import InternalCheckError, ValidationError
 from .finspace import (FinSpace, SpaceMap, _quotient_by_masks, _search_maps,
                        bit_indices, block_down_masks, equivalence_classes,
@@ -627,8 +628,7 @@ def is_isovariant(f: SpaceMap, pa_x: PartialAction, pa_y: PartialAction) -> bool
 
 
 def enumerate_G_maps(pa_x: PartialAction, pa_y: PartialAction,
-                     node_budget: int = 1_000_000,
-                     max_maps: int = 4096) -> list[tuple[int, ...]]:
+                     bounds: Bounds = DEFAULT_BOUNDS) -> list[tuple[int, ...]]:
     """All G-maps X -> Y, as sorted index rows (``SpaceMap`` takes one).
 
     The monotone map search with the equivariance conditions folded into
@@ -675,4 +675,4 @@ def enumerate_G_maps(pa_x: PartialAction, pa_y: PartialAction,
                 else:
                     pairs[j].extend((i2, j2) for j2 in set(values) if i2 != i or j2 != j)
         forced.append(pairs)
-    return _search_maps(src, tgt, allowed, forced, node_budget, max_maps)
+    return _search_maps(src, tgt, allowed, forced, bounds.map_nodes, bounds.max_maps)

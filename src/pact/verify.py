@@ -33,22 +33,26 @@ from .report import (FAILS, HOLDS, INTERNAL_ERROR, PRECONDITION_UNMET,
 
 
 class Run:
-    """The constructions of one instance, shared by the claims of one run.
+    """The constructions of one instance under one :class:`Bounds`, shared
+    by the claims of one run.
 
-    Each is built on its first request, and every later request with equal
-    arguments gets the same object.  A build that raises stores nothing,
-    so each claim that needs it raises again.  ``globalize`` and
-    ``twisted_product`` keep separate entries, so ``twist-eq-glob`` still
-    compares two independent constructions.  An envelope keeps its global
-    action (``EnvelopeResult.as_global_action``), so one envelope per input
-    also means one global action.  ``hom`` keeps one entry per hom-set: the
-    poset of G-maps between two actions, under one node budget and map
-    cap, whichever claim asks for it.  The builders are read from their
-    modules at call time, so a wrapper installed there sees every build.
-    Nothing outlives the run: :func:`run_all` drops it when it returns.
+    The methods take only a construction's inputs and hand ``bounds`` to
+    every build, which reads its own limit there, so no claim names one.
+    Each construction is built on its first request, and every later
+    request with equal inputs gets the same object.  A build that raises
+    stores nothing, so each claim that needs it raises again.
+    ``globalize`` and ``twisted_product`` keep separate entries, so
+    ``twist-eq-glob`` still compares two independent constructions.  An
+    envelope keeps its global action (``EnvelopeResult.as_global_action``),
+    so one envelope per input also means one global action.  ``hom`` keeps
+    one entry per hom-set: the poset of G-maps between two actions,
+    whichever claim asks for it.  The builders are read from their modules
+    at call time, so a wrapper installed there sees every build.  Nothing
+    outlives the run: :func:`run_all` drops it when it returns.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, bounds: Bounds) -> None:
+        self.bounds = bounds
         self._built: dict[str, list[tuple[tuple, object]]] = {}
 
     def _once(self, kind: str, build: Callable, *args):
@@ -56,31 +60,28 @@ class Run:
         for key, value in entries:
             if key == args:
                 return value
-        value = build(*args)
+        value = build(*args, self.bounds)
         entries.append((args, value))
         return value
 
-    def globalize(self, pa: PartialAction, max_pairs: int) -> EnvelopeResult:
-        return self._once("globalize", envelope.globalize, pa, max_pairs)
+    def globalize(self, pa: PartialAction) -> EnvelopeResult:
+        return self._once("globalize", envelope.globalize, pa)
 
-    def twisted_product(self, pa: PartialAction, big: Group,
-                        max_pairs: int) -> EnvelopeResult:
-        return self._once("twisted_product", envelope.twisted_product, pa, big, max_pairs)
+    def twisted_product(self, pa: PartialAction, big: Group) -> EnvelopeResult:
+        return self._once("twisted_product", envelope.twisted_product, pa, big)
 
-    def subgroups(self, group: Group, max_order: int) -> list[Subgroup]:
+    def subgroups(self, group: Group) -> list[Subgroup]:
         """The subgroup lattice of ``group``."""
-        return self._once("subgroups", algebra.all_subgroups, group, max_order)
+        return self._once("subgroups", algebra.all_subgroups, group)
 
-    def hom(self, pa_x: PartialAction, pa_y: PartialAction, bounds: Bounds) -> MapPoset:
-        """The poset of G-maps from ``pa_x`` to ``pa_y``, under the bounds'
-        ``map_nodes`` and ``max_maps``."""
-        def build(pa_x, pa_y, node_budget, max_maps):
-            return homotopy.enumerate_maps(pa_x.space, pa_y.space, equivariant=(pa_x, pa_y),
-                                           node_budget=node_budget, max_maps=max_maps)
-        return self._once("hom", build, pa_x, pa_y, bounds.map_nodes, bounds.max_maps)
+    def hom(self, pa_x: PartialAction, pa_y: PartialAction) -> MapPoset:
+        """The poset of G-maps from ``pa_x`` to ``pa_y``."""
+        def build(pa_x, pa_y, bounds):
+            return homotopy.enumerate_maps(pa_x.space, pa_y.space, (pa_x, pa_y), bounds)
+        return self._once("hom", build, pa_x, pa_y)
 
 
-Check = Callable[[Instance, Bounds, Run], tuple[str, dict]]
+Check = Callable[[Instance, Run], tuple[str, dict]]
 
 
 def _onto_image(env: EnvelopeResult) -> tuple[SpaceMap, dict[str, bool]]:
@@ -94,7 +95,7 @@ def _onto_image(env: EnvelopeResult) -> tuple[SpaceMap, dict[str, bool]]:
     return onto, _map_checks(onto, ("injective", "continuous", "inverse-continuous"))[0]
 
 
-def _claim_pa_axioms(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
+def _claim_pa_axioms(inst: Instance, run: Run) -> tuple[str, dict]:
     pa = inst.pa
     validate_partial_action(pa.group, pa.space, pa.domains, pa.thetas)
     witness = {
@@ -107,8 +108,8 @@ def _claim_pa_axioms(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dic
     return HOLDS, witness
 
 
-def _claim_embedding(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
-    env = run.globalize(inst.embedded_pa, bounds.envelope_pairs)
+def _claim_embedding(inst: Instance, run: Run) -> tuple[str, dict]:
+    env = run.globalize(inst.embedded_pa)
     onto, checked = _onto_image(env)
     checks = {
         "injective": checked["injective"],
@@ -124,22 +125,21 @@ def _claim_embedding(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dic
     return status, witness
 
 
-def _claim_recognition(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
+def _claim_recognition(inst: Instance, run: Run) -> tuple[str, dict]:
     pa = inst.embedded_pa
-    env = run.globalize(pa, bounds.envelope_pairs)
+    env = run.globalize(pa)
     beta = env.as_global_action()
-    phi, report = recognize_globalization(beta, env.embedding_image(),
-                                          bounds.envelope_pairs)
+    phi, report = recognize_globalization(beta, env.embedding_image(), run.bounds)
     witness = {k: v for k, v in report.items() if k != "status"}
     if phi is not None and report["status"] == HOLDS:
         witness["map"] = phi.as_dict()
     return report["status"], witness
 
 
-def _claim_twist_eq_glob(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
+def _claim_twist_eq_glob(inst: Instance, run: Run) -> tuple[str, dict]:
     pa = inst.embedded_pa
-    env_g = run.globalize(pa, bounds.envelope_pairs)
-    env_t = run.twisted_product(pa, pa.group, bounds.envelope_pairs)
+    env_g = run.globalize(pa)
+    env_t = run.twisted_product(pa, pa.group)
     # both are quotients of the same G x X with classes numbered and named
     # by least member: equal class tables mean equal partitions and labels
     same_classes = env_g.pair_class == env_t.pair_class
@@ -157,9 +157,9 @@ def _claim_twist_eq_glob(inst: Instance, bounds: Bounds, run: Run) -> tuple[str,
     return status, witness
 
 
-def _claim_iota_k(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
+def _claim_iota_k(inst: Instance, run: Run) -> tuple[str, dict]:
     pa = inst.embedded_pa
-    env = run.twisted_product(pa, inst.big, bounds.envelope_pairs)
+    env = run.twisted_product(pa, inst.big)
     onto, checked = _onto_image(env)
     image = onto.target.points
     # the enveloping action restricted to K, keyed by K's own group object
@@ -182,9 +182,9 @@ def _claim_iota_k(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
     return status, witness
 
 
-def _claim_preimage(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
+def _claim_preimage(inst: Instance, run: Run) -> tuple[str, dict]:
     pa = inst.embedded_pa
-    env = run.twisted_product(pa, inst.big, bounds.envelope_pairs)
+    env = run.twisted_product(pa, inst.big)
     image = set(env.embedding_row)
     preimage = sum(1 << p for p, c in enumerate(env.pair_class) if c in image)
     holds = preimage == env.kstar
@@ -196,31 +196,30 @@ def _claim_preimage(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict
     return (HOLDS if holds else FAILS), witness
 
 
-def _claim_iterated_twist(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
-    pa, n = inst.embedded_pa, bounds.envelope_pairs
-    inner = run.twisted_product(pa, pa.group, n)
-    outer_1 = run.twisted_product(inner.as_global_action(), inst.big, n)
-    report = iterated_twist_comparison(inner, outer_1, run.twisted_product(pa, inst.big, n))
+def _claim_iterated_twist(inst: Instance, run: Run) -> tuple[str, dict]:
+    pa = inst.embedded_pa
+    inner = run.twisted_product(pa, pa.group)
+    outer_1 = run.twisted_product(inner.as_global_action(), inst.big)
+    report = iterated_twist_comparison(inner, outer_1, run.twisted_product(pa, inst.big))
     witness = {k: v for k, v in report.items() if k != "status"}
     if report["status"] == FAILS:
         witness["reason"] = next(k for k, v in report["checks"].items() if not v)
     return report["status"], witness
 
 
-def _claim_adjunction(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
-    pa = inst.embedded_pa
-    big = inst.big
+def _claim_adjunction(inst: Instance, run: Run) -> tuple[str, dict]:
+    pa, big, bounds = inst.embedded_pa, inst.big, run.bounds
     if len(big) > bounds.hom_group or len(pa.space) > bounds.hom_space:
         return SKIPPED_BOUNDS, {"reason": "instance exceeds the hom-set bounds"}
     candidates: list[tuple[str, PartialAction]] = [
         ("pt", trivial_action(big, discrete_space(["y"])))]
-    env = run.twisted_product(pa, big, bounds.envelope_pairs)
+    env = run.twisted_product(pa, big)
     if len(env.total) <= bounds.hom_space:
         candidates.append(("envelope", env.as_global_action()))
     ran = {}
     ok = True
     for name, pa_y in candidates:
-        report = adjunction_maps(env, pa_y, lambda a, b: run.hom(a, b, bounds))
+        report = adjunction_maps(env, pa_y, run.hom)
         ran[name] = {key: report[key] for key in ("g_maps", "k_maps", "status")}
         ok = ok and report["status"] == HOLDS
     witness = {"targets": ran}
@@ -281,35 +280,35 @@ def split_diagonal_factors(pa: PartialAction
     return (pa_1, pa_2, diag) if same else None
 
 
-def _claim_product_comparison(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
+def _claim_product_comparison(inst: Instance, run: Run) -> tuple[str, dict]:
     split = split_diagonal_factors(inst.embedded_pa)
     if split is None:
         return PRECONDITION_UNMET, {"reason": "needs two factors: the instance is "
                                               "not a diagonal product"}
     pa_1, pa_2, diag = split
-    report = product_comparison(*(run.twisted_product(pa, inst.big, bounds.envelope_pairs)
+    report = product_comparison(*(run.twisted_product(pa, inst.big)
                                   for pa in (diag, pa_1, pa_2)))
     witness = {k: v for k, v in report.items() if k != "status"}
     return report["status"], witness
 
 
-def _claim_trivial_collapse(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
+def _claim_trivial_collapse(inst: Instance, run: Run) -> tuple[str, dict]:
     pa = inst.embedded_pa
     if not pa.is_trivial():
         return PRECONDITION_UNMET, {"reason": "the action is not trivial"}
     if not pa.is_global():
         return PRECONDITION_UNMET, {"reason": "the trivial action does not have "
                                               "full domains"}
-    report = trivial_collapse(run.twisted_product(pa, inst.big, bounds.envelope_pairs))
+    report = trivial_collapse(run.twisted_product(pa, inst.big))
     witness = {k: v for k, v in report.items() if k != "status"}
     return report["status"], witness
 
 
-def _claim_t1(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
+def _claim_t1(inst: Instance, run: Run) -> tuple[str, dict]:
     pa = inst.embedded_pa
     if not is_T1(pa.space):
         return PRECONDITION_UNMET, {"reason": "the base space is not T1"}
-    env = run.twisted_product(pa, inst.big, bounds.envelope_pairs)
+    env = run.twisted_product(pa, inst.big)
     t1 = is_T1(env.total)
     witness = {"classes": len(env.total)}
     if not t1:
@@ -338,12 +337,12 @@ def first_split_pair(components: Sequence[int], images: Sequence[int]
     return best
 
 
-def _claim_homotopy_preservation(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
+def _claim_homotopy_preservation(inst: Instance, run: Run) -> tuple[str, dict]:
     pa = inst.embedded_pa
-    poset_x = run.hom(pa, pa, bounds)
-    env = run.globalize(pa, bounds.envelope_pairs)
+    poset_x = run.hom(pa, pa)
+    env = run.globalize(pa)
     gpa = env.as_global_action()
-    poset_y = run.hom(gpa, gpa, bounds)
+    poset_y = run.hom(gpa, gpa)
     lifted = list(map(poset_y.index_of, lift_maps(poset_x, pa, pa, env, env)))
     comp_x = poset_x.components
     comp_y = poset_y.components
@@ -360,15 +359,15 @@ def _claim_homotopy_preservation(inst: Instance, bounds: Bounds, run: Run) -> tu
     return (FAILS if bad else HOLDS), witness
 
 
-def _claim_g_contractible(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
+def _claim_g_contractible(inst: Instance, run: Run) -> tuple[str, dict]:
     """If X is G-contractible then so is its globalization."""
     pa = inst.embedded_pa
-    base = is_G_contractible(pa, lambda: run.hom(pa, pa, bounds))
+    base = is_G_contractible(pa, lambda: run.hom(pa, pa))
     if not base:
         return PRECONDITION_UNMET, {"reason": f"the space is not equivariantly "
                                               f"contractible ({base.reason})"}
-    gpa = run.globalize(pa, bounds.envelope_pairs).as_global_action()
-    lifted = is_G_contractible(gpa, lambda: run.hom(gpa, gpa, bounds))
+    gpa = run.globalize(pa).as_global_action()
+    lifted = is_G_contractible(gpa, lambda: run.hom(gpa, gpa))
     witness = {
         "fixed_point": base.fixed_point,
         "fence": base.fence_tables(),
@@ -380,22 +379,21 @@ def _claim_g_contractible(inst: Instance, bounds: Bounds, run: Run) -> tuple[str
     return (HOLDS if lifted else FAILS), witness
 
 
-def _claim_locally_g_contractible(inst: Instance, bounds: Bounds,
-                                  run: Run) -> tuple[str, dict]:
+def _claim_locally_g_contractible(inst: Instance, run: Run) -> tuple[str, dict]:
     """Holds on every instance (see is_locally_G_contractible); the witness
     checks run on X and on its globalization."""
     pa = inst.embedded_pa
-    env = run.globalize(pa, bounds.envelope_pairs)
+    env = run.globalize(pa)
     return HOLDS, {"space": is_locally_G_contractible(pa),
                    "envelope": is_locally_G_contractible(env.as_global_action())}
 
 
-def _claim_fixed_decomposition(inst: Instance, bounds: Bounds, run: Run) -> tuple[str, dict]:
+def _claim_fixed_decomposition(inst: Instance, run: Run) -> tuple[str, dict]:
     pa = inst.embedded_pa
-    env = run.globalize(pa, bounds.envelope_pairs)
+    env = run.globalize(pa)
     reports = []
     ok = True
-    for sub in run.subgroups(pa.group, bounds.group_order):
+    for sub in run.subgroups(pa.group):
         decomposition, embedded_fixed = fixed_identities(pa, sub, env)
         ok = ok and decomposition["holds"] and embedded_fixed["holds"]
         reports.append({"subgroup": list(sub.sorted_members),
@@ -408,13 +406,12 @@ def _claim_fixed_decomposition(inst: Instance, bounds: Bounds, run: Run) -> tupl
     return (HOLDS if ok else FAILS), witness
 
 
-def _claim_generated_intersection(inst: Instance, bounds: Bounds,
-                                  run: Run) -> tuple[str, dict]:
+def _claim_generated_intersection(inst: Instance, run: Run) -> tuple[str, dict]:
     """Holds on every instance (see generated_intersection), whose checks
     run on the globalization."""
     pa = inst.embedded_pa
-    env = run.globalize(pa, bounds.envelope_pairs)
-    inner = generated_intersection(pa, env, run.subgroups(pa.group, bounds.group_order))
+    env = run.globalize(pa)
+    inner = generated_intersection(pa, env, run.subgroups(pa.group))
     return HOLDS, {"families_checked": inner["families_checked"]}
 
 
@@ -451,13 +448,13 @@ def run_claim(claim_id: str, instance: Instance,
     if claim_id not in CLAIMS:
         raise ValidationError("unknown-claim", (claim_id,),
                               f"no claim registered under {claim_id!r}")
-    return _report(claim_id, instance, bounds, Run())
+    return _report(claim_id, instance, Run(bounds))
 
 
-def _report(claim_id: str, instance: Instance, bounds: Bounds, run: Run) -> ClaimReport:
+def _report(claim_id: str, instance: Instance, run: Run) -> ClaimReport:
     start = time.perf_counter()
     try:
-        status, witness = CLAIMS[claim_id](instance, bounds, run)
+        status, witness = CLAIMS[claim_id](instance, run)
     except BoundExceeded as exc:
         status, witness = SKIPPED_BOUNDS, {"reason": str(exc)}
     except InternalCheckError as exc:
@@ -472,8 +469,8 @@ def run_all(instance: Instance, bounds: Bounds = DEFAULT_BOUNDS) -> list[ClaimRe
     each construction (envelope, global action, G-map poset, subgroup
     lattice) is built once for the whole registry; the run ends with the
     call."""
-    run = Run()
-    return [_report(cid, instance, bounds, run) for cid in CLAIMS]
+    run = Run(bounds)
+    return [_report(cid, instance, run) for cid in CLAIMS]
 
 
 def exit_code(reports: list[ClaimReport]) -> int:

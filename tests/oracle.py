@@ -1226,7 +1226,7 @@ def _check_parallel(f, g) -> None:
         raise ValidationError("space-mismatch", (), "maps must be parallel")
 
 
-def are_homotopic(f, g, node_budget: int = 1_000_000, max_maps: int = 4096) -> bool:
+def are_homotopic(f, g) -> bool:
     """Fence-connectivity of f and g in the full poset of continuous maps."""
     from pact import enumerate_maps, is_continuous
 
@@ -1234,13 +1234,11 @@ def are_homotopic(f, g, node_budget: int = 1_000_000, max_maps: int = 4096) -> b
     for m in (f, g):
         if not is_continuous(m):
             raise ValidationError("not-continuous", (), "homotopy needs continuous maps")
-    poset = enumerate_maps(f.source, f.target,
-                           node_budget=node_budget, max_maps=max_maps)
+    poset = enumerate_maps(f.source, f.target)
     return poset.components[poset.index_of(f.row)] == poset.components[poset.index_of(g.row)]
 
 
-def are_G_homotopic(f, g, pa_x, pa_y,
-                    node_budget: int = 1_000_000, max_maps: int = 4096) -> bool:
+def are_G_homotopic(f, g, pa_x, pa_y) -> bool:
     """Fence-connectivity inside the poset of G-maps."""
     from pact import enumerate_maps, is_G_map
 
@@ -1248,8 +1246,7 @@ def are_G_homotopic(f, g, pa_x, pa_y,
     for m in (f, g):
         if not is_G_map(m, pa_x, pa_y):
             raise ValidationError("not-a-G-map", (), "equivariant homotopy needs G-maps")
-    poset = enumerate_maps(f.source, f.target, equivariant=(pa_x, pa_y),
-                           node_budget=node_budget, max_maps=max_maps)
+    poset = enumerate_maps(f.source, f.target, equivariant=(pa_x, pa_y))
     return poset.components[poset.index_of(f.row)] == poset.components[poset.index_of(g.row)]
 
 
@@ -1282,8 +1279,7 @@ def envelopes_G_homotopic(f, g, pa_x, pa_y) -> bool:
     return are_G_homotopic(ef, eg, env_x.as_global_action(), env_y.as_global_action())
 
 
-def label_envelope_of_map(f, pa_x, pa_y, big=None, env_x=None, env_y=None,
-                          max_pairs: int = 256):
+def label_envelope_of_map(f, pa_x, pa_y, big=None, env_x=None, env_y=None):
     """The induced map [g,x] |-> [g,f(x)] of one map, on labels: descend
     through the class table, then check continuity and equivariance point
     by point.  The reference for ``pact.envelope.lift_maps``."""
@@ -1293,9 +1289,9 @@ def label_envelope_of_map(f, pa_x, pa_y, big=None, env_x=None, env_y=None,
         raise ValidationError("not-a-G-map", (), "envelope_of_map needs an equivariant map")
     big = big or pa_x.group
     if env_x is None:
-        env_x = twisted_product(pa_x, big, max_pairs)
+        env_x = twisted_product(pa_x, big)
     if env_y is None:
-        env_y = twisted_product(pa_y, big, max_pairs)
+        env_y = twisted_product(pa_y, big)
     view_x, view_y = label_view(env_x), label_view(env_y)
     values, clash = view_x.descend(lambda g, x: view_y.class_of(g, f(x)))
     if clash is not None:
@@ -1425,9 +1421,7 @@ def worst_status(reports) -> str:
 # ---------------------------------------------------------------------------
 # local equivariant contractibility by exhaustive neighbourhood scan
 
-def exhaustive_locally_G_contractible(pa, max_points: int = 12,
-                                      node_budget: int = 1_000_000,
-                                      max_maps: int = 4096) -> bool:
+def exhaustive_locally_G_contractible(pa, max_points: int = 12) -> bool:
     """For every point x and every G_x-invariant open U containing x, some
     G_x-invariant open V with x in V, V inside U admits a fence (of
     G_x-maps V -> U) from the inclusion to a constant at a G_x-fixed point.
@@ -1456,9 +1450,7 @@ def exhaustive_locally_G_contractible(pa, max_points: int = 12,
                 pa_v = restrict_invariant(sub, v)
                 inclusion = SpaceMap.from_dict(pa_v.space, pa_u.space,
                                                {p: p for p in pa_v.space.points})
-                poset = enumerate_maps(pa_v.space, pa_u.space,
-                                       equivariant=(pa_v, pa_u),
-                                       node_budget=node_budget, max_maps=max_maps)
+                poset = enumerate_maps(pa_v.space, pa_u.space, equivariant=(pa_v, pa_u))
                 inc = poset.index_of(inclusion.row)
                 for w in sorted(targets, key=pa.space.index):
                     const = SpaceMap.constant(pa_v.space, pa_u.space, w)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pact import (FinSpace, InternalCheckError, PartialAction, Subgroup,
+from pact import (Bounds, FinSpace, InternalCheckError, PartialAction, Subgroup,
                   ValidationError, all_subgroups, diagonal_product,
                   discrete_space, exit_code, fixture_dict, fixture_names, global_action,
                   globalize, is_G_map, is_locally_G_contractible, isotropy, load_fixture,
@@ -119,7 +119,7 @@ def test_product_projections_are_G_maps_of_the_diagonal_product(seed):
 def test_certified_constructions_equal_validated_on_fixtures(name):
     inst = load_fixture(name)
     pa = inst.embedded_pa
-    env = twisted_product(pa, inst.big, max_pairs=10 ** 4)
+    env = twisted_product(pa, inst.big, Bounds(envelope_pairs=10 ** 4))
     built = [env.as_global_action(), globalize(inst.pa).as_global_action(),
              trivial_action(inst.group, inst.space),
              diagonal_product(inst.pa, inst.pa)]
@@ -128,7 +128,7 @@ def test_certified_constructions_equal_validated_on_fixtures(name):
     built += [restrict_to_group(env.as_global_action(), pa.group),
               restrict_to_group(trivial_action(inst.big, discrete_space(["y"])), pa.group)]
     # the restrictions of the local G-contractibility witness, on X and X_G
-    for base in (pa, globalize(pa, max_pairs=10 ** 4).as_global_action()):
+    for base in (pa, globalize(pa, Bounds(envelope_pairs=10 ** 4)).as_global_action()):
         for x in base.space.points:
             sub = restrict_to_subgroup(base, isotropy(base, x)[1])
             built.append(restrict_invariant(sub, base.space.min_open_of(x)))
@@ -516,8 +516,8 @@ def test_broken_envelope_action_is_internal_for_its_claims_only(monkeypatch):
 
     real = pact.envelope.twisted_product
 
-    def corrupted(pa, big, max_pairs=256):
-        env = real(pa, big, max_pairs)
+    def corrupted(pa, big, bounds):
+        env = real(pa, big, bounds)
         rows = [list(row) for row in env.action_rows]
         g = big.index("3")
         rows[g][0] = rows[g][1]

@@ -363,7 +363,7 @@ def test_bound_flag_reaches_the_adjunction_envelope(tmp_path, capsys):
 def test_internal_error_in_one_claim_keeps_the_other_reports(monkeypatch, capsys):
     import pact.verify
 
-    def broken(inst, bounds, run):
+    def broken(inst, run):
         raise InternalCheckError("planted fault")
 
     monkeypatch.setitem(pact.verify.CLAIMS, "recognition", broken)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pact import (BoundExceeded, InternalCheckError, MapPoset, SpaceMap, Subgroup,
+from pact import (BoundExceeded, Bounds, InternalCheckError, MapPoset, SpaceMap, Subgroup,
                   ValidationError, adjunction_maps, all_subgroups,
                   compose, diagonal_product, discrete_space,
                   envelope_of_map, enumerate_G_maps,
@@ -133,9 +133,9 @@ def test_envelope_bounds_and_precondition_errors():
     from pact import BoundExceeded
     circle = fixture_pa("z4-circle")
     with pytest.raises(BoundExceeded):
-        globalize(circle, max_pairs=16)
+        globalize(circle, Bounds(envelope_pairs=16))
     with pytest.raises(BoundExceeded):
-        twisted_product(circle, circle.group, max_pairs=16)
+        twisted_product(circle, circle.group, Bounds(envelope_pairs=16))
     with pytest.raises(ValidationError) as err:
         adjunction_maps(twist(fixture_pa("z2-pair")), fixture_pa("z2-pair"), hom)
     assert err.value.axiom == "not-global"
@@ -459,8 +459,8 @@ def test_generated_intersection_matches_the_family_scan(rng):
               for kind in ("regular", "trivial")]
     counts = []
     for pa, bounds in cases:
-        env = globalize(pa, bounds.envelope_pairs)
-        subs = all_subgroups(pa.group, bounds.group_order)
+        env = globalize(pa, bounds)
+        subs = all_subgroups(pa.group, bounds)
         got = generated_intersection(pa, env, subs)
         assert got == family_scan_intersection(pa, env, subs)
         counts.append(got["families_checked"])
@@ -623,7 +623,7 @@ def _corrupted_lift(rng, kinds):
     while True:
         pa_x, pa_y, env_x, env_y, big = _lift_case(rng)
         try:
-            g_rows = enumerate_G_maps(pa_x, pa_y, max_maps=1000)
+            g_rows = enumerate_G_maps(pa_x, pa_y, Bounds(max_maps=1000))
             break
         except BoundExceeded:
             continue

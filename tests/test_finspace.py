@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pact import (BoundExceeded, FinSpace, InternalCheckError, SpaceMap, ValidationError,
-                  compose, core, discrete_space, enumerate_monotone_maps, enumerate_opens,
+from pact import (BoundExceeded, Bounds, FinSpace, InternalCheckError, SpaceMap,
+                  ValidationError, compose, core, discrete_space, enumerate_monotone_maps, enumerate_opens,
                   is_closed, is_continuous, is_open, is_open_map, is_T1,
                   load_fixture, pair_label, product, quotient,
                   space_from_min_opens, split_pair_label, subspace,
@@ -373,7 +373,7 @@ def test_enumerate_monotone_maps_counts_and_order():
     assert [SpaceMap(d2, d2, row).assignment for row in rows] == \
         [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
     with pytest.raises(BoundExceeded):
-        enumerate_monotone_maps(space, space, max_maps=100)
+        enumerate_monotone_maps(space, space, Bounds(max_maps=100))
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from pact import (BoundExceeded, SpaceMap, ValidationError,
+from pact import (BoundExceeded, Bounds, SpaceMap, ValidationError,
                   core, discrete_space, enumerate_maps, enumerate_opens,
                   fixture_names, globalize,
                   is_contractible, is_G_contractible,
@@ -84,12 +84,12 @@ def test_components_and_fences_on_rows_match_label_search(rng):
             pa = random_partial(rng, cyclic_group(rng.choice([2, 3])))
             try:
                 poset = enumerate_maps(pa.space, pa.space, equivariant=(pa, pa),
-                                       max_maps=300)
+                                       bounds=Bounds(max_maps=300))
             except BoundExceeded:
                 continue
         else:
             poset = enumerate_maps(random_space(rng, 4, "x"), random_space(rng, 4, "y"),
-                                   max_maps=300)
+                                   bounds=Bounds(max_maps=300))
         maps = list(poset.maps)
         assert poset.components == label_components(maps)
         for _ in range(5):

@@ -59,6 +59,17 @@ def test_non_homomorphic_embedding_rejected():
     assert err.value.location == "k_embedding"
 
 
+
+def test_embedding_that_moves_the_identity_is_not_a_homomorphism():
+    # e = e.e forces emb(e) = emb(e)^2, so the homomorphism check at (e, e)
+    # already rejects an embedding that moves the identity
+    doc = fixture_dict("z4-from-z2-pair")
+    doc["k_embedding"] = {"0": "2", "1": "0"}
+    with pytest.raises(InstanceError) as err:
+        parse_instance(doc)
+    assert err.value.location == "k_embedding"
+    assert str(err.value) == "at k_embedding: not a homomorphism at ('0', '0')"
+
 def test_embedding_needs_big_group_and_injectivity():
     doc = fixture_dict("z4-from-z2-pair")
     del doc["big_group"]

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pact import (BoundExceeded, FinSpace, InternalCheckError, PartialAction, SpaceMap,
-                  Subgroup,
+from pact import (BoundExceeded, Bounds, FinSpace, InternalCheckError, PartialAction,
+                  SpaceMap, Subgroup,
                   ValidationError, diagonal_product,
                   discrete_space, enumerate_G_maps, fixed_points, fixture_names,
                   global_action, is_continuous, is_G_map, is_invariant,
@@ -436,7 +436,7 @@ def test_g_map_faults_match_definitions(seed):
     pa_y = pa_x if rng.random() < 0.3 else random_partial(rng, grp)
     width, m = len(pa_x.space), len(pa_y.space)
     try:
-        g_rows = enumerate_G_maps(pa_x, pa_y, max_maps=1000)
+        g_rows = enumerate_G_maps(pa_x, pa_y, Bounds(max_maps=1000))
     except BoundExceeded:
         g_rows = []
     picked = rng.sample(g_rows, min(len(g_rows), 10))
@@ -461,9 +461,10 @@ def test_enumerate_G_maps_matches_copying_search(seed):
     pa_x = random_partial(rng, grp)
     pa_y = rng.choice([pa_x, random_partial(rng, grp), random_global(rng, "circle", grp),
                        random_global(rng, "regular", grp, 1)])
-    assert_same_search(lambda budget, cap: enumerate_G_maps(pa_x, pa_y, budget, cap),
-                       lambda budget, cap: copying_enumerate_G_maps(pa_x, pa_y, budget, cap),
-                       rng)
+    assert_same_search(
+        lambda budget, cap: enumerate_G_maps(pa_x, pa_y, Bounds(map_nodes=budget, max_maps=cap)),
+        lambda budget, cap: copying_enumerate_G_maps(pa_x, pa_y, budget, cap),
+        rng)
 
 
 def test_enumerate_G_maps_prunes_a_target_one_of_several_elements_leaves():
@@ -475,6 +476,7 @@ def test_enumerate_G_maps_prunes_a_target_one_of_several_elements_leaves():
     pa_x = trivial_action(z3, discrete_space(["x", "y"]))
     pa_y = restrict_global(regular(z3, discrete_space(["q0"])), ["q0.0", "q0.1"])
     assert enumerate_G_maps(pa_x, pa_y) == []
-    assert_same_search(lambda budget, cap: enumerate_G_maps(pa_x, pa_y, budget, cap),
-                       lambda budget, cap: copying_enumerate_G_maps(pa_x, pa_y, budget, cap),
-                       random.Random(0))
+    assert_same_search(
+        lambda budget, cap: enumerate_G_maps(pa_x, pa_y, Bounds(map_nodes=budget, max_maps=cap)),
+        lambda budget, cap: copying_enumerate_G_maps(pa_x, pa_y, budget, cap),
+        random.Random(0))

@@ -70,9 +70,9 @@ def test_g_contractible_reuses_the_posets_of_homotopy_preservation(monkeypatch):
     during = {}
     claim = pact.verify.CLAIMS["g-contractible"]
 
-    def watched(inst, bounds, run):
+    def watched(inst, run):
         before = len(calls["enumerate_G_maps"])
-        result = claim(inst, bounds, run)
+        result = claim(inst, run)
         during[inst.id] = len(calls["enumerate_G_maps"]) - before
         return result
 
@@ -166,3 +166,84 @@ def test_twist_eq_glob_compares_independent_constructions(monkeypatch, name):
     monkeypatch.setattr(pact.envelope, "twisted_product", corrupted)
     report = next(rep for rep in run_all(inst) if rep.claim_id == "twist-eq-glob")
     assert report.status == "fails" and report.witness["reason"] == "same-action"
+
+
+# ---------------------------------------------------------------------------
+# every bounded construction reads its own limit from the Bounds it is given
+
+
+def _bounded_builds():
+    """(construction, field, build) for each limit a construction reads;
+    ``build(bounds)`` runs the construction under ``bounds``."""
+    wedge = load_fixture("z2-wedge").embedded_pa
+    inst = load_fixture("z4-from-z2-pair")
+    pa, big = inst.embedded_pa, inst.big
+    circle = load_fixture("z4-circle").pa
+    whole = pa.group.whole
+    ident = pact.SpaceMap.identity(pa.space)
+    maps = {"enumerate_maps": lambda b: pact.enumerate_maps(wedge.space, wedge.space,
+                                                            (wedge, wedge), b),
+            "enumerate_G_maps": lambda b: pact.enumerate_G_maps(wedge, wedge, b),
+            "enumerate_monotone_maps": lambda b: pact.enumerate_monotone_maps(
+                wedge.space, wedge.space, b)}
+    return [
+        ("globalize", "envelope_pairs", lambda b: pact.globalize(wedge, b)),
+        ("twisted_product", "envelope_pairs", lambda b: pact.twisted_product(pa, big, b)),
+        ("envelope_of_map", "envelope_pairs",
+         lambda b: pact.envelope_of_map(ident, pa, pa, big, bounds=b)),
+        ("recognize_globalization", "envelope_pairs",
+         lambda b: pact.recognize_globalization(circle, ["a3", "c0", "a0", "c1", "a1"], b)),
+        ("fixed_decomposition", "envelope_pairs",
+         lambda b: pact.fixed_decomposition(pa, whole, bounds=b)),
+        ("fixed_decomposition", "group_order",
+         lambda b: pact.fixed_decomposition(pa, whole, bounds=b)),
+        ("all_subgroups", "group_order", lambda b: pact.all_subgroups(big, b)),
+        *((name, field, build) for name, build in maps.items()
+          for field in ("map_nodes", "max_maps")),
+    ]
+
+
+BOUNDED_BUILDS = _bounded_builds()
+
+
+@pytest.mark.parametrize("name, field, build", BOUNDED_BUILDS,
+                         ids=[f"{name}-{field}" for name, field, _ in BOUNDED_BUILDS])
+def test_each_construction_reads_its_own_bound(name, field, build):
+    def builds(value: int) -> bool:
+        try:
+            build(dataclasses.replace(DEFAULT_BOUNDS, **{field: value}))
+        except pact.BoundExceeded:
+            return False
+        return True
+
+    build(DEFAULT_BOUNDS)
+    # the least value of the field under which the call builds
+    low, high = 0, getattr(DEFAULT_BOUNDS, field)
+    while low < high:
+        mid = (low + high) // 2
+        low, high = (low, mid) if builds(mid) else (mid + 1, high)
+    assert low > 0, f"{name} ignores {field}"
+    with pytest.raises(pact.BoundExceeded) as err:
+        build(dataclasses.replace(DEFAULT_BOUNDS, **{field: low - 1}))
+    assert err.value.limit == low - 1
+
+
+def test_no_public_function_takes_a_single_limit():
+    import importlib
+    import inspect
+    import pkgutil
+
+    retired = {"max_pairs", "max_order", "group_order", "node_budget", "max_maps"}
+    found = []
+    for info in pkgutil.iter_modules(pact.__path__):
+        module = importlib.import_module(f"pact.{info.name}")
+        owners = [module] + [cls for cls in vars(module).values()
+                             if inspect.isclass(cls) and cls.__module__ == module.__name__]
+        for owner in owners:
+            for fname, fn in vars(owner).items():
+                if (fname.startswith("_") or not inspect.isfunction(fn)
+                        or fn.__module__ != module.__name__):
+                    continue
+                params = set(inspect.signature(fn).parameters)
+                found += [f"{module.__name__}.{fn.__qualname__}({p})" for p in params & retired]
+    assert found == []
