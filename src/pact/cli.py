@@ -57,7 +57,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     lines = [
         f"group: OK ({len(inst.group)} elements)",
         f"space: OK ({len(inst.space)} points)",
-        f"partial action: OK ({len(inst.pa.gstar())} pairs in G*X)",
+        f"partial action: OK ({sum(map(len, inst.pa.domain_points))} pairs in G*X)",
     ]
     if inst.big_group is not None:
         lines.append(f"big group: OK ({len(inst.big_group)} elements)")

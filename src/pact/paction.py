@@ -29,14 +29,13 @@ class PartialAction:
     theta_g(points[i]), -1 where theta_g is undefined, and
     ``domain_points[g]`` lists X_g's point indices in point order.
 
-    Parsed input is built by :func:`validate_partial_action`, the full
-    validator, which hands over the label tables it checked as the first
-    values of the label views ``domains`` and ``thetas``.  The actions pact
-    builds itself come from constructions that certify their tables
-    instead: :func:`certified_global_action` on a generating set,
+    Parsed input is built by :func:`validate_partial_action`, which indexes
+    the label tables and checks the axioms on the index tables.  The
+    actions pact builds itself come from constructions that certify their
+    tables instead: :func:`certified_global_action` on a generating set,
     :func:`diagonal_product` coordinate by coordinate, and the restrictions
-    by re-indexing the parent's tables; their label views are built from
-    the tables on first use.
+    by re-indexing the parent's tables.  The label views ``domains`` and
+    ``thetas`` are built from the tables on first use.
     """
 
     group: Group
@@ -62,12 +61,6 @@ class PartialAction:
         """Whether g.x exists, i.e. (g, x) lies in G*X."""
         i = self.space._index.get(x)
         return i is not None and self.images[self.group.index(g)][i] >= 0
-
-    def gstar(self) -> list[tuple[str, str]]:
-        """G*X as (g, x) pairs, in (element, point) order."""
-        pts = self.space.points
-        return [(g, pts[x]) for g, image in zip(self.group.elements, self.images)
-                for x, y in enumerate(image) if y >= 0]
 
     def is_global(self) -> bool:
         return all(len(xs) == len(self.space) for xs in self.domain_points)
@@ -107,13 +100,6 @@ class PartialAction:
         return direct
 
 
-def _with_labels(pa: PartialAction, domains: Mapping[str, frozenset[str]],
-                 thetas: Mapping[str, Mapping[str, str]]) -> PartialAction:
-    """``pa`` with its label views set to tables already at hand."""
-    pa.__dict__.update(domains=domains, thetas=thetas)
-    return pa
-
-
 @dataclass(frozen=True)
 class OrbitSpace:
     base: PartialAction
@@ -127,15 +113,10 @@ def validate_partial_action(group: Group, space: FinSpace,
                             thetas: Mapping[str, Mapping[str, str]]) -> PartialAction:
     """Check every partial-action axiom; first violation wins, with witness.
 
-    Monotonicity of theta_g and of its inverse is checked on down-set masks
-    by :func:`monotonicity_violation`.  PA2 is checked twice, by exhaustive
-    triple scan and by the domain identity theta_g(X_{g^-1} & X_h) =
-    X_g & X_{gh}, both on index tables; the two must agree.  Witnesses
-    follow the group's element order and the space's point order, so they
-    do not depend on hashing.  The returned action carries those index
-    tables (``images``, ``domain_points``).
+    This is the label edge: every element needs a domain and a map table,
+    on known points, with theta_g defined exactly on X_{g^-1}.  The tables
+    are then indexed and :func:`_check_axioms` checks the axioms on them.
     """
-    inv = {g: group.inv(g) for g in group.elements}
     dom: dict[str, frozenset[str]] = {}
     for g in group.elements:
         if g not in domains:
@@ -151,11 +132,11 @@ def validate_partial_action(group: Group, space: FinSpace,
         if g not in thetas:
             raise ValidationError("domain-keys", (g,), f"no map table for element {g!r}")
         table = dict(thetas[g])
-        expected = dom[inv[g]]
+        expected = dom[group.inv(g)]
         if frozenset(table) != expected:
             off = sorted(frozenset(table) ^ expected)[0]
-            raise ValidationError("theta-domain", (g, off),
-                                  f"theta_{g!r} must be defined exactly on X_({inv[g]!r})")
+            raise ValidationError("theta-domain", (g, off), f"theta_{g!r} must be "
+                                  f"defined exactly on X_({group.inv(g)!r})")
         if not all(map(space._index.__contains__, table.values())):
             for y in table.values():
                 space.index(y)
@@ -163,62 +144,76 @@ def validate_partial_action(group: Group, space: FinSpace,
     for g in thetas:
         group.index(g)
 
-    e = group.identity
-    allpts = frozenset(space.points)
-    if dom[e] != allpts:
-        missing = sorted(allpts - dom[e])[0]
+    index, every = space._index, range(len(space))
+    images = tuple(tuple(map({index[x]: index[y] for x, y in the[g].items()}.get,
+                             every, repeat(-1)))
+                   for g in group.elements)
+    pa = PartialAction(group, space, images,
+                       tuple(tuple(sorted(map(index.__getitem__, dom[g])))
+                             for g in group.elements))
+    _check_axioms(pa)
+    return pa
+
+
+def _check_axioms(pa: PartialAction) -> None:
+    """Check PA3, open domains, theta_g a bijection onto X_g, theta_g and
+    its inverse monotone (on down-set masks), PA1 and PA2, in that order,
+    on ``pa``'s index tables, whose row ``images[g]`` must be defined
+    exactly on ``domain_points[g^-1]``.  The first violation raises
+    ValidationError, its witness named by labels.  PA2 is checked twice,
+    by triple scan and by the domain identity theta_g(X_{g^-1} & X_h) =
+    X_g & X_{gh}, which must agree.  Every scan walks element indices and
+    each domain in point order, so witnesses do not depend on hashing."""
+    group, space, images = pa.group, pa.space, pa.images
+    elems, rows, inverse_row = group.elements, group.rows, group.inverse_row
+    points, down, every = space.points, space.down, range(len(space))
+    dom_points = list(map(list, pa.domain_points))
+
+    e = group.index(group.identity)
+    if len(dom_points[e]) != len(points):
+        missing = min(set(points).difference(map(points.__getitem__, dom_points[e])))
         raise ValidationError("pa3-domain", (missing,), "X_e must be the whole space")
-    if list(map(the[e].__getitem__, space.points)) != list(space.points):
-        x = next(x for x in space.points if the[e][x] != x)
-        raise ValidationError("pa3-identity", (x,), "theta_e must be the identity")
+    x = next((x for x in every if images[e][x] != x), None)
+    if x is not None:
+        raise ValidationError("pa3-identity", (points[x],), "theta_e must be the identity")
 
-    points, index, down = space.points, space._index, space.down
-    mask = {g: space.mask_of(dom[g]) for g in group.elements}
-    for g in group.elements:
+    mask = [sum(1 << x for x in xs) for xs in dom_points]
+    for g, xs in enumerate(dom_points):
         if not is_down_mask(down, mask[g]):
-            raise ValidationError("domain-not-open", (g,) + tuple(sorted(dom[g])),
-                                  f"X_{g!r} is not open")
+            raise ValidationError("domain-not-open",
+                                  (elems[g],) + tuple(sorted(map(points.__getitem__, xs))),
+                                  f"X_{elems[g]!r} is not open")
 
-    every = range(len(points))
-    images: list[list[int]] = []
-    for g in group.elements:
-        tgt, table = dom[g], the[g]
-        values = list(table.values())
-        if len(set(values)) != len(values) or set(values) != set(tgt):
-            raise ValidationError("theta-not-bijective", (g,),
-                                  f"theta_{g!r} is not a bijection onto X_{g!r}")
-        # theta_g and its inverse as index tables, -1 off their domains
-        src_idx = list(map(index.__getitem__, table))
-        tgt_idx = list(map(index.__getitem__, values))
-        image = list(map(dict(zip(src_idx, tgt_idx)).get, every, repeat(-1)))
-        back = list(map(dict(zip(tgt_idx, src_idx)).get, every, repeat(-1)))
-        images.append(image)
-        bad = monotonicity_violation(down, mask[inv[g]], image, down)
+    for g, image in enumerate(images):
+        src = dom_points[inverse_row[g]]
+        values = list(map(image.__getitem__, src))
+        if len(set(values)) != len(values) or set(values) != set(dom_points[g]):
+            raise ValidationError("theta-not-bijective", (elems[g],),
+                                  f"theta_{elems[g]!r} is not a bijection onto X_{elems[g]!r}")
+        # the inverse of theta_g as an index table, -1 off X_g
+        back = list(map(dict(zip(values, src)).get, every, repeat(-1)))
+        bad = monotonicity_violation(down, mask[inverse_row[g]], image, down)
         if bad:
             raise ValidationError("theta-not-continuous",
-                                  (g, points[bad[0]], points[bad[1]]),
-                                  f"theta_{g!r} is not monotone")
+                                  (elems[g], points[bad[0]], points[bad[1]]),
+                                  f"theta_{elems[g]!r} is not monotone")
         # inverse continuity is PA1 plus the forward check on g^-1, but check
         # it directly so a broken inverse is caught before PA1 runs; the
         # witness (g, x, y) lives in X_g so it replays from theta_g alone.
         bad = monotonicity_violation(down, mask[g], back, down)
         if bad:
             raise ValidationError("theta-inverse-not-continuous",
-                                  (g, points[bad[0]], points[bad[1]]),
-                                  f"inverse of theta_{g!r} is not monotone")
+                                  (elems[g], points[bad[0]], points[bad[1]]),
+                                  f"inverse of theta_{elems[g]!r} is not monotone")
 
-    # From here on every check reads index tables: element indices, and each
-    # domain as its point indices in point order, so every scan finds its
-    # first violation in the same place under any hash seed.
-    elems, rows, inverse_row = group.elements, group.rows, group.inverse_row
-    dom_points = [sorted(map(index.__getitem__, dom[g])) for g in elems]
     for g, image in enumerate(images):
         xs = dom_points[inverse_row[g]]
         undo = images[inverse_row[g]]
         if list(map(undo.__getitem__, map(image.__getitem__, xs))) != xs:
             x = next(x for x in xs if undo[image[x]] != x)
             raise ValidationError("theta-inverse-mismatch", (elems[g], points[x]),
-                                  f"theta_{inv[elems[g]]!r} does not invert theta_{elems[g]!r}")
+                                  f"theta_{elems[inverse_row[g]]!r} does not invert "
+                                  f"theta_{elems[g]!r}")
 
     # PA2 by triple scan: for x in X_{h^-1} with theta_h(x) in X_{g^-1},
     # theta_g(theta_h(x)) must be theta_gh(x).  Per (g, h) the two sides are
@@ -261,9 +256,6 @@ def validate_partial_action(group: Group, space: FinSpace,
         raise ValidationError("pa2", pa2_scan,
                               "PA2 fails: theta_g(theta_h(x)) != theta_gh(x)")
 
-    return _with_labels(PartialAction(group, space, tuple(map(tuple, images)),
-                                      tuple(map(tuple, dom_points))), dom, the)
-
 
 def global_action(group: Group, space: FinSpace,
                   thetas: Mapping[str, Mapping[str, str]]) -> PartialAction:
@@ -289,9 +281,7 @@ def global_action(group: Group, space: FinSpace,
                                 {g: space.points for g in group.elements}, thetas)
         raise InternalCheckError("the global-action certificate failed "
                                  "but the full validator passed")
-    allpts = frozenset(space.points)
-    return _with_labels(pa, {g: allpts for g in group.elements},
-                        {g: dict(thetas[g]) for g in group.elements})
+    return pa
 
 
 def certified_global_action(group: Group, space: FinSpace,

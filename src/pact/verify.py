@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import time
+from itertools import repeat
 from typing import Callable, Sequence
 
 from . import algebra, envelope, homotopy
@@ -22,12 +23,11 @@ from .envelope import (EnvelopeResult, _map_checks, adjunction_maps, fixed_ident
 from .errors import BoundExceeded, InternalCheckError, ValidationError
 from .finspace import (FinSpace, SpaceMap, bit_indices, discrete_space, is_closed,
                        is_down_mask, is_open, is_open_map, is_T1,
-                       pair_label, space_from_min_opens, split_pair_label,
-                       subspace)
+                       split_pair_label, subspace)
 from .homotopy import MapPoset, is_G_contractible, is_locally_G_contractible
 from .instance import Instance
-from .paction import (PartialAction, diagonal_product, is_isovariant,
-                      restrict_to_group, trivial_action, validate_partial_action)
+from .paction import (PartialAction, _check_axioms, diagonal_product, is_isovariant,
+                      restrict_to_group, trivial_action)
 from .report import (FAILS, HOLDS, INTERNAL_ERROR, PRECONDITION_UNMET,
                      SKIPPED_BOUNDS, ClaimReport)
 
@@ -97,7 +97,7 @@ def _onto_image(env: EnvelopeResult) -> tuple[SpaceMap, dict[str, bool]]:
 
 def _claim_pa_axioms(inst: Instance, run: Run) -> tuple[str, dict]:
     pa = inst.pa
-    validate_partial_action(pa.group, pa.space, pa.domains, pa.thetas)
+    _check_axioms(pa)
     witness = {
         "elements": len(pa.group),
         "points": len(pa.space),
@@ -234,49 +234,54 @@ def split_diagonal_factors(pa: PartialAction
     labels, with their diagonal product, or None when the instance does not
     carry a product structure.
 
-    The factors' opens, domains and thetas are read off the first and
-    second coordinates, and the diagonal product rebuilt from them must
-    equal ``pa`` label for label: its minimal opens, domains and thetas are
-    products of the factors', so that one comparison decides whether
-    ``pa``'s are."""
-    pts = pa.space.points
-    split = [split_pair_label(p) for p in pts]
-    if any(s is None for s in split):
+    The labels are split once, into each point's index in the first and
+    the second coordinate, each coordinate's labels in order of first
+    appearance; the rest reads index tables.  A factor's down masks are
+    ``pa``'s read off one slice, intersected over the other coordinate, and
+    its domains and thetas are ``pa``'s projected; it must pass the axioms.
+    The diagonal product rebuilt from the factors must equal ``pa``
+    re-indexed: its down masks, domains and thetas are products of the
+    factors', so that one comparison decides whether ``pa``'s are.  It also
+    decides that each factor's masks, which nothing checks before, are a
+    preorder's: they are ``pa``'s on a slice."""
+    split = [split_pair_label(p) for p in pa.space.points]
+    if None in split:
         return None
-    firsts = list(dict.fromkeys(a for a, _ in split))
-    seconds = list(dict.fromkeys(b for _, b in split))
+    coords = []
+    for labels in zip(*split):
+        names = list(dict.fromkeys(labels))
+        index = {c: i for i, c in enumerate(names)}
+        coords.append((names, list(map(index.__getitem__, labels))))
+    (firsts, first), (seconds, second) = coords
     # each point is the pair label of its split, so this count makes the
     # points exactly the pairs of firsts x seconds
-    if len(pts) != len(firsts) * len(seconds):
+    if len(pa.space) != len(firsts) * len(seconds):
         return None
 
-    def u1(p: str) -> set[str]:
-        return {p2 for p2 in firsts
-                if all(pa.space.leq(pair_label(p2, q), pair_label(p, q))
-                       for q in seconds)}
-
-    def u2(q: str) -> set[str]:
-        return {q2 for q2 in seconds
-                if all(pa.space.leq(pair_label(p, q2), pair_label(p, q))
-                       for p in firsts)}
-
-    def factor(k: int, space: FinSpace) -> PartialAction:
-        # the domains and thetas read off coordinate k
-        return validate_partial_action(
-            pa.group, space,
-            {g: {split_pair_label(p)[k] for p in xs} for g, xs in pa.domains.items()},
-            {g: {split_pair_label(p)[k]: split_pair_label(q)[k] for p, q in theta.items()}
-             for g, theta in pa.thetas.items()})
+    def factor(names: list[str], own: list[int], other: list[int]) -> PartialAction:
+        down = [(1 << len(names)) - 1] * len(names)
+        for i, mask in enumerate(pa.space.down):
+            down[own[i]] &= sum(1 << own[j] for j in bit_indices(mask) if other[j] == other[i])
+        images = tuple(tuple(map({own[x]: own[y] for x, y in enumerate(image) if y >= 0}.get,
+                                 range(len(names)), repeat(-1))) for image in pa.images)
+        fpa = PartialAction(pa.group, FinSpace(tuple(names), tuple(down)), images,
+                            tuple(tuple(sorted({own[x] for x in xs})) for xs in pa.domain_points))
+        _check_axioms(fpa)
+        return fpa
 
     try:
-        pa_1 = factor(0, space_from_min_opens(firsts, {p: u1(p) for p in firsts}))
-        pa_2 = factor(1, space_from_min_opens(seconds, {q: u2(q) for q in seconds}))
-        diag = diagonal_product(pa_1, pa_2)
+        pa_1 = factor(firsts, first, second)
+        pa_2 = factor(seconds, second, first)
     except ValidationError:
         return None
-    # theta_g's table is keyed by X_{g^-1}, so equal thetas mean equal domains
-    same = (all(diag.space.min_open_of(p) == pa.space.min_open_of(p) for p in pts)
-            and all(dict(diag.thetas[g]) == dict(pa.thetas[g]) for g in pa.group.elements))
+    diag = diagonal_product(pa_1, pa_2)
+    # pa's point index -> diag's, and -1 (undefined) -> -1
+    at = [a * len(seconds) + b for a, b in zip(first, second)] + [-1]
+    # theta_g's table is -1 exactly off X_{g^-1}, so equal tables mean equal domains
+    same = ([diag.space.down[p] for p in at[:-1]]
+            == [sum(1 << at[j] for j in bit_indices(mask)) for mask in pa.space.down]
+            and all([row[p] for p in at[:-1]] == list(map(at.__getitem__, image))
+                    for row, image in zip(diag.images, pa.images)))
     return (pa_1, pa_2, diag) if same else None
 
 
@@ -443,8 +448,10 @@ def run_claim(claim_id: str, instance: Instance,
               bounds: Bounds = DEFAULT_BOUNDS) -> ClaimReport:
     """Run one registered claim, on constructions of its own (a fresh
     :class:`Run`); bound overruns become skipped-bounds, and a failed
-    trusted invariant becomes internal-error, so that one claim's bug
-    neither hides the other claims' reports nor reads as bad input."""
+    trusted invariant or a ValidationError becomes internal-error, so that
+    one claim's bug neither hides the other claims' reports nor reads as
+    bad input: a claim's inputs are a parsed instance and pact's own
+    builds."""
     if claim_id not in CLAIMS:
         raise ValidationError("unknown-claim", (claim_id,),
                               f"no claim registered under {claim_id!r}")
@@ -457,7 +464,7 @@ def _report(claim_id: str, instance: Instance, run: Run) -> ClaimReport:
         status, witness = CLAIMS[claim_id](instance, run)
     except BoundExceeded as exc:
         status, witness = SKIPPED_BOUNDS, {"reason": str(exc)}
-    except InternalCheckError as exc:
+    except (InternalCheckError, ValidationError) as exc:
         status, witness = INTERNAL_ERROR, {"reason": str(exc)}
     return ClaimReport(claim_id, instance.id, status, witness,
                        time.perf_counter() - start)

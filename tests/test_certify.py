@@ -31,7 +31,7 @@ from gen import (GLOBAL_KINDS, GROUPS, cyclic_group, fixture_pa, golden_instance
                  invariant_open, klein_group, outcome, random_global, random_group,
                  random_partial, restricted, s3_group, with_projections,
                  z6_two_orbits_document)
-from oracle import label_restrict_global
+from oracle import label_restrict_global, label_validate_partial_action
 
 
 def fields(pa):
@@ -463,39 +463,27 @@ def test_recognition_never_validates(monkeypatch, name):
 
 
 def test_run_all_builds_no_label_views_of_built_actions(monkeypatch):
-    """Parsed actions carry the label tables the validator checked; every
-    other action is built from index tables, and over whole runs on the
-    fixtures and the generated instances no claim reads its label views,
-    except the label edge that splits a diagonal product into factors.  No
-    space, parsed or built, has its minimal-open label view built at all."""
+    """Every action, parsed or built, is checked and used on its index
+    tables: over whole runs on the fixtures and the generated instances,
+    parsing included, no action has its ``domains`` or ``thetas`` label
+    view built or seeded, and no space its minimal-open label view."""
     from functools import cached_property
 
-    import pact.verify
-
-    insts = golden_instances()
-    views, splitting = [], []
+    views = []
     for cls, name in ((PartialAction, "domains"), (PartialAction, "thetas"),
                       (FinSpace, "min_open")):
         build = cls.__dict__[name].func
 
         def counting(obj, build=build, name=name):
-            if not splitting or name == "min_open":
-                views.append(name)
+            views.append(name)
             return build(obj)
         view = cached_property(counting)
         view.__set_name__(cls, name)
         monkeypatch.setattr(cls, name, view)
-    split = pact.verify.split_diagonal_factors
-
-    def splitting_factors(pa):
-        splitting.append(pa)
-        try:
-            return split(pa)
-        finally:
-            splitting.pop()
-    monkeypatch.setattr(pact.verify, "split_diagonal_factors", splitting_factors)
-    for inst, bounds in insts:
+    for inst, bounds in golden_instances():
         run_all(inst, bounds)
+        for pa in (inst.pa, inst.embedded_pa):
+            assert not {"domains", "thetas"} & pa.__dict__.keys()
     assert views == []
 
 
@@ -532,6 +520,67 @@ def test_broken_envelope_action_is_internal_for_its_claims_only(monkeypatch):
     assert exit_code(reports) == 3
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["check", "all", "z4-circle", "--json"]) == 3
+
+
+def test_validation_error_inside_a_claim_is_internal(monkeypatch):
+    """The G-map search on z2-pair returns one extra row, no G-map, for
+    each hom-set that leaves a map out.  The envelope of that row raises
+    ValidationError; inside a claim, whose inputs are a parsed instance and
+    pact's own builds, that is pact's fault.  So the claims that lift maps
+    report internal-error, the others still report, and ``pact check all``
+    exits 3, not 2."""
+    import contextlib
+    import io
+    from itertools import islice, product
+
+    import pact.homotopy
+    from pact.cli import main
+
+    real = pact.homotopy.enumerate_G_maps
+
+    def with_a_non_g_map(pa_x, pa_y, bounds):
+        rows = real(pa_x, pa_y, bounds)
+        left_out = (row for row in product(range(len(pa_y.space)), repeat=len(pa_x.space))
+                    if row not in rows)
+        return sorted(rows + list(islice(left_out, 1)))
+    monkeypatch.setattr(pact.homotopy, "enumerate_G_maps", with_a_non_g_map)
+    reports = run_all(load_fixture("z2-pair"))
+    status = {rep.claim_id: rep.status for rep in reports}
+    assert list(status) == list(CLAIMS)
+    internal = {cid for cid, st in status.items() if st == "internal-error"}
+    assert internal == {"adjunction", "homotopy-preservation"}
+    for rep in reports:
+        if rep.claim_id in internal:
+            assert rep.witness == {"reason": "envelope_of_map needs an equivariant map"}
+    assert exit_code(reports) == 3
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["check", "all", "z2-pair", "--json"]) == 3
+
+
+def test_pa_axioms_on_a_corrupted_parsed_table_is_internal():
+    """Two defined entries of theta_1 swapped in z4-half's parsed tables:
+    ``pa-axioms`` re-checks the axioms on the tables and reports the first
+    failed one as an internal error, with the label reference's message,
+    while the other 15 claims still report on the embedded action."""
+    inst = load_fixture("z4-half")
+    pa = inst.pa
+    g = pa.group.index("1")
+    row = list(pa.images[g])
+    x, y = [x for x, v in enumerate(row) if v >= 0][:2]
+    row[x], row[y] = row[y], row[x]
+    bad = dataclasses.replace(pa, images=pa.images[:g] + (tuple(row),) + pa.images[g + 1:])
+    with pytest.raises(ValidationError) as want:
+        label_validate_partial_action(bad.group, bad.space, bad.domains, bad.thetas)
+    assert want.value.axiom == "theta-inverse-mismatch"
+    before = {rep.claim_id: rep for rep in run_all(inst)}
+    reports = run_all(dataclasses.replace(inst, pa=bad))
+    assert [rep.claim_id for rep in reports] == list(CLAIMS)
+    for rep in reports:
+        if rep.claim_id == "pa-axioms":
+            assert (rep.status, rep.witness) == ("internal-error", {"reason": str(want.value)})
+        else:
+            assert (rep.status, rep.witness) == (before[rep.claim_id].status,
+                                                 before[rep.claim_id].witness)
 
 
 def _assembling_claims(monkeypatch, inst) -> set[str]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -16,8 +17,8 @@ from pact import (BoundExceeded, Bounds, FinSpace, InternalCheckError, PartialAc
                   space_from_min_opens, trivial_action, validate_group,
                   validate_partial_action)
 from pact.finspace import column_masks
-from pact.paction import g_map_faults
-from gen import (circle, cyclic_group, fixture_pa, label_tables, outcome, random_global,
+from pact.paction import _check_axioms, g_map_faults
+from gen import (GLOBAL_KINDS, circle, cyclic_group, fixture_pa, label_tables, outcome, random_global,
                  random_partial, regular, restricted, with_projections)
 from oracle import (assert_same_search, brute_orbits, copying_enumerate_G_maps, is_free,
                     is_G_homeomorphism, label_g_map_faults,
@@ -422,6 +423,34 @@ def test_index_table_checks_reach_pa1_and_pa2(rng):
                 seen.add((got[1], len(pa.space) > 64))
     assert {("theta-inverse-mismatch", False), ("theta-inverse-mismatch", True),
             ("pa2", False), ("pa2", True)} <= seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(GLOBAL_KINDS), st.booleans(),
+       st.sampled_from(["swap", "redirect"]))
+def test_table_check_matches_label_reference(seed, kind, restrict, change):
+    """The axiom check on index tables, which ``pa-axioms`` and the product
+    split call directly, against the label reference, on a global action or
+    a restriction of one with one table entry changed so that every row
+    stays defined exactly on X_{g^-1}: two images of theta_g swapped, or one
+    value redirected to any point.  Both pass, or both name the same axiom
+    and witness."""
+    rng = random.Random(seed)
+    pa = random_global(rng, kind)
+    if restrict:
+        pa = restricted(rng, pa)
+    g = rng.randrange(len(pa.group))
+    row = list(pa.images[g])
+    xs = [x for x, y in enumerate(row) if y >= 0]
+    if change == "swap" and len(xs) >= 2:
+        x, y = rng.sample(xs, 2)
+        row[x], row[y] = row[y], row[x]
+    elif change == "redirect" and xs:
+        row[rng.choice(xs)] = rng.randrange(len(pa.space))
+    bad = dataclasses.replace(pa, images=pa.images[:g] + (tuple(row),) + pa.images[g + 1:])
+    assert (outcome(_check_axioms, bad)
+            == outcome(label_validate_partial_action, bad.group, bad.space,
+                       bad.domains, bad.thetas))
 
 
 @settings(max_examples=80, deadline=None)
