@@ -7,7 +7,7 @@ InternalCheckError): a bug in pact, not in the input.
 """
 from __future__ import annotations
 
-import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -15,7 +15,7 @@ from pathlib import Path
 from .bounds import DEFAULT_BOUNDS
 from .envelope import fixed_decomposition, globalize, twisted_product
 from .errors import InternalCheckError, PactError
-from .fixtures import fixture_dict, fixture_names, fixture_text
+from .fixtures import FIXTURES, fixture_names, fixture_text
 from .homotopy import (core, enumerate_maps, is_contractible, is_G_contractible,
                        is_locally_G_contractible)
 from .instance import Instance, parse_instance
@@ -27,8 +27,8 @@ from .verify import claim_ids, exit_code, run_all, run_claim
 def _load_instance(ref: str) -> Instance:
     if Path(ref).exists():
         return parse_instance(Path(ref))
-    if ref in fixture_names():
-        return parse_instance(fixture_dict(ref))
+    if ref in FIXTURES:
+        return parse_instance(FIXTURES[ref])  # the parser only reads it
     return parse_instance(Path(ref))  # raises with a clear message
 
 
@@ -195,7 +195,9 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # on first use, so `import pact.cli` does not pay for it
     parser = argparse.ArgumentParser(
         prog="pact",
         description="Partial group actions at finite scale: globalizations, "
@@ -269,8 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args.bounds = DEFAULT_BOUNDS if args.bound is None \
         else DEFAULT_BOUNDS.with_limit(args.bound)
     try:

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pact
 from pact import InternalCheckError, fixture_names, load_fixture, replay_witness
 from pact.cli import main
 
@@ -398,3 +403,87 @@ def test_internal_error_outside_a_claim_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(pact.cli, "globalize", broken)
     assert main(["globalize", "z2-pair"]) == 3
     assert "internal error: planted fault" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+def _python(*args: str, cwd: Path) -> subprocess.CompletedProcess:
+    """A new interpreter run with ``args``, pact importable from the copy
+    under test."""
+    src = str(Path(pact.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, cwd=cwd)
+
+
+def _without_elapsed(text: str) -> str:
+    return re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": 0', text)
+
+
+def test_reused_parser_answers_as_a_fresh_process(tmp_path, capsys, monkeypatch):
+    """A sequence of main calls in one process answers each call as it is
+    answered alone, so the parser built by the first call carries no state
+    from one call into the next."""
+    monkeypatch.chdir(tmp_path)
+    emitted = str(tmp_path / "z4-half.json")
+    sequence = [
+        ["check", "all", "z2-pair", "--bound", "3", "--json"],
+        ["check", "all", "z2-pair", "--json"],
+        ["orbit", "z4-arcs", "--json"],
+        ["orbit", "z4-arcs"],
+        ["homotopy", "z2-wedge", "--core"],
+        ["homotopy", "z2-wedge"],
+        ["fixtures", "--emit", "z4-half", "-o", emitted],
+        ["check", "all", emitted],
+        ["check", "all", "z2-pair", "--bound", "three"],
+        ["check", "pa-axioms", "z2-pair", "--json"],
+    ]
+    for argv in sequence:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out, err = capsys.readouterr()
+        alone = _python("-m", "pact.cli", *argv, cwd=tmp_path)
+        assert (rc, _without_elapsed(out), err) == \
+            (alone.returncode, _without_elapsed(alone.stdout), alone.stderr), argv
+    assert rc == 0 and "holds" in out
+
+
+def test_second_main_call_builds_no_parser(monkeypatch, capsys):
+    import argparse
+
+    assert main(["fixtures", "--list"]) == 0
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("main built a second ArgumentParser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    capsys.readouterr()
+    assert main(["check", "all", "pt", "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 16
+
+
+def test_importing_the_cli_loads_no_argparse(tmp_path):
+    """argparse is imported when main first builds its parser, so importing
+    pact and its CLI module does not pay for it (nor for gettext)."""
+    proc = _python("-c", "import sys, pact, pact.cli; "
+                   "print(sorted({'argparse', 'gettext'} & set(sys.modules)))", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_the_cli_leaves_the_bundled_fixtures_unchanged(tmp_path, capsys):
+    """main parses a bundled fixture straight from FIXTURES, without a copy,
+    so nothing it runs may write into those documents."""
+    import copy
+
+    from pact.fixtures import FIXTURES
+    before = copy.deepcopy(FIXTURES)
+    for name in fixture_names():
+        assert main(["check", "all", name, "--json"]) in (0, 1)
+        write_fixture(tmp_path, name)
+    capsys.readouterr()
+    assert FIXTURES == before

@@ -21,9 +21,10 @@ from pact import (DEFAULT_BOUNDS, Bounds, ClaimReport, Instance, ValidationError
                   trivial_action, validate_partial_action)
 from pact.cli import main
 from pact.verify import first_split_pair
-from gen import (FIXTURE_GOLDEN, GENERATED_GOLDEN, cyclic_group, fence_document,
-                 half_circle_document, instance_document, random_group,
-                 random_partial, random_preorder_space, z6_two_orbits_document)
+from gen import (FIXTURE_GOLDEN, GENERATED_GOLDEN, GROUPS, cyclic_group, fence_document,
+                 group_document, half_circle_document, instance_document, random_global,
+                 random_group, random_partial, random_preorder_space,
+                 z6_two_orbits_document)
 from oracle import label_split_diagonal_factors, pairwise_split_pair, worst_status
 
 Z4_PT_TRIVIAL = {
@@ -218,6 +219,37 @@ def test_trivial_collapse_claim_on_adhoc_instance():
 
     pt = load_fixture("pt")
     assert run_claim("trivial-collapse", pt).status == "holds"
+
+
+# K inside G for the trivial collapse: (K, G, h) embeds the cyclic K = Z_n
+# in G by i |-> h^i; G None is K = G with no big group
+COLLAPSE_CASES = [("z2", "z4", "2"), ("z3", "s3", "120"), ("z2", "s3", "102"),
+                  ("z2", "klein", "a"), ("z4", "z4", "3"),
+                  ("z3", None, None), ("klein", None, None), ("s3", None, None)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(COLLAPSE_CASES))
+def test_trivial_collapse_matches_its_closed_form(seed, case):
+    """G x_K X is G/K x X for a trivial action of K on X, so the collapse
+    onto X is a homeomorphism iff [G : K] = 1, and the twisted product has
+    [G : K] |X| classes."""
+    k_name, g_name, h = case
+    pa = random_global(random.Random(seed), "trivial", GROUPS[k_name]())
+    doc = instance_document(pa, "trivial")
+    index = 1
+    if g_name is not None:
+        big = GROUPS[g_name]()
+        powers = [big.identity]
+        while len(powers) < len(pa.group):
+            powers.append(big.mul(powers[-1], h))
+        doc.update(big_group=group_document(big),
+                   k_embedding=dict(zip(pa.group.elements, powers)))
+        index = len(big) // len(pa.group)
+    rep = run_claim("trivial-collapse", parse_instance(doc))
+    assert rep.status == ("holds" if index == 1 else "fails"), rep.witness
+    assert rep.witness["classes"] == index * len(pa.space)
+    assert rep.witness["target_points"] == len(pa.space)
 
 
 def forged(rep: ClaimReport, **changes) -> ClaimReport:
