@@ -15,7 +15,7 @@ from .envelope import (EnvelopeResult, adjunction_maps, envelope_of_map,
                        twisted_product)
 from .errors import (BoundExceeded, InstanceError, InternalCheckError,
                      PactError, ValidationError)
-from .finspace import (FinSpace, SpaceMap, compose, discrete_space,
+from .finspace import (FinSpace, SpaceMap, discrete_space,
                        enumerate_monotone_maps, enumerate_opens, is_closed,
                        is_continuous, is_open, is_open_map, is_T1,
                        pair_label, product, quotient, space_from_min_opens,
@@ -27,7 +27,7 @@ from .homotopy import (GContract, MapPoset, core, enumerate_maps,
 from .instance import Instance, parse_instance
 from .paction import (OrbitSpace, PartialAction, diagonal_product,
                       enumerate_G_maps, fixed_points, global_action,
-                      is_G_map, is_invariant, is_isovariant, isotropy,
+                      is_G_map, is_invariant, is_isovariant,
                       orbit_classes, orbit_space, restrict_global,
                       restrict_invariant, restrict_to_subgroup,
                       trivial_action, validate_partial_action)

@@ -3,11 +3,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .bounds import DEFAULT_BOUNDS, Bounds
 from .errors import BoundExceeded, InternalCheckError, ValidationError
-from .finspace import bit_indices
+from .finspace import bit_indices, check_labels
 
 
 def _unknown(a: object) -> ValidationError:
@@ -92,9 +92,6 @@ class Group:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.elements)
-
     def __contains__(self, a: object) -> bool:
         return a in self._index
 
@@ -164,7 +161,7 @@ def validate_group(elements: Sequence[str], table: Sequence[Sequence[str]],
                    identity: str) -> Group:
     """Check the group axioms and return a Group, or raise ValidationError.
 
-    Checks run in a fixed order (shape, closure, identity, inverses,
+    Checks run in a fixed order (labels, shape, closure, identity, inverses,
     associativity) and report the first violation with its witnessing tuple.
     """
     elements = tuple(elements)
@@ -172,6 +169,7 @@ def validate_group(elements: Sequence[str], table: Sequence[Sequence[str]],
         raise ValidationError("empty-group", (), "a group needs at least one element")
     if len(set(elements)) != len(elements):
         raise ValidationError("duplicate-element", (), "element labels must be unique")
+    check_labels(elements)
     if len(table) != len(elements) or any(len(row) != len(elements) for row in table):
         raise ValidationError("table-shape", (len(elements),),
                               "table dimensions must match the element count")

@@ -531,17 +531,15 @@ def adjunction_maps(env: EnvelopeResult, pa_y: PartialAction,
     # res^G_K(Y), keyed by K's own group object so hom-sets compose with pa_x.
     res_y = restrict_to_group(pa_y, k_grp)
 
-    # both hom-sets as index rows; labels only in witnesses
+    # both hom-sets as index rows
     g_rows = hom(env.as_global_action(), pa_y).rows
     k_rows = hom(pa_x, res_y).rows
     k_index = {row: i for i, row in enumerate(k_rows)}
     g_index = {row: i for i, row in enumerate(g_rows)}
-    y_points = pa_y.space.points
 
     checks = {"lambda-lands-in-homset": True, "tau-lands-in-homset": True,
               "tau-well-defined": True, "mutually-inverse": True,
               "naturality-post": True, "naturality-pre": True}
-    witness: dict = {}
 
     lam = []
     emb = env.embedding_row
@@ -550,8 +548,6 @@ def adjunction_maps(env: EnvelopeResult, pa_y: PartialAction,
         idx = k_index.get(row)
         if idx is None:
             checks["lambda-lands-in-homset"] = False
-            witness.setdefault("lambda-miss", dict(zip(pa_x.space.points,
-                                                       map(y_points.__getitem__, row))))
             idx = -1
         lam.append(idx)
 
@@ -563,22 +559,13 @@ def adjunction_maps(env: EnvelopeResult, pa_y: PartialAction,
         idx = g_index.get(values)
         if idx is None:
             checks["tau-lands-in-homset"] = False
-            witness.setdefault("tau-miss", dict(zip(env.total.points,
-                                                    map(y_points.__getitem__, values))))
             idx = -1
         tau.append(idx)
 
-    if len(g_rows) != len(k_rows):
-        checks["mutually-inverse"] = False
-    else:
-        for i, li in enumerate(lam):
-            if li < 0 or tau[li] != i:
-                checks["mutually-inverse"] = False
-                witness.setdefault("inverse-miss", i)
-        for j, tj in enumerate(tau):
-            if tj < 0 or lam[tj] != j:
-                checks["mutually-inverse"] = False
-                witness.setdefault("inverse-miss", j)
+    checks["mutually-inverse"] = (
+        len(g_rows) == len(k_rows)
+        and all(li >= 0 and tau[li] == i for i, li in enumerate(lam))
+        and all(tj >= 0 and lam[tj] == j for j, tj in enumerate(tau)))
 
     def lam_of(row: tuple[int, ...]) -> tuple[int, ...] | None:
         idx = g_index.get(row)
@@ -594,7 +581,6 @@ def adjunction_maps(env: EnvelopeResult, pa_y: PartialAction,
             left = tuple([s[v] for v in k_rows[lam[i]]])
             if lam_of(tuple([s[v] for v in bf])) != left:
                 checks["naturality-post"] = False
-                witness.setdefault("naturality-post-miss", i)
     rs = hom(pa_x, pa_x).rows[:NATURALITY_MORPHISMS]
     ers = lift_maps(MapPoset(pa_x.space, pa_x.space, rs), pa_x, pa_x, env, env, big)
     for r, er in zip(rs, ers):
@@ -605,11 +591,10 @@ def adjunction_maps(env: EnvelopeResult, pa_y: PartialAction,
             left = tuple([k_row[v] for v in r])
             if lam_of(tuple([bf[c] for c in er])) != left:
                 checks["naturality-pre"] = False
-                witness.setdefault("naturality-pre-miss", i)
 
     status = "holds" if all(checks.values()) else "fails"
     return {"status": status, "checks": checks,
-            "g_maps": len(g_rows), "k_maps": len(k_rows), "witness": witness}
+            "g_maps": len(g_rows), "k_maps": len(k_rows)}
 
 
 def product_comparison(env_d: EnvelopeResult, env_1: EnvelopeResult,

@@ -3,9 +3,9 @@
 Convention, fixed once: x <= y  iff  x in U_y, and the open sets are exactly
 the down-sets of <=.  That makes U_y = {x : x <= y} literally the minimal
 open set of y.  A space stores one bitmask per point, the down-set of that
-point over point indices, which is its whole topology; the minimal open
-sets as label sets are a view, and :func:`space_from_min_opens` is the
-label constructor at the parse edge.
+point over point indices, which is its whole topology.  Labels live only at
+the edges: :func:`space_from_min_opens` builds a space from them, and
+:meth:`FinSpace.min_open_of` and :meth:`FinSpace.set_of` read them back.
 """
 from __future__ import annotations
 
@@ -55,7 +55,7 @@ class FinSpace:
     is the minimal open set of ``points[j]`` over point indices.  Instances
     are assumed valid: labelled input goes through
     :func:`space_from_min_opens`, and constructions build their masks
-    directly.  ``min_open`` is the label view, built on first use.
+    directly.
     """
 
     points: tuple[str, ...]
@@ -64,11 +64,6 @@ class FinSpace:
     @cached_property
     def _index(self) -> dict[str, int]:
         return {p: i for i, p in enumerate(self.points)}
-
-    @cached_property
-    def min_open(self) -> tuple[frozenset[str], ...]:
-        """The minimal open set of each point, as a label set."""
-        return tuple(map(self.set_of, self.down))
 
     @cached_property
     def _up_masks(self) -> tuple[int, ...]:
@@ -87,10 +82,6 @@ class FinSpace:
 
     def min_open_of(self, x: str) -> frozenset[str]:
         return self.set_of(self.down[self.index(x)])
-
-    def leq(self, x: str, y: str) -> bool:
-        """Specialization preorder: x <= y iff x lies in U_y."""
-        return bool(self.down[self.index(y)] & (1 << self.index(x)))
 
     def mask_of(self, subset: Iterable[str]) -> int:
         """The index mask of ``subset``; an unknown label raises naming the
@@ -111,19 +102,32 @@ class FinSpace:
         return x in self._index
 
 
+def check_labels(labels: Iterable[str]) -> None:
+    """Reject the first label with unbalanced parentheses or a comma outside
+    them: exactly the labels that :func:`split_pair_label` does not recover
+    as the first coordinate of a pair.  On the labels that pass,
+    :func:`pair_label` is injective and builds labels that pass too."""
+    for label in labels:
+        if split_pair_label(pair_label(label, "")) != (label, ""):
+            raise ValidationError("ambiguous-label", (label,), f"ambiguous label {label!r}: "
+                                  "unbalanced parentheses or a comma outside them")
+
+
 def space_from_min_opens(points: Sequence[str],
                          min_open: Mapping[str, Iterable[str]]) -> FinSpace:
     """Validate a minimal-open-set table and build the space.
 
-    Checks: every point has a table entry, x in U_x, and nesting
-    (y in U_x implies U_y subset of U_x), which together make the family a
-    base of minimal opens for an Alexandrov topology.
+    Checks: the labels (:func:`check_labels`), every point has a table entry,
+    x in U_x, and nesting (y in U_x implies U_y subset of U_x), which
+    together make the family a base of minimal opens for an Alexandrov
+    topology.
     """
     points = tuple(points)
     if not points:
         raise ValidationError("empty-space", (), "a space needs at least one point")
     if len(set(points)) != len(points):
         raise ValidationError("duplicate-point", (), "point labels must be unique")
+    check_labels(points)
     index = {p: i for i, p in enumerate(points)}
     down: list[int] = []
     for p in points:
@@ -234,10 +238,6 @@ class SpaceMap:
     def as_dict(self) -> dict[str, str]:
         return dict(zip(self.source.points, self.assignment))
 
-    def image(self, subset: Iterable[str]) -> frozenset[str]:
-        return self.target.set_of(reduce(or_, (1 << self.row[self.source.index(x)]
-                                               for x in subset), 0))
-
     def is_bijective(self) -> bool:
         return len(self.source) == len(self.target) == len(set(self.row))
 
@@ -248,13 +248,6 @@ class SpaceMap:
         for x, y in enumerate(self.row):
             back[y] = x
         return SpaceMap(self.target, self.source, tuple(back))
-
-
-def compose(outer: SpaceMap, inner: SpaceMap) -> SpaceMap:
-    """outer after inner."""
-    if inner.target != outer.source:
-        raise ValidationError("composition-mismatch", (), "codomain/domain spaces differ")
-    return SpaceMap(inner.source, outer.target, tuple(map(outer.row.__getitem__, inner.row)))
 
 
 def monotonicity_violation(src_down: Sequence[int], subset: int,
@@ -370,6 +363,8 @@ def split_pair_label(label: str) -> tuple[str, str] | None:
             depth += 1
         elif ch == ")":
             depth -= 1
+            if depth < 0:
+                return None
         elif ch == "," and depth == 0:
             return body[:i], body[i + 1:]
     return None

@@ -11,8 +11,7 @@ A map poset is a table of index rows: row k holds the target point index of
 each source point, rows in sorted order, as the map search produces them.
 Comparison, fence components and fences read the rows and the table's
 column masks (the rows taking a given value at a given point); labelled
-SpaceMaps are made only for witnesses (a fence, a failing pair) and for
-callers that ask for ``MapPoset.maps``.
+SpaceMaps are made only for witnesses, such as a fence.
 """
 from __future__ import annotations
 
@@ -36,17 +35,12 @@ class MapPoset:
     f <= g  iff  f(x) <= g(x) for every x.
 
     Each map is an index row (the target index of each source point), in
-    sorted order; ``maps`` wraps them all as SpaceMaps, on first use, for
-    callers that want them."""
+    sorted order."""
 
     source: FinSpace
     target: FinSpace
     rows: tuple[tuple[int, ...], ...]
     kind: str = "continuous"
-
-    @cached_property
-    def maps(self) -> tuple[SpaceMap, ...]:
-        return tuple(SpaceMap(self.source, self.target, row) for row in self.rows)
 
     @cached_property
     def _lookup(self) -> dict[tuple[int, ...], int]:

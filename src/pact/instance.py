@@ -40,7 +40,6 @@ class Instance:
     space: FinSpace
     pa: PartialAction
     big_group: Group | None = None
-    k_embedding: Mapping[str, str] | None = None
     subgroups: Mapping[str, Subgroup] = field(default_factory=dict)
     embedded_pa: PartialAction = None  # type: ignore[assignment]
 
@@ -162,7 +161,6 @@ def parse_instance(source: str | Path | Mapping) -> Instance:
     if "big_group" in doc:
         big_group = _parse_group(doc["big_group"], "big_group")
 
-    k_embedding = None
     embedded_pa = pa
     if "k_embedding" in doc:
         if big_group is None:
@@ -221,8 +219,7 @@ def parse_instance(source: str | Path | Mapping) -> Instance:
             except ValidationError as exc:
                 raise InstanceError(f"maps.{name}", str(exc)) from exc
 
-    return Instance(instance_id, group, space, pa, big_group, k_embedding,
-                    subgroups, embedded_pa)
+    return Instance(instance_id, group, space, pa, big_group, subgroups, embedded_pa)
 
 
 def _relabel_action(pa: PartialAction, embedding: Mapping[str, str]) -> PartialAction:

@@ -57,11 +57,6 @@ class PartialAction:
         return {g: {pts[x]: pts[image[x]] for x in self.domain_points[inverse_row[i]]}
                 for i, (g, image) in enumerate(zip(self.group.elements, self.images))}
 
-    def defined(self, g: str, x: str) -> bool:
-        """Whether g.x exists, i.e. (g, x) lies in G*X."""
-        i = self.space._index.get(x)
-        return i is not None and self.images[self.group.index(g)][i] >= 0
-
     def is_global(self) -> bool:
         return all(len(xs) == len(self.space) for xs in self.domain_points)
 
@@ -486,17 +481,6 @@ def _certify_diagonal(a: PartialAction, b: PartialAction,
                     for j in ys]):
             raise InternalCheckError(f"diagonal domain of {a.group.elements[g]!r} is "
                                      f"not the product of the factor domains")
-
-
-def isotropy(pa: PartialAction, x: str) -> tuple[frozenset[str], Subgroup]:
-    """(G^x, G_x): the defined set and the isotropy subgroup of x.
-
-    G^x need not be a subgroup; G_x always is (asserted by
-    :func:`isotropy_mask`).
-    """
-    i = pa.space.index(x)
-    ghat = frozenset(g for g, image in zip(pa.group.elements, pa.images) if image[i] >= 0)
-    return ghat, Subgroup(pa.group, isotropy_mask(pa, i))
 
 
 def isotropy_mask(pa: PartialAction, i: int) -> int:

@@ -10,8 +10,6 @@ SKIPPED_BOUNDS = "skipped-bounds"
 # a trusted invariant failed inside the claim: a bug in pact, not an answer
 INTERNAL_ERROR = "internal-error"
 
-STATUSES = (HOLDS, FAILS, PRECONDITION_UNMET, SKIPPED_BOUNDS, INTERNAL_ERROR)
-
 
 @dataclass
 class ClaimReport:

@@ -263,8 +263,8 @@ class LabelFinSpace:
 
 
 def as_label_space(space) -> LabelFinSpace:
-    """A ``FinSpace`` read through its ``min_open`` label view."""
-    return LabelFinSpace(space.points, space.min_open)
+    """A ``FinSpace`` read through its ``min_open_of`` label sets."""
+    return LabelFinSpace(space.points, tuple(map(space.min_open_of, space.points)))
 
 
 def mask_space(space: LabelFinSpace):
@@ -330,11 +330,12 @@ def label_subspace(space: LabelFinSpace, subset) -> LabelFinSpace:
     return LabelFinSpace(points, tuple(space.min_open_of(p) & keep for p in points))
 
 
-def label_t0_quotient(space: LabelFinSpace):
-    """The quotient identifying the points with equal minimal open sets."""
+def label_t0_quotient(space):
+    """The quotient identifying the points with equal minimal open sets;
+    ``space`` may be a ``FinSpace`` or a :class:`LabelFinSpace`."""
     classes: dict[frozenset[str], list[str]] = {}
-    for p, u in zip(space.points, space.min_open):
-        classes.setdefault(u, []).append(p)
+    for p in space.points:
+        classes.setdefault(frozenset(space.min_open_of(p)), []).append(p)
     return label_quotient(space, classes.values())
 
 
@@ -383,14 +384,6 @@ class LabelSpaceMap:
         back = {y: x for x, y in zip(self.source.points, self.assignment)}
         return LabelSpaceMap(self.target, self.source,
                              tuple(back[y] for y in self.target.points))
-
-
-def label_compose(outer: LabelSpaceMap, inner: LabelSpaceMap) -> LabelSpaceMap:
-    """outer after inner, point by point on labels."""
-    if inner.target != outer.source:
-        raise ValidationError("composition-mismatch", (), "codomain/domain spaces differ")
-    return LabelSpaceMap(inner.source, outer.target,
-                         tuple(outer(y) for y in inner.assignment))
 
 
 def label_is_open_map(m: LabelSpaceMap) -> bool:
@@ -649,12 +642,12 @@ def label_split_diagonal_factors(pa):
 
     def u1(p: str) -> set[str]:
         return {p2 for p2 in firsts
-                if all(pa.space.leq(pair_label(p2, q), pair_label(p, q))
+                if all(pair_label(p2, q) in pa.space.min_open_of(pair_label(p, q))
                        for q in seconds)}
 
     def u2(q: str) -> set[str]:
         return {q2 for q2 in seconds
-                if all(pa.space.leq(pair_label(p, q2), pair_label(p, q))
+                if all(pair_label(p, q2) in pa.space.min_open_of(pair_label(p, q))
                        for p in firsts)}
 
     opens_1 = {p: u1(p) for p in firsts}
@@ -1058,7 +1051,7 @@ def interval_homotopy_exists(space_x, space_y, f, g, max_m: int = 4) -> bool:
 
         def leq_cell(c1, c2):
             (x1, t1), (x2, t2) = c1, c2
-            return space_x.leq(x1, x2) and t1 in fopen[t2]
+            return x1 in space_x.min_open_of(x2) and t1 in fopen[t2]
 
         fixed = {}
         for x in xs:
@@ -1069,7 +1062,7 @@ def interval_homotopy_exists(space_x, space_y, f, g, max_m: int = 4) -> bool:
         free = [c for c in cells if c not in fixed]
 
         def consistent(assign) -> bool:
-            return all(space_y.leq(assign[c1], assign[c2])
+            return all(assign[c1] in space_y.min_open_of(assign[c2])
                        for c1 in cells for c2 in cells if leq_cell(c1, c2))
 
         if not free:
@@ -1093,9 +1086,9 @@ def alternating_fence(poset_fence: list) -> list:
         last = out[-1]
         up_needed = (len(out) - 1) % 2 == 0
         target = last.target
-        goes_up = all(target.leq(a, b)
+        goes_up = all(a in target.min_open_of(b)
                       for a, b in zip(last.assignment, nxt.assignment))
-        goes_down = all(target.leq(b, a)
+        goes_down = all(b in target.min_open_of(a)
                         for a, b in zip(last.assignment, nxt.assignment))
         if (up_needed and goes_up) or (not up_needed and goes_down):
             out.append(nxt)
@@ -1116,8 +1109,8 @@ def homotopy_from_fence(space_x, space_y, fence: list) -> bool:
               for i in range(m) for x in space_x.points}
     for (x1, t1) in assign:
         for (x2, t2) in assign:
-            if space_x.leq(x1, x2) and t1 in fopen[t2]:
-                if not space_y.leq(assign[(x1, t1)], assign[(x2, t2)]):
+            if x1 in space_x.min_open_of(x2) and t1 in fopen[t2]:
+                if assign[(x1, t1)] not in space_y.min_open_of(assign[(x2, t2)]):
                     return False
     return True
 
@@ -1320,7 +1313,7 @@ def label_g_map_faults(rows, pa_x, pa_y) -> tuple[int, int]:
         if first_monotone_violation(list(src.points), min_open_x, min_open_y,
                                     f, src.points) is not None:
             discontinuous |= 1 << k
-        if any(not pa_y.defined(g, f[x])
+        if any(f[x] not in pa_y.thetas[g]
                or label_apply(pa_y, g, f[x]) != f[label_apply(pa_x, g, x)]
                for g in grp.elements for x in pa_x.domains[grp.inv(g)]):
             non_equivariant |= 1 << k
@@ -1340,9 +1333,9 @@ def label_lift_rows(source, target, rows, pa_x, pa_y, env_x, env_y, big=None):
 
 
 def _label_comparable(f, g) -> bool:
-    leq = f.target.leq
+    below = f.target.min_open_of
     pairs = list(zip(f.assignment, g.assignment))
-    return all(leq(a, b) for a, b in pairs) or all(leq(b, a) for a, b in pairs)
+    return all(a in below(b) for a, b in pairs) or all(b in below(a) for a, b in pairs)
 
 
 def label_components(maps) -> tuple[int, ...]:
@@ -1429,16 +1422,16 @@ def exhaustive_locally_G_contractible(pa, max_points: int = 12) -> bool:
     All invariant open neighbourhoods are enumerated and every (x, U, V)
     runs a G-map search; no minimality shortcut is taken.
     """
-    from pact import (BoundExceeded, SpaceMap, enumerate_maps, enumerate_opens,
-                      fixed_points, is_invariant, isotropy, restrict_invariant,
-                      restrict_to_subgroup)
+    from pact import (BoundExceeded, SpaceMap, Subgroup, enumerate_maps, enumerate_opens,
+                      fixed_points, is_invariant, restrict_invariant, restrict_to_subgroup)
 
     if len(pa.space) > max_points:
         raise BoundExceeded("local contractibility", max_points, len(pa.space))
     opens = enumerate_opens(pa.space, max_points=max_points)
     for x in pa.space.points:
-        _, gx = isotropy(pa, x)
-        sub = restrict_to_subgroup(pa, gx)
+        # G_x read off the label tables
+        gx = [g for g in pa.group.elements if pa.thetas[g].get(x) == x]
+        sub = restrict_to_subgroup(pa, Subgroup.from_labels(pa.group, gx))
         candidates_u = [u for u in opens
                         if x in u and is_invariant(sub, u, sub.group.whole)]
         for u in candidates_u:
@@ -1471,9 +1464,9 @@ def label_beat_point(space, x) -> bool:
     """Whether x's punctured down-set has a maximum or its punctured
     up-set a minimum, by pairwise label comparisons."""
     down = [y for y in space.min_open_of(x) if y != x]
-    up = [y for y in space.points if space.leq(x, y) and y != x]
-    return bool(down and any(all(space.leq(d, m) for d in down) for m in down)
-                or up and any(all(space.leq(m, u) for u in up) for m in up))
+    up = [y for y in space.points if x in space.min_open_of(y) and y != x]
+    return bool(down and any(all(d in space.min_open_of(m) for d in down) for m in down)
+                or up and any(all(m in space.min_open_of(u) for u in up) for m in up))
 
 
 def label_core(space) -> LabelFinSpace:
@@ -1534,10 +1527,12 @@ def find_homeomorphism(a, b, max_points: int = 24):
     used = [False] * n
 
     def consistent(i: int, j: int) -> bool:
+        x, y = a.points[i], b.points[j]
         for i2, j2 in enumerate(assigned):
-            if a.leq(a.points[i], a.points[i2]) != b.leq(b.points[j], b.points[j2]):
+            x2, y2 = a.points[i2], b.points[j2]
+            if (x in a.min_open_of(x2)) != (y in b.min_open_of(y2)):
                 return False
-            if a.leq(a.points[i2], a.points[i]) != b.leq(b.points[j2], b.points[j]):
+            if (x2 in a.min_open_of(x)) != (y2 in b.min_open_of(y)):
                 return False
         return True
 

@@ -83,6 +83,29 @@ def test_invalid_input_exits_2(tmp_path, capsys):
     assert "partial_action.domains.1" in err
 
 
+def test_ambiguous_labels_exit_2_and_their_renaming_holds(tmp_path, capsys):
+    """"e,1" next to "q0" and "e" next to "1,q0" pair to the same label, so
+    once every lookup by label merged two classes: check all exited 3 with
+    wrong verdicts.  Now the input is rejected; renamed, every claim holds."""
+    e1, q1 = "e,1", "1,q0"
+    doc = {"id": "amb",
+           "group": {"elements": ["e", e1], "table": [["e", e1], [e1, "e"]], "identity": "e"},
+           "space": {"points": ["q0", q1], "min_open": {"q0": ["q0", q1], q1: [q1]}},
+           "partial_action": {"domains": {e1: []}, "maps": {e1: {}}}}
+    path = tmp_path / "amb.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["check", "all", str(path)], ["globalize", str(path), "--json"]):
+        assert main(argv) == 2
+        assert "ambiguous label 'e,1'" in capsys.readouterr().err
+    path.write_text(json.dumps(doc).replace(e1, "g").replace(q1, "p"))
+    assert main(["check", "all", str(path), "--json"]) == 0
+    reports = {rep["claim_id"]: rep["status"] for rep in json.loads(capsys.readouterr().out)}
+    assert [reports[c] for c in ("embedding", "iota-k", "recognition")] == ["holds"] * 3
+    assert main(["globalize", str(path), "--json"]) == 0
+    env = json.loads(capsys.readouterr().out)
+    assert env["class_count"] == len(env["classes"]) == 4
+
+
 def test_twist_and_orbit_and_fixed(tmp_path, capsys):
     circle = write_fixture(tmp_path, "z4-circle")
     capsys.readouterr()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pact import (BoundExceeded, Bounds, FinSpace, InternalCheckError, SpaceMap,
-                  ValidationError, compose, core, discrete_space, enumerate_monotone_maps, enumerate_opens,
+                  ValidationError, core, discrete_space, enumerate_monotone_maps, enumerate_opens,
                   is_closed, is_continuous, is_open, is_open_map, is_T1,
                   load_fixture, pair_label, product, quotient,
                   space_from_min_opens, split_pair_label, subspace,
@@ -19,7 +19,7 @@ from oracle import (LabelSpaceMap, assert_same_search, brute_opens,
                     closure_quotient_order, column_masks_by_definition,
                     copying_search_maps, exhaustive_equivalence_classes, find_homeomorphism,
                     first_monotone_violation, is_down_set,
-                    label_compose, label_core, label_is_open_map, label_is_T1,
+                    label_core, label_is_open_map, label_is_T1,
                     label_product, label_quotient, label_space_from_min_opens,
                     label_subspace, label_t0_quotient, mask_space,
                     preimage_continuous, random_partition, space_violation)
@@ -28,7 +28,7 @@ from gen import c8, outcome, random_preorder_space, random_space, with_projectio
 
 def test_space_from_min_opens_validates():
     space = space_from_min_opens(["a", "b"], {"a": ["a"], "b": ["b"]})
-    assert space.leq("a", "a") and not space.leq("a", "b")
+    assert space.min_open_of("a") == {"a"} and "a" not in space.min_open_of("b")
     with pytest.raises(ValidationError) as err:
         space_from_min_opens(["a", "b"], {"a": ["b"], "b": ["b"]})
     assert err.value.axiom == "min-open-membership"
@@ -289,7 +289,7 @@ def _iso_exists_by_scan(a, b) -> bool:
         return False
     for image in itertools.permutations(b.points):
         table = dict(zip(a.points, image))
-        if all(a.leq(x, y) == b.leq(table[x], table[y])
+        if all((x in a.min_open_of(y)) == (table[x] in b.min_open_of(table[y]))
                for x in a.points for y in a.points):
             return True
     return False
@@ -537,7 +537,7 @@ def test_t0_quotient_is_t0_idempotent_and_continuous(space):
     for x in q.points:
         for y in q.points:
             if x != y:
-                assert not (q.leq(x, y) and q.leq(y, x))
+                assert not (x in q.min_open_of(y) and y in q.min_open_of(x))
     again, _ = t0_quotient(q)
     assert find_homeomorphism(again, q) is not None
 
@@ -549,7 +549,7 @@ def test_projection_sections_compose_to_identity(a, b):
     for y in b.points:
         section = SpaceMap.from_dict(a, prod, {x: pair_label(x, y) for x in a.points})
         assert is_continuous(section)
-        assert compose(p1, section).assignment == a.points
+        assert tuple(map(p1, section.assignment)) == a.points
 
 
 @st.composite
@@ -601,7 +601,7 @@ def test_is_continuous_matches_preimage_oracle(a, b, data):
 def test_compose_and_inverse():
     d2 = discrete_space(["a", "b"])
     swap = SpaceMap.from_dict(d2, d2, {"a": "b", "b": "a"})
-    assert compose(swap, swap).assignment == ("a", "b")
+    assert tuple(map(swap, swap.assignment)) == ("a", "b")
     assert swap.inverse().assignment == ("b", "a")
     const = SpaceMap.constant(d2, d2, "a")
     with pytest.raises(ValidationError):
@@ -609,31 +609,25 @@ def test_compose_and_inverse():
 
 
 @settings(max_examples=150, deadline=None)
-@given(shuffled_spaces(5), shuffled_spaces(5), shuffled_spaces(5), st.data())
-def test_index_row_maps_match_label_maps(a, b, c, data):
+@given(shuffled_spaces(5), shuffled_spaces(5), st.data())
+def test_index_row_maps_match_label_maps(a, b, data):
     # the index-row SpaceMap against the label SpaceMap it replaced, on
     # random rows between shuffled spaces (including bijections)
-    def draw_row(src, tgt):
-        if len(src) == len(tgt) and data.draw(st.booleans()):
-            return tuple(data.draw(st.permutations(range(len(tgt)))))
-        return tuple(data.draw(st.lists(st.integers(0, len(tgt) - 1),
-                                        min_size=len(src), max_size=len(src))))
-
-    row_f, row_g = draw_row(a, b), draw_row(b, c)
-    f, g = SpaceMap(a, b, row_f), SpaceMap(b, c, row_g)
-    label_f, label_g = LabelSpaceMap.from_row(a, b, row_f), LabelSpaceMap.from_row(b, c, row_g)
-    subset = data.draw(st.sets(st.sampled_from(a.points)))
+    if len(a) == len(b) and data.draw(st.booleans()):
+        row_f = tuple(data.draw(st.permutations(range(len(b)))))
+    else:
+        row_f = tuple(data.draw(st.lists(st.integers(0, len(b) - 1),
+                                         min_size=len(a), max_size=len(a))))
+    f, label_f = SpaceMap(a, b, row_f), LabelSpaceMap.from_row(a, b, row_f)
     assert f.assignment == label_f.assignment
     assert [f(x) for x in a.points] == [label_f(x) for x in a.points]
     assert f.as_dict() == label_f.as_dict()
-    assert f.image(subset) == label_f.image(subset)
     assert f.is_bijective() == label_f.is_bijective()
     if f.is_bijective():
         assert f.inverse().assignment == label_f.inverse().assignment
     else:
         with pytest.raises(ValidationError):
             f.inverse()
-    assert compose(g, f).assignment == label_compose(label_g, label_f).assignment
     assert SpaceMap.from_dict(a, b, label_f.as_dict()) == f
     assert is_continuous(f) == preimage_continuous(
         list(a.points), raw_min_opens(a), list(b.points), raw_min_opens(b),
@@ -686,11 +680,8 @@ def _assert_same_space(space, ref):
     """``space`` and the label space ``ref`` are one space: same points,
     same minimal opens through both views, same down-set masks, same order."""
     assert space.points == ref.points
-    assert space.min_open == ref.min_open
     assert [space.min_open_of(p) for p in space.points] == list(ref.min_open)
     assert space == mask_space(ref) and hash(space) == hash(mask_space(ref))
-    assert [[space.leq(x, y) for y in space.points] for x in space.points] == \
-        [[ref.leq(x, y) for y in ref.points] for x in ref.points]
 
 
 def _outcome(build):
@@ -727,7 +718,7 @@ def test_mask_space_matches_label_space(a_table, b_table, data):
     assert is_T1(a) == label_is_T1(la)
 
     # equality and hash follow the label form, whichever route built it
-    again = space_from_min_opens(a.points, dict(zip(a.points, a.min_open)))
+    again = space_from_min_opens(a.points, {p: a.min_open_of(p) for p in a.points})
     assert again == a and hash(again) == hash(a)
     assert (a == b) == (la == lb)
     assert (prod == a) == (lprod == la)

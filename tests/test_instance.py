@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pact import (InstanceError, ValidationError, fixture_dict,
-                  fixture_names, load_fixture, parse_instance)
+                  fixture_names, load_fixture, parse_instance, space_from_min_opens,
+                  split_pair_label, validate_group)
 
 
 def test_all_bundled_fixtures_parse():
@@ -219,3 +220,40 @@ def test_mutated_documents_raise_only_instance_or_validation_errors(junk):
                     parse_instance(doc)
                 except (InstanceError, ValidationError):
                     pass
+
+
+# a label with a comma outside parentheses, or with unbalanced ones, could
+# be a pair label's coordinate and collide with another pair's label
+BAD_LABELS = ("e,1", "1,q0", "a)", "(a", ")(", "(a))(", "(a),(b)", ",", "(a,b")
+GOOD_LABELS = ("(a,b)", "((a,b),c)", "x(0,1)", "(g0)", "", "a b")
+
+
+def test_ambiguous_labels_are_rejected_where_labels_enter():
+    for bad in BAD_LABELS:
+        with pytest.raises(ValidationError) as err:
+            validate_group(["e", bad], [["e", bad], [bad, "e"]], "e")
+        assert (err.value.axiom, err.value.witness) == ("ambiguous-label", (bad,))
+        with pytest.raises(ValidationError) as err:
+            space_from_min_opens(["q0", bad], {"q0": ["q0"], bad: [bad]})
+        assert (err.value.axiom, err.value.witness) == ("ambiguous-label", (bad,))
+    # the big group goes through the same constructor
+    doc = fixture_dict("z4-from-z2-pair")
+    doc["big_group"]["elements"][1] = "1,0"
+    with pytest.raises(ValidationError) as err:
+        parse_instance(doc)
+    assert err.value.axiom == "ambiguous-label"
+
+
+def test_labels_with_balanced_parentheses_still_parse():
+    for good in GOOD_LABELS:
+        validate_group(["e", good], [["e", good], [good, "e"]], "e")
+        space = space_from_min_opens(["q0", good], {"q0": ["q0"], good: [good]})
+        assert space.points == ("q0", good)
+    g, p = "(a,b)", "((a,b),c)"
+    nested = parse_instance({
+        "id": "nested",
+        "group": {"elements": ["e", g], "table": [["e", g], [g, "e"]], "identity": "e"},
+        "space": {"points": ["q0", p], "min_open": {"q0": ["q0", p], p: [p]}},
+        "partial_action": {"domains": {g: []}, "maps": {g: {}}}})
+    assert nested.group.elements == ("e", g)
+    assert split_pair_label(nested.space.points[1]) == (g, "c")

@@ -12,12 +12,12 @@ from pact import (BoundExceeded, Bounds, FinSpace, InternalCheckError, PartialAc
                   ValidationError, diagonal_product,
                   discrete_space, enumerate_G_maps, fixed_points, fixture_names,
                   global_action, is_continuous, is_G_map, is_invariant,
-                  is_isovariant, isotropy, load_fixture, orbit_space,
+                  is_isovariant, load_fixture, orbit_space,
                   restrict_global, restrict_invariant, restrict_to_subgroup,
                   space_from_min_opens, trivial_action, validate_group,
                   validate_partial_action)
 from pact.finspace import column_masks
-from pact.paction import _check_axioms, g_map_faults
+from pact.paction import _check_axioms, g_map_faults, isotropy_mask
 from gen import (GLOBAL_KINDS, circle, cyclic_group, fixture_pa, label_tables, outcome, random_global,
                  random_partial, regular, restricted, with_projections)
 from oracle import (assert_same_search, brute_orbits, copying_enumerate_G_maps, is_free,
@@ -136,38 +136,27 @@ def test_diagonal_product_universal_property():
             assert len(mediating) == 1
 
 
+def isotropy_labels(pa, x: str) -> tuple[str, ...]:
+    """G_x as element labels, in element order."""
+    return pa.group.labels_of(isotropy_mask(pa, pa.space.index(x)))
+
+
 def test_isotropy_examples():
     z2pair = fixture_pa("z2-pair")
-    ghat, gx = isotropy(z2pair, "a")
-    assert ghat == {"0", "1"} and gx.members == {"0", "1"}
-    ghat_b, gx_b = isotropy(z2pair, "b")
-    assert ghat_b == {"0"} and gx_b.members == {"0"}
-
+    assert isotropy_labels(z2pair, "a") == ("0", "1")
+    assert isotropy_labels(z2pair, "b") == ("0",)
     circle = fixture_pa("z4-circle")
-    for x in circle.space.points:
-        ghat, _ = isotropy(circle, x)
-        assert ghat == {"0", "1", "2", "3"}
-
-    arcs = fixture_pa("z4-arcs")
-    ghat_a1, gx_a1 = isotropy(arcs, "a1")
-    assert ghat_a1 == {"0", "2"} and gx_a1.members == {"0", "2"}
+    assert all(isotropy_labels(circle, x) == ("0",) for x in circle.space.points)
+    assert isotropy_labels(fixture_pa("z4-arcs"), "a1") == ("0", "2")
 
 
 def test_isotropy_is_always_a_subgroup():
     for name in ["pt", "z2-pair", "z2-swap", "z2-wedge", "z4-circle",
                  "z4-half", "z4-arcs"]:
         pa = fixture_pa(name)
-        for x in pa.space.points:
-            _, gx = isotropy(pa, x)  # the closure check inside asserts
-            assert gx == Subgroup.from_labels(pa.group, gx.members)
-
-
-def test_defined_set_need_not_be_a_subgroup():
-    arcs = fixture_pa("z4-arcs")
-    ghat, _ = isotropy(arcs, "a0")
-    assert ghat == {"0", "3"}
-    with pytest.raises(ValidationError):
-        Subgroup.from_labels(arcs.group, ghat)  # {0,3} is not closed in Z4
+        for i in range(len(pa.space)):
+            mask = isotropy_mask(pa, i)  # the closure check inside asserts
+            assert Subgroup.from_labels(pa.group, pa.group.labels_of(mask)).mask == mask
 
 
 def test_fixed_points_examples():
@@ -221,8 +210,8 @@ def test_orbit_projection_open_on_every_fixture():
                  "z4-half", "z4-arcs"]:
         pa = fixture_pa(name)
         orb = orbit_space(pa)
-        for u in pa.space.min_open:
-            assert is_open(orb.space, orb.projection.image(u))
+        for x in pa.space.points:
+            assert is_open(orb.space, set(map(orb.projection, pa.space.min_open_of(x))))
 
 
 def test_is_free_examples():
@@ -329,7 +318,8 @@ def test_gstar_openness_cross_check_sees_a_non_open_domain():
 def test_twisted_diagonal_action_validates_without_pairwise_leq(monkeypatch):
     # Z_16 rotating the 32-point circle, restricted to an open half-circle;
     # the diagonal K-action behind twisted_product lives on 16 x 15 = 240
-    # points, where a pairwise leq scan costs millions of look-ups.
+    # points, where a pairwise scan of label minimal open sets costs
+    # millions of look-ups.
     n = 16
     z = cyclic_group(n)
     half = ([f"a{i}" for i in range(n // 2)]
@@ -338,10 +328,10 @@ def test_twisted_diagonal_action_validates_without_pairwise_leq(monkeypatch):
     translation = global_action(z, discrete_space(z.elements), {
         k: {g: z.mul(g, z.inv(k)) for g in z.elements} for k in z.elements})
 
-    def no_pairwise_scan(self, x, y):
+    def no_label_scan(self, x):
         raise AssertionError("monotonicity must be checked on down-set masks")
 
-    monkeypatch.setattr(FinSpace, "leq", no_pairwise_scan)
+    monkeypatch.setattr(FinSpace, "min_open_of", no_label_scan)
     diag = diagonal_product(translation, pa)
     _, *projections = with_projections(translation.space, pa.space)
     assert len(diag.space) == 240
