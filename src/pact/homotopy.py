@@ -12,6 +12,16 @@ each source point, rows in sorted order, as the map search produces them.
 Comparison, fence components and fences read the rows and the table's
 column masks (the rows taking a given value at a given point); labelled
 SpaceMaps are made only for witnesses, such as a fence.
+
+Both sweeps take a row's neighbours as its down-set (the rows below it)
+and its up-set (the rows above it), and take each only where transitivity
+does not already cover it.  A sweep keeps the union of the down-sets it
+has taken and the union of the up-sets.  A row k in the first lies below
+some row j whose down-set was taken, so the down-set of k lies inside that
+of j, which the sweep has already seen; the same holds for up-sets.  A
+skipped side thus adds no row.  Beyond that, a component's sweep stops
+once it has seen every row not yet in a component, and a fence's search
+stops its level once the target row has a parent.
 """
 from __future__ import annotations
 
@@ -67,32 +77,44 @@ class MapPoset:
         tgt = self.target
         return spread(self.columns, tgt.down), spread(self.columns, tgt._up_masks)
 
-    def _neighbors(self, k: int) -> int:
-        """Bitmask of the rows comparable to row k (including itself)."""
+    def _sides(self, k: int, lower: int, upper: int) -> tuple[int, int]:
+        """(down-set, up-set) of row k: the rows below it and the rows above
+        it, each including k.  A side is 0 when row k lies in ``lower``
+        (resp. ``upper``), the union of the down-sets (up-sets) a sweep has
+        already taken: then it lies inside one of them."""
         below, above = self._value_masks
         row = self.rows[k]
-        return reduce(and_, map(getitem, below, row)) | reduce(and_, map(getitem, above, row))
+        return (0 if lower >> k & 1 else reduce(and_, map(getitem, below, row)),
+                0 if upper >> k & 1 else reduce(and_, map(getitem, above, row)))
 
     @cached_property
     def components(self) -> tuple[int, ...]:
-        """Fence components: connected components of the comparability graph."""
-        n = len(self.rows)
-        comp = [-1] * n
+        """Fence components: connected components of the comparability
+        graph, numbered in order of their first row.
+
+        Each component is swept breadth-first from its first row, taking
+        only the down-sets and up-sets that :meth:`_sides` does not skip.
+        The sweep stops as soon as it has seen every row not yet in a
+        component, and its rows are then assigned in one pass."""
+        comp = [-1] * len(self.rows)
+        rest = (1 << len(self.rows)) - 1  # rows not yet in a component
         current = 0
-        for start in range(n):
-            if comp[start] >= 0:
-                continue
-            comp[start] = current
-            frontier = 1 << start
-            seen = frontier
-            while frontier:
-                reach = 0
+        while rest:
+            seen = frontier = rest & -rest
+            lower = upper = 0
+            while frontier and seen != rest:
                 for k in bit_indices(frontier):
-                    reach |= self._neighbors(k)
-                frontier = reach & ~seen
+                    down, up = self._sides(k, lower, upper)
+                    if down | up:
+                        lower |= down
+                        upper |= up
+                        if lower | upper == rest:
+                            break
+                frontier = (lower | upper) & ~seen
                 seen |= frontier
-                for k in bit_indices(frontier):
-                    comp[k] = current
+            for k in bit_indices(seen):
+                comp[k] = current
+            rest &= ~seen
             current += 1
         return tuple(comp)
 
@@ -101,18 +123,27 @@ class MapPoset:
 
         Breadth-first from i, neighbours in row order; a search that runs
         out of rows without reaching j means they lie in different
-        components."""
+        components.  A level stops as soon as j has a parent, and the sides
+        that :meth:`_sides` skips are already seen: neither changes which
+        parent the first one in frontier order gives each row, so the
+        fence is the one the full search finds."""
         prev: dict[int, int | None] = {i: None}
         seen = 1 << i
+        lower = upper = 0
         frontier = [i]
         while frontier and j not in prev:
             nxt = []
             for a in frontier:
-                new = self._neighbors(a) & ~seen
+                down, up = self._sides(a, lower, upper)
+                lower |= down
+                upper |= up
+                new = (down | up) & ~seen
                 seen |= new
                 for b in bit_indices(new):
                     prev[b] = a
                     nxt.append(b)
+                if j in prev:
+                    break
             frontier = nxt
         if j not in prev:
             return None

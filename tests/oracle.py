@@ -1381,6 +1381,90 @@ def label_fence(maps, i: int, j: int):
     return path[::-1]
 
 
+def full_comparability_masks(rows, down) -> list[int]:
+    """Per index row k: bitmask of the rows pointwise comparable to it,
+    itself included, ``down`` the target's down-set masks.  Every row's
+    whole mask is built, from column masks made one entry at a time: the
+    rows below k are those whose value at each column lies in the down-set
+    of k's value there, and the rows above k those whose value has k's value
+    in its down-set."""
+    m = len(down)
+    columns = column_masks_by_definition(rows, len(rows[0]), m)
+    below = [[0] * m for _ in columns]
+    above = [[0] * m for _ in columns]
+    for col, lo, hi in zip(columns, below, above):
+        for j in range(m):
+            for v in range(m):
+                if down[j] >> v & 1:
+                    lo[j] |= col[v]
+                if down[v] >> j & 1:
+                    hi[j] |= col[v]
+    masks = []
+    for row in rows:
+        lo = hi = (1 << len(rows)) - 1
+        for c, value in enumerate(row):
+            lo &= below[c][value]
+            hi &= above[c][value]
+        masks.append(lo | hi)
+    return masks
+
+
+def _set_bits(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def unpruned_components(masks) -> tuple[int, ...]:
+    """Fence components from full comparability masks: a breadth-first
+    sweep per component that takes every row's whole mask and runs until no
+    row is new; components numbered in order of their first row."""
+    comp = [-1] * len(masks)
+    current = 0
+    for start in range(len(masks)):
+        if comp[start] >= 0:
+            continue
+        frontier = seen = 1 << start
+        while frontier:
+            reach = 0
+            for k in _set_bits(frontier):
+                reach |= masks[k]
+            frontier = reach & ~seen
+            seen |= frontier
+        for k in _set_bits(seen):
+            comp[k] = current
+        current += 1
+    return tuple(comp)
+
+
+def unpruned_fence(masks, i: int, j: int) -> list[int] | None:
+    """A shortest fence from row i to row j as row positions, or None:
+    breadth-first from i over full comparability masks, each level run to
+    its end, new rows taken in row order under the first parent in
+    frontier order."""
+    prev = {i: None}
+    seen = 1 << i
+    frontier = [i]
+    while frontier and j not in prev:
+        nxt = []
+        for a in frontier:
+            new = masks[a] & ~seen
+            seen |= new
+            for b in _set_bits(new):
+                prev[b] = a
+                nxt.append(b)
+        frontier = nxt
+    if j not in prev:
+        return None
+    path = [j]
+    while prev[path[-1]] is not None:
+        path.append(prev[path[-1]])
+    return path[::-1]
+
+
 def column_masks_by_definition(rows, width: int, m: int) -> list[list[int]]:
     """masks[i][j] has bit k set iff rows[k][i] == j, one entry at a time."""
     masks = [[0] * m for _ in range(width)]

@@ -4,18 +4,21 @@ import pytest
 
 from pact import (BoundExceeded, Bounds, SpaceMap, ValidationError,
                   core, discrete_space, enumerate_maps, enumerate_opens,
-                  fixture_names, globalize,
+                  fixed_points, fixture_names, globalize,
                   is_contractible, is_G_contractible,
                   is_G_map, is_locally_G_contractible, load_fixture,
-                  run_claim, space_from_min_opens,
-                  trivial_action)
-from gen import (c8, cyclic_group, fixture_pa, g_contract, random_global, random_partial,
-                 random_preorder_space, random_space, restricted)
+                  parse_instance, run_claim, space_from_min_opens,
+                  t0_quotient, trivial_action)
+from pact.finspace import WIDE_MASK_BITS
+from pact.homotopy import MapPoset
+from gen import (c8, cone, cyclic_group, fence_document, fixture_pa, g_contract,
+                 random_global, random_partial, random_preorder_space, random_space,
+                 restricted)
 from oracle import (are_G_homotopic, are_homotopic, as_label_space,
                     envelopes_G_homotopic, exhaustive_locally_G_contractible,
-                    find_homeomorphism, homotopy_from_fence,
+                    find_homeomorphism, full_comparability_masks, homotopy_from_fence,
                     interval_homotopy_exists, label_beat_point, label_components,
-                    label_core, label_fence)
+                    label_core, label_fence, unpruned_components, unpruned_fence)
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +104,106 @@ def test_components_and_fences_on_rows_match_label_search(rng):
             if fence is not None:
                 assert [f.assignment for f in fence] == [f.assignment for f in expected]
         checked += 1
+
+
+def assert_sweeps_match_unpruned(poset, pairs) -> int:
+    """``poset``'s components, and its fence for each (i, j) in ``pairs``
+    row for row, against the sweep over every row's full comparability
+    mask; returns how many of the fences are None."""
+    masks = full_comparability_masks(poset.rows, poset.target.down)
+    assert poset.components == unpruned_components(masks)
+    apart = 0
+    for i, j in pairs:
+        fence, expected = poset.fence(i, j), unpruned_fence(masks, i, j)
+        if expected is None:
+            assert fence is None
+            apart += 1
+        else:
+            assert [f.row for f in fence] == [poset.rows[k] for k in expected]
+    return apart
+
+
+def random_pairs(rng, poset, count: int) -> list[tuple[int, int]]:
+    """``count`` random pairs of rows, one of them a row with itself, and a
+    pair of first rows of two components when there are two."""
+    n = len(poset.rows)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(count - 1)]
+    k = rng.randrange(n)
+    pairs.append((k, k))
+    firsts = [poset.components.index(c) for c in range(max(poset.components) + 1)]
+    if len(firsts) > 1:
+        pairs.append(tuple(rng.sample(firsts, 2)))
+    return pairs
+
+
+def test_sweeps_match_unpruned_sweep_on_c8_self_maps(rng):
+    # past WIDE_MASK_BITS rows, so bit_indices reads the masks as text
+    poset = enumerate_maps(c8(), c8())
+    assert len(poset.rows) == 1544 > WIDE_MASK_BITS
+    assert len(set(poset.components)) == 9
+    pairs = random_pairs(rng, poset, 30)
+    ident = poset.index_of(SpaceMap.identity(c8()).row)
+    pairs += [(ident, poset.index_of(SpaceMap.constant(c8(), c8(), w).row))
+              for w in c8().points]
+    # the identity lies apart from all 8 constants, and so do two first rows
+    assert assert_sweeps_match_unpruned(poset, pairs) >= 9
+
+
+def test_sweeps_match_unpruned_sweep_on_random_map_posets(rng):
+    non_t0 = several = apart = 0
+    for _ in range(60):
+        source, target = random_space(rng, 4, "x"), random_space(rng, 5, "y")
+        try:
+            poset = enumerate_maps(source, target, bounds=Bounds(max_maps=1000))
+        except BoundExceeded:
+            continue
+        non_t0 += len(t0_quotient(target)[0]) < len(target)
+        several += len(set(poset.components)) > 1
+        apart += assert_sweeps_match_unpruned(poset, random_pairs(rng, poset, 8))
+    assert non_t0 >= 10 and several >= 10 and apart >= 10
+
+
+def test_sweeps_match_unpruned_sweep_on_g_map_posets(rng):
+    # every fence the G-contractibility search asks for: the identity to
+    # the constant at each fixed point
+    moved = several = constants = 0
+    for _ in range(80):
+        pa = random_partial(rng, cyclic_group(rng.choice([2, 3, 4])), max_base=3)
+        try:
+            poset = enumerate_maps(pa.space, pa.space, equivariant=(pa, pa),
+                                   bounds=Bounds(max_maps=2000))
+        except BoundExceeded:
+            continue
+        moved += any(y not in (-1, x) for image in pa.images for x, y in enumerate(image))
+        several += len(set(poset.components)) > 1
+        ident = poset.index_of(SpaceMap.identity(pa.space).row)
+        pairs = random_pairs(rng, poset, 8)
+        for w in sorted(fixed_points(pa, pa.group.whole)):
+            pairs.append((ident, poset.index_of(SpaceMap.constant(pa.space, pa.space, w).row)))
+            constants += 1
+        assert_sweeps_match_unpruned(poset, pairs)
+    assert moved >= 20 and several >= 20 and constants >= 20
+
+
+def test_components_take_few_down_and_up_sets(monkeypatch):
+    # a side that is taken holds its own row, so it is never 0
+    taken = []
+    sides = MapPoset._sides
+
+    def counting(self, k, lower, upper):
+        down, up = sides(self, k, lower, upper)
+        taken.append((down != 0) + (up != 0))
+        return down, up
+
+    monkeypatch.setattr(MapPoset, "_sides", counting)
+    fence9 = parse_instance(fence_document(5)).pa
+    cone6 = cone(trivial_action(cyclic_group(3), discrete_space([f"m{i}" for i in range(5)])))
+    for pa, rows, limit in ((fence9, 6187, 6187 // 2), (cone6, 7781, 100)):
+        poset = enumerate_maps(pa.space, pa.space, equivariant=(pa, pa),
+                               bounds=Bounds(max_maps=16384))
+        taken.clear()
+        assert poset.components == (0,) * rows
+        assert sum(taken) <= limit
 
 
 def test_homotopy_is_equivalence_relation():
