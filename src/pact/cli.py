@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .bounds import DEFAULT_BOUNDS
 from .envelope import fixed_decomposition, globalize, twisted_product
-from .errors import InternalCheckError, PactError
+from .errors import BoundExceeded, InternalCheckError, PactError
 from .fixtures import FIXTURES, fixture_names, fixture_text
 from .homotopy import (core, enumerate_maps, is_contractible, is_G_contractible,
                        is_locally_G_contractible)
@@ -279,6 +279,9 @@ def main(argv: list[str] | None = None) -> int:
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except BoundExceeded as exc:
+        print(f"bound exceeded: {exc}", file=sys.stderr)
+        return 4
     except PactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -374,7 +374,10 @@ def lift_maps(poset: MapPoset, pa_x: PartialAction, pa_y: PartialAction,
     fails raises its first failing check.
 
     Every check runs once per table on column masks.  The G-map checks and
-    the lifts' continuity and equivariance are :func:`g_map_faults`.
+    the lifts' continuity and equivariance are :func:`g_map_faults`, the
+    lifts' equivariance on ``big.generators`` alone: the envelopes are
+    global actions, where commuting with every generator is commuting with
+    every element.
     Well-definedness compares, class by class, the rows where each member
     lands in env_y with those where the class's first member does, through
     the inverse of env_y's class table per element; only the first row that
@@ -448,10 +451,16 @@ def lift_maps(poset: MapPoset, pa_x: PartialAction, pa_y: PartialAction,
         _, clash = env_x.descend([class_y[offset[g] + row[x]]
                                   for g in range(len(offset)) for x in range(width_x)])
 
+    # the lifts' equivariance is checked on big's generators only: both
+    # envelopes are certified global actions, so mu_sg = mu_s . mu_g and
+    # nu_sg = nu_s . nu_g, and F . mu_s = nu_s . F on every generator s
+    # gives F . mu_sg = nu_s . F . mu_g, hence F . mu_g = nu_g . F for
+    # every word g in the generators by induction on its length
+    gens = [big.elements[s] for s in big.generators]
     lift_discontinuous, lift_non_equivariant = g_map_faults(
         lifted_columns, total_x, total_y,
-        [env_x.action_rows[env_x.big_group.index(g)] for g in big.elements],
-        [env_y.action_rows[env_y.big_group.index(g)] for g in big.elements])
+        [env_x.action_rows[env_x.big_group.index(g)] for g in gens],
+        [env_y.action_rows[env_y.big_group.index(g)] for g in gens])
     lift_faults = lift_discontinuous | lift_non_equivariant
     if lift_faults:
         first = lift_faults & -lift_faults

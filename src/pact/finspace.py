@@ -520,30 +520,36 @@ def enumerate_monotone_maps(source: FinSpace, target: FinSpace,
     rows are sorted, so the result is deterministic regardless of the
     internal search order.  Raises BoundExceeded past either budget.
     """
-    full = (1 << len(target)) - 1
-    no_pairs = [()] * len(target)
-    return _search_maps(source, target, [full] * len(source),
-                        [no_pairs] * len(source), bounds.map_nodes, bounds.max_maps)
+    return _search_maps(source, target, [(1 << len(target)) - 1] * len(source),
+                        [()] * len(source), bounds.map_nodes, bounds.max_maps)
 
 
 def _search_maps(source: FinSpace, target: FinSpace, allowed: Sequence[int],
-                 forced: Sequence[Sequence[Sequence[tuple[int, int]]]],
-                 node_budget: int, max_maps: int) -> list[tuple[int, ...]]:
+                 blocks: Sequence[tuple], node_budget: int,
+                 max_maps: int) -> list[tuple[int, ...]]:
     """The search behind enumerate_monotone_maps and enumerate_G_maps:
     every monotone map with f(i) in ``allowed[i]`` (a target mask per source
-    index) such that f(i) = j implies f(i2) = j2 for each (i2, j2) in
-    ``forced[i][j]``, as sorted index rows.
+    index) whose values on each block of source points follow from one of
+    them, as sorted index rows.
 
-    DFS over the most constrained unassigned point (least index on ties),
-    its candidates in target order; assigning f(i) = j narrows the points
-    above i to the up-set of j, those below to the down-set, then applies
-    the forced pairs.  Every candidate tried counts as a node.
+    ``blocks[i]`` is () when point i is a block of its own.  Otherwise it
+    is (back, members): the block's points x paired with index rows
+    ``forth``, so that f(x) = forth[back[f(i)]] for every member x; back
+    takes i's value to the block's representative's and forth takes that
+    on to x's.  The rows must be defined on the values ``allowed`` admits.
+
+    DFS over blocks: the most constrained unassigned point (least index on
+    ties) picks its block, and each of its candidates, in target order, is
+    one node.  Assigning f(i) = j narrows the points above i to the up-set
+    of j and those below to the down-set; on a larger block it then writes
+    every other member's value, which must be one of that member's
+    candidates, and narrows that member's neighbours the same way.
 
     The search runs in place on one candidate list: each narrowing pushes
     (index, old mask) on a trail, and backtracking pops the trail back to
     the node's mark (the reversible updates of Knuth's "Dancing Links").
     An assigned point keeps the single bit of its value.  The last
-    unassigned point runs in one loop that checks only its forced pairs:
+    unassigned point, a block of its own, runs in one loop with no checks:
     the order constraints against the assigned points already hold, since
     each assignment narrowed this point's candidates.
     """
@@ -560,6 +566,32 @@ def _search_maps(source: FinSpace, target: FinSpace, allowed: Sequence[int],
     out: list[tuple[int, ...]] = []
     nodes = 0
 
+    # Only the other members of a block go through settle: the chosen
+    # point's narrowing stays inline in search, where a search of points
+    # that are blocks of their own spends its time.
+    def settle(x: int, j: int) -> bool:
+        """Assign f(x) = j for a block member x and narrow its unassigned
+        neighbours; False when j is no candidate of x or a neighbour is
+        left with none."""
+        old = cands[x]
+        if not old >> j & 1:
+            return False
+        value[x] = j
+        if old != 1 << j:
+            trail.append((x, old))
+            cands[x] = 1 << j
+        for near, narrow in ((src_up[x], tgt_up[j]), (src_down[x], tgt_down[j])):
+            for i2 in near:
+                if value[i2] < 0:
+                    old = cands[i2]
+                    new = old & narrow
+                    if new != old:
+                        if not new:
+                            return False
+                        trail.append((i2, old))
+                        cands[i2] = new
+        return True
+
     def search(left: int):
         nonlocal nodes
         best, best_count = -1, m + 1
@@ -569,26 +601,26 @@ def _search_maps(source: FinSpace, target: FinSpace, allowed: Sequence[int],
                 if count < best_count:
                     best, best_count = i, count
         mask = cands[best]
-        pairs = forced[best]
         if left == 1:
             while mask:
                 low = mask & -mask
                 mask ^= low
-                j = low.bit_length() - 1
                 nodes += 1
                 if nodes > node_budget:
                     raise BoundExceeded("map enumeration (nodes)", node_budget, nodes)
-                value[best] = j
-                for i2, j2 in pairs[j]:
-                    if value[i2] != j2:
-                        break
-                else:
-                    out.append(tuple(value))
-                    if len(out) > max_maps:
-                        raise BoundExceeded("map enumeration (maps)", max_maps, len(out))
+                value[best] = low.bit_length() - 1
+                out.append(tuple(value))
+                if len(out) > max_maps:
+                    raise BoundExceeded("map enumeration (maps)", max_maps, len(out))
             value[best] = -1
             return
         up_of, down_of = src_up[best], src_down[best]
+        block = blocks[best]
+        if block:
+            back, members = block
+            rest = left - len(members)
+        else:
+            rest = left - 1
         while mask:
             low = mask & -mask
             mask ^= low
@@ -624,17 +656,20 @@ def _search_maps(source: FinSpace, target: FinSpace, allowed: Sequence[int],
                             trail.append((i2, old))
                             cands[i2] = new
             if ok:
-                for i2, j2 in pairs[j]:
-                    old = cands[i2]
-                    if not old >> j2 & 1:
-                        ok = False
-                        break
-                    if old != 1 << j2:
-                        trail.append((i2, old))
-                        cands[i2] = 1 << j2
-            if ok:
                 value[best] = j
-                search(left - 1)
+                if block:
+                    r = back[j]
+                    ok = all(x == best or settle(x, forth[r]) for x, forth in members)
+                if ok:
+                    if rest:
+                        search(rest)
+                    else:
+                        out.append(tuple(value))
+                        if len(out) > max_maps:
+                            raise BoundExceeded("map enumeration (maps)", max_maps, len(out))
+                if block:
+                    for x, _ in members:
+                        value[x] = -1
                 value[best] = -1
             while len(trail) > mark:
                 i2, old = trail.pop()

@@ -601,52 +601,106 @@ def is_isovariant(f: SpaceMap, pa_x: PartialAction, pa_y: PartialAction) -> bool
         isotropy_mask(pa_x, i) == isotropy_mask(pa_y, j) for i, j in enumerate(f.row))
 
 
+@dataclass(frozen=True)
+class Orbit:
+    """One orbit of a partial action: its least point ``rep`` = r, each
+    member x paired with an element h_x such that theta_{h_x}(r) = x (the
+    identity for r itself), in point order, and as element masks
+    H_r = {g : theta_g(r) is defined} and the isotropy G_r."""
+
+    rep: int
+    members: tuple[tuple[int, int], ...]
+    defined: int
+    isotropy: int
+
+
+def orbit_table(pa: PartialAction) -> list[Orbit]:
+    """The orbits of ``pa``, ordered by least member.
+
+    Every orbit is reached in one step, as theta_h . theta_g is contained
+    in theta_hg (Exel, "Partial actions of groups and actions of inverse
+    semigroups", Proc. AMS 1998): the orbit of r is {theta_g(r) : r in
+    X_{g^-1}}, so one pass over the images at r finds it, with the first
+    element reaching each member.  A member that already lies in an earlier
+    orbit would break the orbit relation, which PA1-PA3 make an
+    equivalence: InternalCheckError."""
+    unit = pa.group.index(pa.group.identity)
+    placed = [False] * len(pa.space)
+    table = []
+    for r, done in enumerate(placed):
+        if done:
+            continue
+        via = {r: unit}
+        defined = isotropy = 0
+        for g, image in enumerate(pa.images):
+            x = image[r]
+            if x >= 0:
+                defined |= 1 << g
+                if x == r:
+                    isotropy |= 1 << g
+                elif x not in via:
+                    if placed[x]:
+                        raise InternalCheckError(f"{pa.space.points[x]!r} lies in two orbits")
+                    via[x] = g
+        for x in via:
+            placed[x] = True
+        table.append(Orbit(r, tuple(sorted(via.items())), defined, isotropy))
+    return table
+
+
 def enumerate_G_maps(pa_x: PartialAction, pa_y: PartialAction,
                      bounds: Bounds = DEFAULT_BOUNDS) -> list[tuple[int, ...]]:
     """All G-maps X -> Y, as sorted index rows (``SpaceMap`` takes one).
 
-    The monotone map search with the equivariance conditions folded into
-    its propagation: assigning f(x) = y forces f(theta_g(x)) = eta_g(y) for
-    every g defined at x, and prunes y outright when (g, y) is undefined.
-    A forced pair that restates f(x) = y itself, as every pair of a trivial
-    action does, or that several elements force alike is kept out; that
-    changes neither the rows nor the node count.  The output is identical
-    to filtering the monotone maps by is_G_map (the test suite
+    A G-map is fixed by its values on orbit representatives: f(theta_g(x))
+    = eta_g(f(x)) for x in X_{g^-1}, with f(x) in Y_{g^-1}, the partial
+    form of Hom_G(G/H, Y) = Y^H.  With H_r and G_r from
+    :func:`orbit_table` and D_j = {g : eta_g(j) is defined}, f(r) = j
+    extends to an equivariant map on the orbit of r, by f(theta_g(r)) =
+    eta_g(j), exactly when j lies in
+
+        A_r = {j : H_r is contained in D_j, and eta_k(j) = j for k in G_r}.
+
+    Necessity is the definition.  The extension is well defined, as
+    theta_g(r) = theta_h(r) puts h^-1 g in G_r; and equivariant, as
+    eta_h(Y_{h^-1} & Y_{(gh)^-1}) = Y_h & Y_{g^-1} (PA2) makes eta_g
+    eta_h(j) = eta_gh(j) wherever theta_g theta_h(r) is defined.
+
+    Each orbit is one block of :func:`finspace._search_maps`: member x takes
+    the candidates eta_{h_x}(A_r), and assigning any member writes the
+    whole orbit, one node per candidate.  A fixed point is a block of its
+    own, so a trivial action is searched point by point.  The output is
+    identical to filtering the monotone maps by is_G_map (the test suite
     cross-checks), just without materializing them.
     """
     if pa_x.group != pa_y.group:
         raise ValidationError("group-mismatch", (), "actions of different groups")
-    grp = pa_x.group
-    src, tgt = pa_x.space, pa_y.space
-    n, m = len(src), len(tgt)
-    unit = grp.index(grp.identity)
-    nontrivial = [(image_x, image_y)
-                  for g, (image_x, image_y) in enumerate(zip(pa_x.images, pa_y.images))
-                  if g != unit]
-    allowed = [(1 << m) - 1] * n
-    forced: list[list[list[tuple[int, int]]]] = []
-    for i in range(n):
-        # the elements defined at i, grouped by theta_g(i): pairs from two
-        # groups never coincide, so only a group of several elements needs a
-        # set; a pair that restates f(i) = j itself forces nothing
-        groups: dict[int, list[Sequence[int]]] = {}
-        for image_x, image_y in nontrivial:
-            i2 = image_x[i]
-            if i2 >= 0:
-                groups.setdefault(i2, []).append(image_y)
-        pairs: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-        for i2, rows in groups.items():
-            if len(rows) == 1:
-                for j, j2 in enumerate(rows[0]):
-                    if j2 < 0:
-                        allowed[i] &= ~(1 << j)
-                    elif i2 != i or j2 != j:
-                        pairs[j].append((i2, j2))
-                continue
-            for j, values in enumerate(zip(*rows)):
-                if -1 in values:
-                    allowed[i] &= ~(1 << j)
-                else:
-                    pairs[j].extend((i2, j2) for j2 in set(values) if i2 != i or j2 != j)
-        forced.append(pairs)
-    return _search_maps(src, tgt, allowed, forced, bounds.map_nodes, bounds.max_maps)
+    images_y, inverse_row = pa_y.images, pa_y.group.inverse_row
+    n, m = len(pa_x.space), len(pa_y.space)
+    full = (1 << m) - 1
+    # the target mask where eta_g is defined, per g, and where eta_k fixes
+    # its point, per k met in an isotropy group
+    defined_at = [full if len(ys) == m else sum(1 << y for y in ys)
+                  for ys in map(pa_y.domain_points.__getitem__, inverse_row)]
+    fixes: dict[int, int] = {}
+    allowed = [0] * n
+    blocks: list[tuple] = [()] * n
+    for orbit in orbit_table(pa_x):
+        a_r = full
+        for g in bit_indices(orbit.defined):
+            a_r &= defined_at[g]
+        for k in bit_indices(orbit.isotropy):
+            if k not in fixes:
+                fixes[k] = sum(1 << v for v, w in enumerate(images_y[k]) if w == v)
+            a_r &= fixes[k]
+        if len(orbit.members) == 1:
+            allowed[orbit.rep] = a_r
+            continue
+        values = bit_indices(a_r)
+        members = tuple((x, images_y[h]) for x, h in orbit.members)
+        for x, h in orbit.members:
+            forth = images_y[h]
+            allowed[x] = sum(1 << forth[v] for v in values)
+            blocks[x] = (images_y[inverse_row[h]], members)
+    return _search_maps(pa_x.space, pa_y.space, allowed, blocks,
+                        bounds.map_nodes, bounds.max_maps)

@@ -875,11 +875,13 @@ def brute_twisted_classes(big_elements, big_table, identity, k_elements,
 # ---------------------------------------------------------------------------
 # map search: the copying DFS, the reference for the in-place search
 
-def copying_search_maps(source, target, allowed, forced, node_budget: int,
+def copying_search_maps(source, target, allowed, moves, node_budget: int,
                         max_maps: int) -> list[tuple[int, ...]]:
-    """``pact.finspace._search_maps`` as it was before it searched in place:
-    the same DFS, copying the whole candidate list at every node.  Rows,
-    node counts and every ``BoundExceeded`` must match it."""
+    """``pact.finspace._search_maps`` as a copying DFS: the same search,
+    copying the whole candidate list at every node.  Each block is given
+    point by point: ``moves[i]`` lists (x, row) for every other point x of
+    i's block, with f(x) = row[f(i)].  Rows, node counts and every
+    ``BoundExceeded`` must match it."""
     from pact import BoundExceeded
 
     n, m = len(source), len(target)
@@ -892,6 +894,20 @@ def copying_search_maps(source, target, allowed, forced, node_budget: int,
     every = range(n)
     out: list[tuple[int, ...]] = []
     nodes = 0
+
+    def assign(cands, chosen, x, v) -> bool:
+        # f(x) = v: a candidate of x, narrowing x's unchosen neighbours
+        if v < 0 or not cands[x] >> v & 1:
+            return False
+        cands[x] = 1 << v
+        chosen[x] = v
+        for near, narrow in ((src_up[x], tgt_up[v]), (src_down[x], tgt_down[v])):
+            for i2 in near:
+                if i2 not in chosen:
+                    cands[i2] &= narrow
+                    if not cands[i2]:
+                        return False
+        return True
 
     def search(cands: list[int], chosen: dict[int, int]):
         nonlocal nodes
@@ -914,32 +930,10 @@ def copying_search_maps(source, target, allowed, forced, node_budget: int,
             nodes += 1
             if nodes > node_budget:
                 raise BoundExceeded("map enumeration (nodes)", node_budget, nodes)
-            nxt = list(cands)
-            nxt[best] = low
-            ok = True
-            for i2 in src_up[best]:
-                if i2 not in chosen:
-                    nxt[i2] &= tgt_up[j]
-                    if not nxt[i2]:
-                        ok = False
-                        break
-            if ok:
-                for i2 in src_down[best]:
-                    if i2 not in chosen:
-                        nxt[i2] &= tgt_down[j]
-                        if not nxt[i2]:
-                            ok = False
-                            break
-            if ok:
-                for i2, j2 in forced[best][j]:
-                    nxt[i2] &= 1 << j2
-                    if not nxt[i2]:
-                        ok = False
-                        break
-            if ok:
-                chosen[best] = j
-                search(nxt, chosen)
-                del chosen[best]
+            nxt, now = list(cands), dict(chosen)
+            if assign(nxt, now, best, j) and all(assign(nxt, now, x, row[j])
+                                                 for x, row in moves[best]):
+                search(nxt, now)
 
     try:
         search(list(allowed), {})
@@ -951,31 +945,28 @@ def copying_search_maps(source, target, allowed, forced, node_budget: int,
 
 def copying_enumerate_G_maps(pa_x, pa_y, node_budget: int = 1_000_000,
                              max_maps: int = 4096) -> list[tuple[int, ...]]:
-    """``pact.enumerate_G_maps`` as it was before it dropped no-op and
-    repeated forced pairs: one pair (theta_g(i), eta_g(j)) per nontrivial g
-    defined at i, searched by :func:`copying_search_maps`."""
-    grp = pa_x.group
+    """The G-maps X -> Y by :func:`copying_search_maps`, with the blocks
+    read off the label tables point by point: the candidates of x are the
+    values v with eta_g(v) defined for every g with theta_g(x) defined,
+    and fixed wherever theta_g fixes x; the block of x is its orbit
+    {theta_g(x)}, and the value at theta_g(x) is eta_g of the value at x,
+    for the first such g in element order."""
     src, tgt = pa_x.space, pa_y.space
-    n, m = len(src), len(tgt)
-    unit = grp.index(grp.identity)
-    nontrivial = [(image_x, image_y)
-                  for g, (image_x, image_y) in enumerate(zip(pa_x.images, pa_y.images))
-                  if g != unit]
-    allowed = [(1 << m) - 1] * n
-    forced = [[[] for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for image_x, image_y in nontrivial:
-            i2 = image_x[i]
-            if i2 < 0:
-                continue
-            for j in range(m):
-                if not (allowed[i] & (1 << j)):
-                    continue
-                if image_y[j] < 0:
-                    allowed[i] &= ~(1 << j)
-                else:
-                    forced[i][j].append((i2, image_y[j]))
-    return copying_search_maps(src, tgt, allowed, forced, node_budget, max_maps)
+    thetas_x, thetas_y = pa_x.thetas, pa_y.thetas
+    allowed, moves = [], []
+    for x in src.points:
+        at_x = [g for g in pa_x.group.elements if x in thetas_x[g]]
+        allowed.append(sum(1 << tgt.index(v) for v in tgt.points
+                           if all(v in thetas_y[g]
+                                  and (thetas_x[g][x] != x or thetas_y[g][v] == v)
+                                  for g in at_x)))
+        reached: dict[str, str] = {}
+        for g in at_x:
+            reached.setdefault(thetas_x[g][x], g)
+        moves.append([(src.index(x2), [tgt.index(thetas_y[g][v]) if v in thetas_y[g] else -1
+                                       for v in tgt.points])
+                      for x2, g in reached.items() if x2 != x])
+    return copying_search_maps(src, tgt, allowed, moves, node_budget, max_maps)
 
 
 def search_outcome(search, node_budget: int, max_maps: int):

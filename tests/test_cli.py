@@ -85,17 +85,17 @@ def test_invalid_input_exits_2(tmp_path, capsys):
     assert "partial_action.domains.1" in err
 
 
-def test_homotopy_over_the_map_cap_exits_2_and_check_skips(tmp_path, capsys):
+def test_homotopy_over_the_map_cap_exits_4_and_check_skips(tmp_path, capsys):
     """The 9-point fence has 6187 G-self-maps, past the 4096 the map cap
-    allows.  ``pact homotopy`` reports the overrun as invalid input, and
-    ``--bound`` does not lift the cap; ``pact check`` reports the same
-    overrun as skipped-bounds and exits 0."""
+    allows.  ``pact homotopy`` reports the overrun as a bound exceeded,
+    not as invalid input, and ``--bound`` does not lift the cap; ``pact
+    check`` reports the same overrun as skipped-bounds and exits 0."""
     path = tmp_path / "fence9.json"
     path.write_text(json.dumps(fence_document(5)))
     message = "map enumeration (maps): needs 4097, bound is 4096"
     for extra in ([], ["--bound", "100000"]):
-        assert main(["homotopy", str(path), "--g-contractible", *extra]) == 2
-        assert capsys.readouterr().err.strip() == f"error: {message}"
+        assert main(["homotopy", str(path), "--g-contractible", *extra]) == 4
+        assert capsys.readouterr().err.strip() == f"bound exceeded: {message}"
     assert main(["check", "g-contractible", str(path), "--json"]) == 0
     [report] = json.loads(capsys.readouterr().out)
     assert (report["status"], report["witness"]) == ("skipped-bounds", {"reason": message})

@@ -619,8 +619,8 @@ def _stray_row(rng, pa_x, pa_y, g_rows, wanted):
 def _corrupted_lift(rng, kinds):
     """A lift problem (pa_x, pa_y, env_x, env_y, big, rows) carrying one
     corruption of each of ``kinds``: a stray row at a random place, or env_y
-    with one pair moved to another class or one element's action table with
-    two images swapped."""
+    with one pair moved to another class or its action conjugated by a swap
+    of two classes."""
     while True:
         pa_x, pa_y, env_x, env_y, big = _lift_case(rng)
         try:
@@ -641,11 +641,14 @@ def _corrupted_lift(rng, kinds):
                                         if c != classes[pair]])
             env_y = dataclasses.replace(env_y, pair_class=tuple(classes))
         elif kind == "action-row" and len(env_y.total) > 1:
-            action = [list(row) for row in env_y.action_rows]
-            g = rng.choice([g for g in range(len(big)) if g != big.index(big.identity)])
-            a, b = rng.sample(range(len(env_y.total)), 2)
-            action[g][a], action[g][b] = action[g][b], action[g][a]
-            env_y = dataclasses.replace(env_y, action_rows=tuple(map(tuple, action)))
+            # every table conjugated by one swap of classes: still a global
+            # action of big, as every envelope's action is certified to be,
+            # but in general not one the lifts commute with
+            swap = list(range(len(env_y.total)))
+            a, b = rng.sample(swap, 2)
+            swap[a], swap[b] = b, a
+            env_y = dataclasses.replace(env_y, action_rows=tuple(
+                tuple(swap[row[c]] for c in swap) for row in env_y.action_rows))
     return pa_x, pa_y, env_x, env_y, big, rows
 
 

@@ -379,26 +379,35 @@ def test_enumerate_monotone_maps_counts_and_order():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_trail_search_matches_copying_search(seed):
-    # random candidate masks and forced pairs (some restating the
-    # assignment, some repeated) on random spaces: the in-place search
-    # yields the copying search's rows and, under every node budget and
-    # map cap, its BoundExceeded, so it visits the same nodes in order
+    # random candidate masks and random blocks on random spaces, each
+    # member's value a random permutation of the block representative's:
+    # the in-place search yields the copying search's rows and, under
+    # every node budget and map cap, its BoundExceeded, so it visits the
+    # same nodes in order
     rng = random.Random(seed)
     source, target = (space_from_min_opens(*random_preorder_space(
         rng, 5, prefix, rng.uniform(0.1, 0.4))) for prefix in "xy")
     n, m = len(source), len(target)
     full = (1 << m) - 1
     allowed = [full if rng.random() < 0.8 else rng.randrange(full + 1) for _ in range(n)]
-    forced = [[[] for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            if rng.random() < 0.1:
-                forced[i][j].append((i, j))
-            if rng.random() < 0.1:
-                forced[i][j] += [(rng.randrange(n), rng.randrange(m))] * rng.randint(1, 2)
+    points = list(range(n))
+    rng.shuffle(points)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) if n > 1 else []
+    forth = [rng.sample(range(m), m) for _ in range(n)]
+    back = [[row.index(v) for v in range(m)] for row in forth]
+    blocks: list[tuple] = [()] * n
+    moves: list[list] = [[] for _ in range(n)]
+    for block in (points[a:b] for a, b in zip([0] + cuts, cuts + [n])):
+        if len(block) == 1:
+            continue
+        members = tuple((x, forth[x]) for x in sorted(block))
+        for x in block:
+            blocks[x] = (back[x], members)
+            moves[x] = [(y, [forth[y][back[x][v]] for v in range(m)])
+                        for y in block if y != x]
     assert_same_search(
-        lambda budget, cap: _search_maps(source, target, allowed, forced, budget, cap),
-        lambda budget, cap: copying_search_maps(source, target, allowed, forced, budget, cap),
+        lambda budget, cap: _search_maps(source, target, allowed, blocks, budget, cap),
+        lambda budget, cap: copying_search_maps(source, target, allowed, moves, budget, cap),
         rng, max_budgets=100)
 
 

@@ -10,16 +10,18 @@ from hypothesis import strategies as st
 from pact import (BoundExceeded, Bounds, FinSpace, InternalCheckError, PartialAction,
                   SpaceMap, Subgroup,
                   ValidationError, diagonal_product,
-                  discrete_space, enumerate_G_maps, fixed_points, fixture_names,
+                  discrete_space, enumerate_G_maps, enumerate_monotone_maps,
+                  fixed_points, fixture_names,
                   global_action, is_continuous, is_G_map, is_invariant,
-                  is_isovariant, load_fixture, orbit_space,
+                  is_isovariant, load_fixture, orbit_space, parse_instance,
                   restrict_global, restrict_invariant, restrict_to_subgroup,
                   space_from_min_opens, trivial_action, validate_group,
                   validate_partial_action)
 from pact.finspace import column_masks
 from pact.paction import _check_axioms, g_map_faults, isotropy_mask
-from gen import (GLOBAL_KINDS, circle, cyclic_group, fixture_pa, label_tables, outcome, random_global,
-                 random_partial, regular, restricted, with_projections)
+from gen import (GLOBAL_KINDS, circle, cone, cyclic_group, fixture_pa, label_tables, outcome,
+                 random_global, random_group, random_partial, regular, restricted,
+                 with_projections, z6_two_orbits_document)
 from oracle import (assert_same_search, brute_orbits, copying_enumerate_G_maps, is_free,
                     is_G_homeomorphism, label_g_map_faults,
                     label_validate_partial_action, partial_action_violation,
@@ -470,11 +472,67 @@ def test_g_map_faults_match_definitions(seed):
             == label_g_map_faults(rows, pa_x, pa_y))
 
 
+def _filtered_g_maps(pa_x, pa_y, cap: int):
+    """The G-maps as the monotone maps that pass is_G_map, sorted; an
+    oracle that shares no code with the orbit table."""
+    rows = enumerate_monotone_maps(pa_x.space, pa_y.space, Bounds(max_maps=cap))
+    return sorted(row for row in rows
+                  if is_G_map(SpaceMap(pa_x.space, pa_y.space, row), pa_x, pa_y))
+
+
+def _family_action(rng, grp, kinds):
+    """A global action of ``grp`` of a family drawn from ``kinds``,
+    restricted to a random open set half of the time."""
+    beta = random_global(rng, rng.choice(kinds), grp, 2)
+    return restricted(rng, beta) if rng.random() < 0.5 else beta
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_enumerate_G_maps_matches_the_monotone_maps_that_are_G_maps(seed):
+    # the orbit blocks and their candidates A_r against the filtered
+    # monotone maps, on global and restricted actions of every family
+    # (cones give the apex isotropy); the target is the source action, or
+    # another drawn over the same group.  Draws with too many monotone
+    # maps to filter are redrawn.
+    rng = random.Random(seed)
+    while True:
+        if rng.random() < 0.5:
+            grp, kinds = cyclic_group(rng.choice([2, 3, 4])), GLOBAL_KINDS
+        else:
+            grp, kinds = random_group(rng), [k for k in GLOBAL_KINDS if k != "circle"]
+        pa_x = _family_action(rng, grp, kinds)
+        pa_y = pa_x if rng.random() < 0.3 else _family_action(rng, grp, kinds)
+        try:
+            want = _filtered_g_maps(pa_x, pa_y, 3000)
+        except BoundExceeded:
+            continue
+        assert enumerate_G_maps(pa_x, pa_y) == want
+        return
+
+
+def test_enumerate_G_maps_matches_the_filter_under_isotropy(rng):
+    # Z6 rotating three points mod 3 (isotropy {0, 3}) and swapping two
+    # mod 2 (isotropy {0, 2, 4}): into itself, into restrictions of
+    # itself, and into and out of the cone over it, whose apex every
+    # element fixes
+    z6 = parse_instance(z6_two_orbits_document()).pa
+    apex = cone(z6)
+    targets = [z6, apex] + [restricted(rng, z6) for _ in range(5)]
+    for pa_x, pa_y in [(z6, y) for y in targets] + [(apex, z6), (apex, apex)]:
+        want = _filtered_g_maps(pa_x, pa_y, 20000)
+        assert enumerate_G_maps(pa_x, pa_y, Bounds(max_maps=20000)) == want
+    # a self-map sends p0 to a point fixed by {0, 3} and q0 to one fixed
+    # by {0, 2, 4}: 3 * 2 choices
+    assert len(enumerate_G_maps(z6, z6)) == 3 * 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_enumerate_G_maps_matches_copying_search(seed):
-    # the forced pairs without no-ops and repeats, searched in place, give
-    # the rows, node counts and bounds of every pair searched by copying
+    # the orbit table's blocks, searched in place, give the rows, node
+    # counts and bounds of the blocks read off the label tables point by
+    # point, searched by copying
     rng = random.Random(seed)
     grp = cyclic_group(rng.choice([2, 3, 4]))
     pa_x = random_partial(rng, grp)
@@ -487,10 +545,10 @@ def test_enumerate_G_maps_matches_copying_search(seed):
 
 
 def test_enumerate_G_maps_prunes_a_target_one_of_several_elements_leaves():
-    # Z3 fixes both points of X, so at each point the two nontrivial
-    # elements force pairs together; on Z3 rotating the 3-cycle restricted
-    # to {q0.0, q0.1}, eta_1 is defined at q0.0 and eta_2 is not, so q0.0
-    # is no candidate however the elements are ordered; likewise q0.1
+    # Z3 fixes both points of X, so H_r is all of Z3 at each of them; on Z3
+    # rotating the 3-cycle restricted to {q0.0, q0.1}, eta_1 is defined at
+    # q0.0 and eta_2 is not, so q0.0 is no candidate however the elements
+    # are ordered; likewise q0.1
     z3 = cyclic_group(3)
     pa_x = trivial_action(z3, discrete_space(["x", "y"]))
     pa_y = restrict_global(regular(z3, discrete_space(["q0"])), ["q0.0", "q0.1"])

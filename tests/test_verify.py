@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pact import (DEFAULT_BOUNDS, Bounds, ClaimReport, Instance, ValidationError, claim_ids,
-                  diagonal_product, discrete_space, exit_code,
-                  fixture_dict, fixture_names, load_fixture, pair_label,
+                  diagonal_product, discrete_space, enumerate_G_maps, exit_code,
+                  fixture_dict, fixture_names, globalize, load_fixture, pair_label,
                   parse_instance, replay_witness, run_all, run_claim,
                   space_from_min_opens, split_diagonal_factors, split_pair_label,
                   trivial_action, validate_partial_action)
@@ -515,6 +515,22 @@ def test_homotopy_preservation_lifts_each_poset_at_once(monkeypatch):
                        dataclasses.replace(DEFAULT_BOUNDS, max_maps=16384))
     assert report.status == "holds" and report.witness["g_maps"] > 1000
     assert calls == {"envelope_of_map": 0, "is_G_map": 0, "lift_maps": 1}
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 48])
+def test_half_circle_envelope_maps_in_closed_form(n):
+    # Z_n on the open half-circle has one G-self-map, the identity, and its
+    # globalization, Z_n rotating the 2n-point circle, has the n rotations.
+    # The circle's two orbits are two blocks of n points each, so its
+    # G-self-map search takes at most 4n nodes, not the 2n^2 + 2n of a
+    # search that takes one point per node
+    inst = parse_instance(half_circle_document(n))
+    bounds = dataclasses.replace(DEFAULT_BOUNDS, envelope_pairs=2 * n * n)
+    report = run_claim("homotopy-preservation", inst, bounds)
+    assert report.status == "holds"
+    assert report.witness == {"g_maps": 1, "components": 1, "envelope_g_maps": n}
+    gpa = globalize(inst.embedded_pa, bounds).as_global_action()
+    assert len(enumerate_G_maps(gpa, gpa, Bounds(map_nodes=4 * n))) == n
 
 
 def test_generated_intersection_on_a_lattice_that_is_not_a_chain():
