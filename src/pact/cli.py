@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bounds import DEFAULT_BOUNDS
+from .bounds import DEFAULT_BOUNDS, Bounds
 from .envelope import fixed_decomposition, globalize, twisted_product
 from .errors import BoundExceeded, InternalCheckError, PactError
 from .fixtures import FIXTURES, fixture_names, fixture_text
@@ -205,11 +205,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "equivariant homotopy checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def bound(text: str) -> Bounds:
+        """--bound N: every size limit at N >= 1 ("invalid bound value" names it)."""
+        n = int(text)
+        if n < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+        return DEFAULT_BOUNDS.with_limit(n)
+
     def common(p: argparse.ArgumentParser, output: bool = False) -> None:
         p.add_argument("--json", action="store_true",
                        help="machine-readable JSON on stdout")
-        p.add_argument("--bound", type=int, default=None,
-                       help="override the enumeration size limits")
+        p.add_argument("--bound", type=bound, default=DEFAULT_BOUNDS, dest="bounds",
+                       metavar="BOUND", help="override the enumeration size limits (N >= 1)")
         if output:
             p.add_argument("-o", "--output", default=None,
                            help="write the JSON document to this path")
@@ -265,15 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--emit", default=None, metavar="NAME",
                        choices=fixture_names())
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_fixtures, json=False, bound=None)
+    p.set_defaults(func=_cmd_fixtures, json=False, bounds=DEFAULT_BOUNDS)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    args.bounds = DEFAULT_BOUNDS if args.bound is None \
-        else DEFAULT_BOUNDS.with_limit(args.bound)
     try:
         return args.func(args)
     except InternalCheckError as exc:

@@ -7,7 +7,9 @@ Two independent routes build the same kind of object:
 * ``twisted_product`` quotients G x X by the orbits of the diagonal action
   of a subgroup K, with classes [g,x]_K = {(g k^-1, theta_k(x)) : k in K^x}.
 
-Both hand the class masks of G x X to one assembly, which returns an
+Both certify their classes of G x X on step tables with one kernel,
+:func:`finspace.equivalence_classes`, and hand the class of each pair and
+the members of each class to one assembly, which returns an
 :class:`EnvelopeResult` carrying the quotient space, the global action mu,
 the projection p and the embedding iota as index tables, all checked
 against the trusted invariants at construction time.  Labels are read off
@@ -29,8 +31,8 @@ from .bounds import DEFAULT_BOUNDS, Bounds
 from .errors import BoundExceeded, InternalCheckError, ValidationError
 from .finspace import (FinSpace, SpaceMap, bit_indices, block_down_masks,
                        discrete_space, equivalence_classes, is_continuous,
-                       is_open, monotonicity_violation,
-                       pair_label, product, quotient_order)
+                       is_open, monotonicity_violation, pair_label, product,
+                       quotient_order, rows_match_classes)
 from .homotopy import MapPoset
 from .paction import (PartialAction, _global_certificate, certified_global_action,
                       diagonal_product, fixed_points, g_map_faults,
@@ -133,21 +135,22 @@ def _descend(pair_class: Sequence[int], members: Sequence[Sequence[int]],
     return least, min(c for c, v in zip(pair_class, values) if out[c] != v)
 
 
-def _pair_count(big: Group, space: FinSpace, bounds: Bounds) -> int:
+def _pair_count(big: Group, space: FinSpace, bounds: Bounds) -> None:
     n = len(big) * len(space)
     if n > bounds.envelope_pairs:
         raise BoundExceeded("envelope construction", bounds.envelope_pairs, n)
-    return n
 
 
 def _assemble(pa: PartialAction, big: Group, prod: FinSpace,
-              classes: Sequence[int]) -> EnvelopeResult:
-    """Common tail of both constructions.  From the class masks over the
-    pairs of G x X (``prod``, as :func:`block_down_masks` builds it),
-    ordered by least member, build the quotient, the action, the projection
-    and the embedding as index tables, and assert the trusted invariants on
-    them.  Two are certified in less work; when a certificate fails, the
-    exhaustive checks run to name the witness they always named:
+              pair_class: Sequence[int], members: Sequence[Sequence[int]]
+              ) -> EnvelopeResult:
+    """Common tail of both constructions.  From the class of each pair of
+    G x X (``prod``, as :func:`block_down_masks` builds it) and the members
+    of each class, ascending, classes ordered by least member, build the
+    quotient, the action, the projection and the embedding as index
+    tables, and assert the trusted invariants on them.  Two are certified
+    in less work; when a certificate fails, the exhaustive checks run to
+    name the witness they always named:
 
     * mu_g, read at each class's first member (h, y) as the class of
       (gh, y), is well defined for every g once the left translation L_s of
@@ -163,10 +166,10 @@ def _assemble(pa: PartialAction, big: Group, prod: FinSpace,
       {g} x U_x, the images are read one column x at a time.
     """
     space, k = pa.space, pa.group
-    n, pairs, count = len(space), len(prod), len(classes)
-    cls_of, below, member_lists = quotient_order(prod.down, classes)
-    pair_class = tuple(cls_of)
-    members = tuple(map(tuple, member_lists))
+    n, pairs, count = len(space), len(prod), len(members)
+    below = quotient_order(prod.down, pair_class, members)
+    pair_class = tuple(pair_class)
+    members = tuple(map(tuple, members))
     labels = tuple(map(prod.points.__getitem__, map(itemgetter(0), members)))
     total = FinSpace(labels, tuple(below))
 
@@ -174,11 +177,11 @@ def _assemble(pa: PartialAction, big: Group, prod: FinSpace,
     # class's first member, and compared on every member for the generators
     first_pairs = [divmod(m[0], n) for m in members]
     every_pair = [divmod(p, n) for p in range(pairs)]
-    action_rows = tuple(_translated(big.rows, n, cls_of, first_pairs))
+    action_rows = tuple(_translated(big.rows, n, pair_class, first_pairs))
     generators = big.generators
-    moved = _translated([big.rows[s] for s in generators], n, cls_of, every_pair)
+    moved = _translated([big.rows[s] for s in generators], n, pair_class, every_pair)
     action = None
-    if all(tuple([action_rows[s][c] for c in cls_of]) == row
+    if all(tuple([action_rows[s][c] for c in pair_class]) == row
            for s, row in zip(generators, moved)):
         action = _global_certificate(big, total, action_rows)
     if action is None:
@@ -202,9 +205,10 @@ def _assemble(pa: PartialAction, big: Group, prod: FinSpace,
     if monotonicity_violation(space.down, (1 << n) - 1, emb, below) is not None:
         raise InternalCheckError("embedding is not continuous")
 
-    kstar = sum(1 << (big.index(label) * n + x) for g, label in enumerate(k.elements)
-                for x in pa.domain_points[k.inverse_row[g]])
-    if reduce(or_, map(classes.__getitem__, emb)) != kstar:
+    kstar = sorted(big.index(label) * n + x for g, label in enumerate(k.elements)
+                   for x in pa.domain_points[k.inverse_row[g]])
+    image = set(emb)
+    if [p for p, c in enumerate(pair_class) if c in image] != kstar:
         raise InternalCheckError("p^-1(iota(X)) differs from K*X")
 
     for g, label in enumerate(k.elements):
@@ -217,7 +221,8 @@ def _assemble(pa: PartialAction, big: Group, prod: FinSpace,
     if len(set(chain.from_iterable(map(mu.__getitem__, emb) for mu in action_rows))) != count:
         raise InternalCheckError("G.iota(X) does not cover the total space")
 
-    env = EnvelopeResult(pa, big, prod, total, pair_class, members, action_rows, kstar)
+    env = EnvelopeResult(pa, big, prod, total, pair_class, members, action_rows,
+                         sum(map((1).__lshift__, kstar)))
     env.__dict__["_global_action"] = action  # certified above: the cached view's value
     return env
 
@@ -262,74 +267,63 @@ def _action_scan(big: Group, pair_class: tuple[int, ...], members: Sequence[Sequ
 def globalize(pa: PartialAction, bounds: Bounds = DEFAULT_BOUNDS) -> EnvelopeResult:
     """The enveloping space X_G: quotient of G x X by the relation R.
 
-    R is checked to be an equivalence relation (by the certificate of
-    :func:`equivalence_classes`) before the quotient is taken; for a finite
-    group every partial action is nice, so the embedding is an open
-    embedding (asserted downstream by the claims).
+    R's rows are its one-step tables (:func:`_one_step_tables`, K = G),
+    certified an equivalence by :func:`equivalence_classes` before the
+    quotient is taken; for a finite group every partial action is nice, so
+    the embedding is an open embedding (asserted downstream by the claims).
     """
     g_grp = pa.group
     space = pa.space
     _pair_count(g_grp, space, bounds)
     prod = FinSpace(tuple(pair_label(g, x) for g in g_grp.elements for x in space.points),
                     tuple(block_down_masks(space.down, len(g_grp))))
-    # (g, x) ~ (gk, theta_{k^-1}(x)) for each k with x in X_k
+    # (g, x) ~ (g k^-1, theta_k(x)) for each k with x in X_{k^-1}
     n = len(space)
-    rel = _pair_relation(g_grp, n, [(k, pa.images[g_grp.inverse_row[k]])
-                                    for k in range(len(g_grp))])
-    classes = equivalence_classes(
-        rel, "R", lambda p: (g_grp.elements[p // n], space.points[p % n]))
-    return _assemble(pa, g_grp, prod, classes)
+    pair_class, members = equivalence_classes(
+        _one_step_tables(pa, g_grp), "R",
+        lambda p: (g_grp.elements[p // n], space.points[p % n]))
+    return _assemble(pa, g_grp, prod, pair_class, members)
 
 
 def twisted_product(pa: PartialAction, big: Group,
                     bounds: Bounds = DEFAULT_BOUNDS) -> EnvelopeResult:
     """G x_K X: orbit space of G x X under the diagonal K-action.
 
-    K is the acting group of ``pa`` and must be a literal subgroup of
-    ``big``.  The class of (g, x) is the one-step orbit
-    {(g k^-1, theta_k(x)) : k in K^x}, which is checked against the orbit
-    machinery.
+    K, the acting group of ``pa``, must be a literal subgroup of ``big``.
+    The classes are the diagonal action's orbits (:func:`orbit_classes`),
+    and each must be the one-step class of its pairs, read off K's tables
+    and G's product rows, not the diagonal's (:func:`_one_step_tables`).
     """
     k_grp = pa.group
     if not is_subgroup_embedding(k_grp, big):
         raise ValidationError("not-a-subgroup", tuple(k_grp.elements),
                               "the acting group is not a subgroup of the big group")
     space = pa.space
-    pairs = _pair_count(big, space, bounds)
+    _pair_count(big, space, bounds)
     diag = diagonal_product(_right_translation(k_grp, big), pa)
     # the diagonal product's space is the labelled G x X
     prod = diag.space
     if list(prod.down) != block_down_masks(space.down, len(big)):
         raise InternalCheckError("diagonal product space differs from G x X")
-    classes = orbit_classes(diag)
-    # (g, x) is product point g * |X| + x; class masks per product point
-    n = len(space)
-    class_mask = [0] * pairs
-    for m in classes:
-        for p in bit_indices(m):
-            class_mask[p] = m
-    # the one-step class of (g, x): {(g k^-1, theta_k(x)) : k in K^x}
-    one_step = _pair_relation(big, n, [(big.inverse_row[big.index(k)], image)
-                                       for k, image in zip(k_grp.elements, pa.images)])
-    if one_step != class_mask:
-        g, x = divmod(next(p for p, (a, b) in enumerate(zip(one_step, class_mask)) if a != b), n)
+    pair_class, members = orbit_classes(diag)
+    same = list(rows_match_classes(_one_step_tables(pa, big), pair_class, members))
+    if not all(same):
+        g, x = divmod(same.index(False), len(space))
         raise InternalCheckError(f"one-step class of ({big.elements[g]!r}, "
                                  f"{space.points[x]!r}) differs from its orbit")
-    return _assemble(pa, big, prod, classes)
+    return _assemble(pa, big, prod, pair_class, members)
 
 
-def _pair_relation(big: Group, n: int, steps: Sequence[tuple[int, Sequence[int]]]
-                   ) -> list[int]:
-    """One mask per pair (g, x) = g * n + x of G x X: the pairs
-    (gk, theta(x)) over the steps (k, theta), theta an index table of X
-    with -1 where undefined, which reads the 0 at the end of each block."""
-    bit = [1 << p for p in range(len(big) * n)]
-    blocks = [bit[t * n:(t + 1) * n] + [0] for t in range(len(big))]
-    rel = [0] * (len(big) * n)
-    for k, image in steps:
-        targets = [blocks[row[k]] for row in big.rows]
-        rel = [m | b for m, b in zip(rel, [bits[y] for bits in targets for y in image])]
-    return rel
+def _one_step_tables(pa: PartialAction, big: Group) -> list[list[int]]:
+    """Per element k of pa's group K, a subgroup of ``big``, the table of
+    G x X taking pair (g, x) = g * |X| + x to (g k^-1, theta_k(x)), or to
+    -1, read at the end of each block, where theta_k is undefined.  Row
+    (g, x) is the one-step class {(g k^-1, theta_k(x)) : k in K^x}."""
+    n = len(pa.space)
+    blocks = [list(range(t * n, (t + 1) * n)) + [-1] for t in range(len(big))]
+    k_inverse = [big.inverse_row[big.index(k)] for k in pa.group.elements]
+    return [[block[y] for block in [blocks[row[k]] for row in big.rows] for y in image]
+            for k, image in zip(k_inverse, pa.images)]
 
 
 def _right_translation(k_grp: Group, big: Group) -> PartialAction:

@@ -9,12 +9,11 @@ the edges: :func:`space_from_min_opens` builds a space from them, and
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain
-from operator import or_
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import chain, repeat
+from operator import eq, or_
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .bounds import DEFAULT_BOUNDS, Bounds
 from .errors import BoundExceeded, InternalCheckError, ValidationError
@@ -395,14 +394,18 @@ def quotient(space: FinSpace, classes: Iterable[Iterable[str]]
     if uncovered:
         missing = space.points[(uncovered & -uncovered).bit_length() - 1]
         raise ValidationError("not-a-partition", (missing,), f"{missing!r} not covered")
-    return _quotient_by_masks(space, masks)
+    return _quotient_by_classes(space, sorted(map(bit_indices, masks)))
 
 
-def _quotient_by_masks(space: FinSpace, classes: Iterable[int]
-                       ) -> tuple[FinSpace, SpaceMap]:
-    """:func:`quotient` by a partition given as point-index masks."""
-    masks = sorted(classes, key=lambda m: m & -m)
-    cls_of, below, members = quotient_order(space.down, masks)
+def _quotient_by_classes(space: FinSpace, members: Sequence[Sequence[int]]
+                         ) -> tuple[FinSpace, SpaceMap]:
+    """:func:`quotient` by a partition given as disjoint ascending
+    point-index lists, sorted, so ordered by least member."""
+    cls_of = [0] * len(space)
+    for k, idx in enumerate(members):
+        for i in idx:
+            cls_of[i] = k
+    below = quotient_order(space.down, cls_of, members)
     labels = tuple(min(map(space.points.__getitem__, idx)) for idx in members)
     if len(set(labels)) != len(labels):
         raise ValidationError("duplicate-point", (), "class labels collide")
@@ -410,20 +413,12 @@ def _quotient_by_masks(space: FinSpace, classes: Iterable[int]
     return qspace, SpaceMap(space, qspace, tuple(cls_of))
 
 
-def quotient_order(down: Sequence[int], classes: Sequence[int]
-                   ) -> tuple[list[int], list[int], list[list[int]]]:
+def quotient_order(down: Sequence[int], cls_of: Sequence[int],
+                   members: Sequence[Sequence[int]]) -> list[int]:
     """The integer core of every quotient: for a partition of the points of
-    a space with down-set masks ``down`` into the index masks ``classes``,
-    the class index of each point, per class the mask of the classes below
-    it in the transitive closure of the induced relation (which makes them
-    the down-set masks of the quotient), and per class its point indices,
-    ascending.
-    """
-    members = [bit_indices(mask) for mask in classes]
-    cls_of = [0] * len(down)
-    for k, idx in enumerate(members):
-        for i in idx:
-            cls_of[i] = k
+    a space with down-set masks ``down``, given as each point's class and
+    each class's points, the down-set masks of the quotient: per class, the
+    classes below it in the transitive closure of the induced relation."""
     class_bit = [1 << k for k in cls_of]
     below = [reduce(or_, [class_bit[i] for i in bit_indices(reduce(or_, [down[j] for j in idx]))],
                     1 << k)
@@ -438,36 +433,53 @@ def quotient_order(down: Sequence[int], classes: Sequence[int]
             if acc != m:
                 below[k] = acc
                 changed = True
-    return cls_of, below, members
+    return below
 
 
-def equivalence_classes(rel: Sequence[int], name: str,
-                        label: Callable[[int], object]) -> list[int]:
-    """Classes of a relation given as one bitmask of related indices per
-    index, checked to be an equivalence relation.
+def equivalence_classes(tables: Sequence[Sequence[int]], name: str,
+                        label: Callable[[int], object]
+                        ) -> tuple[list[int], list[list[int]]]:
+    """The classes of the relation with rows {t[i] : t in tables}, over
+    index tables with -1 where a step is undefined, certified to be an
+    equivalence: the class of each index, and each class's members
+    ascending, classes numbered by least member.
 
-    Returns the class masks ordered by least member.  The check is a
-    certificate of O(N) big-int operations.  With rep(i) the least index of
-    row i: (a) i lies in row i, (b) row i = row rep(i), and (c) row r has
-    as many members as there are i with rep(i) = r.  By (a) and (b) each
-    such i lies in row r, so (c) makes row r = {i : rep(i) = r}.  Then j in
-    row i gives rep(j) = rep(i), so row j = row i: the relation is
-    symmetric and transitive, and reflexive by (a).  Every equivalence
-    passes.  Else :func:`_equivalence_scan` names the first failed check.
+    Each index not yet placed, in order, opens the class of its row, of
+    which it must be the least member, and which must hold no placed index.
+    Then every row must be its index's class (:func:`rows_match_classes`),
+    so j lies in row i iff i and j share a class.  Every equivalence
+    passes; else :func:`_equivalence_scan` names the first failed check.
     """
-    rep = [(row & -row).bit_length() - 1 for row in rel]
-    sizes = Counter(rep)
-    if not (all(row >> i & 1 for i, row in enumerate(rel))
-            and list(map(rel.__getitem__, rep)) == list(rel)
-            and all(rel[r].bit_count() == size for r, size in sizes.items())):
-        _equivalence_scan(rel, name, label)
-    return [rel[r] for r in sorted(sizes)]
+    cls: list[int] = [-1] * len(tables[0])
+    members: list[list[int]] = []
+    for i, column in enumerate(zip(*tables)):
+        if cls[i] < 0:
+            row = sorted(set(column).difference((-1,)))
+            if row[:1] != [i] or any(cls[j] >= 0 for j in row):
+                _equivalence_scan(tables, name, label)
+            for j in row:
+                cls[j] = len(members)
+            members.append(row)
+    if not all(rows_match_classes(tables, cls, members)):
+        _equivalence_scan(tables, name, label)
+    return cls, members
 
 
-def _equivalence_scan(rel: Sequence[int], name: str,
-                      label: Callable[[int], object]) -> None:
-    """The first failed reflexivity, symmetry or transitivity check raises
-    InternalCheckError naming the relation and indices through ``label``."""
+def rows_match_classes(tables: Sequence[Sequence[int]], cls: Sequence[int],
+                       members: Sequence[Sequence[int]]) -> Iterator[bool]:
+    """Per index i, whether its row {t[i] : t in tables} is its class
+    ``members[cls[i]]``: each row, read with a -1 appended, against its
+    class plus -1, so undefined steps drop out, compared in C."""
+    classes = [frozenset(xs).union((-1,)) for xs in members]
+    return map(eq, map(set, zip(*tables, repeat(-1))), map(classes.__getitem__, cls))
+
+
+def _equivalence_scan(tables: Sequence[Sequence[int]], name: str,
+                      label: Callable[[int], object]) -> NoReturn:
+    """The rows of the tables as masks, then the first failed reflexivity,
+    symmetry or transitivity check raises InternalCheckError naming the
+    relation and indices through ``label``."""
+    rel = [sum(1 << j for j in set(column) if j >= 0) for column in zip(*tables)]
     for i, row in enumerate(rel):
         if not row & (1 << i):
             raise InternalCheckError(f"{name} not reflexive at {label(i)!r}")
@@ -478,6 +490,7 @@ def _equivalence_scan(rel: Sequence[int], name: str,
             if rel[j] & ~row:
                 raise InternalCheckError(
                     f"{name} not transitive through ({label(i)!r}, {label(j)!r})")
+    raise InternalCheckError(f"{name} passes the exhaustive scan but not its certificate")
 
 
 def subspace(space: FinSpace, subset: Iterable[str]) -> FinSpace:
@@ -495,10 +508,10 @@ def subspace(space: FinSpace, subset: Iterable[str]) -> FinSpace:
 def t0_quotient(space: FinSpace) -> tuple[FinSpace, SpaceMap]:
     """Identify topologically indistinguishable points (x <= y and y <= x),
     which are exactly the points with the same minimal open set."""
-    classes: dict[int, int] = {}
+    classes: dict[int, list[int]] = {}
     for i, down in enumerate(space.down):
-        classes[down] = classes.get(down, 0) | 1 << i
-    return _quotient_by_masks(space, classes.values())
+        classes.setdefault(down, []).append(i)
+    return _quotient_by_classes(space, sorted(classes.values()))
 
 
 def is_T1(space: FinSpace) -> bool:

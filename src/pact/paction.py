@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 from .algebra import Group, Subgroup, is_subgroup_embedding
 from .bounds import DEFAULT_BOUNDS, Bounds
 from .errors import InternalCheckError, ValidationError
-from .finspace import (FinSpace, SpaceMap, _quotient_by_masks, _search_maps,
+from .finspace import (FinSpace, SpaceMap, _quotient_by_classes, _search_maps,
                        bit_indices, block_down_masks, equivalence_classes,
                        is_continuous, is_down_mask, is_open, is_open_map,
                        monotonicity_violation, product, spread, subspace)
@@ -501,28 +501,27 @@ def fixed_points(pa: PartialAction, k: Subgroup) -> frozenset[str]:
                      if all(image[i] == i for image in images))
 
 
-def orbit_classes(pa: PartialAction) -> list[int]:
-    """Orbits G^x . x as point masks, ordered by least member; the orbit
-    relation is verified to be an equivalence."""
-    n = len(pa.space)
-    bit = [1 << j for j in range(n)] + [0]  # an undefined entry, -1, adds nothing
-    rel = [0] * n
-    for image in pa.images:
-        rel = [row | bit[j] for row, j in zip(rel, image)]
-    return equivalence_classes(rel, "orbit relation", pa.space.points.__getitem__)
+def orbit_classes(pa: PartialAction) -> tuple[list[int], list[list[int]]]:
+    """The orbits G^x . x: each point's orbit, and each orbit's points
+    ascending, ordered by least member.  Every orbit is reached in one
+    step, as theta_h . theta_g lies in theta_hg (Exel, "Partial actions of
+    groups and actions of inverse semigroups", Proc. AMS 1998): the orbit
+    of x is its row in the images, {theta_g(x) : x in X_{g^-1}}."""
+    return equivalence_classes(pa.images, "orbit relation", pa.space.points.__getitem__)
 
 
 def orbit_space(pa: PartialAction) -> OrbitSpace:
     """The orbit space X/G with its (continuous, open, surjective) projection."""
-    classes = orbit_classes(pa)
-    qspace, proj = _quotient_by_masks(pa.space, classes)
+    _, orbits = orbit_classes(pa)
+    qspace, proj = _quotient_by_classes(pa.space, orbits)
     if not is_continuous(proj):
         raise InternalCheckError("orbit projection is not continuous")
     if not is_open_map(proj):
         raise InternalCheckError("orbit projection is not open")
     if len(set(proj.row)) != len(qspace):
         raise InternalCheckError("orbit projection is not surjective")
-    return OrbitSpace(pa, qspace, proj, tuple(map(pa.space.set_of, classes)))
+    return OrbitSpace(pa, qspace, proj, tuple(frozenset(map(pa.space.points.__getitem__, xs))
+                                              for xs in orbits))
 
 
 def is_invariant(pa: PartialAction, s: Iterable[str], k: Subgroup) -> bool:
@@ -615,21 +614,13 @@ class Orbit:
 
 
 def orbit_table(pa: PartialAction) -> list[Orbit]:
-    """The orbits of ``pa``, ordered by least member.
-
-    Every orbit is reached in one step, as theta_h . theta_g is contained
-    in theta_hg (Exel, "Partial actions of groups and actions of inverse
-    semigroups", Proc. AMS 1998): the orbit of r is {theta_g(r) : r in
-    X_{g^-1}}, so one pass over the images at r finds it, with the first
-    element reaching each member.  A member that already lies in an earlier
-    orbit would break the orbit relation, which PA1-PA3 make an
-    equivalence: InternalCheckError."""
+    """The orbits of :func:`orbit_classes`, each with what one pass over
+    the images at its least point r finds: the first element reaching each
+    member, H_r and G_r."""
     unit = pa.group.index(pa.group.identity)
-    placed = [False] * len(pa.space)
     table = []
-    for r, done in enumerate(placed):
-        if done:
-            continue
+    for xs in orbit_classes(pa)[1]:
+        r = xs[0]
         via = {r: unit}
         defined = isotropy = 0
         for g, image in enumerate(pa.images):
@@ -638,13 +629,9 @@ def orbit_table(pa: PartialAction) -> list[Orbit]:
                 defined |= 1 << g
                 if x == r:
                     isotropy |= 1 << g
-                elif x not in via:
-                    if placed[x]:
-                        raise InternalCheckError(f"{pa.space.points[x]!r} lies in two orbits")
-                    via[x] = g
-        for x in via:
-            placed[x] = True
-        table.append(Orbit(r, tuple(sorted(via.items())), defined, isotropy))
+                else:
+                    via.setdefault(x, g)
+        table.append(Orbit(r, tuple((x, via[x]) for x in xs), defined, isotropy))
     return table
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from pact.envelope import MAX_FAMILIES
@@ -831,6 +832,44 @@ def random_partition(rng, items: list[str]) -> list[list[str]]:
     for it in items:
         blocks[rng.randrange(k)].append(it)
     return [b for b in blocks if b]
+
+
+# ---------------------------------------------------------------------------
+# class counts in closed form
+
+def globalization_class_count(elements, table, identity, points, domains, thetas
+                              ) -> Fraction:
+    """The class count of the globalization in closed form, from label
+    tables: the sum over the orbits of |G| / |G_r|, G_r the isotropy group
+    of a point r of the orbit, as the G-orbit of r's class in X_G is G/G_r
+    and these orbits cover X_G.  The orbits are closed by search over the
+    theta tables, not read in one step."""
+    seen: set[str] = set()
+    count = Fraction(0)
+    for r in points:
+        if r in seen:
+            continue
+        orbit, todo = {r}, [r]
+        while todo:
+            x = todo.pop()
+            for g in elements:
+                y = thetas[g].get(x)
+                if y is not None and y not in orbit:
+                    orbit.add(y)
+                    todo.append(y)
+        seen |= orbit
+        count += Fraction(len(elements), sum(thetas[g].get(r) == r for g in elements))
+    return count
+
+
+def twisted_class_count(big_order: int, elements, table, identity, points, domains,
+                        thetas) -> Fraction:
+    """The class count of G x_K X in closed form, from K's label tables and
+    |G|: |G| times the sum over x of 1 / |H_x|, H_x = {k : theta_k(x) is
+    defined}.  The class of (g, x) is {(g k^-1, theta_k(x)) : k in H_x},
+    with one member per k, so each pair counts 1 / |H_x| of a class."""
+    return big_order * sum(Fraction(1, sum(x in thetas[k] for k in elements))
+                           for x in points)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import pact
 from pact import InternalCheckError, fixture_names, load_fixture, replay_witness
 from pact.cli import main
@@ -363,6 +365,21 @@ def test_bound_flag_allows_larger_instances(capsys):
     assert doc[0]["status"] == "holds"
 
 
+@pytest.mark.parametrize("argv", [["check", "all", "pt", "--bound", "-5"],
+                                  ["globalize", "pt", "--bound", "-1"],
+                                  ["globalize", "pt", "--bound", "0"]])
+def test_bound_below_one_is_a_usage_error(argv, capsys):
+    """A size limit below 1 is rejected by the parser, exit 2, before any
+    construction runs: it would skip every bounded claim, or make a
+    construction overrun at once."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument --bound: must be at least 1, got {int(argv[-1])}" in err
+
+
 def test_bound_flag_reaches_the_subgroup_lattice(tmp_path, capsys):
     # Z24 has 8 subgroups, more than the default group-order bound of 16
     # allows to enumerate; --bound must lift it for the claim and for
@@ -479,6 +496,7 @@ def test_reused_parser_answers_as_a_fresh_process(tmp_path, capsys, monkeypatch)
         ["fixtures", "--emit", "z4-half", "-o", emitted],
         ["check", "all", emitted],
         ["check", "all", "z2-pair", "--bound", "three"],
+        ["check", "all", "z2-pair", "--bound", "0"],
         ["check", "pa-axioms", "z2-pair", "--json"],
     ]
     for argv in sequence:

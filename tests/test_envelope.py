@@ -14,7 +14,7 @@ from pact import (BoundExceeded, Bounds, InternalCheckError, MapPoset, SpaceMap,
                   envelope_of_map, enumerate_G_maps,
                   fixed_decomposition, fixture_names, globalize, is_G_map, is_T1,
                   is_continuous, is_open, iterated_twist_comparison,
-                  load_fixture, pair_label, product_comparison,
+                  load_fixture, pair_label, parse_instance, product_comparison,
                   recognize_globalization, restrict_to_subgroup, run_claim,
                   space_from_min_opens, trivial_action, trivial_collapse, twisted_product,
                   validate_group, validate_partial_action)
@@ -22,12 +22,13 @@ from pact.envelope import _assemble, _map_checks, lift_maps
 from pact.finspace import FinSpace, bit_indices
 from oracle import (as_label_space, brute_globalization_classes, brute_members,
                     brute_twisted_classes, family_scan_intersection, find_homeomorphism,
-                    globalization_document as oracle_document,
+                    globalization_class_count, globalization_document as oracle_document,
                     is_G_homeomorphism, LabelEnvelope, label_apply, label_assemble,
-                    label_envelope_of_map, label_lift_rows, label_map_checks, label_view)
-from gen import (compare_products, cyclic_group, fixture_pa, golden_instances, klein_group,
-                 half_circle_document, hom, label_tables, random_global, random_group,
-                 random_partial, restricted, twist, z2_cubed)
+                    label_envelope_of_map, label_lift_rows, label_map_checks, label_view,
+                    twisted_class_count)
+from gen import (GLOBAL_KINDS, compare_products, cyclic_group, fixture_pa, golden_instances,
+                 klein_group, half_circle_document, hom, label_tables, random_global,
+                 random_group, random_partial, restricted, twist, z2_cubed)
 
 
 def compare_iterated_twists(pa, big=None):
@@ -804,6 +805,38 @@ def _brute_class_sets(pa, big):
     return [frozenset(pair_label(g, x) for g, x in cls) for cls in classes]
 
 
+@pytest.mark.parametrize("kind", GLOBAL_KINDS)
+def test_class_counts_match_the_closed_forms(rng, kind):
+    """The globalization has the sum over orbits of |G| / |G_r| classes,
+    and G x_K X has |G| times the sum over x of 1 / |H_x|, both counted on
+    label tables by the oracle: on global actions of every family, on
+    restrictions of them, and on their restrictions to a subgroup K."""
+    bounds = Bounds(envelope_pairs=4096)
+    for _ in range(4):
+        beta = random_global(rng, kind)
+        for pa in (beta, restricted(rng, beta)):
+            grp, tables = pa.group, label_tables(pa)
+            assert len(globalize(pa, bounds).total) == globalization_class_count(*tables)
+            assert len(twisted_product(pa, grp, bounds).total) \
+                == twisted_class_count(len(grp), *tables)
+            pa_k = restrict_to_subgroup(pa, rng.choice(all_subgroups(grp)))
+            assert len(twisted_product(pa_k, grp, bounds).total) \
+                == twisted_class_count(len(grp), *label_tables(pa_k))
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 48])
+def test_half_circle_class_counts_are_the_circle(n):
+    """Z_n on the open half-circle of the 2n-point circle: its
+    globalization and G x_G X are the whole circle, 2n classes, and so are
+    both closed forms."""
+    pa = parse_instance(half_circle_document(n)).embedded_pa
+    bounds = Bounds(envelope_pairs=n * n)
+    tables = label_tables(pa)
+    assert globalization_class_count(*tables) == twisted_class_count(n, *tables) == 2 * n
+    assert len(globalize(pa, bounds).total) == 2 * n
+    assert len(twisted_product(pa, pa.group, bounds).total) == 2 * n
+
+
 def _descend_tables(rng, env):
     """A well-defined value table on the pairs and a random one."""
     m = rng.randint(1, 5)
@@ -853,6 +886,17 @@ def _corrupted_partition(rng, env):
     return sorted(masks, key=lambda m: m & -m)
 
 
+def _partition(masks):
+    """The class of each pair and the members of each class, from class
+    masks ordered by least member: what ``_assemble`` takes."""
+    members = list(map(bit_indices, masks))
+    cls = [0] * sum(map(len, members))
+    for c, pairs in enumerate(members):
+        for p in pairs:
+            cls[p] = c
+    return cls, members
+
+
 def _assembly_outcome(run):
     try:
         env = run()
@@ -869,7 +913,7 @@ def _compare_corrupted_assembly(rng):
     if masks is None:
         return None
     big, prod = env.big_group, env.product_space
-    got = _assembly_outcome(lambda: _assemble(pa, big, prod, masks))
+    got = _assembly_outcome(lambda: _assemble(pa, big, prod, *_partition(masks)))
     want = _assembly_outcome(lambda: label_assemble(pa, big, prod,
                                                     [prod.set_of(m) for m in masks]))
     assert got == want
@@ -909,7 +953,7 @@ def test_well_definedness_is_checked_where_the_action_law_cannot_see_it():
     prod, big = env.product_space, env.big_group
     masks = [0b1011, 0b0100]
     message = "enveloping action not well defined at ('1', '(0,a)')"
-    for assemble in (lambda: _assemble(pa, big, prod, masks),
+    for assemble in (lambda: _assemble(pa, big, prod, *_partition(masks)),
                      lambda: label_assemble(pa, big, prod, [prod.set_of(m) for m in masks])):
         assert _assembly_outcome(assemble) == ("InternalCheckError", message)
 

@@ -420,30 +420,58 @@ def test_column_masks_match_definition(rng, m):
         assert column_masks(rows, width, m) == column_masks_by_definition(rows, width, m)
 
 
+def _tables(rows, rng=None, extra: int = 0) -> list[list[int]]:
+    """Index tables whose row i is the index mask ``rows[i]``: table k
+    holds the k-th member of each row, -1 past its end.  With ``rng``, each
+    row's members are shuffled and up to ``extra`` of them repeated, as an
+    isotropy group repeats a step's target."""
+    lists = []
+    for mask in rows:
+        members = bit_indices(mask)
+        if rng is not None and members:
+            members += [rng.choice(members) for _ in range(rng.randint(0, extra))]
+            rng.shuffle(members)
+        lists.append(members)
+    width = max(1, max(map(len, lists)))
+    return [[row[k] if k < len(row) else -1 for row in lists] for k in range(width)]
+
+
+def _rows(tables) -> list[int]:
+    """The index mask of each row of ``tables``: the relation they give."""
+    return [sum(1 << j for j in set(column) if j >= 0) for column in zip(*tables)]
+
+
 def test_equivalence_classes_order_and_internal_checks():
     # classes {a, c} and {b}, listed by least member
-    assert equivalence_classes([0b101, 0b010, 0b101], "R", "abc".__getitem__) == [0b101, 0b010]
+    assert equivalence_classes(_tables([0b101, 0b010, 0b101]), "R", "abc".__getitem__) \
+        == ([0, 1, 0], [[0, 2], [1]])
+    # a repeated or undefined step changes no row
+    assert equivalence_classes([[0, 1, 2], [2, -1, 0], [0, 1, 0]], "R", "abc".__getitem__) \
+        == ([0, 1, 0], [[0, 2], [1]])
     for rel, broken in (([0b10, 0b10], "not reflexive at 'a'"),
                         ([0b11, 0b10], r"not symmetric at \('a', 'b'\)"),
                         ([0b011, 0b111, 0b110],
                          r"not transitive through \('a', 'b'\)"),
-                        # rows {a, b} at a and c, {b, d} at b and d: each row
-                        # is its representative's, as large as the indices
-                        # it represents, but c is not in its own row
+                        # rows {a, b} at a and c, {b, d} at b and d: a opens
+                        # {a, b}, b's row stays in it but is a row of its
+                        # own, and c is not in its own row
                         ([0b0011, 0b1010, 0b0011, 0b1010],
                          r"not symmetric at \('a', 'b'\)")):
         with pytest.raises(InternalCheckError, match="R " + broken):
-            equivalence_classes(rel, "R", "abcd".__getitem__)
+            equivalence_classes(_tables(rel), "R", "abcd".__getitem__)
 
 
-def _corrupted_relation(rng, kind: str) -> list[int]:
-    """The rows of a random partition of range(n), one class mask per
-    index, then corrupted by ``kind``: two classes merged in the rows of
-    both classes or of one only, a class split in the rows of both parts or
-    of one only, a class's rows replaced by another set as large with the
-    same least member, one related pair added one way (asymmetric) or both ways
-    (not transitive unless both classes are singletons), one index dropped
-    from its own row, or a few bits flipped anywhere."""
+def _corrupted_tables(rng, kind: str) -> list[list[int]]:
+    """The step tables of a random partition of range(n), each row listing
+    its index's class in random order with repeats, corrupted by ``kind``.
+    On the rows: two classes merged in the rows of both classes or of one
+    only, a class split in the rows of both parts or of one only, a class's
+    rows replaced by another set as large with the same least member, one
+    related pair added one way (asymmetric) or both ways (not transitive
+    unless both classes are singletons), one index dropped from its own
+    row, or a few bits flipped anywhere.  On the tables: one entry
+    rewritten to a random index, or one entry made undefined (-1), which
+    changes a row only when that entry was its last copy of a member."""
     n = rng.randint(1, 12)
     label = [rng.randrange(n) for _ in range(n)]
     masks = {k: sum(1 << i for i in range(n) if label[i] == k) for k in set(label)}
@@ -479,26 +507,40 @@ def _corrupted_relation(rng, kind: str) -> list[int]:
     elif kind == "random":
         for _ in range(rng.randint(1, 3)):
             rel[rng.randrange(n)] ^= 1 << rng.randrange(n)
-    return rel
+    tables = _tables(rel, rng, extra=2)
+    k, i = rng.randrange(len(tables)), rng.randrange(n)
+    if kind == "entry-rewritten":
+        tables[k][i] = rng.randrange(n)
+    elif kind == "entry-undefined":
+        tables[k][i] = -1
+    return tables
 
 
-def _class_outcome(classes, rel):
+def _class_outcome(tables):
     try:
-        return "classes", classes(rel, "R", "p{}".format)
+        cls, members = equivalence_classes(tables, "R", "p{}".format)
     except InternalCheckError as exc:
         return "InternalCheckError", str(exc)
+    assert cls == [c for i in range(len(cls)) for c, xs in enumerate(members) if i in xs]
+    return "classes", [sum(1 << i for i in xs) for xs in members]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1),
        st.sampled_from(["none", "merged", "split", "same-size", "asymmetric",
-                        "non-transitive", "non-reflexive", "random"]))
+                        "non-transitive", "non-reflexive", "random",
+                        "entry-rewritten", "entry-undefined"]))
 def test_class_certificate_agrees_with_the_exhaustive_scan(seed, kind):
-    """On valid and corrupted partitions, the representative certificate
-    returns the exhaustive scan's classes or raises its exact message."""
-    rel = _corrupted_relation(random.Random(seed), kind)
-    assert (_class_outcome(equivalence_classes, rel)
-            == _class_outcome(exhaustive_equivalence_classes, rel))
+    """On valid and corrupted partitions, the certificate on the step
+    tables returns the classes of the exhaustive scan of their rows, or
+    raises its exact message."""
+    tables = _corrupted_tables(random.Random(seed), kind)
+    rows = _rows(tables)
+    try:
+        want = "classes", exhaustive_equivalence_classes(rows, "R", "p{}".format)
+    except InternalCheckError as exc:
+        want = "InternalCheckError", str(exc)
+    assert _class_outcome(tables) == want
 
 
 @st.composite

@@ -200,7 +200,7 @@ def test_orbits_of_a_partial_action_need_more_than_the_generators():
     pa = restrict_global(regular(cyclic_group(4), discrete_space(["q0"])), {"q0.0", "q0.2"})
     assert [pa.group.elements[g] for g in pa.group.generators] == ["1"]
     assert pa.thetas["1"] == {}
-    assert orbit_classes(pa) == [0b11]
+    assert orbit_classes(pa) == ([0, 0], [[0, 1]])
     env = twisted_product(pa, pa.group)
     assert len(env.product_space) == 8
     assert [len(pairs) for pairs in env.members] == [2, 2, 2, 2]
