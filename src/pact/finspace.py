@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, repeat
-from operator import eq, or_
+from operator import and_, eq, itemgetter, or_
 from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .bounds import DEFAULT_BOUNDS, Bounds
@@ -565,8 +565,32 @@ def _search_maps(source: FinSpace, target: FinSpace, allowed: Sequence[int],
     unassigned point, a block of its own, runs in one loop with no checks:
     the order constraints against the assigned points already hold, since
     each assignment narrowed this point's candidates.
+
+    Subtrees that recur are replayed, as component caching does in
+    backtracking model counters (Bacchus, Dalmao and Pitassi, JAIR 34,
+    2009).  A node with two or more unassigned points is keyed by the tuple
+    of cands[i] & value[i] over source points: 0 at an assigned point, as
+    its mask 1 << v shares no bit with v, and the candidate mask at an
+    unassigned one (value -1), which is nonempty below the root, since
+    narrowing fails rather than empty a mask (a root with an empty mask
+    ends the search at no node).  The branch pick reads only the unassigned
+    points' candidates, and narrowing and settle read and write only
+    unassigned points, so the subtree's values on the unassigned points,
+    its rows' order and its node count are functions of the key.  Once a
+    subtree has been walked, the key records (start, stop, nodes): the
+    slice of ``out`` it appended, which stays in place as ``out`` is only
+    appended to until the final sort, and the nodes it counted.  A node
+    whose key was seen appends that slice again with its own values at the
+    assigned points and adds the count, when both fit the budgets;
+    otherwise it walks the subtree, so a bound is raised at the same node
+    with the same ``needed`` as without the replay.
     """
     n, m = len(source), len(target)
+    if not n:
+        # the empty source has one map, the empty row, found at no node
+        if max_maps < 1:
+            raise BoundExceeded("map enumeration (maps)", max_maps, 1)
+        return [()]
     tgt_down, tgt_up = target.down, target._up_masks
     src_down = [[i for i in range(n) if source.down[j] & (1 << i) and i != j]
                 for j in range(n)]
@@ -578,6 +602,7 @@ def _search_maps(source: FinSpace, target: FinSpace, allowed: Sequence[int],
     trail: list[tuple[int, int]] = []
     out: list[tuple[int, ...]] = []
     nodes = 0
+    memo: dict[tuple[int, ...], tuple[int, int, int]] = {}
 
     # Only the other members of a block go through settle: the chosen
     # point's narrowing stays inline in search, where a search of points
@@ -607,6 +632,19 @@ def _search_maps(source: FinSpace, target: FinSpace, allowed: Sequence[int],
 
     def search(left: int):
         nonlocal nodes
+        if left > 1:
+            key = tuple(map(and_, cands, value))
+            seen = memo.get(key)
+            if seen:
+                start, stop, count = seen
+                if nodes + count <= node_budget and len(out) + stop - start <= max_maps:
+                    nodes += count
+                    # value + row, read at value's index where assigned
+                    # and at the row's elsewhere
+                    take = itemgetter(*[n + i if k else i for i, k in enumerate(key)])
+                    out.extend(map(take, map(tuple(value).__add__, out[start:stop])))
+                    return
+            start, before = len(out), nodes
         best, best_count = -1, m + 1
         for i in range(n):
             if value[i] < 0:
@@ -672,7 +710,10 @@ def _search_maps(source: FinSpace, target: FinSpace, allowed: Sequence[int],
                 value[best] = j
                 if block:
                     r = back[j]
-                    ok = all(x == best or settle(x, forth[r]) for x, forth in members)
+                    for x, forth in members:
+                        if x != best and not settle(x, forth[r]):
+                            ok = False
+                            break
                 if ok:
                     if rest:
                         search(rest)
@@ -687,6 +728,7 @@ def _search_maps(source: FinSpace, target: FinSpace, allowed: Sequence[int],
             while len(trail) > mark:
                 i2, old = trail.pop()
                 cands[i2] = old
+        memo[key] = (start, len(out), nodes - before)
 
     try:
         search(n)

@@ -238,6 +238,15 @@ def fence_document(length: int) -> dict:
             "big_group": group_document(cyclic_group(4)), "k_embedding": {"0": "0", "1": "2"}}
 
 
+def cone_raw(base: int) -> tuple[list[str], dict]:
+    """``base`` minimal points m0.. under one top point, as raw (points,
+    min_open)."""
+    points = [f"m{i}" for i in range(base)] + ["top"]
+    min_open = {p: [p] for p in points[:-1]}
+    min_open["top"] = points
+    return points, min_open
+
+
 def z6_two_orbits_document() -> dict:
     """Z6 on three points rotated mod 3 (isotropy {0, 3}) and two points
     swapped mod 2 (isotropy {0, 2, 4}), all discrete."""

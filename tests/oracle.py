@@ -915,12 +915,18 @@ def brute_twisted_classes(big_elements, big_table, identity, k_elements,
 # map search: the copying DFS, the reference for the in-place search
 
 def copying_search_maps(source, target, allowed, moves, node_budget: int,
-                        max_maps: int) -> list[tuple[int, ...]]:
+                        max_maps: int, repeats: list | None = None) -> list[tuple[int, ...]]:
     """``pact.finspace._search_maps`` as a copying DFS: the same search,
     copying the whole candidate list at every node.  Each block is given
     point by point: ``moves[i]`` lists (x, row) for every other point x of
     i's block, with f(x) = row[f(i)].  Rows, node counts and every
-    ``BoundExceeded`` must match it."""
+    ``BoundExceeded`` must match it.
+
+    With a ``repeats`` list, every subtree whose state, the candidate masks
+    of the points not yet chosen at two or more of them, was met before
+    appends the nodes and the rows counted before it and after it: the
+    subtrees the in-place search may replay instead of walking.  A node
+    budget or a map cap in [before, after) stops the search inside one."""
     from pact import BoundExceeded
 
     n, m = len(source), len(target)
@@ -948,6 +954,8 @@ def copying_search_maps(source, target, allowed, moves, node_budget: int,
                         return False
         return True
 
+    met: set[tuple[int, ...]] = set()
+
     def search(cands: list[int], chosen: dict[int, int]):
         nonlocal nodes
         if len(chosen) == n:
@@ -955,6 +963,10 @@ def copying_search_maps(source, target, allowed, moves, node_budget: int,
             if len(out) > max_maps:
                 raise BoundExceeded("map enumeration (maps)", max_maps, len(out))
             return
+        state = None
+        if repeats is not None and n - len(chosen) > 1:
+            state = tuple(-1 if i in chosen else cands[i] for i in every)
+            before = nodes, len(out)
         best, best_count = -1, m + 1
         for i in range(n):
             if i not in chosen:
@@ -973,6 +985,10 @@ def copying_search_maps(source, target, allowed, moves, node_budget: int,
             if assign(nxt, now, best, j) and all(assign(nxt, now, x, row[j])
                                                  for x, row in moves[best]):
                 search(nxt, now)
+        if state is not None:
+            if state in met:
+                repeats.append((before[0], nodes, before[1], len(out)))
+            met.add(state)
 
     try:
         search(list(allowed), {})
@@ -982,8 +998,8 @@ def copying_search_maps(source, target, allowed, moves, node_budget: int,
     return out
 
 
-def copying_enumerate_G_maps(pa_x, pa_y, node_budget: int = 1_000_000,
-                             max_maps: int = 4096) -> list[tuple[int, ...]]:
+def copying_enumerate_G_maps(pa_x, pa_y, node_budget: int = 1_000_000, max_maps: int = 4096,
+                             repeats: list | None = None) -> list[tuple[int, ...]]:
     """The G-maps X -> Y by :func:`copying_search_maps`, with the blocks
     read off the label tables point by point: the candidates of x are the
     values v with eta_g(v) defined for every g with theta_g(x) defined,
@@ -1005,7 +1021,34 @@ def copying_enumerate_G_maps(pa_x, pa_y, node_budget: int = 1_000_000,
         moves.append([(src.index(x2), [tgt.index(thetas_y[g][v]) if v in thetas_y[g] else -1
                                        for v in tgt.points])
                       for x2, g in reached.items() if x2 != x])
-    return copying_search_maps(src, tgt, allowed, moves, node_budget, max_maps)
+    return copying_search_maps(src, tgt, allowed, moves, node_budget, max_maps, repeats)
+
+
+def fence_map_count(length: int, points, min_open: Mapping) -> int:
+    """The number of monotone maps from the fence x0 < y0 > x1 < ... >
+    x_{length-1} into the raw space (points, min_open), by a transfer
+    matrix along the fence: ``ways[v]`` counts the maps of the points so
+    far that send the last one to v, where a <= b iff a is in U_b."""
+    below = {b: set(min_open[b]) for b in points}
+    ways = dict.fromkeys(points, 1)
+    for _ in range(length - 1):
+        peak = {w: sum(ways[v] for v in below[w]) for w in points}
+        ways = {v: sum(peak[w] for w in points if v in below[w]) for v in points}
+    return sum(ways.values())
+
+
+def pairs_inside(rng, repeats, count: int = 20) -> list[tuple[int, int]]:
+    """(node budget, map cap) pairs that stop a search inside ``count`` of
+    the ``repeats`` that :func:`copying_search_maps` lists: a budget with
+    maps uncapped and a cap with nodes unbounded for each."""
+    unbounded = 1 << 40
+    pairs = []
+    for nodes_before, nodes_after, rows_before, rows_after in rng.sample(
+            repeats, min(count, len(repeats))):
+        pairs.append((rng.randrange(nodes_before, nodes_after), unbounded))
+        if rows_after > rows_before:
+            pairs.append((unbounded, rng.randrange(rows_before, rows_after)))
+    return pairs
 
 
 def search_outcome(search, node_budget: int, max_maps: int):
@@ -1019,13 +1062,14 @@ def search_outcome(search, node_budget: int, max_maps: int):
         return "bound", exc.what, exc.limit, exc.needed
 
 
-def assert_same_search(fast, reference, rng, max_budgets: int = 300) -> int:
+def assert_same_search(fast, reference, rng, max_budgets: int = 300,
+                       extra: Iterable[tuple[int, int]] = ()) -> int:
     """Assert that two searches, each taking (node_budget, max_maps), agree
     on their rows and on every BoundExceeded: at each node budget from 0 up
     to the full node count (a sample of ``max_budgets`` of them when there
     are more) with maps uncapped, at map caps around 0, 1 and the map count
-    with nodes unbounded, and at a few random pairs of the two.  Returns the
-    full node count."""
+    with nodes unbounded, at a few random pairs of the two, and at the
+    ``extra`` pairs.  Returns the full node count."""
     unbounded = 1 << 40
     rows = reference(unbounded, unbounded)
     assert fast(unbounded, unbounded) == rows
@@ -1046,7 +1090,8 @@ def assert_same_search(fast, reference, rng, max_budgets: int = 300) -> int:
     caps = {0, 1, 2, max(0, len(rows) - 1), len(rows)}
     pairs = ([(budget, unbounded) for budget in budgets]
              + [(unbounded, cap) for cap in caps]
-             + [(rng.randint(0, nodes), rng.randint(0, len(rows))) for _ in range(10)])
+             + [(rng.randint(0, nodes), rng.randint(0, len(rows))) for _ in range(10)]
+             + list(extra))
     for budget, cap in pairs:
         assert (search_outcome(fast, budget, cap)
                 == search_outcome(reference, budget, cap)), (budget, cap)

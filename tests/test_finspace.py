@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pact import (BoundExceeded, Bounds, FinSpace, InternalCheckError, SpaceMap,
-                  ValidationError, core, discrete_space, enumerate_monotone_maps, enumerate_opens,
+                  ValidationError, core, discrete_space, enumerate_G_maps,
+                  enumerate_monotone_maps, enumerate_opens, parse_instance,
                   is_closed, is_continuous, is_open, is_open_map, is_T1,
                   load_fixture, pair_label, product, quotient,
                   space_from_min_opens, split_pair_label, subspace,
@@ -21,9 +23,10 @@ from oracle import (LabelSpaceMap, assert_same_search, brute_opens,
                     first_monotone_violation, is_down_set,
                     label_core, label_is_open_map, label_is_T1,
                     label_product, label_quotient, label_space_from_min_opens,
-                    label_subspace, label_t0_quotient, mask_space,
+                    label_subspace, label_t0_quotient, mask_space, pairs_inside,
                     preimage_continuous, random_partition, space_violation)
-from gen import c8, outcome, random_preorder_space, random_space, with_projections
+from gen import (c8, cone_raw, fence_document, outcome, random_preorder_space, random_space,
+                 with_projections)
 
 
 def test_space_from_min_opens_validates():
@@ -409,6 +412,65 @@ def test_trail_search_matches_copying_search(seed):
         lambda budget, cap: _search_maps(source, target, allowed, blocks, budget, cap),
         lambda budget, cap: copying_search_maps(source, target, allowed, moves, budget, cap),
         rng, max_budgets=100)
+
+
+def test_empty_source_has_one_map():
+    # Hom(empty, Y) holds the empty map, found at no node, which a map cap
+    # of 0 still stops; Hom(Y, empty) is empty
+    empty, two = FinSpace((), ()), discrete_space(["a", "b"])
+    assert enumerate_monotone_maps(empty, two) == [()]
+    assert enumerate_monotone_maps(empty, empty) == [()]
+    assert enumerate_monotone_maps(two, empty) == []
+    for source, target in [(empty, two), (empty, empty), (two, empty)]:
+        full = [(1 << len(target)) - 1] * len(source)
+        moves = [[] for _ in source.points]
+        assert_same_search(
+            lambda budget, cap: enumerate_monotone_maps(source, target,
+                                                        Bounds(map_nodes=budget, max_maps=cap)),
+            lambda budget, cap: copying_search_maps(source, target, full, moves, budget, cap),
+            random.Random(0))
+
+
+@pytest.mark.parametrize("length, nodes", [(4, 1431), (5, 10801), (None, 9361)],
+                         ids=["fence7", "fence9", "cone6"])
+def test_replayed_subtrees_match_copying_search(rng, length, nodes):
+    # self-maps of fences and of a cone, where the search meets the same
+    # unassigned candidates many times and replays those subtrees: the
+    # rows, the full node count and every bound still match the copying
+    # search's, with budgets and caps that stop inside repeated subtrees
+    space = (space_from_min_opens(*cone_raw(5)) if length is None
+             else parse_instance(fence_document(length)).space)
+    full = [(1 << len(space)) - 1] * len(space)
+    moves = [[] for _ in space.points]
+    repeats: list = []
+    copying_search_maps(space, space, full, moves, 1 << 40, 1 << 40, repeats)
+    assert len(repeats) > 100
+    assert assert_same_search(
+        lambda budget, cap: enumerate_monotone_maps(space, space,
+                                                    Bounds(map_nodes=budget, max_maps=cap)),
+        lambda budget, cap: copying_search_maps(space, space, full, moves, budget, cap),
+        rng, max_budgets=30, extra=pairs_inside(rng, repeats)) == nodes
+
+
+def test_search_leaves_no_reference_cycle():
+    # the search's inner function refers to itself; unbinding it when the
+    # search ends, or when a bound stops it, leaves the collector nothing
+    fence = parse_instance(fence_document(5)).pa
+    space = fence.space
+    searches = [lambda: enumerate_monotone_maps(space, space, Bounds(max_maps=10000)),
+                lambda: enumerate_monotone_maps(space, space, Bounds(map_nodes=5000)),
+                lambda: enumerate_G_maps(fence, fence, Bounds(max_maps=3000))]
+    gc.collect()
+    gc.disable()
+    try:
+        for search in searches:
+            try:
+                search()
+            except BoundExceeded:
+                pass
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("m", [1, 5, 40, 300])

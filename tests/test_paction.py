@@ -19,12 +19,12 @@ from pact import (BoundExceeded, Bounds, FinSpace, InternalCheckError, PartialAc
                   validate_partial_action)
 from pact.finspace import column_masks
 from pact.paction import _check_axioms, g_map_faults, isotropy_mask
-from gen import (GLOBAL_KINDS, circle, cone, cyclic_group, fixture_pa, label_tables, outcome,
-                 random_global, random_group, random_partial, regular, restricted,
-                 with_projections, z6_two_orbits_document)
-from oracle import (assert_same_search, brute_orbits, copying_enumerate_G_maps, is_free,
-                    is_G_homeomorphism, label_g_map_faults,
-                    label_validate_partial_action, partial_action_violation,
+from gen import (GLOBAL_KINDS, circle, cone, cone_raw, cyclic_group, fence_document, fixture_pa,
+                 label_tables, outcome, random_global, random_group, random_partial, regular,
+                 restricted, with_projections, z6_two_orbits_document)
+from oracle import (assert_same_search, brute_orbits, copying_enumerate_G_maps,
+                    fence_map_count, is_free, is_G_homeomorphism, label_g_map_faults,
+                    label_validate_partial_action, pairs_inside, partial_action_violation,
                     theta_map)
 
 
@@ -542,6 +542,42 @@ def test_enumerate_G_maps_matches_copying_search(seed):
         lambda budget, cap: enumerate_G_maps(pa_x, pa_y, Bounds(map_nodes=budget, max_maps=cap)),
         lambda budget, cap: copying_enumerate_G_maps(pa_x, pa_y, budget, cap),
         rng)
+
+
+@pytest.mark.parametrize("length, self_maps", [(2, 11), (3, 99), (4, 811), (5, 6187),
+                                               (6, 44931)])
+def test_fence_hom_sets_match_the_transfer_matrix(length, self_maps):
+    # maps from a fence into itself and into a cone, as many as a transfer
+    # matrix along the fence counts: monotone maps, and G-maps of the
+    # trivial action
+    document = fence_document(length)
+    fence = parse_instance(document).pa
+    raw_fence = document["space"]["points"], document["space"]["min_open"]
+    assert fence_map_count(length, *raw_fence) == self_maps
+    apex = trivial_action(fence.group, space_from_min_opens(*cone_raw(5)))
+    bounds = Bounds(max_maps=100000)
+    for target, raw in [(fence, raw_fence), (apex, cone_raw(5))]:
+        want = fence_map_count(length, *raw)
+        assert len(enumerate_monotone_maps(fence.space, target.space, bounds)) == want
+        assert len(enumerate_G_maps(fence, target, bounds)) == want
+
+
+def test_replayed_orbit_blocks_match_copying_search(rng):
+    # Z2 swapping two copies of a 5-point fence, into itself and into its
+    # cone: blocks of two points, where the search replays repeated
+    # subtrees; rows, node counts and bounds match the copying search's,
+    # with budgets and caps that stop inside repeated subtrees
+    pa_x = regular(cyclic_group(2), parse_instance(fence_document(3)).space)
+    assert len(pa_x.space) == 10
+    for pa_y in (pa_x, cone(pa_x)):
+        repeats: list = []
+        copying_enumerate_G_maps(pa_x, pa_y, 1 << 40, 1 << 40, repeats)
+        assert len(repeats) > 100
+        assert_same_search(
+            lambda budget, cap: enumerate_G_maps(pa_x, pa_y,
+                                                 Bounds(map_nodes=budget, max_maps=cap)),
+            lambda budget, cap: copying_enumerate_G_maps(pa_x, pa_y, budget, cap),
+            rng, max_budgets=100, extra=pairs_inside(rng, repeats))
 
 
 def test_enumerate_G_maps_prunes_a_target_one_of_several_elements_leaves():
