@@ -1,15 +1,14 @@
 """Globalizations and twisted products, with their structure maps.
 
-Two independent routes build the same kind of object:
-
-* ``globalize`` quotients G x X by the relation
-  (g,x) ~ (h,y)  iff  x in X_{g^-1 h} and theta_{h^-1 g}(x) = y,
-* ``twisted_product`` quotients G x X by the orbits of the diagonal action
-  of a subgroup K, with classes [g,x]_K = {(g k^-1, theta_k(x)) : k in K^x}.
-
-Both certify their classes of G x X on step tables with one kernel,
-:func:`finspace.equivalence_classes`, and hand the class of each pair and
-the members of each class to one assembly, which returns an
+One kernel, :func:`_envelope`, builds G x_K X for a partial action of a
+subgroup K of G on X: the quotient of G x X by the relation R with rows
+(g, x) ~ (g k^-1, theta_k(x)) for k in K^x, whose classes are the orbits of
+the diagonal K-action.  The globalization is its case K = G (Abadie,
+J. Funct. Anal. 2003), where (g,x) R (h,y) iff x in X_{g^-1 h} and
+theta_{h^-1 g}(x) = y; ``globalize`` and ``twisted_product`` each call the
+kernel, neither the other.  It certifies R's classes on R's one-step
+tables with :func:`finspace.equivalence_classes` and hands the class of
+each pair and the members of each class to one assembly, which returns an
 :class:`EnvelopeResult` carrying the quotient space, the global action mu,
 the projection p and the embedding iota as index tables, all checked
 against the trusted invariants at construction time.  Labels are read off
@@ -30,13 +29,11 @@ from .algebra import (Group, Subgroup, all_subgroups, conjugate_subgroup,
 from .bounds import DEFAULT_BOUNDS, Bounds
 from .errors import BoundExceeded, InternalCheckError, ValidationError
 from .finspace import (FinSpace, SpaceMap, bit_indices, block_down_masks,
-                       discrete_space, equivalence_classes, is_continuous,
-                       is_open, monotonicity_violation, pair_label, product,
-                       quotient_order, rows_match_classes)
+                       equivalence_classes, is_continuous, is_open,
+                       monotonicity_violation, pair_label, product, quotient_order)
 from .homotopy import MapPoset
 from .paction import (PartialAction, _global_certificate, certified_global_action,
-                      diagonal_product, fixed_points, g_map_faults,
-                      orbit_classes, restrict_global, restrict_to_group)
+                      fixed_points, g_map_faults, restrict_global, restrict_to_group)
 
 
 @dataclass(frozen=True)
@@ -135,16 +132,10 @@ def _descend(pair_class: Sequence[int], members: Sequence[Sequence[int]],
     return least, min(c for c, v in zip(pair_class, values) if out[c] != v)
 
 
-def _pair_count(big: Group, space: FinSpace, bounds: Bounds) -> None:
-    n = len(big) * len(space)
-    if n > bounds.envelope_pairs:
-        raise BoundExceeded("envelope construction", bounds.envelope_pairs, n)
-
-
 def _assemble(pa: PartialAction, big: Group, prod: FinSpace,
               pair_class: Sequence[int], members: Sequence[Sequence[int]]
               ) -> EnvelopeResult:
-    """Common tail of both constructions.  From the class of each pair of
+    """The tail of :func:`_envelope`.  From the class of each pair of
     G x X (``prod``, as :func:`block_down_masks` builds it) and the members
     of each class, ascending, classes ordered by least member, build the
     quotient, the action, the projection and the embedding as index
@@ -221,8 +212,11 @@ def _assemble(pa: PartialAction, big: Group, prod: FinSpace,
     if len(set(chain.from_iterable(map(mu.__getitem__, emb) for mu in action_rows))) != count:
         raise InternalCheckError("G.iota(X) does not cover the total space")
 
+    digits = bytearray(b"0") * pairs  # K*X's mask in base 2, last pair first
+    for p in kstar:
+        digits[p] = ord("1")
     env = EnvelopeResult(pa, big, prod, total, pair_class, members, action_rows,
-                         sum(map((1).__lshift__, kstar)))
+                         int(digits[::-1], 2))
     env.__dict__["_global_action"] = action  # certified above: the cached view's value
     return env
 
@@ -265,52 +259,39 @@ def _action_scan(big: Group, pair_class: tuple[int, ...], members: Sequence[Sequ
 
 
 def globalize(pa: PartialAction, bounds: Bounds = DEFAULT_BOUNDS) -> EnvelopeResult:
-    """The enveloping space X_G: quotient of G x X by the relation R.
-
-    R's rows are its one-step tables (:func:`_one_step_tables`, K = G),
-    certified an equivalence by :func:`equivalence_classes` before the
-    quotient is taken; for a finite group every partial action is nice, so
-    the embedding is an open embedding (asserted downstream by the claims).
-    """
-    g_grp = pa.group
-    space = pa.space
-    _pair_count(g_grp, space, bounds)
-    prod = FinSpace(tuple(pair_label(g, x) for g in g_grp.elements for x in space.points),
-                    tuple(block_down_masks(space.down, len(g_grp))))
-    # (g, x) ~ (g k^-1, theta_k(x)) for each k with x in X_{k^-1}
-    n = len(space)
-    pair_class, members = equivalence_classes(
-        _one_step_tables(pa, g_grp), "R",
-        lambda p: (g_grp.elements[p // n], space.points[p % n]))
-    return _assemble(pa, g_grp, prod, pair_class, members)
+    """The enveloping space X_G: the quotient of G x X by R, the kernel
+    :func:`_envelope` with K = G.  For a finite group every partial action
+    is nice, so the embedding is an open embedding (asserted downstream by
+    the claims)."""
+    return _envelope(pa, pa.group, bounds)
 
 
 def twisted_product(pa: PartialAction, big: Group,
                     bounds: Bounds = DEFAULT_BOUNDS) -> EnvelopeResult:
-    """G x_K X: orbit space of G x X under the diagonal K-action.
-
-    K, the acting group of ``pa``, must be a literal subgroup of ``big``.
-    The classes are the diagonal action's orbits (:func:`orbit_classes`),
-    and each must be the one-step class of its pairs, read off K's tables
-    and G's product rows, not the diagonal's (:func:`_one_step_tables`).
-    """
+    """G x_K X: the orbit space of G x X under the diagonal K-action, the
+    kernel :func:`_envelope` over ``big``.  K, the acting group of ``pa``,
+    must be a literal subgroup of ``big``; with K = G this is
+    :func:`globalize`'s construction."""
     k_grp = pa.group
     if not is_subgroup_embedding(k_grp, big):
         raise ValidationError("not-a-subgroup", tuple(k_grp.elements),
                               "the acting group is not a subgroup of the big group")
-    space = pa.space
-    _pair_count(big, space, bounds)
-    diag = diagonal_product(_right_translation(k_grp, big), pa)
-    # the diagonal product's space is the labelled G x X
-    prod = diag.space
-    if list(prod.down) != block_down_masks(space.down, len(big)):
-        raise InternalCheckError("diagonal product space differs from G x X")
-    pair_class, members = orbit_classes(diag)
-    same = list(rows_match_classes(_one_step_tables(pa, big), pair_class, members))
-    if not all(same):
-        g, x = divmod(same.index(False), len(space))
-        raise InternalCheckError(f"one-step class of ({big.elements[g]!r}, "
-                                 f"{space.points[x]!r}) differs from its orbit")
+    return _envelope(pa, big, bounds)
+
+
+def _envelope(pa: PartialAction, big: Group, bounds: Bounds) -> EnvelopeResult:
+    """G x_K X for pa's group K inside ``big``: the labelled G x X, R's
+    classes certified on :func:`_one_step_tables`, then :func:`_assemble`.
+    Those tables are the diagonal K-action's, entry for entry, so its
+    orbits are R's classes and are not computed a second time."""
+    space, n = pa.space, len(pa.space)
+    if len(big) * n > bounds.envelope_pairs:
+        raise BoundExceeded("envelope construction", bounds.envelope_pairs, len(big) * n)
+    prod = FinSpace(tuple(pair_label(g, x) for g in big.elements for x in space.points),
+                    tuple(block_down_masks(space.down, len(big))))
+    pair_class, members = equivalence_classes(
+        _one_step_tables(pa, big), "R",
+        lambda p: (big.elements[p // n], space.points[p % n]))
     return _assemble(pa, big, prod, pair_class, members)
 
 
@@ -324,13 +305,6 @@ def _one_step_tables(pa: PartialAction, big: Group) -> list[list[int]]:
     k_inverse = [big.inverse_row[big.index(k)] for k in pa.group.elements]
     return [[block[y] for block in [blocks[row[k]] for row in big.rows] for y in image]
             for k, image in zip(k_inverse, pa.images)]
-
-
-def _right_translation(k_grp: Group, big: Group) -> PartialAction:
-    """The global action of K on the discrete space G by g |-> g k^-1."""
-    k_inverse = [big.inverse_row[big.index(k)] for k in k_grp.elements]
-    return certified_global_action(k_grp, discrete_space(big.elements),
-                                   [[row[k] for row in big.rows] for k in k_inverse])
 
 
 def envelope_of_map(f: SpaceMap, pa_x: PartialAction, pa_y: PartialAction,

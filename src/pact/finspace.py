@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, repeat
 from operator import and_, eq, itemgetter, or_
-from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Callable, Iterable, Mapping, NoReturn, Sequence
 
 from .bounds import DEFAULT_BOUNDS, Bounds
 from .errors import BoundExceeded, InternalCheckError, ValidationError
@@ -446,9 +446,9 @@ def equivalence_classes(tables: Sequence[Sequence[int]], name: str,
 
     Each index not yet placed, in order, opens the class of its row, of
     which it must be the least member, and which must hold no placed index.
-    Then every row must be its index's class (:func:`rows_match_classes`),
-    so j lies in row i iff i and j share a class.  Every equivalence
-    passes; else :func:`_equivalence_scan` names the first failed check.
+    Then every row must be its index's class, so j lies in row i iff i
+    and j share a class.  Every equivalence passes; else
+    :func:`_equivalence_scan` names the first failed check.
     """
     cls: list[int] = [-1] * len(tables[0])
     members: list[list[int]] = []
@@ -460,18 +460,12 @@ def equivalence_classes(tables: Sequence[Sequence[int]], name: str,
             for j in row:
                 cls[j] = len(members)
             members.append(row)
-    if not all(rows_match_classes(tables, cls, members)):
+    # each row, read with a -1 appended, against its class plus -1, so
+    # undefined steps drop out, compared in C
+    classes = [frozenset(xs).union((-1,)) for xs in members]
+    if not all(map(eq, map(set, zip(*tables, repeat(-1))), map(classes.__getitem__, cls))):
         _equivalence_scan(tables, name, label)
     return cls, members
-
-
-def rows_match_classes(tables: Sequence[Sequence[int]], cls: Sequence[int],
-                       members: Sequence[Sequence[int]]) -> Iterator[bool]:
-    """Per index i, whether its row {t[i] : t in tables} is its class
-    ``members[cls[i]]``: each row, read with a -1 appended, against its
-    class plus -1, so undefined steps drop out, compared in C."""
-    classes = [frozenset(xs).union((-1,)) for xs in members]
-    return map(eq, map(set, zip(*tables, repeat(-1))), map(classes.__getitem__, cls))
 
 
 def _equivalence_scan(tables: Sequence[Sequence[int]], name: str,

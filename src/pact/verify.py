@@ -42,13 +42,15 @@ class Run:
     request with equal inputs gets the same object.  A build that raises
     stores nothing, so each claim that needs it raises again.
     ``globalize`` and ``twisted_product`` keep separate entries, so
-    ``twist-eq-glob`` still compares two independent constructions.  An
-    envelope keeps its global action (``EnvelopeResult.as_global_action``),
-    so one envelope per input also means one global action.  ``hom`` keeps
-    one entry per hom-set: the poset of G-maps between two actions,
-    whichever claim asks for it.  The builders are read from their modules
-    at call time, so a wrapper installed there sees every build.  Nothing
-    outlives the run: :func:`run_all` drops it when it returns.
+    ``twist-eq-glob`` compares two built envelopes, one kernel's with
+    K = G (the diagonal product's orbits are checked against it in the
+    tests).  An envelope keeps its global action
+    (``EnvelopeResult.as_global_action``), so one envelope per input also
+    means one global action.  ``hom`` keeps one entry per hom-set: the
+    poset of G-maps between two actions, whichever claim asks for it.
+    The builders are read from their modules at call time, so a wrapper
+    installed there sees every build.  Nothing outlives the run:
+    :func:`run_all` drops it when it returns.
     """
 
     def __init__(self, bounds: Bounds) -> None:
@@ -186,13 +188,14 @@ def _claim_preimage(inst: Instance, run: Run) -> tuple[str, dict]:
     pa = inst.embedded_pa
     env = run.twisted_product(pa, inst.big)
     image = set(env.embedding_row)
-    preimage = sum(1 << p for p, c in enumerate(env.pair_class) if c in image)
-    holds = preimage == env.kstar
+    preimage = [p for p, c in enumerate(env.pair_class) if c in image]
+    kstar = bit_indices(env.kstar)
+    holds = preimage == kstar
     pairs = env.product_space.points
-    witness = {"kstar": [pairs[p] for p in bit_indices(env.kstar)], "classes": len(env.total)}
+    witness = {"kstar": [pairs[p] for p in kstar], "classes": len(env.total)}
     if not holds:
         witness["reason"] = "preimage of the embedded image differs from K*X"
-        witness["difference"] = [pairs[p] for p in bit_indices(preimage ^ env.kstar)]
+        witness["difference"] = [pairs[p] for p in sorted(set(preimage) ^ set(kstar))]
     return (HOLDS if holds else FAILS), witness
 
 

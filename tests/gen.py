@@ -228,6 +228,14 @@ def half_circle_document(n: int) -> dict:
                              f"z{n}-half-circle")
 
 
+def half_circle_in_double_document(n: int) -> dict:
+    """:func:`half_circle_document`'s Z_n inside the big group Z_2n as the
+    even elements, k |-> 2k: a K < G instance of any size."""
+    return {**half_circle_document(n), "id": f"z{n}-half-circle-in-z{2 * n}",
+            "big_group": group_document(cyclic_group(2 * n)),
+            "k_embedding": {str(k): str(2 * k) for k in range(n)}}
+
+
 def fence_document(length: int) -> dict:
     """The fence x0 < y0 > x1 < ... > x_{length-1} (2 * length - 1 points)
     with the trivial action of Z2, embedded in Z4 as {0, 2}."""

@@ -683,22 +683,24 @@ def test_corrupted_quotient_order_fails_as_the_exhaustive_checks(monkeypatch, co
         message)
 
 
-def test_merged_orbits_fail_the_one_step_cross_check(monkeypatch):
-    """The last two orbits of the diagonal action merged: the one-step
-    classes, read off the factors' tables row by row, name the first pair
-    whose class differs, the least member of the merged orbits."""
+def test_a_one_way_step_fails_the_class_certificate(monkeypatch):
+    """z4-from-z2-pair, K = {0, 2} inside Z4, with one step added where
+    theta_2 is undefined: (0, b) steps to (1, b), which does not step back,
+    so two classes are merged one way only.  The class certificate fails,
+    and its exhaustive scan names the pair and the step."""
     import pact.envelope
-    real = pact.envelope.orbit_classes
+    real = pact.envelope._one_step_tables
 
-    def merged(pa):
-        cls, members = real(pa)
-        last = len(members) - 2
-        return [min(c, last) for c in cls], members[:-2] + [sorted(members[-2] + members[-1])]
-    monkeypatch.setattr(pact.envelope, "orbit_classes", merged)
-    inst = load_fixture("z4-arcs")
+    def one_way(pa, big):
+        tables = real(pa, big)
+        assert tables[1][1] == -1  # theta_2 is undefined at b
+        tables[1][1] = 3  # pair (1, b)
+        return tables
+    monkeypatch.setattr(pact.envelope, "_one_step_tables", one_way)
+    inst = load_fixture("z4-from-z2-pair")
     with pytest.raises(InternalCheckError) as err:
         twisted_product(inst.embedded_pa, inst.big)
-    assert str(err.value) == "one-step class of ('3', 'c2') differs from its orbit"
+    assert str(err.value) == "R not symmetric at (('0', 'b'), ('1', 'b'))"
 
 
 def test_run_all_takes_no_exhaustive_fallback(monkeypatch):

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pact import (BoundExceeded, Bounds, InternalCheckError, MapPoset, SpaceMap, Subgroup,
-                  ValidationError, adjunction_maps, all_subgroups,
-                  diagonal_product, discrete_space,
+from pact import (DEFAULT_BOUNDS, BoundExceeded, Bounds, InternalCheckError, MapPoset,
+                  SpaceMap, Subgroup, ValidationError, adjunction_maps, all_subgroups,
+                  diagonal_product, discrete_space, global_action,
                   envelope_of_map, enumerate_G_maps,
                   fixed_decomposition, fixture_names, globalize, is_G_map, is_T1,
                   is_continuous, is_open, iterated_twist_comparison,
-                  load_fixture, pair_label, parse_instance, product_comparison,
-                  recognize_globalization, restrict_to_subgroup, run_claim,
+                  load_fixture, orbit_classes, pair_label, parse_instance,
+                  product_comparison, recognize_globalization, restrict_to_subgroup,
+                  run_all, run_claim,
                   space_from_min_opens, trivial_action, trivial_collapse, twisted_product,
                   validate_group, validate_partial_action)
 from pact.envelope import _assemble, _map_checks, lift_maps
@@ -27,7 +28,8 @@ from oracle import (as_label_space, brute_globalization_classes, brute_members,
                     label_envelope_of_map, label_lift_rows, label_map_checks, label_view,
                     twisted_class_count)
 from gen import (GLOBAL_KINDS, compare_products, cyclic_group, fixture_pa, golden_instances,
-                 klein_group, half_circle_document, hom, label_tables, random_global,
+                 klein_group, half_circle_document, half_circle_in_double_document, hom,
+                 label_tables, random_global,
                  random_group, random_partial, restricted, twist, z2_cubed)
 
 
@@ -824,6 +826,28 @@ def test_class_counts_match_the_closed_forms(rng, kind):
                 == twisted_class_count(len(grp), *label_tables(pa_k))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(GLOBAL_KINDS))
+def test_twisted_classes_are_the_diagonal_orbits(seed, kind):
+    """The independent route to G x_K X: the orbits of the diagonal action
+    of K on G x X, K acting on the discrete G by the right translation
+    g |-> g k^-1, built at the label edge ``global_action``.  They are the
+    envelope's classes, pair for pair, on global actions of every family
+    and on restrictions of them, each restricted to a random subgroup K,
+    K = G a third of the time."""
+    rng = random.Random(seed)
+    beta = random_global(rng, kind)
+    pa = beta if rng.random() < 0.3 else restricted(rng, beta)
+    big = pa.group
+    sub = big.whole if rng.random() < 1 / 3 else rng.choice(all_subgroups(big))
+    pa_k = restrict_to_subgroup(pa, sub)
+    translation = global_action(pa_k.group, discrete_space(big.elements), {
+        k: {g: big.mul(g, big.inv(k)) for g in big.elements} for k in pa_k.group.elements})
+    env = twisted_product(pa_k, big, Bounds(envelope_pairs=4096))
+    assert (list(env.pair_class), list(map(list, env.members))) \
+        == orbit_classes(diagonal_product(translation, pa_k))
+
+
 @pytest.mark.parametrize("n", [8, 16, 32, 48])
 def test_half_circle_class_counts_are_the_circle(n):
     """Z_n on the open half-circle of the 2n-point circle: its
@@ -835,6 +859,21 @@ def test_half_circle_class_counts_are_the_circle(n):
     assert globalization_class_count(*tables) == twisted_class_count(n, *tables) == 2 * n
     assert len(globalize(pa, bounds).total) == 2 * n
     assert len(twisted_product(pa, pa.group, bounds).total) == 2 * n
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_half_circle_in_the_double_group(n):
+    """Z_n on the open half-circle inside Z_2n, K < G: G x_K X is two
+    copies of the 2n-point circle, 4n classes, the closed form's count, and
+    ``check all --bound 4n^2`` decides every claim without an internal
+    error."""
+    inst = parse_instance(half_circle_in_double_document(n))
+    pa, big = inst.embedded_pa, inst.big
+    bounds = DEFAULT_BOUNDS.with_limit(4 * n * n)
+    count = twisted_class_count(2 * n, *label_tables(pa))
+    assert len(twisted_product(pa, big, bounds).total) == count == 4 * n
+    statuses = {rep.status for rep in run_all(inst, bounds)}
+    assert not statuses & {"internal-error", "skipped-bounds"}
 
 
 def _descend_tables(rng, env):
