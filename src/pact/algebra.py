@@ -262,10 +262,12 @@ def all_subgroups(group: Group, bounds: Bounds = DEFAULT_BOUNDS) -> list[Subgrou
 
 def is_subgroup_embedding(small: Group, big: Group) -> bool:
     """True when ``small`` is literally a subgroup of ``big``: its elements are
-    elements of ``big``, identities agree, and the tables are consistent."""
-    if small.identity != big.identity:
+    elements of ``big``, identities agree, and the tables are consistent.
+    Each element is read as its index in ``big`` once; then each row of
+    ``small``'s table, so read, must be its element's row of ``big`` at
+    those indices."""
+    if small.identity != big.identity or any(a not in big for a in small.elements):
         return False
-    if any(a not in big for a in small.elements):
-        return False
-    return all(small.mul(a, b) == big.mul(a, b)
-               for a in small.elements for b in small.elements)
+    at = list(map(big.index, small.elements))
+    return all([at[j] for j in row] == [big.rows[i][j] for j in at]
+               for i, row in zip(at, small.rows))

@@ -34,6 +34,7 @@ from .finspace import (FinSpace, SpaceMap, bit_indices, block_down_masks,
 from .homotopy import MapPoset
 from .paction import (PartialAction, _global_certificate, certified_global_action,
                       fixed_points, g_map_faults, restrict_global, restrict_to_group)
+from .report import FAILS, HOLDS, PRECONDITION_UNMET, verdict
 
 
 @dataclass(frozen=True)
@@ -317,23 +318,25 @@ def envelope_of_map(f: SpaceMap, pa_x: PartialAction, pa_y: PartialAction,
     The one-map case of :func:`lift_maps`, with its checks: ``f`` must be a
     K-map, and the result is checked to be well defined on every class
     member, continuous, and equivariant.  Twisted products that are not
-    given are built first.
+    given are built first; given ones must be those of ``pa_x`` and
+    ``pa_y`` over ``big``.
     """
     big = big or pa_x.group
-    if env_x is None:
-        env_x = twisted_product(pa_x, big, bounds)
-    if env_y is None:
-        env_y = twisted_product(pa_y, big, bounds)
-    (row,) = lift_maps(MapPoset(f.source, f.target, (f.row,)),
-                       pa_x, pa_y, env_x, env_y, big)
+    env_x = env_x or twisted_product(pa_x, big, bounds)
+    env_y = env_y or twisted_product(pa_y, big, bounds)
+    if (env_x.base, env_y.base, env_x.big_group) != (pa_x, pa_y, big):
+        raise ValidationError("envelope-mismatch", (),
+                              "the twisted products are not those of the actions")
+    (row,) = lift_maps(MapPoset(f.source, f.target, (f.row,)), env_x, env_y)
     return SpaceMap(env_x.total, env_y.total, row)
 
 
-def lift_maps(poset: MapPoset, pa_x: PartialAction, pa_y: PartialAction,
-              env_x: EnvelopeResult, env_y: EnvelopeResult,
-              big: Group | None = None) -> list[tuple[int, ...]]:
-    """The induced map [g,x] |-> [g,f(x)] of every row f of ``poset``, as
-    index rows from env_x.total to env_y.total, in row order.
+def lift_maps(poset: MapPoset, env_x: EnvelopeResult,
+              env_y: EnvelopeResult) -> list[tuple[int, ...]]:
+    """The induced map [g,x] |-> [g,f(x)] of every row f of ``poset``, a
+    poset of maps between the actions ``env_x.base`` and ``env_y.base``, as
+    index rows from env_x.total to env_y.total, in row order.  Both
+    envelopes must be taken over one group G.
 
     Each row is checked as lifting it alone would check it, in this order:
     it is continuous and equivariant (``ValidationError`` "not-continuous"
@@ -343,7 +346,7 @@ def lift_maps(poset: MapPoset, pa_x: PartialAction, pa_y: PartialAction,
 
     Every check runs once per table on column masks.  The G-map checks and
     the lifts' continuity and equivariance are :func:`g_map_faults`, the
-    lifts' equivariance on ``big.generators`` alone: the envelopes are
+    lifts' equivariance on G's generators alone: the envelopes are
     global actions, where commuting with every generator is commuting with
     every element.
     Well-definedness compares, class by class, the rows where each member
@@ -353,11 +356,11 @@ def lift_maps(poset: MapPoset, pa_x: PartialAction, pa_y: PartialAction,
     the first failing one are lifted column by column through the first
     member of each class, which also yields the lifts' column masks.
     """
-    if pa_x.group != pa_y.group:
+    pa_x, pa_y, big = env_x.base, env_y.base, env_x.big_group
+    if pa_x.group != pa_y.group or env_y.big_group != big:
         raise ValidationError("group-mismatch", (), "maps need actions of the same group")
     if poset.source != pa_x.space or poset.target != pa_y.space:
         raise ValidationError("space-mismatch", (), "map endpoints do not match the actions")
-    big = big or pa_x.group
     discontinuous, non_equivariant = g_map_faults(poset.columns, pa_x.space, pa_y.space,
                                                   pa_x.images, pa_y.images)
     faults = discontinuous | non_equivariant
@@ -366,7 +369,7 @@ def lift_maps(poset: MapPoset, pa_x: PartialAction, pa_y: PartialAction,
     # pair (g, x) of env_x goes to the class of (g, f(x)) in env_y, read
     # off env_y.pair_class at offset[g] + f(x)
     width_x, width_y = len(pa_x.space), len(pa_y.space)
-    offset = [env_y.big_group.index(g) * width_y for g in env_x.big_group.elements]
+    offset = [g * width_y for g in range(len(big))]
     class_y = env_y.pair_class
     # per element g of env_x, the inverse of v |-> class of (g, v)
     inverse: list[dict[int, list[int]]] = []
@@ -419,16 +422,15 @@ def lift_maps(poset: MapPoset, pa_x: PartialAction, pa_y: PartialAction,
         _, clash = env_x.descend([class_y[offset[g] + row[x]]
                                   for g in range(len(offset)) for x in range(width_x)])
 
-    # the lifts' equivariance is checked on big's generators only: both
+    # the lifts' equivariance is checked on G's generators only: both
     # envelopes are certified global actions, so mu_sg = mu_s . mu_g and
     # nu_sg = nu_s . nu_g, and F . mu_s = nu_s . F on every generator s
     # gives F . mu_sg = nu_s . F . mu_g, hence F . mu_g = nu_g . F for
     # every word g in the generators by induction on its length
-    gens = [big.elements[s] for s in big.generators]
+    gens = big.generators
     lift_discontinuous, lift_non_equivariant = g_map_faults(
-        lifted_columns, total_x, total_y,
-        [env_x.action_rows[env_x.big_group.index(g)] for g in gens],
-        [env_y.action_rows[env_y.big_group.index(g)] for g in gens])
+        lifted_columns, total_x, total_y, [env_x.action_rows[s] for s in gens],
+        [env_y.action_rows[s] for s in gens])
     lift_faults = lift_discontinuous | lift_non_equivariant
     if lift_faults:
         first = lift_faults & -lift_faults
@@ -445,13 +447,14 @@ def lift_maps(poset: MapPoset, pa_x: PartialAction, pa_y: PartialAction,
 
 
 def recognize_globalization(pa_global: PartialAction, open_subset,
-                            bounds: Bounds = DEFAULT_BOUNDS) -> tuple[SpaceMap | None, dict]:
+                            bounds: Bounds = DEFAULT_BOUNDS) -> tuple[str, dict]:
     """Recognize a global action (Y, beta) as the globalization of its
-    restriction to an open subset U.
+    restriction to an open subset U, as a (status, witness) pair.
 
     When the orbit of U covers Y, builds [g,x] |-> beta_g(x) and verifies it
-    is a G-homeomorphism; otherwise reports precondition-unmet with the
-    uncovered points.
+    is a G-homeomorphism, reported as the witness's ``map`` when it is one
+    (the witness of a failure names no reason); otherwise reports
+    precondition-unmet with the uncovered points.
     """
     if not pa_global.is_global():
         raise ValidationError("not-global", (), "recognition needs a global action")
@@ -464,9 +467,8 @@ def recognize_globalization(pa_global: PartialAction, open_subset,
     covered = reduce(or_, (1 << image[x] for image in pa_global.images for x in xs))
     missing = [p for i, p in enumerate(pa_global.space.points) if not covered >> i & 1]
     if missing:
-        return None, {"status": "precondition-unmet",
-                      "reason": "orbit of the subset does not cover the space",
-                      "uncovered": missing}
+        return PRECONDITION_UNMET, {"reason": "orbit of the subset does not cover the space",
+                                    "uncovered": missing}
     restricted = restrict_global(pa_global, u)
     env = globalize(restricted, bounds)
     xs = list(map(pa_global.space.index, restricted.space.points))
@@ -474,11 +476,12 @@ def recognize_globalization(pa_global: PartialAction, open_subset,
     phi = SpaceMap(env.total, pa_global.space, values)
     checks, _, _ = _map_checks(phi, ("bijective", "continuous", "inverse-continuous",
                                      "equivariant"), env.action_rows, pa_global.images)
-    checks = {"well-defined": clash is None, **checks}
-    status = "holds" if all(checks.values()) else "fails"
-    report = {"status": status, "checks": checks,
-              "classes": len(env.total), "target_points": len(pa_global.space)}
-    return phi, report
+    status, witness = verdict({"well-defined": clash is None, **checks},
+                              classes=len(env.total), target_points=len(pa_global.space))
+    if status == HOLDS:
+        witness["map"] = phi.as_dict()
+    witness.pop("reason", None)
+    return status, witness
 
 
 NATURALITY_MORPHISMS = 8
@@ -487,14 +490,16 @@ square of :func:`adjunction_maps`."""
 
 
 def adjunction_maps(env: EnvelopeResult, pa_y: PartialAction,
-                    hom: Callable[[PartialAction, PartialAction], MapPoset]) -> dict:
+                    hom: Callable[[PartialAction, PartialAction], MapPoset]
+                    ) -> tuple[str, dict]:
     """Materialize lambda and tau for the twisted product ``env`` = G x_K X
-    of a K-action X and a global G-space Y, and return the report.
+    of a K-action X and a global G-space Y, and return the (status,
+    witness) pair.
 
     ``hom(pa_a, pa_b)`` returns the poset of G-maps A -> B, built by the
     caller (``enumerate_maps(..., equivariant=(pa_a, pa_b))``) under its
     own bounds, or one it already has.  lambda(F) = F o iota_K and
-    tau(f)([g,x]) = eta(g, f(x)); the report records whether they are
+    tau(f)([g,x]) = eta(g, f(x)); the checks record whether they are
     mutually inverse bijections and whether the naturality squares commute
     for the first :data:`NATURALITY_MORPHISMS` endomorphisms of X and of Y.
     """
@@ -559,7 +564,7 @@ def adjunction_maps(env: EnvelopeResult, pa_y: PartialAction,
             if lam_of(tuple([s[v] for v in bf])) != left:
                 checks["naturality-post"] = False
     rs = hom(pa_x, pa_x).rows[:NATURALITY_MORPHISMS]
-    ers = lift_maps(MapPoset(pa_x.space, pa_x.space, rs), pa_x, pa_x, env, env, big)
+    ers = lift_maps(MapPoset(pa_x.space, pa_x.space, rs), env, env)
     for r, er in zip(rs, ers):
         for i, bf in enumerate(g_rows):
             if lam[i] < 0:
@@ -569,14 +574,13 @@ def adjunction_maps(env: EnvelopeResult, pa_y: PartialAction,
             if lam_of(tuple([bf[c] for c in er])) != left:
                 checks["naturality-pre"] = False
 
-    status = "holds" if all(checks.values()) else "fails"
-    return {"status": status, "checks": checks,
-            "g_maps": len(g_rows), "k_maps": len(k_rows)}
+    return verdict(checks, g_maps=len(g_rows), k_maps=len(k_rows))
 
 
 def product_comparison(env_d: EnvelopeResult, env_1: EnvelopeResult,
-                       env_2: EnvelopeResult) -> dict:
-    """The report on the canonical map G x_K (X1 x X2) -> (G x_K X1) x (G x_K X2).
+                       env_2: EnvelopeResult) -> tuple[str, dict]:
+    """The (status, witness) pair on the canonical map
+    G x_K (X1 x X2) -> (G x_K X1) x (G x_K X2).
 
     ``env_d``, ``env_1`` and ``env_2`` are the twisted products over one
     group G of the diagonal product X1 x X2 and of its two factors, with
@@ -606,36 +610,22 @@ def product_comparison(env_d: EnvelopeResult, env_1: EnvelopeResult,
     checks, collision, unhit = _map_checks(
         cmp_map, ("continuous", "equivariant", "injective", "surjective"),
         env_d.action_rows, target_rows)
-    checks = {"well-defined": clash is None, **checks}
-    status = "holds" if all(checks.values()) else "fails"
-    reason = None
-    if not checks["well-defined"]:
-        reason = "not well-defined"
-    elif not checks["continuous"]:
-        reason = "not continuous"
-    elif not checks["equivariant"]:
-        reason = "not equivariant"
-    elif not (checks["injective"] and checks["surjective"]):
-        reason = "not bijective"
-    report = {
-        "status": status,
-        "checks": checks,
-        "source_classes": len(env_d.total),
-        "target_points": len(target),
-        "map": cmp_map.as_dict(),
-        "unhit_targets": unhit,
-    }
-    if reason:
-        report["reason"] = reason
+    status, witness = verdict({"well-defined": clash is None, **checks},
+                              source_classes=len(env_d.total), target_points=len(target),
+                              map=cmp_map.as_dict(), unhit_targets=unhit)
+    if status == FAILS:  # the first failed check, in words
+        failed = witness["reason"]
+        witness["reason"] = ("not bijective" if failed in ("injective", "surjective")
+                             else f"not {failed}")
     if collision:
-        report["collision"] = collision
-    return report
+        witness["collision"] = collision
+    return status, witness
 
 
 def iterated_twist_comparison(inner: EnvelopeResult, outer_1: EnvelopeResult,
-                              outer_2: EnvelopeResult) -> dict:
-    """The report on the maps m : G x_K (X_K) -> G x_K X and n backwards,
-    fully checked.
+                              outer_2: EnvelopeResult) -> tuple[str, dict]:
+    """The (status, witness) pair on the maps m : G x_K (X_K) -> G x_K X
+    and n backwards, fully checked.
 
     ``inner`` is X_K = K x_K X, the twisted product of a K-action X over K
     itself; ``outer_1`` is G x_K of inner's global action and ``outer_2``
@@ -680,16 +670,13 @@ def iterated_twist_comparison(inner: EnvelopeResult, outer_1: EnvelopeResult,
         "m-after-n-is-identity": all(m_values[c] == i for i, c in enumerate(n_values)),
         "n-after-m-is-identity": all(n_values[c] == i for i, c in enumerate(m_values)),
     }
-    status = "holds" if all(checks.values()) else "fails"
-    report = {"status": status, "checks": checks,
-              "iterated_classes": len(outer_1.total),
-              "plain_classes": len(outer_2.total)}
-    return report
+    return verdict(checks, iterated_classes=len(outer_1.total),
+                   plain_classes=len(outer_2.total))
 
 
-def trivial_collapse(env: EnvelopeResult) -> dict:
-    """The report on the collapse delta : G x_K Y -> Y, [g,y] |-> y, of
-    the twisted product ``env`` of a trivial action.
+def trivial_collapse(env: EnvelopeResult) -> tuple[str, dict]:
+    """The (status, witness) pair on the collapse delta : G x_K Y -> Y,
+    [g,y] |-> y, of the twisted product ``env`` of a trivial action.
 
     Reported, not assumed: delta can fail to be injective when K is proper.
     """
@@ -702,23 +689,15 @@ def trivial_collapse(env: EnvelopeResult) -> dict:
     delta = SpaceMap(env.total, pa.space, values)
     checks, collision, _ = _map_checks(
         delta, ("continuous", "surjective", "injective", "inverse-continuous"))
-    checks = {"well-defined": clash is None, **checks}
-    status = "holds" if all(checks.values()) else "fails"
-    reason = None
-    if not checks["injective"]:
-        reason = "not injective"
-    elif not checks["surjective"]:
-        reason = "not surjective"
-    elif not all(checks.values()):
-        reason = "not a homeomorphism"
-    report = {"status": status, "checks": checks,
-              "classes": len(env.total), "target_points": len(pa.space)}
-    if reason:
-        report["reason"] = reason
+    status, witness = verdict({"well-defined": clash is None, **checks},
+                              classes=len(env.total), target_points=len(pa.space))
+    if status == FAILS:
+        witness["reason"] = ("not injective" if collision else "not surjective"
+                             if not checks["surjective"] else "not a homeomorphism")
     if collision:
-        report["collision"] = collision[:2]
-        report["collision_value"] = delta(collision[0])
-    return report
+        witness["collision"] = collision[:2]
+        witness["collision_value"] = delta(collision[0])
+    return status, witness
 
 
 def _map_checks(f: SpaceMap, names: Sequence[str], source_rows: Sequence = (),
@@ -828,7 +807,7 @@ def fixed_decomposition(pa: PartialAction, h: Subgroup,
     generated = generated_intersection(pa, env, all_subgroups(grp, bounds))
     holds = decomposition["holds"] and embedded_fixed["holds"] and generated["holds"]
     return {
-        "status": "holds" if holds else "fails",
+        "status": HOLDS if holds else FAILS,
         "subgroup": list(h.sorted_members),
         "decomposition": decomposition,
         "embedded_fixed": embedded_fixed,

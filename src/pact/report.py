@@ -11,6 +11,18 @@ SKIPPED_BOUNDS = "skipped-bounds"
 INTERNAL_ERROR = "internal-error"
 
 
+def verdict(checks: dict[str, bool], **facts) -> tuple[str, dict]:
+    """The verdict on named checks: holds iff every check passed, else fails
+    with the first failed check as ``reason``.  The witness is ``checks``,
+    then ``facts`` in order, then the reason."""
+    witness = {"checks": checks, **facts}
+    failed = next((name for name, ok in checks.items() if not ok), None)
+    if failed is None:
+        return HOLDS, witness
+    witness["reason"] = failed
+    return FAILS, witness
+
+
 @dataclass
 class ClaimReport:
     claim_id: str

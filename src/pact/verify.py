@@ -29,7 +29,7 @@ from .instance import Instance
 from .paction import (PartialAction, _check_axioms, diagonal_product, is_isovariant,
                       restrict_to_group, trivial_action)
 from .report import (FAILS, HOLDS, INTERNAL_ERROR, PRECONDITION_UNMET,
-                     SKIPPED_BOUNDS, ClaimReport)
+                     SKIPPED_BOUNDS, ClaimReport, verdict)
 
 
 class Run:
@@ -41,10 +41,10 @@ class Run:
     Each construction is built on its first request, and every later
     request with equal inputs gets the same object.  A build that raises
     stores nothing, so each claim that needs it raises again.
-    ``globalize`` and ``twisted_product`` keep separate entries, so
-    ``twist-eq-glob`` compares two built envelopes, one kernel's with
-    K = G (the diagonal product's orbits are checked against it in the
-    tests).  An envelope keeps its global action
+    Envelopes keep one entry per (action, group): ``globalize(pa)`` is the
+    entry (pa, pa.group), the same object as ``twisted_product(pa,
+    pa.group)``, built by whichever library function is asked first; both
+    run one kernel on the same tables.  An envelope keeps its global action
     (``EnvelopeResult.as_global_action``), so one envelope per input also
     means one global action.  ``hom`` keeps one entry per hom-set: the
     poset of G-maps between two actions, whichever claim asks for it.
@@ -67,10 +67,11 @@ class Run:
         return value
 
     def globalize(self, pa: PartialAction) -> EnvelopeResult:
-        return self._once("globalize", envelope.globalize, pa)
+        return self._once("envelope", lambda pa, _, bounds: envelope.globalize(pa, bounds),
+                          pa, pa.group)
 
     def twisted_product(self, pa: PartialAction, big: Group) -> EnvelopeResult:
-        return self._once("twisted_product", envelope.twisted_product, pa, big)
+        return self._once("envelope", envelope.twisted_product, pa, big)
 
     def subgroups(self, group: Group) -> list[Subgroup]:
         """The subgroup lattice of ``group``."""
@@ -120,25 +121,22 @@ def _claim_embedding(inst: Instance, run: Run) -> tuple[str, dict]:
         "image-open": is_open(env.total, onto.target.points),
         "homeomorphism-onto-image": checked["continuous"] and checked["inverse-continuous"],
     }
-    status = HOLDS if all(checks.values()) else FAILS
-    witness = {"checks": checks, "classes": len(env.total)}
-    if status == FAILS:
-        witness["reason"] = next(k for k, v in checks.items() if not v)
-    return status, witness
+    return verdict(checks, classes=len(env.total))
 
 
 def _claim_recognition(inst: Instance, run: Run) -> tuple[str, dict]:
     pa = inst.embedded_pa
     env = run.globalize(pa)
-    beta = env.as_global_action()
-    phi, report = recognize_globalization(beta, env.embedding_image(), run.bounds)
-    witness = {k: v for k, v in report.items() if k != "status"}
-    if phi is not None and report["status"] == HOLDS:
-        witness["map"] = phi.as_dict()
-    return report["status"], witness
+    return recognize_globalization(env.as_global_action(), env.embedding_image(), run.bounds)
 
 
 def _claim_twist_eq_glob(inst: Instance, run: Run) -> tuple[str, dict]:
+    """G x_G X equals the globalization X_G.  The run keeps one envelope
+    per (action, group), so both names read one envelope, and this loses
+    nothing: globalize and twisted_product run one kernel on the same
+    tables, so two builds could not differ.  The independent evidence is
+    the test that the twisted product's classes are the orbits of the
+    diagonal action (``test_twisted_classes_are_the_diagonal_orbits``)."""
     pa = inst.embedded_pa
     env_g = run.globalize(pa)
     env_t = run.twisted_product(pa, pa.group)
@@ -151,12 +149,7 @@ def _claim_twist_eq_glob(inst: Instance, run: Run) -> tuple[str, dict]:
         "same-action": (env_g.total.points == env_t.total.points
                         and env_g.action_rows == env_t.action_rows),
     }
-    status = HOLDS if all(checks.values()) else FAILS
-    witness = {"checks": checks, "classes": len(env_g.total),
-               "twisted_classes": len(env_t.total)}
-    if status == FAILS:
-        witness["reason"] = next(k for k, v in checks.items() if not v)
-    return status, witness
+    return verdict(checks, classes=len(env_g.total), twisted_classes=len(env_t.total))
 
 
 def _claim_iota_k(inst: Instance, run: Run) -> tuple[str, dict]:
@@ -176,12 +169,8 @@ def _claim_iota_k(inst: Instance, run: Run) -> tuple[str, dict]:
         "image-open-iff-kstar-open": is_open(env.total, image) == kstar_open,
         "image-closed-iff-kstar-closed": is_closed(env.total, image) == kstar_closed,
     }
-    status = HOLDS if all(checks.values()) else FAILS
-    witness = {"checks": checks, "kstar_open": kstar_open,
-               "kstar_closed": kstar_closed, "classes": len(env.total)}
-    if status == FAILS:
-        witness["reason"] = next(k for k, v in checks.items() if not v)
-    return status, witness
+    return verdict(checks, kstar_open=kstar_open, kstar_closed=kstar_closed,
+                   classes=len(env.total))
 
 
 def _claim_preimage(inst: Instance, run: Run) -> tuple[str, dict]:
@@ -203,11 +192,7 @@ def _claim_iterated_twist(inst: Instance, run: Run) -> tuple[str, dict]:
     pa = inst.embedded_pa
     inner = run.twisted_product(pa, pa.group)
     outer_1 = run.twisted_product(inner.as_global_action(), inst.big)
-    report = iterated_twist_comparison(inner, outer_1, run.twisted_product(pa, inst.big))
-    witness = {k: v for k, v in report.items() if k != "status"}
-    if report["status"] == FAILS:
-        witness["reason"] = next(k for k, v in report["checks"].items() if not v)
-    return report["status"], witness
+    return iterated_twist_comparison(inner, outer_1, run.twisted_product(pa, inst.big))
 
 
 def _claim_adjunction(inst: Instance, run: Run) -> tuple[str, dict]:
@@ -222,9 +207,9 @@ def _claim_adjunction(inst: Instance, run: Run) -> tuple[str, dict]:
     ran = {}
     ok = True
     for name, pa_y in candidates:
-        report = adjunction_maps(env, pa_y, run.hom)
-        ran[name] = {key: report[key] for key in ("g_maps", "k_maps", "status")}
-        ok = ok and report["status"] == HOLDS
+        status, maps = adjunction_maps(env, pa_y, run.hom)
+        ran[name] = {"g_maps": maps["g_maps"], "k_maps": maps["k_maps"], "status": status}
+        ok = ok and status == HOLDS
     witness = {"targets": ran}
     if not ok:
         witness["reason"] = "adjunction bijection or naturality failed"
@@ -294,10 +279,8 @@ def _claim_product_comparison(inst: Instance, run: Run) -> tuple[str, dict]:
         return PRECONDITION_UNMET, {"reason": "needs two factors: the instance is "
                                               "not a diagonal product"}
     pa_1, pa_2, diag = split
-    report = product_comparison(*(run.twisted_product(pa, inst.big)
-                                  for pa in (diag, pa_1, pa_2)))
-    witness = {k: v for k, v in report.items() if k != "status"}
-    return report["status"], witness
+    return product_comparison(*(run.twisted_product(pa, inst.big)
+                                for pa in (diag, pa_1, pa_2)))
 
 
 def _claim_trivial_collapse(inst: Instance, run: Run) -> tuple[str, dict]:
@@ -307,9 +290,7 @@ def _claim_trivial_collapse(inst: Instance, run: Run) -> tuple[str, dict]:
     if not pa.is_global():
         return PRECONDITION_UNMET, {"reason": "the trivial action does not have "
                                               "full domains"}
-    report = trivial_collapse(run.twisted_product(pa, inst.big))
-    witness = {k: v for k, v in report.items() if k != "status"}
-    return report["status"], witness
+    return trivial_collapse(run.twisted_product(pa, inst.big))
 
 
 def _claim_t1(inst: Instance, run: Run) -> tuple[str, dict]:
@@ -351,7 +332,7 @@ def _claim_homotopy_preservation(inst: Instance, run: Run) -> tuple[str, dict]:
     env = run.globalize(pa)
     gpa = env.as_global_action()
     poset_y = run.hom(gpa, gpa)
-    lifted = list(map(poset_y.index_of, lift_maps(poset_x, pa, pa, env, env)))
+    lifted = list(map(poset_y.index_of, lift_maps(poset_x, env, env)))
     comp_x = poset_x.components
     comp_y = poset_y.components
     bad = first_split_pair(comp_x, [comp_y[k] for k in lifted])

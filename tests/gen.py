@@ -17,7 +17,8 @@ from pathlib import Path
 from pact import (DEFAULT_BOUNDS, Group, InternalCheckError, SpaceMap, ValidationError,
                   diagonal_product, discrete_space, enumerate_maps, fixture_names,
                   global_action, globalize, is_G_contractible, load_fixture, parse_instance,
-                  product, product_comparison, restrict_global, space_from_min_opens,
+                  product, product_comparison, recognize_globalization, restrict_global,
+                  space_from_min_opens,
                   trivial_action, twisted_product, validate_group)
 
 FIXTURE_GOLDEN = Path(__file__).parent / "golden" / "check_all_fixtures.json"
@@ -300,10 +301,22 @@ def hom(pa_x, pa_y):
 
 
 def compare_products(pa_1, pa_2, big=None):
-    """product_comparison's report on the twisted products of pa_1 x pa_2 and of
-    both factors, over pa_1's group unless ``big`` is given."""
+    """product_comparison's (status, witness) pair on the twisted products of
+    pa_1 x pa_2 and of both factors, over pa_1's group unless ``big`` is
+    given."""
     diag = diagonal_product(pa_1, pa_2)
     return product_comparison(*(twist(pa, big or pa_1.group) for pa in (diag, pa_1, pa_2)))
+
+
+def recognition(beta, subset):
+    """recognize_globalization's (status, witness) pair, after the map the
+    witness names, as a SpaceMap from the globalization of beta restricted
+    to ``subset`` onto beta's space (None unless the recognition holds)."""
+    status, witness = recognize_globalization(beta, subset)
+    if "map" not in witness:
+        return None, status, witness
+    source = globalize(restrict_global(beta, frozenset(subset))).total
+    return SpaceMap.from_dict(source, beta.space, witness["map"]), status, witness
 
 
 def g_contract(pa):

@@ -18,10 +18,10 @@ from pact import (SpaceMap, Subgroup, ValidationError,
                   fixture_dict, fixture_names, global_action, globalize,
                   is_contractible, is_continuous, is_open,
                   load_fixture, parse_instance,
-                  recognize_globalization, replay_witness, run_claim,
+                  replay_witness, run_claim,
                   trivial_action, trivial_collapse, twisted_product)
 from gen import (compare_products, cyclic_group, g_contract, hom, label_tables,
-                 random_preorder_space, twist)
+                 random_preorder_space, recognition, twist)
 from pact.cli import main as cli_main
 from oracle import (are_G_homotopic, brute_globalization_classes, brute_opens,
                     brute_twisted_classes, envelopes_G_homotopic,
@@ -229,8 +229,8 @@ def test_acceptance_2_z2_pair_globalization():
 
 def test_acceptance_3_recognition():
     circle = load_fixture("z4-circle").pa
-    phi, report = recognize_globalization(circle, ["a3", "c0", "a0", "c1", "a1"])
-    assert report["status"] == "holds"
+    phi, status, report = recognition(circle, ["a3", "c0", "a0", "c1", "a1"])
+    assert status == "holds"
     assert all(report["checks"].values())
     assert phi.is_bijective()
     half_env = globalize(load_fixture("z4-half").pa)
@@ -294,16 +294,16 @@ def test_acceptance_5_adjunction():
             pa_y = load_fixture(yname).pa
             if len(pa_y.space) > 4:
                 continue
-            result = adjunction_maps(twist(pa_x), pa_y, hom)
-            assert result["status"] == "holds", (xname, yname)
+            status, result = adjunction_maps(twist(pa_x), pa_y, hom)
+            assert status == "holds", (xname, yname)
             assert result["checks"]["mutually-inverse"]
             assert result["checks"]["naturality-post"]
             assert result["checks"]["naturality-pre"]
             pairs_checked += 1
     assert pairs_checked == 15
 
-    counted = adjunction_maps(twist(load_fixture("z2-pair").pa),
-                              load_fixture("z2-wedge").pa, hom)
+    _, counted = adjunction_maps(twist(load_fixture("z2-pair").pa),
+                                 load_fixture("z2-wedge").pa, hom)
     assert counted["g_maps"] == 3 == counted["k_maps"]
 
     # a proper-subgroup pairing: K = {0,2} inside Z4
@@ -313,8 +313,8 @@ def test_acceptance_5_adjunction():
     y = global_action(z4, d2, {
         "0": {"u": "u", "v": "v"}, "1": {"u": "v", "v": "u"},
         "2": {"u": "u", "v": "v"}, "3": {"u": "v", "v": "u"}})
-    res = adjunction_maps(twist(inst.embedded_pa, z4), y, hom)
-    assert res["status"] == "holds"
+    status, res = adjunction_maps(twist(inst.embedded_pa, z4), y, hom)
+    assert status == "holds"
     passed(5, f"adjunction: lambda/tau mutually inverse with commuting "
               f"naturality squares on {pairs_checked} fixture pairs and a "
               f"proper-subgroup pairing; counted case gives 3 = 3")
@@ -326,13 +326,13 @@ def test_acceptance_5_adjunction():
 
 def test_acceptance_6_product_comparison():
     z2pair = load_fixture("z2-pair").pa
-    report = compare_products(z2pair, z2pair)
+    status, report = compare_products(z2pair, z2pair)
     assert report["checks"]["well-defined"]
     assert report["checks"]["continuous"]
     assert report["checks"]["equivariant"]
     assert report["checks"]["injective"]
     assert not report["checks"]["surjective"]
-    assert report["status"] == "fails" and report["reason"] == "not bijective"
+    assert status == "fails" and report["reason"] == "not bijective"
     assert report["source_classes"] == 7 and report["target_points"] == 9
     assert len(report["unhit_targets"]) == 2
     # independent oracles for both cardinalities
@@ -359,14 +359,14 @@ def test_acceptance_7_trivial_collapse():
     for pa in (load_fixture("pt").pa,
                trivial_action(cyclic_group(2), load_fixture("z2-wedge").space),
                trivial_action(cyclic_group(4), discrete_space(["p", "q"]))):
-        report = trivial_collapse(twist(pa))
-        assert report["status"] == "holds", report
+        status, report = trivial_collapse(twist(pa))
+        assert status == "holds", report
 
     z4 = cyclic_group(4)
     k = Subgroup.from_labels(z4, {"0", "2"}).as_group()
     ptk = trivial_action(k, discrete_space(["y"]))
-    report = trivial_collapse(twist(ptk, z4))
-    assert report["status"] == "fails"
+    status, report = trivial_collapse(twist(ptk, z4))
+    assert status == "fails"
     assert report["reason"] == "not injective"
     c1, c2 = report["collision"]
     assert c1 != c2 and report["collision_value"] == "y"

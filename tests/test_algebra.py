@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from pact import (BoundExceeded, Group, Subgroup, ValidationError,
                   all_subgroups, conjugate_subgroup,
                   subgroup_generated, validate_group)
-from gen import cyclic_group, s3_group
+from pact.algebra import is_subgroup_embedding
+from gen import cyclic_group, klein_group, s3_group
 from oracle import brute_subgroups, group_violation, subgroup_violation
 
 Z2_TABLE = [["0", "1"], ["1", "0"]]
@@ -134,6 +135,61 @@ def test_subgroup_as_group_roundtrip():
     assert sub.mul("2", "2") == "0"
     assert group_violation(list(sub.elements), [list(r) for r in sub.table],
                            sub.identity) is None
+
+
+def _listed(elements, mul, identity) -> Group:
+    """A Group on ``elements`` in the order given, its table read off
+    ``mul``, built without validation: the embedding check reads labels and
+    tables only."""
+    return Group(tuple(elements), tuple(tuple(mul(a, b) for b in elements)
+                                        for a in elements), identity)
+
+
+def _one_product_changed(grp: Group, a: str, b: str, value: str) -> Group:
+    """``grp``'s table with the single entry a * b replaced by ``value``."""
+    return _listed(grp.elements,
+                   lambda x, y: value if (x, y) == (a, b) else grp.mul(x, y), grp.identity)
+
+
+def _embedding_cases():
+    z4, s3, klein = cyclic_group(4), s3_group(), klein_group()
+    cases = [
+        ("z2-in-z4", _listed(["0", "2"], z4.mul, "0"), z4, True),
+        ("z2-in-z4-out-of-order", _listed(["2", "0"], z4.mul, "0"), z4, True),
+        ("z4-in-itself-reversed", _listed(z4.elements[::-1], z4.mul, "0"), z4, True),
+        # {0, 2} is Z2 with 2 as its identity: 0 * 0 = 2
+        ("identity-mismatch", _listed(["0", "2"], lambda a, b: "2" if a == b else "0", "2"),
+         z4, False),
+        # big's products on {0, 2}, but 2 declared the identity
+        ("declared-identity-mismatch", _listed(["0", "2"], z4.mul, "2"), z4, False),
+        ("foreign-label", _listed(["0", "x"], lambda a, b: "0" if a == b else "x", "0"),
+         z4, False),
+        ("one-disagreeing-product", _one_product_changed(z4, "3", "3", "0"), z4, False),
+        ("one-disagreeing-product-of-s3",
+         _one_product_changed(_listed(["012", "120", "201"], s3.mul, "012"),
+                              "120", "120", "120"), s3, False),
+        ("klein-labels-in-z4", _listed(z4.elements, klein_group("0123").mul, "0"), z4, False),
+        ("z4-in-z2", z4, cyclic_group(2), False),
+    ]
+    for big in (s3, klein):
+        for sub in all_subgroups(big):
+            order = list(sub.sorted_members)[::-1]
+            cases.append((f"{len(big)}-{'-'.join(order)}-out-of-order",
+                          _listed(order, big.mul, big.identity), big, True))
+    return cases
+
+
+EMBEDDING_CASES = _embedding_cases()
+
+
+@pytest.mark.parametrize("small, big, expected", [case[1:] for case in EMBEDDING_CASES],
+                         ids=[case[0] for case in EMBEDDING_CASES])
+def test_subgroup_embedding_matches_its_label_definition(small, big, expected):
+    by_labels = (small.identity == big.identity
+                 and all(a in big for a in small.elements)
+                 and all(small.mul(a, b) == big.mul(a, b)
+                         for a in small.elements for b in small.elements))
+    assert is_subgroup_embedding(small, big) == by_labels == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -498,10 +498,11 @@ def test_run_all_builds_no_label_views_of_built_actions(monkeypatch):
 
 
 def test_broken_envelope_action_is_internal_for_its_claims_only(monkeypatch):
-    """One entry of mu_3 corrupted in every twisted product: building the
-    envelope's global action fails its certificate, which is an internal
-    error of the claims that need it, while the other claims still report
-    and ``pact check all`` exits 3."""
+    """One entry of mu_3 corrupted in every twisted product over Z4 of
+    z4-from-z2-pair's Z2-action (the globalization, over Z2, is another
+    construction): building the envelope's global action fails its
+    certificate, which is an internal error of the claims that need it,
+    while the other claims still report and ``pact check all`` exits 3."""
     import contextlib
     import io
 
@@ -517,15 +518,15 @@ def test_broken_envelope_action_is_internal_for_its_claims_only(monkeypatch):
         rows[g][0] = rows[g][1]
         return dataclasses.replace(env, action_rows=tuple(map(tuple, rows)))
     monkeypatch.setattr(pact.envelope, "twisted_product", corrupted)
-    reports = run_all(load_fixture("z4-circle"))
+    reports = run_all(load_fixture("z4-from-z2-pair"))
     status = {rep.claim_id: rep.status for rep in reports}
     assert len(status) == 16
     assert status["iota-k"] == "internal-error"
-    assert status["iterated-twist"] == "internal-error"
+    assert status["adjunction"] == "internal-error"
     assert status["pa-axioms"] == status["embedding"] == status["recognition"] == "holds"
     assert exit_code(reports) == 3
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["check", "all", "z4-circle", "--json"]) == 3
+        assert main(["check", "all", "z4-from-z2-pair", "--json"]) == 3
 
 
 def test_validation_error_inside_a_claim_is_internal(monkeypatch):

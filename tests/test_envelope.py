@@ -29,8 +29,8 @@ from oracle import (as_label_space, brute_globalization_classes, brute_members,
                     twisted_class_count)
 from gen import (GLOBAL_KINDS, compare_products, cyclic_group, fixture_pa, golden_instances,
                  klein_group, half_circle_document, half_circle_in_double_document, hom,
-                 label_tables, random_global,
-                 random_group, random_partial, restricted, twist, z2_cubed)
+                 label_tables, random_global, random_group, random_partial, recognition,
+                 restricted, twist, z2_cubed)
 
 
 def compare_iterated_twists(pa, big=None):
@@ -220,8 +220,8 @@ def test_envelope_functoriality_over_proper_subgroup():
 
 def test_recognition_of_z4_half_inside_circle():
     circle = fixture_pa("z4-circle")
-    phi, report = recognize_globalization(circle, ["a3", "c0", "a0", "c1", "a1"])
-    assert report["status"] == "holds"
+    phi, status, _ = recognition(circle, ["a3", "c0", "a0", "c1", "a1"])
+    assert status == "holds"
     assert phi.is_bijective() and is_continuous(phi)
     assert find_homeomorphism(phi.source, circle.space) is not None
 
@@ -240,12 +240,14 @@ def test_recognition_of_z4_half_inside_circle():
 
 def test_recognition_trivial_and_unmet_cases():
     circle = fixture_pa("z4-circle")
-    phi, report = recognize_globalization(circle, circle.space.points)
-    assert report["status"] == "holds"
+    phi, status, _ = recognition(circle, circle.space.points)
+    assert status == "holds"
     assert tuple(map(phi, globalize(circle).embedding.assignment)) == circle.space.points
 
-    phi2, report2 = recognize_globalization(circle, ["a0"])
-    assert phi2 is None and report2["status"] == "precondition-unmet"
+    phi2, status2, report2 = recognition(circle, ["a0"])
+    assert phi2 is None and status2 == "precondition-unmet"
+    assert report2 == {"reason": "orbit of the subset does not cover the space",
+                       "uncovered": report2["uncovered"]}
     assert set(report2["uncovered"]) == {"c0", "c1", "c2", "c3"}
 
     with pytest.raises(ValidationError):
@@ -255,18 +257,18 @@ def test_recognition_trivial_and_unmet_cases():
 def test_adjunction_counted_cases():
     z2pair = fixture_pa("z2-pair")
     wedge = fixture_pa("z2-wedge")
-    res = adjunction_maps(twist(z2pair), wedge, hom)
-    assert res["status"] == "holds"
+    status, res = adjunction_maps(twist(z2pair), wedge, hom)
+    assert status == "holds"
     assert res["g_maps"] == 3 and res["k_maps"] == 3
 
     swap = fixture_pa("z2-swap")
-    res2 = adjunction_maps(twist(z2pair), swap, hom)
-    assert res2["status"] == "holds"
+    status2, res2 = adjunction_maps(twist(z2pair), swap, hom)
+    assert status2 == "holds"
     assert res2["g_maps"] == 0 and res2["k_maps"] == 0
 
     pt = trivial_action(z2pair.group, discrete_space(["y"]))
-    res3 = adjunction_maps(twist(z2pair), pt, hom)
-    assert res3["status"] == "holds"
+    status3, res3 = adjunction_maps(twist(z2pair), pt, hom)
+    assert status3 == "holds"
     assert res3["g_maps"] == 1 and res3["k_maps"] == 1
 
 
@@ -279,8 +281,8 @@ def test_adjunction_with_the_identity_listed_last():
         return validate_partial_action(z2, pa.space, pa.domains, pa.thetas)
     pa_x, pa_y = over_z2(fixture_pa("z2-pair")), over_z2(fixture_pa("z2-wedge"))
     assert twist(pa_x).embedding_row != tuple(range(len(pa_x.space)))
-    res = adjunction_maps(twist(pa_x), pa_y, hom)
-    assert res["status"] == "holds"
+    status, res = adjunction_maps(twist(pa_x), pa_y, hom)
+    assert status == "holds"
     assert res["g_maps"] == 3 == res["k_maps"]
 
 
@@ -288,8 +290,8 @@ def test_adjunction_over_proper_subgroup():
     inst = load_fixture("z4-from-z2-pair")
     pa = inst.embedded_pa
     pt = trivial_action(inst.big, discrete_space(["y"]))
-    res = adjunction_maps(twist(pa, inst.big), pt, hom)
-    assert res["status"] == "holds"
+    status, res = adjunction_maps(twist(pa, inst.big), pt, hom)
+    assert status == "holds"
     assert res["g_maps"] == 1 == res["k_maps"]
 
     # a global Z4 action on two points through the quotient Z4 -> Z2
@@ -300,27 +302,27 @@ def test_adjunction_over_proper_subgroup():
     from pact import global_action
     y = global_action(z4, d2, {"0": dict(ident), "1": dict(swap),
                                "2": dict(ident), "3": dict(swap)})
-    res2 = adjunction_maps(twist(pa, z4), y, hom)
-    assert res2["status"] == "holds"
+    status2, res2 = adjunction_maps(twist(pa, z4), y, hom)
+    assert status2 == "holds"
     assert res2["g_maps"] == res2["k_maps"]
 
 
 def test_product_comparison_bijective_cases():
     swap = fixture_pa("z2-swap")
-    report = compare_products(swap, swap)
-    assert report["status"] == "holds"
+    status, report = compare_products(swap, swap)
+    assert status == "holds"
     assert report["source_classes"] == report["target_points"] == 4
 
     z2pair = fixture_pa("z2-pair")
     pt = fixture_pa("pt")
-    report2 = compare_products(z2pair, pt)
-    assert report2["status"] == "holds"
+    status2, report2 = compare_products(z2pair, pt)
+    assert status2 == "holds"
 
 
 def test_product_comparison_fails_on_z2_pair_square():
     z2pair = fixture_pa("z2-pair")
-    report = compare_products(z2pair, z2pair)
-    assert report["status"] == "fails"
+    status, report = compare_products(z2pair, z2pair)
+    assert status == "fails"
     assert report["reason"] == "not bijective"
     assert report["checks"]["well-defined"]
     assert report["checks"]["continuous"]
@@ -341,18 +343,18 @@ def test_iterated_twist_examples():
     z4 = cyclic_group(4)
     k = Subgroup.from_labels(z4, {"0", "2"}).as_group()
     pt = trivial_action(k, discrete_space(["y"]))
-    report = compare_iterated_twists(pt, z4)
-    assert report["status"] == "holds"
+    status, report = compare_iterated_twists(pt, z4)
+    assert status == "holds"
     assert report["iterated_classes"] == report["plain_classes"] == 2
 
     z2pair = fixture_pa("z2-pair")
-    report2 = compare_iterated_twists(z2pair)
-    assert report2["status"] == "holds"
+    status2, report2 = compare_iterated_twists(z2pair)
+    assert status2 == "holds"
     assert report2["iterated_classes"] == 3
 
     inst = load_fixture("z4-from-z2-pair")
-    report3 = compare_iterated_twists(inst.embedded_pa, inst.big)
-    assert report3["status"] == "holds"
+    status3, report3 = compare_iterated_twists(inst.embedded_pa, inst.big)
+    assert status3 == "holds"
     assert report3["iterated_classes"] == report3["plain_classes"] == 6
 
 
@@ -380,28 +382,28 @@ def test_comparisons_reject_envelopes_of_other_actions():
 
 def test_trivial_collapse_cases():
     pt = fixture_pa("pt")
-    report = trivial_collapse(twist(pt))
-    assert report["status"] == "holds"
+    status, report = trivial_collapse(twist(pt))
+    assert status == "holds"
 
     wedge_space = load_fixture("z2-wedge").space
     z2 = cyclic_group(2)
     triv = trivial_action(z2, wedge_space)
-    report_full = trivial_collapse(twist(triv))
-    assert report_full["status"] == "holds"
+    status_full, report_full = trivial_collapse(twist(triv))
+    assert status_full == "holds"
 
     z4 = cyclic_group(4)
     k = Subgroup.from_labels(z4, {"0", "2"}).as_group()
     ptk = trivial_action(k, discrete_space(["y"]))
-    report2 = trivial_collapse(twist(ptk, z4))
-    assert report2["status"] == "fails"
+    status2, report2 = trivial_collapse(twist(ptk, z4))
+    assert status2 == "fails"
     assert report2["reason"] == "not injective"
     assert report2["classes"] == 2
     assert len(report2["collision"]) == 2 and report2["collision_value"] == "y"
 
     e_group = validate_group(["e"], [["e"]], "e")
     one = trivial_action(e_group, discrete_space(["x", "y"]))
-    report3 = trivial_collapse(twist(one))
-    assert report3["status"] == "holds"
+    status3, report3 = trivial_collapse(twist(one))
+    assert status3 == "holds"
 
     with pytest.raises(ValidationError) as err:
         trivial_collapse(twist(fixture_pa("z2-swap")))
@@ -481,16 +483,16 @@ def test_recognition_on_random_restrictions(rng):
         restricted_pa = restricted(rng, beta)
         u = restricted_pa.space.points
         covered = {label_apply(beta, g, x) for g in beta.group.elements for x in u}
-        phi, report = recognize_globalization(beta, u)
+        phi, status, report = recognition(beta, u)
         if covered == set(beta.space.points):
             holds += 1
-            assert report["status"] == "holds"
+            assert status == "holds"
             assert phi.is_bijective()
             assert is_G_homeomorphism(
                 phi, globalize(restricted_pa).as_global_action(), beta)
         else:
             unmet += 1
-            assert report["status"] == "precondition-unmet"
+            assert status == "precondition-unmet"
             assert set(report["uncovered"]) == \
                 set(beta.space.points) - covered
     assert holds >= 3 and unmet >= 3
@@ -525,8 +527,8 @@ def test_empty_domain_globalizes_to_disjoint_copies():
     assert is_open(env.total, image)
     moved = {label_view(env).action["1"][c] for c in image}
     assert moved == set(env.total.points) - image
-    report = trivial_collapse(twist(pa))  # empty theta_1 is vacuously trivial
-    assert report["status"] == "fails"
+    status, report = trivial_collapse(twist(pa))  # empty theta_1 is vacuously trivial
+    assert status == "fails"
     assert report["reason"] == "not injective"
 
 
@@ -543,8 +545,8 @@ def test_split_recovers_non_square_factors():
     assert pa2.space.points == wedge.space.points
     assert pa1.domains == z2pair.domains
     assert pa2.domains == wedge.domains
-    report = compare_products(pa1, pa2)
-    assert report["status"] in ("holds", "fails")
+    status, report = compare_products(pa1, pa2)
+    assert status in ("holds", "fails")
     assert report["checks"]["well-defined"]
     assert report["checks"]["continuous"]
     assert report["checks"]["equivariant"]
@@ -677,7 +679,7 @@ def _compare_lifts(pa_x, pa_y, env_x, env_y, big, rows):
     error for error; so do envelope_of_map and the label lift of each row
     alone.  Returns the batch outcome."""
     poset = MapPoset(pa_x.space, pa_y.space, tuple(rows))
-    got = _lift_outcome(lambda: lift_maps(poset, pa_x, pa_y, env_x, env_y, big))
+    got = _lift_outcome(lambda: lift_maps(poset, env_x, env_y))
     want = _lift_outcome(lambda: label_lift_rows(pa_x.space, pa_y.space, rows,
                                                  pa_x, pa_y, env_x, env_y, big))
     assert got == want
@@ -779,6 +781,38 @@ def test_batch_lift_reaches_every_error(rng):
                     "induced map not well defined",
                     "induced map is not continuous",
                     "induced map is not equivariant"}
+
+
+def test_lift_maps_reads_the_actions_and_the_group_off_the_envelopes():
+    inst = load_fixture("z4-from-z2-pair")
+    pa, z4 = inst.embedded_pa, inst.big
+    env = twisted_product(pa, z4)
+    ident = MapPoset(pa.space, pa.space, (tuple(range(len(pa.space))),))
+    assert lift_maps(ident, env, env) == [tuple(range(len(env.total)))]
+    # mu_1 and mu_3 exchanged: still an action of Z4 (through inversion),
+    # equal to env's on K = {0, 2}.  The identity's lift commutes with mu_2
+    # but not with mu_1, and 1 generates G, not K: the lift is checked on G
+    rows = env.action_rows
+    inverted = dataclasses.replace(env, action_rows=(rows[0], rows[3], rows[2], rows[1]))
+    with pytest.raises(InternalCheckError, match="induced map is not equivariant"):
+        lift_maps(ident, env, inverted)
+    with pytest.raises(InternalCheckError, match="induced map is not equivariant"):
+        envelope_of_map(SpaceMap(pa.space, pa.space, ident.rows[0]), pa, pa, z4, env, inverted)
+    # both envelopes over one group, of actions of one group
+    for other in (twist(pa), globalize(fixture_pa("z2-pair"))):
+        with pytest.raises(ValidationError) as err:
+            lift_maps(ident, env, other)
+        assert err.value.axiom == "group-mismatch"
+    # the poset's spaces are the actions'
+    point = twisted_product(trivial_action(pa.group, discrete_space(["y"])), z4)
+    with pytest.raises(ValidationError) as err:
+        lift_maps(ident, env, point)
+    assert err.value.axiom == "space-mismatch"
+    # given envelopes must be those of envelope_of_map's actions over big
+    with pytest.raises(ValidationError) as err:
+        envelope_of_map(SpaceMap(pa.space, pa.space, ident.rows[0]), pa, pa, pa.group,
+                        env, env)
+    assert err.value.axiom == "envelope-mismatch"
 
 
 # ---------------------------------------------------------------------------

@@ -150,21 +150,96 @@ def test_failed_construction_fails_every_claim_that_needs_it(monkeypatch, name):
     assert "internal-error" in statuses and len(statuses) > 1
 
 
-@pytest.mark.parametrize("name", ["z2-pair", "z2-swap", "z2-wedge", "z2-pair-sq"])
-def test_twist_eq_glob_compares_independent_constructions(monkeypatch, name):
-    # mu_1 replaced by the identity: still a Z2 action, so every other claim
-    # runs, but no longer the globalization's
-    real = pact.envelope.twisted_product
+def count_envelopes(monkeypatch) -> list[tuple]:
+    """Route the one envelope kernel through a recorder; returns, per build
+    in order, its (action, group) and whether ``recognize_globalization``
+    asked for it (it builds its own globalization, outside the run)."""
+    built = []
+    real, recognize = pact.envelope._envelope, pact.verify.recognize_globalization
+    inside = []
 
-    def corrupted(*args):
-        env = real(*args)
+    def recording(pa, big, bounds):
+        built.append(((pa, big), bool(inside)))
+        return real(pa, big, bounds)
+
+    def recognizing(*args):
+        inside.append(True)
+        try:
+            return recognize(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(pact.envelope, "_envelope", recording)
+    monkeypatch.setattr(pact.verify, "recognize_globalization", recognizing)
+    return built
+
+
+# envelopes per run_all: the globalization (also G x_G X), the one
+# recognition builds, iterated-twist's outer product, and on z4-from-z2-pair
+# the twisted product over Z4, on z2-pair-sq that of the product's factor
+ENVELOPES_PER_FIXTURE = {name: 3 for name in fixture_names()}
+ENVELOPES_PER_FIXTURE.update({"z2-pair-sq": 4, "z4-from-z2-pair": 4})
+
+
+@pytest.mark.parametrize("inst", INSTANCES, ids=lambda inst: inst.id)
+def test_run_all_builds_each_envelope_once(monkeypatch, inst):
+    built = count_envelopes(monkeypatch)
+    run_all(inst)
+    in_run = [inputs for inputs, recognizing in built if not recognizing]
+    assert all(in_run[i] != in_run[j] for j in range(len(in_run)) for i in range(j))
+    assert len(in_run) == len(built) - 1
+    if inst.id in ENVELOPES_PER_FIXTURE:
+        assert len(built) == ENVELOPES_PER_FIXTURE[inst.id]
+
+
+@pytest.mark.parametrize("first", ["globalize", "twisted_product"])
+@pytest.mark.parametrize("name", ["z2-pair", "z4-circle", "z4-from-z2-pair"])
+def test_globalization_is_the_twisted_product_over_the_acting_group(monkeypatch, name, first):
+    calls = count_builds(monkeypatch)
+    pa = load_fixture(name).embedded_pa
+    run = pact.verify.Run(DEFAULT_BOUNDS)
+    asks = {"globalize": lambda: run.globalize(pa),
+            "twisted_product": lambda: run.twisted_product(pa, pa.group)}
+    env = asks[first]()
+    assert all(ask() is env for ask in asks.values())
+    # the first request built it, through its own library function
+    assert {builder: len(seen) for builder, seen in calls.items()} == {
+        builder: int(builder == first) for builder in calls}
+    assert env == pact.globalize(pa)
+
+
+@pytest.mark.parametrize("name", ["z2-pair", "z2-swap", "z2-wedge", "z2-pair-sq"])
+def test_twist_eq_glob_reads_the_shared_envelope(monkeypatch, name):
+    inst = load_fixture(name)
+    built = count_envelopes(monkeypatch)
+    claim = pact.verify.CLAIMS["twist-eq-glob"]
+    during = []
+
+    def watched(inst, run):
+        before = len(built)
+        result = claim(inst, run)
+        during.append(len(built) - before)
+        return result
+
+    monkeypatch.setitem(pact.verify.CLAIMS, "twist-eq-glob", watched)
+    report = next(rep for rep in run_all(inst) if rep.claim_id == "twist-eq-glob")
+    # embedding built the envelope before, and the claim reads that one
+    assert during == [0]
+    assert report.status == "holds"
+    assert report.witness["classes"] == report.witness["twisted_classes"]
+
+    # handed two envelopes that differ, its checks still tell them apart:
+    # mu_1 replaced by the identity, still a Z2 action but not the
+    # globalization's
+    real = pact.verify.Run.twisted_product
+
+    def corrupted(self, pa, big):
+        env = real(self, pa, big)
         rows = env.action_rows[:-1] + (tuple(range(len(env.total))),)
         return dataclasses.replace(env, action_rows=rows)
 
-    inst = load_fixture(name)
-    assert run_claim("twist-eq-glob", inst).status == "holds"
-    monkeypatch.setattr(pact.envelope, "twisted_product", corrupted)
-    report = next(rep for rep in run_all(inst) if rep.claim_id == "twist-eq-glob")
+    monkeypatch.setattr(pact.verify.Run, "twisted_product", corrupted)
+    report = run_claim("twist-eq-glob", inst)
     assert report.status == "fails" and report.witness["reason"] == "same-action"
 
 
