@@ -151,15 +151,26 @@ def _assemble(pa: PartialAction, big: Group, prod: FinSpace,
       monotone with mu_s . mu_g = mu_sg for each s and g) proves mu an
       action by homeomorphisms, as :func:`certified_global_action` shows;
       the action is kept as the envelope's.  Else :func:`_action_scan`.
-    * The projection p is continuous and open iff p(U_q) = below[p(q)] for
-      every pair q: equality makes p monotone and every p(U_q), hence the
-      image of every open, a down-set; conversely continuity gives the
-      inclusion, and openness the down-set of p(q).  As U_(g,x) is
+    * The order is read off one member per class, below[c] = p(U_q) at
+      c's first member q, and certified by p(U_q) = below[p(q)] for every
+      pair q: then c'' in below[c'] with c' = p(q'), q' <= q, is p(q'') for
+      some q'' <= q' <= q, so the read is transitive and is the quotient
+      order.  The same equality makes p monotone and every p(U_q), hence
+      the image of every open, a down-set; conversely continuity gives the
+      inclusion, and openness the down-set of p(q).  Else below is
+      :func:`quotient_order`'s and p is checked against it.  As U_(g,x) is
       {g} x U_x, the images are read one column x at a time.
     """
     space, k = pa.space, pa.group
     n, pairs, count = len(space), len(prod), len(members)
-    below = quotient_order(prod.down, pair_class, members)
+    class_bit = [1 << c for c in pair_class]
+    columns = [class_bit[x::n] for x in range(n)]
+    images = [list(reduce(partial(map, or_), map(columns.__getitem__, bit_indices(u))))
+              for u in space.down]
+    values = list(chain.from_iterable(zip(*images)))  # p(U_q) per pair q
+    below, clash = _descend(pair_class, members, values)
+    if clash is not None:
+        below = quotient_order(prod.down, pair_class, members)
     pair_class = tuple(pair_class)
     members = tuple(map(tuple, members))
     labels = tuple(map(prod.points.__getitem__, map(itemgetter(0), members)))
@@ -179,11 +190,7 @@ def _assemble(pa: PartialAction, big: Group, prod: FinSpace,
     if action is None:
         _action_scan(big, pair_class, members, labels, action_rows, below)
 
-    class_bit = [1 << c for c in pair_class]
-    columns = [class_bit[x::n] for x in range(n)]
-    if ([list(reduce(partial(map, or_), map(columns.__getitem__, bit_indices(u))))
-         for u in space.down]
-            != [list(map(below.__getitem__, pair_class[x::n])) for x in range(n)]):
+    if clash is not None and values != list(map(below.__getitem__, pair_class)):
         if monotonicity_violation(prod.down, (1 << pairs) - 1, pair_class, below) is not None:
             raise InternalCheckError("projection is not continuous")
         raise InternalCheckError("projection is not open")

@@ -321,10 +321,22 @@ def spread(columns: Sequence[Sequence[int]], masks: Sequence[int]) -> list[list[
     """Per column, per target point j: the union of the column's masks over
     the points in ``masks[j]``.  With a target's down-set masks this is the
     rows whose value at that column lies below j; with its up-set masks,
-    above j."""
-    spans = [bit_indices(mask) for mask in masks]
-    return [[reduce(or_, map(col.__getitem__, span), 0) for span in spans]
-            for col in columns]
+    above j.  Each value occurring in a column is ORed into the targets
+    whose mask holds it: the work is the number of such (value, target)
+    pairs, not the bits of every mask."""
+    reach = [[] for _ in masks]
+    for j, mask in enumerate(masks):
+        for i in bit_indices(mask):
+            reach[i].append(j)
+    out = []
+    for col in columns:
+        row = [0] * len(masks)
+        for rows, targets in zip(col, reach):
+            if rows:
+                for j in targets:
+                    row[j] |= rows
+        out.append(row)
+    return out
 
 
 def is_open_map(m: SpaceMap) -> bool:
@@ -415,9 +427,10 @@ def _quotient_by_classes(space: FinSpace, members: Sequence[Sequence[int]]
 
 def quotient_order(down: Sequence[int], cls_of: Sequence[int],
                    members: Sequence[Sequence[int]]) -> list[int]:
-    """The integer core of every quotient: for a partition of the points of
-    a space with down-set masks ``down``, given as each point's class and
-    each class's points, the down-set masks of the quotient: per class, the
+    """The integer core of :func:`quotient`, and the envelope's order when
+    its one-member read fails: for a partition of the points of a space
+    with down-set masks ``down``, given as each point's class and each
+    class's points, the down-set masks of the quotient: per class, the
     classes below it in the transitive closure of the induced relation."""
     class_bit = [1 << k for k in cls_of]
     below = [reduce(or_, [class_bit[i] for i in bit_indices(reduce(or_, [down[j] for j in idx]))],

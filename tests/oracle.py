@@ -1549,6 +1549,25 @@ def column_masks_by_definition(rows, width: int, m: int) -> list[list[int]]:
     return masks
 
 
+def spread_by_definition(columns, masks) -> list[list[int]]:
+    """Per column and target point j: the rows whose value in that column
+    lies in ``masks[j]``.  Each row's value is read off the column masks one
+    row at a time (row k has value v where bit k of ``col[v]`` is set), and
+    each row is tested against each target's mask."""
+    out = []
+    for col in columns:
+        value = {}
+        for v, rows in enumerate(col):
+            digits = bin(rows)[:1:-1]  # row 0's digit first
+            k = digits.find("1")
+            while k >= 0:
+                value[k] = v
+                k = digits.find("1", k + 1)
+        out.append([sum(1 << k for k, v in value.items() if mask >> v & 1)
+                    for mask in masks])
+    return out
+
+
 def theta_map(pa, g: str):
     """theta_g as a map of subspaces X_{g^-1} -> X_g."""
     from pact import SpaceMap, ValidationError, subspace

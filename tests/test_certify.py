@@ -660,6 +660,21 @@ def _one_more_relation(below):
     return [mask | 1 << c if i == d else mask for i, mask in enumerate(below)]
 
 
+def _misread_order(monkeypatch):
+    """Corrupt _assemble's one-member read of the quotient order: class 0
+    is read at the first member of the last class, so the certificate
+    p(U_q) = below[p(q)] fails at class 0's own first member.  The
+    comparisons elsewhere that read through ``_descend`` are left alone."""
+    import pact.envelope
+    real, assemble = pact.envelope._descend, pact.envelope._assemble.__code__
+
+    def descend(pair_class, members, values):
+        if sys._getframe(1).f_code is assemble and len(members) > 1:
+            members = [members[-1][:1], *members[1:]]
+        return real(pair_class, members, values)
+    monkeypatch.setattr(pact.envelope, "_descend", descend)
+
+
 @pytest.mark.parametrize("corrupt, message", [
     # c below d but no translate of c below the translate of d
     (_one_more_relation, "mu_'1' is not a homeomorphism of the total space"),
@@ -670,18 +685,38 @@ def _one_more_relation(below):
     (lambda below: [1 << i for i in range(len(below))], "projection is not continuous"),
 ], ids=["homeomorphism", "open", "continuous"])
 def test_corrupted_quotient_order_fails_as_the_exhaustive_checks(monkeypatch, corrupt, message):
-    """The down-set masks of the total space corrupted as the quotient
-    order hands them over: the action certificate or the projection
-    equality fails, and the exhaustive checks name the same witness as
-    when they were the only checks."""
+    """The one-member read of the order corrupted, so that its certificate
+    fails, and the down-set masks of the total space corrupted as the
+    quotient order of the fallback hands them over: the action certificate
+    or the projection equality fails, and the exhaustive checks name the
+    same witness as when they were the only checks."""
     import pact.envelope
     real = pact.envelope.quotient_order
 
     def quotient_order(down, cls_of, members):
         return corrupt(real(down, cls_of, members))
-    _assert_internal_for_assembling_claims(
-        monkeypatch, lambda: monkeypatch.setattr(pact.envelope, "quotient_order", quotient_order),
-        message)
+
+    def patch():
+        _misread_order(monkeypatch)
+        monkeypatch.setattr(pact.envelope, "quotient_order", quotient_order)
+    _assert_internal_for_assembling_claims(monkeypatch, patch, message)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_misread_order_falls_back_to_the_same_envelope(monkeypatch, name):
+    """Only the one-member read corrupted: the certificate fails, the order
+    comes from ``quotient_order``, and every table of the envelope equals
+    the one built on the certified read."""
+    import pact.envelope
+    inst = load_fixture(name)
+    builds = [(inst.pa, inst.pa.group), (inst.embedded_pa, inst.big)]
+    want = [twisted_product(pa, big) for pa, big in builds]
+    real, calls = pact.envelope.quotient_order, []
+    monkeypatch.setattr(pact.envelope, "quotient_order",
+                        lambda *args: calls.append(args) or real(*args))
+    _misread_order(monkeypatch)
+    assert [twisted_product(pa, big) for pa, big in builds] == want
+    assert len(calls) == sum(len(env.total) > 1 for env in want)
 
 
 def test_a_one_way_step_fails_the_class_certificate(monkeypatch):
@@ -705,16 +740,19 @@ def test_a_one_way_step_fails_the_class_certificate(monkeypatch):
 
 
 def test_run_all_takes_no_exhaustive_fallback(monkeypatch):
-    """Over whole runs on the fixtures and the generated documents, every
-    relation passes the class certificate and every envelope the action
-    certificate: the exhaustive scans behind them never run.  A certificate
-    that stopped passing on valid input would still give right answers
-    through them, only slower, so this test is what notices."""
+    """Over whole runs on the fixtures and the generated documents (the
+    arc-scaling and map-search instances of seeds 3 and 5), every relation
+    passes the class certificate, every envelope the action certificate and
+    every one-member read of the order its certificate: the exhaustive
+    scans and ``quotient_order`` behind them never run.  A certificate that
+    stopped passing on valid input would still give right answers through
+    them, only slower, so this test is what notices."""
     import pact.envelope
     import pact.finspace
     insts = golden_instances()
     calls = []
-    for module, name in ((pact.finspace, "_equivalence_scan"), (pact.envelope, "_action_scan")):
+    for module, name in ((pact.finspace, "_equivalence_scan"), (pact.envelope, "_action_scan"),
+                         (pact.envelope, "quotient_order")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *args, real=real, name=name: calls.append(name) or real(*args))

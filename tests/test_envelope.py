@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +21,10 @@ from pact import (DEFAULT_BOUNDS, BoundExceeded, Bounds, InternalCheckError, Map
                   space_from_min_opens, trivial_action, trivial_collapse, twisted_product,
                   validate_group, validate_partial_action)
 from pact.envelope import _assemble, _map_checks, lift_maps
-from pact.finspace import FinSpace, bit_indices
+from pact.finspace import FinSpace, bit_indices, quotient_order
 from oracle import (as_label_space, brute_globalization_classes, brute_members,
-                    brute_twisted_classes, family_scan_intersection, find_homeomorphism,
+                    brute_twisted_classes, closure_quotient_order, family_scan_intersection,
+                    find_homeomorphism,
                     globalization_class_count, globalization_document as oracle_document,
                     is_G_homeomorphism, LabelEnvelope, label_apply, label_assemble,
                     label_envelope_of_map, label_lift_rows, label_map_checks, label_view,
@@ -858,6 +860,55 @@ def test_class_counts_match_the_closed_forms(rng, kind):
             pa_k = restrict_to_subgroup(pa, rng.choice(all_subgroups(grp)))
             assert len(twisted_product(pa_k, grp, bounds).total) \
                 == twisted_class_count(len(grp), *label_tables(pa_k))
+
+
+def _h_sizes(pa) -> list[int]:
+    """|H_x| per point x of pa's space, H_x = {k in K : x in X_{k^-1}},
+    counted off pa's domains."""
+    k_grp, sizes = pa.group, [0] * len(pa.space)
+    for k in range(len(k_grp)):
+        for x in pa.domain_points[k_grp.inverse_row[k]]:
+            sizes[x] += 1
+    return sizes
+
+
+def _assert_order_and_class_sizes(pa, big, env):
+    """The envelope's order is the transitive closure of the induced
+    relation, by ``quotient_order`` and by the label oracle; it has
+    |G| * sum_x 1/|H_x| classes, and the class of (g, x) has |H_x|
+    members."""
+    prod = env.product_space
+    assert list(env.total.down) == quotient_order(prod.down, env.pair_class, env.members)
+    points = list(prod.points)
+    below = closure_quotient_order(points, {x: prod.min_open_of(x) for x in points},
+                                   [[points[p] for p in pairs] for pairs in env.members])
+    assert [set(bit_indices(down)) for down in env.total.down] == below
+    h, n = _h_sizes(pa), len(pa.space)
+    assert len(env.total) == len(big) * sum(Fraction(1, size) for size in h)
+    assert [len(env.members[c]) for c in env.pair_class] \
+        == [h[p % n] for p in range(len(env.pair_class))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(GLOBAL_KINDS))
+def test_envelope_order_and_class_sizes_on_random_draws(seed, kind):
+    """On global actions of every family and restrictions of them: the
+    globalization, and the twisted product over a random subgroup K,
+    K < G included."""
+    rng = random.Random(seed)
+    beta = random_global(rng, kind)
+    pa = beta if rng.random() < 0.3 else restricted(rng, beta)
+    big, bounds = pa.group, Bounds(envelope_pairs=4096)
+    pa_k = restrict_to_subgroup(pa, rng.choice(all_subgroups(big)))
+    _assert_order_and_class_sizes(pa, big, globalize(pa, bounds))
+    _assert_order_and_class_sizes(pa_k, big, twisted_product(pa_k, big, bounds))
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_envelope_order_and_class_sizes_on_fixtures(name):
+    inst = load_fixture(name)
+    for pa, big in ((inst.pa, inst.pa.group), (inst.embedded_pa, inst.big)):
+        _assert_order_and_class_sizes(pa, big, twisted_product(pa, big))
 
 
 @settings(max_examples=60, deadline=None)

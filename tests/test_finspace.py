@@ -16,7 +16,7 @@ from pact import (BoundExceeded, Bounds, FinSpace, InternalCheckError, SpaceMap,
                   space_from_min_opens, split_pair_label, subspace,
                   t0_quotient)
 from pact.finspace import (WIDE_MASK_BITS, _search_maps, bit_indices, column_masks,
-                           equivalence_classes, monotonicity_violation)
+                           equivalence_classes, monotonicity_violation, spread)
 from oracle import (LabelSpaceMap, assert_same_search, brute_opens,
                     closure_quotient_order, column_masks_by_definition,
                     copying_search_maps, exhaustive_equivalence_classes, find_homeomorphism,
@@ -24,7 +24,8 @@ from oracle import (LabelSpaceMap, assert_same_search, brute_opens,
                     label_core, label_is_open_map, label_is_T1,
                     label_product, label_quotient, label_space_from_min_opens,
                     label_subspace, label_t0_quotient, mask_space, pairs_inside,
-                    preimage_continuous, random_partition, space_violation)
+                    preimage_continuous, random_partition, space_violation,
+                    spread_by_definition)
 from gen import (c8, cone_raw, fence_document, outcome, random_preorder_space, random_space,
                  with_projections)
 
@@ -480,6 +481,35 @@ def test_column_masks_match_definition(rng, m):
         width = rng.randint(1, 5)
         rows = [tuple(rng.randrange(m) for _ in range(width)) for _ in range(rows_n)]
         assert column_masks(rows, width, m) == column_masks_by_definition(rows, width, m)
+
+
+def _total_preorder(rng, m: int) -> FinSpace:
+    """m points on random levels, each below every point on its level or
+    above: a preorder, not T0 once two points share a level."""
+    level = [rng.randrange(max(1, m // 3)) for _ in range(m)]
+    return FinSpace(tuple(f"p{i}" for i in range(m)),
+                    tuple(sum(1 << i for i in range(m) if level[i] <= level[j])
+                          for j in range(m)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0, 1, 4, 2000]),
+       st.sampled_from(["small", "wide"]))
+def test_spread_matches_definition(seed, rows_n, size):
+    """``spread`` against the rows tested one at a time, with down and up
+    masks: on tables of 0, 1, a few and thousands of rows, over small
+    random preorders and over targets past a byte of values (the other
+    branch of ``column_masks``), non-T0 ones included."""
+    rng = random.Random(seed)
+    if size == "small":
+        target = space_from_min_opens(*random_preorder_space(rng, 8, density=0.4))
+    else:
+        target = _total_preorder(rng, rng.randint(257, 300))
+    m, width = len(target), rng.randint(1, 3)
+    rows = [tuple(rng.randrange(m) for _ in range(width)) for _ in range(rows_n)]
+    columns = column_masks(rows, width, m)
+    for masks in (target.down, target._up_masks):
+        assert spread(columns, masks) == spread_by_definition(columns, masks)
 
 
 def _tables(rows, rng=None, extra: int = 0) -> list[list[int]]:
