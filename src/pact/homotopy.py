@@ -13,21 +13,24 @@ Comparison, fence components and fences read the rows and the table's
 column masks (the rows taking a given value at a given point); labelled
 SpaceMaps are made only for witnesses, such as a fence.
 
-Both sweeps take a row's neighbours as its down-set (the rows below it)
-and its up-set (the rows above it), and take each only where transitivity
-does not already cover it.  A sweep keeps the union of the down-sets it
-has taken and the union of the up-sets.  A row k in the first lies below
-some row j whose down-set was taken, so the down-set of k lies inside that
-of j, which the sweep has already seen; the same holds for up-sets.  A
-skipped side thus adds no row.  Beyond that, a component's sweep stops
-once it has seen every row not yet in a component, and a fence's search
-stops its level once the target row has a parent.
+Fence components and fences rest on two facts.
+  - Every row lies below a maximal row, one whose up-set lies in its
+    down-set.  So comparable rows a <= b lie together in the down-set of a
+    maximal row above b, which is connected through its top: the
+    components are the classes of the maximal rows' down-sets, merged
+    while they overlap.
+  - A breadth-first search from i that gives each row the first
+    neighbour in frontier order as its parent finds each row's
+    lexicographically least shortest fence.  By induction on the level:
+    a level is ordered by parent, then by row, which is the lexicographic
+    order of the tree paths, and a row's first parent ends the least tree
+    path among its neighbours on the level before.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import and_, getitem
+from operator import and_, getitem, or_
 from typing import Callable
 
 from .bounds import DEFAULT_BOUNDS, Bounds
@@ -77,83 +80,100 @@ class MapPoset:
         tgt = self.target
         return spread(self.columns, tgt.down), spread(self.columns, tgt._up_masks)
 
-    def _sides(self, k: int, lower: int, upper: int) -> tuple[int, int]:
-        """(down-set, up-set) of row k: the rows below it and the rows above
-        it, each including k.  A side is 0 when row k lies in ``lower``
-        (resp. ``upper``), the union of the down-sets (up-sets) a sweep has
-        already taken: then it lies inside one of them."""
-        below, above = self._value_masks
-        row = self.rows[k]
-        return (0 if lower >> k & 1 else reduce(and_, map(getitem, below, row)),
-                0 if upper >> k & 1 else reduce(and_, map(getitem, above, row)))
+    def _side(self, k: int, up: bool) -> int:
+        """Row k's up-set (the rows above it) when ``up``, else its down-set
+        (the rows below it); k included."""
+        return reduce(and_, map(getitem, self._value_masks[up], self.rows[k]))
+
+    @cached_property
+    def _layers(self) -> list[int]:
+        """The rows by rank, lowest first.  A row's rank sums the heights
+        (down-set sizes) of its values, so a row strictly above another
+        ranks higher, whatever the order of the points."""
+        heights = [d.bit_count() for d in self.target.down]
+        layers = {0: (1 << len(self.rows)) - 1}
+        for column in self.columns:
+            nxt: dict[int, int] = {}
+            for r, mask in layers.items():
+                for h, rows in zip(heights, column):
+                    nxt[r + h] = nxt.get(r + h, 0) | mask & rows
+            layers = nxt
+        return [layers[r] for r in sorted(layers)]
+
+    def _close(self, rows: int, closed: int, up: bool) -> int:
+        """``closed``, a union of down-sets (up-sets when ``up``), joined
+        with the sides of ``rows``.  A row inside the union has its side
+        inside it already; the others are taken from the highest layer down
+        (lowest up), so each side taken is a maximal (minimal) row's."""
+        rest = rows & ~closed
+        layers = iter(self._layers if up else reversed(self._layers))
+        while rest:
+            part = rest & next(layers)
+            while part:
+                closed |= self._side(part.bit_length() - 1, up)
+                rest &= ~closed
+                part &= rest
+        return closed
 
     @cached_property
     def components(self) -> tuple[int, ...]:
         """Fence components: connected components of the comparability
-        graph, numbered in order of their first row.
-
-        Each component is swept breadth-first from its first row, taking
-        only the down-sets and up-sets that :meth:`_sides` does not skip.
-        The sweep stops as soon as it has seen every row not yet in a
-        component, and its rows are then assigned in one pass."""
-        comp = [-1] * len(self.rows)
-        rest = (1 << len(self.rows)) - 1  # rows not yet in a component
-        current = 0
-        while rest:
-            seen = frontier = rest & -rest
-            lower = upper = 0
-            while frontier and seen != rest:
-                for k in bit_indices(frontier):
-                    down, up = self._sides(k, lower, upper)
-                    if down | up:
-                        lower |= down
-                        upper |= up
-                        if lower | upper == rest:
-                            break
-                frontier = (lower | upper) & ~seen
-                seen |= frontier
-            for k in bit_indices(seen):
-                comp[k] = current
-            rest &= ~seen
-            current += 1
+        graph, numbered in order of their first row; found as the classes
+        of the maximal rows' down-sets (module docstring).  The least row
+        not yet covered climbs to a row above it with another up-set (rows
+        with the same one are equivalent, as a non-T0 target allows) until
+        none is left.  No down-set taken holds the maximal row reached, so
+        each class of equivalent maximal rows gives one down-set."""
+        classes: list[int] = []
+        covered, every = 0, (1 << len(self.rows)) - 1
+        while covered != every:
+            k = ((covered + 1) & ~covered).bit_length() - 1
+            up, same = self._side(k, True), 1 << k
+            while higher := up ^ same:
+                top = higher.bit_length() - 1
+                if (above := self._side(top, True)) == up:
+                    same |= 1 << top
+                else:
+                    k, up, same = top, above, 1 << top
+            down = self._side(k, False)
+            if down & covered:
+                down = reduce(or_, (c for c in classes if c & down), down)
+                classes = [c for c in classes if not c & down]
+            classes.append(down)
+            covered |= down
+        classes.sort(key=lambda c: c & -c)
+        comp = [0] * len(self.rows)
+        for number, members in enumerate(classes[1:], 1):
+            for k in bit_indices(members):
+                comp[k] = number
         return tuple(comp)
 
     def fence(self, i: int, j: int) -> list[SpaceMap] | None:
-        """A shortest fence from row i to row j, or None.
-
-        Breadth-first from i, neighbours in row order; a search that runs
-        out of rows without reaching j means they lie in different
-        components.  A level stops as soon as j has a parent, and the sides
-        that :meth:`_sides` skips are already seen: neither changes which
-        parent the first one in frontier order gives each row, so the
-        fence is the one the full search finds."""
-        prev: dict[int, int | None] = {i: None}
-        seen = 1 << i
-        lower = upper = 0
-        frontier = [i]
-        while frontier and j not in prev:
-            nxt = []
-            for a in frontier:
-                down, up = self._sides(a, lower, upper)
-                lower |= down
-                upper |= up
-                new = (down | up) & ~seen
-                seen |= new
-                for b in bit_indices(new):
-                    prev[b] = a
-                    nxt.append(b)
-                if j in prev:
-                    break
-            frontier = nxt
-        if j not in prev:
-            return None
-        path = []
-        cur: int | None = j
-        while cur is not None:
-            path.append(SpaceMap(self.source, self.target, self.rows[cur]))
-            cur = prev[cur]
-        path.reverse()
-        return path
+        """The lexicographically least shortest fence from row i to row j
+        (module docstring), or None when they lie in different components.
+        It builds the breadth-first levels from i as masks, marks back from
+        j the rows on some shortest fence, and walks forward from i to the
+        least marked neighbour at each step: each one marked still reaches
+        j in the steps left, so the walk is the least such fence."""
+        def neighbours(rows: int) -> int:
+            return self._close(rows, 0, False) | self._close(rows, 0, True)
+        levels = [1 << i]
+        seen, lower, upper = levels[0], 0, 0
+        while not seen >> j & 1:
+            lower = self._close(levels[-1], lower, False)
+            upper = self._close(levels[-1], upper, True)
+            if not (new := (lower | upper) & ~seen):
+                return None
+            levels.append(new)
+            seen |= new
+        marked = [1 << j]
+        for level in reversed(levels[:-1]):
+            marked.append(neighbours(marked[-1]) & level)
+        path = [i]
+        for on in reversed(marked[:-1]):
+            step = neighbours(1 << path[-1]) & on
+            path.append((step & -step).bit_length() - 1)
+        return [SpaceMap(self.source, self.target, self.rows[k]) for k in path]
 
 
 def enumerate_maps(source: FinSpace, target: FinSpace,

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import operator
+
 import pytest
 
 from pact import (BoundExceeded, Bounds, SpaceMap, ValidationError,
@@ -10,6 +12,7 @@ from pact import (BoundExceeded, Bounds, SpaceMap, ValidationError,
                   parse_instance, run_claim, space_from_min_opens,
                   t0_quotient, trivial_action)
 from pact.finspace import WIDE_MASK_BITS
+from pact import homotopy
 from pact.homotopy import MapPoset
 from gen import (c8, cone, cyclic_group, fence_document, fixture_pa, g_contract,
                  random_global, random_partial, random_preorder_space, random_space,
@@ -185,25 +188,108 @@ def test_sweeps_match_unpruned_sweep_on_g_map_posets(rng):
     assert moved >= 20 and several >= 20 and constants >= 20
 
 
+def count_sides(monkeypatch) -> dict[str, int]:
+    """Patch MapPoset to count the down-sets and up-sets it computes."""
+    taken = {"down": 0, "up": 0}
+    side = MapPoset._side
+
+    def counting(self, k, up):
+        taken["up" if up else "down"] += 1
+        return side(self, k, up)
+    monkeypatch.setattr(MapPoset, "_side", counting)
+    return taken
+
+
 def test_components_take_few_down_and_up_sets(monkeypatch):
-    # a side that is taken holds its own row, so it is never 0
-    taken = []
-    sides = MapPoset._sides
-
-    def counting(self, k, lower, upper):
-        down, up = sides(self, k, lower, upper)
-        taken.append((down != 0) + (up != 0))
-        return down, up
-
-    monkeypatch.setattr(MapPoset, "_sides", counting)
+    taken = count_sides(monkeypatch)
     fence9 = parse_instance(fence_document(5)).pa
     cone6 = cone(trivial_action(cyclic_group(3), discrete_space([f"m{i}" for i in range(5)])))
-    for pa, rows, limit in ((fence9, 6187, 6187 // 2), (cone6, 7781, 100)):
+    # fence9 has 68 maximal G-self-maps; cone6's constant at the apex is
+    # the greatest of its maps
+    for pa, rows, maximal in ((fence9, 6187, 68), (cone6, 7781, 1)):
         poset = enumerate_maps(pa.space, pa.space, equivariant=(pa, pa),
                                bounds=Bounds(max_maps=16384))
-        taken.clear()
+        taken.update(down=0, up=0)
         assert poset.components == (0,) * rows
-        assert sum(taken) <= limit
+        assert taken["down"] == maximal
+        assert taken["up"] <= 2 * maximal
+
+
+def test_fence_takes_the_same_sides_whatever_the_point_order(monkeypatch):
+    # the 9-point fence listed minimal points first and maximal points
+    # first: taking rows by rank, not by position, keeps every side taken
+    # a maximal (minimal) row's, so the sweep does the same work
+    taken = count_sides(monkeypatch)
+    opens = {f"x{i}": [f"x{i}"] for i in range(5)}
+    opens.update({f"y{i}": [f"x{i}", f"y{i}", f"x{i + 1}"] for i in range(4)})
+    counts = []
+    for points in (list(opens), list(opens)[::-1]):
+        pa = trivial_action(cyclic_group(2), space_from_min_opens(points, opens))
+        poset = enumerate_maps(pa.space, pa.space, equivariant=(pa, pa),
+                               bounds=Bounds(max_maps=16384))
+        ident = poset.index_of(SpaceMap.identity(pa.space).row)
+        const = poset.index_of(SpaceMap.constant(pa.space, pa.space, "x0").row)
+        taken.update(down=0, up=0)
+        assert len(poset.fence(ident, const)) == 9
+        counts.append(dict(taken))
+    assert counts[0] == counts[1] == {"down": 88, "up": 148}
+
+
+def test_components_and_fences_on_a_non_t0_target():
+    # the two tops are mutually <=, so maps that differ only between them
+    # are distinct rows each above the other: a climb that took "above and
+    # not itself" as strictly above would run between them for ever
+    target = space_from_min_opens(["b", "t", "u"], {"b": ["b"], "t": ["b", "t", "u"],
+                                                     "u": ["b", "t", "u"]})
+    source = discrete_space(["p", "q"])
+    poset = enumerate_maps(source, target)
+    maps = [SpaceMap(source, target, row) for row in poset.rows]
+    assert len(maps) == 9
+    assert poset.components == label_components(maps) == (0,) * 9
+    for i in range(9):
+        for j in range(9):
+            fence = poset.fence(i, j)
+            assert [f.row for f in fence] == [f.row for f in label_fence(maps, i, j)]
+
+
+def test_components_of_an_antichain_merge_nothing(monkeypatch):
+    # maps into a discrete space are pairwise incomparable: every row is
+    # its own maximal map and its own component, and since no down-set
+    # meets the rows already covered, no class is scanned for a merge
+    merges = []
+    fold = homotopy.reduce
+
+    def counting(function, *args):
+        merges.append(function is operator.or_)
+        return fold(function, *args)
+    monkeypatch.setattr(homotopy, "reduce", counting)
+    taken = count_sides(monkeypatch)
+    poset = enumerate_maps(discrete_space(["p", "q", "r"]), discrete_space(list("abcdef")))
+    assert poset.components == tuple(range(216))
+    assert taken == {"down": 216, "up": 216} and not any(merges)
+    assert poset.fence(0, 1) is None
+    assert [f.row for f in poset.fence(5, 5)] == [poset.rows[5]]
+
+
+def test_components_of_an_empty_poset():
+    point = discrete_space(["p"])
+    assert MapPoset(point, point, ()).components == ()
+
+
+def test_fence_breaks_ties_by_the_least_first_step():
+    # from i two shortest fences reach j: i < a > x < j and i < b > y < j,
+    # with a before b but y before x; the least first step decides, as in
+    # breadth-first search with first parents, not the least last step
+    target = space_from_min_opens(list("iabyxj"), {
+        "i": ["i"], "y": ["y"], "x": ["x"], "a": ["i", "a", "x"],
+        "b": ["i", "b", "y"], "j": ["x", "y", "j"]})
+    poset = enumerate_maps(discrete_space(["p"]), target)
+    maps = [SpaceMap(poset.source, poset.target, row) for row in poset.rows]
+    fence = poset.fence(0, 5)
+    assert [f.assignment for f in fence] == [("i",), ("a",), ("x",), ("j",)]
+    assert [f.row for f in fence] == [f.row for f in label_fence(maps, 0, 5)]
+    assert [f.assignment for f in poset.fence(5, 0)] == [("j",), ("y",), ("b",), ("i",)]
+    assert [f.row for f in poset.fence(5, 0)] == [f.row for f in label_fence(maps, 5, 0)]
 
 
 def test_homotopy_is_equivalence_relation():
