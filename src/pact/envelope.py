@@ -505,10 +505,35 @@ def adjunction_maps(env: EnvelopeResult, pa_y: PartialAction,
 
     ``hom(pa_a, pa_b)`` returns the poset of G-maps A -> B, built by the
     caller (``enumerate_maps(..., equivariant=(pa_a, pa_b))``) under its
-    own bounds, or one it already has.  lambda(F) = F o iota_K and
-    tau(f)([g,x]) = eta(g, f(x)); the checks record whether they are
-    mutually inverse bijections and whether the naturality squares commute
-    for the first :data:`NATURALITY_MORPHISMS` endomorphisms of X and of Y.
+    own bounds, or one it already has; it is asked for Hom_G(G x_K X, Y),
+    Hom_K(X, res Y), End(Y) and End(X), in that order.  lambda(F) = F o
+    iota and tau(f)([g,x]) = g . f(x), each looked up in the other
+    hom-set's row index.  Each check, and what makes it hold on correct
+    hom-sets, in terms of the certificates that building ``env`` ran:
+
+    - lambda-lands-in-homset: F o iota is continuous and K-equivariant,
+      as iota is continuous and mu_k . iota = iota . theta_k on
+      X_{k^-1} (the embedding checks);
+    - tau-well-defined: (g, f(x)) takes one value per class, as the
+      classes are exactly those of (g, x) ~ (g k^-1, theta_k(x)) (the
+      class certificate) and f(theta_k(x)) = k . f(x);
+    - tau-lands-in-homset: tau(f) is continuous, as the order is the one
+      read off the projection of each pair's open set (the projection
+      certificate), and equivariant by construction;
+    - mutually-inverse: lambda o tau = id, as iota(x) = [e, x], and tau o
+      lambda = id, as G . iota(X) covers G x_K X (the coverage check) and
+      both sides are equivariant;
+    - naturality-post and naturality-pre, on the first
+      :data:`NATURALITY_MORPHISMS` endomorphisms s of Y and r of X.  Both
+      follow from the identity lambda(F) = F o iota wherever lambda is
+      defined.  It gives lambda(s o F) = s o lambda(F) as soon as lambda
+      is defined at s o F, and lambda(F o Er) = lambda(F) o r as soon as
+      it is defined at F o Er and F agrees on Er o iota and iota o r,
+      which are equal when Er is the lift of r.  So at every F where
+      lambda is defined, the post square commutes iff lambda is defined
+      at s o F, and the pre square iff lambda is defined at F o Er and F
+      agrees at the points where Er o iota and iota o r differ (none on
+      a correct lift).
     """
     pa_x, big = env.base, env.big_group
     k_grp = pa_x.group
@@ -519,68 +544,45 @@ def adjunction_maps(env: EnvelopeResult, pa_y: PartialAction,
 
     # res^G_K(Y), keyed by K's own group object so hom-sets compose with pa_x.
     res_y = restrict_to_group(pa_y, k_grp)
+    g_poset = hom(env.as_global_action(), pa_y)
+    k_poset = hom(pa_x, res_y)
+    g_rows, k_rows = g_poset.rows, k_poset.rows
+    g_find, k_find = g_poset._lookup.get, k_poset._lookup.get
 
-    # both hom-sets as index rows
-    g_rows = hom(env.as_global_action(), pa_y).rows
-    k_rows = hom(pa_x, res_y).rows
-    k_index = {row: i for i, row in enumerate(k_rows)}
-    g_index = {row: i for i, row in enumerate(g_rows)}
-
-    checks = {"lambda-lands-in-homset": True, "tau-lands-in-homset": True,
-              "tau-well-defined": True, "mutually-inverse": True,
-              "naturality-post": True, "naturality-pre": True}
-
-    lam = []
     emb = env.embedding_row
-    for bf in g_rows:
-        row = tuple([bf[x] for x in emb])
-        idx = k_index.get(row)
-        if idx is None:
-            checks["lambda-lands-in-homset"] = False
-            idx = -1
-        lam.append(idx)
-
-    tau = []
+    lam = [k_find(tuple([bf[x] for x in emb]), -1) for bf in g_rows]
+    tau, clashes = [], 0
     for f in k_rows:
         values, clash = env.descend([image[y] for image in pa_y.images for y in f])
-        if clash is not None:
-            checks["tau-well-defined"] = False
-        idx = g_index.get(values)
-        if idx is None:
-            checks["tau-lands-in-homset"] = False
-            idx = -1
-        tau.append(idx)
+        tau.append(g_find(values, -1))
+        clashes += clash is not None
 
-    checks["mutually-inverse"] = (
-        len(g_rows) == len(k_rows)
-        and all(li >= 0 and tau[li] == i for i, li in enumerate(lam))
-        and all(tj >= 0 and lam[tj] == j for j, tj in enumerate(tau)))
+    def lam_defined(row: tuple[int, ...]) -> bool:
+        i = g_find(row)
+        return i is not None and lam[i] >= 0
 
-    def lam_of(row: tuple[int, ...]) -> tuple[int, ...] | None:
-        idx = g_index.get(row)
-        return None if idx is None or lam[idx] < 0 else k_rows[lam[idx]]
-
-    # Naturality: post-composition square with s : Y -> Y and
-    # pre-composition square with r : X -> X, over enumerated endomorphisms.
+    # the naturality squares at every F where lambda is defined, read off
+    # lambda(F) = F o iota (see above)
+    lam_rows = [bf for bf, li in zip(g_rows, lam) if li >= 0]
     ss = hom(pa_y, pa_y).rows[:NATURALITY_MORPHISMS]
-    for s in ss:
-        for i, bf in enumerate(g_rows):
-            if lam[i] < 0:
-                continue
-            left = tuple([s[v] for v in k_rows[lam[i]]])
-            if lam_of(tuple([s[v] for v in bf])) != left:
-                checks["naturality-post"] = False
     rs = hom(pa_x, pa_x).rows[:NATURALITY_MORPHISMS]
     ers = lift_maps(MapPoset(pa_x.space, pa_x.space, rs), env, env)
-    for r, er in zip(rs, ers):
-        for i, bf in enumerate(g_rows):
-            if lam[i] < 0:
-                continue
-            k_row = k_rows[lam[i]]
-            left = tuple([k_row[v] for v in r])
-            if lam_of(tuple([bf[c] for c in er])) != left:
-                checks["naturality-pre"] = False
-
+    # (Er(iota(x)), iota(r(x))) at each x where the two differ
+    aparts = [[(er[c], emb[x]) for c, x in zip(emb, r) if er[c] != emb[x]]
+              for r, er in zip(rs, ers)]
+    checks = {
+        "lambda-lands-in-homset": -1 not in lam,
+        "tau-lands-in-homset": -1 not in tau,
+        "tau-well-defined": not clashes,
+        "mutually-inverse": (len(g_rows) == len(k_rows)
+                             and all(li >= 0 and tau[li] == i for i, li in enumerate(lam))
+                             and all(tj >= 0 and lam[tj] == j for j, tj in enumerate(tau))),
+        "naturality-post": all(lam_defined(tuple([s[v] for v in bf]))
+                               for s in ss for bf in lam_rows),
+        "naturality-pre": (all(lam_defined(tuple([bf[c] for c in er]))
+                               for er in ers for bf in lam_rows)
+                           and all(bf[a] == bf[b] for apart in aparts for a, b in apart
+                                   for bf in lam_rows))}
     return verdict(checks, g_maps=len(g_rows), k_maps=len(k_rows))
 
 

@@ -560,18 +560,15 @@ def _search_maps(source: FinSpace, target: FinSpace, allowed: Sequence[int],
 
     DFS over blocks: the most constrained unassigned point (least index on
     ties) picks its block, and each of its candidates, in target order, is
-    one node.  Assigning f(i) = j narrows the points above i to the up-set
-    of j and those below to the down-set; on a larger block it then writes
-    every other member's value, which must be one of that member's
-    candidates, and narrows that member's neighbours the same way.
+    one node.  Every assignment f(x) = j, of the chosen point and then of
+    the other members of a larger block, goes through one routine, settle:
+    j must be a candidate of x, and the unassigned points above x are
+    narrowed to the up-set of j and those below to the down-set.
 
     The search runs in place on one candidate list: each narrowing pushes
     (index, old mask) on a trail, and backtracking pops the trail back to
     the node's mark (the reversible updates of Knuth's "Dancing Links").
-    An assigned point keeps the single bit of its value.  The last
-    unassigned point, a block of its own, runs in one loop with no checks:
-    the order constraints against the assigned points already hold, since
-    each assignment narrowed this point's candidates.
+    An assigned point keeps the single bit of its value.
 
     Subtrees that recur are replayed, as component caching does in
     backtracking model counters (Bacchus, Dalmao and Pitassi, JAIR 34,
@@ -581,12 +578,12 @@ def _search_maps(source: FinSpace, target: FinSpace, allowed: Sequence[int],
     unassigned one (value -1), which is nonempty below the root, since
     narrowing fails rather than empty a mask (a root with an empty mask
     ends the search at no node).  The branch pick reads only the unassigned
-    points' candidates, and narrowing and settle read and write only
-    unassigned points, so the subtree's values on the unassigned points,
-    its rows' order and its node count are functions of the key.  Once a
-    subtree has been walked, the key records (start, stop, nodes): the
-    slice of ``out`` it appended, which stays in place as ``out`` is only
-    appended to until the final sort, and the nodes it counted.  A node
+    points' candidates, and settle reads and writes only unassigned points,
+    so the subtree's values on the unassigned points, its rows' order and
+    its node count are functions of the key.  Once a subtree has been
+    walked, the key records (start, stop, nodes): the slice of ``out`` it
+    appended, which stays in place as ``out`` is only appended to until the
+    final sort, and the nodes it counted.  A node
     whose key was seen appends that slice again with its own values at the
     assigned points and adds the count, when both fit the budgets;
     otherwise it walks the subtree, so a bound is raised at the same node
@@ -611,13 +608,9 @@ def _search_maps(source: FinSpace, target: FinSpace, allowed: Sequence[int],
     nodes = 0
     memo: dict[tuple[int, ...], tuple[int, int, int]] = {}
 
-    # Only the other members of a block go through settle: the chosen
-    # point's narrowing stays inline in search, where a search of points
-    # that are blocks of their own spends its time.
     def settle(x: int, j: int) -> bool:
-        """Assign f(x) = j for a block member x and narrow its unassigned
-        neighbours; False when j is no candidate of x or a neighbour is
-        left with none."""
+        """Assign f(x) = j and narrow x's unassigned neighbours; False when
+        j is no candidate of x or a neighbour is left with none."""
         old = cands[x]
         if not old >> j & 1:
             return False
@@ -659,26 +652,9 @@ def _search_maps(source: FinSpace, target: FinSpace, allowed: Sequence[int],
                 if count < best_count:
                     best, best_count = i, count
         mask = cands[best]
-        if left == 1:
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                nodes += 1
-                if nodes > node_budget:
-                    raise BoundExceeded("map enumeration (nodes)", node_budget, nodes)
-                value[best] = low.bit_length() - 1
-                out.append(tuple(value))
-                if len(out) > max_maps:
-                    raise BoundExceeded("map enumeration (maps)", max_maps, len(out))
-            value[best] = -1
-            return
-        up_of, down_of = src_up[best], src_down[best]
         block = blocks[best]
-        if block:
-            back, members = block
-            rest = left - len(members)
-        else:
-            rest = left - 1
+        back, members = block or (None, ((best, None),))
+        rest = left - len(members)
         while mask:
             low = mask & -mask
             mask ^= low
@@ -687,55 +663,27 @@ def _search_maps(source: FinSpace, target: FinSpace, allowed: Sequence[int],
             if nodes > node_budget:
                 raise BoundExceeded("map enumeration (nodes)", node_budget, nodes)
             mark = len(trail)
-            trail.append((best, cands[best]))
-            cands[best] = low
-            ok = True
-            narrow = tgt_up[j]
-            for i2 in up_of:
-                if value[i2] < 0:
-                    old = cands[i2]
-                    new = old & narrow
-                    if new != old:
-                        if not new:
-                            ok = False
-                            break
-                        trail.append((i2, old))
-                        cands[i2] = new
+            ok = settle(best, j)
+            if ok and block:
+                r = back[j]
+                for x, forth in members:
+                    if x != best and not settle(x, forth[r]):
+                        ok = False
+                        break
             if ok:
-                narrow = tgt_down[j]
-                for i2 in down_of:
-                    if value[i2] < 0:
-                        old = cands[i2]
-                        new = old & narrow
-                        if new != old:
-                            if not new:
-                                ok = False
-                                break
-                            trail.append((i2, old))
-                            cands[i2] = new
-            if ok:
-                value[best] = j
-                if block:
-                    r = back[j]
-                    for x, forth in members:
-                        if x != best and not settle(x, forth[r]):
-                            ok = False
-                            break
-                if ok:
-                    if rest:
-                        search(rest)
-                    else:
-                        out.append(tuple(value))
-                        if len(out) > max_maps:
-                            raise BoundExceeded("map enumeration (maps)", max_maps, len(out))
-                if block:
-                    for x, _ in members:
-                        value[x] = -1
-                value[best] = -1
+                if rest:
+                    search(rest)
+                else:
+                    out.append(tuple(value))
+                    if len(out) > max_maps:
+                        raise BoundExceeded("map enumeration (maps)", max_maps, len(out))
+            for x, _ in members:
+                value[x] = -1
             while len(trail) > mark:
                 i2, old = trail.pop()
                 cands[i2] = old
-        memo[key] = (start, len(out), nodes - before)
+        if left > 1:
+            memo[key] = (start, len(out), nodes - before)
 
     try:
         search(n)

@@ -214,11 +214,6 @@ def core(space: FinSpace) -> FinSpace:
         current = subspace(current, current.points[:beat] + current.points[beat + 1:])
 
 
-def is_contractible(space: FinSpace) -> bool:
-    """True iff the core of the Kolmogorov quotient is a single point."""
-    return len(core(space)) == 1
-
-
 @dataclass(frozen=True)
 class GContract:
     """Outcome of the equivariant contractibility search."""

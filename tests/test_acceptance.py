@@ -16,7 +16,7 @@ from pact import (SpaceMap, Subgroup, ValidationError,
                   discrete_space,
                   fixed_decomposition, fixed_points,
                   fixture_dict, fixture_names, global_action, globalize,
-                  is_contractible, is_continuous, is_open,
+                  is_continuous, is_open,
                   load_fixture, parse_instance,
                   replay_witness, run_claim,
                   trivial_action, trivial_collapse, twisted_product)
@@ -26,7 +26,7 @@ from pact.cli import main as cli_main
 from oracle import (are_G_homotopic, brute_globalization_classes, brute_opens,
                     brute_twisted_classes, envelopes_G_homotopic,
                     find_homeomorphism,
-                    globalization_document, group_violation, label_view,
+                    globalization_document, group_violation, is_contractible, label_view,
                     partial_action_violation,
                     random_partition, space_violation)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from pact import (DEFAULT_BOUNDS, BoundExceeded, Bounds, InternalCheckError, MapPoset,
                   SpaceMap, Subgroup, ValidationError, adjunction_maps, all_subgroups,
-                  diagonal_product, discrete_space, global_action,
+                  diagonal_product, discrete_space, enumerate_maps, global_action,
                   envelope_of_map, enumerate_G_maps,
                   fixed_decomposition, fixture_names, globalize, is_G_map, is_T1,
                   is_continuous, is_open, iterated_twist_comparison,
@@ -307,6 +307,55 @@ def test_adjunction_over_proper_subgroup():
     status2, res2 = adjunction_maps(twist(pa, z4), y, hom)
     assert status2 == "holds"
     assert res2["g_maps"] == res2["k_maps"]
+
+
+ADJUNCTION_CHECKS = ("lambda-lands-in-homset", "tau-lands-in-homset", "tau-well-defined",
+                     "mutually-inverse", "naturality-post", "naturality-pre")
+
+
+def _non_equivariant(rows, pa_a, pa_b):
+    """The first continuous map pa_a -> pa_b that is not among ``rows``."""
+    return next(row for row in enumerate_maps(pa_a.space, pa_b.space).rows
+                if row not in rows)
+
+
+@pytest.mark.parametrize("call, edit, failing", [
+    # adjunction_maps asks hom for Hom_G(G x_K X, Y), Hom_K(X, res Y),
+    # End(Y) and End(X), in that order
+    (0, lambda rows, a, b: rows[1:],
+     {"tau-lands-in-homset", "mutually-inverse", "naturality-post", "naturality-pre"}),
+    (0, lambda rows, a, b: rows + rows[:1], {"mutually-inverse"}),
+    (0, lambda rows, a, b: rows[::-1], set()),
+    (1, lambda rows, a, b: rows[1:],
+     {"lambda-lands-in-homset", "mutually-inverse", "naturality-post", "naturality-pre"}),
+    (1, lambda rows, a, b: rows + [_non_equivariant(rows, a, b)],
+     {"tau-lands-in-homset", "tau-well-defined", "mutually-inverse"}),
+    (2, lambda rows, a, b: [_non_equivariant(rows, a, b)] + rows, {"naturality-post"}),
+    # the lifts of End(X) swapped, so every F o Er is still a G-map and
+    # only F o Er o iota != F o iota o r shows; then the identity's lift
+    # made non-equivariant, so some F o Er is no G-map
+    (None, lambda ers: ers[::-1], {"naturality-pre"}),
+    (None, lambda ers: ers[:1] + [(0, 1, 1)], {"naturality-pre"}),
+])
+def test_adjunction_checks_fail_under_injected_faults(monkeypatch, call, edit, failing):
+    pa_x, pa_y = fixture_pa("z2-pair"), fixture_pa("z2-wedge")
+    calls = []
+
+    def faulty_hom(pa_a, pa_b):
+        poset = hom(pa_a, pa_b)
+        calls.append(poset)
+        if len(calls) - 1 == call:
+            rows = tuple(edit(list(poset.rows), pa_a, pa_b))
+            poset = MapPoset(poset.source, poset.target, rows, poset.kind)
+        return poset
+
+    if call is None:
+        monkeypatch.setattr("pact.envelope.lift_maps",
+                            lambda poset, env_x, env_y: edit(lift_maps(poset, env_x, env_y)))
+    status, res = adjunction_maps(twist(pa_x), pa_y, faulty_hom)
+    assert [len(poset.rows) for poset in calls] == [3, 3, 3, 2]
+    assert res["checks"] == {name: name not in failing for name in ADJUNCTION_CHECKS}
+    assert status == ("fails" if failing else "holds")
 
 
 def test_product_comparison_bijective_cases():

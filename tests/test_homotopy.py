@@ -7,7 +7,7 @@ import pytest
 from pact import (BoundExceeded, Bounds, SpaceMap, ValidationError,
                   core, discrete_space, enumerate_maps, enumerate_opens,
                   fixed_points, fixture_names, globalize,
-                  is_contractible, is_G_contractible,
+                  is_G_contractible,
                   is_G_map, is_locally_G_contractible, load_fixture,
                   parse_instance, run_claim, space_from_min_opens,
                   t0_quotient, trivial_action)
@@ -20,8 +20,9 @@ from gen import (c8, cone, cyclic_group, fence_document, fixture_pa, g_contract,
 from oracle import (are_G_homotopic, are_homotopic, as_label_space,
                     envelopes_G_homotopic, exhaustive_locally_G_contractible,
                     find_homeomorphism, full_comparability_masks, homotopy_from_fence,
-                    interval_homotopy_exists, label_beat_point, label_components,
-                    label_core, label_fence, unpruned_components, unpruned_fence)
+                    interval_homotopy_exists, is_contractible, label_beat_point,
+                    label_components, label_core, label_fence, unpruned_components,
+                    unpruned_fence)
 
 
 # ---------------------------------------------------------------------------
